@@ -10,8 +10,9 @@ v-stability scans, and the transfinite-diameter sequence.
 from .asymptotics import (DiameterSeries, ZeroSumReport, d_sequence,
                           transfinite_d, zero_sum_check)
 from .classical_poly import (bessel_first_zero, bessel_j, jacobi_coeffs,
-                             jacobi_eval, jacobi_zeros, laguerre_coeffs,
-                             laguerre_eval, laguerre_zeros, poly_eval)
+                             jacobi_eval, jacobi_pass, jacobi_zeros,
+                             laguerre_coeffs, laguerre_eval, laguerre_pass,
+                             laguerre_zeros, poly_eval)
 from .energy import (EnergyReport, WeightSpec, energy_hessian,
                      fejer_constants, gradient_and_hessian, log_energy,
                      phi, phi_closed, v_weight, weight_logs)
@@ -23,7 +24,8 @@ from .errors import (CoincidentNodes, CountMismatch, DeflationInstability,
                      SingularEvaluation, ValidationError, XFeketeError)
 from .exceptional import (BuiltPolynomial, FamilySpec, RationalODE,
                           build_S, build_exceptional, exceptional_eval,
-                          leading_coefficient, ode_coeffs)
+                          exceptional_eval_pair, leading_coefficient,
+                          ode_coeffs)
 from .fekete_opt import (default_domain, maximize_log_T,
                          search_positive_h11, uniqueness_probe)
 from .interp import (grunwald, hermite_form, inv_weight_brackets,
@@ -42,10 +44,12 @@ __all__ = [
     "WeightSpec", "XFeketeError", "ZeroSet", "ZeroSumReport",
     "bessel_first_zero", "bessel_j", "build_S", "build_exceptional",
     "check_interlacing", "d_sequence", "default_domain", "energy_hessian",
-    "exceptional_eval", "fejer_constants", "find_zeros",
+    "exceptional_eval", "exceptional_eval_pair", "fejer_constants",
+    "find_zeros",
     "gradient_and_hessian", "grunwald", "hermite_form",
-    "inv_weight_brackets", "jacobi_coeffs", "jacobi_eval", "jacobi_zeros",
-    "lagrange_basis", "laguerre_coeffs", "laguerre_eval", "laguerre_zeros",
+    "inv_weight_brackets", "jacobi_coeffs", "jacobi_eval", "jacobi_pass",
+    "jacobi_zeros", "lagrange_basis", "laguerre_coeffs", "laguerre_eval",
+    "laguerre_pass", "laguerre_zeros",
     "log_energy", "maximize_log_T", "ode_coeffs", "phi", "phi_closed",
     "poly_eval", "search_positive_h11", "stability_scan", "transfinite_d",
     "uniqueness_probe", "v_weight", "weight_logs", "zero_sum_check",

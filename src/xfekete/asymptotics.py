@@ -12,8 +12,6 @@ differences decay like log^2(n)/n^2.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +92,7 @@ def d_sequence(m, alpha, n_range, c=1.0):
     Every d value comes from a certified ZeroSet; per-n failures are
     skipped and logged in the series rather than aborting the sweep.
     One extra member below the range start is computed so the first
-    delta is defined.  XF_THREADS > 1 parallelizes across n with a
-    deterministic reduction.
+    delta is defined.
     """
     wanted = sorted(set(int(n) for n in n_range))
     if not wanted:
@@ -108,24 +105,11 @@ def d_sequence(m, alpha, n_range, c=1.0):
     compute = sorted(set(wanted) | ({wanted[0] - 1} if wanted[0] > 2
                                     else set()))
     results, skipped = {}, []
-
-    def job(n):
+    for n in compute:
         try:
-            return n, _one_diameter(m, alpha, n, c), None
+            results[n] = _one_diameter(m, alpha, n, c)
         except XFeketeError as exc:
-            return n, None, f"{type(exc).__name__}: {exc}"
-
-    workers = int(os.environ.get("XF_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(job, compute))
-    else:
-        outs = [job(n) for n in compute]
-    for n, payload, err in outs:
-        if err is None:
-            results[n] = payload
-        else:
-            skipped.append((n, err))
+            skipped.append((n, f"{type(exc).__name__}: {exc}"))
 
     n_values = np.array([n for n in wanted if n in results], dtype=int)
     d = np.array([results[n][0] for n in n_values])

@@ -3,8 +3,10 @@
 Coefficient builders use explicit sums with generalized binomials computed
 as falling-factorial products, so negative and non-integer parameters are
 handled without gamma-function poles.  Pointwise evaluation goes through
-the three-term recurrences, which stay accurate far beyond the degrees at
-which monomial coefficients become unusable.  Also provides Gauss-type
+one three-term sweep per family that carries the differentiated
+recurrence along, so a single pass gives p_n, p_{n-1} and both
+derivatives; it stays accurate far beyond the degrees at which monomial
+coefficients become unusable.  Also provides Gauss-type
 zeros via the symmetric tridiagonal eigenproblem and the first positive
 zero of the Bessel function J_a from its ascending series.
 """
@@ -64,10 +66,17 @@ def jacobi_coeffs(m, a, b):
 
     Expanded from 2^-m sum_k C(m+a,k) C(m+b,m-k) (x-1)^(m-k) (x+1)^k.
     Raises DegreeCollapse when the leading coefficient 2^-m C(2m+a+b, m)
-    vanishes, which happens on the excluded negative-integer parameter set.
+    vanishes, which happens exactly when 2m+a+b is an integer in
+    {0..m-1}.  The test is on that closed form: the expanded top
+    coefficient cancels badly at large m and is no evidence of a collapse.
     """
     if m < 0:
         raise ValueError("degree must be nonnegative")
+    t = 2 * m + a + b
+    if abs(t - round(t)) < 1e-12 and 0 <= round(t) <= m - 1:
+        raise DegreeCollapse(
+            f"P_{m}^({a},{b}) has leading coefficient 2^-{m} C({t:g}, {m}) "
+            f"= 0; degree drops below {m}")
     c = np.zeros(m + 1)
     for k in range(m + 1):
         term = gen_binom(m + a, k) * gen_binom(m + b, m - k)
@@ -77,11 +86,6 @@ def jacobi_coeffs(m, a, b):
                              npoly.polypow([1.0, 1.0], k))
         c[: len(part)] += term * part
     c /= 2.0 ** m
-    scale = np.max(np.abs(c)) if np.max(np.abs(c)) > 0 else 1.0
-    if abs(c[-1]) <= TRIM_REL * scale:
-        raise DegreeCollapse(
-            f"P_{m}^({a},{b}) has leading coefficient "
-            f"{c[-1]:.3e}; degree drops below {m}")
     return c
 
 
@@ -106,51 +110,58 @@ def _as_float_or_complex(x):
     return x.astype(float)
 
 
+def laguerre_pass(n, a, x):
+    """One three-term sweep for L^(a) at x, vectorized and complex-safe.
+
+    Returns (L_n, L_{n-1}, L_n', L_{n-1}') with L_{-1} = 0.  The
+    derivatives come from differentiating the recurrence,
+      (k+1) L_{k+1}' = (2k+1+a-x) L_k' - L_k - (k+a) L_{k-1}'.
+    """
+    x = _as_float_or_complex(x)
+    p, pm1 = np.ones_like(x), np.zeros_like(x)
+    d, dm1 = np.zeros_like(x), np.zeros_like(x)
+    for k in range(n):
+        s = 2 * k + 1 + a - x
+        pm1, p, dm1, d = (p, (s * p - (k + a) * pm1) / (k + 1),
+                          d, (s * d - p - (k + a) * dm1) / (k + 1))
+    return p, pm1, d, dm1
+
+
 def laguerre_eval(n, a, x):
-    """L_n^(a)(x) by the three-term recurrence, vectorized, complex-safe."""
+    """L_n^(a)(x), the value part of laguerre_pass."""
+    return laguerre_pass(n, a, x)[0]
+
+
+def jacobi_pass(n, a, b, x):
+    """One three-term sweep for P^(a,b) at x, vectorized and complex-safe.
+
+    Returns (P_n, P_{n-1}, P_n', P_{n-1}') with P_{-1} = 0; the
+    derivatives follow the differentiated recurrence.
+    """
     x = _as_float_or_complex(x)
+    p, pm1 = np.ones_like(x), np.zeros_like(x)
+    d, dm1 = np.zeros_like(x), np.zeros_like(x)
     if n == 0:
-        return np.ones_like(x)
-    pm1 = np.ones_like(x)
-    p = 1.0 + a - x
-    for k in range(1, n):
-        pm1, p = p, ((2 * k + 1 + a - x) * p - (k + a) * pm1) / (k + 1)
-    return p
-
-
-def laguerre_eval_deriv(n, a, x, d):
-    """d-th derivative of L_n^(a): equals (-1)^d L_{n-d}^(a+d)."""
-    if n - d < 0:
-        return np.zeros_like(_as_float_or_complex(x))
-    val = laguerre_eval(n - d, a + d, x)
-    return -val if d % 2 else val
-
-
-def jacobi_eval(n, a, b, x):
-    """P_n^(a,b)(x) by the three-term recurrence, vectorized, complex-safe."""
-    x = _as_float_or_complex(x)
-    if n == 0:
-        return np.ones_like(x)
-    pm1 = np.ones_like(x)
-    p = 0.5 * (a - b + (a + b + 2) * x)
+        return p, pm1, d, dm1
+    # P_1 is written out: the k = 0 recurrence coefficient
+    # 2 (a+b+1)(a+b) vanishes at a + b = 0 or -1
+    p, pm1 = 0.5 * (a - b + (a + b + 2) * x), p
+    d = d + 0.5 * (a + b + 2)
     for k in range(1, n):
         k1 = k + 1
         c1 = 2 * k1 * (k1 + a + b) * (2 * k1 + a + b - 2)
         c2 = (2 * k1 + a + b - 1) * (a * a - b * b)
         c3 = (2 * k1 + a + b - 2) * (2 * k1 + a + b - 1) * (2 * k1 + a + b)
         c4 = 2 * (k1 + a - 1) * (k1 + b - 1) * (2 * k1 + a + b)
-        pm1, p = p, ((c2 + c3 * x) * p - c4 * pm1) / c1
-    return p
+        s = c2 + c3 * x
+        pm1, p, dm1, d = (p, (s * p - c4 * pm1) / c1,
+                          d, (s * d + c3 * p - c4 * dm1) / c1)
+    return p, pm1, d, dm1
 
 
-def jacobi_eval_deriv(n, a, b, x, d):
-    """d-th derivative of P_n^(a,b) via the parameter-raising identity."""
-    if n - d < 0:
-        return np.zeros_like(_as_float_or_complex(x))
-    fac = 1.0
-    for i in range(d):
-        fac *= 0.5 * (n + a + b + 1 + i)
-    return fac * jacobi_eval(n - d, a + d, b + d, x)
+def jacobi_eval(n, a, b, x):
+    """P_n^(a,b)(x), the value part of jacobi_pass."""
+    return jacobi_pass(n, a, b, x)[0]
 
 
 def laguerre_zeros(n, a):

@@ -15,8 +15,9 @@ Three families are supported:
 Degree-(m+n) members are produced two ways that cross-check each other:
 a least-squares nullspace solve of the ODE in the monomial basis
 (build_exceptional), and closed-form pointwise evaluators assembled from
-classical polynomials (exceptional_eval), which stay accurate at degrees
-where monomial coefficients are useless.
+classical polynomials (exceptional_eval_pair, which returns y and y' from
+one recurrence sweep per classical factor), which stay accurate at
+degrees where monomial coefficients are useless.
 """
 
 from dataclasses import dataclass, field
@@ -25,9 +26,8 @@ from math import factorial, lgamma
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .classical_poly import (gen_binom, jacobi_coeffs, jacobi_eval,
-                             jacobi_eval_deriv, laguerre_coeffs,
-                             laguerre_eval, laguerre_eval_deriv, trim)
+from .classical_poly import (gen_binom, jacobi_coeffs, jacobi_pass,
+                             laguerre_coeffs, laguerre_pass, trim)
 from .errors import (InvalidFamily, NullspaceDefect, RepresentationOverflow,
                      SingularEvaluation, ValidationError)
 
@@ -268,8 +268,9 @@ def build_exceptional(spec):
     ill-scaled for n beyond ~15), rows are sup-norm equilibrated, and the
     reduced system is solved by least squares.  The coefficient-space
     residual, relative to max(|A y''|, |C y|) coefficient norms, must
-    come in below 1e-9; a larger residual or a rank-deficient reduced
-    matrix raises NullspaceDefect.
+    come in below 1e-9; a larger residual, a rank-deficient reduced
+    matrix or a least-squares solve that fails outright (LinAlgError)
+    raises NullspaceDefect.
     """
     ode = ode_coeffs(spec)
     A, B, C = ode.A, ode.B, ode.C
@@ -297,8 +298,12 @@ def build_exceptional(spec):
         Msub = Ms[:, :deg]
         rn = np.max(np.abs(Msub), axis=1)
         rn[rn == 0] = 1.0
-        sol, _, rank, _ = np.linalg.lstsq(Msub / rn[:, None], rhs / rn,
-                                          rcond=None)
+        try:
+            sol, _, rank, _ = np.linalg.lstsq(Msub / rn[:, None], rhs / rn,
+                                              rcond=None)
+        except np.linalg.LinAlgError as exc:
+            raise NullspaceDefect(
+                f"least-squares solve failed for {spec}: {exc}") from exc
         if rank < deg:
             raise NullspaceDefect(
                 f"reduced system rank {rank} < {deg}: solution space has "
@@ -329,82 +334,81 @@ def _coerce(x):
     return x.astype(float)
 
 
-def _lag1_eval(m, n, al, x, deriv):
-    # y = L_m^(al)(-x) L_n^(al-1)(x) + L_m^(al-1)(-x) L_{n-1}^(al)(x)
-    # d-th x-derivative of L_m^(a)(-x) is +L_{m-d}^(a+d)(-x): the chain
-    # sign cancels the derivative sign of the Laguerre family.
-    x = _coerce(x)
-    from math import comb
-    tot = np.zeros_like(x)
-    for d in range(deriv + 1):
-        cb = comb(deriv, d)
-        f1 = laguerre_eval(m - d, al + d, -x) if m - d >= 0 \
-            else np.zeros_like(x)
-        g1 = laguerre_eval_deriv(n, al - 1.0, x, deriv - d)
-        f2 = laguerre_eval(m - d, al - 1.0 + d, -x) if m - d >= 0 \
-            else np.zeros_like(x)
-        g2 = laguerre_eval_deriv(n - 1, al, x, deriv - d) if n >= 1 \
-            else np.zeros_like(x)
-        tot = tot + cb * (f1 * g1 + f2 * g2)
-    return tot
+def _lag1_pair(m, n, al, x):
+    # y = L_m^(al)(-x) L_n^(al-1)(x) + L_m^(al-1)(-x) L_{n-1}^(al)(x).
+    # Both parameters come from one sweep of L^(al) each side, via
+    # L_k^(al-1) = L_k^(al) - L_{k-1}^(al); the chain rule flips the sign
+    # of the derivatives of the factors at -x.
+    fm, fm1, dfm, dfm1 = laguerre_pass(m, al, -x)
+    gn, gn1, dgn, dgn1 = laguerre_pass(n, al, x)
+    f1, f2 = fm, fm - fm1
+    g1, g2 = gn - gn1, gn1
+    y = f1 * g1 + f2 * g2
+    yp = f1 * (dgn - dgn1) + f2 * dgn1 - dfm * g1 - (dfm - dfm1) * g2
+    return y, yp
 
 
-def _lag2_eval(m, n, al, x, deriv):
-    # y   = x S u' + ((al+1) S - x S') u,  u = L_n^(al+1)
-    # y'  = x S u' + ((m-n) S - x S') u
-    # y'' = (x-al+m-n-1) S u' + ((m-n) S + (m-n-1-al-x) S') u
-    # The derivative forms come from eliminating u'' and S'' via the
-    # classical ODEs of u and S.
-    x = _coerce(x)
-    Sc = build_S(FamilySpec("laguerre2", m, al, n))
-    S = npoly.polyval(x, Sc)
-    Sp = npoly.polyval(x, npoly.polyder(Sc)) if m >= 1 else np.zeros_like(x)
-    u = laguerre_eval(n, al + 1.0, x)
-    up = laguerre_eval_deriv(n, al + 1.0, x, 1)
-    if deriv == 0:
-        return x * S * up + ((al + 1.0) * S - x * Sp) * u
-    if deriv == 1:
-        return x * S * up + ((m - n) * S - x * Sp) * u
-    return ((x - al + m - n - 1.0) * S * up
-            + ((m - n) * S + (m - n - 1.0 - al - x) * Sp) * u)
+def _S_pair(spec, x):
+    Sc = build_S(spec)
+    Sp = npoly.polyval(x, npoly.polyder(Sc)) if spec.m >= 1 \
+        else np.zeros_like(x)
+    return npoly.polyval(x, Sc), Sp
 
 
-def _jac_eval(m, n, al, be, x, deriv):
+def _lag2_pair(spec, x):
+    # y  = x S u' + ((al+1) S - x S') u,  u = L_n^(al+1)
+    # y' = x S u' + ((m-n) S - x S') u, from eliminating u'' and S'' via
+    # the classical ODEs of u and S.
+    m, n, al = spec.m, spec.n, spec.alpha
+    S, Sp = _S_pair(spec, x)
+    u, _, up, _ = laguerre_pass(n, al + 1.0, x)
+    y = x * S * up + ((al + 1.0) * S - x * Sp) * u
+    yp = x * S * up + ((m - n) * S - x * Sp) * u
+    return y, yp
+
+
+def _jac_pair(spec, x):
     # y  = (1-x) S u' - ((al+1) S + (1-x) S') u,  u = P_n^(al+1, be-1)
     # y' = (-be (1-x) S u' + (-lam S + be (1-x) S') u) / (1+x)
-    # y'' follows from the family ODE.
-    x = _coerce(x)
-    Sc = build_S(FamilySpec("jacobi", m, al, n, be))
-    S = npoly.polyval(x, Sc)
-    Sp = npoly.polyval(x, npoly.polyder(Sc)) if m >= 1 else np.zeros_like(x)
-    u = jacobi_eval(n, al + 1.0, be - 1.0, x)
-    up = jacobi_eval_deriv(n, al + 1.0, be - 1.0, x, 1)
+    m, n, al, be = spec.m, spec.n, spec.alpha, spec.beta
+    S, Sp = _S_pair(spec, x)
+    u, _, up, _ = jacobi_pass(n, al + 1.0, be - 1.0, x)
     lam = m * (al - be - m + 1.0) + n * (n + al + be + 1.0)
     y = (1 - x) * S * up - ((al + 1.0) * S + (1 - x) * Sp) * u
-    if deriv == 0:
-        return y
     yp = (-be * (1 - x) * S * up + (-lam * S + be * (1 - x) * Sp) * u) \
         / (1 + x)
-    if deriv == 1:
-        return yp
-    Av = (1 - x ** 2) * S
-    Bv = (be - al - (al + be + 2) * x) * S - 2 * (1 - x ** 2) * Sp
-    Cv = lam * S - 2 * be * (1 - x) * Sp
-    return -(Bv * yp + Cv * y) / Av
+    return y, yp
+
+
+def exceptional_eval_pair(spec, x):
+    """Value and first derivative (y, y') of the exceptional polynomial at
+    real or complex x, each classical factor taken from one recurrence
+    sweep.
+
+    Carries the same normalization as build_exceptional and stays
+    accurate at degrees far beyond what monomial coefficients support.
+    """
+    x = _coerce(x)
+    if spec.family == "laguerre1":
+        return _lag1_pair(spec.m, spec.n, spec.alpha, x)
+    if spec.family == "laguerre2":
+        return _lag2_pair(spec, x)
+    return _jac_pair(spec, x)
 
 
 def exceptional_eval(spec, x, deriv=0):
     """Pointwise value (or first or second derivative) of the exceptional
-    polynomial, assembled from classical recurrences.
+    polynomial, from exceptional_eval_pair.
 
-    Carries the same normalization as build_exceptional and stays
-    accurate at degrees far beyond what monomial coefficients support.
-    Accepts real or complex x.
+    The second derivative comes from the family ODE,
+    y'' = -(B y' + C y) / A, so it is undefined at the zeros of A.
     """
     if deriv not in (0, 1, 2):
         raise ValidationError("deriv must be 0, 1 or 2")
-    if spec.family == "laguerre1":
-        return _lag1_eval(spec.m, spec.n, spec.alpha, x, deriv)
-    if spec.family == "laguerre2":
-        return _lag2_eval(spec.m, spec.n, spec.alpha, x, deriv)
-    return _jac_eval(spec.m, spec.n, spec.alpha, spec.beta, x, deriv)
+    y, yp = exceptional_eval_pair(spec, x)
+    if deriv < 2:
+        return yp if deriv else y
+    x = _coerce(x)
+    ode = ode_coeffs(spec)
+    return -(npoly.polyval(x, ode.B) * yp + npoly.polyval(x, ode.C) * y) \
+        / npoly.polyval(x, ode.A)

@@ -18,13 +18,20 @@ import numpy.polynomial.polynomial as npoly
 from .classical_poly import jacobi_zeros, laguerre_zeros, trim
 from .errors import (CountMismatch, DeflationInstability, NonConvergence,
                      RepresentationOverflow)
-from .exceptional import build_S, build_exceptional, exceptional_eval
+from .exceptional import build_S, build_exceptional, exceptional_eval_pair
 
 # classification margin: a zero within this distance of the closed
 # orthogonality interval is neither safely inside nor safely outside
 MARGIN = 1e-9
 
 CERT_TOL = 1e-10
+
+# Newton stops below NEWTON_TOL, or below NEWTON_FLOOR once the step has
+# stopped shrinking (the rounding floor; n >~ 100 never reaches
+# NEWTON_TOL).  Bisection only has to land in Newton's basin.
+NEWTON_TOL = 1e-15
+NEWTON_FLOOR = 1e-13
+BISECT_ITERS = 30
 
 
 @dataclass(frozen=True)
@@ -44,22 +51,48 @@ class ZeroSet:
     certificate: dict
 
 
-def _newton(spec, x0, itmax=60, tol=1e-15):
-    """Vectorized Newton polish on the closed-form evaluator."""
+def _newton(spec, x0, itmax=60, deflate=None):
+    """Vectorized Newton polish on the closed-form evaluator, one
+    exceptional_eval_pair call per iteration.
+
+    deflate holds zeros already found (the regular ones, when polishing
+    exceptional zeros).  Their linear factors are divided out of y
+    implicitly (Maehly's correction), so a seed near an exceptional zero
+    is not thrown off by the n zeros inside the interval: without it,
+    Newton from a zero of S can overshoot and then creep back by about
+    1/n of the distance per step.
+
+    Stops once the largest relative step max|dx|/(1+|x|) falls below
+    NEWTON_TOL, or falls below NEWTON_FLOOR and no longer shrinks: the
+    iterate then sits at the rounding floor of the evaluator, where
+    further steps only move it around.  A stage whose last relative step
+    is above CERT_TOL, or not finite, raises NonConvergence.
+    """
     x = np.array(x0, dtype=complex if np.iscomplexobj(x0) else float)
     if x.size == 0:
         return x
-    for _ in range(itmax):
-        v = exceptional_eval(spec, x)
-        dv = exceptional_eval(spec, x, 1)
+    prev = np.inf
+    for it in range(1, itmax + 1):
+        v, dv = exceptional_eval_pair(spec, x)
         step = v / dv
+        if deflate is not None:
+            step = step / (1 - step * np.sum(1.0 / (x[:, None] - deflate),
+                                             axis=1))
         x = x - step
-        if np.max(np.abs(step) / (1 + np.abs(x))) < tol:
+        rel = float(np.max(np.abs(step) / (1 + np.abs(x))))
+        if (not np.isfinite(rel) or rel < NEWTON_TOL
+                or NEWTON_FLOOR > rel >= prev):
             break
+        prev = rel
+    if not rel <= CERT_TOL:
+        raise NonConvergence(
+            f"Newton stopped after {it} iterations with relative step "
+            f"{rel:.3e} for {spec}",
+            [{"iterations": it, "relative_step": rel}])
     return x
 
 
-def _bisect(f, lo, hi, flo, iters=80):
+def _bisect(f, lo, hi, flo, iters=BISECT_ITERS):
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -80,7 +113,7 @@ def _lag1_exceptional(spec):
         # exactly the negated classical ones
         return _newton(spec, -zm)
     zm1 = laguerre_zeros(m - 1, al)
-    f = lambda x: float(exceptional_eval(spec, x))
+    f = lambda x: float(exceptional_eval_pair(spec, x)[0])
     out = []
     for j in range(m):
         lo = -zm[j]
@@ -92,7 +125,7 @@ def _lag1_exceptional(spec):
             flo = f(lo)
         if flo * fhi > 0:
             grid = np.linspace(lo, hi, 41)
-            vals = np.array([f(g) for g in grid])
+            vals = exceptional_eval_pair(spec, grid)[0]
             idx = np.nonzero(vals[:-1] * vals[1:] <= 0)[0]
             if idx.size == 0:
                 out.append(0.5 * (lo + hi))   # Newton will have to do
@@ -199,8 +232,7 @@ def _certificate(spec, roots):
         margin = float(np.max(logp - logbound)) if roots.size else -np.inf
         return {"method": "coefficient", "passed": bool(margin <= 0.0),
                 "max_log_excess": margin, "build_residual": built.residual}
-    v = exceptional_eval(spec, roots)
-    dv = exceptional_eval(spec, roots, 1)
+    v, dv = exceptional_eval_pair(spec, roots)
     ratio = np.abs(v) / (np.abs(dv) * (1 + np.abs(roots)))
     worst = float(np.max(ratio)) if roots.size else 0.0
     return {"method": "evaluator", "passed": bool(worst <= CERT_TOL),
@@ -214,9 +246,10 @@ def find_zeros(spec):
     (bracketed bisection backs up the laguerre1 path if the seeds
     misbehave).  Exceptional zeros come from nesting brackets
     (laguerre1), coefficient deflation plus simultaneous iteration
-    (laguerre2), or Newton from the zeros of S (jacobi).  Raises
-    CountMismatch if counts or the location margins fail, and
-    NonConvergence if the residual certificate fails.
+    (laguerre2), or the zeros of S (jacobi), polished by Newton with the
+    regular zeros divided out.  Raises CountMismatch if counts or the
+    location margins fail, and NonConvergence if a Newton stage or the
+    residual certificate fails.
     """
     m, n, al = spec.m, spec.n, spec.alpha
     if spec.family == "laguerre1":
@@ -234,7 +267,8 @@ def find_zeros(spec):
                 seeds = _aberth(quotient)
             except RepresentationOverflow:
                 seeds = np.roots(build_S(spec)[::-1]).astype(complex)
-            exc = np.sort_complex(_newton(spec, seeds.astype(complex)))
+            exc = np.sort_complex(_newton(spec, seeds.astype(complex),
+                                             deflate=reg))
         else:
             exc = np.empty(0, dtype=complex)
     else:
@@ -243,7 +277,7 @@ def find_zeros(spec):
             if n else np.empty(0)
         if m:
             seeds = np.roots(build_S(spec)[::-1]).astype(complex)
-            exc = np.sort_complex(_newton(spec, seeds))
+            exc = np.sort_complex(_newton(spec, seeds, deflate=reg))
         else:
             exc = np.empty(0, dtype=complex)
     _classify(spec, reg, exc)

@@ -108,10 +108,3 @@ def test_sequence_degree_cap():
     with pytest.raises(xf.ValidationError):
         xf.d_sequence(1, 2.0, range(199, 202))
 
-
-def test_sequence_thread_count_does_not_change_output(monkeypatch):
-    base = xf.d_sequence(1, 1.5, range(10, 15))
-    monkeypatch.setenv("XF_THREADS", "3")
-    threaded = xf.d_sequence(1, 1.5, range(10, 15))
-    np.testing.assert_array_equal(base.d, threaded.d)
-    np.testing.assert_array_equal(base.deltas, threaded.deltas)

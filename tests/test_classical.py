@@ -41,6 +41,15 @@ def test_jacobi_degree_collapse_raises():
         xf.jacobi_coeffs(2, -4.0, 0.0)
 
 
+def test_jacobi_collapse_decided_by_closed_form():
+    # the expanded top coefficient cancels at m = 120, but
+    # 2^-m C(2m+a+b, m) is far from zero: no collapse
+    c = xf.jacobi_coeffs(120, 2.376, -0.071)
+    assert c.size == 121
+    with pytest.raises(xf.DegreeCollapse):
+        xf.jacobi_coeffs(3, -5.0, 0.0)     # 2m+a+b = 1 in {0, 1, 2}
+
+
 def test_laguerre_leading_coefficient():
     for m in range(1, 9):
         c = xf.laguerre_coeffs(m, 1.5)

@@ -128,6 +128,25 @@ def test_numerical_error_exit_code(capsys):
     assert json.loads(err)["error"] == "RepresentationOverflow"
 
 
+def test_large_degree_jacobi_is_a_numerical_failure(capsys):
+    # the expanded top coefficient of P_120^(2.376,-0.071) cancels; that
+    # used to read as a DegreeCollapse (exit 1) before the solve failed
+    code, out, _ = run(capsys, "verify", "--family", "jacobi", "--m", "1",
+                       "--alpha", "1.376", "--beta", "0.929", "--n", "120")
+    assert code == 2
+    doc = json.loads(out)
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert doc["passed"] is False and not checks["construction"]["passed"]
+
+
+def test_overflowing_jacobi_zeros_fail_typed(capsys):
+    code, out, err = run(capsys, "zeros", "--family", "jacobi", "--m", "1",
+                         "--alpha", "2.841", "--beta", "0.867", "--n", "400")
+    assert code == 2 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] in {
+        "NonConvergence", "NullspaceDefect"}
+
+
 def test_nodes_file_override(tmp_path, capsys):
     f = tmp_path / "nodes.txt"
     f.write_text("1.0\n2.5\n7.0\n")

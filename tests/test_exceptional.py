@@ -139,6 +139,14 @@ def test_out_of_regime_rank_defect():
         xf.build_exceptional(xf.FamilySpec("laguerre2", 3, 1.0, 3))
 
 
+def test_failed_least_squares_is_nullspace_defect():
+    # at n = 400 the magnitude profile overflows and the SVD inside lstsq
+    # does not converge; the LinAlgError surfaces as a typed error
+    with pytest.raises(xf.NullspaceDefect):
+        xf.build_exceptional(xf.FamilySpec("jacobi", 1, 2.841, 400,
+                                           beta=0.867))
+
+
 def test_representation_overflow_guard():
     with pytest.raises(xf.RepresentationOverflow):
         xf.build_exceptional(xf.FamilySpec("laguerre1", 1, 1.0, 200))
