@@ -14,8 +14,8 @@ from .classical_poly import (bessel_first_zero, bessel_j, jacobi_coeffs,
                              laguerre_coeffs, laguerre_eval, laguerre_pass,
                              laguerre_zeros, poly_eval)
 from .energy import (EnergyReport, WeightSpec, energy_hessian,
-                     fejer_constants, gradient_and_hessian, log_energy,
-                     phi, phi_closed, v_weight, weight_logs)
+                     energy_terms, fejer_constants, gradient_and_hessian,
+                     log_energy, phi, phi_closed, v_weight, weight_logs)
 from .errors import (CoincidentNodes, CountMismatch, DeflationInstability,
                      DegreeCollapse, DomainEscape, InvalidFamily,
                      NoSignChange, NonConvergence, NullspaceDefect,
@@ -44,8 +44,8 @@ __all__ = [
     "WeightSpec", "XFeketeError", "ZeroSet", "ZeroSumReport",
     "bessel_first_zero", "bessel_j", "build_S", "build_exceptional",
     "check_interlacing", "d_sequence", "default_domain", "energy_hessian",
-    "exceptional_eval", "exceptional_eval_pair", "fejer_constants",
-    "find_zeros",
+    "energy_terms", "exceptional_eval", "exceptional_eval_pair",
+    "fejer_constants", "find_zeros",
     "gradient_and_hessian", "grunwald", "hermite_form",
     "inv_weight_brackets", "jacobi_coeffs", "jacobi_eval", "jacobi_pass",
     "jacobi_zeros", "lagrange_basis", "laguerre_coeffs", "laguerre_eval",

@@ -20,7 +20,7 @@ can be evaluated.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -42,8 +42,10 @@ class WeightSpec:
 
     shift=None resolves to the variant default (0 for base, 1 for hat
     and v).  P holds ascending coefficients of the extra node polynomial
-    for the v variant.  log_scale adds a constant to log w; the energy
-    shifts by N * log_scale and nothing else changes.
+    for the v variant, stored as a read-only copy.  log_scale adds a
+    constant to log w; the energy shifts by N * log_scale and nothing
+    else changes.  The polynomial tables of S (hat, v) and P (v) are
+    built here, once per weight.
     """
 
     spec: FamilySpec
@@ -51,6 +53,8 @@ class WeightSpec:
     shift: float | None = None
     P: np.ndarray | None = None
     log_scale: float = 0.0
+    _S: tuple | None = field(init=False, repr=False, compare=False)
+    _P: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -58,10 +62,15 @@ class WeightSpec:
         if self.variant == "v":
             if self.P is None:
                 raise ValidationError("variant 'v' needs the node polynomial P")
-            object.__setattr__(self, "P",
-                               np.asarray(self.P, dtype=float).copy())
+            P = np.asarray(self.P, dtype=float).copy()
+            P.setflags(write=False)
+            object.__setattr__(self, "P", P)
         elif self.P is not None:
             raise ValidationError("P is only meaningful for variant 'v'")
+        object.__setattr__(self, "_S", None if self.variant == "base"
+                           else _poly_table(build_S(self.spec)))
+        object.__setattr__(self, "_P", None if self.P is None
+                           else _poly_table(self.P))
 
     @property
     def resolved_shift(self):
@@ -77,17 +86,35 @@ class WeightSpec:
         return a, None
 
 
-def _poly_logs(coeffs, x):
-    """log|p|, (log p)' and (log p)'' of a polynomial at x, with a
+def _poly_table(coeffs):
+    """(c, |c|, c', c'') of a polynomial, ascending and read-only."""
+    c = np.array(coeffs, dtype=float)
+    table = (c, np.abs(c), npoly.polyder(c), npoly.polyder(c, 2))
+    for t in table:
+        t.setflags(write=False)
+    return table
+
+
+def _horner(c, x):
+    """npoly.polyval(x, c) for real x, doing its operations in the same
+    order so the result is bit-identical."""
+    y = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        y = ck + y * x
+    return y
+
+
+def _poly_logs(table, x):
+    """log|p|, (log p)' and (log p)'' of a tabled polynomial at x, with a
     relative pole guard on |p(x)|."""
-    c = np.asarray(coeffs, dtype=float)
-    p = npoly.polyval(x, c)
-    scale = npoly.polyval(np.abs(x), np.abs(c))
+    c, abs_c, c1, c2 = table
+    p = _horner(c, x)
+    scale = _horner(abs_c, np.abs(x))
     if np.any(np.abs(p) <= _POLE_RTOL * scale):
         raise PoleEvaluation("evaluation point too close to a zero of a "
                              "weight polynomial")
-    d1 = npoly.polyval(x, npoly.polyder(c))
-    d2 = npoly.polyval(x, npoly.polyder(c, 2))
+    d1 = _horner(c1, x)
+    d2 = _horner(c2, x)
     r = d1 / p
     return np.log(np.abs(p)), r, d2 / p - r * r
 
@@ -131,12 +158,12 @@ def weight_logs(w, x):
         logw = logw - x
         d1 = d1 - 1.0
     if w.variant in ("hat", "v"):
-        ls, ls1, ls2 = _poly_logs(build_S(w.spec), x)
+        ls, ls1, ls2 = _poly_logs(w._S, x)
         logw = logw - 2.0 * ls
         d1 = d1 - 2.0 * ls1
         d2 = d2 - 2.0 * ls2
     if w.variant == "v":
-        lp, lp1, lp2 = _poly_logs(w.P, x)
+        lp, lp1, lp2 = _poly_logs(w._P, x)
         logw = logw + 2.0 * lp
         d1 = d1 + 2.0 * lp1
         d2 = d2 + 2.0 * lp2
@@ -156,14 +183,35 @@ def _check_nodes(nodes):
     return nodes
 
 
+def _assemble(nodes, logw, d1, d2):
+    """(F, gradient, Hessian) from the weight logs at the nodes."""
+    dif = nodes[:, None] - nodes[None, :]
+    cross = np.log(np.abs(dif[np.triu_indices(nodes.size, k=1)]))
+    F = math.fsum(logw) + 2.0 * math.fsum(cross)
+    np.fill_diagonal(dif, np.inf)
+    inv = 1.0 / dif
+    g = d1 + 2.0 * np.sum(inv, axis=1)
+    H = 2.0 * inv ** 2
+    np.fill_diagonal(H, d2 - 2.0 * np.sum(inv ** 2, axis=1))
+    return F, g, H
+
+
+def energy_terms(nodes, w):
+    """F, its gradient and its Hessian at the nodes, from one evaluation
+    of the weight.
+
+    F = sum log w + 2 sum_{i<j} log|x_i - x_j| (compensated sums),
+    g_k = (log w)'(x_k) + 2 sum_{j!=k} 1/(x_k - x_j) and
+    H_kj = 2/(x_k - x_j)^2 off the diagonal,
+    H_kk = (log w)''(x_k) - 2 sum_{j!=k} 1/(x_k - x_j)^2.
+    """
+    nodes = _check_nodes(nodes)
+    return _assemble(nodes, *weight_logs(w, nodes))
+
+
 def log_energy(nodes, w):
     """F(nodes) = sum log w + 2 sum_{i<j} log|x_i - x_j| (compensated)."""
-    nodes = _check_nodes(nodes)
-    logw, _, _ = weight_logs(w, nodes)
-    logw = np.atleast_1d(logw)
-    i, j = np.triu_indices(nodes.size, k=1)
-    cross = np.log(np.abs(nodes[i] - nodes[j])) if i.size else np.zeros(0)
-    return math.fsum(logw) + 2.0 * math.fsum(cross)
+    return energy_terms(nodes, w)[0]
 
 
 def fejer_constants(nodes, w):
@@ -172,23 +220,12 @@ def fejer_constants(nodes, w):
     These vanish exactly at a stationary configuration; the members'
     zero sets drive them to rounding level.
     """
-    g, _ = gradient_and_hessian(nodes, w)
-    return g
+    return energy_terms(nodes, w)[1]
 
 
 def gradient_and_hessian(nodes, w):
     """Gradient and Hessian of F at the given nodes."""
-    nodes = _check_nodes(nodes)
-    _, d1, d2 = weight_logs(w, nodes)
-    d1 = np.atleast_1d(d1)
-    d2 = np.atleast_1d(d2)
-    dif = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(dif, np.inf)
-    inv = 1.0 / dif
-    g = d1 + 2.0 * np.sum(inv, axis=1)
-    H = 2.0 * inv ** 2
-    np.fill_diagonal(H, d2 - 2.0 * np.sum(inv ** 2, axis=1))
-    return g, H
+    return energy_terms(nodes, w)[1:]
 
 
 @dataclass(frozen=True)
@@ -232,9 +269,8 @@ def energy_hessian(nodes, w):
     to callers through the hessian field.
     """
     nodes = _check_nodes(nodes)
-    g, H = gradient_and_hessian(nodes, w)
-    _, d1, _ = weight_logs(w, nodes)
-    d1 = np.atleast_1d(d1)
+    logw, d1, d2 = weight_logs(w, nodes)
+    F, g, H = _assemble(nodes, logw, d1, d2)
     stat = float(np.max(np.abs(g))) < GRAD_RTOL * (1 + np.max(np.abs(d1)))
     d = np.diag(H)
     row_off = np.sum(np.abs(H), axis=1) - np.abs(d)
@@ -248,7 +284,7 @@ def energy_hessian(nodes, w):
     else:
         cls = "indefinite"
     return EnergyReport(weight=w, nodes=np.sort(nodes),
-                        logT=log_energy(nodes, w), gradient=g, hessian=H,
+                        logT=F, gradient=g, hessian=H,
                         diag_signs=np.sign(d).astype(int), stationary=stat,
                         diagonally_dominant=dominant,
                         block_dominant=_block_dominant(H),
@@ -288,7 +324,7 @@ def phi_closed(spec, x):
     """
     x = np.asarray(x, dtype=float)
     al, m, n = spec.alpha, spec.m, spec.n
-    _, r, _ = _poly_logs(build_S(spec), x)
+    _, r, _ = _poly_logs(_poly_table(build_S(spec)), x)
     if spec.family == "laguerre1":
         if np.any(np.abs(x) <= _POLE_RTOL):
             raise PoleEvaluation("evaluation point too close to x = 0")

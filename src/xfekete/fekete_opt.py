@@ -3,7 +3,11 @@
 The functional F from the energy module is concave near its maximizers,
 so a damped Newton iteration with a gradient-ascent fallback (used while
 the Hessian is not negative definite) converges quickly; started from
-the regular zeros of a member it stops within a couple of steps.  A
+the regular zeros of a member it stops within a couple of steps.  Each
+ascent point costs one weight evaluation: a line-search candidate gets
+F, its gradient and its Hessian together from energy_terms, and an
+accepted candidate's values serve the next iteration; the weight's
+polynomial tables are built once per weight, in WeightSpec.  A
 multistart probe clusters the maximizers found from random initial
 configurations to test uniqueness of the weighted Fekete set.
 """
@@ -12,8 +16,7 @@ import numpy as np
 
 from .errors import (DomainEscape, NonConvergence, NumericalError,
                      ValidationError)
-from .energy import (gradient_and_hessian, log_energy, v_weight,
-                     weight_logs)
+from .energy import energy_terms, gradient_and_hessian, v_weight, weight_logs
 from .exceptional import FamilySpec
 
 GTOL = 1e-9
@@ -30,16 +33,17 @@ def default_domain(w, n):
 
 
 def _valid(w, x, domain):
+    """(True, (F, g, H)) for an admissible configuration, else (False,
+    the reason)."""
     lo, hi = domain
     if np.any(x <= lo) or np.any(x >= hi):
         return False, "domain"
     if np.any(np.diff(x) <= 0):
         return False, "order"
     try:
-        f = log_energy(x, w)
+        return True, energy_terms(x, w)
     except NumericalError:
         return False, "pole"
-    return True, f
 
 
 def maximize_log_T(w, domain, n, init=None, gtol=GTOL, itmax=ITMAX):
@@ -56,12 +60,12 @@ def maximize_log_T(w, domain, n, init=None, gtol=GTOL, itmax=ITMAX):
     x = np.sort(np.asarray(init, dtype=float))
     if x.size != n:
         raise ValidationError(f"init has {x.size} nodes, expected {n}")
-    ok, f0 = _valid(w, x, (lo, hi))
+    ok, terms = _valid(w, x, (lo, hi))
     if not ok:
-        raise DomainEscape(f"initial nodes invalid ({f0})")
+        raise DomainEscape(f"initial nodes invalid ({terms})")
+    f0, g, H = terms
     trace = []
     for it in range(itmax):
-        g, H = gradient_and_hessian(x, w)
         gmax = float(np.max(np.abs(g)))
         mode = "newton"
         try:
@@ -79,13 +83,13 @@ def maximize_log_T(w, domain, n, init=None, gtol=GTOL, itmax=ITMAX):
         blocker = "order"
         while t > 1e-14:
             cand = np.sort(x + t * step)
-            ok, f1 = _valid(w, cand, (lo, hi))
-            if ok and f1 >= f0 - 1e-10 * (1.0 + abs(f0)):
-                x, f0 = cand, f1
+            ok, terms = _valid(w, cand, (lo, hi))
+            if ok and terms[0] >= f0 - 1e-10 * (1.0 + abs(f0)):
+                x, (f0, g, H) = cand, terms
                 placed = True
                 break
             if not ok:
-                blocker = f1
+                blocker = terms
             t *= 0.5
         if not placed:
             if blocker == "domain":
@@ -111,7 +115,7 @@ def uniqueness_probe(w, domain, n, trials=20, seed=0):
     for _ in range(trials):
         init = np.sort(rng.uniform(lo, hi, size=n))
         try:
-            nodes, _ = maximize_log_T(w, domain, n, init)
+            nodes, trace = maximize_log_T(w, domain, n, init)
         except (NonConvergence, DomainEscape):
             failed += 1
             continue
@@ -122,7 +126,7 @@ def uniqueness_probe(w, domain, n, trials=20, seed=0):
                 break
         else:
             clusters.append({"nodes": nodes, "count": 1,
-                             "logT": log_energy(nodes, w)})
+                             "logT": trace[-1]["logT"]})
     clusters.sort(key=lambda c: -c["count"])
     return {"clusters": clusters, "trials": trials,
             "converged": converged, "failed": failed}

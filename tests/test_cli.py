@@ -147,6 +147,28 @@ def test_overflowing_jacobi_zeros_fail_typed(capsys):
         "NonConvergence", "NullspaceDefect"}
 
 
+# recorded from the ascent that evaluated F (log_energy) and its
+# derivatives (gradient_and_hessian) separately; the fused energy terms
+# must reproduce it bit for bit
+FEKETE_GOLDEN = (
+    '{"clusters":[{"count":20,"logT":140.07962035631712,"nodes":[0.'
+    '55860362838620214,1.5244420568678521,2.9557385946151138,4.8850'
+    '537735652146,7.35964033426737,10.451538961997567,14.2742370037'
+    '31439,19.019298778406583,25.05647989790522,33.334599870654777]'
+    '}],"converged":20,"domain":[0,48],"failed":0,"seed":0,"spec":{'
+    '"alpha":2,"family":"laguerre1","m":1,"n":10},"top_cluster_devi'
+    'ation_from_zeros":1.531841320456806e-10,"trials":20,"version":'
+    '"0.1.0"}'
+    "\n")
+
+
+def test_fekete_golden_stdout(capsys):
+    code, out, _ = run(capsys, "fekete", *SEL, "--n", "10", "--trials", "20",
+                       "--seed", "0")
+    assert code == 0
+    assert out == FEKETE_GOLDEN
+
+
 def test_nodes_file_override(tmp_path, capsys):
     f = tmp_path / "nodes.txt"
     f.write_text("1.0\n2.5\n7.0\n")
