@@ -68,6 +68,24 @@ def lagrange_basis(nodes):
     return basis
 
 
+def _weighted_log_terms(nodes, w):
+    """Shared set-up of the Gruenwald operators over the nodes.
+
+    Returns the validated nodes and an evaluator mapping a 1-d x to
+    (2 log|l_k(x)| + log v(x) - log v(x_k), exact-hit mask), the first
+    of shape (n, nx), the log of each term v(x)/v(x_k) l_k(x)^2.
+    """
+    nodes, logbw, sgnbw = _node_logs(nodes)
+    logv_nodes, _, _ = weight_logs(w, nodes)
+
+    def log_terms(x1):
+        loglk, _, anyhit = _log_fundamentals(nodes, logbw, sgnbw, x1)
+        logv_x, _, _ = weight_logs(w, x1)
+        return 2.0 * loglk + logv_x[None, :] - logv_nodes[:, None], anyhit
+
+    return nodes, log_terms
+
+
 def grunwald(nodes, w, y=None):
     """Evaluator of the Gruenwald mean over the nodes.
 
@@ -77,19 +95,14 @@ def grunwald(nodes, w, y=None):
     exp(log v(x) - log v(x_k) + 2 log|l_k(x)|) so no intermediate
     fundamental is ever formed directly.
     """
-    nodes, logbw, sgnbw = _node_logs(nodes)
-    logv_nodes, _, _ = weight_logs(w, nodes)
-    logv_nodes = np.atleast_1d(logv_nodes)
+    nodes, log_terms = _weighted_log_terms(nodes, w)
     fvals = np.ones_like(nodes) if y is None \
         else np.asarray(y, dtype=float)
 
     def G(x):
         scalar = np.ndim(x) == 0
         x1 = np.atleast_1d(np.asarray(x, dtype=float))
-        loglk, _, anyhit = _log_fundamentals(nodes, logbw, sgnbw, x1)
-        logv_x, _, _ = weight_logs(w, x1)
-        logv_x = np.atleast_1d(logv_x)
-        arg = 2.0 * loglk + logv_x[None, :] - logv_nodes[:, None]
+        arg, anyhit = log_terms(x1)
         with np.errstate(over="ignore"):
             terms = np.exp(arg)
         out = np.sum(fvals[:, None] * terms, axis=0)
@@ -110,18 +123,13 @@ def hermite_form(nodes, w):
     zeros the C_k vanish to rounding and H coincides with the
     fundamental sum.
     """
-    nodes, logbw, sgnbw = _node_logs(nodes)
-    logv_nodes, _, _ = weight_logs(w, nodes)
-    logv_nodes = np.atleast_1d(logv_nodes)
+    nodes, log_terms = _weighted_log_terms(nodes, w)
     C = fejer_constants(nodes, w)
 
     def H(x):
         scalar = np.ndim(x) == 0
         x1 = np.atleast_1d(np.asarray(x, dtype=float))
-        loglk, _, anyhit = _log_fundamentals(nodes, logbw, sgnbw, x1)
-        logv_x, _, _ = weight_logs(w, x1)
-        logv_x = np.atleast_1d(logv_x)
-        arg = 2.0 * loglk + logv_x[None, :] - logv_nodes[:, None]
+        arg, anyhit = log_terms(x1)
         bracket = 1.0 - (x1[None, :] - nodes[:, None]) * C[:, None]
         with np.errstate(over="ignore"):
             out = np.sum(np.exp(arg) * bracket, axis=0)
