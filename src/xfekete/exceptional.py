@@ -227,23 +227,32 @@ def _magnitude_profile(spec):
     solve.  Convolution of the absolute coefficients of the classical
     factors in the closed-form product; for the families whose product
     carries an extra factor of x the profile is max-combined with its
-    shift."""
+    shift.  A profile that overflows binary64 cannot precondition
+    anything and raises NullspaceDefect."""
     m, n, al = spec.m, spec.n, spec.alpha
-    if spec.family == "laguerre1":
-        f = np.abs(laguerre_coeffs(m, al))
-        g = np.abs(laguerre_coeffs(n, al - 1.0))
-        d = np.convolve(f, g)
-    elif spec.family == "laguerre2":
-        f = np.abs(laguerre_coeffs(m, -al - 1.0))
-        g = np.abs(laguerre_coeffs(n, al + 1.0))
-        d = np.convolve(f, g)
-        d = np.maximum(d, np.concatenate([[d[0]], d[:-1]]))
-    else:
-        f = np.abs(build_S(spec))
-        g = np.abs(jacobi_coeffs(n, al + 1.0, spec.beta - 1.0))
-        d = np.convolve(f, g)
-        d = np.maximum(d, np.concatenate([[d[0]], d[:-1]]))
-    d = np.maximum(d, np.max(d) * 1e-300)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if spec.family == "laguerre1":
+                f = np.abs(laguerre_coeffs(m, al))
+                g = np.abs(laguerre_coeffs(n, al - 1.0))
+                d = np.convolve(f, g)
+            elif spec.family == "laguerre2":
+                f = np.abs(laguerre_coeffs(m, -al - 1.0))
+                g = np.abs(laguerre_coeffs(n, al + 1.0))
+                d = np.convolve(f, g)
+                d = np.maximum(d, np.concatenate([[d[0]], d[:-1]]))
+            else:
+                f = np.abs(build_S(spec))
+                g = np.abs(jacobi_coeffs(n, al + 1.0, spec.beta - 1.0))
+                d = np.convolve(f, g)
+                d = np.maximum(d, np.concatenate([[d[0]], d[:-1]]))
+            d = np.maximum(d, np.max(d) * 1e-300)
+    except FloatingPointError as exc:
+        raise NullspaceDefect(
+            f"coefficient magnitude profile overflows for {spec}") from exc
+    if not np.all(np.isfinite(d)):
+        raise NullspaceDefect(
+            f"coefficient magnitude profile is not finite for {spec}")
     return d[: m + n + 1]
 
 
@@ -268,9 +277,10 @@ def build_exceptional(spec):
     ill-scaled for n beyond ~15), rows are sup-norm equilibrated, and the
     reduced system is solved by least squares.  The coefficient-space
     residual, relative to max(|A y''|, |C y|) coefficient norms, must
-    come in below 1e-9; a larger residual, a rank-deficient reduced
-    matrix or a least-squares solve that fails outright (LinAlgError)
-    raises NullspaceDefect.
+    come in below 1e-9; a larger or NaN residual, an overflowing
+    magnitude profile, a rank-deficient reduced matrix or a
+    least-squares solve that fails outright (LinAlgError) raises
+    NullspaceDefect.
     """
     ode = ode_coeffs(spec)
     A, B, C = ode.A, ode.B, ode.C
@@ -319,7 +329,7 @@ def build_exceptional(spec):
                 if deg >= 2 else 0.0,
                 np.max(np.abs(npoly.polymul(C, coeffs))))
     rel = np.max(np.abs(res)) / scale if scale > 0 else np.max(np.abs(res))
-    if rel > BUILD_RESIDUAL_TOL:
+    if not rel <= BUILD_RESIDUAL_TOL:
         raise NullspaceDefect(
             f"ODE residual {rel:.3e} exceeds {BUILD_RESIDUAL_TOL:.0e} "
             f"for {spec}")

@@ -140,11 +140,20 @@ def test_out_of_regime_rank_defect():
 
 
 def test_failed_least_squares_is_nullspace_defect():
-    # at n = 400 the magnitude profile overflows and the SVD inside lstsq
-    # does not converge; the LinAlgError surfaces as a typed error
-    with pytest.raises(xf.NullspaceDefect):
+    # at n = 400 the magnitude profile overflows; that is a typed error
+    # raised before the solve, with no RuntimeWarning on the way
+    with pytest.raises(xf.NullspaceDefect, match="profile"):
         xf.build_exceptional(xf.FamilySpec("jacobi", 1, 2.841, 400,
                                            beta=0.867))
+
+
+def test_nan_residual_is_not_a_successful_build(monkeypatch):
+    def nan_lstsq(a, b, rcond=None):
+        return np.full(a.shape[1], np.nan), None, a.shape[1], None
+
+    monkeypatch.setattr(np.linalg, "lstsq", nan_lstsq)
+    with pytest.raises(xf.NullspaceDefect, match="residual nan"):
+        xf.build_exceptional(xf.FamilySpec("laguerre1", 1, 2.0, 5))
 
 
 def test_representation_overflow_guard():
