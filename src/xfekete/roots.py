@@ -33,6 +33,11 @@ NEWTON_TOL = 1e-15
 NEWTON_FLOOR = 1e-13
 BISECT_ITERS = 30
 
+# real parts that agree to SORT_RTOL (1 + |x|) are a tie when listing
+# complex zeros, so the last bits of a conjugate pair's real parts do not
+# decide its order
+SORT_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ZeroSet:
@@ -182,6 +187,22 @@ def _deflate(coeffs, roots):
     return q
 
 
+def _sort_zeros(z):
+    """Zeros ascending by real part, ties (SORT_RTOL) by imaginary part."""
+    z = np.sort_complex(np.asarray(z, dtype=complex))
+    out = []
+    i = 0
+    while i < z.size:
+        j = i + 1
+        while (j < z.size and abs(z[j].real - z[i].real)
+               <= SORT_RTOL * (1.0 + abs(z[i].real))):
+            j += 1
+        run = z[i:j]
+        out.extend(run[np.argsort(run.imag, kind="stable")])
+        i = j
+    return np.array(out, dtype=complex)
+
+
 def _classify(spec, reg, exc):
     """Count and margin checks; raises CountMismatch on any violation."""
     a, b = spec.interval
@@ -267,8 +288,8 @@ def find_zeros(spec):
                 seeds = _aberth(quotient)
             except RepresentationOverflow:
                 seeds = np.roots(build_S(spec)[::-1]).astype(complex)
-            exc = np.sort_complex(_newton(spec, seeds.astype(complex),
-                                             deflate=reg))
+            exc = _sort_zeros(_newton(spec, seeds.astype(complex),
+                                      deflate=reg))
         else:
             exc = np.empty(0, dtype=complex)
     else:
@@ -277,7 +298,7 @@ def find_zeros(spec):
             if n else np.empty(0)
         if m:
             seeds = np.roots(build_S(spec)[::-1]).astype(complex)
-            exc = np.sort_complex(_newton(spec, seeds, deflate=reg))
+            exc = _sort_zeros(_newton(spec, seeds, deflate=reg))
         else:
             exc = np.empty(0, dtype=complex)
     _classify(spec, reg, exc)
@@ -288,7 +309,7 @@ def find_zeros(spec):
     s_roots = np.roots(build_S(spec)[::-1]).astype(complex) if m \
         else np.empty(0, dtype=complex)
     return ZeroSet(spec=spec, regular=reg, exceptional=exc,
-                   s_zeros=np.sort_complex(s_roots), certificate=cert)
+                   s_zeros=_sort_zeros(s_roots), certificate=cert)
 
 
 def check_interlacing(zs):

@@ -7,6 +7,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import xfekete as xf
+from xfekete.roots import _sort_zeros
 
 from conftest import built_of, spec_of, zeros_of
 
@@ -148,3 +149,17 @@ def test_scaled_smallest_zero_near_bessel():
     zs = zeros_of("laguerre1", 1, 1.0, 200)
     target = xf.bessel_first_zero(1.0) ** 2 / 4
     assert abs(200 * zs.regular[0] - target) / target < 0.05
+
+
+def test_conjugate_pair_listed_by_imaginary_part():
+    # the pair's real parts differ by about 1e-15; that must not decide
+    # which member comes first
+    exc = zeros_of("laguerre2", 3, 5.164, 5).exceptional
+    assert exc[1].imag < 0.0 < exc[2].imag
+    assert abs(exc[1].real - exc[2].real) <= 1e-12 * (1.0 + abs(exc[1].real))
+    z = np.array([-3.4949736382466066 + 3.4173289279207695j,
+                  -3.4949736382466052 - 3.4173289279207695j,
+                  -4.46774335752569 + 0.0j])
+    want = z[[2, 1, 0]]
+    for perm in ([0, 1, 2], [1, 0, 2], [2, 0, 1]):
+        np.testing.assert_array_equal(_sort_zeros(z[perm]), want)
