@@ -53,8 +53,8 @@ class WeightSpec:
     shift: float | None = None
     P: np.ndarray | None = None
     log_scale: float = 0.0
-    _S: tuple | None = field(init=False, repr=False, compare=False)
-    _P: tuple | None = field(init=False, repr=False, compare=False)
+    _S_table: tuple | None = field(init=False, repr=False, compare=False)
+    _P_table: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -67,9 +67,9 @@ class WeightSpec:
             object.__setattr__(self, "P", P)
         elif self.P is not None:
             raise ValidationError("P is only meaningful for variant 'v'")
-        object.__setattr__(self, "_S", None if self.variant == "base"
+        object.__setattr__(self, "_S_table", None if self.variant == "base"
                            else _poly_table(build_S(self.spec)))
-        object.__setattr__(self, "_P", None if self.P is None
+        object.__setattr__(self, "_P_table", None if self.P is None
                            else _poly_table(self.P))
 
     @property
@@ -122,8 +122,9 @@ def _poly_logs(table, x):
 def weight_logs(w, x):
     """log w and its first two derivatives at x (arrays follow x).
 
-    Raises PoleEvaluation within 1e-12 (relative) of x=0, x=+-1 or a
-    zero of S or P, whichever the variant involves.
+    S and P come from the weight's precomputed tables.  Raises
+    PoleEvaluation within 1e-12 (relative) of x=0, x=+-1 or a zero of S
+    or P, whichever the variant involves.
     """
     x = np.asarray(x, dtype=float)
     a, b = w.exponents()
@@ -158,12 +159,12 @@ def weight_logs(w, x):
         logw = logw - x
         d1 = d1 - 1.0
     if w.variant in ("hat", "v"):
-        ls, ls1, ls2 = _poly_logs(w._S, x)
+        ls, ls1, ls2 = _poly_logs(w._S_table, x)
         logw = logw - 2.0 * ls
         d1 = d1 - 2.0 * ls1
         d2 = d2 - 2.0 * ls2
     if w.variant == "v":
-        lp, lp1, lp2 = _poly_logs(w._P, x)
+        lp, lp1, lp2 = _poly_logs(w._P_table, x)
         logw = logw + 2.0 * lp
         d1 = d1 + 2.0 * lp1
         d2 = d2 + 2.0 * lp2
