@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .energy import log_energy, v_weight
+from .energy import _upper_pairs, log_energy, v_weight
 from .errors import CoincidentNodes, ValidationError, XFeketeError
 from .exceptional import FamilySpec, build_S
 from .roots import find_zeros
@@ -41,7 +41,7 @@ def transfinite_d(nodes, v=None, c=1.0):
         srt = np.sort(nodes)
         if np.min(np.diff(srt)) < 1e-14 * max(1.0, np.max(np.abs(nodes))):
             raise CoincidentNodes("node separation below 1e-14 relative")
-        i, j = np.triu_indices(n, k=1)
+        i, j = _upper_pairs(n)
         logT = 2.0 * math.fsum(np.log(np.abs(nodes[i] - nodes[j])))
     else:
         logT = log_energy(nodes, v)
@@ -139,16 +139,21 @@ class ZeroSumReport:
     flags: tuple
 
 
-def zero_sum_check(spec):
+def zero_sum_check(spec, zero_set=None):
     """Evaluate the zero-sum identity for a laguerre1 member.
 
     lhs sums every zero (regular plus real parts of the exceptional
     ones, which pair off conjugate).  A negative rhs marks an
     out-of-regime instance; it is flagged, not asserted against.
+    zero_set is the member's ZeroSet when the caller already holds it
+    (one of another spec raises ValidationError); otherwise it is
+    computed by find_zeros.
     """
     if spec.family != "laguerre1":
         raise ValidationError("zero-sum identity applies to laguerre1")
-    zs = find_zeros(spec)
+    zs = find_zeros(spec) if zero_set is None else zero_set
+    if zs.spec != spec:
+        raise ValidationError(f"zero set of {zs.spec} passed for {spec}")
     reg = float(np.sum(zs.regular))
     exc = float(np.sum(zs.exceptional.real))
     lhs = reg + exc

@@ -61,10 +61,23 @@ def laguerre_coeffs(m, a):
     return c
 
 
+def _power_table(base, m):
+    """[base^0, ..., base^m] for a linear base, by repeated convolution."""
+    base = np.array(base, dtype=float)
+    out = [np.ones(1), base]
+    for _ in range(2, m + 1):
+        out.append(np.convolve(out[-1], base))
+    return out
+
+
 def jacobi_coeffs(m, a, b):
     """Monomial coefficients (ascending) of the Jacobi polynomial P_m^(a,b).
 
-    Expanded from 2^-m sum_k C(m+a,k) C(m+b,m-k) (x-1)^(m-k) (x+1)^k.
+    Expanded from 2^-m sum_k C(m+a,k) C(m+b,m-k) (x-1)^(m-k) (x+1)^k
+    (Szego, Orthogonal Polynomials, (4.3.2)).  The powers (x-1)^j and
+    (x+1)^j for j <= m are tabulated once, each entry one convolution of
+    the one before it, which is the operation sequence of npoly.polypow,
+    so the expansion costs O(m^2) and gives polypow's bits.
     Raises DegreeCollapse when the leading coefficient 2^-m C(2m+a+b, m)
     vanishes, which happens exactly when 2m+a+b is an integer in
     {0..m-1}.  The test is on that closed form: the expanded top
@@ -77,13 +90,13 @@ def jacobi_coeffs(m, a, b):
         raise DegreeCollapse(
             f"P_{m}^({a},{b}) has leading coefficient 2^-{m} C({t:g}, {m}) "
             f"= 0; degree drops below {m}")
+    lo, hi = _power_table([-1.0, 1.0], m), _power_table([1.0, 1.0], m)
     c = np.zeros(m + 1)
     for k in range(m + 1):
         term = gen_binom(m + a, k) * gen_binom(m + b, m - k)
         if term == 0.0:
             continue
-        part = npoly.polymul(npoly.polypow([-1.0, 1.0], m - k),
-                             npoly.polypow([1.0, 1.0], k))
+        part = npoly.polymul(lo[m - k], hi[k])
         c[: len(part)] += term * part
     c /= 2.0 ** m
     return c

@@ -176,6 +176,7 @@ def cmd_verify(args):
         checks.append({"name": name, "passed": bool(passed),
                        "detail": detail})
 
+    built = None
     try:
         built = build_exceptional(spec)
         ok = built.residual < 1e-8
@@ -190,7 +191,7 @@ def cmd_verify(args):
         record("construction", False, str(exc))
     zs = None
     try:
-        zs = find_zeros(spec)
+        zs = find_zeros(spec, built=built)
         record("zeros", zs.certificate["passed"], zs.certificate)
     except XFeketeError as exc:
         record("zeros", False, str(exc))
@@ -204,7 +205,7 @@ def cmd_verify(args):
             record("saddle", er.classification == "saddle",
                    {"classification": er.classification,
                     "max_gradient": float(np.max(np.abs(er.gradient)))})
-        zr = zero_sum_check(spec)
+        zr = zero_sum_check(spec, zero_set=zs)
         record("zero_sum", zr.abs_err < 1e-6 * max(1.0, abs(zr.rhs)),
                {"lhs": zr.lhs, "rhs": zr.rhs, "abs_err": zr.abs_err})
         if spec.n >= 2:

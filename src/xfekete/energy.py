@@ -19,6 +19,7 @@ as |x|^a so that the full (regular plus exceptional) zero configuration
 can be evaluated.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -184,10 +185,24 @@ def _check_nodes(nodes):
     return nodes
 
 
+@functools.lru_cache(maxsize=2)
+def _upper_pairs(n):
+    """Read-only index arrays (i, j) of the pairs i < j among n nodes.
+
+    An ascent reuses one n on every point.  The cache stays small
+    because a sweep over n would otherwise keep every size alive: at
+    n = 150 one entry is about 180 kB.
+    """
+    i, j = np.triu_indices(n, k=1)
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j
+
+
 def _assemble(nodes, logw, d1, d2):
     """(F, gradient, Hessian) from the weight logs at the nodes."""
     dif = nodes[:, None] - nodes[None, :]
-    cross = np.log(np.abs(dif[np.triu_indices(nodes.size, k=1)]))
+    cross = np.log(np.abs(dif[_upper_pairs(nodes.size)]))
     F = math.fsum(logw) + 2.0 * math.fsum(cross)
     np.fill_diagonal(dif, np.inf)
     inv = 1.0 / dif

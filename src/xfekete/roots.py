@@ -17,7 +17,7 @@ import numpy.polynomial.polynomial as npoly
 
 from .classical_poly import jacobi_zeros, laguerre_zeros, trim
 from .errors import (CountMismatch, DeflationInstability, NonConvergence,
-                     RepresentationOverflow)
+                     RepresentationOverflow, ValidationError)
 from .exceptional import build_S, build_exceptional, exceptional_eval_pair
 
 # classification margin: a zero within this distance of the closed
@@ -229,20 +229,31 @@ def _classify(spec, reg, exc):
                 f"of the orthogonality interval")
 
 
-def _certificate(spec, roots):
+def _try_build(spec):
+    """build_exceptional(spec), or None where the coefficient vector is
+    not representable in binary64 (RepresentationOverflow)."""
+    try:
+        return build_exceptional(spec)
+    except RepresentationOverflow:
+        return None
+
+
+def _s_roots(spec):
+    """Zeros of S, complex, unsorted."""
+    return np.roots(build_S(spec)[::-1]).astype(complex)
+
+
+def _certificate(spec, roots, built):
     """Residual certificate for the computed roots.
 
-    Where the coefficient vector is representable in binary64 the roots
-    are checked against an independently built polynomial:
+    Where the coefficient vector is representable in binary64 (built is
+    the BuiltPolynomial of spec, None otherwise) the roots are checked
+    against that independently built polynomial:
     |p(r)| <= 1e-10 max|c| max(1,|r|)^deg, compared in log space.
     Beyond that range the certificate bounds the Newton correction of the
     closed-form evaluator: |y(r)| <= 1e-10 |y'(r)| (1 + |r|).
     """
     roots = np.asarray(roots)
-    try:
-        built = build_exceptional(spec)
-    except RepresentationOverflow:
-        built = None
     if built is not None:
         c = built.coeffs
         pv = npoly.polyval(roots, c.astype(complex))
@@ -260,7 +271,7 @@ def _certificate(spec, roots):
             "max_ratio": worst}
 
 
-def find_zeros(spec):
+def find_zeros(spec, built=None):
     """All zeros of the exceptional polynomial, classified and certified.
 
     Regular zeros are polished by Newton from classical Gauss seeds
@@ -271,8 +282,18 @@ def find_zeros(spec):
     regular zeros divided out.  Raises CountMismatch if counts or the
     location margins fail, and NonConvergence if a Newton stage or the
     residual certificate fails.
+
+    built is an optional BuiltPolynomial of this same spec (a build of
+    another spec raises ValidationError); without it build_exceptional
+    is attempted once, by laguerre2 before deflation and otherwise only
+    for the certificate, after the zeros have been classified.
     """
+    if built is not None and built.spec != spec:
+        raise ValidationError(f"coefficients built for {built.spec} "
+                              f"cannot certify {spec}")
+    attempted = built is not None
     m, n, al = spec.m, spec.n, spec.alpha
+    s_roots = None
     if spec.family == "laguerre1":
         reg = np.sort(_newton(spec, laguerre_zeros(n, al)).real) \
             if n else np.empty(0)
@@ -282,12 +303,12 @@ def find_zeros(spec):
         reg = np.sort(_newton(spec, laguerre_zeros(n, al)).real) \
             if n else np.empty(0)
         if m:
-            try:
-                built = build_exceptional(spec)
-                quotient = _deflate(built.coeffs, reg)
-                seeds = _aberth(quotient)
-            except RepresentationOverflow:
-                seeds = np.roots(build_S(spec)[::-1]).astype(complex)
+            if not attempted:
+                built, attempted = _try_build(spec), True
+            if built is not None:
+                seeds = _aberth(_deflate(built.coeffs, reg))
+            else:
+                seeds = s_roots = _s_roots(spec)
             exc = _sort_zeros(_newton(spec, seeds.astype(complex),
                                       deflate=reg))
         else:
@@ -297,17 +318,19 @@ def find_zeros(spec):
         reg = np.sort(_newton(spec, jacobi_zeros(n, al, be)).real) \
             if n else np.empty(0)
         if m:
-            seeds = np.roots(build_S(spec)[::-1]).astype(complex)
-            exc = _sort_zeros(_newton(spec, seeds, deflate=reg))
+            s_roots = _s_roots(spec)
+            exc = _sort_zeros(_newton(spec, s_roots, deflate=reg))
         else:
             exc = np.empty(0, dtype=complex)
     _classify(spec, reg, exc)
+    if not attempted:
+        built = _try_build(spec)
     roots = np.concatenate([exc, reg.astype(complex)])
-    cert = _certificate(spec, roots)
+    cert = _certificate(spec, roots, built)
     if not cert["passed"]:
         raise NonConvergence(f"residual certificate failed: {cert}", [cert])
-    s_roots = np.roots(build_S(spec)[::-1]).astype(complex) if m \
-        else np.empty(0, dtype=complex)
+    if s_roots is None:
+        s_roots = _s_roots(spec) if m else np.empty(0, dtype=complex)
     return ZeroSet(spec=spec, regular=reg, exceptional=exc,
                    s_zeros=_sort_zeros(s_roots), certificate=cert)
 

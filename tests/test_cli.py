@@ -140,11 +140,23 @@ def test_large_degree_jacobi_is_a_numerical_failure(capsys):
 
 
 def test_overflowing_jacobi_zeros_fail_typed(capsys):
+    # the certificate's build fails on its overflowing magnitude profile
     code, out, err = run(capsys, "zeros", "--family", "jacobi", "--m", "1",
                          "--alpha", "2.841", "--beta", "0.867", "--n", "400")
     assert code == 2 and out == ""
-    assert json.loads(err.strip().splitlines()[-1])["error"] in {
-        "NonConvergence", "NullspaceDefect"}
+    assert json.loads(err.strip().splitlines()[-1])["error"] == \
+        "NullspaceDefect"
+
+
+def test_overflowing_laguerre1_newton_fails_before_any_build(capsys):
+    # the regular-zero Newton stage fails first: laguerre1 builds only
+    # for the certificate.  The recurrence overflow itself is the known
+    # defect under test, so its warnings are silenced here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, "zeros", "--family", "laguerre1",
+                             "--m", "1", "--alpha", "2", "--n", "400")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "NonConvergence"
 
 
 # recorded from the ascent that evaluated F (log_energy) and its
@@ -167,6 +179,54 @@ def test_fekete_golden_stdout(capsys):
                        "--seed", "0")
     assert code == 0
     assert out == FEKETE_GOLDEN
+
+
+# recorded when verify built the coefficients twice or three times and
+# computed the laguerre1 zero set twice; one build and one zero set per
+# spec must reproduce it bit for bit
+VERIFY_GOLDEN = {
+    ("laguerre1", "--m", "2", "--alpha", "2", "--n", "5"): (
+        '{"checks":[{"detail":{"leading_exact":true,"residual":7.655679307'
+        '8529408e-16},"name":"construction","passed":true},{"detail":{"bu'
+        'ild_residual":7.6556793078529408e-16,"max_log_excess":-11.867074'
+        '169369573,"method":"coefficient","passed":true},"name":"zeros","'
+        'passed":true},{"detail":{"mode":"full"},"name":"interlacing","pa'
+        'ssed":true},{"detail":{"classification":"saddle","max_gradient":'
+        '3.9968028886505635e-15},"name":"saddle","passed":true},{"detail"'
+        ':{"abs_err":3.5527136788005009e-15,"lhs":26.999999999999996,"rhs'
+        '":27},"name":"zero_sum","passed":true},{"detail":{"max":0.999999'
+        '99999997435,"min":7.0120053275214158e-43},"name":"stability","pa'
+        'ssed":true},{"detail":{"diag_all_negative":true,"max_gradient":4'
+        '.4408920985006262e-16},"name":"fekete_stationary","passed":true}'
+        '],"passed":true,"spec":{"alpha":2,"family":"laguerre1","m":2,"n"'
+        ':5},"version":"0.1.0"}\n'),
+    ("laguerre2", "--m", "2", "--alpha", "2.5", "--n", "5"): (
+        '{"checks":[{"detail":{"residual":1.081065716697801e-15},"name":"'
+        'construction","passed":true},{"detail":{"build_residual":1.08106'
+        '5716697801e-15,"max_log_excess":-14.121623320897948,"method":"co'
+        'efficient","passed":true},"name":"zeros","passed":true},{"detail'
+        '":{"diag_all_negative":true,"max_gradient":8.8817841970012523e-1'
+        '6},"name":"fekete_stationary","passed":true}],"passed":true,"spe'
+        'c":{"alpha":2.5,"family":"laguerre2","m":2,"n":5},"version":"0.1'
+        '.0"}\n'),
+    ("jacobi", "--m", "1", "--alpha", "2.5", "--beta", "1.5", "--n", "60"): (
+        '{"checks":[{"detail":{"residual":4.9706813934041767e-16},"name":'
+        '"construction","passed":true},{"detail":{"build_residual":4.9706'
+        '813934041767e-16,"max_log_excess":-11.068531009874167,"method":"'
+        'coefficient","passed":true},"name":"zeros","passed":true},{"deta'
+        'il":{"diag_all_negative":true,"max_gradient":1.0231815394945443e'
+        '-11},"name":"fekete_stationary","passed":true}],"passed":true,"s'
+        'pec":{"alpha":2.5,"beta":1.5,"family":"jacobi","m":1,"n":60},"ve'
+        'rsion":"0.1.0"}\n'),
+}
+
+
+@pytest.mark.parametrize("selectors", sorted(VERIFY_GOLDEN))
+def test_verify_golden_stdout(capsys, selectors):
+    family, *rest = selectors
+    code, out, err = run(capsys, "verify", "--family", family, *rest)
+    assert code == 0 and err == ""
+    assert out == VERIFY_GOLDEN[selectors]
 
 
 def test_nodes_file_override(tmp_path, capsys):

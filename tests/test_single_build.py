@@ -1,0 +1,155 @@
+"""One coefficient build and one zero set per spec.
+
+jacobi_coeffs expands from tabulated powers of (x - 1) and (x + 1); the
+per-term polypow form it replaces is kept here as the reference and must
+agree bit for bit, overflow included.  find_zeros attempts at most one
+build, takes a caller's build of the same spec, and `verify` computes one
+zero set per spec.
+"""
+
+import numpy as np
+import numpy.polynomial.polynomial as npoly
+import pytest
+
+import xfekete as xf
+from xfekete import asymptotics, cli, energy, exceptional, roots
+from xfekete.classical_poly import gen_binom
+
+from conftest import spec_of, zeros_of
+
+
+def jacobi_coeffs_polypow(m, a, b):
+    """The expansion with both powers raised afresh for every k."""
+    t = 2 * m + a + b
+    if abs(t - round(t)) < 1e-12 and 0 <= round(t) <= m - 1:
+        raise xf.DegreeCollapse("collapse")
+    c = np.zeros(m + 1)
+    for k in range(m + 1):
+        term = gen_binom(m + a, k) * gen_binom(m + b, m - k)
+        if term == 0.0:
+            continue
+        part = npoly.polymul(npoly.polypow([-1.0, 1.0], m - k),
+                             npoly.polypow([1.0, 1.0], k))
+        c[: len(part)] += term * part
+    c /= 2.0 ** m
+    return c
+
+
+DEGREES = list(range(61)) + [120, 200, 400]
+
+
+@pytest.mark.parametrize("m", DEGREES)
+def test_jacobi_coeffs_match_polypow_bit_for_bit(m):
+    rng = np.random.default_rng(1000 + m)
+    for a, b in rng.uniform(-6.0, 6.0, size=(3, 2)):
+        with np.errstate(all="ignore"):
+            ref = jacobi_coeffs_polypow(m, a, b)
+            new = xf.jacobi_coeffs(m, a, b)
+        assert new.tobytes() == ref.tobytes()
+
+
+def test_jacobi_coeffs_overflow_matches_polypow():
+    # at m = 400 the binomial products overflow binary64: the non-finite
+    # coefficients and the FloatingPointError under over="raise" are the
+    # reference's too
+    m, a, b = 400, 1.22, 4.89
+    with np.errstate(all="ignore"):
+        ref = jacobi_coeffs_polypow(m, a, b)
+        new = xf.jacobi_coeffs(m, a, b)
+    assert not np.all(np.isfinite(ref))
+    assert new.tobytes() == ref.tobytes()
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            jacobi_coeffs_polypow(m, a, b)
+        with pytest.raises(FloatingPointError):
+            xf.jacobi_coeffs(m, a, b)
+
+
+def test_jacobi_coeffs_collapse_as_before():
+    for m, a, b in [(2, -4.0, 0.0), (3, -5.0, 0.0), (4, -6.5, -0.5)]:
+        with pytest.raises(xf.DegreeCollapse):
+            jacobi_coeffs_polypow(m, a, b)
+        with pytest.raises(xf.DegreeCollapse):
+            xf.jacobi_coeffs(m, a, b)
+
+
+def test_jacobi_coeffs_never_call_polypow(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("polypow called")
+
+    monkeypatch.setattr(npoly, "polypow", forbidden)
+    xf.jacobi_coeffs(40, 1.5, -0.5)
+
+
+def _count(monkeypatch, name, modules):
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+VERIFY_SPECS = {
+    "laguerre1": ["--m", "2", "--alpha", "2", "--n", "5"],
+    "laguerre2": ["--m", "2", "--alpha", "2.5", "--n", "5"],
+    "jacobi": ["--m", "1", "--alpha", "2.5", "--beta", "1.5", "--n", "20"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(VERIFY_SPECS))
+def test_verify_builds_once_and_finds_zeros_once(monkeypatch, capsys,
+                                                 family):
+    finds = _count(monkeypatch, "find_zeros", [roots, cli, asymptotics])
+    builds = _count(monkeypatch, "build_exceptional",
+                    [exceptional, roots, cli])
+    code = cli.main(["verify", "--family", family, *VERIFY_SPECS[family]])
+    capsys.readouterr()
+    assert code == 0
+    assert len(finds) == 1
+    assert len(builds) == 1
+
+
+def test_laguerre2_find_zeros_builds_once(monkeypatch):
+    builds = _count(monkeypatch, "build_exceptional", [exceptional, roots])
+    zs = roots.find_zeros(xf.FamilySpec("laguerre2", 2, 2.5, 5))
+    assert zs.certificate["method"] == "coefficient"
+    assert len(builds) == 1
+
+
+def test_find_zeros_takes_the_callers_build(monkeypatch):
+    spec = xf.FamilySpec("laguerre2", 2, 2.5, 5)
+    built = xf.build_exceptional(spec)
+    builds = _count(monkeypatch, "build_exceptional", [exceptional, roots])
+    zs = roots.find_zeros(spec, built=built)
+    assert builds == []
+    ref = zeros_of("laguerre2", 2, 2.5, 5)
+    assert zs.regular.tobytes() == ref.regular.tobytes()
+    assert zs.exceptional.tobytes() == ref.exceptional.tobytes()
+    assert zs.certificate == ref.certificate
+
+
+def test_find_zeros_rejects_a_build_of_another_spec():
+    other = xf.build_exceptional(xf.FamilySpec("laguerre1", 1, 2.0, 6))
+    with pytest.raises(xf.ValidationError):
+        xf.find_zeros(xf.FamilySpec("laguerre1", 1, 2.0, 5), built=other)
+
+
+def test_zero_sum_check_takes_the_zero_set():
+    spec = spec_of("laguerre1", 2, 1.5, 9)
+    zs = zeros_of("laguerre1", 2, 1.5, 9)
+    assert xf.zero_sum_check(spec, zero_set=zs) == xf.zero_sum_check(spec)
+    with pytest.raises(xf.ValidationError):
+        xf.zero_sum_check(spec_of("laguerre1", 2, 1.5, 8), zero_set=zs)
+
+
+def test_upper_pairs_are_read_only_triu_indices():
+    i, j = energy._upper_pairs(7)
+    ri, rj = np.triu_indices(7, k=1)
+    assert np.array_equal(i, ri) and np.array_equal(j, rj)
+    assert not i.flags.writeable and not j.flags.writeable
+    assert energy._upper_pairs.cache_info().maxsize <= 4
