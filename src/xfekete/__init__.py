@@ -16,12 +16,12 @@ from .classical_poly import (bessel_first_zero, bessel_j, jacobi_coeffs,
 from .energy import (EnergyReport, WeightSpec, energy_hessian,
                      energy_terms, fejer_constants, gradient_and_hessian,
                      log_energy, phi, phi_closed, v_weight, weight_logs)
-from .errors import (CoincidentNodes, CountMismatch, DeflationInstability,
-                     DegreeCollapse, DomainEscape, InvalidFamily,
-                     NoSignChange, NonConvergence, NullspaceDefect,
-                     NumericalError, PoleEvaluation,
-                     RepresentationOverflow, SeriesDivergence,
-                     SingularEvaluation, ValidationError, XFeketeError)
+from .errors import (CoincidentNodes, CountMismatch, DegreeCollapse,
+                     DomainEscape, InvalidFamily, NoSignChange,
+                     NonConvergence, NullspaceDefect, NumericalError,
+                     PoleEvaluation, RepresentationOverflow,
+                     SeriesDivergence, SingularEvaluation, ValidationError,
+                     XFeketeError)
 from .exceptional import (BuiltPolynomial, FamilySpec, RationalODE,
                           build_S, build_exceptional, exceptional_eval,
                           exceptional_eval_pair, leading_coefficient,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BuiltPolynomial", "CoincidentNodes", "CountMismatch",
-    "DeflationInstability", "DegreeCollapse", "DiameterSeries",
+    "DegreeCollapse", "DiameterSeries",
     "DomainEscape", "EnergyReport", "FamilySpec", "InvalidFamily",
     "NoSignChange", "NonConvergence", "NullspaceDefect", "NumericalError",
     "PoleEvaluation", "RationalODE", "RepresentationOverflow",

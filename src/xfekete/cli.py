@@ -8,6 +8,7 @@ numerical failures exit 2, both with an error JSON on stderr.
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -241,11 +242,9 @@ def build_parser():
 
     p = sub.add_parser("poly", help="monomial coefficients of a member")
     _add_selectors(p)
-    p.set_defaults(fn=cmd_poly)
 
     p = sub.add_parser("zeros", help="regular and exceptional zeros")
     _add_selectors(p)
-    p.set_defaults(fn=cmd_zeros)
 
     p = sub.add_parser("energy", help="gradient/Hessian report at nodes")
     _add_selectors(p)
@@ -253,18 +252,15 @@ def build_parser():
     p.add_argument("--at", choices=["zeros"], default="zeros")
     p.add_argument("--nodes", default=None,
                    help="file with one node per line (overrides --at)")
-    p.set_defaults(fn=cmd_energy)
 
     p = sub.add_parser("fekete", help="multistart energy maximization")
     _add_selectors(p)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_fekete)
 
     p = sub.add_parser("interp", help="Gruenwald stability scan")
     _add_selectors(p)
     p.add_argument("--grid", type=int, default=1000)
-    p.set_defaults(fn=cmd_interp)
 
     p = sub.add_parser("diameter", help="transfinite-diameter sweep (CSV)")
     p.add_argument("--m", type=int, required=True)
@@ -274,18 +270,25 @@ def build_parser():
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--summary", default=None,
                    help="write a JSON summary to this path")
-    p.set_defaults(fn=cmd_diameter)
 
     p = sub.add_parser("verify", help="acceptance bundle for one spec")
     _add_selectors(p)
-    p.set_defaults(fn=cmd_verify)
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser, built once; parse_args does not mutate it."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the subcommand's function is looked up per call, not stored in the
+    # shared parser, so main always runs the module's current cmd_*
+    fn = globals()[f"cmd_{args.cmd}"]
     try:
-        return args.fn(args)
+        return fn(args)
     except ValidationError as exc:
         sys.stderr.write(_dumps({"error": type(exc).__name__,
                                  "message": str(exc)}) + "\n")

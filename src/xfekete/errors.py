@@ -60,10 +60,6 @@ class CountMismatch(NumericalError):
     inside the classification margin around the orthogonality interval."""
 
 
-class DeflationInstability(NumericalError):
-    """Deflating known roots perturbed the quotient beyond tolerance."""
-
-
 class CoincidentNodes(NumericalError):
     """Two nodes closer than resolution allows."""
 

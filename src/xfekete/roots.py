@@ -4,10 +4,14 @@ Each degree-(m+n) member has n simple zeros inside the orthogonality
 interval (the regular zeros) and m zeros outside its closure (the
 exceptional zeros; real and negative for laguerre1, possibly complex for
 laguerre2 and jacobi).  Root finding never touches monomial coefficients:
-everything runs on the pointwise closed-form evaluators, seeded by
-classical Gauss zeros for the regular part and by bracketing or deflation
-for the exceptional part.  Where the coefficient vector is representable
-it is built independently and every root is certified against it.
+one engine serves all three families.  Newton on the pointwise
+closed-form evaluator polishes the regular zeros from classical Gauss
+seeds, then the exceptional zeros from the zeros of S, to which they
+tend (Gomez-Ullate, Marcellan & Milson 2013), with the regular zeros
+divided out and the exceptional iterates coupled (Aberth-Ehrlich).
+Where the coefficient vector is representable it is built independently
+and every root is certified against it; beyond that the certificate
+bounds the evaluator's Newton correction.
 """
 
 from dataclasses import dataclass
@@ -15,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .classical_poly import jacobi_zeros, laguerre_zeros, trim
-from .errors import (CountMismatch, DeflationInstability, NonConvergence,
-                     RepresentationOverflow, ValidationError)
+from .classical_poly import jacobi_zeros, laguerre_zeros
+from .errors import (CountMismatch, NonConvergence, RepresentationOverflow,
+                     ValidationError)
 from .exceptional import build_S, build_exceptional, exceptional_eval_pair
 
 # classification margin: a zero within this distance of the closed
@@ -28,10 +32,9 @@ CERT_TOL = 1e-10
 
 # Newton stops below NEWTON_TOL, or below NEWTON_FLOOR once the step has
 # stopped shrinking (the rounding floor; n >~ 100 never reaches
-# NEWTON_TOL).  Bisection only has to land in Newton's basin.
+# NEWTON_TOL)
 NEWTON_TOL = 1e-15
 NEWTON_FLOOR = 1e-13
-BISECT_ITERS = 30
 
 # real parts that agree to SORT_RTOL (1 + |x|) are a tie when listing
 # complex zeros, so the last bits of a conjugate pair's real parts do not
@@ -61,11 +64,16 @@ def _newton(spec, x0, itmax=60, deflate=None):
     exceptional_eval_pair call per iteration.
 
     deflate holds zeros already found (the regular ones, when polishing
-    exceptional zeros).  Their linear factors are divided out of y
-    implicitly (Maehly's correction), so a seed near an exceptional zero
-    is not thrown off by the n zeros inside the interval: without it,
-    Newton from a zero of S can overshoot and then creep back by about
-    1/n of the distance per step.
+    exceptional zeros), held fixed.  With it the step is the
+    Aberth-Ehrlich correction
+        rho / (1 - rho (sum_k 1/(x_i - r_k) + sum_{j != i} 1/(x_i - x_j))),
+    rho = y/y'.  The first sum divides the fixed zeros out of y
+    (Maehly's correction), so a seed near an exceptional zero is not
+    thrown off by the n zeros inside the interval: without it, Newton
+    from a zero of S can overshoot and then creep back by about 1/n of
+    the distance per step.  The second sum couples the iterates, so two
+    of them cannot converge to the same zero; for a single iterate it is
+    exactly 0.
 
     Stops once the largest relative step max|dx|/(1+|x|) falls below
     NEWTON_TOL, or falls below NEWTON_FLOOR and no longer shrinks: the
@@ -81,8 +89,11 @@ def _newton(spec, x0, itmax=60, deflate=None):
         v, dv = exceptional_eval_pair(spec, x)
         step = v / dv
         if deflate is not None:
-            step = step / (1 - step * np.sum(1.0 / (x[:, None] - deflate),
-                                             axis=1))
+            dif = x[:, None] - x[None, :]
+            np.fill_diagonal(dif, np.inf)
+            step = step / (1 - step * (
+                np.sum(1.0 / (x[:, None] - deflate), axis=1)
+                + np.sum(1.0 / dif, axis=1)))
         x = x - step
         rel = float(np.max(np.abs(step) / (1 + np.abs(x))))
         if (not np.isfinite(rel) or rel < NEWTON_TOL
@@ -95,96 +106,6 @@ def _newton(spec, x0, itmax=60, deflate=None):
             f"{rel:.3e} for {spec}",
             [{"iterations": it, "relative_step": rel}])
     return x
-
-
-def _bisect(f, lo, hi, flo, iters=BISECT_ITERS):
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def _lag1_exceptional(spec):
-    """Negative real zeros via the nesting brackets
-    (-z_{m,j}, -z_{m-1,j-1}) built from classical Laguerre zeros."""
-    m, n, al = spec.m, spec.n, spec.alpha
-    zm = laguerre_zeros(m, al)
-    if n == 0:
-        # the member degenerates to L_m^(alpha)(-x); its zeros are
-        # exactly the negated classical ones
-        return _newton(spec, -zm)
-    zm1 = laguerre_zeros(m - 1, al)
-    f = lambda x: float(exceptional_eval_pair(spec, x)[0])
-    out = []
-    for j in range(m):
-        lo = -zm[j]
-        hi = -zm1[j - 1] if j >= 1 else -1e-12
-        flo, fhi = f(lo), f(hi)
-        if flo * fhi > 0:
-            # nudge the lower end outward, then scan for a sign change
-            lo *= 1.0001
-            flo = f(lo)
-        if flo * fhi > 0:
-            grid = np.linspace(lo, hi, 41)
-            vals = exceptional_eval_pair(spec, grid)[0]
-            idx = np.nonzero(vals[:-1] * vals[1:] <= 0)[0]
-            if idx.size == 0:
-                out.append(0.5 * (lo + hi))   # Newton will have to do
-                continue
-            lo, hi, flo = grid[idx[0]], grid[idx[0] + 1], vals[idx[0]]
-        out.append(_bisect(f, lo, hi, flo))
-    return _newton(spec, np.array(out))
-
-
-def _aberth(coeffs, itmax=200, tol=1e-12):
-    """All complex roots of a low-degree polynomial by simultaneous
-    (Aberth-Ehrlich) iteration, circle initialization."""
-    c = trim(coeffs).astype(complex)
-    deg = len(c) - 1
-    if deg == 0:
-        return np.empty(0, dtype=complex)
-    centroid = -c[deg - 1] / (deg * c[deg])
-    radius = 1.0 + np.max(np.abs(c[:-1] / c[-1]))
-    k = np.arange(deg)
-    z = centroid + radius * np.exp(2j * np.pi * (k + 0.25) / deg)
-    dc = npoly.polyder(c)
-    for _ in range(itmax):
-        p = npoly.polyval(z, c)
-        dp = npoly.polyval(z, dc)
-        ratio = p / dp
-        dif = z[:, None] - z[None, :]
-        np.fill_diagonal(dif, np.inf)
-        corr = ratio / (1.0 - ratio * np.sum(1.0 / dif, axis=1))
-        z = z - corr
-        if np.max(np.abs(corr)) < tol * (1 + np.max(np.abs(z))):
-            break
-    return z
-
-
-def _deflate(coeffs, roots):
-    """Synthetic division of the ascending coefficient vector by each
-    (x - r); returns the quotient and checks the reconstruction."""
-    q = np.asarray(coeffs, dtype=float)
-    for r in roots:
-        deg = len(q) - 1
-        b = np.empty(deg)
-        acc = q[deg]
-        for k in range(deg - 1, -1, -1):
-            b[k] = acc
-            acc = q[k] + r * acc
-        q = b
-    rebuilt = np.asarray(q, dtype=float)
-    for r in roots:
-        rebuilt = npoly.polymul(rebuilt, [-r, 1.0])
-    err = np.max(np.abs(rebuilt - coeffs)) / np.max(np.abs(coeffs))
-    if err > 1e-8:
-        raise DeflationInstability(
-            f"deflation reconstruction error {err:.3e}")
-    return q
 
 
 def _sort_zeros(z):
@@ -274,63 +195,35 @@ def _certificate(spec, roots, built):
 def find_zeros(spec, built=None):
     """All zeros of the exceptional polynomial, classified and certified.
 
-    Regular zeros are polished by Newton from classical Gauss seeds
-    (bracketed bisection backs up the laguerre1 path if the seeds
-    misbehave).  Exceptional zeros come from nesting brackets
-    (laguerre1), coefficient deflation plus simultaneous iteration
-    (laguerre2), or the zeros of S (jacobi), polished by Newton with the
-    regular zeros divided out.  Raises CountMismatch if counts or the
+    One engine for all three families.  The regular zeros are polished
+    by Newton from the classical Gauss nodes (Laguerre or Jacobi at the
+    same parameters).  The exceptional zeros are polished from the zeros
+    of S by the coupled Newton of _newton, with the regular zeros held
+    fixed and divided out.  Raises CountMismatch if counts or the
     location margins fail, and NonConvergence if a Newton stage or the
     residual certificate fails.
 
     built is an optional BuiltPolynomial of this same spec (a build of
     another spec raises ValidationError); without it build_exceptional
-    is attempted once, by laguerre2 before deflation and otherwise only
-    for the certificate, after the zeros have been classified.
+    is attempted once, for the certificate, after the zeros have been
+    classified.
     """
     if built is not None and built.spec != spec:
         raise ValidationError(f"coefficients built for {built.spec} "
                               f"cannot certify {spec}")
-    attempted = built is not None
     m, n, al = spec.m, spec.n, spec.alpha
-    s_roots = None
-    if spec.family == "laguerre1":
-        reg = np.sort(_newton(spec, laguerre_zeros(n, al)).real) \
-            if n else np.empty(0)
-        exc = np.sort(_lag1_exceptional(spec)) if m else np.empty(0)
-        exc = exc.astype(complex)
-    elif spec.family == "laguerre2":
-        reg = np.sort(_newton(spec, laguerre_zeros(n, al)).real) \
-            if n else np.empty(0)
-        if m:
-            if not attempted:
-                built, attempted = _try_build(spec), True
-            if built is not None:
-                seeds = _aberth(_deflate(built.coeffs, reg))
-            else:
-                seeds = s_roots = _s_roots(spec)
-            exc = _sort_zeros(_newton(spec, seeds.astype(complex),
-                                      deflate=reg))
-        else:
-            exc = np.empty(0, dtype=complex)
-    else:
-        be = spec.beta
-        reg = np.sort(_newton(spec, jacobi_zeros(n, al, be)).real) \
-            if n else np.empty(0)
-        if m:
-            s_roots = _s_roots(spec)
-            exc = _sort_zeros(_newton(spec, s_roots, deflate=reg))
-        else:
-            exc = np.empty(0, dtype=complex)
+    seeds = (jacobi_zeros(n, al, spec.beta) if spec.family == "jacobi"
+             else laguerre_zeros(n, al))
+    reg = np.sort(_newton(spec, seeds).real)
+    s_roots = _s_roots(spec) if m else np.empty(0, dtype=complex)
+    exc = _sort_zeros(_newton(spec, s_roots, deflate=reg))
     _classify(spec, reg, exc)
-    if not attempted:
+    if built is None:
         built = _try_build(spec)
     roots = np.concatenate([exc, reg.astype(complex)])
     cert = _certificate(spec, roots, built)
     if not cert["passed"]:
         raise NonConvergence(f"residual certificate failed: {cert}", [cert])
-    if s_roots is None:
-        s_roots = _s_roots(spec) if m else np.empty(0, dtype=complex)
     return ZeroSet(spec=spec, regular=reg, exceptional=exc,
                    s_zeros=_sort_zeros(s_roots), certificate=cert)
 

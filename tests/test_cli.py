@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from xfekete import cli
 from xfekete.cli import main
 
 
@@ -111,6 +112,35 @@ def test_output_is_deterministic(capsys):
     _, a, _ = run(capsys, "energy", *SEL, "--n", "4", "--weight", "hat")
     _, b, _ = run(capsys, "energy", *SEL, "--n", "4", "--weight", "hat")
     assert a == b
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        _, a, _ = run(capsys, "zeros", *SEL, "--n", "3")
+        _, b, _ = run(capsys, "zeros", *SEL, "--n", "3")
+        assert len(builds) == 1
+        assert a == b and a != ""
+        with pytest.raises(SystemExit) as exc:
+            main(["zeros", *SEL, "--n", "three"])
+        assert exc.value.code == 2
+        assert len(builds) == 1
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+
+
+def test_subcommand_runs_the_current_function(monkeypatch, capsys):
+    # the shared parser stores no function, so a replaced cmd_* is used
+    run(capsys, "zeros", *SEL, "--n", "1")
+    seen = []
+    monkeypatch.setattr(cli, "cmd_zeros", lambda args: seen.append(args.n))
+    assert main(["zeros", *SEL, "--n", "2"]) is None
+    assert seen == [2]
 
 
 def test_validation_error_exit_code(capsys):

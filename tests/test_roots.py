@@ -136,8 +136,8 @@ def test_exceptional_zero_distance_constant():
 
 
 def test_classical_bracket_bound():
-    # largest zero of L_m^{(a)} stays below the quadratic bound used
-    # for exceptional-zero bracketing
+    # largest zero of L_m^{(a)}, which bounds the laguerre1 exceptional
+    # zeros from below in check_interlacing, stays below the quadratic bound
     for m in range(1, 9):
         for a in (0.5, 1.0, 2.5):
             top = 2 * m + a + 1 + math.sqrt((2 * m + a + 1) ** 2 + 0.25 - a * a)
