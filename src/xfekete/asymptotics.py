@@ -77,7 +77,7 @@ def _one_diameter(m, alpha, n, c):
     dval = transfinite_d(zs.regular, v, c)
     # sup of (P/S)^2 over a stretch of the positive axis, recorded as
     # supporting data for the kernel normalization
-    hi = 4.0 * n + 2.0 * alpha + 4.0 * m
+    hi = spec.fam.domain(spec, n)[1]
     grid = np.geomspace(1e-3, hi, 200)
     P = npoly.polyfromroots(zs.exceptional).real
     num = npoly.polyval(grid, P.astype(float))

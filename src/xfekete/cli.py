@@ -17,7 +17,7 @@ import numpy as np
 from .asymptotics import d_sequence, zero_sum_check
 from .energy import WeightSpec, energy_hessian, v_weight
 from .errors import NumericalError, ValidationError, XFeketeError
-from .exceptional import (FamilySpec, build_exceptional,
+from .exceptional import (FAMILIES, FamilySpec, build_exceptional,
                           leading_coefficient)
 from .fekete_opt import default_domain, uniqueness_probe
 from .interp import stability_scan
@@ -190,6 +190,7 @@ def cmd_verify(args):
         record("construction", ok, detail)
     except NumericalError as exc:
         record("construction", False, str(exc))
+        built = exc     # find_zeros raises it again instead of rebuilding
     zs = None
     try:
         zs = find_zeros(spec, built=built)
@@ -224,8 +225,7 @@ def cmd_verify(args):
 
 
 def _add_selectors(p, need_n=True):
-    p.add_argument("--family", required=True,
-                   choices=["laguerre1", "laguerre2", "jacobi"])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, default=None)

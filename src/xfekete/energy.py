@@ -81,10 +81,8 @@ class WeightSpec:
 
     def exponents(self):
         """(a, b); b is None for the Laguerre families."""
-        a = self.spec.alpha + self.resolved_shift
-        if self.spec.family == "jacobi":
-            return a, self.spec.beta + self.resolved_shift
-        return a, None
+        s, b = self.resolved_shift, self.spec.beta
+        return self.spec.alpha + s, (None if b is None else b + s)
 
 
 def _poly_table(coeffs):
@@ -124,39 +122,29 @@ def weight_logs(w, x):
     """log w and its first two derivatives at x (arrays follow x).
 
     S and P come from the weight's precomputed tables.  Raises
-    PoleEvaluation within 1e-12 (relative) of x=0, x=+-1 or a zero of S
-    or P, whichever the variant involves.
+    PoleEvaluation within 1e-12 (relative) of a base-weight pole (x=0,
+    x=+-1) or a zero of S or P, whichever the variant involves.
     """
     x = np.asarray(x, dtype=float)
-    a, b = w.exponents()
+    fam = w.spec.fam
     zero = np.zeros_like(x)
     logw = np.full_like(x, w.log_scale)
     d1 = zero.copy()
     d2 = zero.copy()
-    if w.spec.family == "jacobi":
-        if np.any(np.abs(1.0 - x) <= _POLE_RTOL) and a != 0:
-            raise PoleEvaluation("evaluation point too close to x = 1")
-        if np.any(np.abs(1.0 + x) <= _POLE_RTOL) and b != 0:
-            raise PoleEvaluation("evaluation point too close to x = -1")
-        if a != 0:
-            logw = logw + a * np.log(np.abs(1.0 - x))
-            d1 = d1 - a / (1.0 - x)
-            d2 = d2 - a / (1.0 - x) ** 2
-        if b != 0:
-            logw = logw + b * np.log(np.abs(1.0 + x))
-            d1 = d1 + b / (1.0 + x)
-            d2 = d2 - b / (1.0 + x) ** 2
-    else:
-        if a != 0:
-            if np.any(np.abs(x) <= _POLE_RTOL):
-                raise PoleEvaluation("evaluation point too close to x = 0")
-            if (w.variant == "base" and a != round(a)
-                    and np.any(x < 0)):
-                raise PoleEvaluation("base Laguerre weight undefined for "
-                                     "x < 0 at non-integer exponent")
-            logw = logw + a * np.log(np.abs(x))
-            d1 = d1 + a / x
-            d2 = d2 - a / x ** 2
+    for r, e in zip(fam.poles, w.exponents()):
+        if e == 0:
+            continue
+        if np.any(np.abs(x - r) <= _POLE_RTOL):
+            raise PoleEvaluation(f"evaluation point too close to x = {r:g}")
+        # hat and v read the half-line factor x^a as |x|^a; base does not
+        if (fam.exp_weight and w.variant == "base" and e != round(e)
+                and np.any(x < r)):
+            raise PoleEvaluation("base Laguerre weight undefined for "
+                                 "x < 0 at non-integer exponent")
+        logw = logw + e * np.log(np.abs(x - r))
+        d1 = d1 + e / (x - r)
+        d2 = d2 - e / (x - r) ** 2
+    if fam.exp_weight:
         logw = logw - x
         d1 = d1 - 1.0
     if w.variant in ("hat", "v"):

@@ -6,7 +6,7 @@ shifted or negated parameters) divides the weight as 1/S^2, and the
 degree-(m+n) members solve a second-order ODE with polynomial
 coefficients A y'' + B y' + C y = 0 built from S.
 
-Three families are supported:
+Three families are supported, declared in the FAMILY table at the end:
 
   laguerre1   S(x) = L_m^(alpha-1)(-x)          orthogonality on (0, inf)
   laguerre2   S(x) = L_m^(-alpha-1)(x)          orthogonality on (0, inf)
@@ -26,12 +26,13 @@ from math import factorial, lgamma
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .classical_poly import (gen_binom, jacobi_coeffs, jacobi_pass,
-                             laguerre_coeffs, laguerre_pass, trim)
-from .errors import (InvalidFamily, NullspaceDefect, RepresentationOverflow,
-                     SingularEvaluation, ValidationError)
-
-FAMILIES = ("laguerre1", "laguerre2", "jacobi")
+from .classical_poly import (_as_float_or_complex as _coerce, gen_binom,
+                             jacobi_coeffs, jacobi_pass, jacobi_zeros,
+                             laguerre_coeffs, laguerre_pass, laguerre_zeros,
+                             trim)
+from .errors import (DegreeCollapse, InvalidFamily, NullspaceDefect,
+                     RepresentationOverflow, SingularEvaluation,
+                     ValidationError)
 
 # residual ceiling for an accepted nullspace solve (relative, see
 # build_exceptional)
@@ -63,11 +64,15 @@ class FamilySpec:
                                 f"expected one of {FAMILIES}")
         if self.m < 0 or self.n < 0:
             raise ValidationError("m and n must be nonnegative")
-        if self.family == "jacobi":
+        if len(self.fam.poles) == 2:
             if self.beta is None:
-                raise ValidationError("jacobi requires beta")
+                raise ValidationError(f"{self.family} requires beta")
         elif self.beta is not None:
             raise ValidationError(f"{self.family} takes no beta")
+
+    @property
+    def fam(self):
+        return FAMILY[self.family]
 
     @property
     def degree(self):
@@ -76,33 +81,13 @@ class FamilySpec:
     @property
     def interval(self):
         """Open orthogonality interval (a, b); b may be inf."""
-        if self.family == "jacobi":
-            return (-1.0, 1.0)
-        return (0.0, np.inf)
+        return self.fam.interval
 
     def regime_warnings(self):
         """Out-of-regime diagnostics.  Construction still proceeds; the
         electrostatic and stability statements are only claimed inside
         the listed ranges."""
-        w = []
-        if self.family == "laguerre1":
-            if self.alpha <= 0:
-                w.append("alpha <= 0: weight not integrable at 0 and S "
-                         "may vanish on the positive axis")
-        elif self.family == "laguerre2":
-            if self.alpha <= self.m - 1:
-                w.append("alpha <= m-1: S may vanish on the positive axis")
-        else:
-            t = self.alpha + 1 - self.m - self.beta
-            if abs(t - round(t)) < 1e-12 and 0 <= round(t) <= self.m - 1:
-                w.append("alpha+1-m-beta is an integer in {0..m-1}: S "
-                         "degenerates (degree collapse)")
-            cond_a = -1 < self.beta < 0 and -1 < self.alpha + 1 - self.m < 0
-            cond_b = self.beta > 0 and self.alpha + 1 - self.m > 0
-            if not (cond_a or cond_b):
-                w.append("(beta, alpha+1-m) not jointly in (-1,0) or "
-                         "(0,inf): zero clustering of S unguaranteed")
-        return w
+        return self.fam.regime(self)
 
     def as_dict(self):
         d = {"family": self.family, "m": self.m, "alpha": self.alpha,
@@ -114,14 +99,7 @@ class FamilySpec:
 
 def build_S(spec):
     """Monomial coefficients (ascending) of the denominator polynomial S."""
-    m, al = spec.m, spec.alpha
-    if spec.family == "laguerre1":
-        c = laguerre_coeffs(m, al - 1.0)
-        c = c * (-1.0) ** np.arange(m + 1)     # compose with x -> -x
-        return c
-    if spec.family == "laguerre2":
-        return laguerre_coeffs(m, -al - 1.0)
-    return jacobi_coeffs(m, -al - 1.0, spec.beta - 1.0)
+    return spec.fam.S(spec)
 
 
 @dataclass(frozen=True)
@@ -161,65 +139,39 @@ class RationalODE:
 
 
 def ode_coeffs(spec):
-    """Coefficient vectors of the family ODE at degree index n.
-
-    With S' the derivative of S:
-
-      laguerre1: A = x S, B = (alpha+1-x) S - 2 x S',
-                 C = (m+n) S - 2 alpha S'
-      laguerre2: A = x S, B = (alpha+1-x) S - 2 x S',
-                 C = (n-m) S + 2 x S'
-      jacobi:    A = (1-x^2) S,
-                 B = (beta-alpha-(alpha+beta+2) x) S - 2 (1-x^2) S',
-                 C = lambda S - 2 beta (1-x) S',
-                 lambda = m(alpha-beta-m+1) + n(n+alpha+beta+1)
-
-    For m = 0 each reduces to the classical second-order equation.
+    """Coefficient vectors of the family ODE at degree index n:
+    A = sigma S, B = tau S - 2 sigma S', C = lam S + k (q S') with the
+    parts of the family's FAMILY record.  For m = 0 each reduces to the
+    classical second-order equation.
     """
+    fam = spec.fam
     Sc = build_S(spec)
     Sp = npoly.polyder(Sc) if len(Sc) > 1 else np.zeros(1)
-    m, n, al = spec.m, spec.n, spec.alpha
-    if spec.family in ("laguerre1", "laguerre2"):
-        A = npoly.polymulx(Sc)
-        B = npoly.polysub(npoly.polymul([al + 1.0, -1.0], Sc),
-                          2.0 * npoly.polymulx(Sp))
-        if spec.family == "laguerre1":
-            C = npoly.polysub((m + n) * Sc, 2.0 * al * Sp)
-        else:
-            C = npoly.polyadd((n - m) * Sc, 2.0 * npoly.polymulx(Sp))
-    else:
-        be = spec.beta
-        lam = m * (al - be - m + 1.0) + n * (n + al + be + 1.0)
-        one_m_x2 = np.array([1.0, 0.0, -1.0])
-        A = npoly.polymul(one_m_x2, Sc)
-        B = npoly.polysub(npoly.polymul([be - al, -(al + be + 2.0)], Sc),
-                          2.0 * npoly.polymul(one_m_x2, Sp))
-        C = npoly.polysub(lam * Sc, 2.0 * be * npoly.polymul([1.0, -1.0], Sp))
+    A = fam.sigma(Sc)
+    B = npoly.polysub(npoly.polymul(fam.tau(spec), Sc), 2.0 * fam.sigma(Sp))
+    C = npoly.polyadd(fam.lam(spec) * Sc, fam.k(spec) * fam.q(Sp))
     A, B, C = trim(A), trim(B), trim(C)
     sing = np.roots(A[::-1]) if len(A) > 1 else np.empty(0)
     return RationalODE(A=A, B=B, C=C, singular_points=sing)
+
+
+def _lead_factor(spec):
+    """The family's lead_factor; DegreeCollapse where it is 0."""
+    f = spec.fam.lead_factor(spec)
+    if f == 0:
+        raise DegreeCollapse(f"closed-form leading coefficient is 0 for "
+                             f"{spec}; its degree is below {spec.degree}")
+    return f
 
 
 def leading_coefficient(spec):
     """Normalizing leading coefficient of the degree-(m+n) member.
 
     laguerre1: (-1)^n / (m! n!)
-    laguerre2: (-1)^(m+n) (n+alpha+1-m) / (m! n!)
-    jacobi:    (m-n-alpha-1) * lead(S) * lead(P_n^(alpha+1,beta-1))
+    laguerre2: (-1)^(m+n) (n+alpha+1-m) / (m! n!), collapsing at 0
+    jacobi:    (m-n-alpha-1) lead(S) lead(P_n^(alpha+1,beta-1)), likewise
     """
-    m, n, al = spec.m, spec.n, spec.alpha
-    if spec.family in ("laguerre1", "laguerre2"):
-        if lgamma(m + 1) + lgamma(n + 1) > _LOG_RANGE_CAP:
-            raise RepresentationOverflow(
-                f"1/(m! n!) underflows binary64 at m={m}, n={n}")
-        base = 1.0 / float(factorial(m) * factorial(n))
-        if spec.family == "laguerre1":
-            return -base if n % 2 else base
-        val = (n + al + 1.0 - m) * base
-        return -val if (m + n) % 2 else val
-    s_lead = build_S(spec)[-1]
-    u_lead = gen_binom(2 * n + al + spec.beta, n) / 2.0 ** n
-    return (m - n - al - 1.0) * s_lead * u_lead
+    return spec.fam.lead(spec, _lead_factor(spec))
 
 
 def _magnitude_profile(spec):
@@ -229,22 +181,11 @@ def _magnitude_profile(spec):
     carries an extra factor of x the profile is max-combined with its
     shift.  A profile that overflows binary64 cannot precondition
     anything and raises NullspaceDefect."""
-    m, n, al = spec.m, spec.n, spec.alpha
     try:
         with np.errstate(over="raise", invalid="raise"):
-            if spec.family == "laguerre1":
-                f = np.abs(laguerre_coeffs(m, al))
-                g = np.abs(laguerre_coeffs(n, al - 1.0))
-                d = np.convolve(f, g)
-            elif spec.family == "laguerre2":
-                f = np.abs(laguerre_coeffs(m, -al - 1.0))
-                g = np.abs(laguerre_coeffs(n, al + 1.0))
-                d = np.convolve(f, g)
-                d = np.maximum(d, np.concatenate([[d[0]], d[:-1]]))
-            else:
-                f = np.abs(build_S(spec))
-                g = np.abs(jacobi_coeffs(n, al + 1.0, spec.beta - 1.0))
-                d = np.convolve(f, g)
+            f, g = spec.fam.profile(spec)
+            d = np.convolve(np.abs(f), np.abs(g))
+            if spec.fam.shifted:
                 d = np.maximum(d, np.concatenate([[d[0]], d[:-1]]))
             d = np.maximum(d, np.max(d) * 1e-300)
     except FloatingPointError as exc:
@@ -253,7 +194,7 @@ def _magnitude_profile(spec):
     if not np.all(np.isfinite(d)):
         raise NullspaceDefect(
             f"coefficient magnitude profile is not finite for {spec}")
-    return d[: m + n + 1]
+    return d[: spec.degree + 1]
 
 
 @dataclass(frozen=True)
@@ -319,15 +260,13 @@ def build_exceptional(spec):
                 f"reduced system rank {rank} < {deg}: solution space has "
                 f"dimension >= 2")
         coeffs = np.concatenate([sol * d[:deg], [top]])
-    res = npoly.polyadd(
-        npoly.polyadd(npoly.polymul(A, npoly.polyder(coeffs, 2))
-                      if deg >= 2 else np.zeros(1),
-                      npoly.polymul(B, npoly.polyder(coeffs))
-                      if deg >= 1 else np.zeros(1)),
-        npoly.polymul(C, coeffs))
-    scale = max(np.max(np.abs(npoly.polymul(A, npoly.polyder(coeffs, 2))))
-                if deg >= 2 else 0.0,
-                np.max(np.abs(npoly.polymul(C, coeffs))))
+    Ay2 = (npoly.polymul(A, npoly.polyder(coeffs, 2)) if deg >= 2
+           else np.zeros(1))
+    By1 = (npoly.polymul(B, npoly.polyder(coeffs)) if deg >= 1
+           else np.zeros(1))
+    Cy = npoly.polymul(C, coeffs)
+    res = npoly.polyadd(npoly.polyadd(Ay2, By1), Cy)
+    scale = max(np.max(np.abs(Ay2)), np.max(np.abs(Cy)))
     rel = np.max(np.abs(res)) / scale if scale > 0 else np.max(np.abs(res))
     if not rel <= BUILD_RESIDUAL_TOL:
         raise NullspaceDefect(
@@ -337,20 +276,13 @@ def build_exceptional(spec):
                            warnings=tuple(spec.regime_warnings()))
 
 
-def _coerce(x):
-    x = np.asarray(x)
-    if np.issubdtype(x.dtype, np.complexfloating):
-        return x.astype(complex)
-    return x.astype(float)
-
-
-def _lag1_pair(m, n, al, x):
+def _lag1_pair(spec, x):
     # y = L_m^(al)(-x) L_n^(al-1)(x) + L_m^(al-1)(-x) L_{n-1}^(al)(x).
     # Both parameters come from one sweep of L^(al) each side, via
     # L_k^(al-1) = L_k^(al) - L_{k-1}^(al); the chain rule flips the sign
     # of the derivatives of the factors at -x.
-    fm, fm1, dfm, dfm1 = laguerre_pass(m, al, -x)
-    gn, gn1, dgn, dgn1 = laguerre_pass(n, al, x)
+    fm, fm1, dfm, dfm1 = laguerre_pass(spec.m, spec.alpha, -x)
+    gn, gn1, dgn, dgn1 = laguerre_pass(spec.n, spec.alpha, x)
     f1, f2 = fm, fm - fm1
     g1, g2 = gn - gn1, gn1
     y = f1 * g1 + f2 * g2
@@ -380,10 +312,10 @@ def _lag2_pair(spec, x):
 def _jac_pair(spec, x):
     # y  = (1-x) S u' - ((al+1) S + (1-x) S') u,  u = P_n^(al+1, be-1)
     # y' = (-be (1-x) S u' + (-lam S + be (1-x) S') u) / (1+x)
-    m, n, al, be = spec.m, spec.n, spec.alpha, spec.beta
+    n, al, be = spec.n, spec.alpha, spec.beta
     S, Sp = _S_pair(spec, x)
     u, _, up, _ = jacobi_pass(n, al + 1.0, be - 1.0, x)
-    lam = m * (al - be - m + 1.0) + n * (n + al + be + 1.0)
+    lam = spec.fam.lam(spec)
     y = (1 - x) * S * up - ((al + 1.0) * S + (1 - x) * Sp) * u
     yp = (-be * (1 - x) * S * up + (-lam * S + be * (1 - x) * Sp) * u) \
         / (1 + x)
@@ -398,12 +330,7 @@ def exceptional_eval_pair(spec, x):
     Carries the same normalization as build_exceptional and stays
     accurate at degrees far beyond what monomial coefficients support.
     """
-    x = _coerce(x)
-    if spec.family == "laguerre1":
-        return _lag1_pair(spec.m, spec.n, spec.alpha, x)
-    if spec.family == "laguerre2":
-        return _lag2_pair(spec, x)
-    return _jac_pair(spec, x)
+    return spec.fam.pair(spec, _coerce(x))
 
 
 def exceptional_eval(spec, x, deriv=0):
@@ -422,3 +349,97 @@ def exceptional_eval(spec, x, deriv=0):
     ode = ode_coeffs(spec)
     return -(npoly.polyval(x, ode.B) * yp + npoly.polyval(x, ode.C) * y) \
         / npoly.polyval(x, ode.A)
+
+
+@dataclass(frozen=True)
+class Family:
+    """What sets one family apart.  The callables take the FamilySpec and
+    look public functions up as module globals when called."""
+
+    interval: tuple     # open orthogonality interval (a, b); b may be inf
+    poles: tuple        # r of each base-weight factor |x - r|^(alpha, beta)
+    exp_weight: bool    # base weight also carries e^-x (the half-line)
+    S: object           # coefficients of S, a classical polynomial
+    gauss: object       # classical Gauss nodes, the regular-zero seeds
+    sigma: object       # the ODE: A = sigma S, B = tau S - 2 sigma S',
+    tau: object         # C = lam S + k (q S'); sigma and q multiply a
+    lam: object         # coefficient vector (by polymulx for x, which
+    k: object           # keeps the sign of the zero it writes)
+    q: object
+    lead_factor: object  # the signed factor of lead that can vanish
+    lead: object        # (spec, lead_factor) -> closed-form leading coeff.
+    profile: object     # classical factors of the closed-form product
+    shifted: bool       # the product carries one more linear factor
+    pair: object        # (spec, x) -> (y, y')
+    regime: object      # out-of-regime diagnostics
+    domain: object      # (spec, n) -> Fekete search box for n nodes
+
+
+def _half_line_lead(spec, f):
+    m, n = spec.m, spec.n
+    if lgamma(m + 1) + lgamma(n + 1) > _LOG_RANGE_CAP:
+        raise RepresentationOverflow(
+            f"1/(m! n!) underflows binary64 at m={m}, n={n}")
+    return f * (1.0 / float(factorial(m) * factorial(n)))
+
+
+def _jac_regime(spec):
+    w = []
+    t = spec.alpha + 1 - spec.m - spec.beta
+    if abs(t - round(t)) < 1e-12 and 0 <= round(t) <= spec.m - 1:
+        w.append("alpha+1-m-beta is an integer in {0..m-1}: S "
+                 "degenerates (degree collapse)")
+    cond_a = -1 < spec.beta < 0 and -1 < spec.alpha + 1 - spec.m < 0
+    cond_b = spec.beta > 0 and spec.alpha + 1 - spec.m > 0
+    if not (cond_a or cond_b):
+        w.append("(beta, alpha+1-m) not jointly in (-1,0) or "
+                 "(0,inf): zero clustering of S unguaranteed")
+    return w
+
+
+_HALF_LINE = dict(
+    interval=(0.0, np.inf), poles=(0.0,), exp_weight=True,
+    gauss=lambda s: laguerre_zeros(s.n, s.alpha), lead=_half_line_lead,
+    sigma=npoly.polymulx, tau=lambda s: (s.alpha + 1.0, -1.0),
+    domain=lambda s, n: (0.0, 4.0 * n + 2.0 * s.alpha + 4.0 * s.m))
+
+FAMILY = {
+    "laguerre1": Family(
+        **_HALF_LINE, S=lambda s: laguerre_coeffs(s.m, s.alpha - 1.0)
+        * (-1.0) ** np.arange(s.m + 1),
+        lam=lambda s: s.m + s.n, k=lambda s: -2.0 * s.alpha, q=lambda c: c,
+        lead_factor=lambda s: (-1.0) ** s.n, shifted=False, pair=_lag1_pair,
+        profile=lambda s: (laguerre_coeffs(s.m, s.alpha),
+                           laguerre_coeffs(s.n, s.alpha - 1.0)),
+        regime=lambda s: ["alpha <= 0: weight not integrable at 0 and S "
+                          "may vanish on the positive axis"]
+        if s.alpha <= 0 else []),
+    "laguerre2": Family(
+        **_HALF_LINE, S=lambda s: laguerre_coeffs(s.m, -s.alpha - 1.0),
+        lam=lambda s: s.n - s.m, k=lambda s: 2.0, q=npoly.polymulx,
+        lead_factor=lambda s: (-1) ** (s.m + s.n)
+        * (s.n + s.alpha + 1.0 - s.m),
+        shifted=True, pair=_lag2_pair,
+        profile=lambda s: (laguerre_coeffs(s.m, -s.alpha - 1.0),
+                           laguerre_coeffs(s.n, s.alpha + 1.0)),
+        regime=lambda s: ["alpha <= m-1: S may vanish on the positive axis"]
+        if s.alpha <= s.m - 1 else []),
+    "jacobi": Family(
+        interval=(-1.0, 1.0), poles=(1.0, -1.0), exp_weight=False,
+        S=lambda s: jacobi_coeffs(s.m, -s.alpha - 1.0, s.beta - 1.0),
+        gauss=lambda s: jacobi_zeros(s.n, s.alpha, s.beta),
+        sigma=lambda c: npoly.polymul((1.0, 0.0, -1.0), c),
+        tau=lambda s: (s.beta - s.alpha, -(s.alpha + s.beta + 2.0)),
+        lam=lambda s: (s.m * (s.alpha - s.beta - s.m + 1.0)
+                       + s.n * (s.n + s.alpha + s.beta + 1.0)),
+        k=lambda s: -2.0 * s.beta, q=lambda c: npoly.polymul((1.0, -1.0), c),
+        lead_factor=lambda s: s.m - s.n - s.alpha - 1.0,
+        lead=lambda s, f: f * build_S(s)[-1] * (
+            gen_binom(2 * s.n + s.alpha + s.beta, s.n) / 2.0 ** s.n),
+        profile=lambda s: (build_S(s), jacobi_coeffs(
+            s.n, s.alpha + 1.0, s.beta - 1.0)),
+        shifted=True, pair=_jac_pair, regime=_jac_regime,
+        domain=lambda s, n: (-1.0 + 1e-3, 1.0 - 1e-3)),
+}
+
+FAMILIES = tuple(FAMILY)

@@ -26,10 +26,7 @@ ITMAX = 500
 def default_domain(w, n):
     """Search box for n nodes: (0, 4n + 2 alpha + 4m) for the Laguerre
     families, (-1 + 1e-3, 1 - 1e-3) for jacobi."""
-    spec = w.spec
-    if spec.family == "jacobi":
-        return (-1.0 + 1e-3, 1.0 - 1e-3)
-    return (0.0, 4.0 * n + 2.0 * spec.alpha + 4.0 * spec.m)
+    return w.spec.fam.domain(w.spec, n)
 
 
 def _valid(w, x, domain):

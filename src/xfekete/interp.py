@@ -14,7 +14,7 @@ import numpy as np
 
 from .energy import fejer_constants, weight_logs
 from .errors import CoincidentNodes, PoleEvaluation
-from .exceptional import build_S
+from .exceptional import FAMILY, build_S
 
 
 def _node_logs(nodes):
@@ -145,20 +145,20 @@ def scan_grid(nodes, family, grid_size=1000):
     and a linear tail reaching three times the top node (Laguerre)."""
     nodes = np.sort(np.asarray(nodes, dtype=float))
     n = nodes.size
-    if family == "jacobi":
+    lo, hi = FAMILY[family].interval
+    if np.isfinite(hi):
         t = np.geomspace(1e-6, 1.0, grid_size // 2)
-        base = np.concatenate([-1.0 + t, 1.0 - t])
+        base = np.concatenate([lo + t, hi - t])
     else:
-        hi = nodes[-1] * (1.0 + 10.0 / n)
-        base = np.concatenate([np.geomspace(1e-6, hi, grid_size),
-                               np.linspace(hi, 3.0 * hi, 50)])
+        top = nodes[-1] * (1.0 + 10.0 / n)
+        base = np.concatenate([np.geomspace(1e-6, top, grid_size),
+                               np.linspace(top, 3.0 * top, 50)])
     near = []
     for xk in nodes:
         for eps in (1e-5, 1e-7):
             off = eps * (1.0 + abs(xk))
             near.extend([xk - off, xk + off])
     grid = np.unique(np.concatenate([base, np.asarray(near)]))
-    lo, hi = (-1.0, 1.0) if family == "jacobi" else (0.0, np.inf)
     return grid[(grid > lo + 1e-9) & (grid < hi - 1e-9)]
 
 
@@ -207,25 +207,15 @@ def stability_scan(spec, grid_size=1000, zero_set=None):
 def _log_deriv_terms(w):
     """(root, coefficient) pairs and exponential flag describing
     (log v)^(k) as sum c_r (-1)^(k-1) (k-1)! / (x - r)^k."""
-    a, b = w.exponents()
-    terms = []
-    if w.spec.family == "jacobi":
-        if a != 0:
-            terms.append((1.0 + 0j, a))
-        if b != 0:
-            terms.append((-1.0 + 0j, b))
-        has_exp = False
-    else:
-        if a != 0:
-            terms.append((0.0 + 0j, a))
-        has_exp = True
+    terms = [(complex(r), e) for r, e in zip(w.spec.fam.poles,
+                                             w.exponents()) if e != 0]
     if w.variant in ("hat", "v"):
         for r in np.roots(build_S(w.spec)[::-1]):
             terms.append((complex(r), -2.0))
     if w.variant == "v":
         for r in np.roots(np.asarray(w.P)[::-1]):
             terms.append((complex(r), 2.0))
-    return terms, has_exp
+    return terms, w.spec.fam.exp_weight
 
 
 def inv_weight_brackets(w, x):

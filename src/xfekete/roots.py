@@ -19,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .classical_poly import jacobi_zeros, laguerre_zeros
-from .errors import (CountMismatch, NonConvergence, RepresentationOverflow,
-                     ValidationError)
-from .exceptional import build_S, build_exceptional, exceptional_eval_pair
+from .classical_poly import laguerre_zeros
+from .errors import (CountMismatch, NonConvergence, NumericalError,
+                     RepresentationOverflow, ValidationError)
+from .exceptional import (BuiltPolynomial, _lead_factor, build_S,
+                          build_exceptional, exceptional_eval_pair)
 
 # classification margin: a zero within this distance of the closed
 # orthogonality interval is neither safely inside nor safely outside
@@ -150,11 +151,13 @@ def _classify(spec, reg, exc):
                 f"of the orthogonality interval")
 
 
-def _try_build(spec):
-    """build_exceptional(spec), or None where the coefficient vector is
-    not representable in binary64 (RepresentationOverflow)."""
+def _try_build(spec, built):
+    """built (raised if it is a failed build), else build_exceptional(spec);
+    None where the coefficients overflow binary64 (RepresentationOverflow)."""
     try:
-        return build_exceptional(spec)
+        if isinstance(built, NumericalError):
+            raise built
+        return build_exceptional(spec) if built is None else built
     except RepresentationOverflow:
         return None
 
@@ -199,27 +202,25 @@ def find_zeros(spec, built=None):
     by Newton from the classical Gauss nodes (Laguerre or Jacobi at the
     same parameters).  The exceptional zeros are polished from the zeros
     of S by the coupled Newton of _newton, with the regular zeros held
-    fixed and divided out.  Raises CountMismatch if counts or the
+    fixed and divided out.  Raises DegreeCollapse first where the
+    closed-form leading coefficient is 0, CountMismatch if counts or the
     location margins fail, and NonConvergence if a Newton stage or the
     residual certificate fails.
 
     built is an optional BuiltPolynomial of this same spec (a build of
-    another spec raises ValidationError); without it build_exceptional
-    is attempted once, for the certificate, after the zeros have been
-    classified.
+    another spec raises ValidationError) or the NumericalError its build
+    raised; without it build_exceptional is attempted once, for the
+    certificate, after the zeros have been classified.
     """
-    if built is not None and built.spec != spec:
+    if isinstance(built, BuiltPolynomial) and built.spec != spec:
         raise ValidationError(f"coefficients built for {built.spec} "
                               f"cannot certify {spec}")
-    m, n, al = spec.m, spec.n, spec.alpha
-    seeds = (jacobi_zeros(n, al, spec.beta) if spec.family == "jacobi"
-             else laguerre_zeros(n, al))
-    reg = np.sort(_newton(spec, seeds).real)
-    s_roots = _s_roots(spec) if m else np.empty(0, dtype=complex)
+    _lead_factor(spec)
+    reg = np.sort(_newton(spec, spec.fam.gauss(spec)).real)
+    s_roots = _s_roots(spec) if spec.m else np.empty(0, dtype=complex)
     exc = _sort_zeros(_newton(spec, s_roots, deflate=reg))
     _classify(spec, reg, exc)
-    if built is None:
-        built = _try_build(spec)
+    built = _try_build(spec, built)
     roots = np.concatenate([exc, reg.astype(complex)])
     cert = _certificate(spec, roots, built)
     if not cert["passed"]:
@@ -276,12 +277,14 @@ def check_interlacing(zs):
             neg_real == (m % 2) if not spec.regime_warnings() else True)
     else:
         mode = "structure"
+        a, b = spec.interval
         add("regular count", len(zs.regular) == n)
-        add("regular inside (-1, 1)",
-            np.all((zs.regular > -1) & (zs.regular < 1)))
+        add(f"regular inside ({a:g}, {b:g})",
+            np.all((zs.regular > a) & (zs.regular < b)))
         add("exceptional count", len(zs.exceptional) == m)
-        outside = np.all((np.abs(zs.exceptional.imag) > MARGIN)
-                         | (np.abs(zs.exceptional.real) > 1 + MARGIN))
+        re, im = zs.exceptional.real, zs.exceptional.imag
+        outside = np.all((np.abs(im) > MARGIN) | (re < a - MARGIN)
+                         | (re > b + MARGIN))
         add("exceptional outside closed interval", outside)
     return {"mode": mode, "passed": all(c["passed"] for c in checks),
             "checks": checks}

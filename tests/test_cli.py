@@ -151,6 +151,23 @@ def test_validation_error_exit_code(capsys):
     assert doc["error"] == "DegreeCollapse"
 
 
+@pytest.mark.parametrize("argv", [
+    # n + alpha + 1 - m = 0 and m - n - alpha - 1 = 0: the closed-form
+    # leading coefficient vanishes, so the member has lower degree
+    ["zeros", "--family", "laguerre2", "--m", "3", "--alpha", "1",
+     "--n", "1"],
+    ["zeros", "--family", "jacobi", "--m", "2", "--alpha", "1",
+     "--beta", "0.5", "--n", "0"],
+    ["poly", "--family", "laguerre2", "--m", "3", "--alpha", "1",
+     "--n", "1"]])
+def test_member_degree_collapse_is_a_validation_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "DegreeCollapse"
+    assert "leading coefficient is 0" in doc["message"]
+
+
 def test_numerical_error_exit_code(capsys):
     code, out, err = run(capsys, "poly", "--family", "laguerre1", "--m", "1",
                          "--alpha", "1", "--n", "200")

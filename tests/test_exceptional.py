@@ -112,6 +112,27 @@ def test_leading_coefficient_exact():
 
 
 @pytest.mark.parametrize("family,m,alpha,n,beta", [
+    ("laguerre2", 3, 1.0, 1, None),     # n + alpha + 1 - m = 0
+    ("laguerre2", 4, 0.0, 3, None),
+    ("jacobi", 2, 1.0, 0, 0.5),         # m - n - alpha - 1 = 0
+    ("jacobi", 4, 1.0, 2, 2.0),
+])
+def test_member_degree_collapse_raises_before_newton(monkeypatch, family, m,
+                                                     alpha, n, beta):
+    from xfekete import roots
+    calls = []
+    monkeypatch.setattr(roots, "exceptional_eval_pair",
+                        lambda *a: calls.append(a))
+    spec = xf.FamilySpec(family, m, alpha, n, beta)
+    for fn in (leading_coefficient, xf.build_exceptional, xf.find_zeros):
+        with pytest.raises(xf.DegreeCollapse, match="coefficient is 0"):
+            fn(spec)
+    assert calls == []
+    # S itself is still there; only the member collapses
+    assert xf.build_S(spec).size == m + 1
+
+
+@pytest.mark.parametrize("family,m,alpha,n,beta", [
     ("laguerre1", 1, 2.0, 4, None),
     ("laguerre1", 3, 1.5, 7, None),
     ("laguerre2", 2, 3.0, 5, None),

@@ -7,6 +7,8 @@ build, takes a caller's build of the same spec, and `verify` computes one
 zero set per spec.
 """
 
+import json
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -112,6 +114,34 @@ def test_verify_builds_once_and_finds_zeros_once(monkeypatch, capsys,
     assert code == 0
     assert len(finds) == 1
     assert len(builds) == 1
+
+
+def test_failing_verify_build_runs_once(monkeypatch, capsys):
+    # the construction check's NullspaceDefect is raised again inside
+    # find_zeros instead of repeating the solve, message included
+    builds = _count(monkeypatch, "build_exceptional",
+                    [exceptional, roots, cli])
+    code = cli.main(["verify", "--family", "jacobi", "--m", "1", "--alpha",
+                     "1.376", "--beta", "0.929", "--n", "120"])
+    checks = {c["name"]: c
+              for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert code == 2
+    assert len(builds) == 1
+    assert "ODE residual" in checks["construction"]["detail"]
+    assert checks["zeros"]["detail"] == checks["construction"]["detail"]
+    assert not checks["zeros"]["passed"]
+
+
+def test_find_zeros_raises_a_failed_build_where_it_would_build(monkeypatch):
+    spec = xf.FamilySpec("laguerre1", 1, 2.0, 5)
+    failure = xf.NullspaceDefect("carried")
+    builds = _count(monkeypatch, "build_exceptional", [exceptional, roots])
+    with pytest.raises(xf.NullspaceDefect, match="carried"):
+        roots.find_zeros(spec, built=failure)
+    assert builds == []
+    # an unrepresentable build still means the evaluator certificate
+    zs = roots.find_zeros(spec, built=xf.RepresentationOverflow("big"))
+    assert zs.certificate["method"] == "evaluator"
 
 
 def test_laguerre2_find_zeros_builds_once(monkeypatch):
