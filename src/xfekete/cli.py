@@ -190,7 +190,7 @@ def cmd_verify(args):
         record("construction", ok, detail)
     except NumericalError as exc:
         record("construction", False, str(exc))
-        built = exc     # find_zeros raises it again instead of rebuilding
+        built = exc.with_traceback(None)  # find_zeros re-raises; frames freed
     zs = None
     try:
         zs = find_zeros(spec, built=built)

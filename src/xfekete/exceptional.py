@@ -22,6 +22,7 @@ degrees where monomial coefficients are useless.
 
 from dataclasses import dataclass, field
 from math import factorial, lgamma
+from typing import NamedTuple
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -351,8 +352,7 @@ def exceptional_eval(spec, x, deriv=0):
         / npoly.polyval(x, ode.A)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """What sets one family apart.  The callables take the FamilySpec and
     look public functions up as module globals when called."""
 
