@@ -134,16 +134,17 @@ def weight_logs(w, x):
     for r, e in zip(fam.poles, w.exponents()):
         if e == 0:
             continue
-        if np.any(np.abs(x - r) <= _POLE_RTOL):
+        d = x - r
+        if np.any(np.abs(d) <= _POLE_RTOL):
             raise PoleEvaluation(f"evaluation point too close to x = {r:g}")
         # hat and v read the half-line factor x^a as |x|^a; base does not
         if (fam.exp_weight and w.variant == "base" and e != round(e)
                 and np.any(x < r)):
             raise PoleEvaluation("base Laguerre weight undefined for "
                                  "x < 0 at non-integer exponent")
-        logw = logw + e * np.log(np.abs(x - r))
-        d1 = d1 + e / (x - r)
-        d2 = d2 - e / (x - r) ** 2
+        logw = logw + e * np.log(np.abs(d))
+        d1 = d1 + e / d
+        d2 = d2 - e / d ** 2
     if fam.exp_weight:
         logw = logw - x
         d1 = d1 - 1.0

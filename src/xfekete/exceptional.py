@@ -376,11 +376,10 @@ class Family(NamedTuple):
 
 
 def _half_line_lead(spec, f):
-    m, n = spec.m, spec.n
-    if lgamma(m + 1) + lgamma(n + 1) > _LOG_RANGE_CAP:
+    if lgamma(spec.m + 1) + lgamma(spec.n + 1) > _LOG_RANGE_CAP:
         raise RepresentationOverflow(
-            f"1/(m! n!) underflows binary64 at m={m}, n={n}")
-    return f * (1.0 / float(factorial(m) * factorial(n)))
+            f"1/(m! n!) underflows binary64 at m={spec.m}, n={spec.n}")
+    return f * (1.0 / float(factorial(spec.m) * factorial(spec.n)))
 
 
 def _jac_regime(spec):
