@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
-from .energy import _upper_pairs, log_energy, v_weight
-from .errors import CoincidentNodes, ValidationError, XFeketeError
-from .exceptional import FamilySpec, build_S
+from .classical_poly import _horner
+from .energy import _check_nodes, _upper_pairs, log_energy, v_weight
+from .errors import ValidationError, XFeketeError
+from .exceptional import FamilySpec
 from .roots import find_zeros
 
 # log-domain pair sums stay within the 1e-8 budget up to here
@@ -38,9 +38,7 @@ def transfinite_d(nodes, v=None, c=1.0):
     if n < 2:
         raise ValidationError("diameter needs at least two nodes")
     if v is None:
-        srt = np.sort(nodes)
-        if np.min(np.diff(srt)) < 1e-14 * max(1.0, np.max(np.abs(nodes))):
-            raise CoincidentNodes("node separation below 1e-14 relative")
+        nodes = _check_nodes(nodes)
         i, j = _upper_pairs(n)
         logT = 2.0 * math.fsum(np.log(np.abs(nodes[i] - nodes[j])))
     else:
@@ -79,10 +77,7 @@ def _one_diameter(m, alpha, n, c):
     # supporting data for the kernel normalization
     hi = spec.fam.domain(spec, n)[1]
     grid = np.geomspace(1e-3, hi, 200)
-    P = npoly.polyfromroots(zs.exceptional).real
-    num = npoly.polyval(grid, P.astype(float))
-    den = npoly.polyval(grid, np.asarray(build_S(spec), dtype=float))
-    ratio = float(np.max((num / den) ** 2))
+    ratio = float(np.max((_horner(v.P, grid) / _horner(spec.S.c, grid)) ** 2))
     return dval, ratio
 
 

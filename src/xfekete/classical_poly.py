@@ -11,11 +11,13 @@ zeros via the symmetric tridiagonal eigenproblem and the first positive
 zero of the Bessel function J_a from its ascending series.
 """
 
+import functools
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 from math import lgamma, log
 
-from .errors import DegreeCollapse, NoSignChange, SeriesDivergence
+from .errors import (DegreeCollapse, NoSignChange, SeriesDivergence,
+                     ValidationError)
 
 TRIM_REL = 1e-13
 
@@ -116,6 +118,33 @@ def poly_eval(p, x, k=0):
     return npoly.polyval(x, c)
 
 
+class PolyTable:
+    """Read-only table of a fixed polynomial: ascending coefficients c,
+    abs_c = |c| (the scale of a pole guard), d1 = c', d2 = c'' and the
+    complex roots, found on first use.  _horner evaluates the entries."""
+
+    def __init__(self, coeffs):
+        c = np.array(coeffs, dtype=float)
+        self.c, self.abs_c = c, np.abs(c)
+        self.d1, self.d2 = npoly.polyder(c), npoly.polyder(c, 2)
+        for t in (c, self.abs_c, self.d1, self.d2):
+            t.setflags(write=False)
+
+    @functools.cached_property
+    def roots(self):
+        r = np.roots(self.c[::-1]).astype(complex)
+        r.setflags(write=False)
+        return r
+
+
+def _horner(c, x):
+    """npoly.polyval(x, c) in the same operation order: bit-identical."""
+    y = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        y = ck + y * x
+    return y
+
+
 def _as_float_or_complex(x):
     x = np.asarray(x)
     if np.issubdtype(x.dtype, np.complexfloating):
@@ -181,6 +210,8 @@ def laguerre_zeros(n, a):
     """Zeros of L_n^(a) (a > -1) as eigenvalues of the Jacobi matrix."""
     if n == 0:
         return np.empty(0)
+    if not a > -1:
+        raise ValidationError(f"Gauss nodes need a > -1, got {a:g}")
     k = np.arange(n)
     diag = 2 * k + a + 1
     off = np.sqrt(k[1:] * (k[1:] + a))
@@ -191,6 +222,8 @@ def jacobi_zeros(n, a, b):
     """Zeros of P_n^(a,b) (a, b > -1) as eigenvalues of the Jacobi matrix."""
     if n == 0:
         return np.empty(0)
+    if not (a > -1 and b > -1):
+        raise ValidationError(f"Gauss nodes need a, b > -1, got {a:g}, {b:g}")
     diag = np.empty(n)
     diag[0] = (b - a) / (a + b + 2)
     k = np.arange(1, n, dtype=float)

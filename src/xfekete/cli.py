@@ -100,7 +100,10 @@ def cmd_energy(args):
     else:
         w = WeightSpec(spec=spec, variant="hat")
     if args.nodes is not None:
-        nodes = np.atleast_1d(np.loadtxt(args.nodes, dtype=float))
+        try:
+            nodes = np.atleast_1d(np.loadtxt(args.nodes, dtype=float))
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"--nodes {args.nodes}: {exc}") from exc
         nodes_used = "file"
     elif args.weight == "hat" and (zs.exceptional.size == 0
                                    or np.max(np.abs(zs.exceptional.imag))
@@ -195,7 +198,7 @@ def cmd_verify(args):
     try:
         zs = find_zeros(spec, built=built)
         record("zeros", zs.certificate["passed"], zs.certificate)
-    except XFeketeError as exc:
+    except NumericalError as exc:
         record("zeros", False, str(exc))
     if zs is not None and spec.family == "laguerre1":
         rep = check_interlacing(zs)
@@ -249,9 +252,8 @@ def build_parser():
     p = sub.add_parser("energy", help="gradient/Hessian report at nodes")
     _add_selectors(p)
     p.add_argument("--weight", choices=["hat", "v"], default="hat")
-    p.add_argument("--at", choices=["zeros"], default="zeros")
     p.add_argument("--nodes", default=None,
-                   help="file with one node per line (overrides --at)")
+                   help="file with one node per line (default: the zeros)")
 
     p = sub.add_parser("fekete", help="multistart energy maximization")
     _add_selectors(p)

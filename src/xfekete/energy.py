@@ -21,13 +21,14 @@ can be evaluated.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
+from .classical_poly import PolyTable, _horner
 from .errors import CoincidentNodes, PoleEvaluation, SingularEvaluation, ValidationError
-from .exceptional import FamilySpec, build_S, ode_coeffs
+from .exceptional import FamilySpec, ode_coeffs
 
 VARIANTS = ("base", "hat", "v")
 
@@ -43,10 +44,10 @@ class WeightSpec:
 
     shift=None resolves to the variant default (0 for base, 1 for hat
     and v).  P holds ascending coefficients of the extra node polynomial
-    for the v variant, stored as a read-only copy.  log_scale adds a
-    constant to log w; the energy shifts by N * log_scale and nothing
-    else changes.  The polynomial tables of S (hat, v) and P (v) are
-    built here, once per weight.
+    for the v variant, stored read-only in its PolyTable, built here once
+    per weight (S is tabled once per spec, in FamilySpec.S).  log_scale
+    adds a constant to log w; the energy shifts by N * log_scale and
+    nothing else changes.
     """
 
     spec: FamilySpec
@@ -54,8 +55,7 @@ class WeightSpec:
     shift: float | None = None
     P: np.ndarray | None = None
     log_scale: float = 0.0
-    _S_table: tuple | None = field(init=False, repr=False, compare=False)
-    _P_table: tuple | None = field(init=False, repr=False, compare=False)
+    _P_table = None     # PolyTable of P (v); not a dataclass field
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -63,15 +63,10 @@ class WeightSpec:
         if self.variant == "v":
             if self.P is None:
                 raise ValidationError("variant 'v' needs the node polynomial P")
-            P = np.asarray(self.P, dtype=float).copy()
-            P.setflags(write=False)
-            object.__setattr__(self, "P", P)
+            object.__setattr__(self, "_P_table", PolyTable(self.P))
+            object.__setattr__(self, "P", self._P_table.c)
         elif self.P is not None:
             raise ValidationError("P is only meaningful for variant 'v'")
-        object.__setattr__(self, "_S_table", None if self.variant == "base"
-                           else _poly_table(build_S(self.spec)))
-        object.__setattr__(self, "_P_table", None if self.P is None
-                           else _poly_table(self.P))
 
     @property
     def resolved_shift(self):
@@ -85,35 +80,16 @@ class WeightSpec:
         return self.spec.alpha + s, (None if b is None else b + s)
 
 
-def _poly_table(coeffs):
-    """(c, |c|, c', c'') of a polynomial, ascending and read-only."""
-    c = np.array(coeffs, dtype=float)
-    table = (c, np.abs(c), npoly.polyder(c), npoly.polyder(c, 2))
-    for t in table:
-        t.setflags(write=False)
-    return table
-
-
-def _horner(c, x):
-    """npoly.polyval(x, c) for real x, doing its operations in the same
-    order so the result is bit-identical."""
-    y = c[-1] + x * 0
-    for ck in c[-2::-1]:
-        y = ck + y * x
-    return y
-
-
 def _poly_logs(table, x):
-    """log|p|, (log p)' and (log p)'' of a tabled polynomial at x, with a
-    relative pole guard on |p(x)|."""
-    c, abs_c, c1, c2 = table
-    p = _horner(c, x)
-    scale = _horner(abs_c, np.abs(x))
+    """log|p|, (log p)' and (log p)'' of a PolyTable at x, with a relative
+    pole guard on |p(x)|."""
+    p = _horner(table.c, x)
+    scale = _horner(table.abs_c, np.abs(x))
     if np.any(np.abs(p) <= _POLE_RTOL * scale):
         raise PoleEvaluation("evaluation point too close to a zero of a "
                              "weight polynomial")
-    d1 = _horner(c1, x)
-    d2 = _horner(c2, x)
+    d1 = _horner(table.d1, x)
+    d2 = _horner(table.d2, x)
     r = d1 / p
     return np.log(np.abs(p)), r, d2 / p - r * r
 
@@ -121,7 +97,7 @@ def _poly_logs(table, x):
 def weight_logs(w, x):
     """log w and its first two derivatives at x (arrays follow x).
 
-    S and P come from the weight's precomputed tables.  Raises
+    S comes from the spec's table and P from the weight's.  Raises
     PoleEvaluation within 1e-12 (relative) of a base-weight pole (x=0,
     x=+-1) or a zero of S or P, whichever the variant involves.
     """
@@ -149,7 +125,7 @@ def weight_logs(w, x):
         logw = logw - x
         d1 = d1 - 1.0
     if w.variant in ("hat", "v"):
-        ls, ls1, ls2 = _poly_logs(w._S_table, x)
+        ls, ls1, ls2 = _poly_logs(w.spec.S, x)
         logw = logw - 2.0 * ls
         d1 = d1 - 2.0 * ls1
         d2 = d2 - 2.0 * ls2
@@ -329,7 +305,7 @@ def phi_closed(spec, x):
     """
     x = np.asarray(x, dtype=float)
     al, m, n = spec.alpha, spec.m, spec.n
-    _, r, _ = _poly_logs(_poly_table(build_S(spec)), x)
+    _, r, _ = _poly_logs(spec.S, x)
     if spec.family == "laguerre1":
         if np.any(np.abs(x) <= _POLE_RTOL):
             raise PoleEvaluation("evaluation point too close to x = 0")

@@ -17,9 +17,11 @@ a least-squares nullspace solve of the ODE in the monomial basis
 (build_exceptional), and closed-form pointwise evaluators assembled from
 classical polynomials (exceptional_eval_pair, which returns y and y' from
 one recurrence sweep per classical factor), which stay accurate at
-degrees where monomial coefficients are useless.
+degrees where monomial coefficients are useless.  Every layer reads S
+from one PolyTable per spec, FamilySpec.S, the only caller of build_S.
 """
 
+import functools
 from dataclasses import dataclass, field
 from math import factorial, lgamma
 from typing import NamedTuple
@@ -27,10 +29,10 @@ from typing import NamedTuple
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .classical_poly import (_as_float_or_complex as _coerce, gen_binom,
-                             jacobi_coeffs, jacobi_pass, jacobi_zeros,
-                             laguerre_coeffs, laguerre_pass, laguerre_zeros,
-                             trim)
+from .classical_poly import (PolyTable, _as_float_or_complex as _coerce,
+                             _horner, gen_binom, jacobi_coeffs, jacobi_pass,
+                             jacobi_zeros, laguerre_coeffs, laguerre_pass,
+                             laguerre_zeros, trim)
 from .errors import (DegreeCollapse, InvalidFamily, NullspaceDefect,
                      RepresentationOverflow, SingularEvaluation,
                      ValidationError)
@@ -74,6 +76,12 @@ class FamilySpec:
     @property
     def fam(self):
         return FAMILY[self.family]
+
+    @functools.cached_property
+    def S(self):
+        """PolyTable of S, built on first use, so that a DegreeCollapse
+        of S is raised there and not at construction."""
+        return PolyTable(build_S(self))
 
     @property
     def degree(self):
@@ -145,9 +153,7 @@ def ode_coeffs(spec):
     parts of the family's FAMILY record.  For m = 0 each reduces to the
     classical second-order equation.
     """
-    fam = spec.fam
-    Sc = build_S(spec)
-    Sp = npoly.polyder(Sc) if len(Sc) > 1 else np.zeros(1)
+    fam, Sc, Sp = spec.fam, spec.S.c, spec.S.d1
     A = fam.sigma(Sc)
     B = npoly.polysub(npoly.polymul(fam.tau(spec), Sc), 2.0 * fam.sigma(Sp))
     C = npoly.polyadd(fam.lam(spec) * Sc, fam.k(spec) * fam.q(Sp))
@@ -156,13 +162,13 @@ def ode_coeffs(spec):
     return RationalODE(A=A, B=B, C=C, singular_points=sing)
 
 
-def _lead_factor(spec):
-    """The family's lead_factor; DegreeCollapse where it is 0."""
-    f = spec.fam.lead_factor(spec)
-    if f == 0:
+def _nonzero_lead(spec, v):
+    """v, the closed-form leading coefficient of spec or a factor of it;
+    DegreeCollapse where it is 0."""
+    if v == 0:
         raise DegreeCollapse(f"closed-form leading coefficient is 0 for "
                              f"{spec}; its degree is below {spec.degree}")
-    return f
+    return v
 
 
 def leading_coefficient(spec):
@@ -171,8 +177,10 @@ def leading_coefficient(spec):
     laguerre1: (-1)^n / (m! n!)
     laguerre2: (-1)^(m+n) (n+alpha+1-m) / (m! n!), collapsing at 0
     jacobi:    (m-n-alpha-1) lead(S) lead(P_n^(alpha+1,beta-1)), likewise
+    Raises DegreeCollapse wherever the closed form is 0.
     """
-    return spec.fam.lead(spec, _lead_factor(spec))
+    f = _nonzero_lead(spec, spec.fam.lead_factor(spec))
+    return _nonzero_lead(spec, spec.fam.lead(spec, f))
 
 
 def _magnitude_profile(spec):
@@ -291,19 +299,12 @@ def _lag1_pair(spec, x):
     return y, yp
 
 
-def _S_pair(spec, x):
-    Sc = build_S(spec)
-    Sp = npoly.polyval(x, npoly.polyder(Sc)) if spec.m >= 1 \
-        else np.zeros_like(x)
-    return npoly.polyval(x, Sc), Sp
-
-
 def _lag2_pair(spec, x):
     # y  = x S u' + ((al+1) S - x S') u,  u = L_n^(al+1)
     # y' = x S u' + ((m-n) S - x S') u, from eliminating u'' and S'' via
     # the classical ODEs of u and S.
     m, n, al = spec.m, spec.n, spec.alpha
-    S, Sp = _S_pair(spec, x)
+    S, Sp = _horner(spec.S.c, x), _horner(spec.S.d1, x)
     u, _, up, _ = laguerre_pass(n, al + 1.0, x)
     y = x * S * up + ((al + 1.0) * S - x * Sp) * u
     yp = x * S * up + ((m - n) * S - x * Sp) * u
@@ -314,7 +315,7 @@ def _jac_pair(spec, x):
     # y  = (1-x) S u' - ((al+1) S + (1-x) S') u,  u = P_n^(al+1, be-1)
     # y' = (-be (1-x) S u' + (-lam S + be (1-x) S') u) / (1+x)
     n, al, be = spec.n, spec.alpha, spec.beta
-    S, Sp = _S_pair(spec, x)
+    S, Sp = _horner(spec.S.c, x), _horner(spec.S.d1, x)
     u, _, up, _ = jacobi_pass(n, al + 1.0, be - 1.0, x)
     lam = spec.fam.lam(spec)
     y = (1 - x) * S * up - ((al + 1.0) * S + (1 - x) * Sp) * u
@@ -433,9 +434,9 @@ FAMILY = {
                        + s.n * (s.n + s.alpha + s.beta + 1.0)),
         k=lambda s: -2.0 * s.beta, q=lambda c: npoly.polymul((1.0, -1.0), c),
         lead_factor=lambda s: s.m - s.n - s.alpha - 1.0,
-        lead=lambda s, f: f * build_S(s)[-1] * (
+        lead=lambda s, f: f * s.S.c[-1] * (
             gen_binom(2 * s.n + s.alpha + s.beta, s.n) / 2.0 ** s.n),
-        profile=lambda s: (build_S(s), jacobi_coeffs(
+        profile=lambda s: (s.S.c, jacobi_coeffs(
             s.n, s.alpha + 1.0, s.beta - 1.0)),
         shifted=True, pair=_jac_pair, regime=_jac_regime,
         domain=lambda s, n: (-1.0 + 1e-3, 1.0 - 1e-3)),

@@ -6,8 +6,8 @@ the Hessian is not negative definite) converges quickly; started from
 the regular zeros of a member it stops within a couple of steps.  Each
 ascent point costs one weight evaluation: a line-search candidate gets
 F, its gradient and its Hessian together from energy_terms, and an
-accepted candidate's values serve the next iteration; the weight's
-polynomial tables are built once per weight, in WeightSpec.  A
+accepted candidate's values serve the next iteration; S is tabled once
+per spec (FamilySpec.S) and P once per weight (WeightSpec).  A
 multistart probe clusters the maximizers found from random initial
 configurations to test uniqueness of the weighted Fekete set.
 """

@@ -14,7 +14,7 @@ import numpy as np
 
 from .energy import fejer_constants, weight_logs
 from .errors import CoincidentNodes, PoleEvaluation
-from .exceptional import FAMILY, build_S
+from .exceptional import FAMILY
 
 
 def _node_logs(nodes):
@@ -210,11 +210,9 @@ def _log_deriv_terms(w):
     terms = [(complex(r), e) for r, e in zip(w.spec.fam.poles,
                                              w.exponents()) if e != 0]
     if w.variant in ("hat", "v"):
-        for r in np.roots(build_S(w.spec)[::-1]):
-            terms.append((complex(r), -2.0))
+        terms += [(complex(r), -2.0) for r in w.spec.S.roots]
     if w.variant == "v":
-        for r in np.roots(np.asarray(w.P)[::-1]):
-            terms.append((complex(r), 2.0))
+        terms += [(complex(r), 2.0) for r in w._P_table.roots]
     return terms, w.spec.fam.exp_weight
 
 

@@ -22,8 +22,8 @@ import numpy.polynomial.polynomial as npoly
 from .classical_poly import laguerre_zeros
 from .errors import (CountMismatch, NonConvergence, NumericalError,
                      RepresentationOverflow, ValidationError)
-from .exceptional import (BuiltPolynomial, _lead_factor, build_S,
-                          build_exceptional, exceptional_eval_pair)
+from .exceptional import (BuiltPolynomial, _nonzero_lead, build_exceptional,
+                          exceptional_eval_pair)
 
 # classification margin: a zero within this distance of the closed
 # orthogonality interval is neither safely inside nor safely outside
@@ -162,11 +162,6 @@ def _try_build(spec, built):
         return None
 
 
-def _s_roots(spec):
-    """Zeros of S, complex, unsorted."""
-    return np.roots(build_S(spec)[::-1]).astype(complex)
-
-
 def _certificate(spec, roots, built):
     """Residual certificate for the computed roots.
 
@@ -215,10 +210,9 @@ def find_zeros(spec, built=None):
     if isinstance(built, BuiltPolynomial) and built.spec != spec:
         raise ValidationError(f"coefficients built for {built.spec} "
                               f"cannot certify {spec}")
-    _lead_factor(spec)
+    _nonzero_lead(spec, spec.fam.lead_factor(spec))
     reg = np.sort(_newton(spec, spec.fam.gauss(spec)).real)
-    s_roots = _s_roots(spec) if spec.m else np.empty(0, dtype=complex)
-    exc = _sort_zeros(_newton(spec, s_roots, deflate=reg))
+    exc = _sort_zeros(_newton(spec, spec.S.roots, deflate=reg))
     _classify(spec, reg, exc)
     built = _try_build(spec, built)
     roots = np.concatenate([exc, reg.astype(complex)])
@@ -226,7 +220,7 @@ def find_zeros(spec, built=None):
     if not cert["passed"]:
         raise NonConvergence(f"residual certificate failed: {cert}", [cert])
     return ZeroSet(spec=spec, regular=reg, exceptional=exc,
-                   s_zeros=_sort_zeros(s_roots), certificate=cert)
+                   s_zeros=_sort_zeros(spec.S.roots), certificate=cert)
 
 
 def check_interlacing(zs):

@@ -1,6 +1,7 @@
 """Command-line interface: envelopes, determinism, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -152,14 +153,17 @@ def test_validation_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # n + alpha + 1 - m = 0 and m - n - alpha - 1 = 0: the closed-form
-    # leading coefficient vanishes, so the member has lower degree
+    # n + alpha + 1 - m = 0, m - n - alpha - 1 = 0 and 2n + alpha + beta
+    # = 0: the closed-form leading coefficient vanishes, so the member
+    # has lower degree
     ["zeros", "--family", "laguerre2", "--m", "3", "--alpha", "1",
      "--n", "1"],
     ["zeros", "--family", "jacobi", "--m", "2", "--alpha", "1",
      "--beta", "0.5", "--n", "0"],
     ["poly", "--family", "laguerre2", "--m", "3", "--alpha", "1",
-     "--n", "1"]])
+     "--n", "1"],
+    ["poly", "--family", "jacobi", "--m", "1", "--alpha", "-1.5",
+     "--beta", "-0.5", "--n", "1"]])
 def test_member_degree_collapse_is_a_validation_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
@@ -173,6 +177,28 @@ def test_numerical_error_exit_code(capsys):
                          "--alpha", "1", "--n", "200")
     assert code == 2
     assert json.loads(err)["error"] == "RepresentationOverflow"
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--family", "laguerre1", "--m", "1", "--alpha", "-1.5",
+     "--n", "3"],
+    ["zeros", "--family", "laguerre2", "--m", "1", "--alpha", "-1.5",
+     "--n", "3"],
+    ["zeros", "--family", "jacobi", "--m", "1", "--alpha", "-1.2",
+     "--beta", "-0.3", "--n", "3"],
+    ["verify", "--family", "jacobi", "--m", "1", "--alpha", "-1.2",
+     "--beta", "-0.3", "--n", "3"],
+    ["zeros", "--family", "jacobi", "--m", "1", "--alpha", "-1.5",
+     "--beta", "-0.5", "--n", "1"]])
+def test_gauss_seeds_below_the_classical_range_are_refused(capsys, argv):
+    # the Jacobi matrix of the seeds needs parameters above -1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ValidationError"
+    assert "Gauss nodes need" in doc["message"]
 
 
 def test_large_degree_jacobi_is_a_numerical_failure(capsys):
@@ -285,3 +311,21 @@ def test_nodes_file_override(tmp_path, capsys):
     assert code == 0
     assert doc["nodes"] == [1.0, 2.5, 7.0]
     assert doc["classification"] == "none"
+
+
+@pytest.mark.parametrize("content", [None, "1.0\nnot-a-node\n"])
+def test_unreadable_nodes_file_is_a_validation_error(tmp_path, capsys,
+                                                     content):
+    f = tmp_path / "nodes.txt"
+    if content is not None:
+        f.write_text(content)
+    code, out, err = run(capsys, "energy", *SEL, "--n", "3",
+                         "--nodes", str(f))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValidationError"
+
+
+def test_energy_has_no_at_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["energy", *SEL, "--n", "3", "--at", "zeros"])
+    assert "unrecognized arguments: --at" in capsys.readouterr().err

@@ -4,9 +4,11 @@ The references below are the three-branch forms of ode_coeffs, build_S,
 FamilySpec.interval, leading_coefficient, _magnitude_profile,
 _log_deriv_terms, default_domain and scan_grid as they read before the
 FAMILY table.  The table versions do the same floating-point operations
-in the same order, so every comparison is on the bytes.  A second test
-parses the package and fails on any comparison of a family name with a
+in the same order, so every comparison is on the bytes.  Two more tests
+parse the package.  One fails on any comparison of a family name with a
 string literal outside the few results that exist for one family only.
+The other fails on any call of build_S but the one that tables S on the
+spec, so no other module decides how S is built.
 """
 
 import ast
@@ -239,24 +241,51 @@ def _is_literal(node):
     return isinstance(node, ast.Constant) and isinstance(node.value, str)
 
 
-def family_comparisons(source, module):
-    """{(module, enclosing function): count} of the comparisons of a
-    family value with a string literal in the source."""
+def _is_family_comparison(node):
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(map(_is_family, operands)) and any(map(_is_literal, operands))
+
+
+def _is_build_S_call(node):
+    f = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(f, ast.Name) and f.id == "build_S") or \
+        (isinstance(f, ast.Attribute) and f.attr == "build_S")
+
+
+def _count(source, module, match):
+    """{(module, enclosing function): count} of the nodes of the source
+    that match accepts."""
     found = {}
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Compare):
-            operands = [node.left, *node.comparators]
-            if any(map(_is_family, operands)) and \
-                    any(map(_is_literal, operands)):
-                key = (module, where)
-                found[key] = found.get(key, 0) + 1
+        if match(node):
+            key = (module, where)
+            found[key] = found.get(key, 0) + 1
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(ast.parse(source), "<module>")
+    return found
+
+
+def family_comparisons(source, module):
+    """The comparisons of a family value with a string literal."""
+    return _count(source, module, _is_family_comparison)
+
+
+def build_S_calls(source, module):
+    """The calls of build_S, by name or as an attribute."""
+    return _count(source, module, _is_build_S_call)
+
+
+def _package_scan(scan):
+    found = {}
+    for path in sorted(Path(xf.__file__).parent.glob("*.py")):
+        found.update(scan(path.read_text(), path.stem))
     return found
 
 
@@ -270,10 +299,19 @@ def test_guard_sees_every_form_of_family_comparison():
 
 
 def test_no_family_branches_outside_the_allowed_gates():
-    package = Path(xf.__file__).parent
-    found = {}
-    for path in sorted(package.glob("*.py")):
-        found.update(family_comparisons(path.read_text(), path.stem))
+    found = _package_scan(family_comparisons)
     extra = {k: v for k, v in found.items() if v > ALLOWED.get(k, 0)}
     assert extra == {}, f"family branches outside the table: {extra}"
     assert sum(found.values()) <= 7
+
+
+def test_guard_sees_every_form_of_build_S_call():
+    src = ('def f(spec):\n'
+           '    a = build_S(spec)\n'
+           '    b = exceptional.build_S(spec).copy()\n'
+           '    c = build_S\n')
+    assert build_S_calls(src, "m") == {("m", "f"): 2}
+
+
+def test_S_is_built_only_where_the_spec_tables_it():
+    assert _package_scan(build_S_calls) == {("exceptional", "S"): 1}

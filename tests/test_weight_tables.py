@@ -197,8 +197,7 @@ def test_one_weight_evaluation_per_ascent_point(monkeypatch, family):
         return ok, res
 
     monkeypatch.setattr(fekete_opt, "_valid", valid)
-    for module in (energy, exceptional):
-        _forbid(monkeypatch, module, "build_S")
+    _forbid(monkeypatch, exceptional, "build_S")
     _forbid(monkeypatch, npoly, "polyder")
     _forbid(monkeypatch, npoly, "polyval")
     nodes, trace = fekete_opt.maximize_log_T(w, domain, n, init)
