@@ -100,8 +100,7 @@ def jacobi_coeffs(m, a, b):
             continue
         part = npoly.polymul(lo[m - k], hi[k])
         c[: len(part)] += term * part
-    c /= 2.0 ** m
-    return c
+    return np.ldexp(c, -m)
 
 
 def poly_eval(p, x, k=0):
@@ -227,11 +226,17 @@ def jacobi_zeros(n, a, b):
     diag = np.empty(n)
     diag[0] = (b - a) / (a + b + 2)
     k = np.arange(1, n, dtype=float)
+    off = np.empty(n - 1)
     if n > 1:
         diag[1:] = (b * b - a * a) / ((2 * k + a + b) * (2 * k + a + b + 2))
+        # k = 1 with the common factor 1 + a + b cancelled; that factor
+        # is 0 at a + b = -1, inside the range
+        off[0] = 4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
+    k = k[1:]
     num = 4 * k * (k + a) * (k + b) * (k + a + b)
     den = (2 * k + a + b) ** 2 * (2 * k + a + b + 1) * (2 * k + a + b - 1)
-    off = np.sqrt(num / den)
+    off[1:] = num / den
+    off = np.sqrt(off)
     return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 

@@ -11,6 +11,7 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -101,8 +102,11 @@ def cmd_energy(args):
         w = WeightSpec(spec=spec, variant="hat")
     if args.nodes is not None:
         try:
-            nodes = np.atleast_1d(np.loadtxt(args.nodes, dtype=float))
-        except (OSError, ValueError) as exc:
+            with warnings.catch_warnings():
+                # an empty file is a warning to loadtxt, an error here
+                warnings.simplefilter("error", UserWarning)
+                nodes = np.atleast_1d(np.loadtxt(args.nodes, dtype=float))
+        except (OSError, ValueError, UserWarning) as exc:
             raise ValidationError(f"--nodes {args.nodes}: {exc}") from exc
         nodes_used = "file"
     elif args.weight == "hat" and (zs.exceptional.size == 0

@@ -164,16 +164,24 @@ def _upper_pairs(n):
     return i, j
 
 
-def _assemble(nodes, logw, d1, d2):
-    """(F, gradient, Hessian) from the weight logs at the nodes."""
-    dif = nodes[:, None] - nodes[None, :]
-    cross = np.log(np.abs(dif[_upper_pairs(nodes.size)]))
-    F = math.fsum(logw) + 2.0 * math.fsum(cross)
-    np.fill_diagonal(dif, np.inf)
-    inv = 1.0 / dif
-    g = d1 + 2.0 * np.sum(inv, axis=1)
-    H = 2.0 * inv ** 2
-    np.fill_diagonal(H, d2 - 2.0 * np.sum(inv ** 2, axis=1))
+def _assemble(X, logw, d1, d2):
+    """(F, gradients, Hessians) of a stack X (T, n) of node rows from the
+    weight logs at its nodes: F a list of T floats, one compensated sum
+    per row.  Each row's Hessian is built in place from the node
+    differences: dif, then 1/dif, its square and twice that."""
+    n = X.shape[1]
+    H = X[:, :, None] - X[:, None, :]
+    i, j = _upper_pairs(n)
+    cross = np.log(np.abs(H[:, i, j]))
+    F = [math.fsum(a) + 2.0 * math.fsum(b) for a, b in zip(logw, cross)]
+    k = np.arange(n)
+    H[:, k, k] = np.inf
+    np.divide(1.0, H, out=H)
+    g = d1 + 2.0 * np.sum(H, axis=2)
+    np.square(H, out=H)
+    diag = d2 - 2.0 * np.sum(H, axis=2)
+    H *= 2.0
+    H[:, k, k] = diag
     return F, g, H
 
 
@@ -186,8 +194,9 @@ def energy_terms(nodes, w):
     H_kj = 2/(x_k - x_j)^2 off the diagonal,
     H_kk = (log w)''(x_k) - 2 sum_{j!=k} 1/(x_k - x_j)^2.
     """
-    nodes = _check_nodes(nodes)
-    return _assemble(nodes, *weight_logs(w, nodes))
+    X = _check_nodes(nodes)[None]
+    (F,), (g,), (H,) = _assemble(X, *weight_logs(w, X))
+    return F, g, H
 
 
 def log_energy(nodes, w):
@@ -249,9 +258,10 @@ def energy_hessian(nodes, w):
     'indefinite' for the remaining cases.  The spectrum stays available
     to callers through the hessian field.
     """
-    nodes = _check_nodes(nodes)
-    logw, d1, d2 = weight_logs(w, nodes)
-    F, g, H = _assemble(nodes, logw, d1, d2)
+    X = _check_nodes(nodes)[None]
+    logs = weight_logs(w, X)
+    (F,), (g,), (H,) = _assemble(X, *logs)
+    d1 = logs[1][0]
     stat = float(np.max(np.abs(g))) < GRAD_RTOL * (1 + np.max(np.abs(d1)))
     d = np.diag(H)
     row_off = np.sum(np.abs(H), axis=1) - np.abs(d)
@@ -264,7 +274,7 @@ def energy_hessian(nodes, w):
         cls = "local-max"
     else:
         cls = "indefinite"
-    return EnergyReport(weight=w, nodes=np.sort(nodes),
+    return EnergyReport(weight=w, nodes=np.sort(X[0]),
                         logT=F, gradient=g, hessian=H,
                         diag_signs=np.sign(d).astype(int), stationary=stat,
                         diagonally_dominant=dominant,

@@ -80,8 +80,14 @@ class FamilySpec:
     @functools.cached_property
     def S(self):
         """PolyTable of S, built on first use, so that a DegreeCollapse
-        of S is raised there and not at construction."""
-        return PolyTable(build_S(self))
+        of S is raised there and not at construction.  Coefficients
+        beyond binary64 raise RepresentationOverflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = build_S(self)
+        if not np.all(np.isfinite(c)):
+            raise RepresentationOverflow(
+                f"coefficients of S overflow binary64 for {self}")
+        return PolyTable(c)
 
     @property
     def degree(self):

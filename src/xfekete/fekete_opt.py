@@ -3,20 +3,22 @@
 The functional F from the energy module is concave near its maximizers,
 so a damped Newton iteration with a gradient-ascent fallback (used while
 the Hessian is not negative definite) converges quickly; started from
-the regular zeros of a member it stops within a couple of steps.  Each
-ascent point costs one weight evaluation: a line-search candidate gets
-F, its gradient and its Hessian together from energy_terms, and an
-accepted candidate's values serve the next iteration; S is tabled once
-per spec (FamilySpec.S) and P once per weight (WeightSpec).  A
-multistart probe clusters the maximizers found from random initial
-configurations to test uniqueness of the weighted Fekete set.
+the regular zeros of a member it stops within a couple of steps.  One
+core ascends a whole stack of starts in lockstep: each Newton iteration
+and each line-search halving evaluates every pending start together,
+with one weight evaluation for all of them that gives F, the gradient
+and the Hessian of each candidate, and an accepted candidate's values
+serve the next iteration; S is tabled once per spec (FamilySpec.S) and
+P once per weight (WeightSpec).  A single ascent is a stack of one; a
+multistart probe runs all its random starts as one stack and clusters
+the maximizers found to test uniqueness of the weighted Fekete set.
 """
 
 import numpy as np
 
 from .errors import (DomainEscape, NonConvergence, NumericalError,
                      ValidationError)
-from .energy import energy_terms, gradient_and_hessian, v_weight, weight_logs
+from .energy import _assemble, gradient_and_hessian, v_weight, weight_logs
 from .exceptional import FamilySpec
 
 GTOL = 1e-9
@@ -29,18 +31,128 @@ def default_domain(w, n):
     return w.spec.fam.domain(w.spec, n)
 
 
-def _valid(w, x, domain):
-    """(True, (F, g, H)) for an admissible configuration, else (False,
-    the reason)."""
+def _evaluate(w, X, domain):
+    """Admissibility and energy terms of a stack X (T, n) of sorted node
+    rows, with one weight evaluation for all admissible rows.
+
+    Returns (reason, F, G, H): reason[r] is "" for an admissible row and
+    otherwise "domain", "order" or "pole", the first check that row
+    fails; F, G and H are the terms of the admissible rows, in order.
+    A row is a pole when two of its nodes lie within 1e-14 (relative)
+    of each other or its weight evaluation raises NumericalError.
+    """
     lo, hi = domain
-    if np.any(x <= lo) or np.any(x >= hi):
-        return False, "domain"
-    if np.any(np.diff(x) <= 0):
-        return False, "order"
+    reason = np.full(len(X), "", dtype="<U6")
+    dif = np.diff(X, axis=1)
+    scale = np.fmax(1.0, np.max(np.abs(X), axis=1, initial=0.0))
+    reason[np.min(dif, axis=1, initial=np.inf) < 1e-14 * scale] = "pole"
+    reason[np.any(dif <= 0, axis=1)] = "order"
+    reason[np.any((X <= lo) | (X >= hi), axis=1)] = "domain"
+    ok = reason == ""
     try:
-        return True, energy_terms(x, w)
+        logs = weight_logs(w, X[ok])
     except NumericalError:
-        return False, "pole"
+        # find the rows that raised, then evaluate the others together
+        for r in np.flatnonzero(ok):
+            try:
+                weight_logs(w, X[r])
+            except NumericalError:
+                reason[r] = "pole"
+        ok = reason == ""
+        logs = weight_logs(w, X[ok])
+    F, G, H = _assemble(X[ok], *logs)
+    return reason, np.array(F), G, H
+
+
+def _steps(G, H):
+    """(newton, step) per row: the Newton step where -H is positive
+    definite, else the scaled gradient g / (1 + ||H||_inf)."""
+    try:
+        np.linalg.cholesky(-H)
+        newton = np.ones(len(H), dtype=bool)
+    except np.linalg.LinAlgError:
+        newton = np.array([_negative_definite(h) for h in H], dtype=bool)
+    step = np.empty_like(G)
+    a = ~newton
+    if a.any():
+        nrm = np.linalg.norm(H[a], np.inf, axis=(1, 2))
+        step[a] = G[a] / (1.0 + nrm)[:, None]
+    if newton.any():
+        rhs = -G[newton][..., None]
+        step[newton] = np.linalg.solve(H[newton], rhs)[..., 0]
+    return newton, step
+
+
+def _negative_definite(h):
+    try:
+        np.linalg.cholesky(-h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _ascend(w, domain, X, gtol, itmax):
+    """Ascend F from every row of a stack X (T, n) of sorted starts, all
+    rows in lockstep.
+
+    Each iteration takes every live row's Newton (or gradient) step and
+    halves the step scale t of the rows still pending, evaluating them
+    together, until a row's candidate is admissible and does not lower
+    F by more than 1e-10 (1 + |F|), or its t falls to 1e-14.  Returns
+    one entry per row: (nodes, trace) once max|grad F| < gtol, else the
+    DomainEscape or NonConvergence that ends that row.
+    """
+    if X.shape[1] == 0:
+        raise ValidationError("nodes must be a nonempty 1-d array")
+    out = [None] * len(X)
+    reason, F, G, H = _evaluate(w, X, domain)
+    for r in np.flatnonzero(reason != ""):
+        out[r] = DomainEscape(f"initial nodes invalid ({reason[r]})")
+    rows = np.flatnonzero(reason == "")
+    X = X[rows]
+    traces = [[] for _ in rows]
+    for it in range(itmax):
+        if not rows.size:
+            break
+        newton, step = _steps(G, H)
+        gmax = np.max(np.abs(G), axis=1)
+        for k in range(rows.size):
+            traces[k].append({"iteration": it, "logT": float(F[k]),
+                              "max_gradient": float(gmax[k]),
+                              "mode": "newton" if newton[k] else "ascent"})
+        live = ~(gmax < gtol)
+        for k in np.flatnonzero(~live):
+            out[rows[k]] = (X[k].copy(), traces[k])
+        blocker = np.full(rows.size, "order", dtype="<U6")
+        pend = np.flatnonzero(live)
+        t = 1.0
+        while t > 1e-14 and pend.size:
+            cand = np.sort(X[pend] + t * step[pend], axis=1)
+            reason, Fc, Gc, Hc = _evaluate(w, cand, domain)
+            ok = np.flatnonzero(reason == "")
+            f0 = F[pend[ok]]
+            acc = Fc >= f0 - 1e-10 * (1.0 + np.abs(f0))
+            done = pend[ok[acc]]
+            X[done], F[done], G[done], H[done] = (
+                cand[ok[acc]], Fc[acc], Gc[acc], Hc[acc])
+            for k in done:
+                traces[k][-1]["step_scale"] = t
+            bad = reason != ""
+            blocker[pend[bad]] = reason[bad]
+            pend = np.delete(pend, ok[acc])
+            t *= 0.5
+        for k in pend:
+            live[k] = False
+            out[rows[k]] = (
+                DomainEscape("no damped step stays inside the domain")
+                if blocker[k] == "domain"
+                else NonConvergence("line search stalled", traces[k]))
+        rows, X, F, G, H = rows[live], X[live], F[live], G[live], H[live]
+        traces = [tr for tr, keep in zip(traces, live) if keep]
+    for r, tr in zip(rows, traces):
+        out[r] = NonConvergence(
+            f"gradient above {gtol} after {itmax} iterations", tr)
+    return out
 
 
 def maximize_log_T(w, domain, n, init=None, gtol=GTOL, itmax=ITMAX):
@@ -57,65 +169,31 @@ def maximize_log_T(w, domain, n, init=None, gtol=GTOL, itmax=ITMAX):
     x = np.sort(np.asarray(init, dtype=float))
     if x.size != n:
         raise ValidationError(f"init has {x.size} nodes, expected {n}")
-    ok, terms = _valid(w, x, (lo, hi))
-    if not ok:
-        raise DomainEscape(f"initial nodes invalid ({terms})")
-    f0, g, H = terms
-    trace = []
-    for it in range(itmax):
-        gmax = float(np.max(np.abs(g)))
-        mode = "newton"
-        try:
-            np.linalg.cholesky(-H)
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            mode = "ascent"
-            step = g / (1.0 + np.linalg.norm(H, np.inf))
-        trace.append({"iteration": it, "logT": f0, "max_gradient": gmax,
-                      "mode": mode})
-        if gmax < gtol:
-            return x, trace
-        t = 1.0
-        placed = False
-        blocker = "order"
-        while t > 1e-14:
-            cand = np.sort(x + t * step)
-            ok, terms = _valid(w, cand, (lo, hi))
-            if ok and terms[0] >= f0 - 1e-10 * (1.0 + abs(f0)):
-                x, (f0, g, H) = cand, terms
-                placed = True
-                break
-            if not ok:
-                blocker = terms
-            t *= 0.5
-        if not placed:
-            if blocker == "domain":
-                raise DomainEscape("no damped step stays inside the domain")
-            raise NonConvergence("line search stalled", trace)
-        trace[-1]["step_scale"] = t
-    raise NonConvergence(f"gradient above {gtol} after {itmax} iterations",
-                         trace)
+    (res,) = _ascend(w, (lo, hi), x[None], gtol, itmax)
+    if isinstance(res, NumericalError):
+        raise res
+    return res
 
 
 def uniqueness_probe(w, domain, n, trials=20, seed=0):
     """Multistart search for distinct maximizers of F.
 
-    Runs maximize_log_T from `trials` sorted-uniform random initial
-    configurations and clusters the converged results with absolute
-    tolerance 1e-5 per node.  A unique weighted Fekete set shows up as a
-    single cluster collecting every converged run.
+    Ascends from `trials` sorted-uniform random initial configurations,
+    all in one lockstep batch, and clusters the converged results in
+    trial order with absolute tolerance 1e-5 per node.  A unique
+    weighted Fekete set shows up as a single cluster collecting every
+    converged run.
     """
     rng = np.random.default_rng(seed)
     lo, hi = float(domain[0]), float(domain[1])
+    starts = np.sort(rng.uniform(lo, hi, size=(trials, n)), axis=1)
     clusters = []
     converged = failed = 0
-    for _ in range(trials):
-        init = np.sort(rng.uniform(lo, hi, size=n))
-        try:
-            nodes, trace = maximize_log_T(w, domain, n, init)
-        except (NonConvergence, DomainEscape):
+    for res in _ascend(w, (lo, hi), starts, GTOL, ITMAX):
+        if isinstance(res, NumericalError):
             failed += 1
             continue
+        nodes, trace = res
         converged += 1
         for c in clusters:
             if np.max(np.abs(c["nodes"] - nodes)) < 1e-5:

@@ -5,6 +5,7 @@ formulas before the implementation existed and are frozen here.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,17 @@ def test_jacobi_zeros_legendre():
     # P_2^{(0,0)} zeros at +/- 1/sqrt(3)
     r = 1 / math.sqrt(3)
     np.testing.assert_allclose(xf.jacobi_zeros(2, 0.0, 0.0), [-r, r], atol=1e-14)
+
+
+def test_jacobi_zeros_at_parameter_sum_minus_one():
+    # the k = 1 entry of the Jacobi matrix is 0/0 in its general form
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = xf.jacobi_zeros(2, -0.5, -0.5)
+    np.testing.assert_allclose(z, [-2 ** -0.5, 2 ** -0.5], atol=1e-15)
+    z = xf.jacobi_zeros(6, -0.3, -0.7)
+    assert np.all(np.isfinite(z)) and np.all(np.diff(z) > 0)
+    assert np.max(np.abs(xf.jacobi_eval(6, -0.3, -0.7, z))) < 1e-12
 
 
 def test_jacobi_zeros_symmetric():

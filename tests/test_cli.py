@@ -221,6 +221,52 @@ def test_overflowing_jacobi_zeros_fail_typed(capsys):
         "NullspaceDefect"
 
 
+def _quiet_run(capsys, *argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(capsys, *argv)
+
+
+JACOBI_SUM_MINUS_ONE = ["--family", "jacobi", "--m", "1", "--alpha", "-0.3",
+                        "--beta", "-0.7", "--n", "3"]
+
+
+@pytest.mark.parametrize("cmd", ["zeros", "verify"])
+def test_jacobi_seeds_at_parameter_sum_minus_one(capsys, cmd):
+    # the Gauss seeds are P_3^(-0.3,-0.7) zeros: a + b = -1
+    code, out, err = _quiet_run(capsys, cmd, *JACOBI_SUM_MINUS_ONE)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    if cmd == "zeros":
+        assert doc["exceptional"][0][0] == pytest.approx(3.4277984423761,
+                                                         rel=1e-12)
+    else:
+        assert doc["passed"] is True
+
+
+def test_overflowing_S_fails_typed(capsys):
+    # S = P_600^(-601.5, 0): its coefficients overflow binary64
+    code, out, err = _quiet_run(capsys, "poly", "--family", "jacobi",
+                                "--m", "600", "--alpha", "600.5",
+                                "--beta", "1", "--n", "5")
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "RepresentationOverflow"
+    assert "coefficients of S overflow" in doc["message"]
+
+
+def test_overflowing_S_beyond_binary64_exponents_fails_typed(capsys):
+    # 2^-1100 is below binary64's range: the scaling must not overflow
+    code, out, err = _quiet_run(capsys, "verify", "--family", "jacobi",
+                                "--m", "1100", "--alpha", "1100.5",
+                                "--beta", "1", "--n", "5")
+    assert code == 2 and err == ""
+    doc = json.loads(out)
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert doc["passed"] is False
+    assert "coefficients of S overflow" in checks["construction"]["detail"]
+
+
 def test_overflowing_laguerre1_newton_fails_before_any_build(capsys):
     # the regular-zero Newton stage fails first: laguerre1 builds only
     # for the certificate.  The recurrence overflow itself is the known
@@ -323,6 +369,17 @@ def test_unreadable_nodes_file_is_a_validation_error(tmp_path, capsys,
                          "--nodes", str(f))
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ValidationError"
+
+
+def test_empty_nodes_file_is_a_validation_error(tmp_path, capsys):
+    f = tmp_path / "nodes.txt"
+    f.write_text("")
+    code, out, err = _quiet_run(capsys, "energy", *SEL, "--n", "3",
+                                "--nodes", str(f))
+    assert code == 1 and out == ""
+    doc = json.loads(err)           # stderr holds only the JSON error
+    assert doc["error"] == "ValidationError"
+    assert "no data" in doc["message"]
 
 
 def test_energy_has_no_at_option(capsys):

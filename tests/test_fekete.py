@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import xfekete as xf
+from xfekete import fekete_opt
 
 from conftest import spec_of, zeros_of
 
@@ -126,3 +127,180 @@ def test_small_alpha_positive_curvature_witness():
     v = xf.v_weight(hit["spec"])
     _, H = xf.gradient_and_hessian(np.asarray(hit["nodes"]), v)
     assert H[0, 0] == pytest.approx(hit["h11"], rel=1e-10)
+
+
+# ------------------------------------------------------- lockstep ascent
+#
+# The serial line search the lockstep core replaced, kept as the
+# reference: every start alone, one energy evaluation per candidate.
+
+def _serial_valid(w, x, domain, count):
+    lo, hi = domain
+    if np.any(x <= lo) or np.any(x >= hi):
+        return False, "domain"
+    if np.any(np.diff(x) <= 0):
+        return False, "order"
+    count[0] += 1
+    try:
+        return True, xf.energy_terms(x, w)
+    except xf.NumericalError:
+        return False, "pole"
+
+
+def serial_maximize_log_T(w, domain, n, init, gtol=fekete_opt.GTOL,
+                          itmax=fekete_opt.ITMAX, count=None):
+    count = [0] if count is None else count
+    lo, hi = float(domain[0]), float(domain[1])
+    x = np.sort(np.asarray(init, dtype=float))
+    ok, terms = _serial_valid(w, x, (lo, hi), count)
+    if not ok:
+        raise xf.DomainEscape(f"initial nodes invalid ({terms})")
+    f0, g, H = terms
+    trace = []
+    for it in range(itmax):
+        gmax = float(np.max(np.abs(g)))
+        mode = "newton"
+        try:
+            np.linalg.cholesky(-H)
+            step = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            mode = "ascent"
+            step = g / (1.0 + np.linalg.norm(H, np.inf))
+        trace.append({"iteration": it, "logT": f0, "max_gradient": gmax,
+                      "mode": mode})
+        if gmax < gtol:
+            return x, trace
+        t = 1.0
+        placed = False
+        blocker = "order"
+        while t > 1e-14:
+            cand = np.sort(x + t * step)
+            ok, terms = _serial_valid(w, cand, (lo, hi), count)
+            if ok and terms[0] >= f0 - 1e-10 * (1.0 + abs(f0)):
+                x, (f0, g, H) = cand, terms
+                placed = True
+                break
+            if not ok:
+                blocker = terms
+            t *= 0.5
+        if not placed:
+            if blocker == "domain":
+                raise xf.DomainEscape("no damped step stays inside the domain")
+            raise xf.NonConvergence("line search stalled", trace)
+        trace[-1]["step_scale"] = t
+    raise xf.NonConvergence(f"gradient above {gtol} after {itmax} iterations",
+                            trace)
+
+
+def serial_probe(w, domain, n, trials, seed, count=None):
+    rng = np.random.default_rng(seed)
+    lo, hi = float(domain[0]), float(domain[1])
+    clusters = []
+    converged = failed = 0
+    for _ in range(trials):
+        init = np.sort(rng.uniform(lo, hi, size=n))
+        try:
+            nodes, trace = serial_maximize_log_T(w, domain, n, init,
+                                                 count=count)
+        except (xf.NonConvergence, xf.DomainEscape):
+            failed += 1
+            continue
+        converged += 1
+        for c in clusters:
+            if np.max(np.abs(c["nodes"] - nodes)) < 1e-5:
+                c["count"] += 1
+                break
+        else:
+            clusters.append({"nodes": nodes, "count": 1,
+                             "logT": trace[-1]["logT"]})
+    clusters.sort(key=lambda c: -c["count"])
+    return {"clusters": clusters, "trials": trials,
+            "converged": converged, "failed": failed}
+
+
+def _outcome(res):
+    """Comparable form of a (nodes, trace) result or an ascent error."""
+    if isinstance(res, Exception):
+        return type(res), str(res), getattr(res, "trace", None)
+    nodes, trace = res
+    return nodes.tobytes(), trace
+
+
+def _serial_outcome(*args, **kwargs):
+    try:
+        return _outcome(serial_maximize_log_T(*args, **kwargs))
+    except (xf.DomainEscape, xf.NonConvergence) as exc:
+        return _outcome(exc)
+
+
+def _public_outcome(*args, **kwargs):
+    try:
+        return _outcome(xf.maximize_log_T(*args, **kwargs))
+    except (xf.DomainEscape, xf.NonConvergence) as exc:
+        return _outcome(exc)
+
+
+LOCKSTEP = [("laguerre1", 1, 2.0, 5), ("laguerre2", 1, 3.5, 4),
+            ("jacobi", 1, 2.5, 6, 1.5)]
+
+
+@pytest.mark.parametrize("args", LOCKSTEP, ids=lambda a: a[0])
+def test_lockstep_ascent_matches_serial_start_by_start(args):
+    v = v_of(*args)
+    n = args[3]
+    lo, hi = xf.default_domain(v, n)
+    rng = np.random.default_rng(11)
+    starts = np.sort(rng.uniform(lo, hi, size=(9, n)), axis=1)
+    starts[2, -1] = hi + 1.0                       # outside the domain
+    starts[5] = np.sort(rng.uniform(lo - (hi - lo), hi, size=n))
+    kinds = set()
+    for itmax in (1, 3, 8, 500):
+        batch = fekete_opt._ascend(v, (lo, hi), starts, fekete_opt.GTOL,
+                                   itmax)
+        assert len(batch) == len(starts)
+        for x0, res in zip(starts, batch):
+            ref = _serial_outcome(v, (lo, hi), n, x0, itmax=itmax)
+            assert _outcome(res) == ref
+            assert _public_outcome(v, (lo, hi), n, x0, itmax=itmax) == ref
+            kinds.add(ref[0] if isinstance(ref[0], type) else "converged")
+    assert kinds == {xf.DomainEscape, xf.NonConvergence, "converged"}
+
+
+@pytest.mark.parametrize("n", [1, 4, 10, 30])
+@pytest.mark.parametrize("args", LOCKSTEP, ids=lambda a: a[0])
+def test_lockstep_probe_bit_identical_to_serial(args, n):
+    v = v_of(*args[:3], n, *args[4:])
+    domain = xf.default_domain(v, n)
+    got = xf.uniqueness_probe(v, domain, n, trials=8, seed=3)
+    ref = serial_probe(v, domain, n, trials=8, seed=3)
+    for key in ("trials", "converged", "failed"):
+        assert got[key] == ref[key]
+    assert len(got["clusters"]) == len(ref["clusters"])
+    for c, r in zip(got["clusters"], ref["clusters"]):
+        assert c["nodes"].tobytes() == r["nodes"].tobytes()
+        assert (c["count"], c["logT"]) == (r["count"], r["logT"])
+
+
+def test_probe_makes_one_weight_evaluation_per_round(monkeypatch):
+    v = v_of("laguerre1", 1, 2.0, 10)
+    domain = xf.default_domain(v, 10)
+    serial = [0]
+    ref = serial_probe(v, domain, 10, trials=20, seed=1, count=serial)
+    counter = {"rounds": 0, "weight_logs": 0}
+    real_evaluate, real_logs = fekete_opt._evaluate, fekete_opt.weight_logs
+
+    def evaluate(*args):
+        counter["rounds"] += 1
+        return real_evaluate(*args)
+
+    def logs(*args):
+        counter["weight_logs"] += 1
+        return real_logs(*args)
+
+    monkeypatch.setattr(fekete_opt, "_evaluate", evaluate)
+    monkeypatch.setattr(fekete_opt, "weight_logs", logs)
+    got = xf.uniqueness_probe(v, domain, 10, trials=20, seed=1)
+    assert got["converged"] == ref["converged"] == 20
+    assert counter["weight_logs"] == counter["rounds"]
+    # the serial ascent evaluated every start's candidates one by one
+    assert 4 * counter["weight_logs"] < serial[0]

@@ -137,6 +137,20 @@ def test_energy_terms_bit_identical_to_separate_assembly(family, variant):
     np.testing.assert_array_equal(rep.hessian, H)
 
 
+@pytest.mark.parametrize("family", ["laguerre1", "laguerre2", "jacobi"])
+def test_stacked_assembly_bit_identical_row_by_row(family):
+    w = weight(family, "v")
+    base = zeros_of(*SPECS[family]).regular
+    X = np.array([base + 0.01 * np.sin(np.arange(base.size) + r)
+                  for r in range(4)])
+    F, G, H = energy._assemble(X, *xf.weight_logs(w, X))
+    for r, x in enumerate(X):
+        assert F[r] == ref_log_energy(x, w)
+        g_ref, H_ref = ref_gradient_and_hessian(x, w)
+        np.testing.assert_array_equal(G[r], g_ref)
+        np.testing.assert_array_equal(H[r], H_ref)
+
+
 def test_phi_closed_matches_direct_form():
     spec = spec_of(*SPECS["jacobi"])
     x = np.array(POINTS["jacobi"][1][1:-1])
@@ -186,22 +200,31 @@ def test_one_weight_evaluation_per_ascent_point(monkeypatch, family):
     n = w.spec.n
     domain = fekete_opt.default_domain(w, n)
     init = np.sort(np.random.default_rng(5).uniform(*domain, size=n))
-    counter = {"weight_logs": 0, "evaluated": 0}
-    _count_calls(monkeypatch, energy, "weight_logs", counter)
-    real_valid = fekete_opt._valid
+    counter = {"weight_logs": 0, "points": 0, "rounds": 0, "evaluated": 0}
+    real_logs, real_evaluate = fekete_opt.weight_logs, fekete_opt._evaluate
 
-    def valid(w, x, domain):
-        ok, res = real_valid(w, x, domain)
-        if ok or res == "pole":      # reached the energy evaluation
-            counter["evaluated"] += 1
-        return ok, res
+    def logs(w, x):
+        counter["weight_logs"] += 1
+        counter["points"] += np.size(x)
+        return real_logs(w, x)
 
-    monkeypatch.setattr(fekete_opt, "_valid", valid)
+    def evaluate(w, X, domain):
+        counter["rounds"] += 1
+        reason, F, G, H = real_evaluate(w, X, domain)
+        # rows that reached the energy evaluation
+        counter["evaluated"] += int(np.sum((reason == "")
+                                           | (reason == "pole")))
+        return reason, F, G, H
+
+    monkeypatch.setattr(fekete_opt, "weight_logs", logs)
+    monkeypatch.setattr(fekete_opt, "_evaluate", evaluate)
     _forbid(monkeypatch, exceptional, "build_S")
     _forbid(monkeypatch, npoly, "polyder")
     _forbid(monkeypatch, npoly, "polyval")
     nodes, trace = fekete_opt.maximize_log_T(w, domain, n, init)
-    assert counter["weight_logs"] == counter["evaluated"]
+    # one weight evaluation per round, covering each evaluated point once
+    assert counter["weight_logs"] == counter["rounds"]
+    assert counter["points"] == n * counter["evaluated"]
     # the start plus at least one candidate per completed iteration
     assert counter["evaluated"] >= len(trace)
     assert len(trace) > 2
