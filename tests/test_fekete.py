@@ -226,16 +226,9 @@ def _outcome(res):
     return nodes.tobytes(), trace
 
 
-def _serial_outcome(*args, **kwargs):
+def _call_outcome(ascent, *args, **kwargs):
     try:
-        return _outcome(serial_maximize_log_T(*args, **kwargs))
-    except (xf.DomainEscape, xf.NonConvergence) as exc:
-        return _outcome(exc)
-
-
-def _public_outcome(*args, **kwargs):
-    try:
-        return _outcome(xf.maximize_log_T(*args, **kwargs))
+        return _outcome(ascent(*args, **kwargs))
     except (xf.DomainEscape, xf.NonConvergence) as exc:
         return _outcome(exc)
 
@@ -259,9 +252,11 @@ def test_lockstep_ascent_matches_serial_start_by_start(args):
                                    itmax)
         assert len(batch) == len(starts)
         for x0, res in zip(starts, batch):
-            ref = _serial_outcome(v, (lo, hi), n, x0, itmax=itmax)
+            ref = _call_outcome(serial_maximize_log_T, v, (lo, hi), n, x0,
+                                itmax=itmax)
             assert _outcome(res) == ref
-            assert _public_outcome(v, (lo, hi), n, x0, itmax=itmax) == ref
+            assert _call_outcome(xf.maximize_log_T, v, (lo, hi), n, x0,
+                                 itmax=itmax) == ref
             kinds.add(ref[0] if isinstance(ref[0], type) else "converged")
     assert kinds == {xf.DomainEscape, xf.NonConvergence, "converged"}
 
