@@ -20,7 +20,7 @@ from .classical_poly import _horner
 from .energy import _check_nodes, _upper_pairs, log_energy, v_weight
 from .errors import ValidationError, XFeketeError
 from .exceptional import FamilySpec
-from .roots import find_zeros
+from .roots import find_zeros, find_zeros_ladder
 
 # log-domain pair sums stay within the 1e-8 budget up to here
 N_CAP = 200
@@ -68,14 +68,14 @@ class DiameterSeries:
     ps_ratio_max: np.ndarray
 
 
-def _one_diameter(m, alpha, n, c):
-    spec = FamilySpec("laguerre1", m, alpha, n)
-    zs = find_zeros(spec)
+def _one_diameter(zs, c):
+    """(d, (P/S)^2 record) of one member from its ZeroSet."""
+    spec = zs.spec
     v = v_weight(spec, zs)
     dval = transfinite_d(zs.regular, v, c)
     # sup of (P/S)^2 over a stretch of the positive axis, recorded as
     # supporting data for the kernel normalization
-    hi = spec.fam.domain(spec, n)[1]
+    hi = spec.fam.domain(spec, spec.n)[1]
     grid = np.geomspace(1e-3, hi, 200)
     ratio = float(np.max((_horner(v.P, grid) / _horner(spec.S.c, grid)) ** 2))
     return dval, ratio
@@ -87,7 +87,8 @@ def d_sequence(m, alpha, n_range, c=1.0):
     Every d value comes from a certified ZeroSet; per-n failures are
     skipped and logged in the series rather than aborting the sweep.
     One extra member below the range start is computed so the first
-    delta is defined.
+    delta is defined.  The members' zeros are found as one ladder
+    (find_zeros_ladder), each Newton stage solved for all n together.
     """
     wanted = sorted(set(int(n) for n in n_range))
     if not wanted:
@@ -99,10 +100,19 @@ def d_sequence(m, alpha, n_range, c=1.0):
                               f"precision budget")
     compute = sorted(set(wanted) | ({wanted[0] - 1} if wanted[0] > 2
                                     else set()))
+    try:
+        specs = [FamilySpec("laguerre1", m, alpha, n) for n in compute]
+    except XFeketeError as exc:
+        # only m can be invalid here (n >= 2), so every member fails alike
+        found = [exc] * len(compute)
+    else:
+        found = find_zeros_ladder(specs)
     results, skipped = {}, []
-    for n in compute:
+    for n, zs in zip(compute, found):
         try:
-            results[n] = _one_diameter(m, alpha, n, c)
+            if isinstance(zs, XFeketeError):
+                raise zs
+            results[n] = _one_diameter(zs, c)
         except XFeketeError as exc:
             skipped.append((n, f"{type(exc).__name__}: {exc}"))
 

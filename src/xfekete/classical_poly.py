@@ -1,12 +1,13 @@
 """Classical Laguerre and Jacobi polynomials with general real parameters.
 
 Coefficient builders use explicit sums with generalized binomials computed
-as falling-factorial products, so negative and non-integer parameters are
-handled without gamma-function poles.  Pointwise evaluation goes through
-one three-term sweep per family that carries the differentiated
-recurrence along, so a single pass gives p_n, p_{n-1} and both
-derivatives; it stays accurate far beyond the degrees at which monomial
-coefficients become unusable.  Also provides Gauss-type
+as falling-factorial products, one prefix table per parameter, so negative
+and non-integer parameters are handled without gamma-function poles.
+Pointwise evaluation goes through one three-term sweep per family that
+carries the differentiated recurrence along, so a single pass gives p_n,
+p_{n-1} and both derivatives, each point at its own degree; it stays
+accurate far beyond the degrees at which monomial coefficients become
+unusable.  Also provides Gauss-type
 zeros via the symmetric tridiagonal eigenproblem and the first positive
 zero of the Bessel function J_a from its ascending series.
 """
@@ -35,31 +36,40 @@ def trim(coeffs):
     return c[: keep[-1] + 1].copy()
 
 
-def gen_binom(z, k):
-    """Generalized binomial C(z, k) as a falling-factorial product.
+def binom_table(z, m):
+    """[C(z, 0), ..., C(z, m)], generalized binomials as one prefix
+    product of falling-factorial steps, C(z, j) = C(z, j-1) ((z - j + 1) / j).
 
-    Division is interleaved so intermediates stay near the result's scale.
+    Division is interleaved so intermediates stay near the result's
+    scale.  The entries are scalars of z's type, so an overflow behaves
+    as it does in z's own arithmetic (a Python float goes to inf
+    silently).
     """
-    out = 1.0
-    for i in range(k):
-        out *= (z - i) / (i + 1)
+    out = [1.0]
+    for i in range(m):
+        out.append(out[-1] * ((z - i) / (i + 1)))
     return out
+
+
+def gen_binom(z, k):
+    """Generalized binomial C(z, k), the last entry of binom_table."""
+    return binom_table(z, k)[k]
 
 
 def laguerre_coeffs(m, a):
     """Monomial coefficients (ascending) of the Laguerre polynomial L_m^(a).
 
     L_m^(a)(x) = sum_k (-1)^k C(m+a, m-k) x^k / k!.  Valid for any real a;
-    the leading coefficient is (-1)^m/m! and never vanishes.
+    the leading coefficient is (-1)^m/m! and never vanishes.  The
+    binomials are one binom_table, and entry k is divided by 2, ..., k in
+    that order, one slice per divisor.
     """
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    c = np.zeros(m + 1)
-    for k in range(m + 1):
-        t = gen_binom(m + a, m - k)
-        for r in range(2, k + 1):
-            t /= r
-        c[k] = -t if k % 2 else t
+    c = np.array(binom_table(m + a, m)[::-1], dtype=float)
+    for r in range(2, m + 1):
+        c[r:] /= r
+    c[1::2] = -c[1::2]
     return c
 
 
@@ -79,7 +89,8 @@ def jacobi_coeffs(m, a, b):
     (Szego, Orthogonal Polynomials, (4.3.2)).  The powers (x-1)^j and
     (x+1)^j for j <= m are tabulated once, each entry one convolution of
     the one before it, which is the operation sequence of npoly.polypow,
-    so the expansion costs O(m^2) and gives polypow's bits.
+    so the expansion costs O(m^2) and gives polypow's bits; both
+    binomial factors are read from one binom_table each.
     Raises DegreeCollapse when the leading coefficient 2^-m C(2m+a+b, m)
     vanishes, which happens exactly when 2m+a+b is an integer in
     {0..m-1}.  The test is on that closed form: the expanded top
@@ -93,9 +104,10 @@ def jacobi_coeffs(m, a, b):
             f"P_{m}^({a},{b}) has leading coefficient 2^-{m} C({t:g}, {m}) "
             f"= 0; degree drops below {m}")
     lo, hi = _power_table([-1.0, 1.0], m), _power_table([1.0, 1.0], m)
+    ga, gb = binom_table(m + a, m), binom_table(m + b, m)
     c = np.zeros(m + 1)
     for k in range(m + 1):
-        term = gen_binom(m + a, k) * gen_binom(m + b, m - k)
+        term = ga[k] * gb[m - k]
         if term == 0.0:
             continue
         part = npoly.polymul(lo[m - k], hi[k])
@@ -151,21 +163,72 @@ def _as_float_or_complex(x):
     return x.astype(float)
 
 
+def _sweep(n, x, advance):
+    """Run a three-term sweep at every point of x up to its own degree.
+
+    n is an int or an integer array broadcast with x.  advance(lo, hi,
+    x, p, pm1, d, dm1) takes (p_k, p_{k-1}, p_k', p_{k-1}') at the points
+    x from degree k = lo to k = hi.  The points are sorted by descending
+    degree, so the live ones are a prefix: the sweep runs to max(n) on
+    shrinking views, and a point leaves it at its own degree, never swept
+    past it.  Each point therefore meets exactly the operations of a
+    sweep of its own degree alone, and elementwise array arithmetic gives
+    the same bits at any array length.  A 0-d x is swept as a one-element
+    array, so a complex point gets the bits it has inside an array
+    (numpy's complex scalar arithmetic rounds differently).  Returns
+    (p_n, p_{n-1}, p_n', p_{n-1}') in the order and shape of x (numpy
+    scalars for 0-d x).
+    """
+    x = _as_float_or_complex(x)
+    if isinstance(n, (int, np.integer)):
+        # one degree: a single run, already in order
+        shape, order, xs = x.shape, None, x.ravel()
+        runs = [(0, xs.size, int(n))]
+    else:
+        shape = np.broadcast_shapes(np.shape(n), x.shape)
+        deg = np.broadcast_to(n, shape).ravel()
+        order = np.argsort(-deg, kind="stable")
+        deg, xs = deg[order], np.broadcast_to(x, shape).ravel()[order]
+        # runs [start, end) of equal degree, highest degree first
+        ends = (np.flatnonzero(np.diff(deg)) + 1).tolist() + [deg.size]
+        runs = [(s, e, int(deg[s]))
+                for s, e in zip([0] + ends[:-1], ends) if e > s]
+    vals = (np.ones_like(xs), np.zeros_like(xs), np.zeros_like(xs),
+            np.zeros_like(xs))
+    done, k = [], 0     # done: the runs that left, lowest degree first
+    for start, end, stop in runs[::-1]:
+        vals = advance(k, stop, xs[:end], *vals)
+        k = stop
+        if start:
+            done.append([v[start:] for v in vals])
+            vals = tuple(v[:start] for v in vals)
+    if done:
+        vals = [np.concatenate([v] + [run[i] for run in done[::-1]])
+                for i, v in enumerate(vals)]
+    if order is not None:
+        for v in vals:
+            v[order] = v.copy()
+    if shape != xs.shape:
+        vals = tuple(v.reshape(shape)[()] for v in vals)
+    return tuple(vals)
+
+
 def laguerre_pass(n, a, x):
     """One three-term sweep for L^(a) at x, vectorized and complex-safe.
 
-    Returns (L_n, L_{n-1}, L_n', L_{n-1}') with L_{-1} = 0.  The
+    Returns (L_n, L_{n-1}, L_n', L_{n-1}') with L_{-1} = 0; n is an int
+    or a per-point integer array broadcast with x (see _sweep).  The
     derivatives come from differentiating the recurrence,
       (k+1) L_{k+1}' = (2k+1+a-x) L_k' - L_k - (k+a) L_{k-1}'.
     """
-    x = _as_float_or_complex(x)
-    p, pm1 = np.ones_like(x), np.zeros_like(x)
-    d, dm1 = np.zeros_like(x), np.zeros_like(x)
-    for k in range(n):
-        s = 2 * k + 1 + a - x
-        pm1, p, dm1, d = (p, (s * p - (k + a) * pm1) / (k + 1),
-                          d, (s * d - p - (k + a) * dm1) / (k + 1))
-    return p, pm1, d, dm1
+    def advance(lo, hi, x, p, pm1, d, dm1):
+        for k in range(lo, hi):
+            s = 2 * k + 1 + a - x
+            pm1, p, dm1, d = (p, (s * p - (k + a) * pm1) / (k + 1),
+                              d, (s * d - p - (k + a) * dm1) / (k + 1))
+        return p, pm1, d, dm1
+
+    return _sweep(n, x, advance)
 
 
 def laguerre_eval(n, a, x):
@@ -176,28 +239,29 @@ def laguerre_eval(n, a, x):
 def jacobi_pass(n, a, b, x):
     """One three-term sweep for P^(a,b) at x, vectorized and complex-safe.
 
-    Returns (P_n, P_{n-1}, P_n', P_{n-1}') with P_{-1} = 0; the
+    Returns (P_n, P_{n-1}, P_n', P_{n-1}') with P_{-1} = 0; n is an int
+    or a per-point integer array broadcast with x (see _sweep).  The
     derivatives follow the differentiated recurrence.
     """
-    x = _as_float_or_complex(x)
-    p, pm1 = np.ones_like(x), np.zeros_like(x)
-    d, dm1 = np.zeros_like(x), np.zeros_like(x)
-    if n == 0:
+    def advance(lo, hi, x, p, pm1, d, dm1):
+        if lo == 0 < hi:
+            # P_1 is written out: the k = 0 recurrence coefficient
+            # 2 (a+b+1)(a+b) vanishes at a + b = 0 or -1
+            p, pm1 = 0.5 * (a - b + (a + b + 2) * x), p
+            d, dm1 = d + 0.5 * (a + b + 2), d
+            lo = 1
+        for k in range(lo, hi):
+            k1 = k + 1
+            c1 = 2 * k1 * (k1 + a + b) * (2 * k1 + a + b - 2)
+            c2 = (2 * k1 + a + b - 1) * (a * a - b * b)
+            c3 = (2 * k1 + a + b - 2) * (2 * k1 + a + b - 1) * (2 * k1 + a + b)
+            c4 = 2 * (k1 + a - 1) * (k1 + b - 1) * (2 * k1 + a + b)
+            s = c2 + c3 * x
+            pm1, p, dm1, d = (p, (s * p - c4 * pm1) / c1,
+                              d, (s * d + c3 * p - c4 * dm1) / c1)
         return p, pm1, d, dm1
-    # P_1 is written out: the k = 0 recurrence coefficient
-    # 2 (a+b+1)(a+b) vanishes at a + b = 0 or -1
-    p, pm1 = 0.5 * (a - b + (a + b + 2) * x), p
-    d = d + 0.5 * (a + b + 2)
-    for k in range(1, n):
-        k1 = k + 1
-        c1 = 2 * k1 * (k1 + a + b) * (2 * k1 + a + b - 2)
-        c2 = (2 * k1 + a + b - 1) * (a * a - b * b)
-        c3 = (2 * k1 + a + b - 2) * (2 * k1 + a + b - 1) * (2 * k1 + a + b)
-        c4 = 2 * (k1 + a - 1) * (k1 + b - 1) * (2 * k1 + a + b)
-        s = c2 + c3 * x
-        pm1, p, dm1, d = (p, (s * p - c4 * pm1) / c1,
-                          d, (s * d + c3 * p - c4 * dm1) / c1)
-    return p, pm1, d, dm1
+
+    return _sweep(n, x, advance)
 
 
 def jacobi_eval(n, a, b, x):

@@ -162,7 +162,7 @@ def ode_coeffs(spec):
     fam, Sc, Sp = spec.fam, spec.S.c, spec.S.d1
     A = fam.sigma(Sc)
     B = npoly.polysub(npoly.polymul(fam.tau(spec), Sc), 2.0 * fam.sigma(Sp))
-    C = npoly.polyadd(fam.lam(spec) * Sc, fam.k(spec) * fam.q(Sp))
+    C = npoly.polyadd(fam.lam(spec, spec.n) * Sc, fam.k(spec) * fam.q(Sp))
     A, B, C = trim(A), trim(B), trim(C)
     sing = np.roots(A[::-1]) if len(A) > 1 else np.empty(0)
     return RationalODE(A=A, B=B, C=C, singular_points=sing)
@@ -291,13 +291,15 @@ def build_exceptional(spec):
                            warnings=tuple(spec.regime_warnings()))
 
 
-def _lag1_pair(spec, x):
+# The pair evaluators take the degree index n per point (ladder_eval_pair)
+# and read everything else from the spec.
+def _lag1_pair(spec, n, x):
     # y = L_m^(al)(-x) L_n^(al-1)(x) + L_m^(al-1)(-x) L_{n-1}^(al)(x).
     # Both parameters come from one sweep of L^(al) each side, via
     # L_k^(al-1) = L_k^(al) - L_{k-1}^(al); the chain rule flips the sign
     # of the derivatives of the factors at -x.
     fm, fm1, dfm, dfm1 = laguerre_pass(spec.m, spec.alpha, -x)
-    gn, gn1, dgn, dgn1 = laguerre_pass(spec.n, spec.alpha, x)
+    gn, gn1, dgn, dgn1 = laguerre_pass(n, spec.alpha, x)
     f1, f2 = fm, fm - fm1
     g1, g2 = gn - gn1, gn1
     y = f1 * g1 + f2 * g2
@@ -305,11 +307,11 @@ def _lag1_pair(spec, x):
     return y, yp
 
 
-def _lag2_pair(spec, x):
+def _lag2_pair(spec, n, x):
     # y  = x S u' + ((al+1) S - x S') u,  u = L_n^(al+1)
     # y' = x S u' + ((m-n) S - x S') u, from eliminating u'' and S'' via
     # the classical ODEs of u and S.
-    m, n, al = spec.m, spec.n, spec.alpha
+    m, al = spec.m, spec.alpha
     S, Sp = _horner(spec.S.c, x), _horner(spec.S.d1, x)
     u, _, up, _ = laguerre_pass(n, al + 1.0, x)
     y = x * S * up + ((al + 1.0) * S - x * Sp) * u
@@ -317,17 +319,26 @@ def _lag2_pair(spec, x):
     return y, yp
 
 
-def _jac_pair(spec, x):
+def _jac_pair(spec, n, x):
     # y  = (1-x) S u' - ((al+1) S + (1-x) S') u,  u = P_n^(al+1, be-1)
     # y' = (-be (1-x) S u' + (-lam S + be (1-x) S') u) / (1+x)
-    n, al, be = spec.n, spec.alpha, spec.beta
+    al, be = spec.alpha, spec.beta
     S, Sp = _horner(spec.S.c, x), _horner(spec.S.d1, x)
     u, _, up, _ = jacobi_pass(n, al + 1.0, be - 1.0, x)
-    lam = spec.fam.lam(spec)
+    lam = spec.fam.lam(spec, n)
     y = (1 - x) * S * up - ((al + 1.0) * S + (1 - x) * Sp) * u
     yp = (-be * (1 - x) * S * up + (-lam * S + be * (1 - x) * Sp) * u) \
         / (1 + x)
     return y, yp
+
+
+def ladder_eval_pair(spec, n, x):
+    """(y, y') of the members of spec's ladder, the specs that differ
+    from it only in the degree index, at real or complex x; n is that
+    index per point (an int, or an integer array broadcast with x).  One
+    call evaluates the members together: each classical factor takes one
+    recurrence sweep in which every point stops at its own degree."""
+    return spec.fam.pair(spec, n, _coerce(x))
 
 
 def exceptional_eval_pair(spec, x):
@@ -338,7 +349,7 @@ def exceptional_eval_pair(spec, x):
     Carries the same normalization as build_exceptional and stays
     accurate at degrees far beyond what monomial coefficients support.
     """
-    return spec.fam.pair(spec, _coerce(x))
+    return ladder_eval_pair(spec, spec.n, x)
 
 
 def exceptional_eval(spec, x, deriv=0):
@@ -360,7 +371,8 @@ def exceptional_eval(spec, x, deriv=0):
 
 
 class Family(NamedTuple):
-    """What sets one family apart.  The callables take the FamilySpec and
+    """What sets one family apart.  The callables take the FamilySpec (lam
+    and pair also the degree index n, which pair takes per point) and
     look public functions up as module globals when called."""
 
     interval: tuple     # open orthogonality interval (a, b); b may be inf
@@ -377,7 +389,7 @@ class Family(NamedTuple):
     lead: object        # (spec, lead_factor) -> closed-form leading coeff.
     profile: object     # classical factors of the closed-form product
     shifted: bool       # the product carries one more linear factor
-    pair: object        # (spec, x) -> (y, y')
+    pair: object        # (spec, n, x) -> (y, y'), n per point
     regime: object      # out-of-regime diagnostics
     domain: object      # (spec, n) -> Fekete search box for n nodes
 
@@ -413,7 +425,7 @@ FAMILY = {
     "laguerre1": Family(
         **_HALF_LINE, S=lambda s: laguerre_coeffs(s.m, s.alpha - 1.0)
         * (-1.0) ** np.arange(s.m + 1),
-        lam=lambda s: s.m + s.n, k=lambda s: -2.0 * s.alpha, q=lambda c: c,
+        lam=lambda s, n: s.m + n, k=lambda s: -2.0 * s.alpha, q=lambda c: c,
         lead_factor=lambda s: (-1.0) ** s.n, shifted=False, pair=_lag1_pair,
         profile=lambda s: (laguerre_coeffs(s.m, s.alpha),
                            laguerre_coeffs(s.n, s.alpha - 1.0)),
@@ -422,7 +434,7 @@ FAMILY = {
         if s.alpha <= 0 else []),
     "laguerre2": Family(
         **_HALF_LINE, S=lambda s: laguerre_coeffs(s.m, -s.alpha - 1.0),
-        lam=lambda s: s.n - s.m, k=lambda s: 2.0, q=npoly.polymulx,
+        lam=lambda s, n: n - s.m, k=lambda s: 2.0, q=npoly.polymulx,
         lead_factor=lambda s: (-1) ** (s.m + s.n)
         * (s.n + s.alpha + 1.0 - s.m),
         shifted=True, pair=_lag2_pair,
@@ -436,8 +448,8 @@ FAMILY = {
         gauss=lambda s: jacobi_zeros(s.n, s.alpha, s.beta),
         sigma=lambda c: npoly.polymul((1.0, 0.0, -1.0), c),
         tau=lambda s: (s.beta - s.alpha, -(s.alpha + s.beta + 2.0)),
-        lam=lambda s: (s.m * (s.alpha - s.beta - s.m + 1.0)
-                       + s.n * (s.n + s.alpha + s.beta + 1.0)),
+        lam=lambda s, n: (s.m * (s.alpha - s.beta - s.m + 1.0)
+                          + n * (n + s.alpha + s.beta + 1.0)),
         k=lambda s: -2.0 * s.beta, q=lambda c: npoly.polymul((1.0, -1.0), c),
         lead_factor=lambda s: s.m - s.n - s.alpha - 1.0,
         lead=lambda s, f: f * s.S.c[-1] * (

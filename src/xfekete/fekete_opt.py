@@ -33,7 +33,8 @@ def default_domain(w, n):
 
 def _evaluate(w, X, domain):
     """Admissibility and energy terms of a stack X (T, n) of sorted node
-    rows, with one weight evaluation for all admissible rows.
+    rows, with one weight evaluation for all admissible rows (none when
+    no row is admissible).
 
     Returns (reason, F, G, H): reason[r] is "" for an admissible row and
     otherwise "domain", "order" or "pole", the first check that row
@@ -50,7 +51,7 @@ def _evaluate(w, X, domain):
     reason[np.any((X <= lo) | (X >= hi), axis=1)] = "domain"
     ok = reason == ""
     try:
-        logs = weight_logs(w, X[ok])
+        logs = weight_logs(w, X[ok]) if ok.any() else None
     except NumericalError:
         # find the rows that raised, then evaluate the others together
         for r in np.flatnonzero(ok):
@@ -59,7 +60,10 @@ def _evaluate(w, X, domain):
             except NumericalError:
                 reason[r] = "pole"
         ok = reason == ""
-        logs = weight_logs(w, X[ok])
+        logs = weight_logs(w, X[ok]) if ok.any() else None
+    if logs is None:
+        n = X.shape[1]
+        return reason, np.empty(0), np.empty((0, n)), np.empty((0, n, n))
     F, G, H = _assemble(X[ok], *logs)
     return reason, np.array(F), G, H
 

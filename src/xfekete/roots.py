@@ -9,6 +9,9 @@ closed-form evaluator polishes the regular zeros from classical Gauss
 seeds, then the exceptional zeros from the zeros of S, to which they
 tend (Gomez-Ullate, Marcellan & Milson 2013), with the regular zeros
 divided out and the exceptional iterates coupled (Aberth-Ehrlich).
+Specs that differ only in n (a ladder, such as the members of a diameter
+sweep) are polished together: each Newton round evaluates every pending
+point of every member in one call, and a single spec is a ladder of one.
 Where the coefficient vector is representable it is built independently
 and every root is certified against it; beyond that the certificate
 bounds the evaluator's Newton correction.
@@ -21,9 +24,9 @@ import numpy.polynomial.polynomial as npoly
 
 from .classical_poly import laguerre_zeros
 from .errors import (CountMismatch, NonConvergence, NumericalError,
-                     RepresentationOverflow, ValidationError)
+                     RepresentationOverflow, ValidationError, XFeketeError)
 from .exceptional import (BuiltPolynomial, _nonzero_lead, build_exceptional,
-                          exceptional_eval_pair)
+                          exceptional_eval_pair, ladder_eval_pair)
 
 # classification margin: a zero within this distance of the closed
 # orthogonality interval is neither safely inside nor safely outside
@@ -60,52 +63,105 @@ class ZeroSet:
     certificate: dict
 
 
-def _newton(spec, x0, itmax=60, deflate=None):
-    """Vectorized Newton polish on the closed-form evaluator, one
-    exceptional_eval_pair call per iteration.
+def _newton_ladder(specs, x0s, itmax=60, deflates=None):
+    """Newton polish of a ladder of specs, one iterate array x0s[i] per
+    spec, all in lockstep: each round makes one ladder_eval_pair call for
+    every pending point of every pending spec.
 
-    deflate holds zeros already found (the regular ones, when polishing
-    exceptional zeros), held fixed.  With it the step is the
-    Aberth-Ehrlich correction
+    The specs differ only in n.  Each keeps its own iterates, step
+    history, iteration count and stop test, and drops out once it stops.
+    deflates[i], where given, holds zeros of spec i already found (the
+    regular ones, when polishing exceptional zeros), held fixed.  With
+    it the step is the Aberth-Ehrlich correction
         rho / (1 - rho (sum_k 1/(x_i - r_k) + sum_{j != i} 1/(x_i - x_j))),
-    rho = y/y'.  The first sum divides the fixed zeros out of y
-    (Maehly's correction), so a seed near an exceptional zero is not
-    thrown off by the n zeros inside the interval: without it, Newton
-    from a zero of S can overshoot and then creep back by about 1/n of
-    the distance per step.  The second sum couples the iterates, so two
-    of them cannot converge to the same zero; for a single iterate it is
-    exactly 0.
+    rho = y/y', over that spec's own iterates.  The first sum divides the
+    fixed zeros out of y (Maehly's correction), so a seed near an
+    exceptional zero is not thrown off by the n zeros inside the
+    interval: without it, Newton from a zero of S can overshoot and then
+    creep back by about 1/n of the distance per step.  The second sum
+    couples the iterates, so two of them cannot converge to the same
+    zero; for a single iterate it is exactly 0.
 
-    Stops once the largest relative step max|dx|/(1+|x|) falls below
-    NEWTON_TOL, or falls below NEWTON_FLOOR and no longer shrinks: the
-    iterate then sits at the rounding floor of the evaluator, where
-    further steps only move it around.  A stage whose last relative step
-    is above CERT_TOL, or not finite, raises NonConvergence.
+    A spec stops once the largest relative step max|dx|/(1+|x|) of its
+    iterates falls below NEWTON_TOL, or falls below NEWTON_FLOOR and no
+    longer shrinks: the iterates then sit at the rounding floor of the
+    evaluator, where further steps only move them around.  Returns, per
+    spec, the polished iterates, or the NonConvergence of a stage whose
+    last relative step is above CERT_TOL or not finite, or the error its
+    evaluation raised.  Every operation on a spec's points is the one a
+    ladder of that spec alone makes, so the results do not depend on the
+    other members.
     """
-    x = np.array(x0, dtype=complex if np.iscomplexobj(x0) else float)
-    if x.size == 0:
-        return x
-    prev = np.inf
+    xs = [np.array(x0, dtype=complex if np.iscomplexobj(x0) else float)
+          for x0 in x0s]
+    deflates = deflates or [None] * len(specs)
+    out = [x if x.size == 0 else None for x in xs]
+    prev = [np.inf] * len(specs)
+    live = [i for i, x in enumerate(xs) if x.size]
     for it in range(1, itmax + 1):
-        v, dv = exceptional_eval_pair(spec, x)
-        step = v / dv
-        if deflate is not None:
-            dif = x[:, None] - x[None, :]
-            np.fill_diagonal(dif, np.inf)
-            step = step / (1 - step * (
-                np.sum(1.0 / (x[:, None] - deflate), axis=1)
-                + np.sum(1.0 / dif, axis=1)))
-        x = x - step
-        rel = float(np.max(np.abs(step) / (1 + np.abs(x))))
-        if (not np.isfinite(rel) or rel < NEWTON_TOL
-                or NEWTON_FLOOR > rel >= prev):
+        if not live:
             break
-        prev = rel
-    if not rel <= CERT_TOL:
-        raise NonConvergence(
-            f"Newton stopped after {it} iterations with relative step "
-            f"{rel:.3e} for {spec}",
-            [{"iterations": it, "relative_step": rel}])
+        steps = _ladder_steps(specs, xs, live, out)
+        live = [i for i in live if out[i] is None]
+        for i in live:
+            x, step = xs[i], steps[i]
+            if deflates[i] is not None:
+                dif = x[:, None] - x[None, :]
+                np.fill_diagonal(dif, np.inf)
+                step = step / (1 - step * (
+                    np.sum(1.0 / (x[:, None] - deflates[i]), axis=1)
+                    + np.sum(1.0 / dif, axis=1)))
+            xs[i] = x = x - step
+            rel = float(np.max(np.abs(step) / (1 + np.abs(x))))
+            if (not np.isfinite(rel) or rel < NEWTON_TOL
+                    or NEWTON_FLOOR > rel >= prev[i] or it == itmax):
+                out[i] = x if rel <= CERT_TOL else NonConvergence(
+                    f"Newton stopped after {it} iterations with relative "
+                    f"step {rel:.3e} for {specs[i]}",
+                    [{"iterations": it, "relative_step": rel}])
+            prev[i] = rel
+        live = [i for i in live if out[i] is None]
+    return out
+
+
+def _ladder_steps(specs, xs, live, out):
+    """{i: y/y'} at the iterates xs[i] of the live specs, from one
+    ladder_eval_pair call for all of them (with an int degree when one
+    spec is left).  Where that call raises (only
+    the table of S can, and the specs share it), each spec is evaluated
+    on its own, and one whose evaluation raises gets that error in out,
+    as its own first step would."""
+    sizes = [xs[i].size for i in live]
+    if len(live) == 1:
+        n, x = specs[live[0]].n, xs[live[0]]
+    else:
+        n = np.repeat([specs[i].n for i in live], sizes)
+        x = np.concatenate([xs[i] for i in live])
+    try:
+        v, dv = ladder_eval_pair(specs[live[0]], n, x)
+    except XFeketeError:
+        steps = {}
+        for i in live:
+            try:
+                v, dv = ladder_eval_pair(specs[i], specs[i].n, xs[i])
+            except XFeketeError as exc:
+                out[i] = exc
+            else:
+                steps[i] = v / dv
+        return steps
+    step, steps, at = v / dv, {}, 0
+    for i, size in zip(live, sizes):
+        steps[i], at = step[at:at + size], at + size
+    return steps
+
+
+def _newton(spec, x0, itmax=60, deflate=None):
+    """Newton polish of one spec's iterates x0: _newton_ladder on a ladder
+    of one.  Returns the polished iterates; raises the NonConvergence of
+    an unconverged stage."""
+    (x,) = _newton_ladder([spec], [x0], itmax, [deflate])
+    if isinstance(x, XFeketeError):
+        raise x
     return x
 
 
@@ -196,8 +252,8 @@ def find_zeros(spec, built=None):
     One engine for all three families.  The regular zeros are polished
     by Newton from the classical Gauss nodes (Laguerre or Jacobi at the
     same parameters).  The exceptional zeros are polished from the zeros
-    of S by the coupled Newton of _newton, with the regular zeros held
-    fixed and divided out.  Raises DegreeCollapse first where the
+    of S by the coupled Newton of _newton_ladder, with the regular zeros
+    held fixed and divided out.  Raises DegreeCollapse first where the
     closed-form leading coefficient is 0, CountMismatch if counts or the
     location margins fail, and NonConvergence if a Newton stage or the
     residual certificate fails.
@@ -205,14 +261,72 @@ def find_zeros(spec, built=None):
     built is an optional BuiltPolynomial of this same spec (a build of
     another spec raises ValidationError) or the NumericalError its build
     raised; without it build_exceptional is attempted once, for the
-    certificate, after the zeros have been classified.
+    certificate, after the zeros have been classified.  This is
+    find_zeros_ladder on a ladder of one.
     """
+    (zs,) = find_zeros_ladder([spec], [built])
+    if isinstance(zs, XFeketeError):
+        raise zs
+    return zs
+
+
+def find_zeros_ladder(specs, built=None):
+    """find_zeros for each spec of a ladder, specs that differ only in n,
+    with each Newton stage solved for all of them in lockstep.
+
+    built is None or one entry per spec, as for find_zeros.  Returns, in
+    the order of specs, each spec's ZeroSet, or the XFeketeError that
+    find_zeros raises for it; a spec that fails drops out of the later
+    stages.  Raises ValidationError when the specs differ in more than n.
+    """
+    specs = list(specs)
+    if len({(s.family, s.m, s.alpha, s.beta) for s in specs}) > 1:
+        raise ValidationError("the specs of a ladder differ only in n")
+    built = [None] * len(specs) if built is None else list(built)
+    out = [None] * len(specs)
+    seeds = {}
+    for i, spec in enumerate(specs):
+        try:
+            seeds[i] = _seeds(spec, built[i])
+        except XFeketeError as exc:
+            out[i] = exc
+    reg = {}
+    for i, x in zip(seeds, _newton_ladder([specs[i] for i in seeds],
+                                          list(seeds.values()))):
+        if isinstance(x, XFeketeError):
+            out[i] = x
+        else:
+            reg[i] = np.sort(x.real)
+    s_zeros = {}
+    for i in reg:
+        try:
+            s_zeros[i] = specs[i].S.roots
+        except XFeketeError as exc:
+            out[i] = exc
+    for i, x in zip(s_zeros, _newton_ladder(
+            [specs[i] for i in s_zeros], list(s_zeros.values()),
+            deflates=[reg[i] for i in s_zeros])):
+        try:
+            if isinstance(x, XFeketeError):
+                raise x
+            out[i] = _certified(specs[i], reg[i], _sort_zeros(x), built[i])
+        except XFeketeError as exc:
+            out[i] = exc
+    return out
+
+
+def _seeds(spec, built):
+    """The Gauss seeds of the regular zeros, after the checks that come
+    before any Newton step."""
     if isinstance(built, BuiltPolynomial) and built.spec != spec:
         raise ValidationError(f"coefficients built for {built.spec} "
                               f"cannot certify {spec}")
     _nonzero_lead(spec, spec.fam.lead_factor(spec))
-    reg = np.sort(_newton(spec, spec.fam.gauss(spec)).real)
-    exc = _sort_zeros(_newton(spec, spec.S.roots, deflate=reg))
+    return spec.fam.gauss(spec)
+
+
+def _certified(spec, reg, exc, built):
+    """The ZeroSet of the polished zeros, classified and certified."""
     _classify(spec, reg, exc)
     built = _try_build(spec, built)
     roots = np.concatenate([exc, reg.astype(complex)])

@@ -281,12 +281,14 @@ def test_probe_makes_one_weight_evaluation_per_round(monkeypatch):
     domain = xf.default_domain(v, 10)
     serial = [0]
     ref = serial_probe(v, domain, 10, trials=20, seed=1, count=serial)
-    counter = {"rounds": 0, "weight_logs": 0}
+    counter = {"rounds": 0, "admissible": 0, "weight_logs": 0}
     real_evaluate, real_logs = fekete_opt._evaluate, fekete_opt.weight_logs
 
     def evaluate(*args):
+        res = real_evaluate(*args)
         counter["rounds"] += 1
-        return real_evaluate(*args)
+        counter["admissible"] += bool(np.any(res[0] == ""))
+        return res
 
     def logs(*args):
         counter["weight_logs"] += 1
@@ -296,6 +298,63 @@ def test_probe_makes_one_weight_evaluation_per_round(monkeypatch):
     monkeypatch.setattr(fekete_opt, "weight_logs", logs)
     got = xf.uniqueness_probe(v, domain, 10, trials=20, seed=1)
     assert got["converged"] == ref["converged"] == 20
-    assert counter["weight_logs"] == counter["rounds"]
+    # one evaluation per round with an admissible row, none for the
+    # rounds (two here) where no candidate is admissible
+    assert counter["weight_logs"] == counter["admissible"]
+    assert counter["admissible"] < counter["rounds"]
     # the serial ascent evaluated every start's candidates one by one
     assert 4 * counter["weight_logs"] < serial[0]
+
+
+def evaluate_every_round(w, X, domain):
+    """_evaluate as it was before empty stacks were skipped: weight_logs
+    and _assemble run on the admissible rows even when there are none."""
+    lo, hi = domain
+    reason = np.full(len(X), "", dtype="<U6")
+    dif = np.diff(X, axis=1)
+    scale = np.fmax(1.0, np.max(np.abs(X), axis=1, initial=0.0))
+    reason[np.min(dif, axis=1, initial=np.inf) < 1e-14 * scale] = "pole"
+    reason[np.any(dif <= 0, axis=1)] = "order"
+    reason[np.any((X <= lo) | (X >= hi), axis=1)] = "domain"
+    ok = reason == ""
+    try:
+        logs = fekete_opt.weight_logs(w, X[ok])
+    except xf.NumericalError:
+        for r in np.flatnonzero(ok):
+            try:
+                fekete_opt.weight_logs(w, X[r])
+            except xf.NumericalError:
+                reason[r] = "pole"
+        ok = reason == ""
+        logs = fekete_opt.weight_logs(w, X[ok])
+    F, G, H = fekete_opt._assemble(X[ok], *logs)
+    return reason, np.array(F), G, H
+
+
+@pytest.mark.parametrize("args,n,seed", [
+    (LOCKSTEP[0], 10, 1), (LOCKSTEP[1], 10, 1), (LOCKSTEP[2], 20, 0)],
+    ids=lambda a: str(a))
+def test_probe_skips_empty_weight_evaluations(monkeypatch, args, n, seed):
+    v = v_of(*args[:3], n, *args[4:])
+    domain = xf.default_domain(v, n)
+    sizes, real_logs = [], fekete_opt.weight_logs
+
+    def logs(w, X):
+        sizes.append(np.size(X))
+        return real_logs(w, X)
+
+    monkeypatch.setattr(fekete_opt, "weight_logs", logs)
+    monkeypatch.setattr(fekete_opt, "_evaluate", evaluate_every_round)
+    ref = xf.uniqueness_probe(v, domain, n, trials=20, seed=seed)
+    assert 0 in sizes                # the reference does meet empty stacks
+    monkeypatch.undo()
+    monkeypatch.setattr(fekete_opt, "weight_logs", logs)
+    sizes.clear()
+    got = xf.uniqueness_probe(v, domain, n, trials=20, seed=seed)
+    assert sizes and 0 not in sizes
+    for key in ("trials", "converged", "failed"):
+        assert got[key] == ref[key]
+    assert len(got["clusters"]) == len(ref["clusters"])
+    for c, r in zip(got["clusters"], ref["clusters"]):
+        assert c["nodes"].tobytes() == r["nodes"].tobytes()
+        assert (c["count"], c["logT"]) == (r["count"], r["logT"])

@@ -104,8 +104,9 @@ def test_diameter_ratio_matches_the_rebuilt_form(m):
     alpha = 1.25 + 0.5 * m
     for n in (3, 8):
         spec = xf.FamilySpec("laguerre1", m, alpha, n)
-        _, ratio = asymptotics._one_diameter(m, alpha, n, 1.0)
-        assert ratio == ref_ps_ratio(spec, xf.find_zeros(spec))
+        zs = xf.find_zeros(spec)
+        _, ratio = asymptotics._one_diameter(zs, 1.0)
+        assert ratio == ref_ps_ratio(spec, zs)
 
 
 def test_weight_P_is_its_table():
@@ -127,14 +128,15 @@ VERIFY_ARGS = {
 @pytest.mark.parametrize("family", exceptional.FAMILIES)
 def test_verify_builds_S_once_and_never_in_newton(monkeypatch, capsys,
                                                   family):
-    calls, in_newton = [], [False]
-    real_build, real_newton = exceptional.build_S, roots._newton
+    calls, in_newton, entered = [], [False], []
+    real_build, real_newton = exceptional.build_S, roots._newton_ladder
 
     def build_S(spec):
         calls.append((spec, in_newton[0]))
         return real_build(spec)
 
     def newton(*args, **kwargs):
+        entered.append(1)
         in_newton[0] = True
         try:
             return real_newton(*args, **kwargs)
@@ -147,9 +149,10 @@ def test_verify_builds_S_once_and_never_in_newton(monkeypatch, capsys,
         if name.startswith("xfekete") and \
                 getattr(mod, "build_S", None) is real_build:
             monkeypatch.setattr(mod, "build_S", build_S)
-    monkeypatch.setattr(roots, "_newton", newton)
+    # the lockstep core, which every Newton stage goes through
+    monkeypatch.setattr(roots, "_newton_ladder", newton)
     assert cli.main(["verify", "--family", family,
                      *VERIFY_ARGS[family]]) == 0
     capsys.readouterr()
-    assert calls and not any(inside for _, inside in calls)
+    assert entered and calls and not any(inside for _, inside in calls)
     assert max(Counter(spec for spec, _ in calls).values()) == 1
