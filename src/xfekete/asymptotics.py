@@ -20,19 +20,25 @@ from .classical_poly import _horner
 from .energy import _check_nodes, _upper_pairs, log_energy, v_weight
 from .errors import ValidationError, XFeketeError
 from .exceptional import FamilySpec
-from .roots import find_zeros, find_zeros_ladder
+from .roots import find_zeros_ladder
 
 # log-domain pair sums stay within the 1e-8 budget up to here
 N_CAP = 200
 
 
+def _check_c(c):
+    if not 0 < c < math.inf:
+        raise ValidationError(f"c must be finite and positive, got {c!r}")
+
+
 def transfinite_d(nodes, v=None, c=1.0):
     """Diameter functional of a node configuration under weight v.
 
-    v=None means the unit weight.  The value is
+    v=None means the unit weight, and c is finite and > 0.  The value is
     -log(c/n) - log T / (n(n-1)); larger log T (better configurations)
     gives smaller d, so the Fekete set minimizes d at fixed n.
     """
+    _check_c(c)
     nodes = np.asarray(nodes, dtype=float)
     n = nodes.size
     if n < 2:
@@ -71,7 +77,7 @@ class DiameterSeries:
 def _one_diameter(zs, c):
     """(d, (P/S)^2 record) of one member from its ZeroSet."""
     spec = zs.spec
-    v = v_weight(spec, zs)
+    v = v_weight(zs)
     dval = transfinite_d(zs.regular, v, c)
     # sup of (P/S)^2 over a stretch of the positive axis, recorded as
     # supporting data for the kernel normalization
@@ -98,12 +104,13 @@ def d_sequence(m, alpha, n_range, c=1.0):
     if wanted[-1] > N_CAP:
         raise ValidationError(f"n above {N_CAP} exceeds the double "
                               f"precision budget")
+    _check_c(c)     # here, or every member would be skipped for it
     compute = sorted(set(wanted) | ({wanted[0] - 1} if wanted[0] > 2
                                     else set()))
     try:
         specs = [FamilySpec("laguerre1", m, alpha, n) for n in compute]
     except XFeketeError as exc:
-        # only m can be invalid here (n >= 2), so every member fails alike
+        # only m or alpha can be invalid here (n >= 2): all members fail
         found = [exc] * len(compute)
     else:
         found = find_zeros_ladder(specs)
@@ -144,21 +151,16 @@ class ZeroSumReport:
     flags: tuple
 
 
-def zero_sum_check(spec, zero_set=None):
-    """Evaluate the zero-sum identity for a laguerre1 member.
+def zero_sum_check(zs):
+    """Evaluate the zero-sum identity on a laguerre1 member's ZeroSet.
 
     lhs sums every zero (regular plus real parts of the exceptional
     ones, which pair off conjugate).  A negative rhs marks an
     out-of-regime instance; it is flagged, not asserted against.
-    zero_set is the member's ZeroSet when the caller already holds it
-    (one of another spec raises ValidationError); otherwise it is
-    computed by find_zeros.
     """
+    spec = zs.spec
     if spec.family != "laguerre1":
         raise ValidationError("zero-sum identity applies to laguerre1")
-    zs = find_zeros(spec) if zero_set is None else zero_set
-    if zs.spec != spec:
-        raise ValidationError(f"zero set of {zs.spec} passed for {spec}")
     reg = float(np.sum(zs.regular))
     exc = float(np.sum(zs.exceptional.real))
     lhs = reg + exc
@@ -166,8 +168,7 @@ def zero_sum_check(spec, zero_set=None):
     flags = []
     if rhs < 0:
         flags.append("rhs negative: identity holds only for n >= m")
-    if spec.regime_warnings():
-        flags.extend(spec.regime_warnings())
+    flags.extend(spec.regime_warnings())
     return ZeroSumReport(spec=spec, lhs=lhs, rhs=rhs,
                          abs_err=abs(lhs - rhs), regular_sum=reg,
                          exceptional_sum=exc, flags=tuple(flags))

@@ -97,7 +97,7 @@ def cmd_energy(args):
     spec = _spec_from(args)
     zs = find_zeros(spec)
     if args.weight == "v":
-        w = v_weight(spec, zs)
+        w = v_weight(zs)
     else:
         w = WeightSpec(spec=spec, variant="hat")
     if args.nodes is not None:
@@ -133,7 +133,7 @@ def cmd_energy(args):
 def cmd_fekete(args):
     spec = _spec_from(args)
     zs = find_zeros(spec)
-    w = v_weight(spec, zs)
+    w = v_weight(zs)
     domain = default_domain(w, spec.n)
     probe = uniqueness_probe(w, domain, spec.n, trials=args.trials,
                              seed=args.seed)
@@ -151,8 +151,8 @@ def cmd_fekete(args):
 
 
 def cmd_interp(args):
-    spec = _spec_from(args)
-    _emit({"stability": stability_scan(spec, grid_size=args.grid)}, spec)
+    zs = find_zeros(_spec_from(args))
+    _emit({"stability": stability_scan(zs, grid_size=args.grid)}, zs.spec)
     return 0
 
 
@@ -184,7 +184,6 @@ def cmd_verify(args):
         checks.append({"name": name, "passed": bool(passed),
                        "detail": detail})
 
-    built = None
     try:
         built = build_exceptional(spec)
         ok = built.residual < 1e-8
@@ -197,10 +196,9 @@ def cmd_verify(args):
         record("construction", ok, detail)
     except NumericalError as exc:
         record("construction", False, str(exc))
-        built = exc.with_traceback(None)  # find_zeros re-raises; frames freed
     zs = None
     try:
-        zs = find_zeros(spec, built=built)
+        zs = find_zeros(spec)
         record("zeros", zs.certificate["passed"], zs.certificate)
     except NumericalError as exc:
         record("zeros", False, str(exc))
@@ -214,15 +212,15 @@ def cmd_verify(args):
             record("saddle", er.classification == "saddle",
                    {"classification": er.classification,
                     "max_gradient": float(np.max(np.abs(er.gradient)))})
-        zr = zero_sum_check(spec, zero_set=zs)
+        zr = zero_sum_check(zs)
         record("zero_sum", zr.abs_err < 1e-6 * max(1.0, abs(zr.rhs)),
                {"lhs": zr.lhs, "rhs": zr.rhs, "abs_err": zr.abs_err})
         if spec.n >= 2:
-            scan = stability_scan(spec, zero_set=zs)
+            scan = stability_scan(zs)
             record("stability", scan["passed"],
                    {"max": scan["max"], "min": scan["min"]})
     if zs is not None and spec.n >= 1:
-        er = energy_hessian(zs.regular, v_weight(spec, zs))
+        er = energy_hessian(zs.regular, v_weight(zs))
         record("fekete_stationary", er.stationary,
                {"max_gradient": float(np.max(np.abs(er.gradient))),
                 "diag_all_negative": bool(np.all(er.diag_signs < 0))})

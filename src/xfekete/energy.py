@@ -342,13 +342,10 @@ def phi_closed(spec, x):
     return float(out) if out.ndim == 0 else out
 
 
-def v_weight(spec, zero_set=None, shift=None):
-    """WeightSpec for the v variant, P monic over the exceptional zeros."""
-    if zero_set is None:
-        from .roots import find_zeros
-        zero_set = find_zeros(spec)
-    P = npoly.polyfromroots(zero_set.exceptional)
+def v_weight(zs, shift=None):
+    """WeightSpec (v) of zs.spec, P monic over the exceptional zeros of zs."""
+    P = npoly.polyfromroots(zs.exceptional)
     if np.max(np.abs(P.imag)) > 1e-9 * np.max(np.abs(P.real)):
         raise ValidationError("exceptional zeros are not closed under "
                               "conjugation; P would be complex")
-    return WeightSpec(spec=spec, variant="v", shift=shift, P=P.real)
+    return WeightSpec(spec=zs.spec, variant="v", shift=shift, P=P.real)

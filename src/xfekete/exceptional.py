@@ -23,7 +23,7 @@ from one PolyTable per spec, FamilySpec.S, the only caller of build_S.
 
 import functools
 from dataclasses import dataclass, field
-from math import factorial, lgamma
+from math import factorial, isfinite, lgamma
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +35,7 @@ from .classical_poly import (PolyTable, _as_float_or_complex as _coerce,
                              laguerre_zeros, trim)
 from .errors import (DegreeCollapse, InvalidFamily, NullspaceDefect,
                      RepresentationOverflow, SingularEvaluation,
-                     ValidationError)
+                     ValidationError, XFeketeError)
 
 # residual ceiling for an accepted nullspace solve (relative, see
 # build_exceptional)
@@ -72,6 +72,8 @@ class FamilySpec:
                 raise ValidationError(f"{self.family} requires beta")
         elif self.beta is not None:
             raise ValidationError(f"{self.family} takes no beta")
+        if not all(map(isfinite, (self.alpha, self.beta or 0.0))):
+            raise ValidationError("alpha and beta must be finite")
 
     @property
     def fam(self):
@@ -88,6 +90,17 @@ class FamilySpec:
             raise RepresentationOverflow(
                 f"coefficients of S overflow binary64 for {self}")
         return PolyTable(c)
+
+    @functools.cached_property
+    def _built(self):
+        """Outcome of build_exceptional: the BuiltPolynomial, or the
+        XFeketeError of the solve without the frames that hold its arrays."""
+        try:
+            return _nullspace_solve(self)
+        except XFeketeError as exc:
+            for e in (exc, exc.__cause__ or exc):
+                e.__traceback__ = None
+            return exc
 
     @property
     def degree(self):
@@ -236,8 +249,18 @@ def build_exceptional(spec):
     come in below 1e-9; a larger or NaN residual, an overflowing
     magnitude profile, a rank-deficient reduced matrix or a
     least-squares solve that fails outright (LinAlgError) raises
-    NullspaceDefect.
+    NullspaceDefect.  The solve runs once per spec object, which keeps
+    its outcome (FamilySpec._built) the way it keeps S: later calls return
+    the same BuiltPolynomial or raise the same XFeketeError again.
     """
+    built = spec._built
+    if isinstance(built, XFeketeError):
+        raise built.with_traceback(None)
+    return built
+
+
+def _nullspace_solve(spec):
+    """The solve of build_exceptional, run once per spec."""
     ode = ode_coeffs(spec)
     A, B, C = ode.A, ode.B, ode.C
     deg = spec.degree

@@ -20,6 +20,7 @@ from .errors import (DomainEscape, NonConvergence, NumericalError,
                      ValidationError)
 from .energy import _assemble, gradient_and_hessian, v_weight, weight_logs
 from .exceptional import FamilySpec
+from .roots import find_zeros
 
 GTOL = 1e-9
 ITMAX = 500
@@ -188,6 +189,8 @@ def uniqueness_probe(w, domain, n, trials=20, seed=0):
     weighted Fekete set shows up as a single cluster collecting every
     converged run.
     """
+    if trials < 0:
+        raise ValidationError(f"trials {trials} is negative")
     rng = np.random.default_rng(seed)
     lo, hi = float(domain[0]), float(domain[1])
     starts = np.sort(rng.uniform(lo, hi, size=(trials, n)), axis=1)
@@ -221,8 +224,6 @@ def search_positive_h11(trials=400, seed=0):
     Samples alpha log-uniformly in [0.01, 0.3] and returns the first
     witness found.
     """
-    from .roots import find_zeros
-
     rng = np.random.default_rng(seed)
     probe = np.geomspace(0.01, 1.0, 60)
     for _ in range(trials):
@@ -230,7 +231,7 @@ def search_positive_h11(trials=400, seed=0):
         n = int(rng.integers(1, 3))
         spec = FamilySpec("laguerre1", 1, alpha, n)
         try:
-            v = v_weight(spec, find_zeros(spec))
+            v = v_weight(find_zeros(spec))
             _, _, d2 = weight_logs(v, probe)
         except NumericalError:
             continue

@@ -12,8 +12,8 @@ set underflow long before their logarithms lose accuracy.
 
 import numpy as np
 
-from .energy import fejer_constants, weight_logs
-from .errors import CoincidentNodes, PoleEvaluation
+from .energy import fejer_constants, v_weight, weight_logs
+from .errors import CoincidentNodes, PoleEvaluation, ValidationError
 from .exceptional import FAMILY
 
 
@@ -21,7 +21,7 @@ def _node_logs(nodes):
     """log|barycentric weight| and its sign for each node."""
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 1:
-        raise CoincidentNodes("need a 1-d array of distinct nodes")
+        raise ValidationError("nodes must be a nonempty 1-d array")
     dif = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(dif, 1.0)
     if np.min(np.abs(dif)) == 0.0:
@@ -143,6 +143,8 @@ def scan_grid(nodes, family, grid_size=1000):
     """Stress grid for the stability scan: log-spaced coverage of the
     domain, points hugging each node at relative offsets 1e-5 and 1e-7,
     and a linear tail reaching three times the top node (Laguerre)."""
+    if grid_size < 0:
+        raise ValidationError(f"grid size {grid_size} is negative")
     nodes = np.sort(np.asarray(nodes, dtype=float))
     n = nodes.size
     lo, hi = FAMILY[family].interval
@@ -162,23 +164,17 @@ def scan_grid(nodes, family, grid_size=1000):
     return grid[(grid > lo + 1e-9) & (grid < hi - 1e-9)]
 
 
-def stability_scan(spec, grid_size=1000, zero_set=None):
+def stability_scan(zs, grid_size=1000):
     """Scan the fundamental Gruenwald sum of a member's regular zeros.
 
-    Builds the v weight over the member's exceptional zeros, evaluates
+    Builds the v weight of the member's ZeroSet zs (v_weight), evaluates
     G(x) = v(x) sum_k l_k(x)^2 / v(x_k) over the stress grid and reports
     the extremes.  passed means 0 <= G <= 1 + 1e-10 held everywhere;
     one_minus_g_min is the margin of the 1 - G > 0 form.  total_degree
     records the polynomial degree budget n(2n - 2 + 2m) of the operator.
     """
-    from .energy import v_weight
-    from .roots import find_zeros
-
-    if zero_set is None:
-        zero_set = find_zeros(spec)
-    nodes = zero_set.regular
-    w = v_weight(spec, zero_set)
-    G = grunwald(nodes, w)
+    spec, nodes = zs.spec, zs.regular
+    G = grunwald(nodes, v_weight(zs))
     grid = scan_grid(nodes, spec.family, grid_size)
     vals = G(grid)
     finite = np.isfinite(vals)

@@ -23,9 +23,9 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .classical_poly import laguerre_zeros
-from .errors import (CountMismatch, NonConvergence, NumericalError,
-                     RepresentationOverflow, ValidationError, XFeketeError)
-from .exceptional import (BuiltPolynomial, _nonzero_lead, build_exceptional,
+from .errors import (CountMismatch, NonConvergence, RepresentationOverflow,
+                     ValidationError, XFeketeError)
+from .exceptional import (_nonzero_lead, build_exceptional,
                           exceptional_eval_pair, ladder_eval_pair)
 
 # classification margin: a zero within this distance of the closed
@@ -101,36 +101,39 @@ def _newton_ladder(specs, x0s, itmax=60, deflates=None):
     for it in range(1, itmax + 1):
         if not live:
             break
-        steps = _ladder_steps(specs, xs, live, out)
+        pairs = _ladder_pairs(specs, xs, live, out)
         live = [i for i in live if out[i] is None]
-        for i in live:
-            x, step = xs[i], steps[i]
-            if deflates[i] is not None:
-                dif = x[:, None] - x[None, :]
-                np.fill_diagonal(dif, np.inf)
-                step = step / (1 - step * (
-                    np.sum(1.0 / (x[:, None] - deflates[i]), axis=1)
-                    + np.sum(1.0 / dif, axis=1)))
-            xs[i] = x = x - step
-            rel = float(np.max(np.abs(step) / (1 + np.abs(x))))
-            if (not np.isfinite(rel) or rel < NEWTON_TOL
-                    or NEWTON_FLOOR > rel >= prev[i] or it == itmax):
-                out[i] = x if rel <= CERT_TOL else NonConvergence(
-                    f"Newton stopped after {it} iterations with relative "
-                    f"step {rel:.3e} for {specs[i]}",
-                    [{"iterations": it, "relative_step": rel}])
-            prev[i] = rel
+        # y' = 0 or coinciding points make the step non-finite; rel ends it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in live:
+                x, (v, dv) = xs[i], pairs[i]
+                step = v / dv
+                if deflates[i] is not None:
+                    dif = x[:, None] - x[None, :]
+                    np.fill_diagonal(dif, np.inf)
+                    step = step / (1 - step * (
+                        np.sum(1.0 / (x[:, None] - deflates[i]), axis=1)
+                        + np.sum(1.0 / dif, axis=1)))
+                xs[i] = x = x - step
+                rel = float(np.max(np.abs(step) / (1 + np.abs(x))))
+                if (not np.isfinite(rel) or rel < NEWTON_TOL
+                        or NEWTON_FLOOR > rel >= prev[i] or it == itmax):
+                    out[i] = x if rel <= CERT_TOL else NonConvergence(
+                        f"Newton stopped after {it} iterations with relative "
+                        f"step {rel:.3e} for {specs[i]}",
+                        [{"iterations": it, "relative_step": rel}])
+                prev[i] = rel
         live = [i for i in live if out[i] is None]
     return out
 
 
-def _ladder_steps(specs, xs, live, out):
-    """{i: y/y'} at the iterates xs[i] of the live specs, from one
+def _ladder_pairs(specs, xs, live, out):
+    """{i: (y, y')} at the iterates xs[i] of the live specs, from one
     ladder_eval_pair call for all of them (with an int degree when one
-    spec is left).  Where that call raises (only
-    the table of S can, and the specs share it), each spec is evaluated
-    on its own, and one whose evaluation raises gets that error in out,
-    as its own first step would."""
+    spec is left).  Where that call raises (only the table of S can, and
+    the specs share it), each spec is evaluated on its own, and one whose
+    evaluation raises gets that error in out, as its own first step
+    would."""
     sizes = [xs[i].size for i in live]
     if len(live) == 1:
         n, x = specs[live[0]].n, xs[live[0]]
@@ -140,19 +143,17 @@ def _ladder_steps(specs, xs, live, out):
     try:
         v, dv = ladder_eval_pair(specs[live[0]], n, x)
     except XFeketeError:
-        steps = {}
+        pairs = {}
         for i in live:
             try:
-                v, dv = ladder_eval_pair(specs[i], specs[i].n, xs[i])
+                pairs[i] = ladder_eval_pair(specs[i], specs[i].n, xs[i])
             except XFeketeError as exc:
                 out[i] = exc
-            else:
-                steps[i] = v / dv
-        return steps
-    step, steps, at = v / dv, {}, 0
+        return pairs
+    pairs, at = {}, 0
     for i, size in zip(live, sizes):
-        steps[i], at = step[at:at + size], at + size
-    return steps
+        pairs[i], at = (v[at:at + size], dv[at:at + size]), at + size
+    return pairs
 
 
 def _newton(spec, x0, itmax=60, deflate=None):
@@ -207,28 +208,21 @@ def _classify(spec, reg, exc):
                 f"of the orthogonality interval")
 
 
-def _try_build(spec, built):
-    """built (raised if it is a failed build), else build_exceptional(spec);
-    None where the coefficients overflow binary64 (RepresentationOverflow)."""
-    try:
-        if isinstance(built, NumericalError):
-            raise built
-        return build_exceptional(spec) if built is None else built
-    except RepresentationOverflow:
-        return None
-
-
-def _certificate(spec, roots, built):
+def _certificate(spec, roots):
     """Residual certificate for the computed roots.
 
-    Where the coefficient vector is representable in binary64 (built is
-    the BuiltPolynomial of spec, None otherwise) the roots are checked
-    against that independently built polynomial:
+    Where the coefficient vector is representable in binary64
+    (build_exceptional(spec) does not raise RepresentationOverflow) the
+    roots are checked against that independently built polynomial:
     |p(r)| <= 1e-10 max|c| max(1,|r|)^deg, compared in log space.
     Beyond that range the certificate bounds the Newton correction of the
     closed-form evaluator: |y(r)| <= 1e-10 |y'(r)| (1 + |r|).
     """
     roots = np.asarray(roots)
+    try:
+        built = build_exceptional(spec)
+    except RepresentationOverflow:
+        built = None
     if built is not None:
         c = built.coeffs
         pv = npoly.polyval(roots, c.astype(complex))
@@ -246,7 +240,7 @@ def _certificate(spec, roots, built):
             "max_ratio": worst}
 
 
-def find_zeros(spec, built=None):
+def find_zeros(spec):
     """All zeros of the exceptional polynomial, classified and certified.
 
     One engine for all three families.  The regular zeros are polished
@@ -258,36 +252,35 @@ def find_zeros(spec, built=None):
     location margins fail, and NonConvergence if a Newton stage or the
     residual certificate fails.
 
-    built is an optional BuiltPolynomial of this same spec (a build of
-    another spec raises ValidationError) or the NumericalError its build
-    raised; without it build_exceptional is attempted once, for the
-    certificate, after the zeros have been classified.  This is
-    find_zeros_ladder on a ladder of one.
+    Once the zeros are classified the certificate takes
+    build_exceptional(spec), which is kept on the spec and so solved at
+    most once per spec.  This is find_zeros_ladder on a ladder of one.
     """
-    (zs,) = find_zeros_ladder([spec], [built])
+    (zs,) = find_zeros_ladder([spec])
     if isinstance(zs, XFeketeError):
         raise zs
     return zs
 
 
-def find_zeros_ladder(specs, built=None):
+def find_zeros_ladder(specs):
     """find_zeros for each spec of a ladder, specs that differ only in n,
     with each Newton stage solved for all of them in lockstep.
 
-    built is None or one entry per spec, as for find_zeros.  Returns, in
-    the order of specs, each spec's ZeroSet, or the XFeketeError that
-    find_zeros raises for it; a spec that fails drops out of the later
-    stages.  Raises ValidationError when the specs differ in more than n.
+    Returns, in the order of specs, each spec's ZeroSet, or the
+    XFeketeError that find_zeros raises for it; a spec that fails drops
+    out of the later stages.  Raises ValidationError when the specs
+    differ in more than n.
     """
     specs = list(specs)
     if len({(s.family, s.m, s.alpha, s.beta) for s in specs}) > 1:
         raise ValidationError("the specs of a ladder differ only in n")
-    built = [None] * len(specs) if built is None else list(built)
     out = [None] * len(specs)
     seeds = {}
     for i, spec in enumerate(specs):
         try:
-            seeds[i] = _seeds(spec, built[i])
+            # a collapsed degree fails before any Newton step
+            _nonzero_lead(spec, spec.fam.lead_factor(spec))
+            seeds[i] = spec.fam.gauss(spec)
         except XFeketeError as exc:
             out[i] = exc
     reg = {}
@@ -309,28 +302,17 @@ def find_zeros_ladder(specs, built=None):
         try:
             if isinstance(x, XFeketeError):
                 raise x
-            out[i] = _certified(specs[i], reg[i], _sort_zeros(x), built[i])
+            out[i] = _certified(specs[i], reg[i], _sort_zeros(x))
         except XFeketeError as exc:
             out[i] = exc
     return out
 
 
-def _seeds(spec, built):
-    """The Gauss seeds of the regular zeros, after the checks that come
-    before any Newton step."""
-    if isinstance(built, BuiltPolynomial) and built.spec != spec:
-        raise ValidationError(f"coefficients built for {built.spec} "
-                              f"cannot certify {spec}")
-    _nonzero_lead(spec, spec.fam.lead_factor(spec))
-    return spec.fam.gauss(spec)
-
-
-def _certified(spec, reg, exc, built):
+def _certified(spec, reg, exc):
     """The ZeroSet of the polished zeros, classified and certified."""
     _classify(spec, reg, exc)
-    built = _try_build(spec, built)
     roots = np.concatenate([exc, reg.astype(complex)])
-    cert = _certificate(spec, roots, built)
+    cert = _certificate(spec, roots)
     if not cert["passed"]:
         raise NonConvergence(f"residual certificate failed: {cert}", [cert])
     return ZeroSet(spec=spec, regular=reg, exceptional=exc,

@@ -102,7 +102,7 @@ def test_whole_row_dominance_full_grid():
 def test_fekete_uniqueness_over_grid():
     for (m, n, a) in GRID_3:
         zs = zeros_of("laguerre1", m, a, n)
-        v = xf.v_weight(spec_of("laguerre1", m, a, n), zs)
+        v = xf.v_weight(zs)
         rep = xf.uniqueness_probe(v, xf.default_domain(v, n), n,
                                   trials=20, seed=0)
         assert rep["failed"] == 0, (m, n, a)
@@ -124,7 +124,7 @@ def test_stability_scan_grid():
     for a in (1.5, 2.0, 3.0):
         for m in (1, 2):
             for n in (3, 8, 15):
-                rep = xf.stability_scan(spec_of("laguerre1", m, a, n))
+                rep = xf.stability_scan(zeros_of("laguerre1", m, a, n))
                 assert rep["passed"], (m, n, a)
                 assert rep["one_minus_g_min_offnode"] > 0, (m, n, a)
 
@@ -134,7 +134,8 @@ def test_stability_scan_grid():
 def test_rate_statistic_and_zero_sum_sweep():
     start = time.monotonic()
     for n in range(10, 151):
-        r = xf.zero_sum_check(xf.FamilySpec("laguerre1", 1, 2.0, n))
+        r = xf.zero_sum_check(
+            xf.find_zeros(xf.FamilySpec("laguerre1", 1, 2.0, n)))
         assert r.abs_err < 1e-6 * abs(r.rhs), n
 
     ser = xf.d_sequence(1, 2.0, range(10, 151))
@@ -163,7 +164,7 @@ def test_scaled_smallest_zero():
 
 def concavity_bundle(family, m, alpha, n, beta=None):
     zs = zeros_of(family, m, alpha, n, beta)
-    v = xf.v_weight(spec_of(family, m, alpha, n, beta), zs)
+    v = xf.v_weight(zs)
     rep = xf.energy_hessian(zs.regular, v)
     probe = xf.uniqueness_probe(v, xf.default_domain(v, n), n,
                                 trials=20, seed=0)
@@ -204,7 +205,7 @@ def test_concavity_onset_recorded():
                            ("jacobi", 2, 4.0, 1.0)]:
         for n in range(1, 41):
             zs = zeros_of(fam, m, a, n, b)
-            v = xf.v_weight(spec_of(fam, m, a, n, b), zs)
+            v = xf.v_weight(zs)
             _, H = xf.gradient_and_hessian(zs.regular, v)
             if np.all(np.diag(H) < 0):
                 onset[fam] = n

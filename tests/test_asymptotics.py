@@ -21,6 +21,15 @@ def test_scaling_constant_enters_additively():
         -np.log(2.0), rel=1e-15)
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
+def test_scaling_constant_is_finite_and_positive(c):
+    with pytest.raises(xf.ValidationError):
+        xf.transfinite_d(np.array([0.0, 2.0]), c=c)
+    # the sweep refuses it up front instead of skipping every member
+    with pytest.raises(xf.ValidationError):
+        xf.d_sequence(1, 2.0, range(5, 7), c=c)
+
+
 def test_needs_two_nodes():
     with pytest.raises(xf.ValidationError):
         xf.transfinite_d(np.array([1.0]))
@@ -32,7 +41,7 @@ def test_diameter_minimized_at_regular_zeros():
     """The value at the regular zeros matches the optimizer's maximum
     of log T (d is a decreasing transform of it)."""
     zs = zeros_of("laguerre1", 1, 2.0, 8)
-    v = xf.v_weight(spec_of("laguerre1", 1, 2.0, 8), zs)
+    v = xf.v_weight(zs)
     at_zeros = xf.transfinite_d(zs.regular, v)
     nodes, _ = xf.maximize_log_T(v, xf.default_domain(v, 8), 8,
                                  init=zs.regular * 1.05)
@@ -44,37 +53,38 @@ def test_diameter_minimized_at_regular_zeros():
 # ---------------------------------------------------------------- zero sum
 
 def test_zero_sum_hand_oracles():
-    r = xf.zero_sum_check(spec_of("laguerre1", 1, 2.0, 5))
+    r = xf.zero_sum_check(zeros_of("laguerre1", 1, 2.0, 5))
     assert r.rhs == 32.0
     assert r.abs_err < 1e-8
     assert r.flags == ()
 
-    r0 = xf.zero_sum_check(spec_of("laguerre1", 0, 1.0, 1))
+    r0 = xf.zero_sum_check(zeros_of("laguerre1", 0, 1.0, 1))
     assert r0.lhs == pytest.approx(2.0, rel=1e-13)
     assert r0.rhs == 2.0
 
 
 def test_zero_sum_out_of_regime_flagged():
-    r = xf.zero_sum_check(spec_of("laguerre1", 2, 3.0, 1))
+    r = xf.zero_sum_check(zeros_of("laguerre1", 2, 3.0, 1))
     assert r.rhs == -6.0
     assert r.flags
 
 
 def test_zero_sum_other_families_rejected():
     with pytest.raises(xf.ValidationError):
-        xf.zero_sum_check(spec_of("laguerre2", 1, 3.0, 5))
+        xf.zero_sum_check(zeros_of("laguerre2", 1, 3.0, 5))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.5])
 def test_zero_sum_identity_grid(m, alpha):
     for n in (2, 7, 19, 34, 60):
-        r = xf.zero_sum_check(xf.FamilySpec("laguerre1", m, alpha, n))
+        r = xf.zero_sum_check(
+            xf.find_zeros(xf.FamilySpec("laguerre1", m, alpha, n)))
         assert r.abs_err < 1e-6 * (1 + abs(r.rhs))
 
 
 def test_zero_sum_splits_total():
-    r = xf.zero_sum_check(spec_of("laguerre1", 2, 1.5, 9))
+    r = xf.zero_sum_check(zeros_of("laguerre1", 2, 1.5, 9))
     assert r.lhs == pytest.approx(r.regular_sum + r.exceptional_sum, rel=1e-14)
 
 

@@ -227,6 +227,43 @@ def _quiet_run(capsys, *argv):
         return run(capsys, *argv)
 
 
+def test_coinciding_exceptional_seeds_fail_quietly(capsys):
+    # S = L_3^(-2) has a double zero: two exceptional seeds coincide
+    code, out, err = _quiet_run(capsys, "zeros", "--family", "laguerre2",
+                                "--m", "3", "--alpha", "1", "--n", "4")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "NonConvergence"
+
+
+DIAMETER = ["diameter", "--m", "1", "--alpha", "2", "--n-from", "5",
+            "--n-to", "6"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fekete", *SEL, "--n", "3", "--trials", "-1"],
+    ["interp", *SEL, "--n", "3", "--grid", "-5"],
+    ["interp", *SEL, "--n", "0"],
+    *([*DIAMETER, "--c", c] for c in ("0", "-1", "nan", "inf")),
+    ["zeros", "--family", "laguerre1", "--m", "1", "--alpha", "inf",
+     "--n", "3"],
+    ["zeros", "--family", "jacobi", "--m", "1", "--alpha", "2",
+     "--beta", "nan", "--n", "3"]], ids=" ".join)
+def test_outside_input_ends_typed(capsys, argv):
+    code, out, err = _quiet_run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fekete", *SEL, "--n", "3", "--trials", "0"],
+    ["interp", *SEL, "--n", "3", "--grid", "0"]], ids=" ".join)
+def test_zero_trials_and_grid_still_run(capsys, argv):
+    code, out, err = _quiet_run(capsys, *argv)
+    assert code == 0 and err == ""
+    json.loads(out)
+
+
 JACOBI_SUM_MINUS_ONE = ["--family", "jacobi", "--m", "1", "--alpha", "-0.3",
                         "--beta", "-0.7", "--n", "3"]
 

@@ -87,7 +87,7 @@ def test_invalid_variant_rejected():
 def test_v_weight_polynomial_factor():
     s = spec_of("laguerre1", 1, 2.0, 4)
     zs = zeros_of("laguerre1", 1, 2.0, 4)
-    v = xf.v_weight(s, zs)
+    v = xf.v_weight(zs)
     x = 3.1
     lh = xf.weight_logs(xf.WeightSpec(s, "hat"), x)[0]
     lv = xf.weight_logs(v, x)[0]
@@ -98,7 +98,7 @@ def test_v_weight_polynomial_factor():
 def test_v_weight_laguerre2_real_closure():
     # complex-conjugate exceptional zeros must give a real P
     s = spec_of("laguerre2", 2, 3.0, 6)
-    v = xf.v_weight(s, zeros_of("laguerre2", 2, 3.0, 6))
+    v = xf.v_weight(zeros_of("laguerre2", 2, 3.0, 6))
     assert np.isrealobj(v.P)
     assert np.isfinite(xf.weight_logs(v, 2.0)[0])
 
@@ -221,7 +221,7 @@ def test_concavity_of_v_energy_everywhere():
     """With the fully polynomial-corrected weight, every diagonal entry
     is negative at any node configuration in (0, inf)."""
     s = spec_of("laguerre1", 1, 1.5, 5)
-    v = xf.v_weight(s, zeros_of("laguerre1", 1, 1.5, 5))
+    v = xf.v_weight(zeros_of("laguerre1", 1, 1.5, 5))
     rng = np.random.default_rng(3)
     for _ in range(50):
         x = random_nodes(rng, 5, 0.05, 40.0)
@@ -245,7 +245,7 @@ def test_full_zero_set_is_saddle():
 def test_regular_zeros_are_local_max():
     s = spec_of("laguerre1", 1, 2.0, 5)
     zs = zeros_of("laguerre1", 1, 2.0, 5)
-    rep = xf.energy_hessian(zs.regular, xf.v_weight(s, zs))
+    rep = xf.energy_hessian(zs.regular, xf.v_weight(zs))
     assert rep.stationary
     assert rep.classification == "local-max"
     assert rep.diagonally_dominant

@@ -10,8 +10,7 @@ from conftest import spec_of, zeros_of
 
 
 def v_of(family, m, alpha, n, beta=None):
-    return xf.v_weight(spec_of(family, m, alpha, n, beta),
-                       zeros_of(family, m, alpha, n, beta))
+    return xf.v_weight(zeros_of(family, m, alpha, n, beta))
 
 
 def test_hand_example_single_node():
@@ -124,7 +123,7 @@ def test_small_alpha_positive_curvature_witness():
     assert hit is not None
     assert 0 < hit["alpha"] < 1
     assert hit["h11"] > 0
-    v = xf.v_weight(hit["spec"])
+    v = xf.v_weight(xf.find_zeros(hit["spec"]))
     _, H = xf.gradient_and_hessian(np.asarray(hit["nodes"]), v)
     assert H[0, 0] == pytest.approx(hit["h11"], rel=1e-10)
 

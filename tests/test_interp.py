@@ -13,8 +13,7 @@ from conftest import random_nodes, spec_of, zeros_of
 
 
 def v_of(family, m, alpha, n, beta=None):
-    return xf.v_weight(spec_of(family, m, alpha, n, beta),
-                       zeros_of(family, m, alpha, n, beta))
+    return xf.v_weight(zeros_of(family, m, alpha, n, beta))
 
 
 # ---------------------------------------------------------------- basis
@@ -62,6 +61,13 @@ def test_partition_of_unity_scales_with_conditioning(seed, n):
 def test_coincident_nodes_rejected():
     with pytest.raises(xf.CoincidentNodes):
         xf.lagrange_basis(np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("nodes", [[], [[1.0, 2.0]], 1.0])
+def test_nodes_that_are_not_a_nonempty_1d_array_are_invalid(nodes):
+    # the input's fault, not a numerical failure (CLI exit 1, not 2)
+    with pytest.raises(xf.ValidationError):
+        xf.lagrange_basis(np.array(nodes))
 
 
 # ---------------------------------------------------------------- operator
@@ -144,7 +150,7 @@ def test_total_degree_accounting():
 # ---------------------------------------------------------------- stability
 
 def test_stability_scan_passes_in_regime():
-    rep = xf.stability_scan(spec_of("laguerre1", 1, 2.0, 3), grid_size=400)
+    rep = xf.stability_scan(zeros_of("laguerre1", 1, 2.0, 3), grid_size=400)
     assert rep["passed"]
     assert rep["one_minus_g_min_offnode"] > 0
     assert rep["max"] <= 1 + 1e-10
@@ -153,7 +159,7 @@ def test_stability_scan_passes_in_regime():
 
 
 def test_stability_scan_classical_control():
-    rep = xf.stability_scan(spec_of("laguerre1", 0, 1.0, 5), grid_size=400)
+    rep = xf.stability_scan(zeros_of("laguerre1", 0, 1.0, 5), grid_size=400)
     assert rep["passed"]
 
 

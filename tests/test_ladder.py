@@ -4,7 +4,9 @@ The references below are the serial forms the ladder replaced: the
 recurrence sweeps with one degree for all points, and the Newton polish,
 find_zeros and d_sequence one spec at a time.  Every operation a ladder
 makes on one member's points is the operation the serial form makes, so
-every comparison is on the bytes, errors included.
+every comparison is on the bytes, errors included.  Each side of a
+comparison builds its own spec objects: a spec keeps its build, and a
+build shared by both sides would compare with itself.
 """
 
 import numpy as np
@@ -80,18 +82,14 @@ def ref_newton(spec, x0, itmax=60, deflate=None, its=None):
     return x
 
 
-def ref_find_zeros(spec, built=None, reg_its=None, exc_its=None):
-    if isinstance(built, xf.BuiltPolynomial) and built.spec != spec:
-        raise xf.ValidationError(f"coefficients built for {built.spec} "
-                                 f"cannot certify {spec}")
+def ref_find_zeros(spec, reg_its=None, exc_its=None):
     exceptional._nonzero_lead(spec, spec.fam.lead_factor(spec))
     reg = np.sort(ref_newton(spec, spec.fam.gauss(spec), its=reg_its).real)
     exc = roots._sort_zeros(ref_newton(spec, spec.S.roots, deflate=reg,
                                        its=exc_its))
     roots._classify(spec, reg, exc)
-    built = roots._try_build(spec, built)
     rts = np.concatenate([exc, reg.astype(complex)])
-    cert = roots._certificate(spec, rts, built)
+    cert = roots._certificate(spec, rts)
     if not cert["passed"]:
         raise xf.NonConvergence(f"residual certificate failed: {cert}",
                                 [cert])
@@ -109,7 +107,7 @@ def ref_d_sequence(m, alpha, n_range, c=1.0):
         try:
             spec = xf.FamilySpec("laguerre1", m, alpha, n)
             zs = ref_find_zeros(spec)
-            v = xf.v_weight(spec, zs)
+            v = xf.v_weight(zs)
             dval = xf.transfinite_d(zs.regular, v, c)
             hi = spec.fam.domain(spec, n)[1]
             grid = np.geomspace(1e-3, hi, 200)
@@ -266,17 +264,16 @@ def _ladder(family, m, alpha, beta, ns):
 
 @pytest.mark.parametrize("ladder", LADDERS, ids=lambda c: f"{c[0]}-m{c[1]}")
 def test_ladder_find_zeros_is_the_serial_find_zeros(ladder):
-    specs = _ladder(*ladder)
     # laguerre1 at n = 400 overflows in the recurrence (a known defect);
     # its failure must be the serial one, so its warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        got = roots.find_zeros_ladder(specs)
-        want = [outcome(ref_find_zeros, s) for s in specs]
-        alone = [outcome(xf.find_zeros, s) for s in specs]
+        got = roots.find_zeros_ladder(_ladder(*ladder))
+        want = [outcome(ref_find_zeros, s) for s in _ladder(*ladder)]
+        alone = [outcome(xf.find_zeros, s) for s in _ladder(*ladder)]
     assert [_outcome(g) for g in got] == want == alone
     # reversed order gives the same members
     with np.errstate(over="ignore", invalid="ignore"):
-        back = roots.find_zeros_ladder(specs[::-1])
+        back = roots.find_zeros_ladder(_ladder(*ladder)[::-1])
     assert [_outcome(g) for g in back[::-1]] == want
 
 
@@ -290,24 +287,34 @@ def test_ladders_mix_passing_and_failing_members():
             xf.NullspaceDefect} <= kinds
 
 
-def test_ladder_takes_each_members_build():
-    specs = _ladder("laguerre2", 2, 2.5, None, (3, 5, 8))
-    built = [xf.build_exceptional(specs[0]), xf.NullspaceDefect("given"),
-             xf.build_exceptional(specs[0])]       # a build of another spec
-    got = roots.find_zeros_ladder(specs, built)
-    want = [outcome(ref_find_zeros, s, b) for s, b in zip(specs, built)]
-    assert [_outcome(g) for g in got] == want
-    assert got[1] is built[1]
-    assert isinstance(got[2], xf.ValidationError)
+def test_ladder_takes_each_members_build(monkeypatch):
+    ladder = ("laguerre2", 2, 2.5, None, (3, 5, 8))
+    specs = _ladder(*ladder)
+    built = xf.build_exceptional(specs[0])
+
+    def given(spec):
+        raise xf.NullspaceDefect("given")
+
+    monkeypatch.setattr(exceptional, "_nullspace_solve", given)
+    with pytest.raises(xf.NullspaceDefect):
+        xf.build_exceptional(specs[1])
+    monkeypatch.undo()
+    got = roots.find_zeros_ladder(specs)
+    want = [outcome(ref_find_zeros, s) for s in _ladder(*ladder)]
+    # member 1 raises the failure it keeps, where a fresh spec certifies
+    assert type(got[1]) is xf.NullspaceDefect and str(got[1]) == "given"
+    assert want[1][0] == specs[1]
+    assert [_outcome(g) for g in got[::2]] == want[::2]
+    assert got[0].certificate["build_residual"] == built.residual
 
 
 def test_ladder_members_share_a_failing_S_each_with_its_own_error():
     # S overflows binary64 at m = 600; the regular stage reads S, and
     # each member fails with the message naming itself
-    specs = _ladder("jacobi", 600, 600.5, 1.0, (2, 3))
+    ladder = ("jacobi", 600, 600.5, 1.0, (2, 3))
     with np.errstate(over="ignore", invalid="ignore"):
-        got = roots.find_zeros_ladder(specs)
-        want = [outcome(ref_find_zeros, s) for s in specs]
+        got = roots.find_zeros_ladder(_ladder(*ladder))
+        want = [outcome(ref_find_zeros, s) for s in _ladder(*ladder)]
     assert [_outcome(g) for g in got] == want
     assert all(isinstance(g, xf.RepresentationOverflow) for g in got)
     assert str(got[0]) != str(got[1])

@@ -111,7 +111,7 @@ def test_diameter_ratio_matches_the_rebuilt_form(m):
 
 def test_weight_P_is_its_table():
     spec = xf.FamilySpec("laguerre2", 2, 3.3, 4)
-    w = xf.v_weight(spec)
+    w = xf.v_weight(xf.find_zeros(spec))
     ref = ref_poly_table(npoly.polyfromroots(
         xf.find_zeros(spec).exceptional).real)
     assert _same(w.P, ref[0]) and w.P is w._P_table.c

@@ -102,6 +102,14 @@ def test_laguerre2_negative_real_parity():
         assert xf.check_interlacing(zs)["passed"]
 
 
+def test_coinciding_exceptional_seeds_end_the_stage_quietly():
+    # S = L_3^(-2) has a double zero at 0, so two exceptional seeds
+    # coincide; the non-finite Aberth step ends the stage, and no
+    # division warning leaks on the way
+    with pytest.raises(xf.NonConvergence, match="relative step nan"):
+        xf.find_zeros(xf.FamilySpec("laguerre2", 3, 1.0, 4))
+
+
 def test_jacobi_exceptional_outside_interval():
     zs = zeros_of("jacobi", 2, 4.0, 10, 1.0)
     assert np.all(np.abs(zs.regular) < 1.0)

@@ -99,7 +99,7 @@ def ref_gradient_and_hessian(nodes, w):
 def weight(family, variant, log_scale=0.0):
     args = SPECS[family]
     spec = spec_of(*args)
-    P = xf.v_weight(spec, zeros_of(*args)).P if variant == "v" else None
+    P = xf.v_weight(zeros_of(*args)).P if variant == "v" else None
     return xf.WeightSpec(spec, variant, P=P, log_scale=log_scale)
 
 
@@ -168,7 +168,7 @@ def test_phi_closed_matches_direct_form():
 
 def test_weight_polynomial_is_read_only():
     spec = spec_of(*SPECS["laguerre2"])
-    P = xf.v_weight(spec, zeros_of(*SPECS["laguerre2"])).P.copy()
+    P = xf.v_weight(zeros_of(*SPECS["laguerre2"])).P.copy()
     w = xf.WeightSpec(spec, "v", P=P)
     assert not w.P.flags.writeable
     with pytest.raises(ValueError):
