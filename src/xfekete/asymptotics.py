@@ -91,9 +91,10 @@ def d_sequence(m, alpha, n_range, c=1.0):
     """DiameterSeries at the regular zeros for each n in n_range.
 
     Every d value comes from a certified ZeroSet; per-n failures are
-    skipped and logged in the series rather than aborting the sweep.
-    One extra member below the range start is computed so the first
-    delta is defined.  The members' zeros are found as one ladder
+    skipped and logged in the series rather than aborting the sweep.  An
+    invalid m, alpha, range or c raises ValidationError.  One extra
+    member below the range start is computed so the first delta is
+    defined.  The members' zeros are found as one ladder
     (find_zeros_ladder), each Newton stage solved for all n together.
     """
     wanted = sorted(set(int(n) for n in n_range))
@@ -107,15 +108,9 @@ def d_sequence(m, alpha, n_range, c=1.0):
     _check_c(c)     # here, or every member would be skipped for it
     compute = sorted(set(wanted) | ({wanted[0] - 1} if wanted[0] > 2
                                     else set()))
-    try:
-        specs = [FamilySpec("laguerre1", m, alpha, n) for n in compute]
-    except XFeketeError as exc:
-        # only m or alpha can be invalid here (n >= 2): all members fail
-        found = [exc] * len(compute)
-    else:
-        found = find_zeros_ladder(specs)
+    specs = [FamilySpec("laguerre1", m, alpha, n) for n in compute]
     results, skipped = {}, []
-    for n, zs in zip(compute, found):
+    for n, zs in zip(compute, find_zeros_ladder(specs)):
         try:
             if isinstance(zs, XFeketeError):
                 raise zs

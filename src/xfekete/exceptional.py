@@ -12,13 +12,16 @@ Three families are supported, declared in the FAMILY table at the end:
   laguerre2   S(x) = L_m^(-alpha-1)(x)          orthogonality on (0, inf)
   jacobi      S(x) = P_m^(-alpha-1, beta-1)(x)  orthogonality on (-1, 1)
 
-Degree-(m+n) members are produced two ways that cross-check each other:
-a least-squares nullspace solve of the ODE in the monomial basis
-(build_exceptional), and closed-form pointwise evaluators assembled from
-classical polynomials (exceptional_eval_pair, which returns y and y' from
-one recurrence sweep per classical factor), which stay accurate at
-degrees where monomial coefficients are useless.  Every layer reads S
-from one PolyTable per spec, FamilySpec.S, the only caller of build_S.
+Degree-(m+n) members are produced two ways that cross-check each other.
+Closed-form pointwise evaluators assembled from classical polynomials
+(exceptional_eval_pair, which returns y and y' from one recurrence sweep
+per classical factor) stay accurate at degrees where monomial
+coefficients are useless; they find and certify the zeros.  A
+least-squares nullspace solve of the ODE in the monomial basis
+(build_exceptional) gives the coefficients, for the `poly` command and
+the construction check of `verify`, which tests them at the certified
+zeros.  Every layer reads S from one PolyTable per spec, FamilySpec.S,
+the only caller of build_S.
 """
 
 import functools
@@ -35,7 +38,7 @@ from .classical_poly import (PolyTable, _as_float_or_complex as _coerce,
                              laguerre_zeros, trim)
 from .errors import (DegreeCollapse, InvalidFamily, NullspaceDefect,
                      RepresentationOverflow, SingularEvaluation,
-                     ValidationError, XFeketeError)
+                     ValidationError)
 
 # residual ceiling for an accepted nullspace solve (relative, see
 # build_exceptional)
@@ -90,17 +93,6 @@ class FamilySpec:
             raise RepresentationOverflow(
                 f"coefficients of S overflow binary64 for {self}")
         return PolyTable(c)
-
-    @functools.cached_property
-    def _built(self):
-        """Outcome of build_exceptional: the BuiltPolynomial, or the
-        XFeketeError of the solve without the frames that hold its arrays."""
-        try:
-            return _nullspace_solve(self)
-        except XFeketeError as exc:
-            for e in (exc, exc.__cause__ or exc):
-                e.__traceback__ = None
-            return exc
 
     @property
     def degree(self):
@@ -249,18 +241,10 @@ def build_exceptional(spec):
     come in below 1e-9; a larger or NaN residual, an overflowing
     magnitude profile, a rank-deficient reduced matrix or a
     least-squares solve that fails outright (LinAlgError) raises
-    NullspaceDefect.  The solve runs once per spec object, which keeps
-    its outcome (FamilySpec._built) the way it keeps S: later calls return
-    the same BuiltPolynomial or raise the same XFeketeError again.
+    NullspaceDefect.  Zero finding never calls it: its callers are the
+    `poly` command and the construction check of `verify`, each of which
+    solves once per spec.
     """
-    built = spec._built
-    if isinstance(built, XFeketeError):
-        raise built.with_traceback(None)
-    return built
-
-
-def _nullspace_solve(spec):
-    """The solve of build_exceptional, run once per spec."""
     ode = ode_coeffs(spec)
     A, B, C = ode.A, ode.B, ode.C
     deg = spec.degree

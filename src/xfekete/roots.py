@@ -12,27 +12,31 @@ divided out and the exceptional iterates coupled (Aberth-Ehrlich).
 Specs that differ only in n (a ladder, such as the members of a diameter
 sweep) are polished together: each Newton round evaluates every pending
 point of every member in one call, and a single spec is a ladder of one.
-Where the coefficient vector is representable it is built independently
-and every root is certified against it; beyond that the certificate
-bounds the evaluator's Newton correction.
+The same evaluator certifies the zeros: the certificate bounds its
+Newton correction at every zero, one more lockstep round for the whole
+ladder.  The monomial coefficients (build_exceptional) play no part.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .classical_poly import laguerre_zeros
-from .errors import (CountMismatch, NonConvergence, RepresentationOverflow,
-                     ValidationError, XFeketeError)
-from .exceptional import (_nonzero_lead, build_exceptional,
-                          exceptional_eval_pair, ladder_eval_pair)
+from .errors import (CountMismatch, NonConvergence, ValidationError,
+                     XFeketeError)
+from .exceptional import _nonzero_lead, ladder_eval_pair
 
 # classification margin: a zero within this distance of the closed
 # orthogonality interval is neither safely inside nor safely outside
 MARGIN = 1e-9
 
+# the certificate's bound on the relative Newton correction at a zero
 CERT_TOL = 1e-10
+
+# recurrences that overflow, y' = 0 and coinciding points give non-finite
+# pairs, steps and ratios, which fail typed (not rel <= CERT_TOL) and
+# raise no warning
+_QUIET = dict(divide="ignore", over="ignore", invalid="ignore")
 
 # Newton stops below NEWTON_TOL, or below NEWTON_FLOOR once the step has
 # stopped shrinking (the rounding floor; n >~ 100 never reaches
@@ -53,7 +57,7 @@ class ZeroSet:
     regular:      sorted real zeros inside the orthogonality interval
     exceptional:  the m zeros outside its closure (complex array)
     s_zeros:      zeros of the denominator polynomial S, for reference
-    certificate:  residual certificate record (method, margin, passed)
+    certificate:  evaluator certificate record (method, max_ratio, passed)
     """
 
     spec: object
@@ -101,10 +105,9 @@ def _newton_ladder(specs, x0s, itmax=60, deflates=None):
     for it in range(1, itmax + 1):
         if not live:
             break
-        pairs = _ladder_pairs(specs, xs, live, out)
-        live = [i for i in live if out[i] is None]
-        # y' = 0 or coinciding points make the step non-finite; rel ends it
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(**_QUIET):
+            pairs = _ladder_pairs(specs, xs, live, out)
+            live = [i for i in live if out[i] is None]
             for i in live:
                 x, (v, dv) = xs[i], pairs[i]
                 step = v / dv
@@ -128,7 +131,7 @@ def _newton_ladder(specs, x0s, itmax=60, deflates=None):
 
 
 def _ladder_pairs(specs, xs, live, out):
-    """{i: (y, y')} at the iterates xs[i] of the live specs, from one
+    """{i: (y, y')} at the points xs[i] of the live specs, from one
     ladder_eval_pair call for all of them (with an int degree when one
     spec is left).  Where that call raises (only the table of S can, and
     the specs share it), each spec is evaluated on its own, and one whose
@@ -208,32 +211,9 @@ def _classify(spec, reg, exc):
                 f"of the orthogonality interval")
 
 
-def _certificate(spec, roots):
-    """Residual certificate for the computed roots.
-
-    Where the coefficient vector is representable in binary64
-    (build_exceptional(spec) does not raise RepresentationOverflow) the
-    roots are checked against that independently built polynomial:
-    |p(r)| <= 1e-10 max|c| max(1,|r|)^deg, compared in log space.
-    Beyond that range the certificate bounds the Newton correction of the
-    closed-form evaluator: |y(r)| <= 1e-10 |y'(r)| (1 + |r|).
-    """
-    roots = np.asarray(roots)
-    try:
-        built = build_exceptional(spec)
-    except RepresentationOverflow:
-        built = None
-    if built is not None:
-        c = built.coeffs
-        pv = npoly.polyval(roots, c.astype(complex))
-        with np.errstate(divide="ignore"):
-            logp = np.log(np.abs(pv))
-        logbound = (np.log(CERT_TOL) + np.log(np.max(np.abs(c)))
-                    + (len(c) - 1) * np.log(np.maximum(1.0, np.abs(roots))))
-        margin = float(np.max(logp - logbound)) if roots.size else -np.inf
-        return {"method": "coefficient", "passed": bool(margin <= 0.0),
-                "max_log_excess": margin, "build_residual": built.residual}
-    v, dv = exceptional_eval_pair(spec, roots)
+def _certificate(roots, v, dv):
+    """Evaluator certificate of the roots from (y, y') there: the Newton
+    correction is small, |y(r)| <= 1e-10 |y'(r)| (1 + |r|)."""
     ratio = np.abs(v) / (np.abs(dv) * (1 + np.abs(roots)))
     worst = float(np.max(ratio)) if roots.size else 0.0
     return {"method": "evaluator", "passed": bool(worst <= CERT_TOL),
@@ -250,11 +230,11 @@ def find_zeros(spec):
     held fixed and divided out.  Raises DegreeCollapse first where the
     closed-form leading coefficient is 0, CountMismatch if counts or the
     location margins fail, and NonConvergence if a Newton stage or the
-    residual certificate fails.
+    certificate fails.
 
-    Once the zeros are classified the certificate takes
-    build_exceptional(spec), which is kept on the spec and so solved at
-    most once per spec.  This is find_zeros_ladder on a ladder of one.
+    The certificate bounds the closed-form evaluator's Newton correction
+    at every zero (_certificate); the monomial coefficients are never
+    built.  This is find_zeros_ladder on a ladder of one.
     """
     (zs,) = find_zeros_ladder([spec])
     if isinstance(zs, XFeketeError):
@@ -264,7 +244,8 @@ def find_zeros(spec):
 
 def find_zeros_ladder(specs):
     """find_zeros for each spec of a ladder, specs that differ only in n,
-    with each Newton stage solved for all of them in lockstep.
+    with each Newton stage solved for all of them in lockstep and their
+    certificates evaluated in one more lockstep round.
 
     Returns, in the order of specs, each spec's ZeroSet, or the
     XFeketeError that find_zeros raises for it; a spec that fails drops
@@ -296,27 +277,34 @@ def find_zeros_ladder(specs):
             s_zeros[i] = specs[i].S.roots
         except XFeketeError as exc:
             out[i] = exc
+    found = {}
     for i, x in zip(s_zeros, _newton_ladder(
             [specs[i] for i in s_zeros], list(s_zeros.values()),
             deflates=[reg[i] for i in s_zeros])):
         try:
             if isinstance(x, XFeketeError):
                 raise x
-            out[i] = _certified(specs[i], reg[i], _sort_zeros(x))
+            z = _sort_zeros(x)
+            _classify(specs[i], reg[i], z)
+            found[i] = z
         except XFeketeError as exc:
             out[i] = exc
+    # every classified member's certificate, in one more lockstep round
+    rts = {i: np.concatenate([z, reg[i].astype(complex)])
+           for i, z in found.items()}
+    with np.errstate(**_QUIET):
+        pairs = _ladder_pairs(specs, rts, list(rts), out) if rts else {}
+        certs = {i: _certificate(rts[i], *pairs[i]) for i in pairs}
+    for i, cert in certs.items():
+        if cert["passed"]:
+            out[i] = ZeroSet(spec=specs[i], regular=reg[i],
+                             exceptional=found[i],
+                             s_zeros=_sort_zeros(s_zeros[i]),
+                             certificate=cert)
+        else:
+            out[i] = NonConvergence(f"residual certificate failed: {cert}",
+                                    [cert])
     return out
-
-
-def _certified(spec, reg, exc):
-    """The ZeroSet of the polished zeros, classified and certified."""
-    _classify(spec, reg, exc)
-    roots = np.concatenate([exc, reg.astype(complex)])
-    cert = _certificate(spec, roots)
-    if not cert["passed"]:
-        raise NonConvergence(f"residual certificate failed: {cert}", [cert])
-    return ZeroSet(spec=spec, regular=reg, exceptional=exc,
-                   s_zeros=_sort_zeros(spec.S.roots), certificate=cert)
 
 
 def check_interlacing(zs):

@@ -3,11 +3,16 @@
 import json
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
+import xfekete as xf
 from xfekete import cli
 from xfekete.cli import main
+
+from test_one_engine import mp_refine
+from test_pair import mp_member
 
 
 def run(capsys, *argv):
@@ -212,19 +217,37 @@ def test_large_degree_jacobi_is_a_numerical_failure(capsys):
     assert doc["passed"] is False and not checks["construction"]["passed"]
 
 
-def test_overflowing_jacobi_zeros_fail_typed(capsys):
-    # the certificate's build fails on its overflowing magnitude profile
-    code, out, err = run(capsys, "zeros", "--family", "jacobi", "--m", "1",
-                         "--alpha", "2.841", "--beta", "0.867", "--n", "400")
-    assert code == 2 and out == ""
-    assert json.loads(err.strip().splitlines()[-1])["error"] == \
-        "NullspaceDefect"
-
-
 def _quiet_run(capsys, *argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return run(capsys, *argv)
+
+
+# jacobi members whose monomial coefficients cannot certify their zeros:
+# at n = 100 they miss the coefficient bound, and at the others the build
+# raises NullspaceDefect (its ODE residual, or at n = 400 its overflowing
+# magnitude profile).  The evaluator certifies each.
+BEYOND_THE_BUILD = [(1, 2.5, 1.5, 100), (1, 2.5, 1.5, 120),
+                    (1, 2.5, 1.5, 200), (2, 2.6, 0.8, 150),
+                    (1, 2.841, 0.867, 400)]
+
+
+@pytest.mark.parametrize("m,alpha,beta,n", BEYOND_THE_BUILD)
+def test_jacobi_zeros_certify_beyond_the_build(capsys, m, alpha, beta, n):
+    code, out, err = _quiet_run(capsys, "zeros", "--family", "jacobi",
+                                "--m", str(m), "--alpha", str(alpha),
+                                "--beta", str(beta), "--n", str(n))
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["certificate"]["passed"]
+    reg = doc["regular"]
+    assert len(reg) == n and len(doc["exceptional"]) == m
+    f = mp_member(xf.FamilySpec("jacobi", m, alpha, n, beta))
+    sample = [reg[0], reg[n // 2], reg[-1]] + [
+        complex(re, im) if im else re for re, im in doc["exceptional"]]
+    with mpmath.workdps(30):
+        for z in sample:
+            assert abs(mp_refine(f, z) - z) <= 1e-12 * (1 + abs(z)), z
 
 
 def test_coinciding_exceptional_seeds_fail_quietly(capsys):
@@ -305,14 +328,15 @@ def test_overflowing_S_beyond_binary64_exponents_fails_typed(capsys):
 
 
 def test_overflowing_laguerre1_newton_fails_before_any_build(capsys):
-    # the regular-zero Newton stage fails first: laguerre1 builds only
-    # for the certificate.  The recurrence overflow itself is the known
-    # defect under test, so its warnings are silenced here.
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = run(capsys, "zeros", "--family", "laguerre1",
-                             "--m", "1", "--alpha", "2", "--n", "400")
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "NonConvergence"
+    # the regular-zero Newton stage fails first, and quietly: the
+    # recurrences overflow (the known unscaled-recurrence defect), and
+    # the non-finite step ends Newton as a NonConvergence
+    for argv in (["--family", "laguerre1", "--m", "1", "--alpha", "2"],
+                 ["--family", "jacobi", "--m", "1", "--alpha", "2.5",
+                  "--beta", "1.5"]):
+        code, out, err = _quiet_run(capsys, "zeros", *argv, "--n", "400")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "NonConvergence"
 
 
 # recorded from the ascent that evaluated F (log_energy) and its
@@ -337,43 +361,42 @@ def test_fekete_golden_stdout(capsys):
     assert out == FEKETE_GOLDEN
 
 
-# recorded when verify built the coefficients twice or three times and
-# computed the laguerre1 zero set twice; one build and one zero set per
-# spec must reproduce it bit for bit
+# the construction check's max_log_excess is the coefficient bound that
+# the zeros' certificate reported, bit for bit, before the evaluator
+# certified them; every field but the zeros' certificate is as recorded
+# then
 VERIFY_GOLDEN = {
     ("laguerre1", "--m", "2", "--alpha", "2", "--n", "5"): (
-        '{"checks":[{"detail":{"leading_exact":true,"residual":7.655679307'
-        '8529408e-16},"name":"construction","passed":true},{"detail":{"bu'
-        'ild_residual":7.6556793078529408e-16,"max_log_excess":-11.867074'
-        '169369573,"method":"coefficient","passed":true},"name":"zeros","'
-        'passed":true},{"detail":{"mode":"full"},"name":"interlacing","pa'
-        'ssed":true},{"detail":{"classification":"saddle","max_gradient":'
-        '3.9968028886505635e-15},"name":"saddle","passed":true},{"detail"'
-        ':{"abs_err":3.5527136788005009e-15,"lhs":26.999999999999996,"rhs'
-        '":27},"name":"zero_sum","passed":true},{"detail":{"max":0.999999'
-        '99999997435,"min":7.0120053275214158e-43},"name":"stability","pa'
-        'ssed":true},{"detail":{"diag_all_negative":true,"max_gradient":4'
-        '.4408920985006262e-16},"name":"fekete_stationary","passed":true}'
-        '],"passed":true,"spec":{"alpha":2,"family":"laguerre1","m":2,"n"'
-        ':5},"version":"0.1.0"}\n'),
+        '{"checks":[{"detail":{"max_log_excess":-11.867074169369573,"resi'
+        'dual":7.6556793078529408e-16},"name":"construction","passed":tru'
+        'e},{"detail":{"max_ratio":1.5537973180361873e-16,"method":"evalu'
+        'ator","passed":true},"name":"zeros","passed":true},{"detail":{"m'
+        'ode":"full"},"name":"interlacing","passed":true},{"detail":{"cla'
+        'ssification":"saddle","max_gradient":3.9968028886505635e-15},"na'
+        'me":"saddle","passed":true},{"detail":{"abs_err":3.5527136788005'
+        '009e-15,"lhs":26.999999999999996,"rhs":27},"name":"zero_sum","pa'
+        'ssed":true},{"detail":{"max":0.99999999999997435,"min":7.0120053'
+        '275214158e-43},"name":"stability","passed":true},{"detail":{"dia'
+        'g_all_negative":true,"max_gradient":4.4408920985006262e-16},"nam'
+        'e":"fekete_stationary","passed":true}],"passed":true,"spec":{"al'
+        'pha":2,"family":"laguerre1","m":2,"n":5},"version":"0.1.0"}\n'),
     ("laguerre2", "--m", "2", "--alpha", "2.5", "--n", "5"): (
-        '{"checks":[{"detail":{"residual":1.081065716697801e-15},"name":"'
-        'construction","passed":true},{"detail":{"build_residual":1.08106'
-        '5716697801e-15,"max_log_excess":-14.121623320897948,"method":"co'
-        'efficient","passed":true},"name":"zeros","passed":true},{"detail'
-        '":{"diag_all_negative":true,"max_gradient":8.8817841970012523e-1'
-        '6},"name":"fekete_stationary","passed":true}],"passed":true,"spe'
-        'c":{"alpha":2.5,"family":"laguerre2","m":2,"n":5},"version":"0.1'
-        '.0"}\n'),
+        '{"checks":[{"detail":{"max_log_excess":-14.121623320897948,"resi'
+        'dual":1.081065716697801e-15},"name":"construction","passed":true'
+        '},{"detail":{"max_ratio":1.1782900124885035e-16,"method":"evalua'
+        'tor","passed":true},"name":"zeros","passed":true},{"detail":{"di'
+        'ag_all_negative":true,"max_gradient":8.8817841970012523e-16},"na'
+        'me":"fekete_stationary","passed":true}],"passed":true,"spec":{"a'
+        'lpha":2.5,"family":"laguerre2","m":2,"n":5},"version":"0.1.0"}\n'),
     ("jacobi", "--m", "1", "--alpha", "2.5", "--beta", "1.5", "--n", "60"): (
-        '{"checks":[{"detail":{"residual":4.9706813934041767e-16},"name":'
-        '"construction","passed":true},{"detail":{"build_residual":4.9706'
-        '813934041767e-16,"max_log_excess":-11.068531009874167,"method":"'
-        'coefficient","passed":true},"name":"zeros","passed":true},{"deta'
-        'il":{"diag_all_negative":true,"max_gradient":1.0231815394945443e'
-        '-11},"name":"fekete_stationary","passed":true}],"passed":true,"s'
-        'pec":{"alpha":2.5,"beta":1.5,"family":"jacobi","m":1,"n":60},"ve'
-        'rsion":"0.1.0"}\n'),
+        '{"checks":[{"detail":{"max_log_excess":-11.068531009874167,"resi'
+        'dual":4.9706813934041767e-16},"name":"construction","passed":tru'
+        'e},{"detail":{"max_ratio":3.4029451573639913e-17,"method":"evalu'
+        'ator","passed":true},"name":"zeros","passed":true},{"detail":{"d'
+        'iag_all_negative":true,"max_gradient":1.0231815394945443e-11},"n'
+        'ame":"fekete_stationary","passed":true}],"passed":true,"spec":{"'
+        'alpha":2.5,"beta":1.5,"family":"jacobi","m":1,"n":60},"version":'
+        '"0.1.0"}\n'),
 }
 
 

@@ -5,8 +5,8 @@ recurrence sweeps with one degree for all points, and the Newton polish,
 find_zeros and d_sequence one spec at a time.  Every operation a ladder
 makes on one member's points is the operation the serial form makes, so
 every comparison is on the bytes, errors included.  Each side of a
-comparison builds its own spec objects: a spec keeps its build, and a
-build shared by both sides would compare with itself.
+comparison builds its own spec objects, so neither reads what the other
+cached on a spec.
 """
 
 import numpy as np
@@ -89,7 +89,7 @@ def ref_find_zeros(spec, reg_its=None, exc_its=None):
                                        its=exc_its))
     roots._classify(spec, reg, exc)
     rts = np.concatenate([exc, reg.astype(complex)])
-    cert = roots._certificate(spec, rts)
+    cert = roots._certificate(rts, *xf.exceptional_eval_pair(spec, rts))
     if not cert["passed"]:
         raise xf.NonConvergence(f"residual certificate failed: {cert}",
                                 [cert])
@@ -283,29 +283,7 @@ def test_ladders_mix_passing_and_failing_members():
         for ladder in LADDERS:
             for res in roots.find_zeros_ladder(_ladder(*ladder)):
                 kinds.add(type(res))
-    assert {roots.ZeroSet, xf.NonConvergence, xf.DegreeCollapse,
-            xf.NullspaceDefect} <= kinds
-
-
-def test_ladder_takes_each_members_build(monkeypatch):
-    ladder = ("laguerre2", 2, 2.5, None, (3, 5, 8))
-    specs = _ladder(*ladder)
-    built = xf.build_exceptional(specs[0])
-
-    def given(spec):
-        raise xf.NullspaceDefect("given")
-
-    monkeypatch.setattr(exceptional, "_nullspace_solve", given)
-    with pytest.raises(xf.NullspaceDefect):
-        xf.build_exceptional(specs[1])
-    monkeypatch.undo()
-    got = roots.find_zeros_ladder(specs)
-    want = [outcome(ref_find_zeros, s) for s in _ladder(*ladder)]
-    # member 1 raises the failure it keeps, where a fresh spec certifies
-    assert type(got[1]) is xf.NullspaceDefect and str(got[1]) == "given"
-    assert want[1][0] == specs[1]
-    assert [_outcome(g) for g in got[::2]] == want[::2]
-    assert got[0].certificate["build_residual"] == built.residual
+    assert {roots.ZeroSet, xf.NonConvergence, xf.DegreeCollapse} <= kinds
 
 
 def test_ladder_members_share_a_failing_S_each_with_its_own_error():
@@ -344,8 +322,13 @@ def test_newton_ladder_is_the_serial_newton(itmax):
 
 @pytest.mark.parametrize("m,alpha,ns", [
     (1, 2.0, range(10, 21)), (2, 1.5, range(3, 9)), (1, 0.3, range(2, 6)),
-    (3, -0.5, range(4, 7)), (-1, 2.0, range(5, 7))])
+    (3, -0.5, range(4, 7)), (-1, 2.0, range(5, 7)), (1, np.inf, range(5, 7))])
 def test_d_sequence_is_the_serial_sweep(m, alpha, ns):
+    if m < 0 or not np.isfinite(alpha):
+        # an invalid m or alpha ends the sweep typed, before any member
+        with pytest.raises(xf.ValidationError):
+            xf.d_sequence(m, alpha, ns)
+        return
     got = xf.d_sequence(m, alpha, ns)
     want = ref_d_sequence(m, alpha, ns)
     for f in ("m", "alpha", "c", "skipped"):
@@ -358,14 +341,15 @@ def test_d_sequence_is_the_serial_sweep(m, alpha, ns):
 def test_d_sequence_sweeps_once_per_lockstep_round(monkeypatch):
     """Each lockstep round makes one sweep for all members, so the sweeps
     of degree >= 10 are no more than the rounds of the slowest member of
-    each stage; one spec at a time they were the sum over members."""
+    each stage and the one certificate round; one spec at a time they
+    were the sum over members, a certificate for each."""
     reg_its, exc_its = [], []
     for n in range(9, 21):
         ref_find_zeros(xf.FamilySpec("laguerre1", 1, 2.0, n),
                        reg_its=reg_its, exc_its=exc_its)
-    rounds = max(reg_its) + max(exc_its)
-    serial = sum(i for n, i in zip(range(9, 21), reg_its) if n >= 10) \
-        + sum(i for n, i in zip(range(9, 21), exc_its) if n >= 10)
+    rounds = max(reg_its) + max(exc_its) + 1
+    serial = sum(i + j + 1 for n, i, j in zip(range(9, 21), reg_its, exc_its)
+                 if n >= 10)
     sweeps, calls = [], []
     real_pass, real_pair = exceptional.laguerre_pass, roots.ladder_eval_pair
 

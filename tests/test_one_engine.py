@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import xfekete as xf
-from xfekete import exceptional, roots
+from xfekete import roots
 
 from test_pair import mp_member
 
@@ -126,22 +126,3 @@ def test_laguerre1_pair_calls_per_find(monkeypatch):
     xf.find_zeros(xf.FamilySpec("laguerre1", 3, 1.5, 60))
     # one call per Newton iteration of each stage; bisection took 105
     assert 0 < len(calls) <= 15
-
-
-def test_laguerre2_builds_once_after_classification(monkeypatch):
-    events = []
-    classify, build = roots._classify, exceptional.build_exceptional
-
-    def spy_classify(*a):
-        events.append("classify")
-        return classify(*a)
-
-    def spy_build(spec):
-        events.append("build")
-        return build(spec)
-
-    monkeypatch.setattr(roots, "_classify", spy_classify)
-    monkeypatch.setattr(roots, "build_exceptional", spy_build)
-    zs = xf.find_zeros(xf.FamilySpec("laguerre2", 3, 3.5, 20))
-    assert zs.certificate["method"] == "coefficient"
-    assert events == ["classify", "build"]

@@ -40,13 +40,6 @@ def test_zeros_simple():
     assert np.min(np.diff(np.sort(allz))) > 1e-6
 
 
-def test_certificate_coefficient_mode():
-    zs = zeros_of("laguerre1", 2, 1.5, 10)
-    c = zs.certificate
-    assert c["method"] == "coefficient" and c["passed"]
-    assert c["max_log_excess"] < 0
-
-
 def test_certificate_evaluator_mode_at_large_degree():
     zs = zeros_of("laguerre1", 1, 1.0, 200)
     c = zs.certificate

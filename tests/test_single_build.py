@@ -2,9 +2,9 @@
 
 jacobi_coeffs expands from tabulated powers of (x - 1) and (x + 1); the
 per-term polypow form it replaces is kept here as the reference and must
-agree bit for bit, overflow included.  Each spec keeps its build, so the
-least-squares solve runs at most once per spec object however often it
-is built or solved, and `verify` computes one zero set per spec.
+agree bit for bit, overflow included.  Zero finding never builds the
+monomial coefficients, so `verify` solves the least-squares system once,
+for its construction check, and computes one zero set per spec.
 """
 
 import json
@@ -94,24 +94,6 @@ def _count(monkeypatch, name, modules):
     return calls
 
 
-def _count_solves(monkeypatch):
-    """The specs that the least-squares solve of build_exceptional runs
-    for; the public entry point may be called any number of times."""
-    return _count(monkeypatch, "_nullspace_solve", [exceptional])
-
-
-def _failing_solve(monkeypatch, error):
-    """Replace the solve by one that raises error; returns its calls."""
-    calls = []
-
-    def solve(spec):
-        calls.append(spec)
-        raise error
-
-    monkeypatch.setattr(exceptional, "_nullspace_solve", solve)
-    return calls
-
-
 VERIFY_SPECS = {
     "laguerre1": ["--m", "2", "--alpha", "2", "--n", "5"],
     "laguerre2": ["--m", "2", "--alpha", "2.5", "--n", "5"],
@@ -123,114 +105,46 @@ VERIFY_SPECS = {
 def test_verify_builds_once_and_finds_zeros_once(monkeypatch, capsys,
                                                  family):
     finds = _count(monkeypatch, "find_zeros", [roots, cli])
-    solves = _count_solves(monkeypatch)
+    builds = _count(monkeypatch, "build_exceptional", [exceptional, cli])
     code = cli.main(["verify", "--family", family, *VERIFY_SPECS[family]])
     capsys.readouterr()
     assert code == 0
     assert len(finds) == 1
-    assert len(solves) == 1
+    assert len(builds) == 1
 
 
 def test_failing_verify_build_runs_once(monkeypatch, capsys):
-    # the construction check's NullspaceDefect is kept on the spec and
-    # raised again inside find_zeros instead of repeating the solve,
-    # message included
-    solves = _count_solves(monkeypatch)
+    # the construction check's NullspaceDefect fails that check alone:
+    # the evaluator certifies the zeros without a second solve
+    builds = _count(monkeypatch, "build_exceptional", [exceptional, cli])
     code = cli.main(["verify", "--family", "jacobi", "--m", "1", "--alpha",
                      "1.376", "--beta", "0.929", "--n", "120"])
     checks = {c["name"]: c
               for c in json.loads(capsys.readouterr().out)["checks"]}
     assert code == 2
-    assert len(solves) == 1
+    assert len(builds) == 1
     assert "ODE residual" in checks["construction"]["detail"]
-    assert checks["zeros"]["detail"] == checks["construction"]["detail"]
-    assert not checks["zeros"]["passed"]
+    assert not checks["construction"]["passed"]
+    assert checks["zeros"]["passed"]
+    assert checks["zeros"]["detail"]["method"] == "evaluator"
 
 
-def test_find_zeros_raises_a_failed_build_where_it_would_build(monkeypatch):
-    spec = xf.FamilySpec("laguerre1", 1, 2.0, 5)
-    failure = xf.NullspaceDefect("carried")
-    solves = _failing_solve(monkeypatch, failure)
-    for _ in range(3):
-        with pytest.raises(xf.NullspaceDefect, match="carried") as info:
-            roots.find_zeros(spec)
-        assert info.value is failure
-    assert solves == [spec]
-    assert spec._built is failure
+def test_find_zeros_ladder_never_builds(monkeypatch):
+    # the evaluator certifies the zeros, also where the build fails
+    # (jacobi at n = 120)
+    def forbidden(spec):
+        raise AssertionError("build_exceptional called")
 
-
-def test_an_overflowing_build_gives_the_evaluator_certificate(monkeypatch):
-    spec = xf.FamilySpec("laguerre1", 1, 2.0, 5)
-    _failing_solve(monkeypatch, xf.RepresentationOverflow("big"))
-    with pytest.raises(xf.RepresentationOverflow):
-        xf.build_exceptional(spec)
-    zs = roots.find_zeros(spec)
-    assert zs.certificate["method"] == "evaluator"
-    assert zs.certificate["passed"]
-
-
-def test_laguerre2_find_zeros_builds_once(monkeypatch):
-    builds = _count(monkeypatch, "build_exceptional", [exceptional, roots])
-    solves = _count_solves(monkeypatch)
-    zs = roots.find_zeros(xf.FamilySpec("laguerre2", 2, 2.5, 5))
-    assert zs.certificate["method"] == "coefficient"
-    assert len(builds) == len(solves) == 1
-
-
-def test_find_zeros_takes_the_callers_build(monkeypatch):
-    spec = xf.FamilySpec("laguerre2", 2, 2.5, 5)
-    built = xf.build_exceptional(spec)
-    solves = _count_solves(monkeypatch)
-    zs = roots.find_zeros(spec)
-    assert solves == []
-    assert xf.build_exceptional(spec) is built
-    assert zs.certificate["build_residual"] == built.residual
-    ref = xf.find_zeros(xf.FamilySpec("laguerre2", 2, 2.5, 5))
-    assert zs.regular.tobytes() == ref.regular.tobytes()
-    assert zs.exceptional.tobytes() == ref.exceptional.tobytes()
-    assert zs.certificate == ref.certificate
-
-
-@pytest.mark.parametrize("fails", [False, True])
-def test_a_kept_build_leaves_eq_hash_and_repr(monkeypatch, fails):
-    args = ("jacobi", 1, 2.5, 20, 1.5)
-    spec, twin = xf.FamilySpec(*args), xf.FamilySpec(*args)
-    before = (hash(spec), repr(spec))
-    if fails:
-        _failing_solve(monkeypatch, xf.NullspaceDefect("kept"))
-        with pytest.raises(xf.NullspaceDefect):
-            xf.build_exceptional(spec)
-    else:
-        xf.build_exceptional(spec)
-    assert "_built" in vars(spec) and "_built" not in vars(twin)
-    assert spec == twin and twin == spec
-    assert (hash(spec), repr(spec)) == before == (hash(twin), repr(twin))
-    assert len({spec, twin}) == 1
-
-
-def test_a_kept_failure_holds_no_frames(monkeypatch):
-    # a least-squares solve that fails outright is kept as the
-    # NullspaceDefect it raises, caused by the LinAlgError; neither holds
-    # the frames of the solve, which hold its matrices, and raising it
-    # again does not pile up frames
-    def lstsq(*args, **kwargs):
-        raise np.linalg.LinAlgError("forced")
-
-    spec = xf.FamilySpec("laguerre1", 1, 2.0, 5)
-    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
-    depths = []
-    for _ in range(3):
-        with pytest.raises(xf.NullspaceDefect, match="forced") as info:
-            xf.build_exceptional(spec)
-        tb, depth = info.value.__traceback__, 0
-        while tb is not None:
-            tb, depth = tb.tb_next, depth + 1
-        depths.append(depth)
-    kept = spec._built
-    assert kept is info.value
-    assert isinstance(kept.__cause__, np.linalg.LinAlgError)
-    assert kept.__cause__.__traceback__ is None
-    assert len(set(depths)) == 1
+    monkeypatch.setattr(exceptional, "build_exceptional", forbidden)
+    assert not hasattr(roots, "build_exceptional")
+    for family, m, alpha, beta in [("laguerre1", 2, 2.0, None),
+                                   ("laguerre2", 2, 2.5, None),
+                                   ("jacobi", 1, 2.5, 1.5)]:
+        specs = [xf.FamilySpec(family, m, alpha, n, beta)
+                 for n in (0, 5, 20, 120)]
+        for zs in roots.find_zeros_ladder(specs):
+            assert zs.certificate["method"] == "evaluator", zs
+            assert zs.certificate["passed"]
 
 
 def test_upper_pairs_are_read_only_triu_indices():
