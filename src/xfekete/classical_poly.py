@@ -7,9 +7,10 @@ Pointwise evaluation goes through one three-term sweep per family that
 carries the differentiated recurrence along, so a single pass gives p_n,
 p_{n-1} and both derivatives, each point at its own degree; it stays
 accurate far beyond the degrees at which monomial coefficients become
-unusable.  Also provides Gauss-type
-zeros via the symmetric tridiagonal eigenproblem and the first positive
-zero of the Bessel function J_a from its ascending series.
+unusable; a degree step is a few in-place ufunc calls on preallocated
+(value, derivative) rows.  Also provides Gauss-type zeros via the
+symmetric tridiagonal eigenproblem and the first positive zero of the
+Bessel function J_a from its ascending series.
 """
 
 import functools
@@ -166,18 +167,19 @@ def _as_float_or_complex(x):
 def _sweep(n, x, advance):
     """Run a three-term sweep at every point of x up to its own degree.
 
-    n is an int or an integer array broadcast with x.  advance(lo, hi,
-    x, p, pm1, d, dm1) takes (p_k, p_{k-1}, p_k', p_{k-1}') at the points
-    x from degree k = lo to k = hi.  The points are sorted by descending
+    n is a nonnegative int or integer array broadcast with x, else
+    ValueError.  advance(lo, hi, x, A, B, C) steps the stacked (2, N)
+    state B = (p_k, p_k'), A = (p_{k-1}, p_{k-1}') in place from degree
+    k = lo to hi, writing each p_{k+1} into the third buffer C (A is
+    scratch; a ufunc call takes its output last), and returns (A, B, C)
+    rotated to (B, C, A) per step.  The points are sorted by descending
     degree, so the live ones are a prefix: the sweep runs to max(n) on
-    shrinking views, and a point leaves it at its own degree, never swept
-    past it.  Each point therefore meets exactly the operations of a
-    sweep of its own degree alone, and elementwise array arithmetic gives
-    the same bits at any array length.  A 0-d x is swept as a one-element
-    array, so a complex point gets the bits it has inside an array
-    (numpy's complex scalar arithmetic rounds differently).  Returns
-    (p_n, p_{n-1}, p_n', p_{n-1}') in the order and shape of x (numpy
-    scalars for 0-d x).
+    shrinking column views, and a point leaves it at its own degree, so
+    it meets exactly the operations of a sweep of its own degree alone;
+    elementwise array arithmetic gives the same bits at any array length.
+    A 0-d x is swept as a one-element array (numpy's complex scalar
+    arithmetic rounds differently).  Returns fresh (p_n, p_{n-1}, p_n',
+    p_{n-1}') in the order and shape of x.
     """
     x = _as_float_or_complex(x)
     if isinstance(n, (int, np.integer)):
@@ -185,32 +187,36 @@ def _sweep(n, x, advance):
         shape, order, xs = x.shape, None, x.ravel()
         runs = [(0, xs.size, int(n))]
     else:
+        if not np.issubdtype(np.asarray(n).dtype, np.integer):
+            raise ValueError(f"degree must be an integer, got {n!r}")
         shape = np.broadcast_shapes(np.shape(n), x.shape)
-        deg = np.broadcast_to(n, shape).ravel()
+        # signed, so that -deg orders unsigned degrees as well
+        deg = np.broadcast_to(n, shape).astype(np.intp).ravel()
         order = np.argsort(-deg, kind="stable")
         deg, xs = deg[order], np.broadcast_to(x, shape).ravel()[order]
         # runs [start, end) of equal degree, highest degree first
         ends = (np.flatnonzero(np.diff(deg)) + 1).tolist() + [deg.size]
         runs = [(s, e, int(deg[s]))
                 for s, e in zip([0] + ends[:-1], ends) if e > s]
-    vals = (np.ones_like(xs), np.zeros_like(xs), np.zeros_like(xs),
-            np.zeros_like(xs))
-    done, k = [], 0     # done: the runs that left, lowest degree first
+        out = np.empty((2, 2, xs.size), xs.dtype)
+    if runs and runs[-1][2] < 0:
+        raise ValueError("degree must be nonnegative")
+    A, B, C = np.zeros((3, 2, xs.size), xs.dtype)
+    B[0] = 1.0
+    k = 0
     for start, end, stop in runs[::-1]:
-        vals = advance(k, stop, xs[:end], *vals)
+        A, B, C = advance(k, stop, xs[:end], A[:, :end], B[:, :end],
+                          C[:, :end])
         k = stop
-        if start:
-            done.append([v[start:] for v in vals])
-            vals = tuple(v[:start] for v in vals)
-    if done:
-        vals = [np.concatenate([v] + [run[i] for run in done[::-1]])
-                for i, v in enumerate(vals)]
+        if order is not None:     # the run's points leave the sweep
+            out[:, :, start:end] = B[:, start:], A[:, start:]
     if order is not None:
-        for v in vals:
-            v[order] = v.copy()
+        out[:, :, order] = out.copy()
+        B, A = out
+    vals = (B[0], A[0], B[1], A[1])
     if shape != xs.shape:
         vals = tuple(v.reshape(shape)[()] for v in vals)
-    return tuple(vals)
+    return vals
 
 
 def laguerre_pass(n, a, x):
@@ -220,13 +226,22 @@ def laguerre_pass(n, a, x):
     or a per-point integer array broadcast with x (see _sweep).  The
     derivatives come from differentiating the recurrence,
       (k+1) L_{k+1}' = (2k+1+a-x) L_k' - L_k - (k+a) L_{k-1}'.
+    Each degree is six in-place ufunc calls in the formulas' order.
     """
-    def advance(lo, hi, x, p, pm1, d, dm1):
+    def advance(lo, hi, x, A, B, C):
+        sub, mul, div = np.subtract, np.multiply, np.divide
+        s = np.empty_like(x)
+        A0, A1, B0, B1, C0, C1 = A[0], A[1], B[0], B[1], C[0], C[1]
         for k in range(lo, hi):
-            s = 2 * k + 1 + a - x
-            pm1, p, dm1, d = (p, (s * p - (k + a) * pm1) / (k + 1),
-                              d, (s * d - p - (k + a) * dm1) / (k + 1))
-        return p, pm1, d, dm1
+            sub(2 * k + 1 + a, x, s)
+            mul(s, B, C)
+            sub(C1, B0, C1)
+            mul(k + a, A, A)
+            sub(C, A, C)
+            div(C, k + 1.0, C)      # a float k + 1 takes a faster path
+            A, B, C, A0, B0, C0 = B, C, A, B0, C0, A0
+            A1, B1, C1 = B1, C1, A1
+        return A, B, C
 
     return _sweep(n, x, advance)
 
@@ -241,25 +256,38 @@ def jacobi_pass(n, a, b, x):
 
     Returns (P_n, P_{n-1}, P_n', P_{n-1}') with P_{-1} = 0; n is an int
     or a per-point integer array broadcast with x (see _sweep).  The
-    derivatives follow the differentiated recurrence.
+    derivatives follow the differentiated recurrence.  Each degree is
+    eight in-place ufunc calls in the formulas' order.
     """
-    def advance(lo, hi, x, p, pm1, d, dm1):
+    # c1..c4 of the steps k = 1 .. max(n) - 1, as numpy vectors over k
+    k1 = np.arange(2, int(np.max(n, initial=1)) + 1)
+    t = 2 * k1 + a + b
+    c1, c2 = 2 * k1 * (k1 + a + b) * (t - 2), (t - 1) * (a * a - b * b)
+    c3, c4 = (t - 2) * (t - 1) * t, 2 * (k1 + a - 1) * (k1 + b - 1) * t
+    coeffs = list(zip(c1.tolist(), c2.tolist(), c3.tolist(), c4.tolist()))
+
+    def advance(lo, hi, x, A, B, C):
         if lo == 0 < hi:
             # P_1 is written out: the k = 0 recurrence coefficient
             # 2 (a+b+1)(a+b) vanishes at a + b = 0 or -1
-            p, pm1 = 0.5 * (a - b + (a + b + 2) * x), p
-            d, dm1 = d + 0.5 * (a + b + 2), d
-            lo = 1
-        for k in range(lo, hi):
-            k1 = k + 1
-            c1 = 2 * k1 * (k1 + a + b) * (2 * k1 + a + b - 2)
-            c2 = (2 * k1 + a + b - 1) * (a * a - b * b)
-            c3 = (2 * k1 + a + b - 2) * (2 * k1 + a + b - 1) * (2 * k1 + a + b)
-            c4 = 2 * (k1 + a - 1) * (k1 + b - 1) * (2 * k1 + a + b)
-            s = c2 + c3 * x
-            pm1, p, dm1, d = (p, (s * p - c4 * pm1) / c1,
-                              d, (s * d + c3 * p - c4 * dm1) / c1)
-        return p, pm1, d, dm1
+            C[0] = 0.5 * (a - b + (a + b + 2) * x)
+            C[1] = B[1] + 0.5 * (a + b + 2)
+            A, B, C, lo = B, C, A, 1
+        add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
+        s = np.empty_like(x)
+        A0, A1, B0, B1, C0, C1 = A[0], A[1], B[0], B[1], C[0], C[1]
+        for c1, c2, c3, c4 in coeffs[lo - 1:hi - 1]:
+            mul(c3, x, s)
+            add(c2, s, s)
+            mul(s, B, C)
+            mul(c3, B0, s)
+            add(C1, s, C1)
+            mul(c4, A, A)
+            sub(C, A, C)
+            div(C, c1, C)
+            A, B, C, A0, B0, C0 = B, C, A, B0, C0, A0
+            A1, B1, C1 = B1, C1, A1
+        return A, B, C
 
     return _sweep(n, x, advance)
 

@@ -339,6 +339,24 @@ def test_overflowing_laguerre1_newton_fails_before_any_build(capsys):
         assert json.loads(err)["error"] == "NonConvergence"
 
 
+def test_overflowing_jacobi_exceptional_newton_fails_quietly(capsys):
+    # S = P_2^(-5.548, 1.504) has a zero at -317.1: the regular zeros
+    # converge, but the exceptional stage's complex sweep of degree 120
+    # overflows there (the known unscaled-recurrence defect), and the
+    # non-finite step ends Newton as a NonConvergence, with no warning
+    sel = ["--family", "jacobi", "--m", "2", "--alpha", "4.548",
+           "--beta", "2.504", "--n", "120"]
+    code, out, err = _quiet_run(capsys, "zeros", *sel)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "NonConvergence"
+    assert "relative step nan" in doc["message"]
+    code, out, err = _quiet_run(capsys, "verify", *sel)
+    assert code == 2 and err == ""
+    checks = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert checks["construction"] is False and checks["zeros"] is False
+
+
 # recorded from the ascent that evaluated F (log_energy) and its
 # derivatives (gradient_and_hessian) separately; the fused energy terms
 # must reproduce it bit for bit

@@ -244,6 +244,92 @@ def test_pass_never_sweeps_a_point_past_its_degree():
         assert _same(t[1:], lo)
 
 
+# ------------------------------------------------ sweeps at workload sizes
+
+N_LARGE = 1500
+LADDER_DEGREES = (0, 1, 20, 21, 150, 399, 400)
+
+# family: (sweep, reference sweep, (lo, hi) near the interval, far reach)
+SWEEPS = {
+    "laguerre": (lambda n, x: xf.laguerre_pass(n, 2.0, x),
+                 lambda n, x: ref_laguerre_pass(n, 2.0, x),
+                 (-2.0, 60.0), 3000.0),
+    "jacobi": (lambda n, x: xf.jacobi_pass(n, 2.5, 0.5, x),
+               lambda n, x: ref_jacobi_pass(n, 2.5, 0.5, x),
+               (-1.2, 1.2), 40.0),
+}
+
+
+def _large_points(near, far, rng):
+    """N_LARGE real points, half near the orthogonality interval and
+    half far out, where a degree-400 sweep overflows to inf and NaN;
+    with a complex copy."""
+    real = np.concatenate([rng.uniform(*near, N_LARGE // 2),
+                           rng.uniform(-far, far, N_LARGE - N_LARGE // 2)])
+    return real, real + 1j * rng.uniform(-3.0, 3.0, N_LARGE)
+
+
+def _by_degree(ref, deg, x):
+    """The reference pass of every point at its own degree: one
+    reference sweep per distinct degree, over that degree's points."""
+    want = [np.empty_like(x) for _ in range(4)]
+    for d in np.unique(deg):
+        at = deg == d
+        for w, r in zip(want, ref(int(d), x[at])):
+            w[at] = r
+    return want
+
+
+@pytest.mark.parametrize("family", SWEEPS)
+def test_pass_is_the_reference_at_workload_sizes(family):
+    sweep, ref, near, far = SWEEPS[family]
+    rng = np.random.default_rng(7)
+    for x in _large_points(near, far, rng):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in (25, 150, 400):
+                got = sweep(n, x)
+                for g, w in zip(got, ref(n, x)):
+                    assert _same(g, w), (n, x.dtype)
+            # the far points overflow; the comparison holds NaN positions
+            assert np.isnan(got[0]).any() and np.isfinite(got[0]).any()
+            deg = rng.choice(LADDER_DEGREES, size=x.size)
+            for g, w in zip(sweep(deg, x), _by_degree(ref, deg, x)):
+                assert _same(g, w), x.dtype
+
+
+@pytest.mark.parametrize("family", SWEEPS)
+def test_pass_returns_fresh_arrays(family):
+    sweep = SWEEPS[family][0]
+    x = np.linspace(-0.9, 0.9, 7)
+    for n in (6, np.array([6, 0, 3, 6, 1, 2, 5])):
+        first = sweep(n, x)
+        kept = [v.copy() for v in first]
+        second = sweep(n + 3, x)
+        assert all(_same(v, k) for v, k in zip(first, kept))
+        assert not any(np.shares_memory(u, v)
+                       for u in first for v in second)
+
+
+@pytest.mark.parametrize("family", SWEEPS)
+def test_pass_takes_unsigned_degrees(family):
+    sweep = SWEEPS[family][0]
+    x, deg = np.array([0.5, 0.7, 0.2]), np.array([0, 3, 1])
+    for got, want in zip(sweep(deg.astype(np.uint8), x), sweep(deg, x)):
+        assert _same(got, want)
+
+
+@pytest.mark.parametrize("family", SWEEPS)
+def test_pass_rejects_negative_and_non_integer_degrees(family):
+    sweep = SWEEPS[family][0]
+    x = np.array([0.2, 0.5])
+    for n in (-1, np.array([2, -1]), np.array([[0], [-3]])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sweep(n, x)
+    for n in (2.5, np.array([2.0, 3.5]), np.float64(1.0)):
+        with pytest.raises(ValueError, match="integer"):
+            sweep(n, x)
+
+
 # ------------------------------------------------------- Newton ladders
 
 LADDERS = [
