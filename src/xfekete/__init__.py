@@ -1,10 +1,11 @@
 """Exceptional orthogonal polynomials and their electrostatics.
 
 Construction of the Laguerre-type and Jacobi-type exceptional families
-from their differential equations, zero computation with residual
-certificates, weighted log-energy analysis (gradients, Hessians and
-stationary-point classification), Fekete-set optimization, Gruenwald
-v-stability scans, and the transfinite-diameter sequence.
+as closed-form products of classical polynomials, checked against their
+differential equations, zero computation with residual certificates,
+weighted log-energy analysis (gradients, Hessians and stationary-point
+classification), Fekete-set optimization, Gruenwald v-stability scans,
+and the transfinite-diameter sequence.
 """
 
 from .asymptotics import (DiameterSeries, ZeroSumReport, d_sequence,

@@ -116,6 +116,22 @@ def jacobi_coeffs(m, a, b):
     return np.ldexp(c, -m)
 
 
+def _jacobi_coeffs_top_down(n, a, b):
+    """Monomial coefficients (ascending) of P_n^(a,b), top-down from the
+    classical ODE: c_n = 2^-n C(2n+a+b, n), c_k = -[(k+2)(k+1) c_{k+2}
+    + (b-a)(k+1) c_{k+1}] / ((n-k)(n+k+a+b+1)).  It keeps its digits
+    where Szego's expansion (jacobi_coeffs) has lost them all.  The
+    divisor vanishes where c_n does, which the caller tests first."""
+    k = np.arange(n, dtype=float)
+    p, q = (k + 2) * (k + 1), (b - a) * (k + 1)
+    d = (n - k) * (n + k + a + b + 1)
+    c = np.zeros(n + 2)
+    c[n] = np.ldexp(gen_binom(2 * n + a + b, n), -n)
+    for j in range(n - 1, -1, -1):
+        c[j] = -(p[j] * c[j + 2] + q[j] * c[j + 1]) / d[j]
+    return c[: n + 1]
+
+
 def poly_eval(p, x, k=0):
     """k-th derivative of the polynomial with ascending coefficients p at x.
 

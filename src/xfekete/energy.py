@@ -143,6 +143,8 @@ def _check_nodes(nodes):
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size == 0:
         raise ValidationError("nodes must be a nonempty 1-d array")
+    if not np.all(np.isfinite(nodes)):
+        raise ValidationError("nodes must be finite")
     scale = max(1.0, float(np.max(np.abs(nodes))))
     srt = np.sort(nodes)
     if nodes.size > 1 and np.min(np.diff(srt)) < 1e-14 * scale:

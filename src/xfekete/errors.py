@@ -45,9 +45,9 @@ class PoleEvaluation(NumericalError):
 
 
 class NullspaceDefect(NumericalError):
-    """The linear system defining the polynomial is rank deficient beyond
-    the expected one-dimensional solution space, or the computed solution
-    leaves an unexpectedly large residual."""
+    """Built coefficients leave an ODE residual above the build tolerance
+    (or a NaN one): they do not solve the equation that defines the
+    polynomial."""
 
 
 class RepresentationOverflow(NumericalError):

@@ -12,16 +12,17 @@ Three families are supported, declared in the FAMILY table at the end:
   laguerre2   S(x) = L_m^(-alpha-1)(x)          orthogonality on (0, inf)
   jacobi      S(x) = P_m^(-alpha-1, beta-1)(x)  orthogonality on (-1, 1)
 
-Degree-(m+n) members are produced two ways that cross-check each other.
-Closed-form pointwise evaluators assembled from classical polynomials
+Degree-(m+n) members are closed-form products of classical polynomials
+(Gomez-Ullate, Marcellan & Milson, J. Math. Anal. Appl. 399 (2013)),
+formed two ways that cross-check each other.  Pointwise evaluators
 (exceptional_eval_pair, which returns y and y' from one recurrence sweep
 per classical factor) stay accurate at degrees where monomial
-coefficients are useless; they find and certify the zeros.  A
-least-squares nullspace solve of the ODE in the monomial basis
-(build_exceptional) gives the coefficients, for the `poly` command and
-the construction check of `verify`, which tests them at the certified
-zeros.  Every layer reads S from one PolyTable per spec, FamilySpec.S,
-the only caller of build_S.
+coefficients are useless; they find and certify the zeros.
+build_exceptional multiplies the same factors out in the monomial basis,
+for the `poly` command and the construction check of `verify`, and the
+family ODE checks the result: its residual must vanish, and `verify`
+also tests the coefficients at the certified zeros.  Every layer reads S
+from one PolyTable per spec, FamilySpec.S, the only caller of build_S.
 """
 
 import functools
@@ -33,14 +34,15 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .classical_poly import (PolyTable, _as_float_or_complex as _coerce,
-                             _horner, gen_binom, jacobi_coeffs, jacobi_pass,
-                             jacobi_zeros, laguerre_coeffs, laguerre_pass,
-                             laguerre_zeros, trim)
+                             _horner, _jacobi_coeffs_top_down, gen_binom,
+                             jacobi_coeffs, jacobi_pass, jacobi_zeros,
+                             laguerre_coeffs, laguerre_pass, laguerre_zeros,
+                             trim)
 from .errors import (DegreeCollapse, InvalidFamily, NullspaceDefect,
                      RepresentationOverflow, SingularEvaluation,
                      ValidationError)
 
-# residual ceiling for an accepted nullspace solve (relative, see
+# ODE residual ceiling for an accepted build (relative, see
 # build_exceptional)
 BUILD_RESIDUAL_TOL = 1e-9
 
@@ -133,12 +135,11 @@ class RationalODE:
     singular_points: np.ndarray = field(repr=False)
 
     def _guard(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.singular_points.size:
-            d = np.abs(x[..., None] - self.singular_points[None, ...].real)
-            if np.any(np.min(d, axis=-1) < 1e-12):
-                raise SingularEvaluation(
-                    "evaluation within 1e-12 of a zero of A")
+        """x as a float or complex array; SingularEvaluation within 1e-12
+        of a zero of A, which may be complex."""
+        x = _coerce(x)
+        if np.any(np.abs(x[..., None] - self.singular_points) < 1e-12):
+            raise SingularEvaluation("evaluation within 1e-12 of a zero of A")
         return x
 
     def M(self, x):
@@ -194,29 +195,6 @@ def leading_coefficient(spec):
     return _nonzero_lead(spec, spec.fam.lead(spec, f))
 
 
-def _magnitude_profile(spec):
-    """Expected |coefficient| profile, used to precondition the nullspace
-    solve.  Convolution of the absolute coefficients of the classical
-    factors in the closed-form product; for the families whose product
-    carries an extra factor of x the profile is max-combined with its
-    shift.  A profile that overflows binary64 cannot precondition
-    anything and raises NullspaceDefect."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            f, g = spec.fam.profile(spec)
-            d = np.convolve(np.abs(f), np.abs(g))
-            if spec.fam.shifted:
-                d = np.maximum(d, np.concatenate([[d[0]], d[:-1]]))
-            d = np.maximum(d, np.max(d) * 1e-300)
-    except FloatingPointError as exc:
-        raise NullspaceDefect(
-            f"coefficient magnitude profile overflows for {spec}") from exc
-    if not np.all(np.isfinite(d)):
-        raise NullspaceDefect(
-            f"coefficient magnitude profile is not finite for {spec}")
-    return d[: spec.degree + 1]
-
-
 @dataclass(frozen=True)
 class BuiltPolynomial:
     """Monomial coefficients of one exceptional polynomial together with
@@ -229,21 +207,19 @@ class BuiltPolynomial:
 
 
 def build_exceptional(spec):
-    """Solve A y'' + B y' + C y = 0 for the degree-(m+n) coefficient
-    vector, fixing the leading coefficient to the family normalization.
+    """Monomial coefficients of the degree-(m+n) member, checked by the
+    family ODE A y'' + B y' + C y = 0.
 
-    The linear system maps monomial coefficients to the coefficients of
-    the residual polynomial.  Columns are rescaled by the magnitude
-    profile of the expected solution (otherwise the system is hopelessly
-    ill-scaled for n beyond ~15), rows are sup-norm equilibrated, and the
-    reduced system is solved by least squares.  The coefficient-space
-    residual, relative to max(|A y''|, |C y|) coefficient norms, must
-    come in below 1e-9; a larger or NaN residual, an overflowing
-    magnitude profile, a rank-deficient reduced matrix or a
-    least-squares solve that fails outright (LinAlgError) raises
-    NullspaceDefect.  Zero finding never calls it: its callers are the
-    `poly` command and the construction check of `verify`, each of which
-    solves once per spec.
+    The family's closed-form product of classical polynomials (the one
+    exceptional_eval_pair evaluates) is multiplied out in coefficient
+    space, and its top entry is written as the closed-form leading
+    coefficient.  The coefficient-space residual of the ODE, relative to
+    max(|A y''|, |C y|) coefficient norms, must come in below 1e-9; a
+    larger or NaN residual raises NullspaceDefect.  S's errors come
+    first, then the lead's DegreeCollapse or RepresentationOverflow;
+    coefficients beyond binary64 raise RepresentationOverflow.  Zero
+    finding never calls it: its callers are the `poly` command and the
+    construction check of `verify`.
     """
     ode = ode_coeffs(spec)
     A, B, C = ode.A, ode.B, ode.C
@@ -252,50 +228,47 @@ def build_exceptional(spec):
     if abs(top) < 1e-300 or not np.isfinite(top):
         raise RepresentationOverflow(
             f"leading coefficient {top!r} cannot be normalized")
-    rows = max(len(A) + max(deg - 2, 0), len(B) + max(deg - 1, 0),
-               len(C) + deg)
-    M = np.zeros((rows, deg + 1))
-    for k in range(deg + 1):
-        if k >= 2:
-            M[k - 2: k - 2 + len(A), k] += A * (k * (k - 1))
-        if k >= 1:
-            M[k - 1: k - 1 + len(B), k] += B * k
-        M[k: k + len(C), k] += C
-    d = _magnitude_profile(spec)
-    d = d * (abs(top) / d[deg])
-    Ms = M * d
-    if deg == 0:
-        coeffs = np.array([top])
-    else:
-        rhs = -Ms[:, deg] * (top / d[deg])
-        Msub = Ms[:, :deg]
-        rn = np.max(np.abs(Msub), axis=1)
-        rn[rn == 0] = 1.0
-        try:
-            sol, _, rank, _ = np.linalg.lstsq(Msub / rn[:, None], rhs / rn,
-                                              rcond=None)
-        except np.linalg.LinAlgError as exc:
-            raise NullspaceDefect(
-                f"least-squares solve failed for {spec}: {exc}") from exc
-        if rank < deg:
-            raise NullspaceDefect(
-                f"reduced system rank {rank} < {deg}: solution space has "
-                f"dimension >= 2")
-        coeffs = np.concatenate([sol * d[:deg], [top]])
-    Ay2 = (npoly.polymul(A, npoly.polyder(coeffs, 2)) if deg >= 2
-           else np.zeros(1))
-    By1 = (npoly.polymul(B, npoly.polyder(coeffs)) if deg >= 1
-           else np.zeros(1))
-    Cy = npoly.polymul(C, coeffs)
-    res = npoly.polyadd(npoly.polyadd(Ay2, By1), Cy)
-    scale = max(np.max(np.abs(Ay2)), np.max(np.abs(Cy)))
-    rel = np.max(np.abs(res)) / scale if scale > 0 else np.max(np.abs(res))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y = spec.fam.coeffs(spec)
+        coeffs = np.zeros(deg + 1)
+        coeffs[: y.size] = y
+        coeffs[-1] = top
+        if not np.all(np.isfinite(coeffs)):
+            raise RepresentationOverflow(
+                f"coefficients overflow binary64 for {spec}")
+        Ay2 = (npoly.polymul(A, npoly.polyder(coeffs, 2)) if deg >= 2
+               else np.zeros(1))
+        By1 = (npoly.polymul(B, npoly.polyder(coeffs)) if deg >= 1
+               else np.zeros(1))
+        Cy = npoly.polymul(C, coeffs)
+        res = npoly.polyadd(npoly.polyadd(Ay2, By1), Cy)
+        scale = max(np.max(np.abs(Ay2)), np.max(np.abs(Cy)))
+        rel = np.max(np.abs(res)) / (scale if scale > 0 else 1.0)
     if not rel <= BUILD_RESIDUAL_TOL:
         raise NullspaceDefect(
             f"ODE residual {rel:.3e} exceeds {BUILD_RESIDUAL_TOL:.0e} "
             f"for {spec}")
     return BuiltPolynomial(spec=spec, coeffs=coeffs, residual=float(rel),
                            warnings=tuple(spec.regime_warnings()))
+
+
+def _lag1_coeffs(spec):
+    # the product of _lag1_pair, L_m^(al-1)(-x) read from S
+    m, n, al = spec.m, spec.n, spec.alpha
+    f = laguerre_coeffs(m, al) * (-1.0) ** np.arange(m + 1)
+    y = np.convolve(f, laguerre_coeffs(n, al - 1.0))
+    if n:
+        y[:-1] += np.convolve(spec.S.c, laguerre_coeffs(n - 1, al))
+    return y
+
+
+def _product_coeffs(spec, w, a, u):
+    # y = w S u' + (a S - w S') u, the product of _lag2_pair (w = x,
+    # a = al+1) and _jac_pair (w = 1-x, a = -(al+1))
+    S, Sp = spec.S.c, spec.S.d1
+    return npoly.polyadd(
+        npoly.polymul(npoly.polymul(w, S), npoly.polyder(u)),
+        npoly.polymul(npoly.polysub(a * S, npoly.polymul(w, Sp)), u))
 
 
 # The pair evaluators take the degree index n per point (ladder_eval_pair)
@@ -364,15 +337,17 @@ def exceptional_eval(spec, x, deriv=0):
     polynomial, from exceptional_eval_pair.
 
     The second derivative comes from the family ODE,
-    y'' = -(B y' + C y) / A, so it is undefined at the zeros of A.
+    y'' = -(B y' + C y) / A, so within 1e-12 of a zero of A it raises
+    SingularEvaluation.
     """
     if deriv not in (0, 1, 2):
         raise ValidationError("deriv must be 0, 1 or 2")
+    if deriv == 2:
+        ode = ode_coeffs(spec)
+        x = ode._guard(x)
     y, yp = exceptional_eval_pair(spec, x)
     if deriv < 2:
         return yp if deriv else y
-    x = _coerce(x)
-    ode = ode_coeffs(spec)
     return -(npoly.polyval(x, ode.B) * yp + npoly.polyval(x, ode.C) * y) \
         / npoly.polyval(x, ode.A)
 
@@ -394,8 +369,7 @@ class Family(NamedTuple):
     q: object
     lead_factor: object  # the signed factor of lead that can vanish
     lead: object        # (spec, lead_factor) -> closed-form leading coeff.
-    profile: object     # classical factors of the closed-form product
-    shifted: bool       # the product carries one more linear factor
+    coeffs: object      # monomial coefficients of the closed-form product
     pair: object        # (spec, n, x) -> (y, y'), n per point
     regime: object      # out-of-regime diagnostics
     domain: object      # (spec, n) -> Fekete search box for n nodes
@@ -433,9 +407,8 @@ FAMILY = {
         **_HALF_LINE, S=lambda s: laguerre_coeffs(s.m, s.alpha - 1.0)
         * (-1.0) ** np.arange(s.m + 1),
         lam=lambda s, n: s.m + n, k=lambda s: -2.0 * s.alpha, q=lambda c: c,
-        lead_factor=lambda s: (-1.0) ** s.n, shifted=False, pair=_lag1_pair,
-        profile=lambda s: (laguerre_coeffs(s.m, s.alpha),
-                           laguerre_coeffs(s.n, s.alpha - 1.0)),
+        lead_factor=lambda s: (-1.0) ** s.n, coeffs=_lag1_coeffs,
+        pair=_lag1_pair,
         regime=lambda s: ["alpha <= 0: weight not integrable at 0 and S "
                           "may vanish on the positive axis"]
         if s.alpha <= 0 else []),
@@ -444,9 +417,9 @@ FAMILY = {
         lam=lambda s, n: n - s.m, k=lambda s: 2.0, q=npoly.polymulx,
         lead_factor=lambda s: (-1) ** (s.m + s.n)
         * (s.n + s.alpha + 1.0 - s.m),
-        shifted=True, pair=_lag2_pair,
-        profile=lambda s: (laguerre_coeffs(s.m, -s.alpha - 1.0),
-                           laguerre_coeffs(s.n, s.alpha + 1.0)),
+        coeffs=lambda s: _product_coeffs(
+            s, (0.0, 1.0), s.alpha + 1.0, laguerre_coeffs(s.n, s.alpha + 1.0)),
+        pair=_lag2_pair,
         regime=lambda s: ["alpha <= m-1: S may vanish on the positive axis"]
         if s.alpha <= s.m - 1 else []),
     "jacobi": Family(
@@ -461,9 +434,10 @@ FAMILY = {
         lead_factor=lambda s: s.m - s.n - s.alpha - 1.0,
         lead=lambda s, f: f * s.S.c[-1] * (
             gen_binom(2 * s.n + s.alpha + s.beta, s.n) / 2.0 ** s.n),
-        profile=lambda s: (s.S.c, jacobi_coeffs(
-            s.n, s.alpha + 1.0, s.beta - 1.0)),
-        shifted=True, pair=_jac_pair, regime=_jac_regime,
+        coeffs=lambda s: _product_coeffs(
+            s, (1.0, -1.0), -(s.alpha + 1.0),
+            _jacobi_coeffs_top_down(s.n, s.alpha + 1.0, s.beta - 1.0)),
+        pair=_jac_pair, regime=_jac_regime,
         domain=lambda s, n: (-1.0 + 1e-3, 1.0 - 1e-3)),
 }
 

@@ -174,6 +174,8 @@ def maximize_log_T(w, domain, n, init=None, gtol=GTOL, itmax=ITMAX):
     x = np.sort(np.asarray(init, dtype=float))
     if x.size != n:
         raise ValidationError(f"init has {x.size} nodes, expected {n}")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("init nodes must be finite")
     (res,) = _ascend(w, (lo, hi), x[None], gtol, itmax)
     if isinstance(res, NumericalError):
         raise res

@@ -22,6 +22,8 @@ def _node_logs(nodes):
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 1:
         raise ValidationError("nodes must be a nonempty 1-d array")
+    if not np.all(np.isfinite(nodes)):
+        raise ValidationError("nodes must be finite")
     dif = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(dif, 1.0)
     if np.min(np.abs(dif)) == 0.0:

@@ -7,11 +7,13 @@ formulas before the implementation existed and are frozen here.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import xfekete as xf
+from xfekete.classical_poly import _jacobi_coeffs_top_down
 
 
 # ---------------------------------------------------------------- coefficients
@@ -49,6 +51,30 @@ def test_jacobi_collapse_decided_by_closed_form():
     assert c.size == 121
     with pytest.raises(xf.DegreeCollapse):
         xf.jacobi_coeffs(3, -5.0, 0.0)     # 2m+a+b = 1 in {0, 1, 2}
+
+
+def mp_jacobi_coeffs(n, a, b):
+    """Monomial coefficients of P_n^(a,b) at 40 + n digits, from the
+    expansion in powers of (x-1)/2, whose terms are polynomial in a, b:
+    P_n = sum_m C(n,m) (n+a+b+1)_m (a+m+1)_(n-m) / n! ((x-1)/2)^m."""
+    with mpmath.workdps(40 + n):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        c = []
+        for m in range(n, -1, -1):      # Horner in t = (x-1)/2
+            c = [(u - v) / 2 for u, v in zip([0] + c, c + [0])]
+            c[0] += (mpmath.binomial(n, m) * mpmath.rf(n + a + b + 1, m)
+                     * mpmath.rf(a + m + 1, n - m) / mpmath.factorial(n))
+        return np.array([float(v) for v in c])
+
+
+@pytest.mark.parametrize("n,a,b", [(20, 3.5, 0.5), (120, 3.5, 0.5),
+                                   (200, 3.841, -0.133), (3, 0.5, -2.5)])
+def test_jacobi_coeffs_top_down_against_mpmath(n, a, b):
+    # (3, 0.5, -2.5): a + b = -2, where the coefficient-space three-term
+    # recurrence divides by 0
+    want = mp_jacobi_coeffs(n, a, b)
+    got = _jacobi_coeffs_top_down(n, a, b)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_laguerre_leading_coefficient():

@@ -206,15 +206,15 @@ def test_gauss_seeds_below_the_classical_range_are_refused(capsys, argv):
     assert "Gauss nodes need" in doc["message"]
 
 
-def test_large_degree_jacobi_is_a_numerical_failure(capsys):
+def test_large_degree_jacobi_is_no_degree_collapse(capsys):
     # the expanded top coefficient of P_120^(2.376,-0.071) cancels; that
-    # used to read as a DegreeCollapse (exit 1) before the solve failed
+    # used to read as a DegreeCollapse (exit 1), and the member builds
     code, out, _ = run(capsys, "verify", "--family", "jacobi", "--m", "1",
                        "--alpha", "1.376", "--beta", "0.929", "--n", "120")
-    assert code == 2
+    assert code == 0
     doc = json.loads(out)
     checks = {c["name"]: c for c in doc["checks"]}
-    assert doc["passed"] is False and not checks["construction"]["passed"]
+    assert doc["passed"] is True and checks["construction"]["passed"]
 
 
 def _quiet_run(capsys, *argv):
@@ -223,10 +223,10 @@ def _quiet_run(capsys, *argv):
         return run(capsys, *argv)
 
 
-# jacobi members whose monomial coefficients cannot certify their zeros:
-# at n = 100 they miss the coefficient bound, and at the others the build
-# raises NullspaceDefect (its ODE residual, or at n = 400 its overflowing
-# magnitude profile).  The evaluator certifies each.
+# jacobi members beyond the former least-squares build: at n = 100 its
+# coefficients missed the bound at the zeros, and at the others it raised
+# NullspaceDefect.  The evaluator certifies each member's zeros, and the
+# closed-form coefficients vanish there.
 BEYOND_THE_BUILD = [(1, 2.5, 1.5, 100), (1, 2.5, 1.5, 120),
                     (1, 2.5, 1.5, 200), (2, 2.6, 0.8, 150),
                     (1, 2.841, 0.867, 400)]
@@ -248,6 +248,18 @@ def test_jacobi_zeros_certify_beyond_the_build(capsys, m, alpha, beta, n):
     with mpmath.workdps(30):
         for z in sample:
             assert abs(mp_refine(f, z) - z) <= 1e-12 * (1 + abs(z)), z
+
+
+@pytest.mark.parametrize("m,alpha,beta,n", BEYOND_THE_BUILD)
+def test_jacobi_verify_beyond_the_build(capsys, m, alpha, beta, n):
+    code, out, err = _quiet_run(capsys, "verify", "--family", "jacobi",
+                                "--m", str(m), "--alpha", str(alpha),
+                                "--beta", str(beta), "--n", str(n))
+    assert code == 0 and err == ""
+    construction = json.loads(out)["checks"][0]
+    assert construction["name"] == "construction"
+    assert construction["passed"]
+    assert construction["detail"]["residual"] < 1e-14
 
 
 def test_coinciding_exceptional_seeds_fail_quietly(capsys):
@@ -343,7 +355,8 @@ def test_overflowing_jacobi_exceptional_newton_fails_quietly(capsys):
     # S = P_2^(-5.548, 1.504) has a zero at -317.1: the regular zeros
     # converge, but the exceptional stage's complex sweep of degree 120
     # overflows there (the known unscaled-recurrence defect), and the
-    # non-finite step ends Newton as a NonConvergence, with no warning
+    # non-finite step ends Newton as a NonConvergence, with no warning;
+    # the coefficients build, so verify fails the zeros check alone
     sel = ["--family", "jacobi", "--m", "2", "--alpha", "4.548",
            "--beta", "2.504", "--n", "120"]
     code, out, err = _quiet_run(capsys, "zeros", *sel)
@@ -353,8 +366,10 @@ def test_overflowing_jacobi_exceptional_newton_fails_quietly(capsys):
     assert "relative step nan" in doc["message"]
     code, out, err = _quiet_run(capsys, "verify", *sel)
     assert code == 2 and err == ""
-    checks = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
-    assert checks["construction"] is False and checks["zeros"] is False
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["construction"]["passed"] is True
+    assert "max_log_excess" not in checks["construction"]["detail"]
+    assert checks["zeros"]["passed"] is False
 
 
 # recorded from the ascent that evaluated F (log_energy) and its
@@ -379,42 +394,41 @@ def test_fekete_golden_stdout(capsys):
     assert out == FEKETE_GOLDEN
 
 
-# the construction check's max_log_excess is the coefficient bound that
-# the zeros' certificate reported, bit for bit, before the evaluator
-# certified them; every field but the zeros' certificate is as recorded
-# then
+# the construction check's residual and max_log_excess are those of the
+# closed-form coefficients; every other field is as recorded from the
+# least-squares build, which had reproduced the coefficient bound of
+# the zeros' certificate before the evaluator certified them
 VERIFY_GOLDEN = {
     ("laguerre1", "--m", "2", "--alpha", "2", "--n", "5"): (
-        '{"checks":[{"detail":{"max_log_excess":-11.867074169369573,"resi'
-        'dual":7.6556793078529408e-16},"name":"construction","passed":tru'
-        'e},{"detail":{"max_ratio":1.5537973180361873e-16,"method":"evalu'
-        'ator","passed":true},"name":"zeros","passed":true},{"detail":{"m'
-        'ode":"full"},"name":"interlacing","passed":true},{"detail":{"cla'
-        'ssification":"saddle","max_gradient":3.9968028886505635e-15},"na'
-        'me":"saddle","passed":true},{"detail":{"abs_err":3.5527136788005'
-        '009e-15,"lhs":26.999999999999996,"rhs":27},"name":"zero_sum","pa'
-        'ssed":true},{"detail":{"max":0.99999999999997435,"min":7.0120053'
-        '275214158e-43},"name":"stability","passed":true},{"detail":{"dia'
-        'g_all_negative":true,"max_gradient":4.4408920985006262e-16},"nam'
-        'e":"fekete_stationary","passed":true}],"passed":true,"spec":{"al'
-        'pha":2,"family":"laguerre1","m":2,"n":5},"version":"0.1.0"}\n'),
+        '{"checks":[{"detail":{"max_log_excess":-13.253368530489468,"resid'
+        'ual":1.6613887386833617e-19},"name":"construction","passed":true}'
+        ',{"detail":{"max_ratio":1.5537973180361873e-16,"method":"evaluato'
+        'r","passed":true},"name":"zeros","passed":true},{"detail":{"mode"'
+        ':"full"},"name":"interlacing","passed":true},{"detail":{"classifi'
+        'cation":"saddle","max_gradient":3.9968028886505635e-15},"name":"s'
+        'addle","passed":true},{"detail":{"abs_err":3.5527136788005009e-15'
+        ',"lhs":26.999999999999996,"rhs":27},"name":"zero_sum","passed":tr'
+        'ue},{"detail":{"max":0.99999999999997435,"min":7.0120053275214158'
+        'e-43},"name":"stability","passed":true},{"detail":{"diag_all_nega'
+        'tive":true,"max_gradient":4.4408920985006262e-16},"name":"fekete_'
+        'stationary","passed":true}],"passed":true,"spec":{"alpha":2,"fami'
+        'ly":"laguerre1","m":2,"n":5},"version":"0.1.0"}\n'),
     ("laguerre2", "--m", "2", "--alpha", "2.5", "--n", "5"): (
-        '{"checks":[{"detail":{"max_log_excess":-14.121623320897948,"resi'
-        'dual":1.081065716697801e-15},"name":"construction","passed":true'
-        '},{"detail":{"max_ratio":1.1782900124885035e-16,"method":"evalua'
-        'tor","passed":true},"name":"zeros","passed":true},{"detail":{"di'
-        'ag_all_negative":true,"max_gradient":8.8817841970012523e-16},"na'
-        'me":"fekete_stationary","passed":true}],"passed":true,"spec":{"a'
-        'lpha":2.5,"family":"laguerre2","m":2,"n":5},"version":"0.1.0"}\n'),
+        '{"checks":[{"detail":{"max_log_excess":-14.121623320897948,"resid'
+        'ual":0},"name":"construction","passed":true},{"detail":{"max_rati'
+        'o":1.1782900124885035e-16,"method":"evaluator","passed":true},"na'
+        'me":"zeros","passed":true},{"detail":{"diag_all_negative":true,"m'
+        'ax_gradient":8.8817841970012523e-16},"name":"fekete_stationary","'
+        'passed":true}],"passed":true,"spec":{"alpha":2.5,"family":"laguer'
+        're2","m":2,"n":5},"version":"0.1.0"}\n'),
     ("jacobi", "--m", "1", "--alpha", "2.5", "--beta", "1.5", "--n", "60"): (
-        '{"checks":[{"detail":{"max_log_excess":-11.068531009874167,"resi'
-        'dual":4.9706813934041767e-16},"name":"construction","passed":tru'
-        'e},{"detail":{"max_ratio":3.4029451573639913e-17,"method":"evalu'
-        'ator","passed":true},"name":"zeros","passed":true},{"detail":{"d'
-        'iag_all_negative":true,"max_gradient":1.0231815394945443e-11},"n'
-        'ame":"fekete_stationary","passed":true}],"passed":true,"spec":{"'
-        'alpha":2.5,"beta":1.5,"family":"jacobi","m":1,"n":60},"version":'
-        '"0.1.0"}\n'),
+        '{"checks":[{"detail":{"max_log_excess":-12.61458286132731,"residu'
+        'al":1.80752050669243e-16},"name":"construction","passed":true},{"'
+        'detail":{"max_ratio":3.4029451573639913e-17,"method":"evaluator",'
+        '"passed":true},"name":"zeros","passed":true},{"detail":{"diag_all'
+        '_negative":true,"max_gradient":1.0231815394945443e-11},"name":"fe'
+        'kete_stationary","passed":true}],"passed":true,"spec":{"alpha":2.'
+        '5,"beta":1.5,"family":"jacobi","m":1,"n":60},"version":"0.1.0"}\n'),
 }
 
 
@@ -447,6 +461,17 @@ def test_unreadable_nodes_file_is_a_validation_error(tmp_path, capsys,
                          "--nodes", str(f))
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_nodes_file_is_a_validation_error(tmp_path, capsys, bad):
+    f = tmp_path / "nodes.txt"
+    f.write_text(f"1.0\n{bad}\n7.0\n")
+    code, out, err = _quiet_run(capsys, "energy", *SEL, "--n", "3",
+                                "--nodes", str(f))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValidationError",
+                               "message": "nodes must be finite"}
 
 
 def test_empty_nodes_file_is_a_validation_error(tmp_path, capsys):

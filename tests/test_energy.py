@@ -11,6 +11,8 @@ Hand oracles, worked before implementation:
       Phi(2) = 1/2 - 1/16 + 1/8 = 0.5625
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +123,23 @@ def test_log_energy_permutation_invariant():
     a = xf.log_energy(x, w)
     b = xf.log_energy(x[::-1].copy(), w)
     assert a == b
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_nodes_are_invalid(bad):
+    # the input's fault (CLI exit 1), raised before any arithmetic warns
+    nodes = np.array([1.0, bad, 7.0])
+    calls = [lambda: xf.log_energy(nodes, BASE0),
+             lambda: xf.energy_hessian(nodes, BASE0),
+             lambda: xf.transfinite_d(nodes),
+             lambda: xf.transfinite_d(nodes, BASE0),
+             lambda: xf.lagrange_basis(nodes),
+             lambda: xf.maximize_log_T(BASE0, (0.0, 10.0), 3, init=nodes)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(xf.ValidationError, match="finite"):
+                call()
 
 
 def test_coincident_nodes_raise():

@@ -14,12 +14,14 @@ implementation):
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
 import xfekete as xf
+from xfekete import cli, exceptional
 from xfekete.exceptional import leading_coefficient
 
 from conftest import built_of, spec_of
@@ -84,6 +86,31 @@ def test_rational_ode_values_and_poles():
         ode.M(0.0)
 
 
+@pytest.mark.parametrize("family,m,alpha,beta,real_zeros", [
+    ("laguerre1", 2, -2.5, None, (0.0,)),
+    ("laguerre2", 2, 2.5, None, (0.0,)),
+    ("jacobi", 2, 2.7, 2.6, (1.0, -1.0))])
+def test_singular_guard_measures_complex_distance(family, m, alpha, beta,
+                                                  real_zeros):
+    # S has a complex pair of zeros; at their real part A is far from 0,
+    # while deriv=2 at a real zero of A would be 0/0
+    spec = xf.FamilySpec(family, m, alpha, 4, beta)
+    ode = xf.ode_coeffs(spec)
+    r = ode.singular_points[np.argmax(np.abs(ode.singular_points.imag))]
+    assert abs(r.imag) > 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = r.real
+        assert ode.M(x) == npoly.polyval(x, ode.B) / npoly.polyval(x, ode.A)
+        assert np.isfinite(xf.phi(spec, x))
+        assert np.isfinite(xf.exceptional_eval(spec, x, deriv=2))
+        for z in real_zeros:
+            with pytest.raises(xf.SingularEvaluation):
+                xf.exceptional_eval(spec, z, deriv=2)
+            with pytest.raises(xf.PoleEvaluation):
+                xf.phi(spec, z)
+
+
 # ---------------------------------------------------------------- build
 
 def test_build_degree_one_member():
@@ -100,6 +127,68 @@ def test_build_degree_two_member():
 def test_build_alpha_one():
     b = built_of("laguerre1", 1, 1.0, 1)
     np.testing.assert_allclose(b.coeffs, [3.0, 0.0, -1.0], rtol=1e-12, atol=1e-12)
+
+
+def ref_nullspace_solve(spec):
+    """The least-squares build the closed form replaced: the ODE as a
+    dense map from monomial coefficients to residual coefficients,
+    columns scaled by the expected magnitude profile, rows by their sup
+    norm, the top entry fixed to the closed-form lead."""
+    ode = xf.ode_coeffs(spec)
+    A, B, C = ode.A, ode.B, ode.C
+    m, n, al, deg = spec.m, spec.n, spec.alpha, spec.degree
+    top = leading_coefficient(spec)
+    rows = max(len(A) + max(deg - 2, 0), len(B) + max(deg - 1, 0),
+               len(C) + deg)
+    M = np.zeros((rows, deg + 1))
+    for k in range(deg + 1):
+        if k >= 2:
+            M[k - 2: k - 2 + len(A), k] += A * (k * (k - 1))
+        if k >= 1:
+            M[k - 1: k - 1 + len(B), k] += B * k
+        M[k: k + len(C), k] += C
+    if spec.family == "laguerre1":
+        f, g = xf.laguerre_coeffs(m, al), xf.laguerre_coeffs(n, al - 1.0)
+    elif spec.family == "laguerre2":
+        f = xf.laguerre_coeffs(m, -al - 1.0)
+        g = xf.laguerre_coeffs(n, al + 1.0)
+    else:
+        f = spec.S.c
+        g = xf.jacobi_coeffs(n, al + 1.0, spec.beta - 1.0)
+    d = np.convolve(np.abs(f), np.abs(g))
+    if spec.family != "laguerre1":
+        d = np.maximum(d, np.concatenate([[d[0]], d[:-1]]))
+    d = np.maximum(d, np.max(d) * 1e-300)[: deg + 1]
+    d = d * (abs(top) / d[deg])
+    if deg == 0:
+        return np.array([top])
+    Ms = M * d
+    Msub = Ms[:, :deg]
+    rn = np.max(np.abs(Msub), axis=1)
+    rn[rn == 0] = 1.0
+    sol, _, rank, _ = np.linalg.lstsq(Msub / rn[:, None],
+                                      -Ms[:, deg] * (top / d[deg]) / rn,
+                                      rcond=None)
+    assert rank == deg, spec
+    return np.concatenate([sol * d[:deg], [top]])
+
+
+REFERENCE_GRID = [xf.FamilySpec(family, m, alpha, n, beta)
+                  for m in range(4) for n in (0, 1, 2, 5, 20, 60)
+                  for family, alpha, beta in [
+                      ("laguerre1", 1.5, None), ("laguerre1", 0.7, None),
+                      ("laguerre2", m + 0.5, None),
+                      ("jacobi", m + 0.7, 1.3)]]
+# alpha + beta = -2: a three-term recurrence for the coefficients of
+# P_n^(alpha+1, beta-1) would divide by 0 there
+REFERENCE_GRID.append(xf.FamilySpec("jacobi", 1, -0.5, 3, -1.5))
+
+
+def test_closed_form_matches_the_nullspace_solve():
+    for spec in REFERENCE_GRID:
+        got = xf.build_exceptional(spec).coeffs
+        want = ref_nullspace_solve(spec)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), spec
 
 
 def test_leading_coefficient_exact():
@@ -153,26 +242,38 @@ def test_ode_residual_by_polynomial_arithmetic(family, m, alpha, n, beta):
 
 
 def test_out_of_regime_rank_defect():
-    # integer alpha <= m-1 makes S pick up a root at 0; the reduced
-    # system loses rank and the failure is reported, not masked
-    with pytest.raises(xf.NullspaceDefect):
-        xf.build_exceptional(xf.FamilySpec("laguerre2", 3, 1.0, 3))
+    # integer alpha <= m-1 gives S a root at 0: the member still builds,
+    # and carries the regime warning
+    b = xf.build_exceptional(xf.FamilySpec("laguerre2", 3, 1.0, 3))
+    assert b.residual < 1e-14
+    assert b.warnings and "alpha <= m-1" in b.warnings[0]
 
 
 def test_failed_least_squares_is_nullspace_defect():
-    # at n = 400 the magnitude profile overflows; that is a typed error
-    # raised before the solve, with no RuntimeWarning on the way
-    with pytest.raises(xf.NullspaceDefect, match="profile"):
-        xf.build_exceptional(xf.FamilySpec("jacobi", 1, 2.841, 400,
-                                           beta=0.867))
+    # at n = 400 the coefficients still solve the ODE and vanish at the
+    # certified zeros
+    spec = xf.FamilySpec("jacobi", 1, 2.841, 400, beta=0.867)
+    b = xf.build_exceptional(spec)
+    assert b.residual < 1e-14
+    assert cli._max_log_excess(b.coeffs, xf.find_zeros(spec)) < -10.0
+
+
+def _patch_coeffs(monkeypatch, fill):
+    fam = exceptional.FAMILY["laguerre1"]
+    monkeypatch.setitem(exceptional.FAMILY, "laguerre1", fam._replace(
+        coeffs=lambda s: np.full(s.degree + 1, fill)))
 
 
 def test_nan_residual_is_not_a_successful_build(monkeypatch):
-    def nan_lstsq(a, b, rcond=None):
-        return np.full(a.shape[1], np.nan), None, a.shape[1], None
-
-    monkeypatch.setattr(np.linalg, "lstsq", nan_lstsq)
+    # finite coefficients whose ODE residual overflows to NaN
+    _patch_coeffs(monkeypatch, 1e308)
     with pytest.raises(xf.NullspaceDefect, match="residual nan"):
+        xf.build_exceptional(xf.FamilySpec("laguerre1", 1, 2.0, 5))
+
+
+def test_non_finite_coefficients_overflow_quietly(monkeypatch):
+    _patch_coeffs(monkeypatch, np.inf)
+    with pytest.raises(xf.RepresentationOverflow, match="overflow binary64"):
         xf.build_exceptional(xf.FamilySpec("laguerre1", 1, 2.0, 5))
 
 

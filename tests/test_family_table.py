@@ -1,14 +1,14 @@
 """The family table against the per-family branches it replaced.
 
 The references below are the three-branch forms of ode_coeffs, build_S,
-FamilySpec.interval, leading_coefficient, _magnitude_profile,
-_log_deriv_terms, default_domain and scan_grid as they read before the
-FAMILY table.  The table versions do the same floating-point operations
-in the same order, so every comparison is on the bytes.  Two more tests
-parse the package.  One fails on any comparison of a family name with a
-string literal outside the few results that exist for one family only.
-The other fails on any call of build_S but the one that tables S on the
-spec, so no other module decides how S is built.
+FamilySpec.interval, leading_coefficient, _log_deriv_terms,
+default_domain and scan_grid as they read before the FAMILY table.  The
+table versions do the same floating-point operations in the same order,
+so every comparison is on the bytes.  Two more tests parse the package.
+One fails on any comparison of a family name with a string literal
+outside the few results that exist for one family only.  The other
+fails on any call of build_S but the one that tables S on the spec, so
+no other module decides how S is built.
 """
 
 import ast
@@ -79,26 +79,6 @@ def ref_leading_coefficient(spec):
     s_lead = ref_build_S(spec)[-1]
     u_lead = gen_binom(2 * n + al + spec.beta, n) / 2.0 ** n
     return (m - n - al - 1.0) * s_lead * u_lead
-
-
-def ref_magnitude_profile(spec):
-    m, n, al = spec.m, spec.n, spec.alpha
-    if spec.family == "laguerre1":
-        f = np.abs(laguerre_coeffs(m, al))
-        g = np.abs(laguerre_coeffs(n, al - 1.0))
-        d = np.convolve(f, g)
-    elif spec.family == "laguerre2":
-        f = np.abs(laguerre_coeffs(m, -al - 1.0))
-        g = np.abs(laguerre_coeffs(n, al + 1.0))
-        d = np.convolve(f, g)
-        d = np.maximum(d, np.concatenate([[d[0]], d[:-1]]))
-    else:
-        f = np.abs(ref_build_S(spec))
-        g = np.abs(jacobi_coeffs(n, al + 1.0, spec.beta - 1.0))
-        d = np.convolve(f, g)
-        d = np.maximum(d, np.concatenate([[d[0]], d[:-1]]))
-    d = np.maximum(d, np.max(d) * 1e-300)
-    return d[: m + n + 1]
 
 
 def ref_log_deriv_terms(w):
@@ -194,8 +174,6 @@ def test_lead_and_profile_bit_identical(family):
     for spec in (s for s in SPECS if s.family == family):
         assert _same(xf.leading_coefficient(spec),
                      ref_leading_coefficient(spec)), spec
-        assert _same(exceptional._magnitude_profile(spec),
-                     ref_magnitude_profile(spec)), spec
 
 
 @pytest.mark.parametrize("family", exceptional.FAMILIES)

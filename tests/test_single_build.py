@@ -3,8 +3,8 @@
 jacobi_coeffs expands from tabulated powers of (x - 1) and (x + 1); the
 per-term polypow form it replaces is kept here as the reference and must
 agree bit for bit, overflow included.  Zero finding never builds the
-monomial coefficients, so `verify` solves the least-squares system once,
-for its construction check, and computes one zero set per spec.
+monomial coefficients, so `verify` builds them once, for its
+construction check, and computes one zero set per spec.
 """
 
 import json
@@ -114,24 +114,24 @@ def test_verify_builds_once_and_finds_zeros_once(monkeypatch, capsys,
 
 
 def test_failing_verify_build_runs_once(monkeypatch, capsys):
-    # the construction check's NullspaceDefect fails that check alone:
-    # the evaluator certifies the zeros without a second solve
+    # the construction check's RepresentationOverflow (1/(m! n!) is below
+    # binary64) fails that check alone: the evaluator certifies the
+    # zeros without a second build
     builds = _count(monkeypatch, "build_exceptional", [exceptional, cli])
-    code = cli.main(["verify", "--family", "jacobi", "--m", "1", "--alpha",
-                     "1.376", "--beta", "0.929", "--n", "120"])
+    code = cli.main(["verify", "--family", "laguerre1", "--m", "1",
+                     "--alpha", "1", "--n", "200"])
     checks = {c["name"]: c
               for c in json.loads(capsys.readouterr().out)["checks"]}
     assert code == 2
     assert len(builds) == 1
-    assert "ODE residual" in checks["construction"]["detail"]
+    assert "underflows binary64" in checks["construction"]["detail"]
     assert not checks["construction"]["passed"]
     assert checks["zeros"]["passed"]
     assert checks["zeros"]["detail"]["method"] == "evaluator"
 
 
 def test_find_zeros_ladder_never_builds(monkeypatch):
-    # the evaluator certifies the zeros, also where the build fails
-    # (jacobi at n = 120)
+    # the evaluator alone certifies the zeros
     def forbidden(spec):
         raise AssertionError("build_exceptional called")
 
