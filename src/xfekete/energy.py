@@ -175,7 +175,10 @@ def _assemble(X, logw, d1, d2):
     H = X[:, :, None] - X[:, None, :]
     i, j = _upper_pairs(n)
     cross = np.log(np.abs(H[:, i, j]))
-    F = [math.fsum(a) + 2.0 * math.fsum(b) for a, b in zip(logw, cross)]
+    # fsum reads a row through a memoryview, as Python floats: faster
+    # than as numpy scalars, the same sum, and no list of the row
+    F = [math.fsum(memoryview(a)) + 2.0 * math.fsum(memoryview(b))
+         for a, b in zip(logw, cross)]
     k = np.arange(n)
     H[:, k, k] = np.inf
     np.divide(1.0, H, out=H)

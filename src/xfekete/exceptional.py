@@ -22,7 +22,8 @@ build_exceptional multiplies the same factors out in the monomial basis,
 for the `poly` command and the construction check of `verify`, and the
 family ODE checks the result: its residual must vanish, and `verify`
 also tests the coefficients at the certified zeros.  Every layer reads S
-from one PolyTable per spec, FamilySpec.S, the only caller of build_S.
+from FamilySpec.S, the only caller of build_S: one PolyTable per
+parameter set, shared by the specs that differ only in n.
 """
 
 import functools
@@ -49,6 +50,11 @@ BUILD_RESIDUAL_TOL = 1e-9
 # |leading coeff| below exp(-_LOG_RANGE_CAP) cannot be normalized in
 # binary64; the monomial representation is refused beyond it
 _LOG_RANGE_CAP = 690.0
+
+# the S tables of the last _S_TABLES_MAX parameter sets (family, m,
+# alpha, beta), oldest first; FamilySpec.S reads and fills it
+_S_TABLES = {}
+_S_TABLES_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -88,13 +94,23 @@ class FamilySpec:
     def S(self):
         """PolyTable of S, built on first use, so that a DegreeCollapse
         of S is raised there and not at construction.  Coefficients
-        beyond binary64 raise RepresentationOverflow."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = build_S(self)
-        if not np.all(np.isfinite(c)):
-            raise RepresentationOverflow(
-                f"coefficients of S overflow binary64 for {self}")
-        return PolyTable(c)
+        beyond binary64 raise RepresentationOverflow.  S does not depend
+        on n, so specs that differ only in n share one table through
+        _S_TABLES; a build that raises is not kept, and raises again on
+        the next access."""
+        key = (self.family, self.m, self.alpha, self.beta)
+        table = _S_TABLES.get(key)
+        if table is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                c = build_S(self)
+            if not np.all(np.isfinite(c)):
+                raise RepresentationOverflow(
+                    f"coefficients of S overflow binary64 for {self}")
+            table = PolyTable(c)
+            if len(_S_TABLES) >= _S_TABLES_MAX:
+                del _S_TABLES[next(iter(_S_TABLES))]
+            _S_TABLES[key] = table
+        return table
 
     @property
     def degree(self):
@@ -227,7 +243,7 @@ def build_exceptional(spec):
     top = leading_coefficient(spec)
     if abs(top) < 1e-300 or not np.isfinite(top):
         raise RepresentationOverflow(
-            f"leading coefficient {top!r} cannot be normalized")
+            f"leading coefficient {float(top)!r} cannot be normalized")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         y = spec.fam.coeffs(spec)
         coeffs = np.zeros(deg + 1)
@@ -433,7 +449,7 @@ FAMILY = {
         k=lambda s: -2.0 * s.beta, q=lambda c: npoly.polymul((1.0, -1.0), c),
         lead_factor=lambda s: s.m - s.n - s.alpha - 1.0,
         lead=lambda s, f: f * s.S.c[-1] * (
-            gen_binom(2 * s.n + s.alpha + s.beta, s.n) / 2.0 ** s.n),
+            np.ldexp(gen_binom(2 * s.n + s.alpha + s.beta, s.n), -s.n)),
         coeffs=lambda s: _product_coeffs(
             s, (1.0, -1.0), -(s.alpha + 1.0),
             _jacobi_coeffs_top_down(s.n, s.alpha + 1.0, s.beta - 1.0)),

@@ -33,22 +33,31 @@ def _node_logs(nodes):
     return nodes, logbw, sgnbw
 
 
-def _log_fundamentals(nodes, logbw, sgnbw, x):
-    """log|l_k(x)|, sign(l_k(x)) and an exact-hit mask, shapes (n, nx)."""
+def _log_fundamentals(nodes, logbw, x, sgnbw=None):
+    """log|l_k(x)| and an exact-hit mask, shapes (n, nx) and (nx,); given
+    the node signs sgnbw, also sign(l_k(x)), returned between them."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x[None, :] - nodes[:, None]
-    hit = d == 0.0
-    dsafe = np.where(hit, 1.0, d)
-    logd = np.log(np.abs(dsafe))
+    # x - x_k is 0 exactly where x equals a node
+    anyhit = np.isin(x, nodes)
+    hit = (d == 0.0) if anyhit.any() else None
+    if hit is not None:
+        d[hit] = 1.0
+    if sgnbw is not None:
+        sgnd = np.sign(d)
+        sgnlk = np.prod(sgnd, axis=0)[None, :] * sgnd * sgnbw[:, None]
+        sgnlk[:, anyhit] = 1.0
+    # log|x - x_k|, then log|l_k(x)|, in place
+    logd = np.log(np.abs(d, out=d), out=d)
     total_log = np.sum(logd, axis=0)
-    total_sgn = np.prod(np.sign(dsafe), axis=0)
-    loglk = total_log[None, :] - logd + logbw[:, None]
-    sgnlk = total_sgn[None, :] * np.sign(dsafe) * sgnbw[:, None]
-    # a column containing an exact node hit is pure Kronecker
-    anyhit = np.any(hit, axis=0)
-    loglk[:, anyhit] = -np.inf
-    loglk[hit] = 0.0
-    sgnlk[:, anyhit] = 1.0
+    loglk = np.subtract(total_log[None, :], logd, out=logd)
+    loglk += logbw[:, None]
+    if hit is not None:
+        # a column containing an exact node hit is pure Kronecker
+        loglk[:, anyhit] = -np.inf
+        loglk[hit] = 0.0
+    if sgnbw is None:
+        return loglk, anyhit
     return loglk, sgnlk, anyhit
 
 
@@ -63,7 +72,7 @@ def lagrange_basis(nodes):
 
     def basis(x):
         scalar = np.ndim(x) == 0
-        loglk, sgnlk, _ = _log_fundamentals(nodes, logbw, sgnbw, x)
+        loglk, sgnlk, _ = _log_fundamentals(nodes, logbw, x, sgnbw)
         vals = sgnlk * np.exp(loglk)
         return vals[:, 0] if scalar else vals
 
@@ -77,13 +86,16 @@ def _weighted_log_terms(nodes, w):
     (2 log|l_k(x)| + log v(x) - log v(x_k), exact-hit mask), the first
     of shape (n, nx), the log of each term v(x)/v(x_k) l_k(x)^2.
     """
-    nodes, logbw, sgnbw = _node_logs(nodes)
+    nodes, logbw, _ = _node_logs(nodes)
     logv_nodes, _, _ = weight_logs(w, nodes)
 
     def log_terms(x1):
-        loglk, _, anyhit = _log_fundamentals(nodes, logbw, sgnbw, x1)
+        loglk, anyhit = _log_fundamentals(nodes, logbw, x1)
         logv_x, _, _ = weight_logs(w, x1)
-        return 2.0 * loglk + logv_x[None, :] - logv_nodes[:, None], anyhit
+        loglk *= 2.0
+        loglk += logv_x[None, :]
+        loglk -= logv_nodes[:, None]
+        return loglk, anyhit
 
     return nodes, log_terms
 
@@ -98,20 +110,24 @@ def grunwald(nodes, w, y=None):
     fundamental is ever formed directly.
     """
     nodes, log_terms = _weighted_log_terms(nodes, w)
-    fvals = np.ones_like(nodes) if y is None \
-        else np.asarray(y, dtype=float)
+    fvals = None if y is None else np.asarray(y, dtype=float)
 
     def G(x):
         scalar = np.ndim(x) == 0
         x1 = np.atleast_1d(np.asarray(x, dtype=float))
         arg, anyhit = log_terms(x1)
         with np.errstate(over="ignore"):
-            terms = np.exp(arg)
-        out = np.sum(fvals[:, None] * terms, axis=0)
-        if np.any(anyhit):
-            k = np.argmin(np.abs(x1[anyhit][None, :]
-                                 - nodes[:, None]), axis=0)
-            out[anyhit] = fvals[k]
+            terms = np.exp(arg, out=arg)
+        if fvals is None:
+            # the fundamental sum: each y_k = 1, and so is G at a node
+            out = np.sum(terms, axis=0)
+            out[anyhit] = 1.0
+        else:
+            out = np.sum(fvals[:, None] * terms, axis=0)
+            if np.any(anyhit):
+                k = np.argmin(np.abs(x1[anyhit][None, :]
+                                     - nodes[:, None]), axis=0)
+                out[anyhit] = fvals[k]
         return float(out[0]) if scalar else out
 
     return G
@@ -184,8 +200,10 @@ def stability_scan(zs, grid_size=1000):
     gmin = float(np.min(vals[finite]))
     # off-node margin of 1 - G: exclude the near-node refinement points,
     # where 1 - G sits at rounding level by construction
-    dist = np.min(np.abs(grid[:, None] - nodes[None, :])
-                  / (1.0 + np.abs(nodes[None, :])), axis=1)
+    dist = np.subtract.outer(grid, nodes)
+    np.abs(dist, out=dist)
+    dist /= 1.0 + np.abs(nodes)
+    dist = np.min(dist, axis=1)
     off = finite & (dist > 1e-4)
     off_margin = float(np.min(1.0 - vals[off])) if np.any(off) else np.nan
     n, m = spec.n, spec.m

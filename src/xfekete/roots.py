@@ -38,11 +38,14 @@ CERT_TOL = 1e-10
 # raise no warning
 _QUIET = dict(divide="ignore", over="ignore", invalid="ignore")
 
-# Newton stops below NEWTON_TOL, or below NEWTON_FLOOR once the step has
-# stopped shrinking (the rounding floor; n >~ 100 never reaches
+# Newton stops once every point's next step is predicted below
+# NEWTON_TOL, the prediction trusted while every step is at most
+# PREDICT_TRUST (see _newton_ladder), or else below NEWTON_FLOOR once the
+# step has stopped shrinking (the rounding floor; n >~ 100 never reaches
 # NEWTON_TOL)
 NEWTON_TOL = 1e-15
 NEWTON_FLOOR = 1e-13
+PREDICT_TRUST = 1e-8
 
 # real parts that agree to SORT_RTOL (1 + |x|) are a tie when listing
 # complex zeros, so the last bits of a conjugate pair's real parts do not
@@ -86,21 +89,33 @@ def _newton_ladder(specs, x0s, itmax=60, deflates=None):
     couples the iterates, so two of them cannot converge to the same
     zero; for a single iterate it is exactly 0.
 
-    A spec stops once the largest relative step max|dx|/(1+|x|) of its
-    iterates falls below NEWTON_TOL, or falls below NEWTON_FLOOR and no
-    longer shrinks: the iterates then sit at the rounding floor of the
-    evaluator, where further steps only move them around.  Returns, per
-    spec, the polished iterates, or the NonConvergence of a stage whose
-    last relative step is above CERT_TOL or not finite, or the error its
-    evaluation raised.  Every operation on a spec's points is the one a
-    ladder of that spec alone makes, so the results do not depend on the
-    other members.
+    A spec stops once quadratic convergence predicts that its next step
+    would fall below NEWTON_TOL, so it does not take the rounds that only
+    move its iterates about the evaluator's rounding floor.  Each point
+    has its relative step a = |dx|/(1+|x|) and its step p one round
+    earlier; it is done once a < NEWTON_TOL, or a < p and
+    a^3 <= NEWTON_TOL p^2 (the next step, about a (a/p)^2, lies below
+    NEWTON_TOL).  Done points stay done, and the spec stops when all are,
+    but only while its largest step max a is at most PREDICT_TRUST; a
+    larger one clears every mark.  So a stage still stops once max a
+    falls below NEWTON_TOL, and the fallback stops it once max a falls
+    below NEWTON_FLOOR and no longer shrinks.  Returns, per spec, the
+    polished iterates, or the NonConvergence of a stage whose last max a
+    is not finite, or above CERT_TOL without the prediction, or the
+    error its evaluation raised; the certificate of find_zeros_ladder,
+    not the prediction, proves the zeros.  Every operation on a spec's
+    points is the one a ladder of that spec alone makes, so the results
+    do not depend on the other members.
     """
     xs = [np.array(x0, dtype=complex if np.iscomplexobj(x0) else float)
           for x0 in x0s]
     deflates = deflates or [None] * len(specs)
     out = [x if x.size == 0 else None for x in xs]
     prev = [np.inf] * len(specs)
+    # per point: its last relative step (0 before the first, so the
+    # prediction needs two) and whether it is predicted done
+    last = [np.zeros(x.shape) for x in xs]
+    done = [np.zeros(x.shape, dtype=bool) for x in xs]
     live = [i for i, x in enumerate(xs) if x.size]
     for it in range(1, itmax + 1):
         if not live:
@@ -118,14 +133,20 @@ def _newton_ladder(specs, x0s, itmax=60, deflates=None):
                         np.sum(1.0 / (x[:, None] - deflates[i]), axis=1)
                         + np.sum(1.0 / dif, axis=1)))
                 xs[i] = x = x - step
-                rel = float(np.max(np.abs(step) / (1 + np.abs(x))))
-                if (not np.isfinite(rel) or rel < NEWTON_TOL
+                a, p = np.abs(step) / (1 + np.abs(x)), last[i]
+                rel = float(np.max(a))
+                done[i] = (rel <= PREDICT_TRUST) & (
+                    done[i] | (a < NEWTON_TOL)
+                    | ((a < p) & (a ** 3 <= NEWTON_TOL * p ** 2)))
+                predicted = bool(done[i].all())
+                if (not np.isfinite(rel) or predicted
                         or NEWTON_FLOOR > rel >= prev[i] or it == itmax):
-                    out[i] = x if rel <= CERT_TOL else NonConvergence(
-                        f"Newton stopped after {it} iterations with relative "
-                        f"step {rel:.3e} for {specs[i]}",
-                        [{"iterations": it, "relative_step": rel}])
-                prev[i] = rel
+                    out[i] = x if rel <= CERT_TOL or predicted \
+                        else NonConvergence(
+                            f"Newton stopped after {it} iterations with "
+                            f"relative step {rel:.3e} for {specs[i]}",
+                            [{"iterations": it, "relative_step": rel}])
+                prev[i], last[i] = rel, a
         live = [i for i in live if out[i] is None]
     return out
 

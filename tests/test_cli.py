@@ -382,8 +382,8 @@ FEKETE_GOLDEN = (
     '31439,19.019298778406583,25.05647989790522,33.334599870654777]'
     '}],"converged":20,"domain":[0,48],"failed":0,"seed":0,"spec":{'
     '"alpha":2,"family":"laguerre1","m":1,"n":10},"top_cluster_devi'
-    'ation_from_zeros":1.531841320456806e-10,"trials":20,"version":'
-    '"0.1.0"}'
+    'ation_from_zeros":1.5318435409028552e-10,"trials":20,"version"'
+    ':"0.1.0"}'
     "\n")
 
 
@@ -400,7 +400,7 @@ def test_fekete_golden_stdout(capsys):
 # the zeros' certificate before the evaluator certified them
 VERIFY_GOLDEN = {
     ("laguerre1", "--m", "2", "--alpha", "2", "--n", "5"): (
-        '{"checks":[{"detail":{"max_log_excess":-13.253368530489468,"resid'
+        '{"checks":[{"detail":{"max_log_excess":-16.944749297952931,"resid'
         'ual":1.6613887386833617e-19},"name":"construction","passed":true}'
         ',{"detail":{"max_ratio":1.5537973180361873e-16,"method":"evaluato'
         'r","passed":true},"name":"zeros","passed":true},{"detail":{"mode"'
@@ -408,25 +408,25 @@ VERIFY_GOLDEN = {
         'cation":"saddle","max_gradient":3.9968028886505635e-15},"name":"s'
         'addle","passed":true},{"detail":{"abs_err":3.5527136788005009e-15'
         ',"lhs":26.999999999999996,"rhs":27},"name":"zero_sum","passed":tr'
-        'ue},{"detail":{"max":0.99999999999997435,"min":7.0120053275214158'
+        'ue},{"detail":{"max":0.99999999999997258,"min":7.0120053275214158'
         'e-43},"name":"stability","passed":true},{"detail":{"diag_all_nega'
-        'tive":true,"max_gradient":4.4408920985006262e-16},"name":"fekete_'
+        'tive":true,"max_gradient":6.6613381477509392e-16},"name":"fekete_'
         'stationary","passed":true}],"passed":true,"spec":{"alpha":2,"fami'
         'ly":"laguerre1","m":2,"n":5},"version":"0.1.0"}\n'),
     ("laguerre2", "--m", "2", "--alpha", "2.5", "--n", "5"): (
-        '{"checks":[{"detail":{"max_log_excess":-14.121623320897948,"resid'
+        '{"checks":[{"detail":{"max_log_excess":-17.488691065624742,"resid'
         'ual":0},"name":"construction","passed":true},{"detail":{"max_rati'
-        'o":1.1782900124885035e-16,"method":"evaluator","passed":true},"na'
+        'o":1.9964448669493474e-16,"method":"evaluator","passed":true},"na'
         'me":"zeros","passed":true},{"detail":{"diag_all_negative":true,"m'
-        'ax_gradient":8.8817841970012523e-16},"name":"fekete_stationary","'
+        'ax_gradient":6.3837823915946501e-16},"name":"fekete_stationary","'
         'passed":true}],"passed":true,"spec":{"alpha":2.5,"family":"laguer'
         're2","m":2,"n":5},"version":"0.1.0"}\n'),
     ("jacobi", "--m", "1", "--alpha", "2.5", "--beta", "1.5", "--n", "60"): (
         '{"checks":[{"detail":{"max_log_excess":-12.61458286132731,"residu'
         'al":1.80752050669243e-16},"name":"construction","passed":true},{"'
-        'detail":{"max_ratio":3.4029451573639913e-17,"method":"evaluator",'
+        'detail":{"max_ratio":7.1704801354862612e-17,"method":"evaluator",'
         '"passed":true},"name":"zeros","passed":true},{"detail":{"diag_all'
-        '_negative":true,"max_gradient":1.0231815394945443e-11},"name":"fe'
+        '_negative":true,"max_gradient":1.0459189070388675e-11},"name":"fe'
         'kete_stationary","passed":true}],"passed":true,"spec":{"alpha":2.'
         '5,"beta":1.5,"family":"jacobi","m":1,"n":60},"version":"0.1.0"}\n'),
 }

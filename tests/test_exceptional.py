@@ -13,6 +13,7 @@ implementation):
   jacobi,    m=1, alpha=2, b=1:   S(x) = -3/2 - x/2
 """
 
+import json
 import math
 import warnings
 
@@ -280,6 +281,31 @@ def test_non_finite_coefficients_overflow_quietly(monkeypatch):
 def test_representation_overflow_guard():
     with pytest.raises(xf.RepresentationOverflow):
         xf.build_exceptional(xf.FamilySpec("laguerre1", 1, 1.0, 200))
+
+
+def test_jacobi_lead_scales_by_ldexp(capsys):
+    # the lead divided by 2.0 ** n, which raised OverflowError from
+    # n = 1024 on; below it ldexp gives the same bits
+    for n in (0, 1, 5, 120, 500, 1023):
+        s = xf.FamilySpec("jacobi", 1, 2.5, n, 1.5)
+        f = s.fam.lead_factor(s)
+        old = f * s.S.c[-1] * (
+            exceptional.gen_binom(2 * n + 2.5 + 1.5, n) / 2.0 ** n)
+        assert np.float64(s.fam.lead(s, f)).tobytes() == \
+            np.float64(old).tobytes(), n
+    with pytest.raises(xf.RepresentationOverflow) as err:
+        xf.build_exceptional(xf.FamilySpec("jacobi", 1, 2.5, 1100, 1.5))
+    sel = ["--family", "jacobi", "--m", "1", "--alpha", "2.5",
+           "--beta", "1.5", "--n", "1100"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["poly", *sel]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "RepresentationOverflow"
+        assert cli.main(["verify", *sel]) == 2
+    checks = {c["name"]: c for c in
+              json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["construction"]["detail"] == str(err.value)
 
 
 # ---------------------------------------------------------------- evaluator

@@ -56,7 +56,8 @@ def ref_newton(spec, x0, itmax=60, deflate=None, its=None):
     x = np.array(x0, dtype=complex if np.iscomplexobj(x0) else float)
     if x.size == 0:
         return x
-    prev = np.inf
+    prev, last = np.inf, np.zeros(x.shape)
+    done = np.zeros(x.shape, dtype=bool)
     for it in range(1, itmax + 1):
         v, dv = xf.exceptional_eval_pair(spec, x)
         step = v / dv
@@ -67,14 +68,21 @@ def ref_newton(spec, x0, itmax=60, deflate=None, its=None):
                 np.sum(1.0 / (x[:, None] - deflate), axis=1)
                 + np.sum(1.0 / dif, axis=1)))
         x = x - step
-        rel = float(np.max(np.abs(step) / (1 + np.abs(x))))
-        if (not np.isfinite(rel) or rel < roots.NEWTON_TOL
+        a = np.abs(step) / (1 + np.abs(x))
+        rel = float(np.max(a))
+        # a point is done once quadratic convergence puts its next step
+        # below NEWTON_TOL; trusted while every step is small
+        done = (rel <= roots.PREDICT_TRUST) & (
+            done | (a < roots.NEWTON_TOL)
+            | ((a < last) & (a ** 3 <= roots.NEWTON_TOL * last ** 2)))
+        predicted = bool(done.all())
+        if (not np.isfinite(rel) or predicted
                 or roots.NEWTON_FLOOR > rel >= prev):
             break
-        prev = rel
+        prev, last = rel, a
     if its is not None:
         its.append(it)
-    if not rel <= roots.CERT_TOL:
+    if not (rel <= roots.CERT_TOL or predicted):
         raise xf.NonConvergence(
             f"Newton stopped after {it} iterations with relative step "
             f"{rel:.3e} for {spec}",

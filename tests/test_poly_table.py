@@ -156,3 +156,17 @@ def test_verify_builds_S_once_and_never_in_newton(monkeypatch, capsys,
     capsys.readouterr()
     assert entered and calls and not any(inside for _, inside in calls)
     assert max(Counter(spec for spec, _ in calls).values()) == 1
+
+
+def test_specs_that_differ_only_in_n_share_one_S_table():
+    a = xf.FamilySpec("laguerre2", 3, 4.25, 7)
+    assert a.S is xf.FamilySpec("laguerre2", 3, 4.25, 90).S
+    assert a.S is not xf.FamilySpec("laguerre2", 3, 4.5, 7).S
+    # a build that raises is not kept: it raises on every access
+    for spec in [xf.FamilySpec("jacobi", 2, 3.0, n, 1.0) for n in (4, 5)]:
+        for _ in range(2):
+            with pytest.raises(xf.DegreeCollapse):
+                spec.S
+    for alpha in np.linspace(5.0, 6.0, 2 * exceptional._S_TABLES_MAX):
+        xf.FamilySpec("laguerre1", 2, float(alpha), 3).S
+    assert len(exceptional._S_TABLES) == exceptional._S_TABLES_MAX

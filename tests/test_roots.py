@@ -2,14 +2,17 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
 import xfekete as xf
+from xfekete import roots
 from xfekete.roots import _sort_zeros
 
 from conftest import built_of, spec_of, zeros_of
+from test_pair import mp_member
 
 
 def test_degree_one_member_single_zero():
@@ -164,3 +167,35 @@ def test_conjugate_pair_listed_by_imaginary_part():
     want = z[[2, 1, 0]]
     for perm in ([0, 1, 2], [1, 0, 2], [2, 0, 1]):
         np.testing.assert_array_equal(_sort_zeros(z[perm]), want)
+
+
+# ------------------------------------------------- predicted stop
+
+@pytest.mark.parametrize("family,m,alpha,n,most", [
+    ("laguerre2", 3, 4.5, 200, 4), ("laguerre1", 1, 2.0, 120, 3)])
+def test_regular_stage_stops_at_its_predicted_floor(monkeypatch, family, m,
+                                                    alpha, n, most):
+    # the step-size rule alone took 8 and 6 rounds, the last ones at the
+    # rounding floor
+    calls = []
+    pair = roots.ladder_eval_pair
+    monkeypatch.setattr(roots, "ladder_eval_pair",
+                        lambda *a: calls.append(1) or pair(*a))
+    spec = xf.FamilySpec(family, m, alpha, n)
+    roots._newton(spec, spec.fam.gauss(spec))
+    assert 0 < len(calls) <= most
+
+
+@pytest.mark.parametrize("family,m,alpha,n,beta", [
+    ("laguerre1", 3, 1.5, 200, None), ("laguerre2", 3, 4.5, 200, None),
+    ("jacobi", 2, 2.6, 120, 0.8)])
+def test_predicted_stop_matches_40_digit_newton(family, m, alpha, n, beta):
+    zs = zeros_of(family, m, alpha, n, beta)
+    reg = zs.regular
+    f = mp_member(zs.spec)
+    with mpmath.workdps(40):
+        for z in [reg[0], reg[n // 2], reg[-1], *zs.exceptional]:
+            r = mpmath.mpmathify(z)
+            for _ in range(6):
+                r = r - f(r) / mpmath.diff(f, r)
+            assert abs(mpmath.mpmathify(z) - r) <= 1e-11 * abs(r), z
