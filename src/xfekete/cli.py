@@ -19,8 +19,8 @@ import numpy.polynomial.polynomial as npoly
 from .asymptotics import d_sequence, zero_sum_check
 from .energy import WeightSpec, energy_hessian, v_weight
 from .errors import NumericalError, ValidationError, XFeketeError
-from .exceptional import (_S_TABLES, FAMILIES, FamilySpec,
-                          build_exceptional, leading_coefficient)
+from .exceptional import (FAMILIES, FamilySpec, build_exceptional,
+                          leading_coefficient)
 from .fekete_opt import default_domain, uniqueness_probe
 from .interp import stability_scan
 from .roots import CERT_TOL, check_interlacing, find_zeros
@@ -313,10 +313,6 @@ def main(argv=None):
     # the subcommand's function is looked up per call, not stored in the
     # shared parser, so main always runs the module's current cmd_*
     fn = globals()[f"cmd_{args.cmd}"]
-    # a command shares S tables only among its own specs: it starts with
-    # none, as in a fresh process, so neither its work nor its counts
-    # depend on the commands run before it in the same process
-    _S_TABLES.clear()
     try:
         return fn(args)
     except ValidationError as exc:

@@ -22,8 +22,7 @@ build_exceptional multiplies the same factors out in the monomial basis,
 for the `poly` command and the construction check of `verify`, and the
 family ODE checks the result: its residual must vanish, and `verify`
 also tests the coefficients at the certified zeros.  Every layer reads S
-from FamilySpec.S, the only caller of build_S: one PolyTable per
-parameter set, shared by the specs that differ only in n.
+from one PolyTable per spec, FamilySpec.S, the only caller of build_S.
 """
 
 import functools
@@ -50,11 +49,6 @@ BUILD_RESIDUAL_TOL = 1e-9
 # |leading coeff| below exp(-_LOG_RANGE_CAP) cannot be normalized in
 # binary64; the monomial representation is refused beyond it
 _LOG_RANGE_CAP = 690.0
-
-# the S tables of the last _S_TABLES_MAX parameter sets (family, m,
-# alpha, beta), oldest first; FamilySpec.S reads and fills it
-_S_TABLES = {}
-_S_TABLES_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -94,23 +88,13 @@ class FamilySpec:
     def S(self):
         """PolyTable of S, built on first use, so that a DegreeCollapse
         of S is raised there and not at construction.  Coefficients
-        beyond binary64 raise RepresentationOverflow.  S does not depend
-        on n, so specs that differ only in n share one table through
-        _S_TABLES; a build that raises is not kept, and raises again on
-        the next access."""
-        key = (self.family, self.m, self.alpha, self.beta)
-        table = _S_TABLES.get(key)
-        if table is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                c = build_S(self)
-            if not np.all(np.isfinite(c)):
-                raise RepresentationOverflow(
-                    f"coefficients of S overflow binary64 for {self}")
-            table = PolyTable(c)
-            if len(_S_TABLES) >= _S_TABLES_MAX:
-                del _S_TABLES[next(iter(_S_TABLES))]
-            _S_TABLES[key] = table
-        return table
+        beyond binary64 raise RepresentationOverflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = build_S(self)
+        if not np.all(np.isfinite(c)):
+            raise RepresentationOverflow(
+                f"coefficients of S overflow binary64 for {self}")
+        return PolyTable(c)
 
     @property
     def degree(self):

@@ -33,9 +33,8 @@ def _node_logs(nodes):
     return nodes, logbw, sgnbw
 
 
-def _log_fundamentals(nodes, logbw, x, sgnbw=None):
-    """log|l_k(x)| and an exact-hit mask, shapes (n, nx) and (nx,); given
-    the node signs sgnbw, also sign(l_k(x)), returned between them."""
+def _log_fundamentals(nodes, logbw, x):
+    """log|l_k(x)| and an exact-hit mask, shapes (n, nx) and (nx,)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x[None, :] - nodes[:, None]
     # x - x_k is 0 exactly where x equals a node
@@ -43,10 +42,6 @@ def _log_fundamentals(nodes, logbw, x, sgnbw=None):
     hit = (d == 0.0) if anyhit.any() else None
     if hit is not None:
         d[hit] = 1.0
-    if sgnbw is not None:
-        sgnd = np.sign(d)
-        sgnlk = np.prod(sgnd, axis=0)[None, :] * sgnd * sgnbw[:, None]
-        sgnlk[:, anyhit] = 1.0
     # log|x - x_k|, then log|l_k(x)|, in place
     logd = np.log(np.abs(d, out=d), out=d)
     total_log = np.sum(logd, axis=0)
@@ -56,9 +51,17 @@ def _log_fundamentals(nodes, logbw, x, sgnbw=None):
         # a column containing an exact node hit is pure Kronecker
         loglk[:, anyhit] = -np.inf
         loglk[hit] = 0.0
-    if sgnbw is None:
-        return loglk, anyhit
-    return loglk, sgnlk, anyhit
+    return loglk, anyhit
+
+
+def _sign_fundamentals(nodes, sgnbw, x):
+    """sign(l_k(x)), shape (n, nx); 1 in a column with an exact node hit,
+    whose fundamentals are the Kronecker 0s and 1."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    sgnd = np.sign(x[None, :] - nodes[:, None])
+    sgnlk = np.prod(sgnd, axis=0)[None, :] * sgnd * sgnbw[:, None]
+    sgnlk[:, np.isin(x, nodes)] = 1.0
+    return sgnlk
 
 
 def lagrange_basis(nodes):
@@ -72,8 +75,8 @@ def lagrange_basis(nodes):
 
     def basis(x):
         scalar = np.ndim(x) == 0
-        loglk, sgnlk, _ = _log_fundamentals(nodes, logbw, x, sgnbw)
-        vals = sgnlk * np.exp(loglk)
+        loglk, _ = _log_fundamentals(nodes, logbw, x)
+        vals = _sign_fundamentals(nodes, sgnbw, x) * np.exp(loglk)
         return vals[:, 0] if scalar else vals
 
     return basis

@@ -263,6 +263,22 @@ def find_zeros(spec):
     return zs
 
 
+def _share_S(specs):
+    """Give every spec of a ladder the first one's S table: S does not
+    depend on n, so the ladder builds it and its roots once.  A build
+    that raises is not shared; each member raises it again on its own
+    access."""
+    if len(specs) < 2:
+        return
+    try:
+        table = specs[0].S
+    except XFeketeError:
+        return
+    for spec in specs[1:]:
+        # FamilySpec.S is a cached_property: its cache is the instance dict
+        vars(spec)["S"] = table
+
+
 def find_zeros_ladder(specs):
     """find_zeros for each spec of a ladder, specs that differ only in n,
     with each Newton stage solved for all of them in lockstep and their
@@ -276,6 +292,7 @@ def find_zeros_ladder(specs):
     specs = list(specs)
     if len({(s.family, s.m, s.alpha, s.beta) for s in specs}) > 1:
         raise ValidationError("the specs of a ladder differ only in n")
+    _share_S(specs)
     out = [None] * len(specs)
     seeds = {}
     for i, spec in enumerate(specs):

@@ -158,15 +158,26 @@ def test_verify_builds_S_once_and_never_in_newton(monkeypatch, capsys,
     assert max(Counter(spec for spec, _ in calls).values()) == 1
 
 
-def test_specs_that_differ_only_in_n_share_one_S_table():
-    a = xf.FamilySpec("laguerre2", 3, 4.25, 7)
-    assert a.S is xf.FamilySpec("laguerre2", 3, 4.25, 90).S
-    assert a.S is not xf.FamilySpec("laguerre2", 3, 4.5, 7).S
-    # a build that raises is not kept: it raises on every access
-    for spec in [xf.FamilySpec("jacobi", 2, 3.0, n, 1.0) for n in (4, 5)]:
-        for _ in range(2):
-            with pytest.raises(xf.DegreeCollapse):
-                spec.S
-    for alpha in np.linspace(5.0, 6.0, 2 * exceptional._S_TABLES_MAX):
-        xf.FamilySpec("laguerre1", 2, float(alpha), 3).S
-    assert len(exceptional._S_TABLES) == exceptional._S_TABLES_MAX
+def test_a_ladder_builds_S_once(monkeypatch):
+    calls = []
+    real_build = exceptional.build_S
+
+    def build_S(spec):
+        calls.append(spec)
+        return real_build(spec)
+
+    monkeypatch.setattr(exceptional, "build_S", build_S)
+    specs = [xf.FamilySpec("laguerre1", 1, 2.0, n) for n in range(9, 21)]
+    for zs in roots.find_zeros_ladder(specs):
+        assert zs.certificate["passed"]
+    assert len(calls) == 1
+    assert all(spec.S is specs[0].S for spec in specs)
+    # a spec outside the ladder keeps its own table
+    assert xf.FamilySpec("laguerre1", 1, 2.0, 9).S is not specs[0].S
+    # a build that raises is not shared: every member raises it
+    specs = [xf.FamilySpec("jacobi", 2, 3.0, n, 1.0) for n in (4, 5)]
+    out = roots.find_zeros_ladder(specs)
+    assert all(isinstance(exc, xf.DegreeCollapse) for exc in out)
+    for spec in specs:
+        with pytest.raises(xf.DegreeCollapse):
+            spec.S
