@@ -95,7 +95,7 @@ def d_sequence(m, alpha, n_range, c=1.0):
     invalid m, alpha, range or c raises ValidationError.  One extra
     member below the range start is computed so the first delta is
     defined.  The members' zeros are found as one ladder
-    (find_zeros_ladder), each Newton stage solved for all n together.
+    (find_zeros_ladder), the Newton polish solved for all n together.
     """
     wanted = sorted(set(int(n) for n in n_range))
     if not wanted:

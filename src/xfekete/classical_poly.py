@@ -313,6 +313,17 @@ def jacobi_eval(n, a, b, x):
     return jacobi_pass(n, a, b, x)[0]
 
 
+def _jacobi_matrix_eigvals(diag, off):
+    """Eigenvalues of the symmetric tridiagonal (Jacobi) matrix with
+    diagonal diag and off-diagonal off, filled into one zero matrix."""
+    n = diag.size
+    M = np.zeros((n, n))
+    M.flat[::n + 1] = diag
+    M.flat[1::n + 1] = off
+    M.flat[n::n + 1] = off
+    return np.linalg.eigvalsh(M)
+
+
 def laguerre_zeros(n, a):
     """Zeros of L_n^(a) (a > -1) as eigenvalues of the Jacobi matrix."""
     if n == 0:
@@ -322,7 +333,7 @@ def laguerre_zeros(n, a):
     k = np.arange(n)
     diag = 2 * k + a + 1
     off = np.sqrt(k[1:] * (k[1:] + a))
-    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return _jacobi_matrix_eigvals(diag, off)
 
 
 def jacobi_zeros(n, a, b):
@@ -345,7 +356,7 @@ def jacobi_zeros(n, a, b):
     den = (2 * k + a + b) ** 2 * (2 * k + a + b + 1) * (2 * k + a + b - 1)
     off[1:] = num / den
     off = np.sqrt(off)
-    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return _jacobi_matrix_eigvals(diag, off)
 
 
 _BESSEL_TERM_CAP = 500

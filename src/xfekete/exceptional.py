@@ -438,7 +438,7 @@ FAMILY = {
             s, (1.0, -1.0), -(s.alpha + 1.0),
             _jacobi_coeffs_top_down(s.n, s.alpha + 1.0, s.beta - 1.0)),
         pair=_jac_pair, regime=_jac_regime,
-        domain=lambda s, n: (-1.0 + 1e-3, 1.0 - 1e-3)),
+        domain=lambda s, n: (-1.0, 1.0)),
 }
 
 FAMILIES = tuple(FAMILY)

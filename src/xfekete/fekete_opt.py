@@ -28,7 +28,9 @@ ITMAX = 500
 
 def default_domain(w, n):
     """Search box for n nodes: (0, 4n + 2 alpha + 4m) for the Laguerre
-    families, (-1 + 1e-3, 1 - 1e-3) for jacobi."""
+    families, the open interval (-1, 1) for jacobi, whose extreme zeros
+    come within 1e-3 of the ends from n ~ 90 on (the weight's pole guard
+    refuses nodes within 1e-12 of them)."""
     return w.spec.fam.domain(w.spec, n)
 
 

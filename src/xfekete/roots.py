@@ -4,12 +4,12 @@ Each degree-(m+n) member has n simple zeros inside the orthogonality
 interval (the regular zeros) and m zeros outside its closure (the
 exceptional zeros; real and negative for laguerre1, possibly complex for
 laguerre2 and jacobi).  Root finding never touches monomial coefficients:
-one engine serves all three families.  Newton on the pointwise
-closed-form evaluator polishes the regular zeros from classical Gauss
-seeds, then the exceptional zeros from the zeros of S, to which they
-tend (Gomez-Ullate, Marcellan & Milson 2013), with the regular zeros
-divided out and the exceptional iterates coupled (Aberth-Ehrlich).
-Specs that differ only in n (a ladder, such as the members of a diameter
+one engine serves all three families.  One Newton iteration on the
+pointwise closed-form evaluator polishes all m + n zeros together: the
+regular ones from classical Gauss seeds, the exceptional ones from the
+zeros of S, to which they tend (Gomez-Ullate, Marcellan & Milson 2013),
+each exceptional iterate coupled to every other (Aberth-Ehrlich).  Specs
+that differ only in n (a ladder, such as the members of a diameter
 sweep) are polished together: each Newton round evaluates every pending
 point of every member in one call, and a single spec is a ladder of one.
 The same evaluator certifies the zeros: the certificate bounds its
@@ -70,24 +70,29 @@ class ZeroSet:
     certificate: dict
 
 
-def _newton_ladder(specs, x0s, itmax=60, deflates=None):
+def _newton_ladder(specs, x0s, itmax=60):
     """Newton polish of a ladder of specs, one iterate array x0s[i] per
     spec, all in lockstep: each round makes one ladder_eval_pair call for
     every pending point of every pending spec.
 
     The specs differ only in n.  Each keeps its own iterates, step
     history, iteration count and stop test, and drops out once it stops.
-    deflates[i], where given, holds zeros of spec i already found (the
-    regular ones, when polishing exceptional zeros), held fixed.  With
-    it the step is the Aberth-Ehrlich correction
-        rho / (1 - rho (sum_k 1/(x_i - r_k) + sum_{j != i} 1/(x_i - x_j))),
-    rho = y/y', over that spec's own iterates.  The first sum divides the
-    fixed zeros out of y (Maehly's correction), so a seed near an
-    exceptional zero is not thrown off by the n zeros inside the
-    interval: without it, Newton from a zero of S can overshoot and then
-    creep back by about 1/n of the distance per step.  The second sum
-    couples the iterates, so two of them cannot converge to the same
-    zero; for a single iterate it is exactly 0.
+    The first n iterates of spec i (n = specs[i].n) seek its regular
+    zeros by plain Newton, rho = y/y'.  Any after them seek its
+    exceptional zeros by the Aberth-Ehrlich correction
+        rho_i / (1 - rho_i sum_{j != i} 1/(x_i - x_j)),
+    summed over all the spec's other iterates, at a cost of O(n m) per
+    round.  The sum divides the regular iterates out of y (Maehly's
+    correction), so a seed near an exceptional zero is not thrown off by
+    the n zeros inside the interval: without it, Newton from a zero of S
+    can overshoot and then creep back by about 1/n of the distance per
+    step.  It also couples the exceptional iterates, so two of them
+    cannot converge to the same zero.  The coupling is one-way: were
+    the regular iterates to divide out the exceptional ones too, a zero
+    of S near the interval's end could push a regular iterate onto a
+    zero that another one already holds (laguerre1 m=4 alpha=0.1264
+    n=5, for one).  With no exceptional iterate every step is plain
+    Newton, bit for bit.
 
     A spec stops once quadratic convergence predicts that its next step
     would fall below NEWTON_TOL, so it does not take the rounds that only
@@ -97,19 +102,19 @@ def _newton_ladder(specs, x0s, itmax=60, deflates=None):
     a^3 <= NEWTON_TOL p^2 (the next step, about a (a/p)^2, lies below
     NEWTON_TOL).  Done points stay done, and the spec stops when all are,
     but only while its largest step max a is at most PREDICT_TRUST; a
-    larger one clears every mark.  So a stage still stops once max a
+    larger one clears every mark.  So a spec still stops once max a
     falls below NEWTON_TOL, and the fallback stops it once max a falls
     below NEWTON_FLOOR and no longer shrinks.  Returns, per spec, the
-    polished iterates, or the NonConvergence of a stage whose last max a
-    is not finite, or above CERT_TOL without the prediction, or the
-    error its evaluation raised; the certificate of find_zeros_ladder,
-    not the prediction, proves the zeros.  Every operation on a spec's
-    points is the one a ladder of that spec alone makes, so the results
-    do not depend on the other members.
+    polished iterates, or the NonConvergence of a spec whose last max a
+    is not finite, or above CERT_TOL without the prediction; the
+    certificate of find_zeros_ladder, not the prediction, proves the
+    zeros.  Every operation on a spec's points is the one a ladder of
+    that spec alone makes, so the results do not depend on the other
+    members.  The specs' S must be readable (find_zeros_ladder reads it
+    first), so the evaluation raises nothing.
     """
     xs = [np.array(x0, dtype=complex if np.iscomplexobj(x0) else float)
           for x0 in x0s]
-    deflates = deflates or [None] * len(specs)
     out = [x if x.size == 0 else None for x in xs]
     prev = [np.inf] * len(specs)
     # per point: its last relative step (0 before the first, so the
@@ -121,17 +126,16 @@ def _newton_ladder(specs, x0s, itmax=60, deflates=None):
         if not live:
             break
         with np.errstate(**_QUIET):
-            pairs = _ladder_pairs(specs, xs, live, out)
-            live = [i for i in live if out[i] is None]
+            pairs = _ladder_pairs(specs, xs, live)
             for i in live:
-                x, (v, dv) = xs[i], pairs[i]
+                x, (v, dv), n = xs[i], pairs[i], specs[i].n
                 step = v / dv
-                if deflates[i] is not None:
-                    dif = x[:, None] - x[None, :]
-                    np.fill_diagonal(dif, np.inf)
-                    step = step / (1 - step * (
-                        np.sum(1.0 / (x[:, None] - deflates[i]), axis=1)
-                        + np.sum(1.0 / dif, axis=1)))
+                # row k: 1/(e_k - x_j) over every other iterate x_j of an
+                # exceptional iterate e_k (the inf puts 0 at x_j = e_k)
+                dif = x[n:, None] - x[None, :]
+                np.fill_diagonal(dif[:, n:], np.inf)
+                e = step[n:]
+                step[n:] = e / (1 - e * np.sum(1.0 / dif, axis=1))
                 xs[i] = x = x - step
                 a, p = np.abs(step) / (1 + np.abs(x)), last[i]
                 rel = float(np.max(a))
@@ -151,40 +155,28 @@ def _newton_ladder(specs, x0s, itmax=60, deflates=None):
     return out
 
 
-def _ladder_pairs(specs, xs, live, out):
+def _ladder_pairs(specs, xs, live):
     """{i: (y, y')} at the points xs[i] of the live specs, from one
     ladder_eval_pair call for all of them (with an int degree when one
-    spec is left).  Where that call raises (only the table of S can, and
-    the specs share it), each spec is evaluated on its own, and one whose
-    evaluation raises gets that error in out, as its own first step
-    would."""
+    spec is left)."""
     sizes = [xs[i].size for i in live]
     if len(live) == 1:
         n, x = specs[live[0]].n, xs[live[0]]
     else:
         n = np.repeat([specs[i].n for i in live], sizes)
         x = np.concatenate([xs[i] for i in live])
-    try:
-        v, dv = ladder_eval_pair(specs[live[0]], n, x)
-    except XFeketeError:
-        pairs = {}
-        for i in live:
-            try:
-                pairs[i] = ladder_eval_pair(specs[i], specs[i].n, xs[i])
-            except XFeketeError as exc:
-                out[i] = exc
-        return pairs
+    v, dv = ladder_eval_pair(specs[live[0]], n, x)
     pairs, at = {}, 0
     for i, size in zip(live, sizes):
         pairs[i], at = (v[at:at + size], dv[at:at + size]), at + size
     return pairs
 
 
-def _newton(spec, x0, itmax=60, deflate=None):
+def _newton(spec, x0, itmax=60):
     """Newton polish of one spec's iterates x0: _newton_ladder on a ladder
     of one.  Returns the polished iterates; raises the NonConvergence of
-    an unconverged stage."""
-    (x,) = _newton_ladder([spec], [x0], itmax, [deflate])
+    an unconverged polish."""
+    (x,) = _newton_ladder([spec], [x0], itmax)
     if isinstance(x, XFeketeError):
         raise x
     return x
@@ -244,14 +236,13 @@ def _certificate(roots, v, dv):
 def find_zeros(spec):
     """All zeros of the exceptional polynomial, classified and certified.
 
-    One engine for all three families.  The regular zeros are polished
-    by Newton from the classical Gauss nodes (Laguerre or Jacobi at the
-    same parameters).  The exceptional zeros are polished from the zeros
-    of S by the coupled Newton of _newton_ladder, with the regular zeros
-    held fixed and divided out.  Raises DegreeCollapse first where the
-    closed-form leading coefficient is 0, CountMismatch if counts or the
-    location margins fail, and NonConvergence if a Newton stage or the
-    certificate fails.
+    One engine for all three families.  The coupled Newton of
+    _newton_ladder polishes the regular zeros from the classical Gauss
+    nodes (Laguerre or Jacobi at the same parameters) and the exceptional
+    zeros from the zeros of S, all together.  Raises DegreeCollapse first
+    where the closed-form leading coefficient is 0, CountMismatch if
+    counts or the location margins fail, and NonConvergence if the
+    Newton polish or the certificate fails.
 
     The certificate bounds the closed-form evaluator's Newton correction
     at every zero (_certificate); the monomial coefficients are never
@@ -263,25 +254,9 @@ def find_zeros(spec):
     return zs
 
 
-def _share_S(specs):
-    """Give every spec of a ladder the first one's S table: S does not
-    depend on n, so the ladder builds it and its roots once.  A build
-    that raises is not shared; each member raises it again on its own
-    access."""
-    if len(specs) < 2:
-        return
-    try:
-        table = specs[0].S
-    except XFeketeError:
-        return
-    for spec in specs[1:]:
-        # FamilySpec.S is a cached_property: its cache is the instance dict
-        vars(spec)["S"] = table
-
-
 def find_zeros_ladder(specs):
     """find_zeros for each spec of a ladder, specs that differ only in n,
-    with each Newton stage solved for all of them in lockstep and their
+    with the Newton polish solved for all of them in lockstep and their
     certificates evaluated in one more lockstep round.
 
     Returns, in the order of specs, each spec's ZeroSet, or the
@@ -292,52 +267,49 @@ def find_zeros_ladder(specs):
     specs = list(specs)
     if len({(s.family, s.m, s.alpha, s.beta) for s in specs}) > 1:
         raise ValidationError("the specs of a ladder differ only in n")
-    _share_S(specs)
     out = [None] * len(specs)
-    seeds = {}
+    seeds, table = {}, None
     for i, spec in enumerate(specs):
         try:
             # a collapsed degree fails before any Newton step
             _nonzero_lead(spec, spec.fam.lead_factor(spec))
-            seeds[i] = spec.fam.gauss(spec)
-        except XFeketeError as exc:
-            out[i] = exc
-    reg = {}
-    for i, x in zip(seeds, _newton_ladder([specs[i] for i in seeds],
-                                          list(seeds.values()))):
-        if isinstance(x, XFeketeError):
-            out[i] = x
-        else:
-            reg[i] = np.sort(x.real)
-    s_zeros = {}
-    for i in reg:
-        try:
-            s_zeros[i] = specs[i].S.roots
+            gauss = spec.fam.gauss(spec)
+            # S does not depend on n, so the ladder builds it and its
+            # roots once (FamilySpec.S caches in the instance dict); a
+            # build that raises is not shared, and each member raises it
+            # again, naming itself
+            if table is not None:
+                vars(spec)["S"] = table
+            table = spec.S
+            # the n Gauss seeds, then the m zeros of S: a real array
+            # when all of those are real
+            r = table.roots
+            seeds[i] = np.concatenate([gauss, r if r.imag.any() else r.real])
         except XFeketeError as exc:
             out[i] = exc
     found = {}
-    for i, x in zip(s_zeros, _newton_ladder(
-            [specs[i] for i in s_zeros], list(s_zeros.values()),
-            deflates=[reg[i] for i in s_zeros])):
+    for i, x in zip(seeds, _newton_ladder([specs[i] for i in seeds],
+                                          list(seeds.values()))):
         try:
             if isinstance(x, XFeketeError):
                 raise x
-            z = _sort_zeros(x)
-            _classify(specs[i], reg[i], z)
-            found[i] = z
+            n = specs[i].n
+            reg, z = np.sort(x[:n].real), _sort_zeros(x[n:])
+            _classify(specs[i], reg, z)
+            found[i] = reg, z
         except XFeketeError as exc:
             out[i] = exc
     # every classified member's certificate, in one more lockstep round
-    rts = {i: np.concatenate([z, reg[i].astype(complex)])
-           for i, z in found.items()}
+    rts = {i: np.concatenate([z, reg.astype(complex)])
+           for i, (reg, z) in found.items()}
     with np.errstate(**_QUIET):
-        pairs = _ladder_pairs(specs, rts, list(rts), out) if rts else {}
+        pairs = _ladder_pairs(specs, rts, list(rts)) if rts else {}
         certs = {i: _certificate(rts[i], *pairs[i]) for i in pairs}
     for i, cert in certs.items():
         if cert["passed"]:
-            out[i] = ZeroSet(spec=specs[i], regular=reg[i],
-                             exceptional=found[i],
-                             s_zeros=_sort_zeros(s_zeros[i]),
+            reg, z = found[i]
+            out[i] = ZeroSet(spec=specs[i], regular=reg, exceptional=z,
+                             s_zeros=_sort_zeros(specs[i].S.roots),
                              certificate=cert)
         else:
             out[i] = NonConvergence(f"residual certificate failed: {cert}",

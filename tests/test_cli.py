@@ -71,6 +71,19 @@ def test_fekete_cluster(capsys):
     assert doc["top_cluster_deviation_from_zeros"] < 1e-6
 
 
+def test_jacobi_fekete_search_box_holds_the_extreme_zeros(capsys):
+    # the smallest regular zero is -0.99904: a box of (-0.999, 0.999)
+    # left every trial outside and found no cluster
+    code, out, _ = run(capsys, "fekete", "--family", "jacobi", "--m", "1",
+                       "--alpha", "2.5", "--beta", "1.5", "--n", "100",
+                       "--trials", "3")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["domain"] == [-1, 1]
+    assert [c["count"] for c in doc["clusters"]] == [3]
+    assert doc["top_cluster_deviation_from_zeros"] < 1e-12
+
+
 def test_interp_scan(capsys):
     code, out, _ = run(capsys, "interp", *SEL, "--n", "3", "--grid", "300")
     doc = json.loads(out)
@@ -340,9 +353,9 @@ def test_overflowing_S_beyond_binary64_exponents_fails_typed(capsys):
 
 
 def test_overflowing_laguerre1_newton_fails_before_any_build(capsys):
-    # the regular-zero Newton stage fails first, and quietly: the
-    # recurrences overflow (the known unscaled-recurrence defect), and
-    # the non-finite step ends Newton as a NonConvergence
+    # Newton fails before any build, and quietly: the recurrences
+    # overflow (the known unscaled-recurrence defect), and the
+    # non-finite step ends Newton as a NonConvergence
     for argv in (["--family", "laguerre1", "--m", "1", "--alpha", "2"],
                  ["--family", "jacobi", "--m", "1", "--alpha", "2.5",
                   "--beta", "1.5"]):
@@ -352,10 +365,10 @@ def test_overflowing_laguerre1_newton_fails_before_any_build(capsys):
 
 
 def test_overflowing_jacobi_exceptional_newton_fails_quietly(capsys):
-    # S = P_2^(-5.548, 1.504) has a zero at -317.1: the regular zeros
-    # converge, but the exceptional stage's complex sweep of degree 120
-    # overflows there (the known unscaled-recurrence defect), and the
-    # non-finite step ends Newton as a NonConvergence, with no warning;
+    # S = P_2^(-5.548, 1.504) has a zero at -317.1: the complex sweep
+    # of degree 120 overflows there (the known unscaled-recurrence
+    # defect), and the non-finite step ends Newton as a NonConvergence,
+    # with no warning;
     # the coefficients build, so verify fails the zeros check alone
     sel = ["--family", "jacobi", "--m", "2", "--alpha", "4.548",
            "--beta", "2.504", "--n", "120"]
@@ -416,17 +429,17 @@ VERIFY_GOLDEN = {
     ("laguerre2", "--m", "2", "--alpha", "2.5", "--n", "5"): (
         '{"checks":[{"detail":{"max_log_excess":-17.488691065624742,"resid'
         'ual":0},"name":"construction","passed":true},{"detail":{"max_rati'
-        'o":1.9964448669493474e-16,"method":"evaluator","passed":true},"na'
+        'o":1.8432948291611175e-16,"method":"evaluator","passed":true},"na'
         'me":"zeros","passed":true},{"detail":{"diag_all_negative":true,"m'
-        'ax_gradient":6.3837823915946501e-16},"name":"fekete_stationary","'
+        'ax_gradient":4.4408920985006262e-16},"name":"fekete_stationary","'
         'passed":true}],"passed":true,"spec":{"alpha":2.5,"family":"laguer'
         're2","m":2,"n":5},"version":"0.1.0"}\n'),
     ("jacobi", "--m", "1", "--alpha", "2.5", "--beta", "1.5", "--n", "60"): (
         '{"checks":[{"detail":{"max_log_excess":-12.61458286132731,"residu'
         'al":1.80752050669243e-16},"name":"construction","passed":true},{"'
-        'detail":{"max_ratio":7.1704801354862612e-17,"method":"evaluator",'
+        'detail":{"max_ratio":3.4029451573639913e-17,"method":"evaluator",'
         '"passed":true},"name":"zeros","passed":true},{"detail":{"diag_all'
-        '_negative":true,"max_gradient":1.0459189070388675e-11},"name":"fe'
+        '_negative":true,"max_gradient":1.0231815394945443e-11},"name":"fe'
         'kete_stationary","passed":true}],"passed":true,"spec":{"alpha":2.'
         '5,"beta":1.5,"family":"jacobi","m":1,"n":60},"version":"0.1.0"}\n'),
 }

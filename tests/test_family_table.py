@@ -106,7 +106,7 @@ def ref_log_deriv_terms(w):
 def ref_default_domain(w, n):
     spec = w.spec
     if spec.family == "jacobi":
-        return (-1.0 + 1e-3, 1.0 - 1e-3)
+        return (-1.0, 1.0)
     return (0.0, 4.0 * n + 2.0 * spec.alpha + 4.0 * spec.m)
 
 

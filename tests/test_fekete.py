@@ -26,7 +26,7 @@ def test_default_domains():
     v = v_of("laguerre1", 0, 1.0, 1)
     assert xf.default_domain(v, 1) == (0.0, 6.0)
     wj = xf.WeightSpec(spec_of("jacobi", 1, 2.0, 3, 1.0), "hat")
-    assert xf.default_domain(wj, 3) == (-0.999, 0.999)
+    assert xf.default_domain(wj, 3) == (-1.0, 1.0)
 
 
 def test_stationary_start_does_not_move():

@@ -50,36 +50,41 @@ def ref_jacobi_pass(n, a, b, x):
     return p, pm1, d, dm1
 
 
-def ref_newton(spec, x0, itmax=60, deflate=None, its=None):
+def ref_newton(spec, x0, itmax=60, its=None):
     """The serial polish: one exceptional_eval_pair call per iteration
-    for this spec alone; its (if given) collects the iteration count."""
+    for this spec alone; its (if given) collects the iteration count.
+    The first spec.n iterates take plain Newton steps rho = y/y'; each
+    later one x_i takes rho_i / (1 - rho_i c_i), c_i the sum of
+    1/(x_i - x_j) over every other iterate x_j."""
     x = np.array(x0, dtype=complex if np.iscomplexobj(x0) else float)
     if x.size == 0:
         return x
+    n = spec.n
     prev, last = np.inf, np.zeros(x.shape)
     done = np.zeros(x.shape, dtype=bool)
-    for it in range(1, itmax + 1):
-        v, dv = xf.exceptional_eval_pair(spec, x)
-        step = v / dv
-        if deflate is not None:
-            dif = x[:, None] - x[None, :]
-            np.fill_diagonal(dif, np.inf)
-            step = step / (1 - step * (
-                np.sum(1.0 / (x[:, None] - deflate), axis=1)
-                + np.sum(1.0 / dif, axis=1)))
-        x = x - step
-        a = np.abs(step) / (1 + np.abs(x))
-        rel = float(np.max(a))
-        # a point is done once quadratic convergence puts its next step
-        # below NEWTON_TOL; trusted while every step is small
-        done = (rel <= roots.PREDICT_TRUST) & (
-            done | (a < roots.NEWTON_TOL)
-            | ((a < last) & (a ** 3 <= roots.NEWTON_TOL * last ** 2)))
-        predicted = bool(done.all())
-        if (not np.isfinite(rel) or predicted
-                or roots.NEWTON_FLOOR > rel >= prev):
-            break
-        prev, last = rel, a
+    # coinciding iterates (an out-of-regime zero of S on a regular one)
+    # give inf and NaN steps quietly, as in roots
+    with np.errstate(**roots._QUIET):
+        for it in range(1, itmax + 1):
+            v, dv = xf.exceptional_eval_pair(spec, x)
+            step = v / dv
+            dif = x[n:, None] - x[None, :]
+            np.fill_diagonal(dif[:, n:], np.inf)
+            c = np.sum(1.0 / dif, axis=1)
+            step[n:] = step[n:] / (1 - step[n:] * c)
+            x = x - step
+            a = np.abs(step) / (1 + np.abs(x))
+            rel = float(np.max(a))
+            # a point is done once quadratic convergence puts its next
+            # step below NEWTON_TOL; trusted while every step is small
+            done = (rel <= roots.PREDICT_TRUST) & (
+                done | (a < roots.NEWTON_TOL)
+                | ((a < last) & (a ** 3 <= roots.NEWTON_TOL * last ** 2)))
+            predicted = bool(done.all())
+            if (not np.isfinite(rel) or predicted
+                    or roots.NEWTON_FLOOR > rel >= prev):
+                break
+            prev, last = rel, a
     if its is not None:
         its.append(it)
     if not (rel <= roots.CERT_TOL or predicted):
@@ -90,11 +95,17 @@ def ref_newton(spec, x0, itmax=60, deflate=None, its=None):
     return x
 
 
-def ref_find_zeros(spec, reg_its=None, exc_its=None):
+def ref_seeds(spec):
+    """The n Gauss nodes, then the m zeros of S; real when they are."""
+    gauss, r = spec.fam.gauss(spec), spec.S.roots
+    return np.concatenate([gauss, r if r.imag.any() else r.real])
+
+
+def ref_find_zeros(spec, its=None):
     exceptional._nonzero_lead(spec, spec.fam.lead_factor(spec))
-    reg = np.sort(ref_newton(spec, spec.fam.gauss(spec), its=reg_its).real)
-    exc = roots._sort_zeros(ref_newton(spec, spec.S.roots, deflate=reg,
-                                       its=exc_its))
+    x = ref_newton(spec, ref_seeds(spec), its=its)
+    reg = np.sort(x[:spec.n].real)
+    exc = roots._sort_zeros(x[spec.n:])
     roots._classify(spec, reg, exc)
     rts = np.concatenate([exc, reg.astype(complex)])
     cert = roots._certificate(rts, *xf.exceptional_eval_pair(spec, rts))
@@ -381,7 +392,7 @@ def test_ladders_mix_passing_and_failing_members():
 
 
 def test_ladder_members_share_a_failing_S_each_with_its_own_error():
-    # S overflows binary64 at m = 600; the regular stage reads S, and
+    # S overflows binary64 at m = 600; the ladder reads S first, and
     # each member fails with the message naming itself
     ladder = ("jacobi", 600, 600.5, 1.0, (2, 3))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -402,14 +413,71 @@ def test_a_ladder_differs_only_in_n():
 @pytest.mark.parametrize("itmax", [1, 2, 60])
 def test_newton_ladder_is_the_serial_newton(itmax):
     specs = _ladder("jacobi", 1, 0.289, 2.53, (20, 80, 120))
-    regs = [np.sort(ref_newton(s, s.fam.gauss(s)).real) for s in specs]
-    for stage in ([s.fam.gauss(s) for s in specs], [None] * 3), \
-            ([s.S.roots for s in specs], regs):
-        got = roots._newton_ladder(specs, stage[0], itmax, stage[1])
-        for s, x0, defl, g in zip(specs, *stage, got):
-            want = outcome(ref_newton, s, x0, itmax, defl)
+    # the full iterate arrays, and the Gauss seeds alone (plain Newton)
+    for x0s in ([ref_seeds(s) for s in specs],
+                [s.fam.gauss(s) for s in specs]):
+        got = roots._newton_ladder(specs, x0s, itmax)
+        for s, x0, g in zip(specs, x0s, got):
+            want = outcome(ref_newton, s, x0, itmax)
             assert _outcome(g) == want
-            assert outcome(roots._newton, s, x0, itmax, defl) == want
+            assert outcome(roots._newton, s, x0, itmax) == want
+
+
+def _record_pair_calls(monkeypatch):
+    """Each ladder_eval_pair call that roots makes, as (spec, degree per
+    point, points)."""
+    calls = []
+    pair = roots.ladder_eval_pair
+
+    def recorded(spec, n, x):
+        calls.append((spec, np.broadcast_to(n, np.shape(x)), np.asarray(x)))
+        return pair(spec, n, x)
+
+    monkeypatch.setattr(roots, "ladder_eval_pair", recorded)
+    return calls
+
+
+def _whole_members(call):
+    """Whether a call holds m + n points of each member n it touches:
+    every iterate of each live member, never the m exceptional ones
+    alone."""
+    spec, deg, _ = call
+    ns, counts = np.unique(deg, return_counts=True)
+    return bool(np.all(counts == spec.m + ns))
+
+
+# ladders whose members all certify
+WHOLE_LADDERS = [
+    ("laguerre1", 3, 1.5, None, (1, 5, 30, 80)),
+    ("laguerre2", 2, 3.3, None, (0, 3, 20, 60)),
+    ("jacobi", 2, 1.8, 0.7, (0, 2, 10, 40)),
+    ("jacobi", 1, 2.5, 1.5, (5, 60, 100, 200)),
+]
+
+
+@pytest.mark.parametrize("ladder", WHOLE_LADDERS,
+                         ids=lambda c: f"{c[0]}-m{c[1]}")
+def test_one_stage_sweeps_every_iterate_each_round(monkeypatch, ladder):
+    """Every round, the certificate's included, evaluates all m + n
+    iterates of each live member in one call; the calls are the slowest
+    member's Newton rounds and one certificate round.  An in-regime
+    laguerre1 member (all zeros of S real) sweeps real points until its
+    certificate."""
+    members = _ladder(*ladder)
+    its = []
+    for s in members:
+        ref_find_zeros(s, its=its)
+    calls = _record_pair_calls(monkeypatch)
+    # each member alone, then the whole ladder
+    for group in [[i] for i in range(len(members))] + [range(len(members))]:
+        calls.clear()
+        got = roots.find_zeros_ladder([members[i] for i in group])
+        assert all(isinstance(g, roots.ZeroSet) for g in got)
+        assert all(_whole_members(c) for c in calls)
+        assert len(calls) == max(its[i] for i in group) + 1
+        if ladder[0] == "laguerre1":
+            assert not any(np.iscomplexobj(x) for *_, x in calls[:-1])
+            assert np.iscomplexobj(calls[-1][2])
 
 
 # ------------------------------------------------------------ d_sequence
@@ -433,32 +501,27 @@ def test_d_sequence_is_the_serial_sweep(m, alpha, ns):
 
 
 def test_d_sequence_sweeps_once_per_lockstep_round(monkeypatch):
-    """Each lockstep round makes one sweep for all members, so the sweeps
-    of degree >= 10 are no more than the rounds of the slowest member of
-    each stage and the one certificate round; one spec at a time they
-    were the sum over members, a certificate for each."""
-    reg_its, exc_its = [], []
+    """Each lockstep round makes one sweep for all members, each member
+    with all its m + n iterates, so the sweeps of degree >= 10 are no
+    more than the rounds of the slowest member and the one certificate
+    round; one spec at a time they were the sum over members, a
+    certificate for each."""
+    its = []
     for n in range(9, 21):
-        ref_find_zeros(xf.FamilySpec("laguerre1", 1, 2.0, n),
-                       reg_its=reg_its, exc_its=exc_its)
-    rounds = max(reg_its) + max(exc_its) + 1
-    serial = sum(i + j + 1 for n, i, j in zip(range(9, 21), reg_its, exc_its)
-                 if n >= 10)
-    sweeps, calls = [], []
-    real_pass, real_pair = exceptional.laguerre_pass, roots.ladder_eval_pair
+        ref_find_zeros(xf.FamilySpec("laguerre1", 1, 2.0, n), its=its)
+    rounds = max(its) + 1
+    serial = sum(i + 1 for n, i in zip(range(9, 21), its) if n >= 10)
+    sweeps = []
+    real_pass = exceptional.laguerre_pass
 
     def counted_pass(n, a, x):
         if np.size(x) and np.max(n) >= 10:
             sweeps.append(np.max(n))
         return real_pass(n, a, x)
 
-    def counted_pair(*args):
-        calls.append(1)
-        return real_pair(*args)
-
     monkeypatch.setattr(exceptional, "laguerre_pass", counted_pass)
-    monkeypatch.setattr(roots, "ladder_eval_pair", counted_pair)
+    calls = _record_pair_calls(monkeypatch)
     xf.d_sequence(1, 2.0, range(10, 21))
     assert len(calls) == rounds
+    assert all(_whole_members(c) for c in calls)
     assert 0 < len(sweeps) <= rounds < serial
-

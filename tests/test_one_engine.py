@@ -1,10 +1,11 @@
 """One exceptional-zero engine for all three families.
 
-The exceptional zeros are polished by the coupled Newton of roots._newton
-from the zeros of S.  The nesting-bracket bisection that used to serve
-laguerre1 is kept here as the reference, and laguerre2 specs whose
-coefficient deflation used to fail are checked against a 30-digit mpmath
-Newton refinement.
+The exceptional zeros are polished from the zeros of S by the coupled
+Newton of roots._newton_ladder, in the same iteration as the regular
+zeros.  The nesting-bracket bisection that used to serve laguerre1 is
+kept here as the reference, and laguerre2 specs whose coefficient
+deflation used to fail are checked against a 30-digit mpmath Newton
+refinement.
 """
 
 import mpmath
@@ -30,6 +31,14 @@ def ref_bisect(f, lo, hi, flo, iters=30):
     return 0.5 * (lo + hi)
 
 
+def ref_polish(spec, x, steps=6):
+    """Plain Newton on the closed form, a fixed number of steps."""
+    for _ in range(steps):
+        v, dv = xf.exceptional_eval_pair(spec, x)
+        x = x - v / dv
+    return x
+
+
 def ref_lag1_exceptional(spec):
     """laguerre1 exceptional zeros from the nesting brackets
     (-z_{m,j}, -z_{m-1,j-1}) of classical Laguerre zeros, bisected, then
@@ -37,7 +46,7 @@ def ref_lag1_exceptional(spec):
     m, n, al = spec.m, spec.n, spec.alpha
     zm = xf.laguerre_zeros(m, al)
     if n == 0:
-        return roots._newton(spec, -zm)
+        return ref_polish(spec, -zm)
     zm1 = xf.laguerre_zeros(m - 1, al)
     f = lambda x: float(xf.exceptional_eval_pair(spec, x)[0])
     out = []
@@ -57,11 +66,11 @@ def ref_lag1_exceptional(spec):
                 continue
             lo, hi, flo = grid[idx[0]], grid[idx[0] + 1], vals[idx[0]]
         out.append(ref_bisect(f, lo, hi, flo))
-    return roots._newton(spec, np.array(out))
+    return ref_polish(spec, np.array(out))
 
 
 @pytest.mark.parametrize("m", range(1, 6))
-@pytest.mark.parametrize("alpha", [0.7, 2.0, 3.9])
+@pytest.mark.parametrize("alpha", [0.1264, 0.7, 2.0, 3.9])
 def test_laguerre1_matches_bracket_reference(m, alpha):
     for n in (0, 1, 2, 5, 20, 80, 200):
         spec = xf.FamilySpec("laguerre1", m, alpha, n)
@@ -124,5 +133,6 @@ def test_laguerre1_pair_calls_per_find(monkeypatch):
     monkeypatch.setattr(roots, "ladder_eval_pair",
                         lambda *a: calls.append(1) or pair(*a))
     xf.find_zeros(xf.FamilySpec("laguerre1", 3, 1.5, 60))
-    # one call per Newton iteration of each stage; bisection took 105
+    # one call per Newton round and one for the certificate; bisection
+    # took 105
     assert 0 < len(calls) <= 15

@@ -149,7 +149,7 @@ def test_verify_builds_S_once_and_never_in_newton(monkeypatch, capsys,
         if name.startswith("xfekete") and \
                 getattr(mod, "build_S", None) is real_build:
             monkeypatch.setattr(mod, "build_S", build_S)
-    # the lockstep core, which every Newton stage goes through
+    # the lockstep core, which every Newton polish goes through
     monkeypatch.setattr(roots, "_newton_ladder", newton)
     assert cli.main(["verify", "--family", family,
                      *VERIFY_ARGS[family]]) == 0

@@ -100,7 +100,7 @@ def test_laguerre2_negative_real_parity():
 
 def test_coinciding_exceptional_seeds_end_the_stage_quietly():
     # S = L_3^(-2) has a double zero at 0, so two exceptional seeds
-    # coincide; the non-finite Aberth step ends the stage, and no
+    # coincide; the non-finite Aberth step ends Newton, and no
     # division warning leaks on the way
     with pytest.raises(xf.NonConvergence, match="relative step nan"):
         xf.find_zeros(xf.FamilySpec("laguerre2", 3, 1.0, 4))
