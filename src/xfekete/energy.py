@@ -167,18 +167,20 @@ def _upper_pairs(n):
 
 
 def _assemble(X, logw, d1, d2):
-    """(F, gradients, Hessians) of a stack X (T, n) of node rows from the
-    weight logs at its nodes: F a list of T floats, one compensated sum
-    per row.  Each row's Hessian is built in place from the node
-    differences: dif, then 1/dif, its square and twice that."""
+    """(F, gradients, Hessians, cross) of a stack X (T, n) of node rows
+    from the weight logs at its nodes.  F holds the plain row sums of
+    the terms, log w at the nodes and the cross logs
+    cross[r] = log|x_i - x_j| (i < j); _compensated reads one row's F
+    from the same terms by compensated sums.  Each row's Hessian is
+    built in place from the node differences: dif, then 1/dif, its
+    square and twice that."""
     n = X.shape[1]
     H = X[:, :, None] - X[:, None, :]
     i, j = _upper_pairs(n)
-    cross = np.log(np.abs(H[:, i, j]))
-    # fsum reads a row through a memoryview, as Python floats: faster
-    # than as numpy scalars, the same sum, and no list of the row
-    F = [math.fsum(memoryview(a)) + 2.0 * math.fsum(memoryview(b))
-         for a, b in zip(logw, cross)]
+    # take gives C order, so each row sums alone, as in a stack of one
+    cross = np.take(H.reshape(len(X), n * n), i * n + j, axis=1)
+    np.log(np.abs(cross, out=cross), out=cross)
+    F = np.sum(logw, axis=1) + 2.0 * np.sum(cross, axis=1)
     k = np.arange(n)
     H[:, k, k] = np.inf
     np.divide(1.0, H, out=H)
@@ -187,7 +189,15 @@ def _assemble(X, logw, d1, d2):
     diag = d2 - 2.0 * np.sum(H, axis=2)
     H *= 2.0
     H[:, k, k] = diag
-    return F, g, H
+    return F, g, H, cross
+
+
+def _compensated(logw, cross):
+    """F of one node row from its terms, a row of log w and of the cross
+    logs from _assemble, by compensated sums."""
+    # fsum reads a row through a memoryview, as Python floats: faster
+    # than as numpy scalars, the same sum, and no list of the row
+    return math.fsum(memoryview(logw)) + 2.0 * math.fsum(memoryview(cross))
 
 
 def energy_terms(nodes, w):
@@ -200,8 +210,9 @@ def energy_terms(nodes, w):
     H_kk = (log w)''(x_k) - 2 sum_{j!=k} 1/(x_k - x_j)^2.
     """
     X = _check_nodes(nodes)[None]
-    (F,), (g,), (H,) = _assemble(X, *weight_logs(w, X))
-    return F, g, H
+    logw, d1, d2 = weight_logs(w, X)
+    _, (g,), (H,), (cross,) = _assemble(X, logw, d1, d2)
+    return _compensated(logw[0], cross), g, H
 
 
 def log_energy(nodes, w):
@@ -264,9 +275,9 @@ def energy_hessian(nodes, w):
     to callers through the hessian field.
     """
     X = _check_nodes(nodes)[None]
-    logs = weight_logs(w, X)
-    (F,), (g,), (H,) = _assemble(X, *logs)
-    d1 = logs[1][0]
+    logw, d1, d2 = weight_logs(w, X)
+    _, (g,), (H,), (cross,) = _assemble(X, logw, d1, d2)
+    F = _compensated(logw[0], cross)
     stat = float(np.max(np.abs(g))) < GRAD_RTOL * (1 + np.max(np.abs(d1)))
     d = np.diag(H)
     row_off = np.sum(np.abs(H), axis=1) - np.abs(d)

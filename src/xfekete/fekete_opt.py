@@ -3,22 +3,30 @@
 The functional F from the energy module is concave near its maximizers,
 so a damped Newton iteration with a gradient-ascent fallback (used while
 the Hessian is not negative definite) converges quickly; started from
-the regular zeros of a member it stops within a couple of steps.  One
-core ascends a whole stack of starts in lockstep: each Newton iteration
-and each line-search halving evaluates every pending start together,
-with one weight evaluation for all of them that gives F, the gradient
-and the Hessian of each candidate, and an accepted candidate's values
-serve the next iteration; S is tabled once per spec (FamilySpec.S) and
-P once per weight (WeightSpec).  A single ascent is a stack of one; a
-multistart probe runs all its random starts as one stack and clusters
-the maximizers found to test uniqueness of the weighted Fekete set.
+the regular zeros of a member it stops within a couple of steps.  Each
+step is capped at 0.9 of the way to the edge of the search box (the
+fraction-to-the-boundary rule, Nocedal & Wright, Numerical
+Optimization, 2nd ed., 2006, sec. 19.2) and halved only when F drops or
+the candidate is inadmissible; a row that converges in Newton mode is
+polished by one more full Newton step, kept only when it verifies.
+
+One core ascends a whole stack of starts in lockstep: each round
+evaluates every pending candidate together, with one weight evaluation
+for all of them that gives F (plain row sums), the gradient and the
+Hessian of each, and an accepted candidate's values serve the next
+iteration; S is tabled once per spec (FamilySpec.S) and P once per
+weight (WeightSpec).  F is summed exactly (math.fsum) once per
+maximizer returned.  A single ascent is a stack of one; a multistart
+probe runs all its random starts as one stack and clusters the
+maximizers found to test uniqueness of the weighted Fekete set.
 """
 
 import numpy as np
 
 from .errors import (DomainEscape, NonConvergence, NumericalError,
                      ValidationError)
-from .energy import _assemble, gradient_and_hessian, v_weight, weight_logs
+from .energy import (_assemble, _compensated, gradient_and_hessian,
+                     v_weight, weight_logs)
 from .exceptional import FamilySpec
 from .roots import find_zeros
 
@@ -39,11 +47,13 @@ def _evaluate(w, X, domain):
     rows, with one weight evaluation for all admissible rows (none when
     no row is admissible).
 
-    Returns (reason, F, G, H): reason[r] is "" for an admissible row and
-    otherwise "domain", "order" or "pole", the first check that row
-    fails; F, G and H are the terms of the admissible rows, in order.
-    A row is a pole when two of its nodes lie within 1e-14 (relative)
-    of each other or its weight evaluation raises NumericalError.
+    Returns (reason, F, G, H, logw, cross): reason[r] is "" for an
+    admissible row and otherwise "domain", "order" or "pole", the first
+    check that row fails; the others are the terms of the admissible
+    rows, in order, as _assemble gives them (F the plain row sums of
+    logw and cross).  A row is a pole when two of its nodes lie within
+    1e-14 (relative) of each other or its weight evaluation raises
+    NumericalError.
     """
     lo, hi = domain
     reason = np.full(len(X), "", dtype="<U6")
@@ -66,9 +76,10 @@ def _evaluate(w, X, domain):
         logs = weight_logs(w, X[ok]) if ok.any() else None
     if logs is None:
         n = X.shape[1]
-        return reason, np.empty(0), np.empty((0, n)), np.empty((0, n, n))
-    F, G, H = _assemble(X[ok], *logs)
-    return reason, np.array(F), G, H
+        return (reason, np.empty(0), np.empty((0, n)), np.empty((0, n, n)),
+                np.empty((0, n)), np.empty((0, n * (n - 1) // 2)))
+    F, G, H, cross = _assemble(X[ok], *logs)
+    return reason, F, G, H, logs[0], cross
 
 
 def _steps(G, H):
@@ -98,21 +109,46 @@ def _negative_definite(h):
     return True
 
 
+def _box_scale(X, step, domain):
+    """Per row, min(1, 0.9 t_box), where t_box is the largest t that
+    keeps every node of X + t step inside the open box: the fraction to
+    the boundary rule.  A zero step component sets no bound.  At 0.99
+    instead of 0.9 the nodes land nearer the box edge, and the probes
+    take about 3 % more Newton iterations."""
+    lo, hi = domain
+    room = np.where(step > 0, hi - X, lo - X)
+    t_box = np.divide(room, step, out=np.full_like(step, np.inf),
+                      where=step != 0)
+    return np.minimum(1.0, 0.9 * np.min(t_box, axis=1))
+
+
 def _ascend(w, domain, X, gtol, itmax):
     """Ascend F from every row of a stack X (T, n) of sorted starts, all
     rows in lockstep.
 
-    Each iteration takes every live row's Newton (or gradient) step and
-    halves the step scale t of the rows still pending, evaluating them
-    together, until a row's candidate is admissible and does not lower
-    F by more than 1e-10 (1 + |F|), or its t falls to 1e-14.  Returns
-    one entry per row: (nodes, trace) once max|grad F| < gtol, else the
-    DomainEscape or NonConvergence that ends that row.
+    Each iteration takes every live row's Newton (or gradient) step at
+    the scale t of _box_scale, which keeps the row inside the box, and
+    halves the t of the rows still pending, evaluating them together,
+    until a row's candidate is admissible and does not lower F by more
+    than 1e-10 (1 + |F|), or its t falls to 1e-14 (at once when the
+    cap is already there).  The accept test reads plain row sums of F.
+
+    A row is done once max|grad F| < gtol.  If it got there in Newton
+    mode, its full Newton step joins the next round's stack, and the
+    polished row replaces it when that is admissible, does not lower F
+    beyond the same tolerance and has no larger max|grad F|.
+
+    Returns one entry per row: (nodes, trace) for a done row, else the
+    DomainEscape or NonConvergence that ends that row.  A trace entry
+    per iteration holds its logT, max_gradient, mode ("newton" or
+    "ascent") and, once a step from it is accepted, its step_scale t; a
+    kept polish adds an entry of mode "polish".  The last entry's logT
+    is the compensated F of the nodes returned, the others plain sums.
     """
     if X.shape[1] == 0:
         raise ValidationError("nodes must be a nonempty 1-d array")
     out = [None] * len(X)
-    reason, F, G, H = _evaluate(w, X, domain)
+    reason, *V = _evaluate(w, X, domain)
     for r in np.flatnonzero(reason != ""):
         out[r] = DomainEscape(f"initial nodes invalid ({reason[r]})")
     rows = np.flatnonzero(reason == "")
@@ -121,41 +157,58 @@ def _ascend(w, domain, X, gtol, itmax):
     for it in range(itmax):
         if not rows.size:
             break
-        newton, step = _steps(G, H)
+        # V holds F, G, H and the summed terms, row by row
+        F, G = V[0], V[1]
+        newton, step = _steps(G, V[2])
         gmax = np.max(np.abs(G), axis=1)
         for k in range(rows.size):
             traces[k].append({"iteration": it, "logT": float(F[k]),
                               "max_gradient": float(gmax[k]),
                               "mode": "newton" if newton[k] else "ascent"})
         live = ~(gmax < gtol)
-        for k in np.flatnonzero(~live):
-            out[rows[k]] = (X[k].copy(), traces[k])
-        blocker = np.full(rows.size, "order", dtype="<U6")
-        pend = np.flatnonzero(live)
-        t = 1.0
-        while t > 1e-14 and pend.size:
-            cand = np.sort(X[pend] + t * step[pend], axis=1)
-            reason, Fc, Gc, Hc = _evaluate(w, cand, domain)
+        polish = ~live & newton
+        t = np.where(live, _box_scale(X, step, domain), 1.0)
+        # a stalled row escapes the domain if its last inadmissible
+        # candidate left the box or, with none, if the cap bound it
+        escape = t < 1.0
+        moved = np.zeros(rows.size, dtype=bool)
+        pend = np.flatnonzero(polish | live & (t > 1e-14))
+        while pend.size:
+            cand = np.sort(X[pend] + t[pend, None] * step[pend], axis=1)
+            reason, *C = _evaluate(w, cand, domain)
             ok = np.flatnonzero(reason == "")
-            f0 = F[pend[ok]]
-            acc = Fc >= f0 - 1e-10 * (1.0 + np.abs(f0))
-            done = pend[ok[acc]]
-            X[done], F[done], G[done], H[done] = (
-                cand[ok[acc]], Fc[acc], Gc[acc], Hc[acc])
-            for k in done:
-                traces[k][-1]["step_scale"] = t
+            p = pend[ok]
+            acc = C[0] >= F[p] - 1e-10 * (1.0 + np.abs(F[p]))
+            acc &= ~polish[p] | (np.max(np.abs(C[1]), axis=1) <= gmax[p])
+            X[p[acc]] = cand[ok[acc]]
+            for a, c in zip(V, C):
+                a[p[acc]] = c[acc]
+            moved[p[acc]] = True
             bad = reason != ""
-            blocker[pend[bad]] = reason[bad]
-            pend = np.delete(pend, ok[acc])
-            t *= 0.5
-        for k in pend:
-            live[k] = False
+            escape[pend[bad]] = reason[bad] == "domain"
+            # a polish gets one round; a live row halves t until it moves
+            pend = pend[live[pend] & ~moved[pend]]
+            t[pend] *= 0.5
+            pend = pend[t[pend] > 1e-14]
+        for k in np.flatnonzero(moved):
+            traces[k][-1]["step_scale"] = float(t[k])
+        for k in np.flatnonzero(~live):
+            logT = _compensated(V[3][k], V[4][k])
+            if moved[k]:
+                traces[k].append({"iteration": it + 1, "logT": logT,
+                                  "max_gradient": float(np.max(np.abs(G[k]))),
+                                  "mode": "polish"})
+            else:
+                traces[k][-1]["logT"] = logT
+            out[rows[k]] = (X[k].copy(), traces[k])
+        for k in np.flatnonzero(live & ~moved):
             out[rows[k]] = (
                 DomainEscape("no damped step stays inside the domain")
-                if blocker[k] == "domain"
+                if escape[k]
                 else NonConvergence("line search stalled", traces[k]))
-        rows, X, F, G, H = rows[live], X[live], F[live], G[live], H[live]
-        traces = [tr for tr, keep in zip(traces, live) if keep]
+        keep = live & moved
+        rows, X, V = rows[keep], X[keep], [a[keep] for a in V]
+        traces = [tr for tr, kept in zip(traces, keep) if kept]
     for r, tr in zip(rows, traces):
         out[r] = NonConvergence(
             f"gradient above {gtol} after {itmax} iterations", tr)
@@ -165,9 +218,14 @@ def _ascend(w, domain, X, gtol, itmax):
 def maximize_log_T(w, domain, n, init=None, gtol=GTOL, itmax=ITMAX):
     """Ascend F to a stationary configuration of n nodes.
 
-    Returns (nodes, trace) once max|grad F| < gtol.  trace is a list of
-    per-iteration records.  Raises DomainEscape when no damped step can
-    stay inside the open domain, and NonConvergence (with the trace
+    Returns (nodes, trace) once max|grad F| < gtol, the nodes polished
+    by one more verified Newton step where that is kept (see _ascend).
+    trace is a list of per-iteration records: logT, max_gradient, mode
+    and step_scale, the scale of the step accepted from that iterate (1
+    unless capped at the box edge or halved); a kept polish adds a last
+    record of mode "polish".  The last record's logT is the compensated
+    F of the nodes returned.  Raises DomainEscape when no damped step
+    can stay inside the open domain, and NonConvergence (with the trace
     attached) after itmax iterations.
     """
     lo, hi = float(domain[0]), float(domain[1])

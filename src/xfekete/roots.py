@@ -61,6 +61,7 @@ class ZeroSet:
     exceptional:  the m zeros outside its closure (complex array)
     s_zeros:      zeros of the denominator polynomial S, for reference
     certificate:  evaluator certificate record (method, max_ratio, passed)
+    gauss:        the classical Gauss nodes that seeded the regular zeros
     """
 
     spec: object
@@ -68,6 +69,7 @@ class ZeroSet:
     exceptional: np.ndarray
     s_zeros: np.ndarray
     certificate: dict
+    gauss: np.ndarray
 
 
 def _newton_ladder(specs, x0s, itmax=60):
@@ -268,12 +270,12 @@ def find_zeros_ladder(specs):
     if len({(s.family, s.m, s.alpha, s.beta) for s in specs}) > 1:
         raise ValidationError("the specs of a ladder differ only in n")
     out = [None] * len(specs)
-    seeds, table = {}, None
+    seeds, gauss, table = {}, {}, None
     for i, spec in enumerate(specs):
         try:
             # a collapsed degree fails before any Newton step
             _nonzero_lead(spec, spec.fam.lead_factor(spec))
-            gauss = spec.fam.gauss(spec)
+            gauss[i] = spec.fam.gauss(spec)
             # S does not depend on n, so the ladder builds it and its
             # roots once (FamilySpec.S caches in the instance dict); a
             # build that raises is not shared, and each member raises it
@@ -284,7 +286,8 @@ def find_zeros_ladder(specs):
             # the n Gauss seeds, then the m zeros of S: a real array
             # when all of those are real
             r = table.roots
-            seeds[i] = np.concatenate([gauss, r if r.imag.any() else r.real])
+            seeds[i] = np.concatenate([gauss[i],
+                                       r if r.imag.any() else r.real])
         except XFeketeError as exc:
             out[i] = exc
     found = {}
@@ -310,7 +313,7 @@ def find_zeros_ladder(specs):
             reg, z = found[i]
             out[i] = ZeroSet(spec=specs[i], regular=reg, exceptional=z,
                              s_zeros=_sort_zeros(specs[i].S.roots),
-                             certificate=cert)
+                             certificate=cert, gauss=gauss[i])
         else:
             out[i] = NonConvergence(f"residual certificate failed: {cert}",
                                     [cert])
@@ -321,7 +324,7 @@ def check_interlacing(zs):
     """Interlacing and location report for a ZeroSet.
 
     laguerre1 (n >= 1): with classical Laguerre zeros z_{k,j} at the same
-    alpha,
+    alpha (z_{n,j} are the Gauss seeds zs.gauss),
         0 < x_1 < z_{n,1},   z_{n-1,j-1} < x_j < z_{n,j}
     and, ordering the exceptional zeros downward from 0,
         -z_{m,1} < e_1 < 0,  -z_{m,j} < e_j < -z_{m-1,j-1}.
@@ -345,7 +348,7 @@ def check_interlacing(zs):
         add("exceptional negative", np.all(exc < 0))
         mode = "full" if n >= 1 and m >= 1 else "structure"
         if n >= 1 and m >= 1:
-            zn = laguerre_zeros(n, al)
+            zn = zs.gauss
             zn1 = laguerre_zeros(n - 1, al)
             add("x_1 in (0, z_n1)", 0 < reg[0] < zn[0])
             ok = all(zn1[j - 1] < reg[j] < zn[j] for j in range(1, n))

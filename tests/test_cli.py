@@ -385,17 +385,17 @@ def test_overflowing_jacobi_exceptional_newton_fails_quietly(capsys):
     assert checks["zeros"]["passed"] is False
 
 
-# recorded from the ascent that evaluated F (log_energy) and its
-# derivatives (gradient_and_hessian) separately; the fused energy terms
-# must reproduce it bit for bit
+# recorded from the ascent whose step is capped at the box edge and
+# whose last Newton step is polished; against the uncapped ascent only
+# logT, the nodes and top_cluster_deviation_from_zeros moved
 FEKETE_GOLDEN = (
-    '{"clusters":[{"count":20,"logT":140.07962035631712,"nodes":[0.'
-    '55860362838620214,1.5244420568678521,2.9557385946151138,4.8850'
-    '537735652146,7.35964033426737,10.451538961997567,14.2742370037'
-    '31439,19.019298778406583,25.05647989790522,33.334599870654777]'
+    '{"clusters":[{"count":20,"logT":140.07962035631709,"nodes":[0.'
+    '55860362837887467,1.5244420570210369,2.9557385947194241,4.8850'
+    '537736553115,7.3596403343513268,10.451538962078258,14.27423700'
+    '3810157,19.019298778484,25.056479897981717,33.334599870730557]'
     '}],"converged":20,"domain":[0,48],"failed":0,"seed":0,"spec":{'
     '"alpha":2,"family":"laguerre1","m":1,"n":10},"top_cluster_devi'
-    'ation_from_zeros":1.5318435409028552e-10,"trials":20,"version"'
+    'ation_from_zeros":3.5527136788005009e-15,"trials":20,"version"'
     ':"0.1.0"}'
     "\n")
 

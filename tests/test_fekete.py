@@ -73,6 +73,34 @@ def test_invalid_starts():
         xf.maximize_log_T(v, (0.0, 10.0), 2, init=np.array([3.0]))
 
 
+def test_box_scale_is_the_fraction_to_the_boundary():
+    X = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0],
+                  [1.0, 2.0, 3.0]])
+    step = np.array([[0.0, 1.0, -1.0],      # bound by the third node: 3
+                     [0.0, 0.0, 0.0],       # no bound
+                     [-4.0, 0.0, 20.0],     # the first: 0.25 < 0.35
+                     [0.0, 0.0, 1e300]])
+    with np.errstate(all="raise"):          # a zero component is quiet
+        t = fekete_opt._box_scale(X, step, (0.0, 10.0))
+        unbounded = fekete_opt._box_scale(X, step, (-np.inf, np.inf))
+    assert t.tolist() == [1.0, 1.0, 0.9 * 0.25, 0.9 * (7.0 / 1e300)]
+    assert unbounded.tolist() == [1.0] * 4
+
+
+def test_polish_entry_ends_a_newton_trace():
+    v = v_of("laguerre1", 0, 1.0, 1)
+    nodes, trace = xf.maximize_log_T(v, xf.default_domain(v, 1), 1,
+                                     init=np.array([5.0]))
+    last, before = trace[-1], trace[-2]
+    assert last["mode"] == "polish"
+    assert last["iteration"] == before["iteration"] + 1
+    assert before["mode"] == "newton" and before["step_scale"] == 1.0
+    assert last["max_gradient"] <= before["max_gradient"] < fekete_opt.GTOL
+    assert last["logT"] == xf.log_energy(nodes, v)
+    # every accepted step's scale, capped or halved, lies in (0, 1]
+    assert all(0 < r["step_scale"] <= 1.0 for r in trace[:-1])
+
+
 def test_nonconvergence_carries_trace():
     v = v_of("laguerre1", 0, 1.0, 1)
     with pytest.raises(xf.NonConvergence) as exc:
@@ -108,6 +136,22 @@ def test_probe_jacobi_large_n():
     assert np.max(np.abs(rep["clusters"][0]["nodes"] - zs.regular)) < 1e-6
 
 
+@pytest.mark.parametrize("n", [10, 20, 40])
+@pytest.mark.parametrize("args", [("laguerre1", 1, 2.0), ("laguerre2", 1, 3.5),
+                                  ("jacobi", 1, 2.5, 1.5)],
+                         ids=lambda a: a[0])
+def test_probe_top_cluster_is_the_regular_zeros_to_rounding(args, n):
+    # the polished last Newton step takes the maximizer from within
+    # GTOL / curvature of the zeros down to their rounding level
+    zs = zeros_of(*args[:3], n, *args[3:])
+    v = xf.v_weight(zs)
+    rep = xf.uniqueness_probe(v, xf.default_domain(v, n), n, trials=20,
+                              seed=0)
+    assert rep["converged"] == 20 and len(rep["clusters"]) == 1
+    dev = np.abs(rep["clusters"][0]["nodes"] - zs.regular)
+    assert np.max(dev / (1.0 + np.abs(zs.regular))) < 1e-12
+
+
 def test_probe_deterministic_under_seed():
     v = v_of("laguerre1", 1, 1.5, 3)
     a = xf.uniqueness_probe(v, xf.default_domain(v, 3), 3, trials=5, seed=42)
@@ -130,8 +174,10 @@ def test_small_alpha_positive_curvature_witness():
 
 # ------------------------------------------------------- lockstep ascent
 #
-# The serial line search the lockstep core replaced, kept as the
-# reference: every start alone, one energy evaluation per candidate.
+# The serial ascent the lockstep core replaced, kept as the reference:
+# every start alone, one energy evaluation per candidate, on the same
+# schedule: the step capped at the box edge, halved while rejected, and
+# a converged Newton row polished by one more full Newton step.
 
 def _serial_valid(w, x, domain, count):
     lo, hi = domain
@@ -141,9 +187,21 @@ def _serial_valid(w, x, domain, count):
         return False, "order"
     count[0] += 1
     try:
-        return True, xf.energy_terms(x, w)
+        F, g, H = xf.energy_terms(x, w)
     except xf.NumericalError:
         return False, "pole"
+    # the accept test reads the plain sums, the result the compensated F
+    i, j = np.triu_indices(x.size, k=1)
+    plain = (np.sum(xf.weight_logs(w, x)[0])
+             + 2.0 * np.sum(np.log(np.abs(x[i] - x[j]))))
+    return True, (plain, g, H, F)
+
+
+def _serial_cap(x, step, lo, hi):
+    """min(1, 0.9 t_box), node by node."""
+    t_box = min([(hi - xi) / si if si > 0 else (lo - xi) / si
+                 for xi, si in zip(x, step) if si != 0], default=np.inf)
+    return min(1.0, 0.9 * t_box)
 
 
 def serial_maximize_log_T(w, domain, n, init, gtol=fekete_opt.GTOL,
@@ -154,7 +212,7 @@ def serial_maximize_log_T(w, domain, n, init, gtol=fekete_opt.GTOL,
     ok, terms = _serial_valid(w, x, (lo, hi), count)
     if not ok:
         raise xf.DomainEscape(f"initial nodes invalid ({terms})")
-    f0, g, H = terms
+    f0, g, H, logT = terms
     trace = []
     for it in range(itmax):
         gmax = float(np.max(np.abs(g)))
@@ -168,15 +226,27 @@ def serial_maximize_log_T(w, domain, n, init, gtol=fekete_opt.GTOL,
         trace.append({"iteration": it, "logT": f0, "max_gradient": gmax,
                       "mode": mode})
         if gmax < gtol:
+            if mode == "newton":
+                cand = np.sort(x + step)
+                ok, terms = _serial_valid(w, cand, (lo, hi), count)
+                if (ok and terms[0] >= f0 - 1e-10 * (1.0 + abs(f0))
+                        and np.max(np.abs(terms[1])) <= gmax):
+                    x, (f0, g, H, logT) = cand, terms
+                    trace[-1]["step_scale"] = 1.0
+                    trace.append({"iteration": it + 1, "logT": logT,
+                                  "max_gradient": float(np.max(np.abs(g))),
+                                  "mode": "polish"})
+                    return x, trace
+            trace[-1]["logT"] = logT
             return x, trace
-        t = 1.0
+        t = _serial_cap(x, step, lo, hi)
         placed = False
-        blocker = "order"
+        blocker = "domain" if t < 1.0 else "order"
         while t > 1e-14:
             cand = np.sort(x + t * step)
             ok, terms = _serial_valid(w, cand, (lo, hi), count)
             if ok and terms[0] >= f0 - 1e-10 * (1.0 + abs(f0)):
-                x, (f0, g, H) = cand, terms
+                x, (f0, g, H, logT) = cand, terms
                 placed = True
                 break
             if not ok:
@@ -275,6 +345,20 @@ def test_lockstep_probe_bit_identical_to_serial(args, n):
         assert (c["count"], c["logT"]) == (r["count"], r["logT"])
 
 
+def inadmissible_stack(domain, n):
+    """Sorted rows of n >= 2 nodes of which none is admissible: a node
+    past either end of the box, a repeated node, two nodes 1e-15
+    (relative) apart.  The capped step keeps a probe's candidates inside
+    the box, so a round with no admissible row needs such a stack."""
+    lo, hi = domain
+    X = np.tile(lo + (hi - lo) * np.arange(1, n + 1) / (n + 1.0), (4, 1))
+    X[0, -1] = hi + 1.0
+    X[1, 0] = lo - 1.0
+    X[2, 1] = X[2, 0]
+    X[3, 1] = X[3, 0] * (1.0 + 1e-15)
+    return X
+
+
 def test_probe_makes_one_weight_evaluation_per_round(monkeypatch):
     v = v_of("laguerre1", 1, 2.0, 10)
     domain = xf.default_domain(v, 10)
@@ -297,12 +381,38 @@ def test_probe_makes_one_weight_evaluation_per_round(monkeypatch):
     monkeypatch.setattr(fekete_opt, "weight_logs", logs)
     got = xf.uniqueness_probe(v, domain, 10, trials=20, seed=1)
     assert got["converged"] == ref["converged"] == 20
-    # one evaluation per round with an admissible row, none for the
-    # rounds (two here) where no candidate is admissible
+    # one evaluation per round with an admissible row
     assert counter["weight_logs"] == counter["admissible"]
-    assert counter["admissible"] < counter["rounds"]
     # the serial ascent evaluated every start's candidates one by one
     assert 4 * counter["weight_logs"] < serial[0]
+    # none for a round where no row is admissible
+    probe = dict(counter)
+    res = fekete_opt._ascend(v, domain, inadmissible_stack(domain, 10),
+                             fekete_opt.GTOL, fekete_opt.ITMAX)
+    assert all(isinstance(r, xf.DomainEscape) for r in res)
+    assert counter["rounds"] == probe["rounds"] + 1
+    assert counter["weight_logs"] == counter["admissible"]
+    assert counter["admissible"] < counter["rounds"]
+
+
+@pytest.mark.parametrize("n", [1, 4, 10, 30])
+@pytest.mark.parametrize("args", LOCKSTEP, ids=lambda a: a[0])
+def test_capped_step_keeps_every_candidate_inside_the_box(monkeypatch, args,
+                                                          n):
+    v = v_of(*args[:3], n, *args[4:])
+    domain = xf.default_domain(v, n)
+    reasons, real_evaluate = [], fekete_opt._evaluate
+
+    def evaluate(w, X, domain):
+        res = real_evaluate(w, X, domain)
+        reasons.append(res[0])
+        return res
+
+    monkeypatch.setattr(fekete_opt, "_evaluate", evaluate)
+    rep = xf.uniqueness_probe(v, domain, n, trials=20, seed=3)
+    assert rep["converged"] > 0 and len(reasons) > 2
+    # the first round checks the starts; no later candidate leaves
+    assert not any(np.any(r == "domain") for r in reasons[1:])
 
 
 def evaluate_every_round(w, X, domain):
@@ -326,8 +436,8 @@ def evaluate_every_round(w, X, domain):
                 reason[r] = "pole"
         ok = reason == ""
         logs = fekete_opt.weight_logs(w, X[ok])
-    F, G, H = fekete_opt._assemble(X[ok], *logs)
-    return reason, np.array(F), G, H
+    F, G, H, cross = fekete_opt._assemble(X[ok], *logs)
+    return reason, F, G, H, logs[0], cross
 
 
 @pytest.mark.parametrize("args,n,seed", [
@@ -342,15 +452,22 @@ def test_probe_skips_empty_weight_evaluations(monkeypatch, args, n, seed):
         sizes.append(np.size(X))
         return real_logs(w, X)
 
+    def run():
+        probe = xf.uniqueness_probe(v, domain, n, trials=20, seed=seed)
+        stack = fekete_opt._ascend(v, domain, inadmissible_stack(domain, n),
+                                   fekete_opt.GTOL, fekete_opt.ITMAX)
+        return probe, [_outcome(r) for r in stack]
+
     monkeypatch.setattr(fekete_opt, "weight_logs", logs)
     monkeypatch.setattr(fekete_opt, "_evaluate", evaluate_every_round)
-    ref = xf.uniqueness_probe(v, domain, n, trials=20, seed=seed)
+    ref, ref_stack = run()
     assert 0 in sizes                # the reference does meet empty stacks
     monkeypatch.undo()
     monkeypatch.setattr(fekete_opt, "weight_logs", logs)
     sizes.clear()
-    got = xf.uniqueness_probe(v, domain, n, trials=20, seed=seed)
+    got, got_stack = run()
     assert sizes and 0 not in sizes
+    assert got_stack == ref_stack
     for key in ("trials", "converged", "failed"):
         assert got[key] == ref[key]
     assert len(got["clusters"]) == len(ref["clusters"])

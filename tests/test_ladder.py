@@ -114,7 +114,7 @@ def ref_find_zeros(spec, its=None):
                                 [cert])
     return roots.ZeroSet(spec=spec, regular=reg, exceptional=exc,
                          s_zeros=roots._sort_zeros(spec.S.roots),
-                         certificate=cert)
+                         certificate=cert, gauss=spec.fam.gauss(spec))
 
 
 def ref_d_sequence(m, alpha, n_range, c=1.0):
@@ -171,7 +171,8 @@ def _outcome(res):
     if isinstance(res, np.ndarray):
         return res.dtype, res.shape, res.tobytes()
     return (res.spec, res.regular.tobytes(), res.exceptional.tobytes(),
-            res.s_zeros.tobytes(), repr(res.certificate))
+            res.s_zeros.tobytes(), repr(res.certificate),
+            res.gauss.tobytes())
 
 
 # ------------------------------------------------- per-point degree sweeps

@@ -1,5 +1,7 @@
 """Regular and exceptional zeros: counts, location, certificates."""
 
+import dataclasses
+import json
 import math
 
 import mpmath
@@ -8,7 +10,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import xfekete as xf
-from xfekete import roots
+from xfekete import classical_poly, cli, exceptional, roots
 from xfekete.roots import _sort_zeros
 
 from conftest import built_of, spec_of, zeros_of
@@ -72,6 +74,43 @@ def test_interlacing_full_mode():
         rep = xf.check_interlacing(zeros_of("laguerre1", m, 2.0, n))
         assert rep["mode"] == "full"
         assert rep["passed"], rep["checks"]
+
+
+def ref_check_interlacing(zs):
+    """check_interlacing with the degree-n Laguerre zeros recomputed
+    instead of read from the seeds the ZeroSet carries."""
+    again = xf.laguerre_zeros(zs.spec.n, zs.spec.alpha)
+    return xf.check_interlacing(dataclasses.replace(zs, gauss=again))
+
+
+def test_interlacing_reads_the_gauss_seeds():
+    for (m, a, n) in [(1, 2.0, 1), (1, 0.3, 6), (2, 2.0, 5), (3, 4.5, 11),
+                      (2, 2.0, 120), (1, 2.0, 0)]:
+        zs = xf.find_zeros(spec_of("laguerre1", m, a, n))
+        assert zs.gauss.tobytes() == xf.laguerre_zeros(n, a).tobytes()
+        assert xf.check_interlacing(zs) == ref_check_interlacing(zs)
+    for args in [("laguerre2", 2, 3.0, 6), ("jacobi", 2, 4.0, 10, 1.0)]:
+        zs = xf.find_zeros(spec_of(*args))
+        spec = zs.spec
+        assert zs.gauss.tobytes() == spec.fam.gauss(spec).tobytes()
+
+
+def test_laguerre1_verify_solves_each_gauss_rule_once(monkeypatch, capsys):
+    calls = []
+    real = classical_poly.laguerre_zeros
+
+    def counted(n, a):
+        calls.append((n, a))
+        return real(n, a)
+
+    for module in (exceptional, roots):
+        monkeypatch.setattr(module, "laguerre_zeros", counted)
+    code = cli.main(["verify", "--family", "laguerre1", "--m", "2",
+                     "--alpha", "2", "--n", "120"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["passed"]
+    # the seeds (120), then the interlacing brackets 119, m and m - 1;
+    # the degree-120 rule is not solved a second time
+    assert calls == [(120, 2.0), (119, 2.0), (2, 2.0), (1, 2.0)]
 
 
 def test_interlacing_classical_is_structure_mode():
