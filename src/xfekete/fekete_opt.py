@@ -3,7 +3,11 @@
 The functional F from the energy module is concave near its maximizers,
 so a damped Newton iteration with a gradient-ascent fallback (used while
 the Hessian is not negative definite) converges quickly; started from
-the regular zeros of a member it stops within a couple of steps.  Each
+the regular zeros of a member it stops within a couple of steps.  -H is
+certified positive definite by strict diagonal dominance, which its
+positive off-diagonal entries reduce to a sign test of the row sums of
+H; only a Hessian without the certificate is tested by a Cholesky
+factorization, and the Newton step is one LU solve.  Each
 step is capped at 0.9 of the way to the edge of the search box (the
 fraction-to-the-boundary rule, Nocedal & Wright, Numerical
 Optimization, 2nd ed., 2006, sec. 19.2) and halved only when F drops or
@@ -84,12 +88,28 @@ def _evaluate(w, X, domain):
 
 def _steps(G, H):
     """(newton, step) per row: the Newton step where -H is positive
-    definite, else the scaled gradient g / (1 + ||H||_inf)."""
-    try:
-        np.linalg.cholesky(-H)
-        newton = np.ones(len(H), dtype=bool)
-    except np.linalg.LinAlgError:
-        newton = np.array([_negative_definite(h) for h in H], dtype=bool)
+    definite, else the scaled gradient g / (1 + ||H||_inf).
+
+    H's off-diagonal entries 2/(x_i - x_j)^2 are positive, so -H is
+    diag(-(log w)'') plus a graph Laplacian and a row sum of H is
+    (log w)'' at its node.  A matrix whose every row sum of H is below
+    -1e-10 max_k |H_kk| makes -H strictly diagonally dominant with a
+    positive diagonal, hence positive definite (Horn & Johnson, Matrix
+    Analysis, Thm 6.1.10); the margin is far above the rounding of the
+    computed sums.  Only the matrices without this certificate are
+    factored by Cholesky, and np.linalg.solve is the one factorization
+    of the Newton rows.
+    """
+    k = np.arange(H.shape[1])
+    bound = -1e-10 * np.max(np.abs(H[:, k, k]), axis=1)
+    newton = np.all(np.sum(H, axis=2) < bound[:, None], axis=1)
+    rest = np.flatnonzero(~newton)
+    if rest.size:
+        try:
+            np.linalg.cholesky(-H[rest])
+            newton[rest] = True
+        except np.linalg.LinAlgError:
+            newton[rest] = [_negative_definite(h) for h in H[rest]]
     step = np.empty_like(G)
     a = ~newton
     if a.any():
@@ -161,10 +181,10 @@ def _ascend(w, domain, X, gtol, itmax):
         F, G = V[0], V[1]
         newton, step = _steps(G, V[2])
         gmax = np.max(np.abs(G), axis=1)
-        for k in range(rows.size):
-            traces[k].append({"iteration": it, "logT": float(F[k]),
-                              "max_gradient": float(gmax[k]),
-                              "mode": "newton" if newton[k] else "ascent"})
+        for tr, f, g, nt in zip(traces, F.tolist(), gmax.tolist(),
+                                newton.tolist()):
+            tr.append({"iteration": it, "logT": f, "max_gradient": g,
+                       "mode": "newton" if nt else "ascent"})
         live = ~(gmax < gtol)
         polish = ~live & newton
         t = np.where(live, _box_scale(X, step, domain), 1.0)
@@ -180,9 +200,13 @@ def _ascend(w, domain, X, gtol, itmax):
             p = pend[ok]
             acc = C[0] >= F[p] - 1e-10 * (1.0 + np.abs(F[p]))
             acc &= ~polish[p] | (np.max(np.abs(C[1]), axis=1) <= gmax[p])
-            X[p[acc]] = cand[ok[acc]]
-            for a, c in zip(V, C):
-                a[p[acc]] = c[acc]
+            if p.size == rows.size and acc.all():
+                # every row moved at once: the candidates are the state
+                X, V = cand, C
+            else:
+                X[p[acc]] = cand[ok[acc]]
+                for a, c in zip(V, C):
+                    a[p[acc]] = c[acc]
             moved[p[acc]] = True
             bad = reason != ""
             escape[pend[bad]] = reason[bad] == "domain"
@@ -195,9 +219,9 @@ def _ascend(w, domain, X, gtol, itmax):
         for k in np.flatnonzero(~live):
             logT = _compensated(V[3][k], V[4][k])
             if moved[k]:
+                gk = float(np.max(np.abs(V[1][k])))
                 traces[k].append({"iteration": it + 1, "logT": logT,
-                                  "max_gradient": float(np.max(np.abs(G[k]))),
-                                  "mode": "polish"})
+                                  "max_gradient": gk, "mode": "polish"})
             else:
                 traces[k][-1]["logT"] = logT
             out[rows[k]] = (X[k].copy(), traces[k])
@@ -207,8 +231,9 @@ def _ascend(w, domain, X, gtol, itmax):
                 if escape[k]
                 else NonConvergence("line search stalled", traces[k]))
         keep = live & moved
-        rows, X, V = rows[keep], X[keep], [a[keep] for a in V]
-        traces = [tr for tr, kept in zip(traces, keep) if kept]
+        if not keep.all():
+            rows, X, V = rows[keep], X[keep], [a[keep] for a in V]
+            traces = [tr for tr, kept in zip(traces, keep) if kept]
     for r, tr in zip(rows, traces):
         out[r] = NonConvergence(
             f"gradient above {gtol} after {itmax} iterations", tr)

@@ -185,6 +185,27 @@ def scan_grid(nodes, family, grid_size=1000):
     return grid[(grid > lo + 1e-9) & (grid < hi - 1e-9)]
 
 
+def _nearest_node_distance(grid, nodes):
+    """min_k |g - x_k| / (1 + |x_k|) for each grid point g, over the
+    sorted nodes, read at the two nodes that bracket g.
+
+    That suffices, because the ratio f(x) = |g - x| / (1 + |x|) grows
+    as x moves away from g on either side.  Right of g, f is
+    (x - g)/(1 + x) with derivative (1 + g)/(1 + x)^2 > 0 for x >= 0
+    (g > -1), and (x - g)/(1 - x) for g <= x < 0, whose numerator grows
+    and positive denominator falls.  Left of g, f is (g - x)/(1 + x)
+    with derivative -(1 + g)/(1 + x)^2 < 0 for x >= 0, and
+    (g - x)/(1 - x) with derivative (g - 1)/(1 - x)^2 < 0 for x < 0
+    when g < 1.  The scan grids meet these conditions: the Laguerre
+    grid and nodes are positive, and the Jacobi grid lies in (-1, 1).
+    """
+    i = np.searchsorted(nodes, grid)
+    near = nodes[[np.maximum(i - 1, 0), np.minimum(i, nodes.size - 1)]]
+    dist = np.abs(grid - near)
+    dist /= 1.0 + np.abs(near)
+    return np.min(dist, axis=0)
+
+
 def stability_scan(zs, grid_size=1000):
     """Scan the fundamental Gruenwald sum of a member's regular zeros.
 
@@ -203,11 +224,7 @@ def stability_scan(zs, grid_size=1000):
     gmin = float(np.min(vals[finite]))
     # off-node margin of 1 - G: exclude the near-node refinement points,
     # where 1 - G sits at rounding level by construction
-    dist = np.subtract.outer(grid, nodes)
-    np.abs(dist, out=dist)
-    dist /= 1.0 + np.abs(nodes)
-    dist = np.min(dist, axis=1)
-    off = finite & (dist > 1e-4)
+    off = finite & (_nearest_node_distance(grid, nodes) > 1e-4)
     off_margin = float(np.min(1.0 - vals[off])) if np.any(off) else np.nan
     n, m = spec.n, spec.m
     return {"passed": bool(np.all(finite) and gmin >= 0.0

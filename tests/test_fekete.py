@@ -474,3 +474,92 @@ def test_probe_skips_empty_weight_evaluations(monkeypatch, args, n, seed):
     for c, r in zip(got["clusters"], ref["clusters"]):
         assert c["nodes"].tobytes() == r["nodes"].tobytes()
         assert (c["count"], c["logT"]) == (r["count"], r["logT"])
+
+
+# ------------------------------------------------ definiteness certificate
+
+def cholesky_steps(G, H):
+    """_steps as it was before the certificate: newton where a Cholesky
+    of -H succeeds, row by row."""
+    newton = np.array([negative_definite(h) for h in H], dtype=bool)
+    step = np.empty_like(G)
+    a = ~newton
+    if a.any():
+        nrm = np.linalg.norm(H[a], np.inf, axis=(1, 2))
+        step[a] = G[a] / (1.0 + nrm)[:, None]
+    if newton.any():
+        step[newton] = np.linalg.solve(H[newton], -G[newton][..., None])[..., 0]
+    return newton, step
+
+
+def negative_definite(h):
+    try:
+        np.linalg.cholesky(-h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def certified(h):
+    """Every row sum of h below -1e-10 max_k |h_kk|."""
+    return bool(np.all(np.sum(h, axis=1)
+                       < -1e-10 * np.max(np.abs(np.diag(h)))))
+
+
+@pytest.fixture(scope="module")
+def hessian_kinds():
+    """Three 3-node Hessians: certified, negative definite without the
+    certificate (synthetic, off-diagonals positive), and the H_11 > 0
+    witness, which is not negative definite."""
+    hit = xf.search_positive_h11(trials=200, seed=0)
+    v = xf.v_weight(xf.find_zeros(hit["spec"]))
+    _, cert = xf.gradient_and_hessian(np.array([1.0, 2.0, 4.0]), v)
+    _, witness = xf.gradient_and_hessian(np.asarray(hit["nodes"]), v)
+    synth = np.array([[-1.0, 2.0, 0.1], [2.0, -5.0, 0.1], [0.1, 0.1, -1.0]])
+    assert certified(cert) and negative_definite(cert)
+    assert not certified(synth) and negative_definite(synth)
+    assert not certified(witness) and not negative_definite(witness)
+    return {"cert": cert, "synth": synth, "witness": witness}
+
+
+@pytest.mark.parametrize("kinds", [
+    ("cert",), ("synth",), ("witness",), ("cert", "synth"),
+    ("cert", "witness"), ("synth", "cert", "witness", "cert"),
+    ("witness", "synth", "synth")], ids="-".join)
+def test_steps_match_the_cholesky_steps(monkeypatch, hessian_kinds, kinds):
+    H = np.stack([hessian_kinds[k] for k in kinds])
+    G = np.random.default_rng(len(kinds)).normal(size=(len(kinds), 3))
+    ref_newton, ref_step = cholesky_steps(G, H)
+    assert ref_newton.tolist() == [negative_definite(h) for h in H]
+    calls, real = [], np.linalg.cholesky
+
+    def cholesky(a):
+        calls.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    newton, step = fekete_opt._steps(G, H)
+    assert newton.tolist() == ref_newton.tolist()
+    assert step.tobytes() == ref_step.tobytes()
+    # certified rows reach no Cholesky: at most one batch of the rest,
+    # then one call per row when the batch fails
+    rest = sum(k != "cert" for k in kinds)
+    assert calls[:1] == ([rest] if rest else [])
+    assert len(calls) <= 1 + (rest if "witness" in kinds else 0)
+
+
+@pytest.mark.parametrize("args", LOCKSTEP, ids=lambda a: a[0])
+def test_certified_probe_makes_no_cholesky(monkeypatch, args):
+    n = 10
+    v = v_of(*args[:3], n, *args[4:])
+    domain = xf.default_domain(v, n)
+    calls, real = [0], np.linalg.cholesky
+
+    def cholesky(a):
+        calls[0] += 1
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    rep = xf.uniqueness_probe(v, domain, n, trials=20, seed=1)
+    assert rep["converged"] == 20
+    assert calls[0] == 0

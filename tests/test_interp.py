@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 import xfekete as xf
-from xfekete.interp import scan_grid
+from xfekete.interp import _nearest_node_distance, scan_grid
 
 from conftest import random_nodes, spec_of, zeros_of
 
@@ -161,6 +161,24 @@ def test_stability_scan_passes_in_regime():
 def test_stability_scan_classical_control():
     rep = xf.stability_scan(zeros_of("laguerre1", 0, 1.0, 5), grid_size=400)
     assert rep["passed"]
+
+
+@pytest.mark.parametrize("args", [
+    ("laguerre1", 1, 2.0, 40), ("laguerre2", 2, 4.5, 30),
+    ("jacobi", 1, 2.5, 60, 1.5), ("laguerre1", 0, 1.0, 5)],
+    ids=lambda a: f"{a[0]}-m{a[1]}")
+def test_nearest_node_distance_is_the_dense_minimum(args):
+    zs = zeros_of(*args)
+    nodes = zs.regular
+    # the scan grid, with points that are exactly nodes
+    grid = np.unique(np.concatenate([scan_grid(nodes, args[0]), nodes]))
+    dense = np.abs(np.subtract.outer(grid, nodes))
+    dense /= 1.0 + np.abs(nodes)
+    ref = np.min(dense, axis=1)
+    got = _nearest_node_distance(grid, nodes)
+    assert got.tobytes() == ref.tobytes()
+    assert np.array_equal(got > 1e-4, ref > 1e-4)
+    assert np.count_nonzero(got == 0.0) == nodes.size
 
 
 def test_scan_grid_refines_near_nodes():
