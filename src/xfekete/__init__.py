@@ -11,9 +11,10 @@ and the transfinite-diameter sequence.
 from .asymptotics import (DiameterSeries, ZeroSumReport, d_sequence,
                           transfinite_d, zero_sum_check)
 from .classical_poly import (bessel_first_zero, bessel_j, jacobi_coeffs,
-                             jacobi_eval, jacobi_pass, jacobi_zeros,
-                             laguerre_coeffs, laguerre_eval, laguerre_pass,
-                             laguerre_zeros, poly_eval)
+                             jacobi_eval, jacobi_pass, jacobi_seeds,
+                             jacobi_zeros, laguerre_coeffs, laguerre_eval,
+                             laguerre_pass, laguerre_seeds, laguerre_zeros,
+                             poly_eval)
 from .energy import (EnergyReport, WeightSpec, energy_hessian,
                      energy_terms, fejer_constants, gradient_and_hessian,
                      log_energy, phi, phi_closed, v_weight, weight_logs)
@@ -49,8 +50,8 @@ __all__ = [
     "fejer_constants", "find_zeros",
     "gradient_and_hessian", "grunwald", "hermite_form",
     "inv_weight_brackets", "jacobi_coeffs", "jacobi_eval", "jacobi_pass",
-    "jacobi_zeros", "lagrange_basis", "laguerre_coeffs", "laguerre_eval",
-    "laguerre_pass", "laguerre_zeros",
+    "jacobi_seeds", "jacobi_zeros", "lagrange_basis", "laguerre_coeffs",
+    "laguerre_eval", "laguerre_pass", "laguerre_seeds", "laguerre_zeros",
     "log_energy", "maximize_log_T", "ode_coeffs", "phi", "phi_closed",
     "poly_eval", "search_positive_h11", "stability_scan", "transfinite_d",
     "uniqueness_probe", "v_weight", "weight_logs", "zero_sum_check",

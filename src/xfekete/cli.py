@@ -51,6 +51,8 @@ def _dumps(obj):
         return format(x, ".17g")
     if isinstance(obj, complex):
         return _dumps([obj.real, obj.imag])
+    if isinstance(obj, np.ndarray) and obj.ndim == 0:
+        return _dumps(obj.tolist())     # its scalar
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
         return "[" + ",".join(_dumps(v) for v in seq) + "]"

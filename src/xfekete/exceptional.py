@@ -35,8 +35,8 @@ import numpy.polynomial.polynomial as npoly
 
 from .classical_poly import (PolyTable, _as_float_or_complex as _coerce,
                              _horner, _jacobi_coeffs_top_down, gen_binom,
-                             jacobi_coeffs, jacobi_pass, jacobi_zeros,
-                             laguerre_coeffs, laguerre_pass, laguerre_zeros,
+                             jacobi_coeffs, jacobi_pass, jacobi_seeds,
+                             laguerre_coeffs, laguerre_pass, laguerre_seeds,
                              trim)
 from .errors import (DegreeCollapse, InvalidFamily, NullspaceDefect,
                      RepresentationOverflow, SingularEvaluation,
@@ -361,7 +361,7 @@ class Family(NamedTuple):
     poles: tuple        # r of each base-weight factor |x - r|^(alpha, beta)
     exp_weight: bool    # base weight also carries e^-x (the half-line)
     S: object           # coefficients of S, a classical polynomial
-    gauss: object       # classical Gauss nodes, the regular-zero seeds
+    gauss: object       # seeds of the regular zeros: the classical zeros
     sigma: object       # the ODE: A = sigma S, B = tau S - 2 sigma S',
     tau: object         # C = lam S + k (q S'); sigma and q multiply a
     lam: object         # coefficient vector (by polymulx for x, which
@@ -398,7 +398,7 @@ def _jac_regime(spec):
 
 _HALF_LINE = dict(
     interval=(0.0, np.inf), poles=(0.0,), exp_weight=True,
-    gauss=lambda s: laguerre_zeros(s.n, s.alpha), lead=_half_line_lead,
+    gauss=lambda s: laguerre_seeds(s.n, s.alpha), lead=_half_line_lead,
     sigma=npoly.polymulx, tau=lambda s: (s.alpha + 1.0, -1.0),
     domain=lambda s, n: (0.0, 4.0 * n + 2.0 * s.alpha + 4.0 * s.m))
 
@@ -425,7 +425,7 @@ FAMILY = {
     "jacobi": Family(
         interval=(-1.0, 1.0), poles=(1.0, -1.0), exp_weight=False,
         S=lambda s: jacobi_coeffs(s.m, -s.alpha - 1.0, s.beta - 1.0),
-        gauss=lambda s: jacobi_zeros(s.n, s.alpha, s.beta),
+        gauss=lambda s: jacobi_seeds(s.n, s.alpha, s.beta),
         sigma=lambda c: npoly.polymul((1.0, 0.0, -1.0), c),
         tau=lambda s: (s.beta - s.alpha, -(s.alpha + s.beta + 2.0)),
         lam=lambda s, n: (s.m * (s.alpha - s.beta - s.m + 1.0)

@@ -6,7 +6,7 @@ exceptional zeros; real and negative for laguerre1, possibly complex for
 laguerre2 and jacobi).  Root finding never touches monomial coefficients:
 one engine serves all three families.  One Newton iteration on the
 pointwise closed-form evaluator polishes all m + n zeros together: the
-regular ones from classical Gauss seeds, the exceptional ones from the
+regular ones from the classical zeros, the exceptional ones from the
 zeros of S, to which they tend (Gomez-Ullate, Marcellan & Milson 2013),
 each exceptional iterate coupled to every other (Aberth-Ehrlich).  Specs
 that differ only in n (a ladder, such as the members of a diameter
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical_poly import laguerre_zeros
+from .classical_poly import _QUIET, laguerre_pass, laguerre_zeros
 from .errors import (CountMismatch, NonConvergence, ValidationError,
                      XFeketeError)
 from .exceptional import _nonzero_lead, ladder_eval_pair
@@ -32,11 +32,6 @@ MARGIN = 1e-9
 
 # the certificate's bound on the relative Newton correction at a zero
 CERT_TOL = 1e-10
-
-# recurrences that overflow, y' = 0 and coinciding points give non-finite
-# pairs, steps and ratios, which fail typed (not rel <= CERT_TOL) and
-# raise no warning
-_QUIET = dict(divide="ignore", over="ignore", invalid="ignore")
 
 # Newton stops once every point's next step is predicted below
 # NEWTON_TOL, the prediction trusted while every step is at most
@@ -61,7 +56,9 @@ class ZeroSet:
     exceptional:  the m zeros outside its closure (complex array)
     s_zeros:      zeros of the denominator polynomial S, for reference
     certificate:  evaluator certificate record (method, max_ratio, passed)
-    gauss:        the classical Gauss nodes that seeded the regular zeros
+    gauss:        the seeds of the regular zeros, the classical zeros as
+                  Family.gauss gives them (laguerre_seeds, jacobi_seeds:
+                  eigenvalues below SEED_N, polished WKB nodes from it on)
     """
 
     spec: object
@@ -239,12 +236,13 @@ def find_zeros(spec):
     """All zeros of the exceptional polynomial, classified and certified.
 
     One engine for all three families.  The coupled Newton of
-    _newton_ladder polishes the regular zeros from the classical Gauss
-    nodes (Laguerre or Jacobi at the same parameters) and the exceptional
-    zeros from the zeros of S, all together.  Raises DegreeCollapse first
-    where the closed-form leading coefficient is 0, CountMismatch if
-    counts or the location margins fail, and NonConvergence if the
-    Newton polish or the certificate fails.
+    _newton_ladder polishes the regular zeros from the classical zeros
+    (Laguerre or Jacobi at the same parameters, laguerre_seeds and
+    jacobi_seeds) and the exceptional zeros from the zeros of S, all
+    together.  Raises DegreeCollapse first where the closed-form leading
+    coefficient is 0, CountMismatch if counts or the location margins
+    fail, and NonConvergence if the Newton polish or the certificate
+    fails.
 
     The certificate bounds the closed-form evaluator's Newton correction
     at every zero (_certificate); the monomial coefficients are never
@@ -283,7 +281,7 @@ def find_zeros_ladder(specs):
             if table is not None:
                 vars(spec)["S"] = table
             table = spec.S
-            # the n Gauss seeds, then the m zeros of S: a real array
+            # the n classical seeds, then the m zeros of S: a real array
             # when all of those are real
             r = table.roots
             seeds[i] = np.concatenate([gauss[i],
@@ -302,8 +300,9 @@ def find_zeros_ladder(specs):
             found[i] = reg, z
         except XFeketeError as exc:
             out[i] = exc
-    # every classified member's certificate, in one more lockstep round
-    rts = {i: np.concatenate([z, reg.astype(complex)])
+    # every classified member's certificate, in one more lockstep round,
+    # in real arithmetic for a member whose zeros are all real
+    rts = {i: np.concatenate([z if z.imag.any() else z.real, reg])
            for i, (reg, z) in found.items()}
     with np.errstate(**_QUIET):
         pairs = _ladder_pairs(specs, rts, list(rts)) if rts else {}
@@ -324,10 +323,21 @@ def check_interlacing(zs):
     """Interlacing and location report for a ZeroSet.
 
     laguerre1 (n >= 1): with classical Laguerre zeros z_{k,j} at the same
-    alpha (z_{n,j} are the Gauss seeds zs.gauss),
+    alpha,
         0 < x_1 < z_{n,1},   z_{n-1,j-1} < x_j < z_{n,j}
     and, ordering the exceptional zeros downward from 0,
         -z_{m,1} < e_1 < 0,  -z_{m,j} < e_j < -z_{m-1,j-1}.
+    The regular brackets are decided by signs, from one laguerre_pass at
+    0 and the x_j, and no degree-n nodes: the x_j increase, so
+    x_j in (z_{n,j-1}, z_{n,j}) for every j iff x_1 > 0 and
+    sign L_n(x_j) = sign L_n(0) (-1)^(j-1) (n points in brackets of
+    alternating sign, the last one after z_{n,n} of the wrong sign), and
+    then x_j > z_{n-1,j-1}, the one zero of L_{n-1} in its bracket, iff
+    sign L_{n-1}(x_j) = sign L_{n-1}(0) (-1)^(j-1).  A sign alone places
+    x_j only in some bracket of the right parity, so the two checks are
+    exact together, not one by one: an x_1 two brackets off fails the
+    second check, not the first.  The exceptional brackets come from the
+    eigenvalues of degree m and m - 1.
     For n = 0 the member reduces to a reflected classical polynomial and
     the exceptional zeros sit exactly on the bracket ends, so only the
     count and sign structure is checked.  For laguerre2 and jacobi the
@@ -348,11 +358,12 @@ def check_interlacing(zs):
         add("exceptional negative", np.all(exc < 0))
         mode = "full" if n >= 1 and m >= 1 else "structure"
         if n >= 1 and m >= 1:
-            zn = zs.gauss
-            zn1 = laguerre_zeros(n - 1, al)
-            add("x_1 in (0, z_n1)", 0 < reg[0] < zn[0])
-            ok = all(zn1[j - 1] < reg[j] < zn[j] for j in range(1, n))
-            add("regular interlacing", ok)
+            p, q, _, _ = laguerre_pass(n, al, np.concatenate([[0.0], reg]))
+            alt = (-1.0) ** np.arange(reg.size)
+            in_n = np.sign(p[1:]) == np.sign(p[0]) * alt
+            above = np.sign(q[1:]) == np.sign(q[0]) * alt
+            add("x_1 in (0, z_n1)", reg[0] > 0 and in_n[0])
+            add("regular interlacing", np.all(in_n[1:] & above[1:]))
             zm = laguerre_zeros(m, al)
             zm1 = laguerre_zeros(m - 1, al)
             add("e_1 in (-z_m1, 0)", -zm[0] < exc[0] < 0 if m else True)

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import xfekete as xf
-from xfekete.classical_poly import _jacobi_coeffs_top_down
+from xfekete import classical_poly
+from xfekete.classical_poly import SEED_N, _jacobi_coeffs_top_down
 
 
 # ---------------------------------------------------------------- coefficients
@@ -211,6 +212,89 @@ def test_jacobi_zeros_at_parameter_sum_minus_one():
 def test_jacobi_zeros_symmetric():
     z = xf.jacobi_zeros(9, 1.5, 1.5)
     np.testing.assert_allclose(z, -z[::-1], atol=1e-13)
+
+
+# ---------------------------------------------------------------- seeds
+
+SEED_PARAMS = (-0.5, 0.0, 0.3, 2.0, 6.0, 9.0)
+
+
+def spacing_error(seeds, nodes):
+    """max |seed - node| over the distance to the node's nearest
+    neighbour."""
+    gap = np.diff(nodes)
+    near = np.minimum(np.r_[gap[0], gap], np.r_[gap, gap[-1]])
+    return np.max(np.abs(seeds - nodes) / near)
+
+
+@pytest.mark.parametrize("n", [SEED_N, 300])
+def test_laguerre_seeds_sit_next_to_the_nodes(n):
+    # n = 300 is below the recurrence's overflow, so every seed is polished
+    for a in SEED_PARAMS:
+        assert spacing_error(xf.laguerre_seeds(n, a),
+                             xf.laguerre_zeros(n, a)) < 1e-2
+
+
+@pytest.mark.parametrize("n", [SEED_N, 400])
+def test_jacobi_seeds_sit_next_to_the_nodes(n):
+    for a in SEED_PARAMS:
+        for b in SEED_PARAMS:
+            assert spacing_error(xf.jacobi_seeds(n, a, b),
+                                 xf.jacobi_zeros(n, a, b)) < 1e-2
+
+
+def test_jacobi_seeds_sit_next_to_the_nodes_at_n_1000():
+    # six parameter pairs: each dense reference is a 1000 x 1000 solve
+    for a, b in zip(SEED_PARAMS, SEED_PARAMS[::-1]):
+        assert spacing_error(xf.jacobi_seeds(1000, a, b),
+                             xf.jacobi_zeros(1000, a, b)) < 1e-2
+
+
+@pytest.mark.parametrize("a,b", [(-0.5, 0.3), (0.0, 0.0), (2.0, -0.5),
+                                 (9.0, 6.0)])
+def test_wkb_phase_is_bohr_sommerfeld(a, b):
+    # Phi(0) = 0, Phi(pi) = (n + 1/2 + (a - abar)/2 [+ (b - bbar)/2]) pi,
+    # and dPhi/dpsi is the derivative of Phi
+    psi = np.linspace(0.2, 3.0, 8)
+    for n in (SEED_N, 400):
+        total = n + 0.5 + (a - max(a, 0.0)) / 2
+        phases = [(classical_poly._laguerre_wkb(n, a), total),
+                  (classical_poly._jacobi_wkb(n, a, b),
+                   total + (b - max(b, 0.0)) / 2)]
+        for (_, phase, dphase, _), want in phases:
+            assert phase(0.0) == 0.0
+            assert phase(np.pi) == pytest.approx(want * np.pi, rel=1e-14)
+            h = 1e-6
+            numeric = (phase(psi + h) - phase(psi - h)) / (2 * h)
+            np.testing.assert_allclose(dphase(psi), numeric, rtol=1e-7)
+
+
+def test_seeds_below_seed_n_are_the_eigenvalues():
+    for n in (0, 1, 5, SEED_N - 1):
+        for a in (-0.5, 2.0):
+            assert (xf.laguerre_seeds(n, a).tobytes()
+                    == xf.laguerre_zeros(n, a).tobytes())
+            assert (xf.jacobi_seeds(n, a, 1.5).tobytes()
+                    == xf.jacobi_zeros(n, a, 1.5).tobytes())
+
+
+@pytest.mark.parametrize("n", [3, SEED_N])
+def test_seeds_refuse_parameters_at_minus_one(n):
+    with pytest.raises(xf.ValidationError, match="need a > -1, got -1"):
+        xf.laguerre_seeds(n, -1.0)
+    with pytest.raises(xf.ValidationError, match="need a, b > -1, got -1, 2"):
+        xf.jacobi_seeds(n, -1.0, 2.0)
+    with pytest.raises(xf.ValidationError, match="need a, b > -1, got 2, -1"):
+        xf.jacobi_seeds(n, 2.0, -1.0)
+
+
+def test_laguerre_seeds_are_quiet_where_the_recurrence_overflows():
+    # L_400 overflows at the largest nodes: those keep their WKB place
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = xf.laguerre_seeds(400, 2.0)
+    assert np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)
+    assert spacing_error(x, xf.laguerre_zeros(400, 2.0)) < 2e-2
 
 
 # ---------------------------------------------------------------- bessel

@@ -219,6 +219,18 @@ def test_gauss_seeds_below_the_classical_range_are_refused(capsys, argv):
     assert "Gauss nodes need" in doc["message"]
 
 
+def test_laguerre_seeds_stay_quiet_where_the_recurrence_overflows(capsys):
+    # no np.errstate here: L_400 overflows in the seeds' polishing step
+    # and in the Newton stage, and the member fails typed, without a
+    # warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "zeros", "--family", "laguerre1",
+                             "--m", "1", "--alpha", "2", "--n", "400")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "NonConvergence"
+
+
 def test_large_degree_jacobi_is_no_degree_collapse(capsys):
     # the expanded top coefficient of P_120^(2.376,-0.071) cancels; that
     # used to read as a DegreeCollapse (exit 1), and the member builds
@@ -408,14 +420,16 @@ def test_fekete_golden_stdout(capsys):
 
 
 # the construction check's residual and max_log_excess are those of the
-# closed-form coefficients; every other field is as recorded from the
-# least-squares build, which had reproduced the coefficient bound of
-# the zeros' certificate before the evaluator certified them
+# closed-form coefficients; the zeros' max_ratio of the laguerre1 and
+# jacobi members (all zeros real) is that of the real certificate sweep;
+# every other field is as recorded from the least-squares build, which
+# had reproduced the coefficient bound of the zeros' certificate before
+# the evaluator certified them
 VERIFY_GOLDEN = {
     ("laguerre1", "--m", "2", "--alpha", "2", "--n", "5"): (
         '{"checks":[{"detail":{"max_log_excess":-16.944749297952931,"resid'
         'ual":1.6613887386833617e-19},"name":"construction","passed":true}'
-        ',{"detail":{"max_ratio":1.5537973180361873e-16,"method":"evaluato'
+        ',{"detail":{"max_ratio":9.3306714070051981e-17,"method":"evaluato'
         'r","passed":true},"name":"zeros","passed":true},{"detail":{"mode"'
         ':"full"},"name":"interlacing","passed":true},{"detail":{"classifi'
         'cation":"saddle","max_gradient":3.9968028886505635e-15},"name":"s'
@@ -437,7 +451,7 @@ VERIFY_GOLDEN = {
     ("jacobi", "--m", "1", "--alpha", "2.5", "--beta", "1.5", "--n", "60"): (
         '{"checks":[{"detail":{"max_log_excess":-12.61458286132731,"residu'
         'al":1.80752050669243e-16},"name":"construction","passed":true},{"'
-        'detail":{"max_ratio":3.4029451573639913e-17,"method":"evaluator",'
+        'detail":{"max_ratio":2.8565953754037004e-17,"method":"evaluator",'
         '"passed":true},"name":"zeros","passed":true},{"detail":{"diag_all'
         '_negative":true,"max_gradient":1.0231815394945443e-11},"name":"fe'
         'kete_stationary","passed":true}],"passed":true,"spec":{"alpha":2.'
@@ -524,6 +538,8 @@ def generic_dumps(obj):
         return format(x, ".17g")
     if isinstance(obj, complex):
         return generic_dumps([obj.real, obj.imag])
+    if isinstance(obj, np.ndarray) and obj.ndim == 0:
+        return generic_dumps(obj.tolist())
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
         return "[" + ",".join(generic_dumps(v) for v in seq) + "]"
@@ -555,3 +571,10 @@ EDGE_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.5e-310,
 def test_float_array_fast_path_is_the_generic_path(obj):
     assert (_dumps_outcome(cli._dumps, obj)
             == _dumps_outcome(generic_dumps, obj))
+
+
+def test_zero_dim_array_serializes_as_its_scalar():
+    assert cli._dumps(np.array(1.5)) == "1.5"
+    assert cli._dumps(np.array(np.nan)) == "null"
+    assert cli._dumps(np.array(3)) == "3"
+    assert cli._dumps(np.array(1 + 2j)) == "[1,2]"

@@ -76,23 +76,53 @@ def test_interlacing_full_mode():
         assert rep["passed"], rep["checks"]
 
 
-def ref_check_interlacing(zs):
-    """check_interlacing with the degree-n Laguerre zeros recomputed
-    instead of read from the seeds the ZeroSet carries."""
-    again = xf.laguerre_zeros(zs.spec.n, zs.spec.alpha)
-    return xf.check_interlacing(dataclasses.replace(zs, gauss=again))
+REGULAR_BRACKETS = ("x_1 in (0, z_n1)", "regular interlacing")
 
 
-def test_interlacing_reads_the_gauss_seeds():
+def node_brackets(zs):
+    """The regular-zero checks of check_interlacing by node comparison,
+    the degree-n and n - 1 Laguerre zeros from the dense eigensolve: the
+    reference of its sign rule."""
+    reg, n, al = zs.regular, zs.spec.n, zs.spec.alpha
+    zn, zn1 = xf.laguerre_zeros(n, al), xf.laguerre_zeros(n - 1, al)
+    return {"x_1 in (0, z_n1)": bool(0 < reg[0] < zn[0]),
+            "regular interlacing": all(zn1[j - 1] < reg[j] < zn[j]
+                                       for j in range(1, n))}
+
+
+def sign_brackets(zs):
+    return {c["check"]: c["passed"] for c in xf.check_interlacing(zs)["checks"]
+            if c["check"] in REGULAR_BRACKETS}
+
+
+def test_interlacing_matches_the_node_reference():
     for (m, a, n) in [(1, 2.0, 1), (1, 0.3, 6), (2, 2.0, 5), (3, 4.5, 11),
-                      (2, 2.0, 120), (1, 2.0, 0)]:
+                      (2, 2.0, 120), (2, 2.0, 300)]:
         zs = xf.find_zeros(spec_of("laguerre1", m, a, n))
-        assert zs.gauss.tobytes() == xf.laguerre_zeros(n, a).tobytes()
-        assert xf.check_interlacing(zs) == ref_check_interlacing(zs)
+        assert zs.gauss.tobytes() == xf.laguerre_seeds(n, a).tobytes()
+        assert sign_brackets(zs) == node_brackets(zs)
+        assert xf.check_interlacing(zs)["passed"]
     for args in [("laguerre2", 2, 3.0, 6), ("jacobi", 2, 4.0, 10, 1.0)]:
         zs = xf.find_zeros(spec_of(*args))
         spec = zs.spec
         assert zs.gauss.tobytes() == spec.fam.gauss(spec).tobytes()
+
+
+@pytest.mark.parametrize("m,a,n", [(2, 2.0, 12), (1, 0.3, 7), (3, 4.5, 30)])
+def test_interlacing_signs_catch_a_zero_just_past_its_bracket(m, a, n):
+    # each x_j pushed 1e-9 (relative) past either end of its bracket
+    # (z_{n-1,j-1}, z_{n,j}), or x_1 past 0: the order of the zeros holds
+    zs = xf.find_zeros(spec_of("laguerre1", m, a, n))
+    zn, zn1 = xf.laguerre_zeros(n, a), xf.laguerre_zeros(n - 1, a)
+    ends = [(0, -1e-9)] + [(j, zn[j] * (1 + 1e-9)) for j in range(n)] \
+        + [(j, zn1[j - 1] * (1 - 1e-9)) for j in range(1, n)]
+    for j, x in ends:
+        reg = zs.regular.copy()
+        reg[j] = x
+        bad = dataclasses.replace(zs, regular=reg)
+        want = node_brackets(bad)
+        assert not all(want.values())
+        assert sign_brackets(bad) == want
 
 
 def test_laguerre1_verify_solves_each_gauss_rule_once(monkeypatch, capsys):
@@ -103,14 +133,15 @@ def test_laguerre1_verify_solves_each_gauss_rule_once(monkeypatch, capsys):
         calls.append((n, a))
         return real(n, a)
 
-    for module in (exceptional, roots):
+    for module in (classical_poly, roots):
         monkeypatch.setattr(module, "laguerre_zeros", counted)
     code = cli.main(["verify", "--family", "laguerre1", "--m", "2",
                      "--alpha", "2", "--n", "120"])
     assert code == 0 and json.loads(capsys.readouterr().out)["passed"]
-    # the seeds (120), then the interlacing brackets 119, m and m - 1;
-    # the degree-120 rule is not solved a second time
-    assert calls == [(120, 2.0), (119, 2.0), (2, 2.0), (1, 2.0)]
+    # the seeds (120, below SEED_N), then the exceptional brackets m and
+    # m - 1; the regular brackets take signs, no degree-119 or second
+    # degree-120 rule
+    assert calls == [(120, 2.0), (2, 2.0), (1, 2.0)]
 
 
 def test_interlacing_classical_is_structure_mode():
@@ -238,3 +269,39 @@ def test_predicted_stop_matches_40_digit_newton(family, m, alpha, n, beta):
             for _ in range(6):
                 r = r - f(r) / mpmath.diff(f, r)
             assert abs(mpmath.mpmathify(z) - r) <= 1e-11 * abs(r), z
+
+
+# ------------------------------------------------- WKB seeds
+
+WKB_GRID = [("laguerre1", 1, 2.0, None), ("laguerre1", 3, 0.7, None),
+            ("laguerre1", 5, 4.1, None), ("laguerre2", 1, 3.5, None),
+            ("laguerre2", 3, 4.5, None), ("laguerre2", 5, 6.2, None),
+            ("jacobi", 1, 2.5, 1.5), ("jacobi", 2, 2.6, 0.8),
+            ("jacobi", 3, 3.2, 1.1)]
+
+
+def _outcome(spec):
+    try:
+        return xf.find_zeros(spec)
+    except xf.XFeketeError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("family,m,alpha,beta", WKB_GRID)
+def test_wkb_seeds_give_the_eigensolve_outcome(monkeypatch, family, m, alpha,
+                                               beta):
+    # from SEED_N on the regular zeros start from polished WKB nodes; the
+    # reference seeds every member from the dense eigensolve.  n = 400
+    # fails on the recurrence's overflow either way, with the same message
+    ns = (classical_poly.SEED_N, 200, 300, 400)
+    got = [_outcome(xf.FamilySpec(family, m, alpha, n, beta)) for n in ns]
+    monkeypatch.setattr(classical_poly, "SEED_N", 10 ** 9)
+    want = [_outcome(xf.FamilySpec(family, m, alpha, n, beta)) for n in ns]
+    for g, w in zip(got, want):
+        if not isinstance(w, roots.ZeroSet):
+            assert g == w
+            continue
+        assert isinstance(g, roots.ZeroSet)
+        assert g.certificate["passed"]
+        for a, b in [(g.regular, w.regular), (g.exceptional, w.exceptional)]:
+            assert np.max(np.abs(a - b) / (1 + np.abs(b)), initial=0) <= 1e-13
