@@ -3,17 +3,17 @@
 Coefficient builders use explicit sums with generalized binomials computed
 as falling-factorial products, one prefix table per parameter, so negative
 and non-integer parameters are handled without gamma-function poles.
-Pointwise evaluation goes through one three-term sweep per family that
-carries the differentiated recurrence along, so a single pass gives p_n,
-p_{n-1} and both derivatives, each point at its own degree; it stays
-accurate far beyond the degrees at which monomial coefficients become
-unusable; a degree step is a few in-place ufunc calls on preallocated
-(value, derivative) rows.  Also provides Gauss-type zeros via the
-symmetric tridiagonal eigenproblem; the Newton seeds of the classical
-zeros, which are those eigenvalues below SEED_N and closed-form
-Langer-WKB nodes polished by one recurrence Newton step from SEED_N on;
-and the first positive zero of the Bessel function J_a from its
-ascending series.
+Pointwise evaluation goes through one three-term sweep per family, so a
+single pass gives p_n, p_{n-1} and both derivatives, each point at its
+own degree; it stays accurate far beyond the degrees at which monomial
+coefficients become unusable; a degree step is a few in-place ufunc
+calls on preallocated rows: the Jacobi sweep carries the differentiated
+recurrence, the Laguerre sweep only the values and their running sum.
+Also provides Gauss-type zeros via the symmetric tridiagonal
+eigenproblem; the Newton seeds of the classical zeros, which are those
+eigenvalues below SEED_N and closed-form Langer-WKB nodes polished by
+one recurrence Newton step from SEED_N on; and the first positive zero
+of the Bessel function J_a from its ascending series.
 """
 
 import functools
@@ -145,6 +145,22 @@ def _jacobi_coeffs_top_down(n, a, b):
     return c[: n + 1]
 
 
+def polyder(c, k=1):
+    """npoly.polyder(c, k) of ascending float coefficients c, bit for bit.
+
+    Each order multiplies entry j by j, the products numpy forms one
+    scalar at a time, here as one vector product.  An order beyond the
+    degree returns c[:1] * 0 of the input, as numpy does, so a negative
+    constant gives -0.0.
+    """
+    c = np.asarray(c, dtype=float)
+    if k >= len(c):
+        return c[:1] * 0
+    for _ in range(k):
+        c = c[1:] * np.arange(1.0, len(c))
+    return c
+
+
 def poly_eval(p, x, k=0):
     """k-th derivative of the polynomial with ascending coefficients p at x.
 
@@ -155,7 +171,7 @@ def poly_eval(p, x, k=0):
     if k > 0:
         if k >= len(c):
             return np.zeros_like(np.asarray(x, dtype=float)) + 0.0
-        c = npoly.polyder(c, k)
+        c = polyder(c, k)
     return npoly.polyval(x, c)
 
 
@@ -167,7 +183,7 @@ class PolyTable:
     def __init__(self, coeffs):
         c = np.array(coeffs, dtype=float)
         self.c, self.abs_c = c, np.abs(c)
-        self.d1, self.d2 = npoly.polyder(c), npoly.polyder(c, 2)
+        self.d1, self.d2 = polyder(c), polyder(c, 2)
         for t in (c, self.abs_c, self.d1, self.d2):
             t.setflags(write=False)
 
@@ -193,22 +209,25 @@ def _as_float_or_complex(x):
     return x.astype(float)
 
 
-def _sweep(n, x, advance):
+def _sweep(n, x, state, advance, finish):
     """Run a three-term sweep at every point of x up to its own degree.
 
     n is a nonnegative int or integer array broadcast with x, else
-    ValueError.  advance(lo, hi, x, A, B, C) steps the stacked (2, N)
-    state B = (p_k, p_k'), A = (p_{k-1}, p_{k-1}') in place from degree
-    k = lo to hi, writing each p_{k+1} into the third buffer C (A is
-    scratch; a ufunc call takes its output last), and returns (A, B, C)
-    rotated to (B, C, A) per step.  The points are sorted by descending
-    degree, so the live ones are a prefix: the sweep runs to max(n) on
-    shrinking column views, and a point leaves it at its own degree, so
-    it meets exactly the operations of a sweep of its own degree alone;
-    elementwise array arithmetic gives the same bits at any array length.
-    A 0-d x is swept as a one-element array (numpy's complex scalar
-    arithmetic rounds differently).  Returns fresh (p_n, p_{n-1}, p_n',
-    p_{n-1}') in the order and shape of x.
+    ValueError.  The sweep state is S = zeros(state + (N,)) over the N
+    points, its buffers S[0], S[1], ... in the pass's order: S[0] holds
+    p_k, its first entry p_0 = 1 at k = 0.  advance(lo, hi, x, S) steps
+    the buffers of the points x in place from degree k = lo to hi and
+    returns them in that order again (buffers may rotate; a ufunc call
+    takes its output last); finish(*S) reads (p_n, p_{n-1}, p_n',
+    p_{n-1}') off the final state.  The points are
+    sorted by descending degree, so the live ones are a prefix: the sweep
+    runs to max(n) on shrinking column views, and a point leaves it at its
+    own degree, so it meets exactly the operations of a sweep of its own
+    degree alone; elementwise array arithmetic gives the same bits at any
+    array length.  A 0-d x is swept as a one-element array (numpy's
+    complex scalar arithmetic rounds differently).  Returns (p_n, p_{n-1},
+    p_n', p_{n-1}'), arrays no other call shares, in the order and shape
+    of x.
     """
     x = _as_float_or_complex(x)
     if isinstance(n, (int, np.integer)):
@@ -227,22 +246,22 @@ def _sweep(n, x, advance):
         ends = (np.flatnonzero(np.diff(deg)) + 1).tolist() + [deg.size]
         runs = [(s, e, int(deg[s]))
                 for s, e in zip([0] + ends[:-1], ends) if e > s]
-        out = np.empty((2, 2, xs.size), xs.dtype)
+        out = np.empty((4, xs.size), xs.dtype)
     if runs and runs[-1][2] < 0:
         raise ValueError("degree must be nonnegative")
-    A, B, C = np.zeros((3, 2, xs.size), xs.dtype)
-    B[0] = 1.0
+    S = np.zeros(state + (xs.size,), xs.dtype)
+    S[(0,) * len(state)] = 1.0
     k = 0
     for start, end, stop in runs[::-1]:
-        A, B, C = advance(k, stop, xs[:end], A[:, :end], B[:, :end],
-                          C[:, :end])
+        S = advance(k, stop, xs[:end], [s[..., :end] for s in S])
         k = stop
         if order is not None:     # the run's points leave the sweep
-            out[:, :, start:end] = B[:, start:], A[:, start:]
-    if order is not None:
-        out[:, :, order] = out.copy()
-        B, A = out
-    vals = (B[0], A[0], B[1], A[1])
+            out[:, start:end] = finish(*(s[..., start:] for s in S))
+    if order is None:
+        vals = finish(*S)
+    else:
+        out[:, order] = out.copy()
+        vals = tuple(out)
     if shape != xs.shape:
         vals = tuple(v.reshape(shape)[()] for v in vals)
     return vals
@@ -253,26 +272,31 @@ def laguerre_pass(n, a, x):
 
     Returns (L_n, L_{n-1}, L_n', L_{n-1}') with L_{-1} = 0; n is an int
     or a per-point integer array broadcast with x (see _sweep).  The
-    derivatives come from differentiating the recurrence,
-      (k+1) L_{k+1}' = (2k+1+a-x) L_k' - L_k - (k+a) L_{k-1}'.
-    Each degree is six in-place ufunc calls in the formulas' order.
+    sweep carries the values and the running sum T_k = sum_{j<k} L_j,
+    which is L_{k-1}^(a+1) (telescope L_j^(a) = L_j^(a+1) - L_{j-1}^(a+1),
+    DLMF 18.9, 18.18), and L_k' = -L_{k-1}^(a+1), so the derivatives are
+    read off at the end,
+      L_n' = -T_n,   L_{n-1}' = L_{n-1} - T_n,
+    with no division by x.  Each degree is six in-place ufunc calls on
+    the points, five of them the recurrence in its own order,
+      (k+1) L_{k+1} = (2k+1+a-x) L_k - (k+a) L_{k-1}.
     """
-    def advance(lo, hi, x, A, B, C):
-        sub, mul, div = np.subtract, np.multiply, np.divide
+    def advance(lo, hi, x, S):
+        add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
+        B, A, T, C = S      # L_k, L_{k-1}, T_k and scratch
         s = np.empty_like(x)
-        A0, A1, B0, B1, C0, C1 = A[0], A[1], B[0], B[1], C[0], C[1]
         for k in range(lo, hi):
             sub(2 * k + 1 + a, x, s)
             mul(s, B, C)
-            sub(C1, B0, C1)
             mul(k + a, A, A)
             sub(C, A, C)
             div(C, k + 1.0, C)      # a float k + 1 takes a faster path
-            A, B, C, A0, B0, C0 = B, C, A, B0, C0, A0
-            A1, B1, C1 = B1, C1, A1
-        return A, B, C
+            add(T, B, T)
+            A, B, C = B, C, A
+        return B, A, T, C
 
-    return _sweep(n, x, advance)
+    return _sweep(n, x, (4,), advance,
+                  lambda B, A, T, C: (B, A, -T, A - T))
 
 
 def laguerre_eval(n, a, x):
@@ -295,7 +319,8 @@ def jacobi_pass(n, a, b, x):
     c3, c4 = (t - 2) * (t - 1) * t, 2 * (k1 + a - 1) * (k1 + b - 1) * t
     coeffs = list(zip(c1.tolist(), c2.tolist(), c3.tolist(), c4.tolist()))
 
-    def advance(lo, hi, x, A, B, C):
+    def advance(lo, hi, x, S):
+        B, A, C = S     # (P_k, P_k'), (P_{k-1}, P_{k-1}') and scratch
         if lo == 0 < hi:
             # P_1 is written out: the k = 0 recurrence coefficient
             # 2 (a+b+1)(a+b) vanishes at a + b = 0 or -1
@@ -316,9 +341,10 @@ def jacobi_pass(n, a, b, x):
             div(C, c1, C)
             A, B, C, A0, B0, C0 = B, C, A, B0, C0, A0
             A1, B1, C1 = B1, C1, A1
-        return A, B, C
+        return B, A, C
 
-    return _sweep(n, x, advance)
+    return _sweep(n, x, (3, 2), advance,
+                  lambda B, A, C: (B[0], A[0], B[1], A[1]))
 
 
 def jacobi_eval(n, a, b, x):

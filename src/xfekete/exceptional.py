@@ -26,7 +26,7 @@ from one PolyTable per spec, FamilySpec.S, the only caller of build_S.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial, isfinite, lgamma
 from typing import NamedTuple
 
@@ -37,7 +37,7 @@ from .classical_poly import (PolyTable, _as_float_or_complex as _coerce,
                              _horner, _jacobi_coeffs_top_down, gen_binom,
                              jacobi_coeffs, jacobi_pass, jacobi_seeds,
                              laguerre_coeffs, laguerre_pass, laguerre_seeds,
-                             trim)
+                             polyder, trim)
 from .errors import (DegreeCollapse, InvalidFamily, NullspaceDefect,
                      RepresentationOverflow, SingularEvaluation,
                      ValidationError)
@@ -127,12 +127,17 @@ def build_S(spec):
 @dataclass(frozen=True)
 class RationalODE:
     """Polynomial ODE data A y'' + B y' + C y = 0 and the rational
-    functions M = B/A, N = C/A used by the potential transform."""
+    functions M = B/A, N = C/A used by the potential transform.  The
+    zeros of A, singular_points, are found on first use."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    singular_points: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def singular_points(self):
+        A = self.A
+        return np.roots(A[::-1]) if len(A) > 1 else np.empty(0)
 
     def _guard(self, x):
         """x as a float or complex array; SingularEvaluation within 1e-12
@@ -154,8 +159,8 @@ class RationalODE:
         x = self._guard(x)
         av = npoly.polyval(x, self.A)
         bv = npoly.polyval(x, self.B)
-        apv = npoly.polyval(x, npoly.polyder(self.A))
-        bpv = npoly.polyval(x, npoly.polyder(self.B))
+        apv = npoly.polyval(x, polyder(self.A))
+        bpv = npoly.polyval(x, polyder(self.B))
         return (bpv * av - bv * apv) / av ** 2
 
 
@@ -169,9 +174,7 @@ def ode_coeffs(spec):
     A = fam.sigma(Sc)
     B = npoly.polysub(npoly.polymul(fam.tau(spec), Sc), 2.0 * fam.sigma(Sp))
     C = npoly.polyadd(fam.lam(spec, spec.n) * Sc, fam.k(spec) * fam.q(Sp))
-    A, B, C = trim(A), trim(B), trim(C)
-    sing = np.roots(A[::-1]) if len(A) > 1 else np.empty(0)
-    return RationalODE(A=A, B=B, C=C, singular_points=sing)
+    return RationalODE(A=trim(A), B=trim(B), C=trim(C))
 
 
 def _nonzero_lead(spec, v):
@@ -236,9 +239,9 @@ def build_exceptional(spec):
         if not np.all(np.isfinite(coeffs)):
             raise RepresentationOverflow(
                 f"coefficients overflow binary64 for {spec}")
-        Ay2 = (npoly.polymul(A, npoly.polyder(coeffs, 2)) if deg >= 2
+        Ay2 = (npoly.polymul(A, polyder(coeffs, 2)) if deg >= 2
                else np.zeros(1))
-        By1 = (npoly.polymul(B, npoly.polyder(coeffs)) if deg >= 1
+        By1 = (npoly.polymul(B, polyder(coeffs)) if deg >= 1
                else np.zeros(1))
         Cy = npoly.polymul(C, coeffs)
         res = npoly.polyadd(npoly.polyadd(Ay2, By1), Cy)
@@ -267,7 +270,7 @@ def _product_coeffs(spec, w, a, u):
     # a = al+1) and _jac_pair (w = 1-x, a = -(al+1))
     S, Sp = spec.S.c, spec.S.d1
     return npoly.polyadd(
-        npoly.polymul(npoly.polymul(w, S), npoly.polyder(u)),
+        npoly.polymul(npoly.polymul(w, S), polyder(u)),
         npoly.polymul(npoly.polysub(a * S, npoly.polymul(w, Sp)), u))
 
 

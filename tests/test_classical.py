@@ -297,6 +297,35 @@ def test_laguerre_seeds_are_quiet_where_the_recurrence_overflows():
     assert spacing_error(x, xf.laguerre_zeros(400, 2.0)) < 2e-2
 
 
+def _off_derivative_zeros(k, a):
+    """Real points away from the zeros of (L_k^(a))' = -L_{k-1}^(a+1): 0,
+    a negative point, midpoints of those zeros (the first six, where the
+    error is largest, then every 20th) and a point past the last; below
+    1000, where degree 400 stays finite."""
+    z = xf.laguerre_zeros(max(k - 1, 0), a + 1.0)
+    mid = (z[1:] + z[:-1]) / 2
+    x = np.concatenate([[0.0, -3.0], mid[:6], mid[6::20], z[-1:] + 5.0])
+    return x[x < 1000.0]
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.0, 2.0, 7.25])
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 150, 400])
+def test_laguerre_pass_derivatives_against_mpmath(n, a):
+    # L_n' and L_{n-1}' to 50-digit mpmath derivatives of L_n and
+    # L_{n-1}, at real and complex points; the identically zero
+    # derivatives (degree 0 and -1) exactly
+    for j, k in enumerate((n, n - 1)):
+        real = _off_derivative_zeros(k, a)
+        for x in (real, real + 0.5j, real - 2.0j):
+            got = xf.laguerre_pass(n, a, x)[2 + j]
+            with mpmath.workdps(50):
+                for xi, g in zip(x, got):
+                    want = complex(mpmath.diff(
+                        lambda t: mpmath.laguerre(k, a, t),
+                        mpmath.mpmathify(xi))) if k > 0 else 0.0
+                    assert abs(g - want) <= 2e-12 * abs(want), (k, xi)
+
+
 # ---------------------------------------------------------------- bessel
 
 def test_bessel_first_zeros():

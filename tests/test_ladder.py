@@ -20,14 +20,15 @@ from xfekete.classical_poly import _as_float_or_complex, _horner
 # ------------------------------------------------------------ references
 
 def ref_laguerre_pass(n, a, x):
+    # the derivatives from the running sum t = L_0 + ... + L_{n-1},
+    # which is L_{n-1}^(a+1): L_n' = -t, L_{n-1}' = L_{n-1} - t
     x = _as_float_or_complex(x)
-    p, pm1 = np.ones_like(x), np.zeros_like(x)
-    d, dm1 = np.zeros_like(x), np.zeros_like(x)
+    p, pm1, t = np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
     for k in range(n):
         s = 2 * k + 1 + a - x
-        pm1, p, dm1, d = (p, (s * p - (k + a) * pm1) / (k + 1),
-                          d, (s * d - p - (k + a) * dm1) / (k + 1))
-    return p, pm1, d, dm1
+        t = t + p
+        pm1, p = p, (s * p - (k + a) * pm1) / (k + 1)
+    return p, pm1, -t, pm1 - t
 
 
 def ref_jacobi_pass(n, a, b, x):
