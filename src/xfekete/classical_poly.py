@@ -8,7 +8,8 @@ single pass gives p_n, p_{n-1} and both derivatives, each point at its
 own degree; it stays accurate far beyond the degrees at which monomial
 coefficients become unusable; a degree step is a few in-place ufunc
 calls on preallocated rows: the Jacobi sweep carries the differentiated
-recurrence, the Laguerre sweep only the values and their running sum.
+recurrence, the Laguerre sweep the values and their running sum (or, on
+request, the differentiated recurrence too).
 Also provides Gauss-type zeros via the symmetric tridiagonal
 eigenproblem; the Newton seeds of the classical zeros, which are those
 eigenvalues below SEED_N and closed-form Langer-WKB nodes polished by
@@ -267,20 +268,50 @@ def _sweep(n, x, state, advance, finish):
     return vals
 
 
-def laguerre_pass(n, a, x):
+def laguerre_pass(n, a, x, differentiated=False):
     """One three-term sweep for L^(a) at x, vectorized and complex-safe.
 
     Returns (L_n, L_{n-1}, L_n', L_{n-1}') with L_{-1} = 0; n is an int
     or a per-point integer array broadcast with x (see _sweep).  The
-    sweep carries the values and the running sum T_k = sum_{j<k} L_j,
-    which is L_{k-1}^(a+1) (telescope L_j^(a) = L_j^(a+1) - L_{j-1}^(a+1),
-    DLMF 18.9, 18.18), and L_k' = -L_{k-1}^(a+1), so the derivatives are
-    read off at the end,
-      L_n' = -T_n,   L_{n-1}' = L_{n-1} - T_n,
-    with no division by x.  Each degree is six in-place ufunc calls on
-    the points, five of them the recurrence in its own order,
-      (k+1) L_{k+1} = (2k+1+a-x) L_k - (k+a) L_{k-1}.
+    values follow the recurrence in its own order,
+      (k+1) L_{k+1} = (2k+1+a-x) L_k - (k+a) L_{k-1},
+    five in-place ufunc calls per degree.  By default the sweep carries
+    the running sum T_k = sum_{j<k} L_j, which is L_{k-1}^(a+1)
+    (telescope L_j^(a) = L_j^(a+1) - L_{j-1}^(a+1), DLMF 18.9, 18.18),
+    and L_k' = -L_{k-1}^(a+1), so the derivatives are read off at the
+    end, L_n' = -T_n, L_{n-1}' = L_{n-1} - T_n: one more call per degree,
+    no division by x.  differentiated=True carries the differentiated
+    recurrence instead,
+      (k+1) L_{k+1}' = (2k+1+a-x) L_k' - L_k - (k+a) L_{k-1}',
+    on stacked (value, derivative) rows, six calls per degree, five of
+    them on both rows; the values' bits are the same.  Its derivatives
+    see the rounded 2k+1+a-x that the values see, so a combination of
+    L_n and L_n' that cancels (Laguerre-II's pair at its smallest zeros)
+    keeps about 0.17 digits that the running sum loses there.
     """
+    if differentiated:
+        def advance(lo, hi, x, S):
+            sub, mul, div = np.subtract, np.multiply, np.divide
+            B, A, C = S     # (L_k, L_k'), (L_{k-1}, L_{k-1}') and scratch
+            # 2k+1+a-x in both rows: a (2, N) product with no broadcast
+            # is faster than one that broadcasts an N row over the state
+            x = np.stack([x, x])
+            s = np.empty_like(x)
+            A0, A1, B0, B1, C0, C1 = A[0], A[1], B[0], B[1], C[0], C[1]
+            for k in range(lo, hi):
+                sub(2 * k + 1 + a, x, s)
+                mul(s, B, C)
+                sub(C1, B0, C1)
+                mul(k + a, A, A)
+                sub(C, A, C)
+                div(C, k + 1.0, C)
+                A, B, C, A0, B0, C0 = B, C, A, B0, C0, A0
+                A1, B1, C1 = B1, C1, A1
+            return B, A, C
+
+        return _sweep(n, x, (3, 2), advance,
+                      lambda B, A, C: (B[0], A[0], B[1], A[1]))
+
     def advance(lo, hi, x, S):
         add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
         B, A, T, C = S      # L_k, L_{k-1}, T_k and scratch
@@ -505,13 +536,16 @@ def laguerre_seeds(n, a):
     on they are the zeros of the Langer-WKB phase (_laguerre_wkb;
     Gatteschi, J. Comput. Appl. Math. 144 (2002)) after one Newton step
     of laguerre_pass, within about 3e-3 of the local zero spacing for
-    a in (-0.95, 9].
+    a in (-0.95, 9].  The step takes the differentiated derivative, the
+    one Laguerre-II's pair takes: a seed's last bits decide where Newton
+    lands within the evaluator's rounding floor, so Laguerre-II's zeros
+    then rest on that one kernel.
     """
     if n < SEED_N:
         return laguerre_zeros(n, a)
     _gauss_range(a)
     return _wkb_nodes(n, _laguerre_wkb(n, a),
-                      lambda x: laguerre_pass(n, a, x))
+                      lambda x: laguerre_pass(n, a, x, differentiated=True))
 
 
 def jacobi_seeds(n, a, b):

@@ -293,10 +293,12 @@ def _lag1_pair(spec, n, x):
 def _lag2_pair(spec, n, x):
     # y  = x S u' + ((al+1) S - x S') u,  u = L_n^(al+1)
     # y' = x S u' + ((m-n) S - x S') u, from eliminating u'' and S'' via
-    # the classical ODEs of u and S.
+    # the classical ODEs of u and S.  The two terms of y cancel at the
+    # smallest zeros, so u' comes from the differentiated recurrence,
+    # which sees the rounding of 2k+1+a-x that u sees.
     m, al = spec.m, spec.alpha
     S, Sp = _horner(spec.S.c, x), _horner(spec.S.d1, x)
-    u, _, up, _ = laguerre_pass(n, al + 1.0, x)
+    u, _, up, _ = laguerre_pass(n, al + 1.0, x, differentiated=True)
     y = x * S * up + ((al + 1.0) * S - x * Sp) * u
     yp = x * S * up + ((m - n) * S - x * Sp) * u
     return y, yp

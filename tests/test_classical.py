@@ -311,19 +311,22 @@ def _off_derivative_zeros(k, a):
 @pytest.mark.parametrize("a", [-0.5, 0.0, 2.0, 7.25])
 @pytest.mark.parametrize("n", [0, 1, 2, 17, 150, 400])
 def test_laguerre_pass_derivatives_against_mpmath(n, a):
-    # L_n' and L_{n-1}' to 50-digit mpmath derivatives of L_n and
-    # L_{n-1}, at real and complex points; the identically zero
-    # derivatives (degree 0 and -1) exactly
+    # L_n' and L_{n-1}' of both kernels (running sum, differentiated
+    # recurrence) to 50-digit mpmath derivatives of L_n and L_{n-1}, at
+    # real and complex points; the identically zero derivatives (degree
+    # 0 and -1) exactly
     for j, k in enumerate((n, n - 1)):
         real = _off_derivative_zeros(k, a)
         for x in (real, real + 0.5j, real - 2.0j):
-            got = xf.laguerre_pass(n, a, x)[2 + j]
+            got = [xf.laguerre_pass(n, a, x, differentiated=diff)[2 + j]
+                   for diff in (False, True)]
             with mpmath.workdps(50):
-                for xi, g in zip(x, got):
+                for i, xi in enumerate(x):
                     want = complex(mpmath.diff(
                         lambda t: mpmath.laguerre(k, a, t),
                         mpmath.mpmathify(xi))) if k > 0 else 0.0
-                    assert abs(g - want) <= 2e-12 * abs(want), (k, xi)
+                    for g in got:
+                        assert abs(g[i] - want) <= 2e-12 * abs(want), (k, xi)
 
 
 # ---------------------------------------------------------------- bessel

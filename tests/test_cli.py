@@ -441,11 +441,11 @@ VERIFY_GOLDEN = {
         'stationary","passed":true}],"passed":true,"spec":{"alpha":2,"fami'
         'ly":"laguerre1","m":2,"n":5},"version":"0.1.0"}\n'),
     ("laguerre2", "--m", "2", "--alpha", "2.5", "--n", "5"): (
-        '{"checks":[{"detail":{"max_log_excess":-17.143787916165493,"resid'
+        '{"checks":[{"detail":{"max_log_excess":-17.488691065624742,"resid'
         'ual":0},"name":"construction","passed":true},{"detail":{"max_rati'
-        'o":1.7399325022922705e-16,"method":"evaluator","passed":true},"na'
+        'o":1.8432948291611175e-16,"method":"evaluator","passed":true},"na'
         'me":"zeros","passed":true},{"detail":{"diag_all_negative":true,"m'
-        'ax_gradient":3.3306690738754696e-16},"name":"fekete_stationary","'
+        'ax_gradient":4.4408920985006262e-16},"name":"fekete_stationary","'
         'passed":true}],"passed":true,"spec":{"alpha":2.5,"family":"laguer'
         're2","m":2,"n":5},"version":"0.1.0"}\n'),
     ("jacobi", "--m", "1", "--alpha", "2.5", "--beta", "1.5", "--n", "60"): (

@@ -19,15 +19,20 @@ from xfekete.classical_poly import _as_float_or_complex, _horner
 
 # ------------------------------------------------------------ references
 
-def ref_laguerre_pass(n, a, x):
+def ref_laguerre_pass(n, a, x, differentiated=False):
     # the derivatives from the running sum t = L_0 + ... + L_{n-1},
-    # which is L_{n-1}^(a+1): L_n' = -t, L_{n-1}' = L_{n-1} - t
+    # which is L_{n-1}^(a+1): L_n' = -t, L_{n-1}' = L_{n-1} - t; or,
+    # differentiated, from the differentiated recurrence
     x = _as_float_or_complex(x)
     p, pm1, t = np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+    d, dm1 = np.zeros_like(x), np.zeros_like(x)
     for k in range(n):
         s = 2 * k + 1 + a - x
         t = t + p
-        pm1, p = p, (s * p - (k + a) * pm1) / (k + 1)
+        pm1, p, dm1, d = (p, (s * p - (k + a) * pm1) / (k + 1),
+                          d, (s * d - p - (k + a) * dm1) / (k + 1))
+    if differentiated:
+        return p, pm1, d, dm1
     return p, pm1, -t, pm1 - t
 
 
@@ -243,6 +248,28 @@ def test_jacobi_pass_per_point_degree_is_the_scalar_pass(a, b):
                     assert _same(np.asarray(g)[idx], w[0]), (deg, x, idx)
 
 
+@pytest.mark.parametrize("a", [-0.5, 0.0, 2.0, 7.25])
+def test_differentiated_laguerre_pass_is_the_reference(a):
+    # the values of the scalar pass, the derivatives of the
+    # differentiated recurrence, at scalar and per-point degrees
+    rng = np.random.default_rng(1)
+    for x in _points():
+        for n in (0, 1, 2, 17):
+            got = xf.laguerre_pass(n, a, x, differentiated=True)
+            want = ref_laguerre_pass(n, a, _arr(x), differentiated=True)
+            assert all(_same(g, w.reshape(np.shape(x)))
+                       for g, w in zip(got, want)), (n, x)
+            assert all(_same(g, v) for g, v in
+                       zip(got[:2], xf.laguerre_pass(n, a, x)[:2]))
+        for deg in _degrees(x, rng):
+            got = xf.laguerre_pass(deg, a, x, differentiated=True)
+            for idx in np.ndindex(np.shape(x)):
+                want = ref_laguerre_pass(int(deg[idx]), a, _one(x, idx),
+                                         differentiated=True)
+                for g, w in zip(got, want):
+                    assert _same(np.asarray(g)[idx], w[0]), (deg, x, idx)
+
+
 def test_pass_broadcasts_degrees_over_a_0d_point():
     x = np.asarray(3.5)
     deg = np.array([4, 0, 9, 4])
@@ -275,6 +302,10 @@ SWEEPS = {
     "laguerre": (lambda n, x: xf.laguerre_pass(n, 2.0, x),
                  lambda n, x: ref_laguerre_pass(n, 2.0, x),
                  (-2.0, 60.0), 3000.0),
+    "laguerre_differentiated": (
+        lambda n, x: xf.laguerre_pass(n, 2.0, x, differentiated=True),
+        lambda n, x: ref_laguerre_pass(n, 2.0, x, differentiated=True),
+        (-2.0, 60.0), 3000.0),
     "jacobi": (lambda n, x: xf.jacobi_pass(n, 2.5, 0.5, x),
                lambda n, x: ref_jacobi_pass(n, 2.5, 0.5, x),
                (-1.2, 1.2), 40.0),

@@ -14,7 +14,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 import xfekete as xf
-from xfekete import energy, exceptional, fekete_opt
+from xfekete import classical_poly, energy, exceptional, fekete_opt
 
 from conftest import spec_of, zeros_of
 
@@ -228,6 +228,8 @@ def test_one_weight_evaluation_per_ascent_point(monkeypatch, family):
     monkeypatch.setattr(fekete_opt, "_evaluate", evaluate)
     _forbid(monkeypatch, exceptional, "build_S")
     _forbid(monkeypatch, npoly, "polyder")
+    _forbid(monkeypatch, classical_poly, "polyder")
+    _forbid(monkeypatch, exceptional, "polyder")
     _forbid(monkeypatch, npoly, "polyval")
     nodes, trace = fekete_opt.maximize_log_T(w, domain, n, init)
     # one weight evaluation per round that reaches one (none for a round
