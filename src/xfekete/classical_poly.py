@@ -10,27 +10,19 @@ coefficients become unusable; a degree step is a few in-place ufunc
 calls on preallocated rows: the Jacobi sweep carries the differentiated
 recurrence, the Laguerre sweep the values and their running sum (or, on
 request, the differentiated recurrence too).
-Also provides Gauss-type zeros via the symmetric tridiagonal
-eigenproblem; the Newton seeds of the classical zeros, which are those
-eigenvalues below SEED_N and closed-form Langer-WKB nodes polished by
-one recurrence Newton step from SEED_N on; and the first positive zero
-of the Bessel function J_a from its ascending series.
+Also provides the Gauss nodes, the classical zeros as eigenvalues of the
+symmetric tridiagonal Jacobi matrix (Golub-Welsch), and the Newton seeds
+of the classical zeros at every degree: closed-form Langer-WKB nodes
+polished by one recurrence Newton step.
 """
 
 import functools
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-from math import lgamma, log
 
-from .errors import (DegreeCollapse, NoSignChange, SeriesDivergence,
-                     ValidationError)
+from .errors import DegreeCollapse, ValidationError
 
 TRIM_REL = 1e-13
-
-# from this degree on laguerre_seeds and jacobi_seeds solve the WKB phase
-# in place of the dense O(n^3) eigensolve: the break-even of the two,
-# timed single-threaded (Laguerre near 120, Jacobi near 140)
-SEED_N = 140
 
 # recurrences that overflow, y' = 0 and coinciding points give
 # non-finite values, steps and ratios, which the callers test for (a
@@ -160,20 +152,6 @@ def polyder(c, k=1):
     for _ in range(k):
         c = c[1:] * np.arange(1.0, len(c))
     return c
-
-
-def poly_eval(p, x, k=0):
-    """k-th derivative of the polynomial with ascending coefficients p at x.
-
-    Differentiation acts on the coefficient sequence; evaluation is Horner.
-    Orders beyond the degree return 0.
-    """
-    c = np.atleast_1d(np.asarray(p, dtype=float))
-    if k > 0:
-        if k >= len(c):
-            return np.zeros_like(np.asarray(x, dtype=float)) + 0.0
-        c = polyder(c, k)
-    return npoly.polyval(x, c)
 
 
 class PolyTable:
@@ -330,11 +308,6 @@ def laguerre_pass(n, a, x, differentiated=False):
                   lambda B, A, T, C: (B, A, -T, A - T))
 
 
-def laguerre_eval(n, a, x):
-    """L_n^(a)(x), the value part of laguerre_pass."""
-    return laguerre_pass(n, a, x)[0]
-
-
 def jacobi_pass(n, a, b, x):
     """One three-term sweep for P^(a,b) at x, vectorized and complex-safe.
 
@@ -376,11 +349,6 @@ def jacobi_pass(n, a, b, x):
 
     return _sweep(n, x, (3, 2), advance,
                   lambda B, A, C: (B[0], A[0], B[1], A[1]))
-
-
-def jacobi_eval(n, a, b, x):
-    """P_n^(a,b)(x), the value part of jacobi_pass."""
-    return jacobi_pass(n, a, b, x)[0]
 
 
 def _jacobi_matrix_eigvals(diag, off):
@@ -530,95 +498,32 @@ def _wkb_nodes(n, wkb, sweep):
 
 
 def laguerre_seeds(n, a):
-    """Newton seeds of the zeros of L_n^(a) (a > -1), ascending.
-
-    Below SEED_N they are laguerre_zeros(n, a), bit for bit.  From SEED_N
-    on they are the zeros of the Langer-WKB phase (_laguerre_wkb;
-    Gatteschi, J. Comput. Appl. Math. 144 (2002)) after one Newton step
-    of laguerre_pass, within about 3e-3 of the local zero spacing for
-    a in (-0.95, 9].  The step takes the differentiated derivative, the
-    one Laguerre-II's pair takes: a seed's last bits decide where Newton
-    lands within the evaluator's rounding floor, so Laguerre-II's zeros
-    then rest on that one kernel.
+    """Newton seeds of the zeros of L_n^(a) (a > -1), ascending: the
+    zeros of the Langer-WKB phase (_laguerre_wkb; Gatteschi, J. Comput.
+    Appl. Math. 144 (2002)) after one Newton step of laguerre_pass,
+    within 3.6e-3 of the local zero spacing at every n up to 300 for
+    a in [-0.999, 40].  The step takes the differentiated derivative,
+    the one Laguerre-II's pair takes: a seed's last bits decide where
+    Newton lands within the evaluator's rounding floor, so Laguerre-II's
+    zeros then rest on that one kernel.  n = 0 gives no seeds, at any a.
     """
-    if n < SEED_N:
-        return laguerre_zeros(n, a)
+    if n == 0:
+        return np.empty(0)
     _gauss_range(a)
     return _wkb_nodes(n, _laguerre_wkb(n, a),
                       lambda x: laguerre_pass(n, a, x, differentiated=True))
 
 
 def jacobi_seeds(n, a, b):
-    """Newton seeds of the zeros of P_n^(a,b) (a, b > -1), ascending.
-
-    Below SEED_N they are jacobi_zeros(n, a, b), bit for bit.  From
-    SEED_N on they are the zeros of the Langer-WKB phase (_jacobi_wkb)
-    after one Newton step of jacobi_pass, asymptotic first guesses plus
-    Newton as in Hale & Townsend, SIAM J. Sci. Comput. 35 (2013); within
-    about 2e-3 of the local zero spacing for a, b in (-0.9, 9].
+    """Newton seeds of the zeros of P_n^(a,b) (a, b > -1), ascending: the
+    zeros of the Langer-WKB phase (_jacobi_wkb) after one Newton step of
+    jacobi_pass, asymptotic first guesses plus Newton as in Hale &
+    Townsend, SIAM J. Sci. Comput. 35 (2013); within 5.1e-3 of the local
+    zero spacing at every n up to 300 for a, b in [-0.999, 40].  n = 0
+    gives no seeds, at any a and b.
     """
-    if n < SEED_N:
-        return jacobi_zeros(n, a, b)
+    if n == 0:
+        return np.empty(0)
     _gauss_range(a, b)
     return _wkb_nodes(n, _jacobi_wkb(n, a, b),
                       lambda x: jacobi_pass(n, a, b, x))[::-1]
-
-
-_BESSEL_TERM_CAP = 500
-
-
-def bessel_j(a, z):
-    """J_a(z) for z > 0 from the ascending series, log-scaled terms.
-
-    Terms are accumulated until the next one falls below 1e-18 of the
-    partial sum.  Raises SeriesDivergence if the cap is hit first.
-    """
-    if z <= 0:
-        raise ValueError("series evaluation requires z > 0")
-    lh = log(z / 2.0)
-    total = 0.0
-    for k in range(_BESSEL_TERM_CAP):
-        lt = (2 * k + a) * lh - lgamma(k + 1) - lgamma(k + a + 1)
-        term = np.exp(lt)
-        if k % 2:
-            term = -term
-        total += term
-        if abs(term) < 1e-18 * max(abs(total), 1e-300):
-            return total
-    raise SeriesDivergence(f"Bessel series did not settle within "
-                           f"{_BESSEL_TERM_CAP} terms at a={a}, z={z}")
-
-
-def bessel_first_zero(a):
-    """Smallest positive zero of J_a, a > -1.
-
-    A coarse scan over (0, 50) brackets the first sign change; bisection
-    then resolves it to machine precision.
-    """
-    if a <= -1:
-        raise ValueError("requires a > -1")
-    zs = np.linspace(1e-3, 50.0, 2001)
-    prev_z, prev_f = zs[0], bessel_j(a, zs[0])
-    lo = hi = None
-    for z in zs[1:]:
-        f = bessel_j(a, z)
-        if prev_f == 0.0:
-            return prev_z
-        if prev_f * f < 0:
-            lo, flo, hi = prev_z, prev_f, z
-            break
-        prev_z, prev_f = z, f
-    if lo is None:
-        raise NoSignChange(f"no sign change of J_{a} found in (0, 50)")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = bessel_j(a, mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)

@@ -28,14 +28,6 @@ class NumericalError(XFeketeError):
     """A numerical procedure failed to meet its reliability contract."""
 
 
-class NoSignChange(NumericalError):
-    """A bracketing scan found no sign change in the search window."""
-
-
-class SeriesDivergence(NumericalError):
-    """A power series failed to converge within the term cap."""
-
-
 class SingularEvaluation(NumericalError):
     """Evaluation requested too close to a zero of the denominator."""
 

@@ -56,9 +56,6 @@ class ZeroSet:
     exceptional:  the m zeros outside its closure (complex array)
     s_zeros:      zeros of the denominator polynomial S, for reference
     certificate:  evaluator certificate record (method, max_ratio, passed)
-    gauss:        the seeds of the regular zeros, the classical zeros as
-                  Family.gauss gives them (laguerre_seeds, jacobi_seeds:
-                  eigenvalues below SEED_N, polished WKB nodes from it on)
     """
 
     spec: object
@@ -66,7 +63,6 @@ class ZeroSet:
     exceptional: np.ndarray
     s_zeros: np.ndarray
     certificate: dict
-    gauss: np.ndarray
 
 
 def _newton_ladder(specs, x0s, itmax=60):
@@ -237,9 +233,9 @@ def find_zeros(spec):
 
     One engine for all three families.  The coupled Newton of
     _newton_ladder polishes the regular zeros from the classical zeros
-    (Laguerre or Jacobi at the same parameters, laguerre_seeds and
-    jacobi_seeds) and the exceptional zeros from the zeros of S, all
-    together.  Raises DegreeCollapse first where the closed-form leading
+    (Laguerre or Jacobi at the same parameters, as laguerre_seeds and
+    jacobi_seeds give them: Langer-WKB nodes after one recurrence Newton
+    step) and the exceptional zeros from the zeros of S, all together.  Raises DegreeCollapse first where the closed-form leading
     coefficient is 0, CountMismatch if counts or the location margins
     fail, and NonConvergence if the Newton polish or the certificate
     fails.
@@ -268,12 +264,12 @@ def find_zeros_ladder(specs):
     if len({(s.family, s.m, s.alpha, s.beta) for s in specs}) > 1:
         raise ValidationError("the specs of a ladder differ only in n")
     out = [None] * len(specs)
-    seeds, gauss, table = {}, {}, None
+    seeds, table = {}, None
     for i, spec in enumerate(specs):
         try:
             # a collapsed degree fails before any Newton step
             _nonzero_lead(spec, spec.fam.lead_factor(spec))
-            gauss[i] = spec.fam.gauss(spec)
+            gauss = spec.fam.gauss(spec)
             # S does not depend on n, so the ladder builds it and its
             # roots once (FamilySpec.S caches in the instance dict); a
             # build that raises is not shared, and each member raises it
@@ -284,7 +280,7 @@ def find_zeros_ladder(specs):
             # the n classical seeds, then the m zeros of S: a real array
             # when all of those are real
             r = table.roots
-            seeds[i] = np.concatenate([gauss[i],
+            seeds[i] = np.concatenate([gauss,
                                        r if r.imag.any() else r.real])
         except XFeketeError as exc:
             out[i] = exc
@@ -312,7 +308,7 @@ def find_zeros_ladder(specs):
             reg, z = found[i]
             out[i] = ZeroSet(spec=specs[i], regular=reg, exceptional=z,
                              s_zeros=_sort_zeros(specs[i].S.roots),
-                             certificate=cert, gauss=gauss[i])
+                             certificate=cert)
         else:
             out[i] = NonConvergence(f"residual certificate failed: {cert}",
                                     [cert])

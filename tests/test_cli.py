@@ -207,15 +207,21 @@ def test_numerical_error_exit_code(capsys):
     ["verify", "--family", "jacobi", "--m", "1", "--alpha", "-1.2",
      "--beta", "-0.3", "--n", "3"],
     ["zeros", "--family", "jacobi", "--m", "1", "--alpha", "-1.5",
-     "--beta", "-0.5", "--n", "1"]])
+     "--beta", "-0.5", "--n", "1"],
+    ["zeros", "--family", "laguerre1", "--m", "1", "--alpha", "-1",
+     "--n", "0"]])
 def test_gauss_seeds_below_the_classical_range_are_refused(capsys, argv):
-    # the Jacobi matrix of the seeds needs parameters above -1
+    # the seeds need parameters above -1; n = 0 has no seeds to refuse,
+    # and the member's one zero, at 0, lies on the interval's end
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, *argv)
-    assert code == 1 and out == ""
     doc = json.loads(err)
-    assert doc["error"] == "ValidationError"
+    assert out == ""
+    if argv[-1] == "0":
+        assert code == 2 and doc["error"] == "CountMismatch"
+        return
+    assert code == 1 and doc["error"] == "ValidationError"
     assert "Gauss nodes need" in doc["message"]
 
 
@@ -424,38 +430,41 @@ def test_fekete_golden_stdout(capsys):
 # jacobi members (all zeros real) is that of the real certificate sweep;
 # every other field is as recorded from the least-squares build, which
 # had reproduced the coefficient bound of the zeros' certificate before
-# the evaluator certified them
+# the evaluator certified them.  The fields that read the zeros' last
+# bits (max_log_excess, max_ratio, the fekete_stationary max_gradient
+# and the laguerre1 stability max) are those of zeros polished from the
+# WKB seeds
 VERIFY_GOLDEN = {
     ("laguerre1", "--m", "2", "--alpha", "2", "--n", "5"): (
-        '{"checks":[{"detail":{"max_log_excess":-16.944749297952931,"resid'
-        'ual":1.6613887386833617e-19},"name":"construction","passed":true}'
-        ',{"detail":{"max_ratio":9.3306714070052006e-17,"method":"evaluato'
-        'r","passed":true},"name":"zeros","passed":true},{"detail":{"mode"'
-        ':"full"},"name":"interlacing","passed":true},{"detail":{"classifi'
-        'cation":"saddle","max_gradient":3.9968028886505635e-15},"name":"s'
-        'addle","passed":true},{"detail":{"abs_err":3.5527136788005009e-15'
-        ',"lhs":26.999999999999996,"rhs":27},"name":"zero_sum","passed":tr'
-        'ue},{"detail":{"max":0.99999999999997258,"min":7.0120053275214158'
-        'e-43},"name":"stability","passed":true},{"detail":{"diag_all_nega'
-        'tive":true,"max_gradient":6.6613381477509392e-16},"name":"fekete_'
-        'stationary","passed":true}],"passed":true,"spec":{"alpha":2,"fami'
-        'ly":"laguerre1","m":2,"n":5},"version":"0.1.0"}\n'),
+        '{"checks":[{"detail":{"max_log_excess":-12.56022134992952,"residu'
+        'al":1.6613887386833617e-19},"name":"construction","passed":true},'
+        '{"detail":{"max_ratio":1.6832804278725354e-16,"method":"evaluator'
+        '","passed":true},"name":"zeros","passed":true},{"detail":{"mode":'
+        '"full"},"name":"interlacing","passed":true},{"detail":{"classific'
+        'ation":"saddle","max_gradient":3.9968028886505635e-15},"name":"sa'
+        'ddle","passed":true},{"detail":{"abs_err":3.5527136788005009e-15,'
+        '"lhs":26.999999999999996,"rhs":27},"name":"zero_sum","passed":tru'
+        'e},{"detail":{"max":0.99999999999997347,"min":7.0120053275214158e'
+        '-43},"name":"stability","passed":true},{"detail":{"diag_all_negat'
+        'ive":true,"max_gradient":1.5543122344752192e-15},"name":"fekete_s'
+        'tationary","passed":true}],"passed":true,"spec":{"alpha":2,"famil'
+        'y":"laguerre1","m":2,"n":5},"version":"0.1.0"}\n'),
     ("laguerre2", "--m", "2", "--alpha", "2.5", "--n", "5"): (
-        '{"checks":[{"detail":{"max_log_excess":-17.488691065624742,"resid'
+        '{"checks":[{"detail":{"max_log_excess":-14.121623320897944,"resid'
         'ual":0},"name":"construction","passed":true},{"detail":{"max_rati'
-        'o":1.8432948291611175e-16,"method":"evaluator","passed":true},"na'
+        'o":2.3291856781075732e-16,"method":"evaluator","passed":true},"na'
         'me":"zeros","passed":true},{"detail":{"diag_all_negative":true,"m'
-        'ax_gradient":4.4408920985006262e-16},"name":"fekete_stationary","'
+        'ax_gradient":1.5543122344752192e-15},"name":"fekete_stationary","'
         'passed":true}],"passed":true,"spec":{"alpha":2.5,"family":"laguer'
         're2","m":2,"n":5},"version":"0.1.0"}\n'),
     ("jacobi", "--m", "1", "--alpha", "2.5", "--beta", "1.5", "--n", "60"): (
-        '{"checks":[{"detail":{"max_log_excess":-12.61458286132731,"residu'
-        'al":1.80752050669243e-16},"name":"construction","passed":true},{"'
-        'detail":{"max_ratio":2.8565953754037004e-17,"method":"evaluator",'
-        '"passed":true},"name":"zeros","passed":true},{"detail":{"diag_all'
-        '_negative":true,"max_gradient":1.0231815394945443e-11},"name":"fe'
-        'kete_stationary","passed":true}],"passed":true,"spec":{"alpha":2.'
-        '5,"beta":1.5,"family":"jacobi","m":1,"n":60},"version":"0.1.0"}\n'),
+        '{"checks":[{"detail":{"max_log_excess":-13.812217028450355,"resid'
+        'ual":1.80752050669243e-16},"name":"construction","passed":true},{'
+        '"detail":{"max_ratio":3.0165613473345913e-17,"method":"evaluator"'
+        ',"passed":true},"name":"zeros","passed":true},{"detail":{"diag_al'
+        'l_negative":true,"max_gradient":2.0236257114447653e-11},"name":"f'
+        'ekete_stationary","passed":true}],"passed":true,"spec":{"alpha":2'
+        '.5,"beta":1.5,"family":"jacobi","m":1,"n":60},"version":"0.1.0"}\n'),
 }
 
 

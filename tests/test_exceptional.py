@@ -320,7 +320,7 @@ def test_eval_matches_coefficients(family, m, alpha, n, beta):
     b = built_of(family, m, alpha, n, beta)
     x = np.linspace(0.1, 9.0, 25) if family != "jacobi" else np.linspace(-0.9, 0.9, 25)
     direct = xf.exceptional_eval(b.spec, x)
-    via = xf.poly_eval(b.coeffs, x)
+    via = npoly.polyval(x, b.coeffs)
     scale = np.max(np.abs(via)) + 1.0
     assert np.max(np.abs(direct - via)) < 1e-9 * scale
 
@@ -353,7 +353,7 @@ def test_eval_preserves_complex_dtype():
     s = spec_of("laguerre2", 2, 3.0, 4)
     z = np.array([0.5 + 0.5j, 2.0 - 1.0j])
     got = xf.exceptional_eval(s, z)
-    want = xf.poly_eval(built_of("laguerre2", 2, 3.0, 4).coeffs, z)
+    want = npoly.polyval(z, built_of("laguerre2", 2, 3.0, 4).coeffs)
     assert np.iscomplexobj(got)
     assert np.max(np.abs(got - want)) < 1e-9 * (np.max(np.abs(want)) + 1.0)
 

@@ -120,7 +120,7 @@ def ref_find_zeros(spec, its=None):
                                 [cert])
     return roots.ZeroSet(spec=spec, regular=reg, exceptional=exc,
                          s_zeros=roots._sort_zeros(spec.S.roots),
-                         certificate=cert, gauss=spec.fam.gauss(spec))
+                         certificate=cert)
 
 
 def ref_d_sequence(m, alpha, n_range, c=1.0):
@@ -177,8 +177,7 @@ def _outcome(res):
     if isinstance(res, np.ndarray):
         return res.dtype, res.shape, res.tobytes()
     return (res.spec, res.regular.tobytes(), res.exceptional.tobytes(),
-            res.s_zeros.tobytes(), repr(res.certificate),
-            res.gauss.tobytes())
+            res.s_zeros.tobytes(), repr(res.certificate))
 
 
 # ------------------------------------------------- per-point degree sweeps
