@@ -89,6 +89,13 @@ def _power_table(base, m):
     return out
 
 
+def _jacobi_collapses(m, a, b):
+    """True where the leading coefficient 2^-m C(2m+a+b, m) of
+    P_m^(a,b) vanishes: exactly when 2m+a+b is an integer in {0..m-1}."""
+    t = 2 * m + a + b
+    return abs(t - round(t)) < 1e-12 and 0 <= round(t) <= m - 1
+
+
 def jacobi_coeffs(m, a, b):
     """Monomial coefficients (ascending) of the Jacobi polynomial P_m^(a,b).
 
@@ -99,17 +106,16 @@ def jacobi_coeffs(m, a, b):
     so the expansion costs O(m^2) and gives polypow's bits; both
     binomial factors are read from one binom_table each.
     Raises DegreeCollapse when the leading coefficient 2^-m C(2m+a+b, m)
-    vanishes, which happens exactly when 2m+a+b is an integer in
-    {0..m-1}.  The test is on that closed form: the expanded top
-    coefficient cancels badly at large m and is no evidence of a collapse.
+    vanishes (_jacobi_collapses).  The test is on that closed form: the
+    expanded top coefficient cancels badly at large m and is no evidence
+    of a collapse.
     """
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    t = 2 * m + a + b
-    if abs(t - round(t)) < 1e-12 and 0 <= round(t) <= m - 1:
+    if _jacobi_collapses(m, a, b):
         raise DegreeCollapse(
-            f"P_{m}^({a},{b}) has leading coefficient 2^-{m} C({t:g}, {m}) "
-            f"= 0; degree drops below {m}")
+            f"P_{m}^({a},{b}) has leading coefficient 2^-{m} "
+            f"C({2 * m + a + b:g}, {m}) = 0; degree drops below {m}")
     lo, hi = _power_table([-1.0, 1.0], m), _power_table([1.0, 1.0], m)
     ga, gb = binom_table(m + a, m), binom_table(m + b, m)
     c = np.zeros(m + 1)

@@ -30,10 +30,6 @@ VERSION = "0.1.0"
 
 def _dumps(obj):
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == float:
-        # the float branch below, element by element, in one pass
-        return "[" + ",".join(format(x, ".17g") if math.isfinite(x)
-                              else "null" for x in obj.tolist()) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
         inner = ",".join(f"{_dumps(str(k))}:{_dumps(v)}" for k, v in items)

@@ -13,8 +13,8 @@ Three weight variants are supported per family:
 
 with a = alpha + shift (b = beta + shift), S the denominator polynomial
 of the family and P a supplied node polynomial, normally the monic
-polynomial over the exceptional zeros.  The default shift is 0 for base
-and 1 for hat and v.  On the negative axis the Laguerre factor is read
+polynomial over the exceptional zeros.  The shift is 0 for base and 1
+for hat and v.  On the negative axis the Laguerre factor is read
 as |x|^a so that the full (regular plus exceptional) zero configuration
 can be evaluated.
 """
@@ -40,21 +40,18 @@ _POLE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """A concrete weight: family data, variant and normalization.
+    """A concrete weight: family data, variant and node polynomial.
 
-    shift=None resolves to the variant default (0 for base, 1 for hat
-    and v).  P holds ascending coefficients of the extra node polynomial
-    for the v variant, stored read-only in its PolyTable, built here once
-    per weight (S is tabled once per spec, in FamilySpec.S).  log_scale
-    adds a constant to log w; the energy shifts by N * log_scale and
-    nothing else changes.
+    The variant fixes the exponent shift (resolved_shift: 0 for base, 1
+    for hat and v).  P holds ascending coefficients of the extra node
+    polynomial for the v variant, stored read-only in its PolyTable,
+    built here once per weight (S is tabled once per spec, in
+    FamilySpec.S).
     """
 
     spec: FamilySpec
     variant: str = "hat"
-    shift: float | None = None
     P: np.ndarray | None = None
-    log_scale: float = 0.0
     _P_table = None     # PolyTable of P (v); not a dataclass field
 
     def __post_init__(self):
@@ -70,8 +67,6 @@ class WeightSpec:
 
     @property
     def resolved_shift(self):
-        if self.shift is not None:
-            return float(self.shift)
         return 0.0 if self.variant == "base" else 1.0
 
     def exponents(self):
@@ -103,10 +98,9 @@ def weight_logs(w, x):
     """
     x = np.asarray(x, dtype=float)
     fam = w.spec.fam
-    zero = np.zeros_like(x)
-    logw = np.full_like(x, w.log_scale)
-    d1 = zero.copy()
-    d2 = zero.copy()
+    logw = np.zeros_like(x)
+    d1 = np.zeros_like(x)
+    d2 = np.zeros_like(x)
     for r, e in zip(fam.poles, w.exponents()):
         if e == 0:
             continue
@@ -200,6 +194,15 @@ def _compensated(logw, cross):
     return math.fsum(memoryview(logw)) + 2.0 * math.fsum(memoryview(cross))
 
 
+def _terms(nodes, w):
+    """(x, (log w)'(x), F, g, H) at the checked nodes x, from one
+    evaluation of the weight (see energy_terms)."""
+    X = _check_nodes(nodes)[None]
+    logw, d1, d2 = weight_logs(w, X)
+    _, (g,), (H,), (cross,) = _assemble(X, logw, d1, d2)
+    return X[0], d1[0], _compensated(logw[0], cross), g, H
+
+
 def energy_terms(nodes, w):
     """F, its gradient and its Hessian at the nodes, from one evaluation
     of the weight.
@@ -209,10 +212,7 @@ def energy_terms(nodes, w):
     H_kj = 2/(x_k - x_j)^2 off the diagonal,
     H_kk = (log w)''(x_k) - 2 sum_{j!=k} 1/(x_k - x_j)^2.
     """
-    X = _check_nodes(nodes)[None]
-    logw, d1, d2 = weight_logs(w, X)
-    _, (g,), (H,), (cross,) = _assemble(X, logw, d1, d2)
-    return _compensated(logw[0], cross), g, H
+    return _terms(nodes, w)[2:]
 
 
 def log_energy(nodes, w):
@@ -274,10 +274,7 @@ def energy_hessian(nodes, w):
     'indefinite' for the remaining cases.  The spectrum stays available
     to callers through the hessian field.
     """
-    X = _check_nodes(nodes)[None]
-    logw, d1, d2 = weight_logs(w, X)
-    _, (g,), (H,), (cross,) = _assemble(X, logw, d1, d2)
-    F = _compensated(logw[0], cross)
+    x, d1, F, g, H = _terms(nodes, w)
     stat = float(np.max(np.abs(g))) < GRAD_RTOL * (1 + np.max(np.abs(d1)))
     d = np.diag(H)
     row_off = np.sum(np.abs(H), axis=1) - np.abs(d)
@@ -290,7 +287,7 @@ def energy_hessian(nodes, w):
         cls = "local-max"
     else:
         cls = "indefinite"
-    return EnergyReport(weight=w, nodes=np.sort(X[0]),
+    return EnergyReport(weight=w, nodes=np.sort(x),
                         logT=F, gradient=g, hessian=H,
                         diag_signs=np.sign(d).astype(int), stationary=stat,
                         diagonally_dominant=dominant,
@@ -358,10 +355,10 @@ def phi_closed(spec, x):
     return float(out) if out.ndim == 0 else out
 
 
-def v_weight(zs, shift=None):
+def v_weight(zs):
     """WeightSpec (v) of zs.spec, P monic over the exceptional zeros of zs."""
     P = npoly.polyfromroots(zs.exceptional)
     if np.max(np.abs(P.imag)) > 1e-9 * np.max(np.abs(P.real)):
         raise ValidationError("exceptional zeros are not closed under "
                               "conjugation; P would be complex")
-    return WeightSpec(spec=zs.spec, variant="v", shift=shift, P=P.real)
+    return WeightSpec(spec=zs.spec, variant="v", P=P.real)

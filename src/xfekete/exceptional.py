@@ -34,7 +34,8 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .classical_poly import (PolyTable, _as_float_or_complex as _coerce,
-                             _horner, _jacobi_coeffs_top_down, gen_binom,
+                             _horner, _jacobi_coeffs_top_down,
+                             _jacobi_collapses, gen_binom,
                              jacobi_coeffs, jacobi_pass, jacobi_seeds,
                              laguerre_coeffs, laguerre_pass, laguerre_seeds,
                              polyder, trim)
@@ -70,6 +71,9 @@ class FamilySpec:
         if self.family not in FAMILIES:
             raise InvalidFamily(f"unknown family {self.family!r}; "
                                 f"expected one of {FAMILIES}")
+        if not all(isinstance(k, (int, np.integer))
+                   for k in (self.m, self.n)):
+            raise ValidationError("m and n must be integers")
         if self.m < 0 or self.n < 0:
             raise ValidationError("m and n must be nonnegative")
         if len(self.fam.poles) == 2:
@@ -389,8 +393,8 @@ def _half_line_lead(spec, f):
 
 def _jac_regime(spec):
     w = []
-    t = spec.alpha + 1 - spec.m - spec.beta
-    if abs(t - round(t)) < 1e-12 and 0 <= round(t) <= spec.m - 1:
+    # S = P_m^(-alpha-1, beta-1): 2m+a+b = m-1-(alpha+1-m-beta)
+    if _jacobi_collapses(spec.m, -spec.alpha - 1.0, spec.beta - 1.0):
         w.append("alpha+1-m-beta is an integer in {0..m-1}: S "
                  "degenerates (degree collapse)")
     cond_a = -1 < spec.beta < 0 and -1 < spec.alpha + 1 - spec.m < 0

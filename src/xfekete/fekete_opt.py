@@ -97,19 +97,14 @@ def _steps(G, H):
     positive diagonal, hence positive definite (Horn & Johnson, Matrix
     Analysis, Thm 6.1.10); the margin is far above the rounding of the
     computed sums.  Only the matrices without this certificate are
-    factored by Cholesky, and np.linalg.solve is the one factorization
-    of the Newton rows.
+    factored by Cholesky, one at a time, and np.linalg.solve is the one
+    factorization of the Newton rows.
     """
     k = np.arange(H.shape[1])
     bound = -1e-10 * np.max(np.abs(H[:, k, k]), axis=1)
     newton = np.all(np.sum(H, axis=2) < bound[:, None], axis=1)
     rest = np.flatnonzero(~newton)
-    if rest.size:
-        try:
-            np.linalg.cholesky(-H[rest])
-            newton[rest] = True
-        except np.linalg.LinAlgError:
-            newton[rest] = [_negative_definite(h) for h in H[rest]]
+    newton[rest] = [_negative_definite(h) for h in H[rest]]
     step = np.empty_like(G)
     a = ~newton
     if a.any():

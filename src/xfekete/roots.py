@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical_poly import _QUIET, laguerre_pass, laguerre_zeros
+from .classical_poly import _QUIET, laguerre_pass
 from .errors import (CountMismatch, NonConvergence, ValidationError,
                      XFeketeError)
 from .exceptional import _nonzero_lead, ladder_eval_pair
@@ -167,16 +167,6 @@ def _ladder_pairs(specs, xs, live):
     return pairs
 
 
-def _newton(spec, x0, itmax=60):
-    """Newton polish of one spec's iterates x0: _newton_ladder on a ladder
-    of one.  Returns the polished iterates; raises the NonConvergence of
-    an unconverged polish."""
-    (x,) = _newton_ladder([spec], [x0], itmax)
-    if isinstance(x, XFeketeError):
-        raise x
-    return x
-
-
 def _sort_zeros(z):
     """Zeros ascending by real part, ties (SORT_RTOL) by imaginary part."""
     z = np.sort_complex(np.asarray(z, dtype=complex))
@@ -235,10 +225,10 @@ def find_zeros(spec):
     _newton_ladder polishes the regular zeros from the classical zeros
     (Laguerre or Jacobi at the same parameters, as laguerre_seeds and
     jacobi_seeds give them: Langer-WKB nodes after one recurrence Newton
-    step) and the exceptional zeros from the zeros of S, all together.  Raises DegreeCollapse first where the closed-form leading
-    coefficient is 0, CountMismatch if counts or the location margins
-    fail, and NonConvergence if the Newton polish or the certificate
-    fails.
+    step) and the exceptional zeros from the zeros of S, all together.
+    Raises DegreeCollapse first where the closed-form leading coefficient
+    is 0, CountMismatch if counts or the location margins fail, and
+    NonConvergence if the Newton polish or the certificate fails.
 
     The certificate bounds the closed-form evaluator's Newton correction
     at every zero (_certificate); the monomial coefficients are never
@@ -315,6 +305,28 @@ def find_zeros_ladder(specs):
     return out
 
 
+def _brackets(deg, al, x):
+    """(x_1 in (0, z_1), x_j in (z'_{j-1}, z_j) for every j >= 2) for deg
+    ascending points x, with z_j the zeros of L_deg^(al) and z'_j those
+    of L_{deg-1}^(al), decided by signs from one laguerre_pass at 0 and
+    the x_j, with no nodes.
+
+    The x_j increase, so x_j in (z_{j-1}, z_j) for every j iff x_1 > 0
+    and sign L_deg(x_j) = sign L_deg(0) (-1)^(j-1) (deg points in
+    brackets of alternating sign, the last one, after z_deg, of the
+    wrong sign), and then x_j > z'_{j-1}, the one zero of L_{deg-1} in
+    its bracket, iff sign L_{deg-1}(x_j) = sign L_{deg-1}(0) (-1)^(j-1).
+    A sign alone places x_j only in some bracket of the right parity, so
+    the two verdicts are exact together, not one by one: an x_1 two
+    brackets off fails the second, not the first.
+    """
+    p, q, _, _ = laguerre_pass(deg, al, np.concatenate([[0.0], x]))
+    alt = (-1.0) ** np.arange(x.size)
+    inside = np.sign(p[1:]) == np.sign(p[0]) * alt
+    above = np.sign(q[1:]) == np.sign(q[0]) * alt
+    return x[0] > 0 and inside[0], np.all(inside[1:] & above[1:])
+
+
 def check_interlacing(zs):
     """Interlacing and location report for a ZeroSet.
 
@@ -322,18 +334,10 @@ def check_interlacing(zs):
     alpha,
         0 < x_1 < z_{n,1},   z_{n-1,j-1} < x_j < z_{n,j}
     and, ordering the exceptional zeros downward from 0,
-        -z_{m,1} < e_1 < 0,  -z_{m,j} < e_j < -z_{m-1,j-1}.
-    The regular brackets are decided by signs, from one laguerre_pass at
-    0 and the x_j, and no degree-n nodes: the x_j increase, so
-    x_j in (z_{n,j-1}, z_{n,j}) for every j iff x_1 > 0 and
-    sign L_n(x_j) = sign L_n(0) (-1)^(j-1) (n points in brackets of
-    alternating sign, the last one after z_{n,n} of the wrong sign), and
-    then x_j > z_{n-1,j-1}, the one zero of L_{n-1} in its bracket, iff
-    sign L_{n-1}(x_j) = sign L_{n-1}(0) (-1)^(j-1).  A sign alone places
-    x_j only in some bracket of the right parity, so the two checks are
-    exact together, not one by one: an x_1 two brackets off fails the
-    second check, not the first.  The exceptional brackets come from the
-    eigenvalues of degree m and m - 1.
+        -z_{m,1} < e_1 < 0,  -z_{m,j} < e_j < -z_{m-1,j-1},
+    so the -e_j, ascending, sit in the brackets of degree m as the x_j
+    sit in those of degree n.  Both sets of brackets are decided by signs
+    (_brackets), with no Gauss rule solved.
     For n = 0 the member reduces to a reflected classical polynomial and
     the exceptional zeros sit exactly on the bracket ends, so only the
     count and sign structure is checked.  For laguerre2 and jacobi the
@@ -354,17 +358,12 @@ def check_interlacing(zs):
         add("exceptional negative", np.all(exc < 0))
         mode = "full" if n >= 1 and m >= 1 else "structure"
         if n >= 1 and m >= 1:
-            p, q, _, _ = laguerre_pass(n, al, np.concatenate([[0.0], reg]))
-            alt = (-1.0) ** np.arange(reg.size)
-            in_n = np.sign(p[1:]) == np.sign(p[0]) * alt
-            above = np.sign(q[1:]) == np.sign(q[0]) * alt
-            add("x_1 in (0, z_n1)", reg[0] > 0 and in_n[0])
-            add("regular interlacing", np.all(in_n[1:] & above[1:]))
-            zm = laguerre_zeros(m, al)
-            zm1 = laguerre_zeros(m - 1, al)
-            add("e_1 in (-z_m1, 0)", -zm[0] < exc[0] < 0 if m else True)
-            ok = all(-zm[j] < exc[j] < -zm1[j - 1] for j in range(1, m))
-            add("exceptional interlacing", ok)
+            first, rest = _brackets(n, al, reg)
+            add("x_1 in (0, z_n1)", first)
+            add("regular interlacing", rest)
+            first, rest = _brackets(m, al, -exc)
+            add("e_1 in (-z_m1, 0)", first)
+            add("exceptional interlacing", rest)
     elif spec.family == "laguerre2":
         mode = "structure"
         add("regular count", len(zs.regular) == n)

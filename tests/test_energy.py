@@ -15,7 +15,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 import xfekete as xf
@@ -146,23 +145,6 @@ def test_non_finite_nodes_are_invalid(bad):
 def test_coincident_nodes_raise():
     with pytest.raises(xf.CoincidentNodes):
         xf.log_energy(np.array([1.0, 1.0]), BASE0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(c=st.floats(-3.0, 3.0), seed=st.integers(0, 10**6))
-def test_scale_invariance(c, seed):
-    """Multiplying w by e^c shifts log T by n*c and nothing else."""
-    rng = np.random.default_rng(seed)
-    x = random_nodes(rng, 4)
-    s = spec_of("laguerre1", 1, 2.0, 4)
-    w0 = xf.WeightSpec(s, "hat")
-    w1 = xf.WeightSpec(s, "hat", log_scale=c)
-    f0, f1 = xf.log_energy(x, w0), xf.log_energy(x, w1)
-    assert f1 - f0 == pytest.approx(4 * c, abs=1e-10)
-    g0, h0 = xf.gradient_and_hessian(x, w0)
-    g1, h1 = xf.gradient_and_hessian(x, w1)
-    np.testing.assert_array_equal(g0, g1)
-    np.testing.assert_array_equal(h0, h1)
 
 
 # ---------------------------------------------------------------- gradient

@@ -47,6 +47,20 @@ def test_negative_codimension_rejected():
         xf.FamilySpec("laguerre1", -1, 2.0, 3)
 
 
+@pytest.mark.parametrize("m,n", [(1.5, 3), (1, 3.0), (2.0, 3)])
+def test_non_integer_degree_rejected(m, n):
+    with pytest.raises(xf.ValidationError, match="integers"):
+        xf.FamilySpec("laguerre1", m, 2.0, n)
+
+
+def test_numpy_integer_degrees_accepted():
+    spec = xf.FamilySpec("laguerre1", np.int64(2), 2.0, np.int32(5))
+    ref = xf.find_zeros(xf.FamilySpec("laguerre1", 2, 2.0, 5))
+    zs = xf.find_zeros(spec)
+    assert zs.regular.tobytes() == ref.regular.tobytes()
+    assert zs.exceptional.tobytes() == ref.exceptional.tobytes()
+
+
 def test_regime_warnings_are_advisory():
     b = xf.build_exceptional(xf.FamilySpec("laguerre2", 2, 0.5, 2))
     assert b.warnings and "alpha <= m-1" in b.warnings[0]

@@ -541,11 +541,9 @@ def test_steps_match_the_cholesky_steps(monkeypatch, hessian_kinds, kinds):
     newton, step = fekete_opt._steps(G, H)
     assert newton.tolist() == ref_newton.tolist()
     assert step.tobytes() == ref_step.tobytes()
-    # certified rows reach no Cholesky: at most one batch of the rest,
-    # then one call per row when the batch fails
-    rest = sum(k != "cert" for k in kinds)
-    assert calls[:1] == ([rest] if rest else [])
-    assert len(calls) <= 1 + (rest if "witness" in kinds else 0)
+    # certified rows reach no Cholesky; each other row takes one of its
+    # own 3 x 3 matrix
+    assert calls == [3] * sum(k != "cert" for k in kinds)
 
 
 @pytest.mark.parametrize("args", LOCKSTEP, ids=lambda a: a[0])

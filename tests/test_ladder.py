@@ -452,7 +452,8 @@ def test_newton_ladder_is_the_serial_newton(itmax):
         for s, x0, g in zip(specs, x0s, got):
             want = outcome(ref_newton, s, x0, itmax)
             assert _outcome(g) == want
-            assert outcome(roots._newton, s, x0, itmax) == want
+            (alone,) = roots._newton_ladder([s], [x0], itmax)
+            assert _outcome(alone) == want
 
 
 def _record_pair_calls(monkeypatch):

@@ -76,28 +76,34 @@ def test_interlacing_full_mode():
         assert rep["passed"], rep["checks"]
 
 
-REGULAR_BRACKETS = ("x_1 in (0, z_n1)", "regular interlacing")
+BRACKETS = ("x_1 in (0, z_n1)", "regular interlacing", "e_1 in (-z_m1, 0)",
+            "exceptional interlacing")
 
 
 def node_brackets(zs):
-    """The regular-zero checks of check_interlacing by node comparison,
-    the degree-n and n - 1 Laguerre zeros from the dense eigensolve: the
-    reference of its sign rule."""
-    reg, n, al = zs.regular, zs.spec.n, zs.spec.alpha
+    """The bracket checks of check_interlacing by node comparison, the
+    Laguerre zeros of degree n, n - 1, m and m - 1 from the dense
+    eigensolve: the reference of its sign rule."""
+    reg, n, m, al = zs.regular, zs.spec.n, zs.spec.m, zs.spec.alpha
+    exc = np.sort(zs.exceptional.real)[::-1]
     zn, zn1 = xf.laguerre_zeros(n, al), xf.laguerre_zeros(n - 1, al)
+    zm, zm1 = xf.laguerre_zeros(m, al), xf.laguerre_zeros(m - 1, al)
     return {"x_1 in (0, z_n1)": bool(0 < reg[0] < zn[0]),
             "regular interlacing": all(zn1[j - 1] < reg[j] < zn[j]
-                                       for j in range(1, n))}
+                                       for j in range(1, n)),
+            "e_1 in (-z_m1, 0)": bool(-zm[0] < exc[0] < 0),
+            "exceptional interlacing": all(-zm[j] < exc[j] < -zm1[j - 1]
+                                           for j in range(1, m))}
 
 
 def sign_brackets(zs):
     return {c["check"]: c["passed"] for c in xf.check_interlacing(zs)["checks"]
-            if c["check"] in REGULAR_BRACKETS}
+            if c["check"] in BRACKETS}
 
 
 def test_interlacing_matches_the_node_reference():
     for (m, a, n) in [(1, 2.0, 1), (1, 0.3, 6), (2, 2.0, 5), (3, 4.5, 11),
-                      (2, 2.0, 120), (2, 2.0, 300)]:
+                      (5, 1.5, 8), (2, 2.0, 120), (2, 2.0, 300)]:
         zs = xf.find_zeros(spec_of("laguerre1", m, a, n))
         assert sign_brackets(zs) == node_brackets(zs)
         assert xf.check_interlacing(zs)["passed"]
@@ -120,23 +126,43 @@ def test_interlacing_signs_catch_a_zero_just_past_its_bracket(m, a, n):
         assert sign_brackets(bad) == want
 
 
+@pytest.mark.parametrize("m,a,n", [(2, 2.0, 12), (3, 0.3, 7), (5, 4.5, 9)])
+def test_interlacing_signs_catch_an_exceptional_zero_past_its_bracket(m, a,
+                                                                      n):
+    # each e_j (ordered downward from 0) pushed 1e-9 (relative) past
+    # either end of its bracket (-z_{m,j}, -z_{m-1,j-1}), or e_1 past 0
+    zs = xf.find_zeros(spec_of("laguerre1", m, a, n))
+    zm, zm1 = xf.laguerre_zeros(m, a), xf.laguerre_zeros(m - 1, a)
+    ends = [(0, 1e-9)] + [(j, -zm[j] * (1 + 1e-9)) for j in range(m)] \
+        + [(j, -zm1[j - 1] * (1 - 1e-9)) for j in range(1, m)]
+    for j, e in ends:
+        exc = np.sort(zs.exceptional.real)[::-1]
+        exc[j] = e
+        bad = dataclasses.replace(zs, exceptional=exc.astype(complex))
+        want = node_brackets(bad)
+        assert not all(want.values())
+        assert sign_brackets(bad) == want
+
+
 def test_laguerre1_verify_solves_each_gauss_rule_once(monkeypatch, capsys):
+    # every Gauss rule (laguerre_zeros, jacobi_zeros) is one eigensolve of
+    # its Jacobi matrix, whichever module calls it
     calls = []
-    real = classical_poly.laguerre_zeros
+    real = classical_poly._jacobi_matrix_eigvals
 
-    def counted(n, a):
-        calls.append((n, a))
-        return real(n, a)
+    def counted(diag, off):
+        calls.append(diag.size)
+        return real(diag, off)
 
-    for module in (classical_poly, roots):
-        monkeypatch.setattr(module, "laguerre_zeros", counted)
+    monkeypatch.setattr(classical_poly, "_jacobi_matrix_eigvals", counted)
     code = cli.main(["verify", "--family", "laguerre1", "--m", "2",
                      "--alpha", "2", "--n", "120"])
     assert code == 0 and json.loads(capsys.readouterr().out)["passed"]
-    # only the exceptional brackets m and m - 1: the seeds are WKB nodes
-    # and the regular brackets take signs, so no degree-120 or degree-119
-    # rule is solved
-    assert calls == [(2, 2.0), (1, 2.0)]
+    # the seeds are WKB nodes and both sets of brackets take signs, so no
+    # rule is solved, not even of degree m or m - 1
+    assert calls == []
+    xf.laguerre_zeros(2, 2.0)
+    assert calls == [2]
 
 
 def test_interlacing_classical_is_structure_mode():
@@ -247,7 +273,8 @@ def test_regular_stage_stops_at_its_predicted_floor(monkeypatch, family, m,
     monkeypatch.setattr(roots, "ladder_eval_pair",
                         lambda *a: calls.append(1) or pair(*a))
     spec = xf.FamilySpec(family, m, alpha, n)
-    roots._newton(spec, spec.fam.gauss(spec))
+    (x,) = roots._newton_ladder([spec], [spec.fam.gauss(spec)])
+    assert isinstance(x, np.ndarray)
     assert 0 < len(calls) <= most
 
 
