@@ -13,7 +13,8 @@ request, the differentiated recurrence too).
 Also provides the Gauss nodes, the classical zeros as eigenvalues of the
 symmetric tridiagonal Jacobi matrix (Golub-Welsch), and the Newton seeds
 of the classical zeros at every degree: closed-form Langer-WKB nodes
-polished by one recurrence Newton step.
+polished by one recurrence Newton step, one sweep for all the degrees of
+a ladder (laguerre_seed_ladder, jacobi_seed_ladder).
 """
 
 import functools
@@ -482,25 +483,97 @@ def _jacobi_wkb(n, a, b):
     return lambda psi: 1 - 2 * s_of(psi), phase, dphase, (a - ab) / 2
 
 
-def _wkb_nodes(n, wkb, sweep):
-    """The n zeros of a WKB phase wkb = (x_of, phase, dphase, shift),
-    after one Newton step of the classical polynomial, sweep(x) = its
-    pass at x; in the order of increasing phase.
+def _wkb_nodes(n, wkb):
+    """The n zeros of a WKB phase wkb = (x_of, phase, dphase, shift), in
+    the order of increasing phase.
 
     The phase, increasing from 0 at psi = 0, is tabulated on 2n equal
     steps of [0, pi] and inverted by np.interp at its targets
-    (k - 1/4 + shift) pi, then solved by one Newton step in psi.  A node
-    whose polishing step is not finite (the recurrence overflows there)
-    keeps its place, and no warning leaks."""
+    (k - 1/4 + shift) pi, then solved by one Newton step in psi."""
     x_of, phase, dphase, shift = wkb
     target = (np.arange(1, n + 1) - 0.25 + shift) * np.pi
     grid = np.linspace(0.0, np.pi, 2 * n + 1)
     psi = np.interp(target, phase(grid), grid)
-    x = x_of(psi - (phase(psi) - target) / dphase(psi))
-    with np.errstate(**_QUIET):
-        p, _, dp, _ = sweep(x)
-        step = p / dp
-    return np.where(np.isfinite(step), x - step, x)
+    return x_of(psi - (phase(psi) - target) / dphase(psi))
+
+
+def _ladder_call(f, ns, xs):
+    """f(n, x), a tuple of arrays elementwise in x, for several members at
+    once, member i at degree ns[i] and points xs[i]: one call with the
+    degree per point, or with the int degree and no concatenation when
+    there is one member.  Returns f's outputs split back per member, one
+    tuple each, in the order of ns."""
+    if len(ns) == 1:
+        return [f(ns[0], xs[0])]
+    sizes = [x.size for x in xs]
+    outs = f(np.repeat(ns, sizes), np.concatenate(xs))
+    split, at = [], 0
+    for size in sizes:
+        split.append(tuple(o[at:at + size] for o in outs))
+        at += size
+    return split
+
+
+def _seed_ladder(ns, params, nodes, sweep):
+    """Newton seeds of the classical zeros at each degree of ns: the WKB
+    nodes(n), ascending, after one Newton step of sweep(n, x), the
+    classical pass; every member's step is taken in one sweep
+    (_ladder_call), which gives each point the bits of a sweep at its
+    own degree.  A node whose step is not finite (the recurrence
+    overflows there) keeps its place, and no warning leaks.
+
+    Returns per member its seeds, or, for n >= 1 with a parameter at or
+    below -1, its own ValidationError (_gauss_range); n = 0 gives no
+    seeds, at any parameters."""
+    out, live = [np.empty(0) for _ in ns], []
+    for i, n in enumerate(ns):
+        if n:
+            try:
+                _gauss_range(*params)
+            except ValidationError as exc:
+                out[i] = exc
+            else:
+                live.append(i)
+
+    def polished(n, x):
+        with np.errstate(**_QUIET):
+            p, _, dp, _ = sweep(n, x)
+            step = p / dp
+        return (np.where(np.isfinite(step), x - step, x),)
+
+    if live:
+        ns = [ns[i] for i in live]
+        for i, (x,) in zip(live, _ladder_call(polished, ns,
+                                              [nodes(n) for n in ns])):
+            out[i] = x
+    return out
+
+
+def _alone(seeds):
+    """The seeds of a ladder of one; raises its ValidationError."""
+    (x,) = seeds
+    if isinstance(x, ValidationError):
+        raise x
+    return x
+
+
+def laguerre_seed_ladder(ns, a):
+    """laguerre_seeds(n, a) for each n of ns, from one polishing sweep;
+    a member with n >= 1 and a <= -1 gets its ValidationError in place
+    of its seeds (see _seed_ladder)."""
+    return _seed_ladder(
+        ns, (a,), lambda n: _wkb_nodes(n, _laguerre_wkb(n, a)),
+        lambda n, x: laguerre_pass(n, a, x, differentiated=True))
+
+
+def jacobi_seed_ladder(ns, a, b):
+    """jacobi_seeds(n, a, b) for each n of ns, from one polishing sweep;
+    a member with n >= 1 and a or b <= -1 gets its ValidationError in
+    place of its seeds (see _seed_ladder)."""
+    # the phase counts the zeros from x = 1: its nodes descend
+    return _seed_ladder(
+        ns, (a, b), lambda n: _wkb_nodes(n, _jacobi_wkb(n, a, b))[::-1],
+        lambda n, x: jacobi_pass(n, a, b, x))
 
 
 def laguerre_seeds(n, a):
@@ -512,12 +585,9 @@ def laguerre_seeds(n, a):
     the one Laguerre-II's pair takes: a seed's last bits decide where
     Newton lands within the evaluator's rounding floor, so Laguerre-II's
     zeros then rest on that one kernel.  n = 0 gives no seeds, at any a.
+    This is laguerre_seed_ladder on a ladder of one.
     """
-    if n == 0:
-        return np.empty(0)
-    _gauss_range(a)
-    return _wkb_nodes(n, _laguerre_wkb(n, a),
-                      lambda x: laguerre_pass(n, a, x, differentiated=True))
+    return _alone(laguerre_seed_ladder([n], a))
 
 
 def jacobi_seeds(n, a, b):
@@ -526,10 +596,7 @@ def jacobi_seeds(n, a, b):
     jacobi_pass, asymptotic first guesses plus Newton as in Hale &
     Townsend, SIAM J. Sci. Comput. 35 (2013); within 5.1e-3 of the local
     zero spacing at every n up to 300 for a, b in [-0.999, 40].  n = 0
-    gives no seeds, at any a and b.
+    gives no seeds, at any a and b.  This is jacobi_seed_ladder on a
+    ladder of one.
     """
-    if n == 0:
-        return np.empty(0)
-    _gauss_range(a, b)
-    return _wkb_nodes(n, _jacobi_wkb(n, a, b),
-                      lambda x: jacobi_pass(n, a, b, x))[::-1]
+    return _alone(jacobi_seed_ladder([n], a, b))

@@ -160,20 +160,27 @@ def _upper_pairs(n):
     return i, j
 
 
+def _cross_logs(D):
+    """cross[r] = log|x_i - x_j| (i < j) of each row r of a stack D
+    (T, n, n) of node differences x_i - x_j, in C order, so each row
+    sums alone, as in a stack of one."""
+    T, n = D.shape[:2]
+    i, j = _upper_pairs(n)
+    cross = np.take(D.reshape(T, n * n), i * n + j, axis=1)
+    np.log(np.abs(cross, out=cross), out=cross)
+    return cross
+
+
 def _assemble(X, logw, d1, d2):
     """(F, gradients, Hessians, cross) of a stack X (T, n) of node rows
     from the weight logs at its nodes.  F holds the plain row sums of
-    the terms, log w at the nodes and the cross logs
-    cross[r] = log|x_i - x_j| (i < j); _compensated reads one row's F
-    from the same terms by compensated sums.  Each row's Hessian is
-    built in place from the node differences: dif, then 1/dif, its
-    square and twice that."""
+    the terms, log w at the nodes and the cross logs (_cross_logs);
+    _compensated reads one row's F from the same terms by compensated
+    sums.  Each row's Hessian is built in place from the node
+    differences: dif, then 1/dif, its square and twice that."""
     n = X.shape[1]
     H = X[:, :, None] - X[:, None, :]
-    i, j = _upper_pairs(n)
-    # take gives C order, so each row sums alone, as in a stack of one
-    cross = np.take(H.reshape(len(X), n * n), i * n + j, axis=1)
-    np.log(np.abs(cross, out=cross), out=cross)
+    cross = _cross_logs(H)
     F = np.sum(logw, axis=1) + 2.0 * np.sum(cross, axis=1)
     k = np.arange(n)
     H[:, k, k] = np.inf
@@ -216,8 +223,14 @@ def energy_terms(nodes, w):
 
 
 def log_energy(nodes, w):
-    """F(nodes) = sum log w + 2 sum_{i<j} log|x_i - x_j| (compensated)."""
-    return energy_terms(nodes, w)[0]
+    """F(nodes) = sum log w + 2 sum_{i<j} log|x_i - x_j| (compensated),
+    from the weight logs and the cross logs alone, the terms of
+    energy_terms, which gives the same F: no gradient or Hessian is
+    formed."""
+    X = _check_nodes(nodes)[None]
+    logw, _, _ = weight_logs(w, X)
+    cross = _cross_logs(X[:, :, None] - X[:, None, :])
+    return _compensated(logw[0], cross[0])
 
 
 def fejer_constants(nodes, w):

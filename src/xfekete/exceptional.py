@@ -36,9 +36,9 @@ import numpy.polynomial.polynomial as npoly
 from .classical_poly import (PolyTable, _as_float_or_complex as _coerce,
                              _horner, _jacobi_coeffs_top_down,
                              _jacobi_collapses, gen_binom,
-                             jacobi_coeffs, jacobi_pass, jacobi_seeds,
-                             laguerre_coeffs, laguerre_pass, laguerre_seeds,
-                             polyder, trim)
+                             jacobi_coeffs, jacobi_pass, jacobi_seed_ladder,
+                             laguerre_coeffs, laguerre_pass,
+                             laguerre_seed_ladder, polyder, trim)
 from .errors import (DegreeCollapse, InvalidFamily, NullspaceDefect,
                      RepresentationOverflow, SingularEvaluation,
                      ValidationError)
@@ -363,14 +363,17 @@ def exceptional_eval(spec, x, deriv=0):
 
 class Family(NamedTuple):
     """What sets one family apart.  The callables take the FamilySpec (lam
-    and pair also the degree index n, which pair takes per point) and
-    look public functions up as module globals when called."""
+    and pair also the degree index n, which pair takes per point, and
+    gauss a list of them, the degrees of a ladder) and look public
+    functions up as module globals when called."""
 
     interval: tuple     # open orthogonality interval (a, b); b may be inf
     poles: tuple        # r of each base-weight factor |x - r|^(alpha, beta)
     exp_weight: bool    # base weight also carries e^-x (the half-line)
     S: object           # coefficients of S, a classical polynomial
-    gauss: object       # seeds of the regular zeros: the classical zeros
+    gauss: object       # (spec, ns) -> per n, the seeds of the regular
+                        # zeros (the classical zeros) or their
+                        # ValidationError, one polishing sweep for all
     sigma: object       # the ODE: A = sigma S, B = tau S - 2 sigma S',
     tau: object         # C = lam S + k (q S'); sigma and q multiply a
     lam: object         # coefficient vector (by polymulx for x, which
@@ -407,7 +410,8 @@ def _jac_regime(spec):
 
 _HALF_LINE = dict(
     interval=(0.0, np.inf), poles=(0.0,), exp_weight=True,
-    gauss=lambda s: laguerre_seeds(s.n, s.alpha), lead=_half_line_lead,
+    gauss=lambda s, ns: laguerre_seed_ladder(ns, s.alpha),
+    lead=_half_line_lead,
     sigma=npoly.polymulx, tau=lambda s: (s.alpha + 1.0, -1.0),
     domain=lambda s, n: (0.0, 4.0 * n + 2.0 * s.alpha + 4.0 * s.m))
 
@@ -434,7 +438,7 @@ FAMILY = {
     "jacobi": Family(
         interval=(-1.0, 1.0), poles=(1.0, -1.0), exp_weight=False,
         S=lambda s: jacobi_coeffs(s.m, -s.alpha - 1.0, s.beta - 1.0),
-        gauss=lambda s: jacobi_seeds(s.n, s.alpha, s.beta),
+        gauss=lambda s, ns: jacobi_seed_ladder(ns, s.alpha, s.beta),
         sigma=lambda c: npoly.polymul((1.0, 0.0, -1.0), c),
         tau=lambda s: (s.beta - s.alpha, -(s.alpha + s.beta + 2.0)),
         lam=lambda s, n: (s.m * (s.alpha - s.beta - s.m + 1.0)

@@ -10,7 +10,8 @@ regular ones from the classical zeros, the exceptional ones from the
 zeros of S, to which they tend (Gomez-Ullate, Marcellan & Milson 2013),
 each exceptional iterate coupled to every other (Aberth-Ehrlich).  Specs
 that differ only in n (a ladder, such as the members of a diameter
-sweep) are polished together: each Newton round evaluates every pending
+sweep) are seeded and polished together: one polishing sweep gives every
+member its classical seeds, each Newton round evaluates every pending
 point of every member in one call, and a single spec is a ladder of one.
 The same evaluator certifies the zeros: the certificate bounds its
 Newton correction at every zero, one more lockstep round for the whole
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical_poly import _QUIET, laguerre_pass
+from .classical_poly import _QUIET, _ladder_call, laguerre_pass
 from .errors import (CountMismatch, NonConvergence, ValidationError,
                      XFeketeError)
 from .exceptional import _nonzero_lead, ladder_eval_pair
@@ -152,19 +153,12 @@ def _newton_ladder(specs, x0s, itmax=60):
 
 def _ladder_pairs(specs, xs, live):
     """{i: (y, y')} at the points xs[i] of the live specs, from one
-    ladder_eval_pair call for all of them (with an int degree when one
-    spec is left)."""
-    sizes = [xs[i].size for i in live]
-    if len(live) == 1:
-        n, x = specs[live[0]].n, xs[live[0]]
-    else:
-        n = np.repeat([specs[i].n for i in live], sizes)
-        x = np.concatenate([xs[i] for i in live])
-    v, dv = ladder_eval_pair(specs[live[0]], n, x)
-    pairs, at = {}, 0
-    for i, size in zip(live, sizes):
-        pairs[i], at = (v[at:at + size], dv[at:at + size]), at + size
-    return pairs
+    ladder_eval_pair call for all of them (_ladder_call: an int degree
+    when one spec is left)."""
+    spec = specs[live[0]]
+    return dict(zip(live, _ladder_call(
+        lambda n, x: ladder_eval_pair(spec, n, x),
+        [specs[i].n for i in live], [xs[i] for i in live])))
 
 
 def _sort_zeros(z):
@@ -225,7 +219,8 @@ def find_zeros(spec):
     _newton_ladder polishes the regular zeros from the classical zeros
     (Laguerre or Jacobi at the same parameters, as laguerre_seeds and
     jacobi_seeds give them: Langer-WKB nodes after one recurrence Newton
-    step) and the exceptional zeros from the zeros of S, all together.
+    step, at an int degree) and the exceptional zeros from the zeros of
+    S, all together.
     Raises DegreeCollapse first where the closed-form leading coefficient
     is 0, CountMismatch if counts or the location margins fail, and
     NonConvergence if the Newton polish or the certificate fails.
@@ -242,8 +237,14 @@ def find_zeros(spec):
 
 def find_zeros_ladder(specs):
     """find_zeros for each spec of a ladder, specs that differ only in n,
-    with the Newton polish solved for all of them in lockstep and their
-    certificates evaluated in one more lockstep round.
+    with the seeds of all of them from one call of the family's seed
+    ladder (Family.gauss: each member's WKB phase inverted on its own,
+    then one polishing sweep over every member's nodes, each at its own
+    degree, so every seed has the bits of its member's own seeds), the
+    Newton polish solved for all of them in lockstep and their
+    certificates evaluated in one more lockstep round.  A member whose
+    closed-form lead collapses fails before the seeds are taken, and
+    takes no part in them.
 
     Returns, in the order of specs, each spec's ZeroSet, or the
     XFeketeError that find_zeros raises for it; a spec that fails drops
@@ -254,12 +255,25 @@ def find_zeros_ladder(specs):
     if len({(s.family, s.m, s.alpha, s.beta) for s in specs}) > 1:
         raise ValidationError("the specs of a ladder differ only in n")
     out = [None] * len(specs)
-    seeds, table = {}, None
     for i, spec in enumerate(specs):
         try:
-            # a collapsed degree fails before any Newton step
+            # a collapsed degree fails before any seed is used
             _nonzero_lead(spec, spec.fam.lead_factor(spec))
-            gauss = spec.fam.gauss(spec)
+        except XFeketeError as exc:
+            out[i] = exc
+    live = [i for i, o in enumerate(out) if o is None]
+    gauss = {}
+    if live:
+        # every member's classical seeds from one polishing sweep
+        first = specs[live[0]]
+        gauss = dict(zip(live, first.fam.gauss(
+            first, [specs[i].n for i in live])))
+    seeds, table = {}, None
+    for i in live:
+        spec = specs[i]
+        try:
+            if isinstance(gauss[i], XFeketeError):
+                raise gauss[i]
             # S does not depend on n, so the ladder builds it and its
             # roots once (FamilySpec.S caches in the instance dict); a
             # build that raises is not shared, and each member raises it
@@ -270,7 +284,7 @@ def find_zeros_ladder(specs):
             # the n classical seeds, then the m zeros of S: a real array
             # when all of those are real
             r = table.roots
-            seeds[i] = np.concatenate([gauss,
+            seeds[i] = np.concatenate([gauss[i],
                                        r if r.imag.any() else r.real])
         except XFeketeError as exc:
             out[i] = exc

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import xfekete as xf
-from xfekete import exceptional, roots
+from xfekete import classical_poly, exceptional, roots
 from xfekete.classical_poly import _as_float_or_complex, _horner
 
 
@@ -101,9 +101,18 @@ def ref_newton(spec, x0, itmax=60, its=None):
     return x
 
 
+def ref_gauss(spec):
+    """The n Gauss nodes of spec alone: its family's seeds on a ladder of
+    one, an int-degree polishing sweep; raises their ValidationError."""
+    (x,) = spec.fam.gauss(spec, [spec.n])
+    if isinstance(x, xf.XFeketeError):
+        raise x
+    return x
+
+
 def ref_seeds(spec):
     """The n Gauss nodes, then the m zeros of S; real when they are."""
-    gauss, r = spec.fam.gauss(spec), spec.S.roots
+    gauss, r = ref_gauss(spec), spec.S.roots
     return np.concatenate([gauss, r if r.imag.any() else r.real])
 
 
@@ -447,7 +456,7 @@ def test_newton_ladder_is_the_serial_newton(itmax):
     specs = _ladder("jacobi", 1, 0.289, 2.53, (20, 80, 120))
     # the full iterate arrays, and the Gauss seeds alone (plain Newton)
     for x0s in ([ref_seeds(s) for s in specs],
-                [s.fam.gauss(s) for s in specs]):
+                [ref_gauss(s) for s in specs]):
         got = roots._newton_ladder(specs, x0s, itmax)
         for s, x0, g in zip(specs, x0s, got):
             want = outcome(ref_newton, s, x0, itmax)
@@ -557,3 +566,92 @@ def test_d_sequence_sweeps_once_per_lockstep_round(monkeypatch):
     assert len(calls) == rounds
     assert all(_whole_members(c) for c in calls)
     assert 0 < len(sweeps) <= rounds < serial
+
+
+# ------------------------------------------------------------ seeds
+
+SEED_NS = [300, 0, 20, 1, 140, 2, 139, 0, 20]
+
+
+@pytest.mark.parametrize("family,m,alpha,beta", [
+    ("laguerre1", 1, 2.0, None), ("laguerre1", 3, 0.3, None),
+    ("laguerre2", 2, 3.3, None), ("jacobi", 1, 2.5, 1.5),
+    ("jacobi", 2, -0.3, -0.7)])
+def test_ladder_seeds_are_each_members_own_seeds(family, m, alpha, beta):
+    # one polishing sweep for all members gives every member the bits of
+    # its own int-degree sweep; degrees unsorted, repeated and 0
+    spec = xf.FamilySpec(family, m, alpha, 0, beta)
+    got = spec.fam.gauss(spec, SEED_NS)
+    params = (alpha,) if beta is None else (alpha, beta)
+    own = xf.laguerre_seeds if beta is None else xf.jacobi_seeds
+    assert len(got) == len(SEED_NS)
+    for n, x in zip(SEED_NS, got):
+        assert _same(x, own(n, *params)), n
+
+
+def test_seed_ladder_members_fail_alone_below_the_gauss_range():
+    got = classical_poly.laguerre_seed_ladder([0, 3, 5], -1.5)
+    assert _same(got[0], np.empty(0))
+    assert all(isinstance(e, xf.ValidationError) for e in got[1:])
+    assert got[1] is not got[2]
+    got = classical_poly.jacobi_seed_ladder([2, 0], 2.0, -1.0)
+    assert isinstance(got[0], xf.ValidationError)
+    assert _same(got[1], np.empty(0))
+    # in find_zeros_ladder each n >= 1 member records its own error, and
+    # the n = 0 member (nothing to seed) its find_zeros outcome
+    for ladder in [("laguerre1", 1, -1.5, None, (0, 3, 5)),
+                   ("jacobi", 1, -2.0, 0.5, (0, 1, 3))]:
+        got = roots.find_zeros_ladder(_ladder(*ladder))
+        alone = [outcome(xf.find_zeros, s) for s in _ladder(*ladder)]
+        assert [_outcome(g) for g in got] == alone
+        assert all(isinstance(g, xf.ValidationError) for g in got[1:])
+        assert not isinstance(got[0], xf.ValidationError)
+        assert got[1] is not got[2]
+
+
+def _record_seed_degrees(monkeypatch, name):
+    """The degrees each call of exceptional's seed ladder name asks for."""
+    calls = []
+    ladder = getattr(exceptional, name)
+
+    def recorded(ns, *params):
+        calls.append(list(ns))
+        return ladder(ns, *params)
+
+    monkeypatch.setattr(exceptional, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("ladder", [("jacobi", 3, 1.0, 0.5, (0, 1, 2, 10)),
+                                    ("jacobi", 1, -2.0, 0.5, (0, 1, 2, 3))])
+def test_a_collapsed_lead_fails_before_any_seed(monkeypatch, ladder):
+    # n = 1 (m - n - alpha - 1 = 0) and n = 2 collapse; at alpha = -2 the
+    # others are below the Gauss range, and the collapse comes first
+    collapsed = {3: 1, 1: 2}[ladder[1]]
+    calls = _record_seed_degrees(monkeypatch, "jacobi_seed_ladder")
+    got = roots.find_zeros_ladder(_ladder(*ladder))
+    assert calls == [[n for n in ladder[4] if n != collapsed]]
+    alone = [outcome(xf.find_zeros, s) for s in _ladder(*ladder)]
+    assert [_outcome(g) for g in got] == alone
+    assert isinstance(got[ladder[4].index(collapsed)], xf.DegreeCollapse)
+
+
+def test_d_sequence_makes_one_seed_polishing_sweep(monkeypatch):
+    # the seeds of the 12 members n = 9..20 take one sweep, each point at
+    # its member's degree; a ladder of one (find_zeros) sweeps at an int
+    # degree, with no concatenation
+    sweeps = []
+    real_pass = classical_poly.laguerre_pass
+
+    def counted_pass(n, a, x, differentiated=False):
+        sweeps.append((n, np.size(x), differentiated))
+        return real_pass(n, a, x, differentiated)
+
+    monkeypatch.setattr(classical_poly, "laguerre_pass", counted_pass)
+    xf.d_sequence(1, 2.0, range(10, 21))
+    ((n, size, differentiated),) = sweeps
+    assert differentiated and size == sum(range(9, 21))
+    assert _same(n, np.repeat(np.arange(9, 21), np.arange(9, 21)))
+    sweeps.clear()
+    xf.find_zeros(xf.FamilySpec("laguerre1", 1, 2.0, 20))
+    assert sweeps == [(20, 20, True)]

@@ -273,7 +273,7 @@ def test_regular_stage_stops_at_its_predicted_floor(monkeypatch, family, m,
     monkeypatch.setattr(roots, "ladder_eval_pair",
                         lambda *a: calls.append(1) or pair(*a))
     spec = xf.FamilySpec(family, m, alpha, n)
-    (x,) = roots._newton_ladder([spec], [spec.fam.gauss(spec)])
+    (x,) = roots._newton_ladder([spec], spec.fam.gauss(spec, [n]))
     assert isinstance(x, np.ndarray)
     assert 0 < len(calls) <= most
 
@@ -313,13 +313,27 @@ def _outcome(spec):
 def test_wkb_seeds_give_the_eigensolve_outcome(monkeypatch, family, m, alpha,
                                                beta):
     # the regular zeros start from polished WKB nodes; the reference
-    # seeds every member from the dense eigensolve.  n = 400 fails on the
-    # recurrence's overflow either way, with the same message
+    # seeds every member from the dense eigensolve, patched in where
+    # find_zeros takes its seeds (the family's seed ladder).  n = 400
+    # fails on the recurrence's overflow either way, with the same
+    # message
     ns = (1, 2, 5, 20, 80, 139, 140, 200, 300, 400)
     got = [_outcome(xf.FamilySpec(family, m, alpha, n, beta)) for n in ns]
-    monkeypatch.setattr(exceptional, "laguerre_seeds", xf.laguerre_zeros)
-    monkeypatch.setattr(exceptional, "jacobi_seeds", xf.jacobi_zeros)
+    solved = []
+
+    def eigensolve(zeros):
+        def ladder(degrees, *params):
+            solved.extend(degrees)
+            return [zeros(n, *params) for n in degrees]
+        return ladder
+
+    monkeypatch.setattr(exceptional, "laguerre_seed_ladder",
+                        eigensolve(xf.laguerre_zeros))
+    monkeypatch.setattr(exceptional, "jacobi_seed_ladder",
+                        eigensolve(xf.jacobi_zeros))
     want = [_outcome(xf.FamilySpec(family, m, alpha, n, beta)) for n in ns]
+    # the reference is live: every member took the eigensolve's seeds
+    assert solved == list(ns)
     for g, w in zip(got, want):
         if not isinstance(w, roots.ZeroSet):
             assert g == w

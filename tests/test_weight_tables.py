@@ -135,6 +135,26 @@ def test_energy_terms_bit_identical_to_separate_assembly(family, variant):
     np.testing.assert_array_equal(rep.hessian, H)
 
 
+def test_log_energy_is_F_without_the_hessian_at_the_diameter_size(
+        monkeypatch):
+    # a diameter member: laguerre1 m = 1 at n = 150, v weight, its
+    # regular zeros; log_energy reads F off the weight and cross logs
+    zs = zeros_of("laguerre1", 1, 2.0, 150)
+    w = xf.v_weight(zs)
+    nodes = zs.regular
+    F = xf.energy_terms(nodes, w)[0]
+    assert F == ref_log_energy(nodes, w)
+    calls = []
+    assemble = energy._assemble
+    monkeypatch.setattr(energy, "_assemble",
+                        lambda *a: calls.append(1) or assemble(*a))
+    assert xf.log_energy(nodes, w) == F
+    assert calls == []
+    # the count is live: energy_terms assembles once
+    xf.energy_terms(nodes, w)
+    assert calls == [1]
+
+
 @pytest.mark.parametrize("family", ["laguerre1", "laguerre2", "jacobi"])
 def test_stacked_assembly_bit_identical_row_by_row(family):
     w = weight(family, "v")
