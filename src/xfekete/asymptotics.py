@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical_poly import _horner
-from .energy import _check_nodes, _upper_pairs, log_energy, v_weight
+from .energy import _check_nodes, _cross_logs, log_energy, v_weight
 from .errors import ValidationError, XFeketeError
 from .exceptional import FamilySpec
 from .roots import find_zeros_ladder
@@ -44,9 +44,9 @@ def transfinite_d(nodes, v=None, c=1.0):
     if n < 2:
         raise ValidationError("diameter needs at least two nodes")
     if v is None:
-        nodes = _check_nodes(nodes)
-        i, j = _upper_pairs(n)
-        logT = 2.0 * math.fsum(np.log(np.abs(nodes[i] - nodes[j])))
+        X = _check_nodes(nodes)[None]
+        (cross,) = _cross_logs(X[:, :, None] - X[:, None, :])
+        logT = 2.0 * math.fsum(memoryview(cross))
     else:
         logT = log_energy(nodes, v)
     return -math.log(c / n) - logT / (n * (n - 1))
@@ -57,7 +57,8 @@ class DiameterSeries:
     """d_n over a range of n, with consecutive differences.
 
     deltas[i] = d(n_i) - d(n_i - 1), NaN when the predecessor was not
-    computed.  rate_stat is the sup of |delta| * n^2 / log^2(n).
+    computed.  rate_stats[i] = |deltas[i]| n_i^2 / log^2(n_i), NaN with
+    the delta, the CSV's column; rate_stat is their sup (nanmax).
     skipped lists (n, reason) for members that failed to build or
     certify.  ps_ratio_max records max over a domain grid of
     (P(x)/S(x))^2 per n, the constant the kernel modification relies on.
@@ -69,6 +70,7 @@ class DiameterSeries:
     n_values: np.ndarray
     d: np.ndarray
     deltas: np.ndarray
+    rate_stats: np.ndarray
     rate_stat: float
     skipped: tuple
     ps_ratio_max: np.ndarray
@@ -128,7 +130,7 @@ def d_sequence(m, alpha, n_range, c=1.0):
         stats = np.abs(deltas) * n_values ** 2 / np.log(n_values) ** 2
     rate = float(np.nanmax(stats)) if np.any(np.isfinite(stats)) else np.nan
     return DiameterSeries(m=m, alpha=alpha, c=c, n_values=n_values, d=d,
-                          deltas=deltas, rate_stat=rate,
+                          deltas=deltas, rate_stats=stats, rate_stat=rate,
                           skipped=tuple(skipped), ps_ratio_max=ratios)
 
 

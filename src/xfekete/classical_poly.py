@@ -462,7 +462,9 @@ def _jacobi_wkb(n, a, b):
     (n + 1/2 + (a - abar)/2 + (b - bbar)/2) pi; shift = (a - abar)/2.
     """
     ab, bb = max(a, 0.0), max(b, 0.0)
-    rho = n + (a + b + 1) / 2
+    # a numpy float, so that rho ** 3 beyond binary64 is inf, not an
+    # OverflowError
+    rho = np.float64(n + (a + b + 1) / 2)
     A = 4 * rho * rho
     B, B1 = A + ab * ab - bb * bb, A - ab * ab + bb * bb
     e = np.sqrt(B * B - 4 * A * ab * ab)
@@ -520,31 +522,33 @@ def _seed_ladder(ns, params, nodes, sweep):
     classical pass; every member's step is taken in one sweep
     (_ladder_call), which gives each point the bits of a sweep at its
     own degree.  A node whose step is not finite (the recurrence
-    overflows there) keeps its place, and no warning leaks.
+    overflows there) keeps its place; a node that is not finite (a
+    phase beyond binary64, at extreme parameters) stays so, and Newton
+    fails on it typed; no warning leaks from either.
 
     Returns per member its seeds, or, for n >= 1 with a parameter at or
-    below -1, its own ValidationError (_gauss_range); n = 0 gives no
-    seeds, at any parameters."""
-    out, live = [np.empty(0) for _ in ns], []
-    for i, n in enumerate(ns):
-        if n:
-            try:
-                _gauss_range(*params)
-            except ValidationError as exc:
-                out[i] = exc
-            else:
-                live.append(i)
+    below -1, its own ValidationError (_gauss_range, checked once for
+    the ladder's shared parameters); n = 0 gives no seeds, at any
+    parameters."""
+    try:
+        _gauss_range(*params)
+    except ValidationError as exc:
+        # the members share the parameters: each gets its own error
+        return [ValidationError(*exc.args) if n else np.empty(0)
+                for n in ns]
+    out = [np.empty(0) for _ in ns]
+    live = [i for i, n in enumerate(ns) if n]
 
     def polished(n, x):
-        with np.errstate(**_QUIET):
-            p, _, dp, _ = sweep(n, x)
-            step = p / dp
+        p, _, dp, _ = sweep(n, x)
+        step = p / dp
         return (np.where(np.isfinite(step), x - step, x),)
 
     if live:
         ns = [ns[i] for i in live]
-        for i, (x,) in zip(live, _ladder_call(polished, ns,
-                                              [nodes(n) for n in ns])):
+        with np.errstate(**_QUIET):
+            seeds = _ladder_call(polished, ns, [nodes(n) for n in ns])
+        for i, (x,) in zip(live, seeds):
             out[i] = x
     return out
 

@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
+from . import __version__
 from .asymptotics import d_sequence, zero_sum_check
 from .energy import WeightSpec, energy_hessian, v_weight
 from .errors import NumericalError, ValidationError, XFeketeError
@@ -24,8 +25,6 @@ from .exceptional import (FAMILIES, FamilySpec, build_exceptional,
 from .fekete_opt import default_domain, uniqueness_probe
 from .interp import stability_scan
 from .roots import CERT_TOL, check_interlacing, find_zeros
-
-VERSION = "0.1.0"
 
 
 def _dumps(obj):
@@ -58,7 +57,7 @@ def _dumps(obj):
 
 
 def _emit(payload, spec=None):
-    doc = {"version": VERSION}
+    doc = {"version": __version__}
     if spec is not None:
         doc["spec"] = spec.as_dict()
     doc.update(payload)
@@ -68,10 +67,6 @@ def _emit(payload, spec=None):
 def _spec_from(args):
     beta = getattr(args, "beta", None)
     return FamilySpec(args.family, args.m, args.alpha, args.n, beta)
-
-
-def _pairs(z):
-    return [[float(v.real), float(v.imag)] for v in np.asarray(z)]
 
 
 def cmd_poly(args):
@@ -89,8 +84,7 @@ def cmd_zeros(args):
     spec = _spec_from(args)
     zs = find_zeros(spec)
     _emit({"regular": zs.regular,
-           "exceptional": _pairs(zs.exceptional),
-           "s_zeros": _pairs(zs.s_zeros),
+           "exceptional": zs.exceptional, "s_zeros": zs.s_zeros,
            "certificate": zs.certificate,
            "interlacing": check_interlacing(zs)}, spec)
     return 0
@@ -140,8 +134,7 @@ def cmd_fekete(args):
     domain = default_domain(w, spec.n)
     probe = uniqueness_probe(w, domain, spec.n, trials=args.trials,
                              seed=args.seed)
-    clusters = [{"nodes": c["nodes"], "count": c["count"],
-                 "logT": c["logT"]} for c in probe["clusters"]]
+    clusters = probe["clusters"]
     if clusters:
         dev = float(np.max(np.abs(clusters[0]["nodes"] - zs.regular)))
     else:
@@ -163,13 +156,11 @@ def cmd_diameter(args):
     series = d_sequence(args.m, args.alpha,
                         range(args.n_from, args.n_to + 1), c=args.c)
     print("n,d,delta,rate_stat")
-    for i, n in enumerate(series.n_values):
-        delta = series.deltas[i]
-        stat = (abs(delta) * n ** 2 / math.log(n) ** 2
-                if np.isfinite(delta) else float("nan"))
-        print(f"{n},{series.d[i]:.17g},{delta:.17g},{stat:.17g}")
+    for row in zip(series.n_values, series.d, series.deltas,
+                   series.rate_stats):
+        print("{},{:.17g},{:.17g},{:.17g}".format(*row))
     if args.summary:
-        doc = {"version": VERSION, "m": args.m, "alpha": args.alpha,
+        doc = {"version": __version__, "m": args.m, "alpha": args.alpha,
                "c": args.c, "rate_stat": series.rate_stat,
                "rows": int(series.n_values.size),
                "skipped": [list(s) for s in series.skipped],
@@ -317,14 +308,10 @@ def main(argv=None):
     fn = globals()[f"cmd_{args.cmd}"]
     try:
         return fn(args)
-    except ValidationError as exc:
-        sys.stderr.write(_dumps({"error": type(exc).__name__,
-                                 "message": str(exc)}) + "\n")
-        return 1
     except XFeketeError as exc:
         sys.stderr.write(_dumps({"error": type(exc).__name__,
                                  "message": str(exc)}) + "\n")
-        return 2
+        return 1 if isinstance(exc, ValidationError) else 2
 
 
 if __name__ == "__main__":

@@ -133,15 +133,29 @@ def weight_logs(w, x):
     return logw, d1, d2
 
 
-def _check_nodes(nodes):
+def _node_array(nodes):
+    """nodes as a float array; ValidationError unless it is 1-d, nonempty
+    and finite."""
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size == 0:
         raise ValidationError("nodes must be a nonempty 1-d array")
     if not np.all(np.isfinite(nodes)):
         raise ValidationError("nodes must be finite")
-    scale = max(1.0, float(np.max(np.abs(nodes))))
+    return nodes
+
+
+def _coincident(X, dif):
+    """Per row of a stack X (..., n) of node rows and their consecutive
+    differences dif: True where a difference falls below 1e-14
+    max(1, max |x|) of the row."""
+    scale = np.fmax(1.0, np.max(np.abs(X), axis=-1, initial=0.0))
+    return np.min(dif, axis=-1, initial=np.inf) < 1e-14 * scale
+
+
+def _check_nodes(nodes):
+    nodes = _node_array(nodes)
     srt = np.sort(nodes)
-    if nodes.size > 1 and np.min(np.diff(srt)) < 1e-14 * scale:
+    if _coincident(srt, np.diff(srt)):
         raise CoincidentNodes("node separation below 1e-14 relative")
     return nodes
 

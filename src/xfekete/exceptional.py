@@ -33,7 +33,8 @@ from typing import NamedTuple
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .classical_poly import (PolyTable, _as_float_or_complex as _coerce,
+from .classical_poly import (_QUIET, PolyTable,
+                             _as_float_or_complex as _coerce,
                              _horner, _jacobi_coeffs_top_down,
                              _jacobi_collapses, gen_binom,
                              jacobi_coeffs, jacobi_pass, jacobi_seed_ladder,
@@ -95,10 +96,7 @@ class FamilySpec:
         beyond binary64 raise RepresentationOverflow."""
         with np.errstate(over="ignore", invalid="ignore"):
             c = build_S(self)
-        if not np.all(np.isfinite(c)):
-            raise RepresentationOverflow(
-                f"coefficients of S overflow binary64 for {self}")
-        return PolyTable(c)
+        return PolyTable(_representable(c, "coefficients of S", self))
 
     @property
     def degree(self):
@@ -126,6 +124,24 @@ class FamilySpec:
 def build_S(spec):
     """Monomial coefficients (ascending) of the denominator polynomial S."""
     return spec.fam.S(spec)
+
+
+def _representable(c, what, spec):
+    """c, if every entry is finite; else RepresentationOverflow, "what
+    overflow binary64 for spec"."""
+    if not np.all(np.isfinite(c)):
+        raise RepresentationOverflow(f"{what} overflow binary64 for {spec}")
+    return c
+
+
+def _s_zeros(spec):
+    """The zeros of S (spec.S.roots), the eigenvalues of the companion
+    matrix of monic S; RepresentationOverflow where its coefficients
+    leave binary64 (laguerre1 at alpha = 2 from m = 167 on)."""
+    S = spec.S
+    with np.errstate(**_QUIET):
+        _representable(S.c / S.c[-1], "monic coefficients of S", spec)
+    return S.roots
 
 
 @dataclass(frozen=True)
@@ -172,12 +188,16 @@ def ode_coeffs(spec):
     """Coefficient vectors of the family ODE at degree index n:
     A = sigma S, B = tau S - 2 sigma S', C = lam S + k (q S') with the
     parts of the family's FAMILY record.  For m = 0 each reduces to the
-    classical second-order equation.
+    classical second-order equation.  Coefficients beyond binary64
+    raise RepresentationOverflow.
     """
     fam, Sc, Sp = spec.fam, spec.S.c, spec.S.d1
-    A = fam.sigma(Sc)
-    B = npoly.polysub(npoly.polymul(fam.tau(spec), Sc), 2.0 * fam.sigma(Sp))
-    C = npoly.polyadd(fam.lam(spec, spec.n) * Sc, fam.k(spec) * fam.q(Sp))
+    with np.errstate(**_QUIET):
+        A = fam.sigma(Sc)
+        B = npoly.polysub(npoly.polymul(fam.tau(spec), Sc),
+                          2.0 * fam.sigma(Sp))
+        C = npoly.polyadd(fam.lam(spec, spec.n) * Sc, fam.k(spec) * fam.q(Sp))
+    _representable(np.concatenate([A, B, C]), "ODE coefficients", spec)
     return RationalODE(A=trim(A), B=trim(B), C=trim(C))
 
 
@@ -223,7 +243,8 @@ def build_exceptional(spec):
     coefficient.  The coefficient-space residual of the ODE, relative to
     max(|A y''|, |C y|) coefficient norms, must come in below 1e-9; a
     larger or NaN residual raises NullspaceDefect.  S's errors come
-    first, then the lead's DegreeCollapse or RepresentationOverflow;
+    first, then the ODE's RepresentationOverflow (ode_coeffs), then the
+    lead's DegreeCollapse or RepresentationOverflow;
     coefficients beyond binary64 raise RepresentationOverflow.  Zero
     finding never calls it: its callers are the `poly` command and the
     construction check of `verify`.
@@ -240,9 +261,7 @@ def build_exceptional(spec):
         coeffs = np.zeros(deg + 1)
         coeffs[: y.size] = y
         coeffs[-1] = top
-        if not np.all(np.isfinite(coeffs)):
-            raise RepresentationOverflow(
-                f"coefficients overflow binary64 for {spec}")
+        _representable(coeffs, "coefficients", spec)
         Ay2 = (npoly.polymul(A, polyder(coeffs, 2)) if deg >= 2
                else np.zeros(1))
         By1 = (npoly.polymul(B, polyder(coeffs)) if deg >= 1

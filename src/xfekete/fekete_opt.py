@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import (DomainEscape, NonConvergence, NumericalError,
                      ValidationError)
-from .energy import (_assemble, _compensated, gradient_and_hessian,
-                     v_weight, weight_logs)
+from .energy import (_assemble, _coincident, _compensated,
+                     gradient_and_hessian, v_weight, weight_logs)
 from .exceptional import FamilySpec
 from .roots import find_zeros
 
@@ -62,8 +62,7 @@ def _evaluate(w, X, domain):
     lo, hi = domain
     reason = np.full(len(X), "", dtype="<U6")
     dif = np.diff(X, axis=1)
-    scale = np.fmax(1.0, np.max(np.abs(X), axis=1, initial=0.0))
-    reason[np.min(dif, axis=1, initial=np.inf) < 1e-14 * scale] = "pole"
+    reason[_coincident(X, dif)] = "pole"
     reason[np.any(dif <= 0, axis=1)] = "order"
     reason[np.any((X <= lo) | (X >= hi), axis=1)] = "domain"
     ok = reason == ""

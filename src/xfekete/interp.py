@@ -12,18 +12,14 @@ set underflow long before their logarithms lose accuracy.
 
 import numpy as np
 
-from .energy import fejer_constants, v_weight, weight_logs
+from .energy import _node_array, fejer_constants, v_weight, weight_logs
 from .errors import CoincidentNodes, PoleEvaluation, ValidationError
 from .exceptional import FAMILY
 
 
 def _node_logs(nodes):
     """log|barycentric weight| and its sign for each node."""
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 1 or nodes.size < 1:
-        raise ValidationError("nodes must be a nonempty 1-d array")
-    if not np.all(np.isfinite(nodes)):
-        raise ValidationError("nodes must be finite")
+    nodes = _node_array(nodes)
     dif = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(dif, 1.0)
     if np.min(np.abs(dif)) == 0.0:

@@ -25,7 +25,7 @@ import numpy as np
 from .classical_poly import _QUIET, _ladder_call, laguerre_pass
 from .errors import (CountMismatch, NonConvergence, ValidationError,
                      XFeketeError)
-from .exceptional import _nonzero_lead, ladder_eval_pair
+from .exceptional import _nonzero_lead, _s_zeros, ladder_eval_pair
 
 # classification margin: a zero within this distance of the closed
 # orthogonality interval is neither safely inside nor safely outside
@@ -222,8 +222,10 @@ def find_zeros(spec):
     step, at an int degree) and the exceptional zeros from the zeros of
     S, all together.
     Raises DegreeCollapse first where the closed-form leading coefficient
-    is 0, CountMismatch if counts or the location margins fail, and
-    NonConvergence if the Newton polish or the certificate fails.
+    is 0, RepresentationOverflow where S's coefficients or its monic
+    ones (exceptional._s_zeros) leave binary64, CountMismatch if counts
+    or the location margins fail, and NonConvergence if the Newton
+    polish or the certificate fails.
 
     The certificate bounds the closed-form evaluator's Newton correction
     at every zero (_certificate); the monomial coefficients are never
@@ -268,22 +270,23 @@ def find_zeros_ladder(specs):
         first = specs[live[0]]
         gauss = dict(zip(live, first.fam.gauss(
             first, [specs[i].n for i in live])))
-    seeds, table = {}, None
+    seeds, table, r = {}, None, None
     for i in live:
         spec = specs[i]
         try:
             if isinstance(gauss[i], XFeketeError):
                 raise gauss[i]
             # S does not depend on n, so the ladder builds it and its
-            # roots once (FamilySpec.S caches in the instance dict); a
+            # zeros once (FamilySpec.S caches in the instance dict); a
             # build that raises is not shared, and each member raises it
             # again, naming itself
             if table is not None:
                 vars(spec)["S"] = table
             table = spec.S
+            if r is None:
+                r = _s_zeros(spec)
             # the n classical seeds, then the m zeros of S: a real array
             # when all of those are real
-            r = table.roots
             seeds[i] = np.concatenate([gauss[i],
                                        r if r.imag.any() else r.real])
         except XFeketeError as exc:

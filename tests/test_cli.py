@@ -104,6 +104,24 @@ def test_diameter_csv(capsys):
     assert all(np.isfinite(float(v)) for v in first[1:])
 
 
+@pytest.mark.parametrize("lo,hi", [(2, 12), (10, 20)])
+def test_diameter_rows_are_the_series_rate_stats(tmp_path, capsys, lo, hi):
+    # one statistic: the CSV prints DiameterSeries.rate_stats (NaN where
+    # the delta is, at n = 2) and the summary its nanmax
+    summary = tmp_path / "sweep.json"
+    code, out, err = run(capsys, "diameter", "--m", "1", "--alpha", "2",
+                         "--n-from", str(lo), "--n-to", str(hi),
+                         "--summary", str(summary))
+    assert code == 0 and err == ""
+    series = xf.d_sequence(1, 2.0, range(lo, hi + 1))
+    printed = np.array([float(r.split(",")[3])
+                        for r in out.strip().splitlines()[1:]])
+    assert printed.tobytes() == series.rate_stats.tobytes()
+    assert np.isnan(printed[0]) == (lo == 2)
+    assert series.rate_stat == np.nanmax(series.rate_stats)
+    assert json.loads(summary.read_text())["rate_stat"] == series.rate_stat
+
+
 def test_diameter_summary_file(tmp_path, capsys):
     summary = tmp_path / "sweep.json"
     code, out, _ = run(capsys, "diameter", "--m", "1", "--alpha", "2",
@@ -300,6 +318,32 @@ def test_coinciding_exceptional_seeds_fail_quietly(capsys):
     assert code == 2 and out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "NonConvergence"
+
+
+@pytest.mark.parametrize("argv", [
+    # the WKB phase leaves binary64 (a non-finite seed, which Newton
+    # refuses); the Python-float rho ** 3 raised OverflowError
+    ["zeros", "--family", "laguerre1", "--m", "1", "--alpha", "1e20",
+     "--n", "3"],
+    ["zeros", "--family", "laguerre2", "--m", "1", "--alpha", "1e20",
+     "--n", "3"],
+    ["zeros", "--family", "jacobi", "--m", "1", "--alpha", "1e12",
+     "--beta", "1", "--n", "3"],
+    ["zeros", "--family", "jacobi", "--m", "1", "--alpha", "1e308",
+     "--beta", "2", "--n", "3"],
+    # the ODE coefficients, and the monic S of the companion matrix,
+    # leave binary64
+    ["poly", "--family", "jacobi", "--m", "1", "--alpha", "1e308",
+     "--beta", "1", "--n", "3"],
+    ["poly", "--family", "laguerre2", "--m", "1", "--alpha", "1e308",
+     "--n", "3"],
+    ["zeros", "--family", "laguerre1", "--m", "200", "--alpha", "2",
+     "--n", "3"]], ids=" ".join)
+def test_extreme_in_regime_parameters_fail_typed(capsys, argv):
+    code, out, err = _quiet_run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert issubclass(getattr(xf, json.loads(err)["error"]),
+                      xf.NumericalError)
 
 
 DIAMETER = ["diameter", "--m", "1", "--alpha", "2", "--n-from", "5",

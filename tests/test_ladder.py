@@ -160,8 +160,9 @@ def ref_d_sequence(m, alpha, n_range, c=1.0):
         stats = np.abs(deltas) * n_values ** 2 / np.log(n_values) ** 2
     rate = float(np.nanmax(stats)) if np.any(np.isfinite(stats)) else np.nan
     return xf.DiameterSeries(m=m, alpha=alpha, c=c, n_values=n_values, d=d,
-                             deltas=deltas, rate_stat=rate,
-                             skipped=tuple(skipped), ps_ratio_max=ratios)
+                             deltas=deltas, rate_stats=stats,
+                             rate_stat=rate, skipped=tuple(skipped),
+                             ps_ratio_max=ratios)
 
 
 def _same(got, want):
@@ -536,7 +537,7 @@ def test_d_sequence_is_the_serial_sweep(m, alpha, ns):
     want = ref_d_sequence(m, alpha, ns)
     for f in ("m", "alpha", "c", "skipped"):
         assert getattr(got, f) == getattr(want, f)
-    for f in ("n_values", "d", "deltas", "ps_ratio_max"):
+    for f in ("n_values", "d", "deltas", "rate_stats", "ps_ratio_max"):
         assert _same(getattr(got, f), getattr(want, f)), f
     assert repr(got.rate_stat) == repr(want.rate_stat)
 
