@@ -165,8 +165,11 @@ def cmd_diameter(args):
                "rows": int(series.n_values.size),
                "skipped": [list(s) for s in series.skipped],
                "ps_ratio_max": series.ps_ratio_max}
-        with open(args.summary, "w") as fh:
-            fh.write(_dumps(doc) + "\n")
+        try:
+            with open(args.summary, "w") as fh:
+                fh.write(_dumps(doc) + "\n")
+        except OSError as exc:
+            raise ValidationError(f"--summary {args.summary}: {exc}") from exc
     return 0
 
 

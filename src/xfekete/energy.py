@@ -46,13 +46,15 @@ class WeightSpec:
     for hat and v).  P holds ascending coefficients of the extra node
     polynomial for the v variant, stored read-only in its PolyTable,
     built here once per weight (S is tabled once per spec, in
-    FamilySpec.S).
+    FamilySpec.S).  A v weight also stacks the entries of both tables
+    here, for weight_logs to evaluate S and P in one Horner pass.
     """
 
     spec: FamilySpec
     variant: str = "hat"
     P: np.ndarray | None = None
     _P_table = None     # PolyTable of P (v); not a dataclass field
+    _SP_table = None    # _stack_tables(S, P) (v); not a dataclass field
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -62,6 +64,8 @@ class WeightSpec:
                 raise ValidationError("variant 'v' needs the node polynomial P")
             object.__setattr__(self, "_P_table", PolyTable(self.P))
             object.__setattr__(self, "P", self._P_table.c)
+            object.__setattr__(self, "_SP_table",
+                               _stack_tables(self.spec.S, self._P_table))
         elif self.P is not None:
             raise ValidationError("P is only meaningful for variant 'v'")
 
@@ -75,61 +79,102 @@ class WeightSpec:
         return self.spec.alpha + s, (None if b is None else b + s)
 
 
+def _stack_tables(*tables):
+    """Read-only (L, 4, k) stack of k PolyTables: entry [j, :, i] holds
+    the j-th coefficients of c, d1, d2 and abs_c of table i, zero above
+    its top coefficient.  A zero coefficient above the top one keeps
+    Horner's bits at every finite x, the sign of a zero included."""
+    L = max(t.c.size for t in tables)
+    out = np.zeros((L, 4, len(tables)))
+    for i, t in enumerate(tables):
+        for k, c in enumerate((t.c, t.d1, t.d2, t.abs_c)):
+            out[:c.size, k, i] = c
+    out.setflags(write=False)
+    return out
+
+
+def _check_poles(p, scale):
+    if (np.abs(p) <= _POLE_RTOL * scale).any():
+        raise PoleEvaluation("evaluation point too close to a zero of a "
+                             "weight polynomial")
+
+
 def _poly_logs(table, x):
     """log|p|, (log p)' and (log p)'' of a PolyTable at x, with a relative
     pole guard on |p(x)|."""
     p = _horner(table.c, x)
-    scale = _horner(table.abs_c, np.abs(x))
-    if np.any(np.abs(p) <= _POLE_RTOL * scale):
-        raise PoleEvaluation("evaluation point too close to a zero of a "
-                             "weight polynomial")
+    _check_poles(p, _horner(table.abs_c, np.abs(x)))
     d1 = _horner(table.d1, x)
     d2 = _horner(table.d2, x)
     r = d1 / p
     return np.log(np.abs(p)), r, d2 / p - r * r
 
 
+def _stacked_logs(stack, x):
+    """_poly_logs of every table of a _stack_tables stack (L, 4, k) at x,
+    from one Horner pass over all its entries, with their bits: an array
+    (3, k, ...) of log|p|, (log p)' and (log p)'', column i table i's."""
+    z = np.empty((4, 1) + x.shape)
+    z[:3] = x
+    z[3] = np.abs(x)
+    y = _horner(stack.reshape(stack.shape + (1,) * x.ndim), z)
+    p = y[0]
+    _check_poles(p, y[3])
+    out = np.empty((3,) + p.shape)
+    np.log(np.abs(p), out=out[0])
+    r = np.divide(y[1], p, out=out[1])
+    np.subtract(y[2] / p, r * r, out=out[2])
+    return out
+
+
 def weight_logs(w, x):
     """log w and its first two derivatives at x (arrays follow x).
 
-    S comes from the spec's table and P from the weight's.  Raises
+    S comes from the spec's table and P from the weight's; a v weight
+    evaluates both at once from its stacked table.  Raises
     PoleEvaluation within 1e-12 (relative) of a base-weight pole (x=0,
     x=+-1) or a zero of S or P, whichever the variant involves.
     """
     x = np.asarray(x, dtype=float)
     fam = w.spec.fam
-    logw = np.zeros_like(x)
-    d1 = np.zeros_like(x)
-    d2 = np.zeros_like(x)
+    # the sums start from the scalar 0.0: adding the first term gives
+    # the bits that an array of zeros gave, with no such array
+    logw = d1 = d2 = 0.0
     for r, e in zip(fam.poles, w.exponents()):
         if e == 0:
             continue
         d = x - r
-        if np.any(np.abs(d) <= _POLE_RTOL):
+        ad = np.abs(d)
+        if (ad <= _POLE_RTOL).any():
             raise PoleEvaluation(f"evaluation point too close to x = {r:g}")
         # hat and v read the half-line factor x^a as |x|^a; base does not
         if (fam.exp_weight and w.variant == "base" and e != round(e)
-                and np.any(x < r)):
+                and (x < r).any()):
             raise PoleEvaluation("base Laguerre weight undefined for "
                                  "x < 0 at non-integer exponent")
-        logw = logw + e * np.log(np.abs(d))
+        logw = logw + e * np.log(ad)
         d1 = d1 + e / d
         d2 = d2 - e / d ** 2
     if fam.exp_weight:
         logw = logw - x
         d1 = d1 - 1.0
-    if w.variant in ("hat", "v"):
+    if w.variant == "hat":
         ls, ls1, ls2 = _poly_logs(w.spec.S, x)
         logw = logw - 2.0 * ls
         d1 = d1 - 2.0 * ls1
         d2 = d2 - 2.0 * ls2
-    if w.variant == "v":
-        lp, lp1, lp2 = _poly_logs(w._P_table, x)
-        logw = logw + 2.0 * lp
-        d1 = d1 + 2.0 * lp1
-        d2 = d2 + 2.0 * lp2
+    elif w.variant == "v":
+        # t[k] holds twice the k-th log term of S, then of P
+        t = _stacked_logs(w._SP_table, x)
+        t *= 2.0
+        logw = logw - t[0, 0] + t[0, 1]
+        d1 = d1 - t[1, 0] + t[1, 1]
+        d2 = d2 - t[2, 0] + t[2, 1]
     if x.ndim == 0:
         return float(logw), float(d1), float(d2)
+    if np.ndim(d2) < x.ndim:
+        # a base weight without a pole term leaves scalar sums
+        logw, d1, d2 = (np.full_like(x, v) for v in (logw, d1, d2))
     return logw, d1, d2
 
 
@@ -148,8 +193,8 @@ def _coincident(X, dif):
     """Per row of a stack X (..., n) of node rows and their consecutive
     differences dif: True where a difference falls below 1e-14
     max(1, max |x|) of the row."""
-    scale = np.fmax(1.0, np.max(np.abs(X), axis=-1, initial=0.0))
-    return np.min(dif, axis=-1, initial=np.inf) < 1e-14 * scale
+    scale = np.fmax(1.0, np.abs(X).max(axis=-1, initial=0.0))
+    return dif.min(axis=-1, initial=np.inf) < 1e-14 * scale
 
 
 def _check_nodes(nodes):
@@ -174,13 +219,22 @@ def _upper_pairs(n):
     return i, j
 
 
+@functools.lru_cache(maxsize=2)
+def _pair_index(n):
+    """Read-only flat index i n + j of each pair i < j of _upper_pairs(n)
+    into a row of n x n entries, cached like it."""
+    i, j = _upper_pairs(n)
+    k = i * n + j
+    k.flags.writeable = False
+    return k
+
+
 def _cross_logs(D):
     """cross[r] = log|x_i - x_j| (i < j) of each row r of a stack D
     (T, n, n) of node differences x_i - x_j, in C order, so each row
     sums alone, as in a stack of one."""
     T, n = D.shape[:2]
-    i, j = _upper_pairs(n)
-    cross = np.take(D.reshape(T, n * n), i * n + j, axis=1)
+    cross = np.take(D.reshape(T, n * n), _pair_index(n), axis=1)
     np.log(np.abs(cross, out=cross), out=cross)
     return cross
 
@@ -191,19 +245,20 @@ def _assemble(X, logw, d1, d2):
     the terms, log w at the nodes and the cross logs (_cross_logs);
     _compensated reads one row's F from the same terms by compensated
     sums.  Each row's Hessian is built in place from the node
-    differences: dif, then 1/dif, its square and twice that."""
-    n = X.shape[1]
+    differences: dif, then 1/dif, its square and twice that; its
+    diagonal is written through a strided view."""
+    T, n = X.shape
     H = X[:, :, None] - X[:, None, :]
     cross = _cross_logs(H)
-    F = np.sum(logw, axis=1) + 2.0 * np.sum(cross, axis=1)
-    k = np.arange(n)
-    H[:, k, k] = np.inf
+    F = logw.sum(axis=1) + 2.0 * cross.sum(axis=1)
+    Hd = H.reshape(T, n * n)[:, ::n + 1]
+    Hd[...] = np.inf
     np.divide(1.0, H, out=H)
-    g = d1 + 2.0 * np.sum(H, axis=2)
+    g = d1 + 2.0 * H.sum(axis=2)
     np.square(H, out=H)
-    diag = d2 - 2.0 * np.sum(H, axis=2)
+    diag = d2 - 2.0 * H.sum(axis=2)
     H *= 2.0
-    H[:, k, k] = diag
+    Hd[...] = diag
     return F, g, H, cross
 
 

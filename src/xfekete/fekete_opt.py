@@ -19,10 +19,15 @@ evaluates every pending candidate together, with one weight evaluation
 for all of them that gives F (plain row sums), the gradient and the
 Hessian of each, and an accepted candidate's values serve the next
 iteration; S is tabled once per spec (FamilySpec.S) and P once per
-weight (WeightSpec).  F is summed exactly (math.fsum) once per
-maximizer returned.  A single ascent is a stack of one; a multistart
-probe runs all its random starts as one stack and clusters the
-maximizers found to test uniqueness of the weighted Fekete set.
+weight (WeightSpec), which also stacks both tables so that one Horner
+pass evaluates S and P.  In the common round every row steps, every
+candidate is admissible and accepted and every -H is certified: the
+round then solves, evaluates and keeps the stacks as they are, with no
+gather, scatter or copy of rows.  Only a round with a failing row takes
+the gathered path.  F is summed exactly (math.fsum) once per maximizer
+returned.  A single ascent is a stack of one; a multistart probe runs
+all its random starts as one stack and clusters the maximizers found
+to test uniqueness of the weighted Fekete set.
 """
 
 import numpy as np
@@ -51,38 +56,52 @@ def _evaluate(w, X, domain):
     rows, with one weight evaluation for all admissible rows (none when
     no row is admissible).
 
-    Returns (reason, F, G, H, logw, cross): reason[r] is "" for an
+    Returns (reason, F, G, H, logw, cross): reason is "" when every row
+    is admissible, else an array whose entry reason[r] is "" for an
     admissible row and otherwise "domain", "order" or "pole", the first
     check that row fails; the others are the terms of the admissible
     rows, in order, as _assemble gives them (F the plain row sums of
     logw and cross).  A row is a pole when two of its nodes lie within
     1e-14 (relative) of each other or its weight evaluation raises
-    NumericalError.
+    NumericalError.  Only a stack with a failing row is gathered.
     """
     lo, hi = domain
-    reason = np.full(len(X), "", dtype="<U6")
-    dif = np.diff(X, axis=1)
-    reason[_coincident(X, dif)] = "pole"
-    reason[np.any(dif <= 0, axis=1)] = "order"
-    reason[np.any((X <= lo) | (X >= hi), axis=1)] = "domain"
-    ok = reason == ""
+    dif = X[:, 1:] - X[:, :-1]
+    pole = _coincident(X, dif)
+    order = (dif <= 0).any(axis=1)
+    out = ((X <= lo) | (X >= hi)).any(axis=1)
+    reason = ""
+    if (pole | order | out).any():
+        reason = _reasons(pole, order, out)
+    Y = X if isinstance(reason, str) else X[reason == ""]
     try:
-        logs = weight_logs(w, X[ok]) if ok.any() else None
+        logs = weight_logs(w, Y) if len(Y) else None
     except NumericalError:
         # find the rows that raised, then evaluate the others together
-        for r in np.flatnonzero(ok):
+        if isinstance(reason, str):
+            reason = _reasons(pole, order, out)
+        for r in np.flatnonzero(reason == ""):
             try:
                 weight_logs(w, X[r])
             except NumericalError:
                 reason[r] = "pole"
-        ok = reason == ""
-        logs = weight_logs(w, X[ok]) if ok.any() else None
+        Y = X[reason == ""]
+        logs = weight_logs(w, Y) if len(Y) else None
     if logs is None:
         n = X.shape[1]
         return (reason, np.empty(0), np.empty((0, n)), np.empty((0, n, n)),
                 np.empty((0, n)), np.empty((0, n * (n - 1) // 2)))
-    F, G, H, cross = _assemble(X[ok], *logs)
+    F, G, H, cross = _assemble(Y, *logs)
     return reason, F, G, H, logs[0], cross
+
+
+def _reasons(pole, order, out):
+    """The reason array of _evaluate from its three row masks."""
+    reason = np.full(len(pole), "", dtype="<U6")
+    reason[pole] = "pole"
+    reason[order] = "order"
+    reason[out] = "domain"
+    return reason
 
 
 def _steps(G, H):
@@ -97,11 +116,15 @@ def _steps(G, H):
     Analysis, Thm 6.1.10); the margin is far above the rounding of the
     computed sums.  Only the matrices without this certificate are
     factored by Cholesky, one at a time, and np.linalg.solve is the one
-    factorization of the Newton rows.
+    factorization of the Newton rows.  When every row is certified it
+    solves the stack as it is: LAPACK factors each matrix on its own, so
+    a row's step has the bits it has in any other stack.
     """
-    k = np.arange(H.shape[1])
-    bound = -1e-10 * np.max(np.abs(H[:, k, k]), axis=1)
-    newton = np.all(np.sum(H, axis=2) < bound[:, None], axis=1)
+    diag = np.diagonal(H, axis1=1, axis2=2)
+    bound = -1e-10 * np.abs(diag).max(axis=1)
+    newton = (H.sum(axis=2) < bound[:, None]).all(axis=1)
+    if newton.all():
+        return newton, np.linalg.solve(H, -G[..., None])[..., 0]
     rest = np.flatnonzero(~newton)
     newton[rest] = [_negative_definite(h) for h in H[rest]]
     step = np.empty_like(G)
@@ -133,7 +156,69 @@ def _box_scale(X, step, domain):
     room = np.where(step > 0, hi - X, lo - X)
     t_box = np.divide(room, step, out=np.full_like(step, np.inf),
                       where=step != 0)
-    return np.minimum(1.0, 0.9 * np.min(t_box, axis=1))
+    return np.minimum(1.0, 0.9 * t_box.min(axis=1))
+
+
+def _accepted(C, F, gmax, polish):
+    """Per candidate row of the terms C (F, G, ...) of _evaluate, against
+    its iterate's F, max|grad F| and polish flag: True unless F drops by
+    more than 1e-10 (1 + |F|) or a polish raises max|grad F|."""
+    acc = C[0] >= F - 1e-10 * (1.0 + np.abs(F))
+    if polish.any():
+        acc &= ~polish | (np.abs(C[1]).max(axis=1) <= gmax)
+    return acc
+
+
+def _line_search(w, domain, X, V, step, t, live, polish, gmax):
+    """One round of _ascend's damped steps from the iterates X and
+    their terms V (F, G, H, logw, cross), row by row.
+
+    Every polish and every live row with t > 1e-14 is pending.  All of
+    them take their steps at their t together, and a live row whose
+    candidate is inadmissible or rejected (_accepted) halves its t, in
+    place, and tries again until t falls to 1e-14; a polish gets one try.
+
+    Returns (X, V, moved, escape): moved flags the rows that took a
+    step and escape the rows whose last inadmissible candidate left the
+    box or, with none, whose step the cap bound (t < 1).  In the common
+    round every row is pending and every first candidate admissible and
+    accepted: the candidates, taken with no gather, are then the new X
+    and V, and escape, which no row needs, is None.  Otherwise the
+    accepted candidates are written into X and V in place.
+    """
+    tried = None
+    pending = polish | live & (t > 1e-14)
+    if pending.all():
+        cand = np.sort(X + t[:, None] * step, axis=1)
+        reason, *C = _evaluate(w, cand, domain)
+        if isinstance(reason, str) and _accepted(C, V[0], gmax,
+                                                 polish).all():
+            return cand, C, pending, None
+        tried = cand, reason, C
+    escape = t < 1.0
+    moved = np.zeros(len(X), dtype=bool)
+    pend = np.flatnonzero(pending)
+    while pend.size:
+        if tried is None:
+            cand = np.sort(X[pend] + t[pend, None] * step[pend], axis=1)
+            reason, *C = _evaluate(w, cand, domain)
+        else:
+            (cand, reason, C), tried = tried, None
+        reason = np.broadcast_to(reason, len(cand))
+        ok = np.flatnonzero(reason == "")
+        p = pend[ok]
+        acc = _accepted(C, V[0][p], gmax[p], polish[p])
+        X[p[acc]] = cand[ok[acc]]
+        for a, c in zip(V, C):
+            a[p[acc]] = c[acc]
+        moved[p[acc]] = True
+        bad = reason != ""
+        escape[pend[bad]] = reason[bad] == "domain"
+        # a polish gets one round; a live row halves t until it moves
+        pend = pend[live[pend] & ~moved[pend]]
+        t[pend] *= 0.5
+        pend = pend[t[pend] > 1e-14]
+    return X, V, moved, escape
 
 
 def _ascend(w, domain, X, gtol, itmax):
@@ -163,6 +248,7 @@ def _ascend(w, domain, X, gtol, itmax):
         raise ValidationError("nodes must be a nonempty 1-d array")
     out = [None] * len(X)
     reason, *V = _evaluate(w, X, domain)
+    reason = np.broadcast_to(reason, len(X))
     for r in np.flatnonzero(reason != ""):
         out[r] = DomainEscape(f"initial nodes invalid ({reason[r]})")
     rows = np.flatnonzero(reason == "")
@@ -174,7 +260,7 @@ def _ascend(w, domain, X, gtol, itmax):
         # V holds F, G, H and the summed terms, row by row
         F, G = V[0], V[1]
         newton, step = _steps(G, V[2])
-        gmax = np.max(np.abs(G), axis=1)
+        gmax = np.abs(G).max(axis=1)
         for tr, f, g, nt in zip(traces, F.tolist(), gmax.tolist(),
                                 newton.tolist()):
             tr.append({"iteration": it, "logT": f, "max_gradient": g,
@@ -182,38 +268,14 @@ def _ascend(w, domain, X, gtol, itmax):
         live = ~(gmax < gtol)
         polish = ~live & newton
         t = np.where(live, _box_scale(X, step, domain), 1.0)
-        # a stalled row escapes the domain if its last inadmissible
-        # candidate left the box or, with none, if the cap bound it
-        escape = t < 1.0
-        moved = np.zeros(rows.size, dtype=bool)
-        pend = np.flatnonzero(polish | live & (t > 1e-14))
-        while pend.size:
-            cand = np.sort(X[pend] + t[pend, None] * step[pend], axis=1)
-            reason, *C = _evaluate(w, cand, domain)
-            ok = np.flatnonzero(reason == "")
-            p = pend[ok]
-            acc = C[0] >= F[p] - 1e-10 * (1.0 + np.abs(F[p]))
-            acc &= ~polish[p] | (np.max(np.abs(C[1]), axis=1) <= gmax[p])
-            if p.size == rows.size and acc.all():
-                # every row moved at once: the candidates are the state
-                X, V = cand, C
-            else:
-                X[p[acc]] = cand[ok[acc]]
-                for a, c in zip(V, C):
-                    a[p[acc]] = c[acc]
-            moved[p[acc]] = True
-            bad = reason != ""
-            escape[pend[bad]] = reason[bad] == "domain"
-            # a polish gets one round; a live row halves t until it moves
-            pend = pend[live[pend] & ~moved[pend]]
-            t[pend] *= 0.5
-            pend = pend[t[pend] > 1e-14]
+        X, V, moved, escape = _line_search(w, domain, X, V, step, t, live,
+                                           polish, gmax)
         for k in np.flatnonzero(moved):
             traces[k][-1]["step_scale"] = float(t[k])
         for k in np.flatnonzero(~live):
             logT = _compensated(V[3][k], V[4][k])
             if moved[k]:
-                gk = float(np.max(np.abs(V[1][k])))
+                gk = float(np.abs(V[1][k]).max())
                 traces[k].append({"iteration": it + 1, "logT": logT,
                                   "max_gradient": gk, "mode": "polish"})
             else:
@@ -272,6 +334,8 @@ def uniqueness_probe(w, domain, n, trials=20, seed=0):
     """
     if trials < 0:
         raise ValidationError(f"trials {trials} is negative")
+    if seed < 0:
+        raise ValidationError(f"seed {seed} is negative")
     rng = np.random.default_rng(seed)
     lo, hi = float(domain[0]), float(domain[1])
     starts = np.sort(rng.uniform(lo, hi, size=(trials, n)), axis=1)

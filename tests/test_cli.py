@@ -614,3 +614,24 @@ def test_zero_dim_array_serializes_as_its_scalar():
     assert cli._dumps(np.array(np.nan)) == "null"
     assert cli._dumps(np.array(3)) == "3"
     assert cli._dumps(np.array(1 + 2j)) == "[1,2]"
+
+
+@pytest.mark.parametrize("case", ["negative-seed", "unwritable-summary"])
+def test_bad_argument_ends_in_a_validation_error(tmp_path, capsys, case):
+    summary = tmp_path / "missing" / "s.json"
+    argv, message = {
+        "negative-seed": (["fekete", *SEL, "--n", "5", "--trials", "3",
+                           "--seed", "-1"], "seed -1 is negative"),
+        "unwritable-summary": (["diameter", "--m", "1", "--alpha", "2",
+                                "--n-from", "10", "--n-to", "12",
+                                "--summary", str(summary)],
+                               f"--summary {summary}: ")}[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["error"] == "ValidationError"
+    assert doc["message"].startswith(message)
+    assert not summary.exists()

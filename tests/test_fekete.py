@@ -561,3 +561,78 @@ def test_certified_probe_makes_no_cholesky(monkeypatch, args):
     rep = xf.uniqueness_probe(v, domain, n, trials=20, seed=1)
     assert rep["converged"] == 20
     assert calls[0] == 0
+
+
+# ------------------------------------------------ stacks against stacks of one
+
+def small_alpha_stack():
+    """The first stack of a probe in the small-alpha corner (laguerre1
+    m = 1, alpha = 0.01, n = 2): every row admissible, and row 5's -H is
+    neither certified nor positive definite."""
+    v = v_of("laguerre1", 1, 0.01, 2)
+    domain = xf.default_domain(v, 2)
+    X = np.sort(np.random.default_rng(0).uniform(*domain, size=(8, 2)),
+                axis=1)
+    return v, domain, X
+
+
+def test_steps_of_a_stack_are_the_steps_of_stacks_of_one():
+    v = v_of("laguerre1", 1, 2.0, 10)
+    domain = xf.default_domain(v, 10)
+    X = np.sort(np.random.default_rng(4).uniform(*domain, size=(6, 10)),
+                axis=1)
+    _, _, G, H, _, _ = fekete_opt._evaluate(v, X, domain)
+    newton, step = fekete_opt._steps(G, H)
+    assert newton.all()                      # every row certified
+    vs, domain, Xs = small_alpha_stack()
+    _, _, Gs, Hs, _, _ = fekete_opt._evaluate(vs, Xs, domain)
+    newton_s, step_s = fekete_opt._steps(Gs, Hs)
+    assert newton_s.tolist() == [True] * 5 + [False] + [True] * 2
+    for G, H, newton, step in ((G, H, newton, step),
+                               (Gs, Hs, newton_s, step_s)):
+        for r in range(len(G)):
+            one = slice(r, r + 1)
+            nt, st = fekete_opt._steps(G[one], H[one])
+            assert nt[0] == newton[r]
+            assert st.tobytes() == step[one].tobytes()
+
+
+def _evaluate_rows(w, X, domain):
+    """_evaluate of each row of X as a stack of one: the reason per row
+    and the terms of the admissible rows, in order."""
+    reasons, terms = [], []
+    for r in range(len(X)):
+        reason, *C = fekete_opt._evaluate(w, X[r:r + 1], domain)
+        reasons.append(str(np.broadcast_to(reason, 1)[0]))
+        terms.append(C)
+    return reasons, terms
+
+
+@pytest.mark.parametrize("kind", ["admissible", "inadmissible", "mixed",
+                                  "weight-pole"])
+def test_evaluate_of_a_stack_is_evaluate_of_stacks_of_one(kind):
+    v = v_of("laguerre1", 1, 2.0, 10)
+    domain = xf.default_domain(v, 10)
+    good = np.sort(np.random.default_rng(6).uniform(*domain, size=(3, 10)),
+                   axis=1)
+    bad = inadmissible_stack(domain, 10)
+    # inside the box, but within the weight's pole guard of x = 0
+    near = good[1].copy()
+    near[0] = 1e-13
+    X = {"admissible": good, "inadmissible": bad,
+         "mixed": np.concatenate([bad[:2], good, bad[2:]]),
+         "weight-pole": np.stack([good[0], near, good[2]])}[kind]
+    reason, *C = fekete_opt._evaluate(v, X, domain)
+    reasons, terms = _evaluate_rows(v, X, domain)
+    if kind == "admissible":
+        assert reason == ""              # no per-row array is formed
+    if kind == "weight-pole":
+        assert reasons == ["", "pole", ""]
+    assert np.broadcast_to(reason, len(X)).tolist() == reasons
+    ok = [r for r, why in enumerate(reasons) if why == ""]
+    assert len(C[0]) == len(ok)
+    for k, r in enumerate(ok):
+        for a, b in zip(C, terms[r]):
+            assert a[k].tobytes() == b[0].tobytes()
+    for r, why in enumerate(reasons):
+        assert all(len(b) == (why == "") for b in terms[r])

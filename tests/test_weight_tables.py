@@ -275,3 +275,55 @@ def test_probe_cluster_energy_is_the_ascent_value():
                                 trials=3, seed=2)
     for c in probe["clusters"]:
         assert c["logT"] == xf.log_energy(c["nodes"], w)
+
+
+# v weights whose S and P differ in degree, so the stacked table pads
+# one of them: m = 0 (S = 1, P = 1), m = 1, m = 3, complex exceptional
+# zeros (laguerre2 m = 2, jacobi m = 3) and custom node polynomials of
+# higher and lower degree than S
+V_CASES = {
+    "laguerre1-m0": (("laguerre1", 0, 2.5, 5), None),
+    "laguerre1-m1": (("laguerre1", 1, 2.0, 5), None),
+    "laguerre1-m3": (("laguerre1", 3, 2.5, 5), None),
+    "laguerre2-complex": (("laguerre2", 2, 3.3, 4), None),
+    "jacobi-complex": (("jacobi", 3, 4.2, 5, 1.5), None),
+    "custom-P-above-S": (("laguerre1", 1, 2.0, 5),
+                         npoly.polyfromroots([-0.3, -2.2, -7.7])),
+    "custom-P-below-S": (("laguerre1", 3, 2.5, 5), np.array([2.0, 1.0])),
+}
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("case", V_CASES)
+def test_stacked_v_weight_logs_bit_identical_to_direct_form(case):
+    args, P = V_CASES[case]
+    spec = spec_of(*args)
+    if P is None:
+        P = xf.v_weight(zeros_of(*args)).P
+    w = xf.WeightSpec(spec, "v", P=P)
+    scalar, array = POINTS[args[0]]
+    # negative points and a negative zero, where the weight allows it
+    x = np.array(array + ([-0.0] if args[0] == "jacobi" else []))
+    got, ref = xf.weight_logs(w, scalar), ref_weight_logs(w, scalar)
+    assert all(type(v) is float for v in got)
+    assert [_bits(v) for v in got] == [_bits(v) for v in ref]
+    for g, r in zip(xf.weight_logs(w, x), ref_weight_logs(w, x)):
+        assert _bits(g) == _bits(r)
+
+
+@pytest.mark.parametrize("args", [("jacobi", 0, 0.0, 3, 0.0),
+                                  ("laguerre1", 0, 0.0, 3),
+                                  ("jacobi", 1, -0.5, 3, -0.5)],
+                         ids=lambda a: a[0] + "-" + str(a[2]))
+def test_base_weight_logs_with_no_pole_term_bit_identical(args):
+    # a zero exponent drops its pole term, and with none the sums come
+    # out of weight_logs as arrays all the same; at x = +-0 the jacobi
+    # terms are signed zeros
+    w = xf.WeightSpec(spec_of(*args), "base")
+    x = np.array([-0.5, -0.0, 0.0, 0.3] if args[0] == "jacobi"
+                 else [0.5, 2.0])
+    for g, r in zip(xf.weight_logs(w, x), ref_weight_logs(w, x)):
+        assert g.shape == x.shape and _bits(g) == _bits(r)
