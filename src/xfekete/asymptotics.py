@@ -6,9 +6,12 @@ For n nodes and the modified pair kernel
 
 the diameter functional is d = (2/(n(n-1))) sum_{i<j} k_n(u_i, u_j),
 which collapses to -log(c/n) - log T / (n(n-1)) with the same log T the
-energy module computes.  Evaluated at the regular zeros (the Fekete set
-of the v weight) this gives the sequence d_n whose consecutive
-differences decay like log^2(n)/n^2.
+energy module computes, its cross logs read off the node vector in
+prefix order.  Evaluated at the regular zeros (the Fekete set of the v
+weight) this gives the sequence d_n whose consecutive differences decay
+like log^2(n)/n^2.  A sweep solves its members as one ladder, takes
+each d from its own log T, and evaluates the (P/S)^2 record of all its
+rows on one stacked grid.
 """
 
 import math
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical_poly import _horner
-from .energy import _check_nodes, _cross_logs, log_energy, v_weight
+from .energy import _check_nodes, _pair_logs, log_energy, v_weight
 from .errors import ValidationError, XFeketeError
 from .exceptional import FamilySpec
 from .roots import find_zeros_ladder
@@ -44,9 +47,7 @@ def transfinite_d(nodes, v=None, c=1.0):
     if n < 2:
         raise ValidationError("diameter needs at least two nodes")
     if v is None:
-        X = _check_nodes(nodes)[None]
-        (cross,) = _cross_logs(X[:, :, None] - X[:, None, :])
-        logT = 2.0 * math.fsum(memoryview(cross))
+        logT = 2.0 * math.fsum(memoryview(_pair_logs(_check_nodes(nodes))))
     else:
         logT = log_energy(nodes, v)
     return -math.log(c / n) - logT / (n * (n - 1))
@@ -76,17 +77,19 @@ class DiameterSeries:
     ps_ratio_max: np.ndarray
 
 
-def _one_diameter(zs, c):
-    """(d, (P/S)^2 record) of one member from its ZeroSet."""
-    spec = zs.spec
-    v = v_weight(zs)
-    dval = transfinite_d(zs.regular, v, c)
-    # sup of (P/S)^2 over a stretch of the positive axis, recorded as
-    # supporting data for the kernel normalization
-    hi = spec.fam.domain(spec, spec.n)[1]
-    grid = np.geomspace(1e-3, hi, 200)
-    ratio = float(np.max((_horner(v.P, grid) / _horner(spec.S.c, grid)) ** 2))
-    return dval, ratio
+def _ps_ratios(weights):
+    """max of (P(x)/S(x))^2 over 200 points from 1e-3 to the top of each
+    member's domain, for the v weights of members of one ladder (one S,
+    P of degree m): one geomspace for all members, one Horner pass of S
+    over the stacked grid and one of P with a coefficient row per
+    member, elementwise the operations of a member alone."""
+    if not weights:
+        return np.empty(0)
+    hi = np.array([w.spec.fam.domain(w.spec, w.spec.n)[1] for w in weights])
+    grid = np.geomspace(1e-3, hi, 200, axis=1)
+    P = np.array([w.P for w in weights]).T[:, :, None]
+    S = _horner(weights[0].spec.S.c, grid)
+    return np.max((_horner(P, grid) / S) ** 2, axis=1)
 
 
 def d_sequence(m, alpha, n_range, c=1.0):
@@ -116,13 +119,16 @@ def d_sequence(m, alpha, n_range, c=1.0):
         try:
             if isinstance(zs, XFeketeError):
                 raise zs
-            results[n] = _one_diameter(zs, c)
+            v = v_weight(zs)
+            results[n] = transfinite_d(zs.regular, v, c), v
         except XFeketeError as exc:
             skipped.append((n, f"{type(exc).__name__}: {exc}"))
 
     n_values = np.array([n for n in wanted if n in results], dtype=int)
     d = np.array([results[n][0] for n in n_values])
-    ratios = np.array([results[n][1] for n in n_values])
+    # sup of (P/S)^2 over a stretch of the positive axis, recorded as
+    # supporting data for the kernel normalization
+    ratios = _ps_ratios([results[n][1] for n in n_values])
     deltas = np.array([results[n][0] - results[n - 1][0]
                        if (n - 1) in results else np.nan
                        for n in n_values])

@@ -206,24 +206,15 @@ def _check_nodes(nodes):
 
 
 @functools.lru_cache(maxsize=2)
-def _upper_pairs(n):
-    """Read-only index arrays (i, j) of the pairs i < j among n nodes.
+def _pair_index(n):
+    """Read-only flat index i n + j of each pair i < j among n nodes into
+    a row of n x n entries, in C order (np.triu_indices).
 
     An ascent reuses one n on every point.  The cache stays small
     because a sweep over n would otherwise keep every size alive: at
-    n = 150 one entry is about 180 kB.
+    n = 150 one entry is about 90 kB.
     """
     i, j = np.triu_indices(n, k=1)
-    i.flags.writeable = False
-    j.flags.writeable = False
-    return i, j
-
-
-@functools.lru_cache(maxsize=2)
-def _pair_index(n):
-    """Read-only flat index i n + j of each pair i < j of _upper_pairs(n)
-    into a row of n x n entries, cached like it."""
-    i, j = _upper_pairs(n)
     k = i * n + j
     k.flags.writeable = False
     return k
@@ -232,9 +223,48 @@ def _pair_index(n):
 def _cross_logs(D):
     """cross[r] = log|x_i - x_j| (i < j) of each row r of a stack D
     (T, n, n) of node differences x_i - x_j, in C order, so each row
-    sums alone, as in a stack of one."""
+    sums alone, as in a stack of one.  _assemble is its one caller: its
+    plain row sums need the C order; log_energy reads its pairs off the
+    node vector (_pair_logs)."""
     T, n = D.shape[:2]
     cross = np.take(D.reshape(T, n * n), _pair_index(n), axis=1)
+    np.log(np.abs(cross, out=cross), out=cross)
+    return cross
+
+
+# (2, K) read-only index table of the pairs (j, i), j > i, sorted by j
+# and then by i: the pairs of n nodes are its first n(n-1)/2 columns, so
+# it grows to the largest n asked and serves every smaller n as a slice
+_prefix_table = np.empty((2, 0), dtype=np.intp)
+_prefix_table.flags.writeable = False
+
+
+def _prefix_pairs(n):
+    """Read-only index rows (j, i) of the n(n-1)/2 pairs j > i among n
+    nodes in prefix order, slices of _prefix_table, grown if n is the
+    largest n asked so far."""
+    global _prefix_table
+    k = n * (n - 1) // 2
+    if _prefix_table.shape[1] < k:
+        r = np.arange(n)
+        table = np.empty((2, k), dtype=np.intp)
+        table[0] = np.repeat(r, r)
+        table[1] = np.arange(k)
+        table[1] -= np.repeat(r * (r - 1) // 2, r)
+        table.flags.writeable = False
+        _prefix_table = table
+    return _prefix_table[:, :k]
+
+
+def _pair_logs(x):
+    """log|x_j - x_i| of the pairs j > i of a node vector x, gathered in
+    prefix order (_prefix_pairs).  fsum rounds once in any order and
+    |x_j - x_i| = |x_i - x_j| exactly, so an fsum of these is the fsum
+    of the C-order cross logs, bit for bit."""
+    j, i = _prefix_pairs(x.size)
+    # indexing, not take: take copies a read-only index on every call
+    cross = x[j]
+    np.subtract(cross, x[i], out=cross)
     np.log(np.abs(cross, out=cross), out=cross)
     return cross
 
@@ -294,12 +324,12 @@ def energy_terms(nodes, w):
 def log_energy(nodes, w):
     """F(nodes) = sum log w + 2 sum_{i<j} log|x_i - x_j| (compensated),
     from the weight logs and the cross logs alone, the terms of
-    energy_terms, which gives the same F: no gradient or Hessian is
-    formed."""
-    X = _check_nodes(nodes)[None]
-    logw, _, _ = weight_logs(w, X)
-    cross = _cross_logs(X[:, :, None] - X[:, None, :])
-    return _compensated(logw[0], cross[0])
+    energy_terms, which gives the same F: no gradient, Hessian or n x n
+    difference matrix is formed; the cross logs come in prefix order
+    (_pair_logs)."""
+    x = _check_nodes(nodes)
+    logw, _, _ = weight_logs(w, x)
+    return _compensated(logw, _pair_logs(x))
 
 
 def fejer_constants(nodes, w):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import xfekete as xf
-from xfekete import classical_poly, exceptional, roots
+from xfekete import asymptotics, classical_poly, exceptional, roots
 from xfekete.classical_poly import _as_float_or_complex, _horner
 
 
@@ -524,22 +524,58 @@ def test_one_stage_sweeps_every_iterate_each_round(monkeypatch, ladder):
 
 # ------------------------------------------------------------ d_sequence
 
-@pytest.mark.parametrize("m,alpha,ns", [
-    (1, 2.0, range(10, 21)), (2, 1.5, range(3, 9)), (1, 0.3, range(2, 6)),
-    (3, -0.5, range(4, 7)), (-1, 2.0, range(5, 7)), (1, np.inf, range(5, 7))])
-def test_d_sequence_is_the_serial_sweep(m, alpha, ns):
+# (m, alpha, ns, c): n = 190..200 is the largest table under N_CAP, m = 0
+# has P = 1 and m = 5 a P of six coefficients
+D_SEQUENCES = [
+    (1, 2.0, range(10, 21), 1.0), (2, 1.5, range(3, 9), 1.0),
+    (1, 0.3, range(2, 6), 1.0), (3, -0.5, range(4, 7), 1.0),
+    (-1, 2.0, range(5, 7), 1.0), (1, np.inf, range(5, 7), 1.0),
+    (1, 2.0, range(190, 201), 1.0), (0, 1.5, range(10, 16), 1.0),
+    (5, 4.2, range(10, 16), 1.0), (2, 1.5, range(3, 9), 0.5)]
+
+
+@pytest.mark.parametrize("m,alpha,ns,c", D_SEQUENCES, ids=[
+    f"{m}-{alpha}-ns{k}" + ("" if c == 1.0 else f"-c{c}")
+    for k, (m, alpha, _, c) in enumerate(D_SEQUENCES)])
+def test_d_sequence_is_the_serial_sweep(m, alpha, ns, c):
     if m < 0 or not np.isfinite(alpha):
         # an invalid m or alpha ends the sweep typed, before any member
         with pytest.raises(xf.ValidationError):
-            xf.d_sequence(m, alpha, ns)
+            xf.d_sequence(m, alpha, ns, c)
         return
-    got = xf.d_sequence(m, alpha, ns)
-    want = ref_d_sequence(m, alpha, ns)
+    got = xf.d_sequence(m, alpha, ns, c)
+    want = ref_d_sequence(m, alpha, ns, c)
+    assert got.c == c
     for f in ("m", "alpha", "c", "skipped"):
         assert getattr(got, f) == getattr(want, f)
     for f in ("n_values", "d", "deltas", "rate_stats", "ps_ratio_max"):
         assert _same(getattr(got, f), getattr(want, f)), f
     assert repr(got.rate_stat) == repr(want.rate_stat)
+
+
+def test_d_sequence_skips_a_member_that_fails_its_diameter(monkeypatch):
+    # n = 15 certifies but its v weight raises: its row goes, n = 16
+    # loses its delta, and every other row keeps its bits
+    whole = xf.d_sequence(1, 2.0, range(10, 21))
+    v_weight = asymptotics.v_weight
+
+    def failing(zs):
+        if zs.spec.n == 15:
+            raise xf.ValidationError("P would be complex")
+        return v_weight(zs)
+
+    monkeypatch.setattr(asymptotics, "v_weight", failing)
+    got = xf.d_sequence(1, 2.0, range(10, 21))
+    assert got.skipped == ((15, "ValidationError: P would be complex"),)
+    keep = whole.n_values != 15
+    assert _same(got.n_values, whole.n_values[keep])
+    for f in ("d", "ps_ratio_max"):
+        assert _same(getattr(got, f), getattr(whole, f)[keep]), f
+    deltas = whole.deltas[keep]
+    lost = got.n_values == 16
+    assert np.isnan(got.deltas[lost]).all()
+    assert _same(got.deltas[~lost], deltas[~lost])
+    assert _same(got.rate_stats[~lost], whole.rate_stats[keep][~lost])
 
 
 def test_d_sequence_sweeps_once_per_lockstep_round(monkeypatch):

@@ -18,7 +18,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 import xfekete as xf
-from xfekete import asymptotics, cli, exceptional, roots
+from xfekete import cli, exceptional, roots
 from xfekete.classical_poly import _horner
 
 
@@ -101,12 +101,13 @@ def test_S_table_matches_the_rebuilt_forms(family):
 
 @pytest.mark.parametrize("m", range(6))
 def test_diameter_ratio_matches_the_rebuilt_form(m):
+    # one sweep evaluates P with m + 1 coefficients per member
     alpha = 1.25 + 0.5 * m
-    for n in (3, 8):
-        spec = xf.FamilySpec("laguerre1", m, alpha, n)
-        zs = xf.find_zeros(spec)
-        _, ratio = asymptotics._one_diameter(zs, 1.0)
-        assert ratio == ref_ps_ratio(spec, zs)
+    series = xf.d_sequence(m, alpha, (3, 8))
+    assert list(series.n_values) == [3, 8]
+    for n, ratio in zip(series.n_values, series.ps_ratio_max):
+        spec = xf.FamilySpec("laguerre1", m, alpha, int(n))
+        assert ratio == ref_ps_ratio(spec, xf.find_zeros(spec))
 
 
 def test_weight_P_is_its_table():

@@ -148,8 +148,8 @@ def test_find_zeros_ladder_never_builds(monkeypatch):
 
 
 def test_upper_pairs_are_read_only_triu_indices():
-    i, j = energy._upper_pairs(7)
+    k = energy._pair_index(7)
     ri, rj = np.triu_indices(7, k=1)
-    assert np.array_equal(i, ri) and np.array_equal(j, rj)
-    assert not i.flags.writeable and not j.flags.writeable
-    assert energy._upper_pairs.cache_info().maxsize <= 4
+    assert np.array_equal(k, ri * 7 + rj)
+    assert not k.flags.writeable
+    assert energy._pair_index.cache_info().maxsize <= 4

@@ -155,6 +155,40 @@ def test_log_energy_is_F_without_the_hessian_at_the_diameter_size(
     assert calls == [1]
 
 
+def ref_unit_d(nodes):
+    n = nodes.size
+    i, j = np.triu_indices(n, k=1)
+    logT = 2.0 * math.fsum(np.log(np.abs(nodes[i] - nodes[j])))
+    return -math.log(1.0 / n) - logT / (n * (n - 1))
+
+
+def test_prefix_pairs_give_the_triu_order_sums(monkeypatch):
+    # log_energy and the unit-weight diameter gather their pairs in
+    # prefix order from one table; fsum makes the order free.  The table
+    # grows at a new largest n and serves smaller ones as slices.
+    empty = np.empty((2, 0), dtype=np.intp)
+    empty.flags.writeable = False
+    monkeypatch.setattr(energy, "_prefix_table", empty)
+    w = weight("laguerre1", "v")
+    rng = np.random.default_rng(11)
+    grown = []
+    for n in (150, 7, 151, 2, 1):
+        table = energy._prefix_table
+        nodes = np.sort(rng.uniform(0.05, 600.0, n))
+        assert xf.log_energy(nodes, w) == ref_log_energy(nodes, w)
+        if n >= 2:
+            assert xf.transfinite_d(nodes) == ref_unit_d(nodes)
+        if energy._prefix_table is not table:
+            grown.append(n)
+        pairs = energy._prefix_pairs(n)
+        want = [[j, i] for j in range(n) for i in range(j)]
+        assert pairs.T.tolist() == want
+        assert not pairs.flags.writeable
+        assert pairs.base is energy._prefix_table
+    assert grown == [150, 151]
+    assert energy._prefix_table.shape == (2, 151 * 150 // 2)
+
+
 @pytest.mark.parametrize("family", ["laguerre1", "laguerre2", "jacobi"])
 def test_stacked_assembly_bit_identical_row_by_row(family):
     w = weight(family, "v")
