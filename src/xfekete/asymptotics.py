@@ -9,9 +9,8 @@ which collapses to -log(c/n) - log T / (n(n-1)) with the same log T the
 energy module computes, its cross logs read off the node vector in
 prefix order.  Evaluated at the regular zeros (the Fekete set of the v
 weight) this gives the sequence d_n whose consecutive differences decay
-like log^2(n)/n^2.  A sweep solves its members as one ladder, takes
-each d from its own log T, and evaluates the (P/S)^2 record of all its
-rows on one stacked grid.
+like log^2(n)/n^2.  A sweep solves its members as one ladder, then takes
+each member's d from its own log T.
 """
 
 import math
@@ -77,21 +76,6 @@ class DiameterSeries:
     ps_ratio_max: np.ndarray
 
 
-def _ps_ratios(weights):
-    """max of (P(x)/S(x))^2 over 200 points from 1e-3 to the top of each
-    member's domain, for the v weights of members of one ladder (one S,
-    P of degree m): one geomspace for all members, one Horner pass of S
-    over the stacked grid and one of P with a coefficient row per
-    member, elementwise the operations of a member alone."""
-    if not weights:
-        return np.empty(0)
-    hi = np.array([w.spec.fam.domain(w.spec, w.spec.n)[1] for w in weights])
-    grid = np.geomspace(1e-3, hi, 200, axis=1)
-    P = np.array([w.P for w in weights]).T[:, :, None]
-    S = _horner(weights[0].spec.S.c, grid)
-    return np.max((_horner(P, grid) / S) ** 2, axis=1)
-
-
 def d_sequence(m, alpha, n_range, c=1.0):
     """DiameterSeries at the regular zeros for each n in n_range.
 
@@ -119,16 +103,19 @@ def d_sequence(m, alpha, n_range, c=1.0):
         try:
             if isinstance(zs, XFeketeError):
                 raise zs
-            v = v_weight(zs)
-            results[n] = transfinite_d(zs.regular, v, c), v
+            spec, v = zs.spec, v_weight(zs)
+            dval = transfinite_d(zs.regular, v, c)
+            # sup of (P/S)^2 over a stretch of the positive axis, recorded
+            # as supporting data for the kernel normalization
+            grid = np.geomspace(1e-3, spec.fam.domain(spec, n)[1], 200)
+            ratio = np.max((_horner(v.P, grid) / _horner(spec.S.c, grid)) ** 2)
+            results[n] = dval, float(ratio)
         except XFeketeError as exc:
             skipped.append((n, f"{type(exc).__name__}: {exc}"))
 
     n_values = np.array([n for n in wanted if n in results], dtype=int)
     d = np.array([results[n][0] for n in n_values])
-    # sup of (P/S)^2 over a stretch of the positive axis, recorded as
-    # supporting data for the kernel normalization
-    ratios = _ps_ratios([results[n][1] for n in n_values])
+    ratios = np.array([results[n][1] for n in n_values])
     deltas = np.array([results[n][0] - results[n - 1][0]
                        if (n - 1) in results else np.nan
                        for n in n_values])

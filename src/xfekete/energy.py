@@ -232,37 +232,12 @@ def _cross_logs(D):
     return cross
 
 
-# (2, K) read-only index table of the pairs (j, i), j > i, sorted by j
-# and then by i: the pairs of n nodes are its first n(n-1)/2 columns, so
-# it grows to the largest n asked and serves every smaller n as a slice
-_prefix_table = np.empty((2, 0), dtype=np.intp)
-_prefix_table.flags.writeable = False
-
-
-def _prefix_pairs(n):
-    """Read-only index rows (j, i) of the n(n-1)/2 pairs j > i among n
-    nodes in prefix order, slices of _prefix_table, grown if n is the
-    largest n asked so far."""
-    global _prefix_table
-    k = n * (n - 1) // 2
-    if _prefix_table.shape[1] < k:
-        r = np.arange(n)
-        table = np.empty((2, k), dtype=np.intp)
-        table[0] = np.repeat(r, r)
-        table[1] = np.arange(k)
-        table[1] -= np.repeat(r * (r - 1) // 2, r)
-        table.flags.writeable = False
-        _prefix_table = table
-    return _prefix_table[:, :k]
-
-
 def _pair_logs(x):
     """log|x_j - x_i| of the pairs j > i of a node vector x, gathered in
-    prefix order (_prefix_pairs).  fsum rounds once in any order and
-    |x_j - x_i| = |x_i - x_j| exactly, so an fsum of these is the fsum
-    of the C-order cross logs, bit for bit."""
-    j, i = _prefix_pairs(x.size)
-    # indexing, not take: take copies a read-only index on every call
+    prefix order (np.tril_indices: sorted by j, then i).  fsum rounds
+    once in any order and |x_j - x_i| = |x_i - x_j| exactly, so an fsum
+    of these is the fsum of the C-order cross logs, bit for bit."""
+    j, i = np.tril_indices(x.size, -1)
     cross = x[j]
     np.subtract(cross, x[i], out=cross)
     np.log(np.abs(cross, out=cross), out=cross)

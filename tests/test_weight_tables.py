@@ -162,31 +162,20 @@ def ref_unit_d(nodes):
     return -math.log(1.0 / n) - logT / (n * (n - 1))
 
 
-def test_prefix_pairs_give_the_triu_order_sums(monkeypatch):
+def test_prefix_pairs_give_the_triu_order_sums():
     # log_energy and the unit-weight diameter gather their pairs in
-    # prefix order from one table; fsum makes the order free.  The table
-    # grows at a new largest n and serves smaller ones as slices.
-    empty = np.empty((2, 0), dtype=np.intp)
-    empty.flags.writeable = False
-    monkeypatch.setattr(energy, "_prefix_table", empty)
+    # prefix order; fsum makes the order free.  Sizes are asked out of
+    # order so nothing can depend on the size of an earlier call.
     w = weight("laguerre1", "v")
     rng = np.random.default_rng(11)
-    grown = []
     for n in (150, 7, 151, 2, 1):
-        table = energy._prefix_table
         nodes = np.sort(rng.uniform(0.05, 600.0, n))
         assert xf.log_energy(nodes, w) == ref_log_energy(nodes, w)
         if n >= 2:
             assert xf.transfinite_d(nodes) == ref_unit_d(nodes)
-        if energy._prefix_table is not table:
-            grown.append(n)
-        pairs = energy._prefix_pairs(n)
-        want = [[j, i] for j in range(n) for i in range(j)]
-        assert pairs.T.tolist() == want
-        assert not pairs.flags.writeable
-        assert pairs.base is energy._prefix_table
-    assert grown == [150, 151]
-    assert energy._prefix_table.shape == (2, 151 * 150 // 2)
+        diffs = [nodes[j] - nodes[i] for j in range(n) for i in range(j)]
+        want = np.log(np.abs(np.array(diffs, dtype=float)))
+        assert energy._pair_logs(nodes).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("family", ["laguerre1", "laguerre2", "jacobi"])
