@@ -36,6 +36,7 @@ VARIANTS = ("base", "hat", "v")
 GRAD_RTOL = 1e-7
 
 _POLE_RTOL = 1e-12
+_POLY_POLE = "evaluation point too close to a zero of a weight polynomial"
 
 
 @dataclass(frozen=True)
@@ -94,64 +95,69 @@ def _stack_tables(*tables):
 
 
 def _check_poles(p, scale):
-    if (np.abs(p) <= _POLE_RTOL * scale).any():
-        raise PoleEvaluation("evaluation point too close to a zero of a "
-                             "weight polynomial")
+    """Mask of the values p (x - r or a polynomial's) with |p| <= 1e-12
+    scale; p is set to 1 there, in place, so that nothing warns."""
+    near = np.abs(p) <= _POLE_RTOL * scale
+    p[near] = 1.0
+    return near
 
 
 def _poly_logs(table, x):
-    """log|p|, (log p)' and (log p)'' of a PolyTable at x, with a relative
-    pole guard on |p(x)|."""
-    p = _horner(table.c, x)
-    _check_poles(p, _horner(table.abs_c, np.abs(x)))
+    """log|p|, (log p)' and (log p)'' of a PolyTable at x, and the mask of
+    its pole guard (_check_poles)."""
+    p = np.asarray(_horner(table.c, x))
+    near = _check_poles(p, _horner(table.abs_c, np.abs(x)))
     d1 = _horner(table.d1, x)
     d2 = _horner(table.d2, x)
     r = d1 / p
-    return np.log(np.abs(p)), r, d2 / p - r * r
+    return (np.log(np.abs(p)), r, d2 / p - r * r), near
 
 
 def _stacked_logs(stack, x):
     """_poly_logs of every table of a _stack_tables stack (L, 4, k) at x,
     from one Horner pass over all its entries, with their bits: an array
-    (3, k, ...) of log|p|, (log p)' and (log p)'', column i table i's."""
+    (3, k, ...) of log|p|, (log p)' and (log p)'', column i table i's,
+    and the pole guard mask (k, ...) of each table."""
     z = np.empty((4, 1) + x.shape)
     z[:3] = x
     z[3] = np.abs(x)
     y = _horner(stack.reshape(stack.shape + (1,) * x.ndim), z)
     p = y[0]
-    _check_poles(p, y[3])
+    near = _check_poles(p, y[3])
     out = np.empty((3,) + p.shape)
     np.log(np.abs(p), out=out[0])
     r = np.divide(y[1], p, out=out[1])
     np.subtract(y[2] / p, r * r, out=out[2])
-    return out
+    return out, near
 
 
-def weight_logs(w, x):
-    """log w and its first two derivatives at x (arrays follow x).
-
-    S comes from the spec's table and P from the weight's; a v weight
-    evaluates both at once from its stacked table.  Raises
-    PoleEvaluation within 1e-12 (relative) of a base-weight pole (x=0,
-    x=+-1) or a zero of S or P, whichever the variant involves.
-    """
+def _weight_logs(w, x):
+    """(log w, (log w)', (log w)'') at x, and the (message, mask) pair of
+    each pole guard that fired, in weight_logs' check order, each mask
+    following x.  Values at a guarded point are finite and mean nothing;
+    every other point keeps its bits.  S comes from the spec's table and
+    P from the weight's; a v weight evaluates both at once from its
+    stacked table."""
     x = np.asarray(x, dtype=float)
     fam = w.spec.fam
+    guards = []
     # the sums start from the scalar 0.0: adding the first term gives
     # the bits that an array of zeros gave, with no such array
     logw = d1 = d2 = 0.0
     for r, e in zip(fam.poles, w.exponents()):
         if e == 0:
             continue
-        d = x - r
+        d = np.asarray(x - r)
+        near = _check_poles(d, 1.0)
+        if near.any():
+            guards.append((f"evaluation point too close to x = {r:g}", near))
         ad = np.abs(d)
-        if (ad <= _POLE_RTOL).any():
-            raise PoleEvaluation(f"evaluation point too close to x = {r:g}")
         # hat and v read the half-line factor x^a as |x|^a; base does not
-        if (fam.exp_weight and w.variant == "base" and e != round(e)
-                and (x < r).any()):
-            raise PoleEvaluation("base Laguerre weight undefined for "
-                                 "x < 0 at non-integer exponent")
+        if fam.exp_weight and w.variant == "base" and e != round(e):
+            below = x < r
+            if below.any():
+                guards.append(("base Laguerre weight undefined for x < 0 "
+                               "at non-integer exponent", below))
         logw = logw + e * np.log(ad)
         d1 = d1 + e / d
         d2 = d2 - e / d ** 2
@@ -159,23 +165,41 @@ def weight_logs(w, x):
         logw = logw - x
         d1 = d1 - 1.0
     if w.variant == "hat":
-        ls, ls1, ls2 = _poly_logs(w.spec.S, x)
+        (ls, ls1, ls2), near = _poly_logs(w.spec.S, x)
+        if near.any():
+            guards.append((_POLY_POLE, near))
         logw = logw - 2.0 * ls
         d1 = d1 - 2.0 * ls1
         d2 = d2 - 2.0 * ls2
     elif w.variant == "v":
         # t[k] holds twice the k-th log term of S, then of P
-        t = _stacked_logs(w._SP_table, x)
+        t, near = _stacked_logs(w._SP_table, x)
+        if near.any():
+            guards.append((_POLY_POLE, near.any(axis=0)))
         t *= 2.0
         logw = logw - t[0, 0] + t[0, 1]
         d1 = d1 - t[1, 0] + t[1, 1]
         d2 = d2 - t[2, 0] + t[2, 1]
     if x.ndim == 0:
-        return float(logw), float(d1), float(d2)
+        return (float(logw), float(d1), float(d2)), guards
     if np.ndim(d2) < x.ndim:
         # a base weight without a pole term leaves scalar sums
         logw, d1, d2 = (np.full_like(x, v) for v in (logw, d1, d2))
-    return logw, d1, d2
+    return (logw, d1, d2), guards
+
+
+def weight_logs(w, x):
+    """log w and its first two derivatives at x (arrays follow x).
+
+    Raises PoleEvaluation within 1e-12 (relative) of a base-weight pole
+    (x=0, x=+-1) or a zero of S or P, whichever the variant involves,
+    and for a base Laguerre weight of non-integer exponent at x < 0;
+    the message is that of the first guard that fires (_weight_logs).
+    """
+    logs, guards = _weight_logs(w, x)
+    if guards:
+        raise PoleEvaluation(guards[0][0])
+    return logs
 
 
 def _node_array(nodes):
@@ -415,7 +439,9 @@ def phi_closed(spec, x):
     """
     x = np.asarray(x, dtype=float)
     al, m, n = spec.alpha, spec.m, spec.n
-    _, r, _ = _poly_logs(spec.S, x)
+    (_, r, _), near = _poly_logs(spec.S, x)
+    if near.any():
+        raise PoleEvaluation(_POLY_POLE)
     if spec.family == "laguerre1":
         if np.any(np.abs(x) <= _POLE_RTOL):
             raise PoleEvaluation("evaluation point too close to x = 0")

@@ -14,27 +14,29 @@ Optimization, 2nd ed., 2006, sec. 19.2) and halved only when F drops or
 the candidate is inadmissible; a row that converges in Newton mode is
 polished by one more full Newton step, kept only when it verifies.
 
-One core ascends a whole stack of starts in lockstep: each round
-evaluates every pending candidate together, with one weight evaluation
-for all of them that gives F (plain row sums), the gradient and the
-Hessian of each, and an accepted candidate's values serve the next
-iteration; S is tabled once per spec (FamilySpec.S) and P once per
-weight (WeightSpec), which also stacks both tables so that one Horner
-pass evaluates S and P.  In the common round every row steps, every
-candidate is admissible and accepted and every -H is certified: the
-round then solves, evaluates and keeps the stacks as they are, with no
-gather, scatter or copy of rows.  Only a round with a failing row takes
-the gathered path.  F is summed exactly (math.fsum) once per maximizer
-returned.  A single ascent is a stack of one; a multistart probe runs
-all its random starts as one stack and clusters the maximizers found
-to test uniqueness of the weighted Fekete set.
+One core ascends a whole stack of starts in lockstep, and every try of
+a round has the stack's fixed shape: a pending row offers its
+candidate, every other row its iterate, and one weight evaluation for
+the whole stack gives F (plain row sums), the gradient and the Hessian
+of each row; an accepted candidate's values serve the next iteration.
+Order, box and pole checks are row masks, the weight's pole guards
+included (energy._weight_logs), so a candidate on a pole of the
+weight is rejected like any other, with no retry.  S is tabled once
+per spec (FamilySpec.S) and P once per weight (WeightSpec), which also
+stacks both tables so that one Horner pass evaluates S and P.  In the
+common round every row steps and every candidate is accepted: the
+round then keeps the candidate stacks as they are, with no copy of
+rows.  F is summed exactly (math.fsum) once per maximizer returned.
+A single ascent is a stack of one; a multistart probe runs all its
+random starts as one stack and clusters the maximizers found to test
+uniqueness of the weighted Fekete set.
 """
 
 import numpy as np
 
 from .errors import (DomainEscape, NonConvergence, NumericalError,
                      ValidationError)
-from .energy import (_assemble, _coincident, _compensated,
+from .energy import (_assemble, _coincident, _compensated, _weight_logs,
                      gradient_and_hessian, v_weight, weight_logs)
 from .exceptional import FamilySpec
 from .roots import find_zeros
@@ -51,57 +53,33 @@ def default_domain(w, n):
     return w.spec.fam.domain(w.spec, n)
 
 
-def _evaluate(w, X, domain):
-    """Admissibility and energy terms of a stack X (T, n) of sorted node
-    rows, with one weight evaluation for all admissible rows (none when
-    no row is admissible).
-
-    Returns (reason, F, G, H, logw, cross): reason is "" when every row
-    is admissible, else an array whose entry reason[r] is "" for an
-    admissible row and otherwise "domain", "order" or "pole", the first
-    check that row fails; the others are the terms of the admissible
-    rows, in order, as _assemble gives them (F the plain row sums of
-    logw and cross).  A row is a pole when two of its nodes lie within
-    1e-14 (relative) of each other or its weight evaluation raises
-    NumericalError.  Only a stack with a failing row is gathered.
-    """
+def _masks(X, domain):
+    """Row masks (pole, order, out) of a stack X (T, n) of sorted node
+    rows: two nodes within 1e-14 (relative) of each other, consecutive
+    nodes not increasing, a node on or past the edge of the box.  A row
+    with none of them is admissible."""
     lo, hi = domain
     dif = X[:, 1:] - X[:, :-1]
-    pole = _coincident(X, dif)
-    order = (dif <= 0).any(axis=1)
-    out = ((X <= lo) | (X >= hi)).any(axis=1)
-    reason = ""
-    if (pole | order | out).any():
-        reason = _reasons(pole, order, out)
-    Y = X if isinstance(reason, str) else X[reason == ""]
-    try:
-        logs = weight_logs(w, Y) if len(Y) else None
-    except NumericalError:
-        # find the rows that raised, then evaluate the others together
-        if isinstance(reason, str):
-            reason = _reasons(pole, order, out)
-        for r in np.flatnonzero(reason == ""):
-            try:
-                weight_logs(w, X[r])
-            except NumericalError:
-                reason[r] = "pole"
-        Y = X[reason == ""]
-        logs = weight_logs(w, Y) if len(Y) else None
-    if logs is None:
-        n = X.shape[1]
-        return (reason, np.empty(0), np.empty((0, n)), np.empty((0, n, n)),
-                np.empty((0, n)), np.empty((0, n * (n - 1) // 2)))
-    F, G, H, cross = _assemble(Y, *logs)
-    return reason, F, G, H, logs[0], cross
+    return (_coincident(X, dif), (dif <= 0).any(axis=1),
+            ((X <= lo) | (X >= hi)).any(axis=1))
 
 
-def _reasons(pole, order, out):
-    """The reason array of _evaluate from its three row masks."""
-    reason = np.full(len(pole), "", dtype="<U6")
-    reason[pole] = "pole"
-    reason[order] = "order"
-    reason[out] = "domain"
-    return reason
+def _evaluate(w, X):
+    """Energy terms of a stack X (T, n) of admissible rows, from one
+    weight evaluation for the whole stack.
+
+    Returns (pole, F, G, H, logw, cross): pole flags the rows with a
+    node inside one of the weight's pole guards (_weight_logs), whose
+    terms are finite and mean nothing; the others are the terms of every
+    row as _assemble gives them (F the plain row sums of logw and
+    cross), each row's with the bits of a stack of that row alone.
+    """
+    logs, guards = _weight_logs(w, X)
+    pole = np.zeros(len(X), dtype=bool)
+    for _, near in guards:
+        pole |= near.any(axis=1)
+    F, G, H, cross = _assemble(X, *logs)
+    return pole, F, G, H, logs[0], cross
 
 
 def _steps(G, H):
@@ -169,55 +147,60 @@ def _accepted(C, F, gmax, polish):
     return acc
 
 
+def _copy_rows(rows, src, dst):
+    """Copy the rows flagged in rows of each array of src into the same
+    rows of the matching array of dst, in place."""
+    for a, b in zip(src, dst):
+        np.copyto(b, a, where=rows.reshape(rows.shape + (1,) * (a.ndim - 1)))
+
+
 def _line_search(w, domain, X, V, step, t, live, polish, gmax):
     """One round of _ascend's damped steps from the iterates X and
-    their terms V (F, G, H, logw, cross), row by row.
+    their terms V (F, G, H, logw, cross).
 
-    Every polish and every live row with t > 1e-14 is pending.  All of
-    them take their steps at their t together, and a live row whose
-    candidate is inadmissible or rejected (_accepted) halves its t, in
-    place, and tries again until t falls to 1e-14; a polish gets one try.
+    Every polish and every live row with t > 1e-14 is pending.  Each try
+    evaluates the whole stack: a pending row offers its candidate, the
+    sorted X + t step, where that is admissible (_masks), and every other
+    row, a row that has moved included, offers its iterate X.  A
+    candidate off the weight's poles and _accepted is written into X and
+    V in place; a live row whose candidate is not halves its t, in
+    place, and tries again until t falls to 1e-14; a polish gets one
+    try.  A try with no admissible candidate makes no weight evaluation.
 
     Returns (X, V, moved, escape): moved flags the rows that took a
     step and escape the rows whose last inadmissible candidate left the
-    box or, with none, whose step the cap bound (t < 1).  In the common
-    round every row is pending and every first candidate admissible and
-    accepted: the candidates, taken with no gather, are then the new X
-    and V, and escape, which no row needs, is None.  Otherwise the
-    accepted candidates are written into X and V in place.
+    box or, with none, whose step the cap bound (t < 1).  When every row
+    is accepted at the first try, as in the common round, the candidate
+    stacks are the new X and V as they are, and no row is copied.
     """
-    tried = None
     pending = polish | live & (t > 1e-14)
-    if pending.all():
-        cand = np.sort(X + t[:, None] * step, axis=1)
-        reason, *C = _evaluate(w, cand, domain)
-        if isinstance(reason, str) and _accepted(C, V[0], gmax,
-                                                 polish).all():
-            return cand, C, pending, None
-        tried = cand, reason, C
     escape = t < 1.0
     moved = np.zeros(len(X), dtype=bool)
-    pend = np.flatnonzero(pending)
-    while pend.size:
-        if tried is None:
-            cand = np.sort(X[pend] + t[pend, None] * step[pend], axis=1)
-            reason, *C = _evaluate(w, cand, domain)
-        else:
-            (cand, reason, C), tried = tried, None
-        reason = np.broadcast_to(reason, len(cand))
-        ok = np.flatnonzero(reason == "")
-        p = pend[ok]
-        acc = _accepted(C, V[0][p], gmax[p], polish[p])
-        X[p[acc]] = cand[ok[acc]]
-        for a, c in zip(V, C):
-            a[p[acc]] = c[acc]
-        moved[p[acc]] = True
-        bad = reason != ""
-        escape[pend[bad]] = reason[bad] == "domain"
-        # a polish gets one round; a live row halves t until it moves
-        pend = pend[live[pend] & ~moved[pend]]
-        t[pend] *= 0.5
-        pend = pend[t[pend] > 1e-14]
+    while pending.any():
+        cand = np.sort(X + t[:, None] * step, axis=1)
+        if not pending.all():
+            cand = np.where(pending[:, None], cand, X)
+        pole, order, out = _masks(cand, domain)
+        bad = pole | order | out
+        if bad.any():
+            escape[bad] = out[bad]
+            cand = np.where(bad[:, None], X, cand)
+        ok = pending & ~bad
+        if ok.any():
+            pole, *C = _evaluate(w, cand)
+            escape[pole] = False        # inadmissible, but inside the box
+            ok &= ~pole & _accepted(C, V[0], gmax, polish)
+            if ok.all():
+                X, V = cand, C
+            else:
+                _copy_rows(ok, [cand, *C], [X, *V])
+            # the candidate terms go before the next try evaluates
+            del C
+            moved |= ok
+        # a polish gets one try; a live row halves t until it moves
+        pending &= live & ~moved
+        t[pending] *= 0.5
+        pending &= t > 1e-14
     return X, V, moved, escape
 
 
@@ -227,10 +210,11 @@ def _ascend(w, domain, X, gtol, itmax):
 
     Each iteration takes every live row's Newton (or gradient) step at
     the scale t of _box_scale, which keeps the row inside the box, and
-    halves the t of the rows still pending, evaluating them together,
-    until a row's candidate is admissible and does not lower F by more
-    than 1e-10 (1 + |F|), or its t falls to 1e-14 (at once when the
-    cap is already there).  The accept test reads plain row sums of F.
+    halves the t of the rows still pending, evaluating the whole stack
+    at each try, until a row's candidate is admissible and does not
+    lower F by more than 1e-10 (1 + |F|), or its t falls to 1e-14 (at
+    once when the cap is already there).  The accept test reads plain
+    row sums of F.
 
     A row is done once max|grad F| < gtol.  If it got there in Newton
     mode, its full Newton step joins the next round's stack, and the
@@ -247,11 +231,16 @@ def _ascend(w, domain, X, gtol, itmax):
     if X.shape[1] == 0:
         raise ValidationError("nodes must be a nonempty 1-d array")
     out = [None] * len(X)
-    reason, *V = _evaluate(w, X, domain)
-    reason = np.broadcast_to(reason, len(X))
-    for r in np.flatnonzero(reason != ""):
-        out[r] = DomainEscape(f"initial nodes invalid ({reason[r]})")
-    rows = np.flatnonzero(reason == "")
+    pole, order, outside = _masks(X, domain)
+    rows = np.flatnonzero(~(pole | order | outside))
+    if rows.size:
+        weight_pole, *V = _evaluate(w, X[rows])
+        if weight_pole.any():
+            pole[rows[weight_pole]] = True
+            rows, V = rows[~weight_pole], [a[~weight_pole] for a in V]
+    for r in np.flatnonzero(pole | order | outside):
+        why = "domain" if outside[r] else "order" if order[r] else "pole"
+        out[r] = DomainEscape(f"initial nodes invalid ({why})")
     X = X[rows]
     traces = [[] for _ in rows]
     for it in range(itmax):

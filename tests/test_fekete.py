@@ -330,6 +330,40 @@ def test_lockstep_ascent_matches_serial_start_by_start(args):
     assert kinds == {xf.DomainEscape, xf.NonConvergence, "converged"}
 
 
+@pytest.mark.parametrize("variant", ["hat", "v"])
+def test_pole_rows_in_a_line_search_match_serial(monkeypatch, variant):
+    # the box holds S's zero at x = -2: candidates fall inside its pole
+    # guard in the middle of line searches, and the last start is on it
+    zs = zeros_of("laguerre1", 1, 2.0, 4)
+    w = xf.v_weight(zs) if variant == "v" else xf.WeightSpec(zs.spec, "hat")
+    domain = (-2.5, 30.0)
+    rng = np.random.default_rng(2)
+    starts = np.vstack([np.sort(rng.uniform(*domain, size=(4, 4)), axis=1),
+                        [-2.25, -2.0, 1.0, 5.0]])
+    poles, real = [0], xf.energy_terms
+
+    def energy_terms(x, w):
+        try:
+            return real(x, w)
+        except xf.PoleEvaluation:
+            poles[0] += 1
+            raise
+
+    monkeypatch.setattr(xf, "energy_terms", energy_terms)
+    kinds = set()
+    for itmax in (10, 20):
+        batch = fekete_opt._ascend(w, domain, starts, fekete_opt.GTOL, itmax)
+        for x0, res in zip(starts, batch):
+            ref = _call_outcome(serial_maximize_log_T, w, domain, 4, x0,
+                                itmax=itmax)
+            assert _outcome(res) == ref
+            kinds.add(ref[1] if isinstance(ref[0], type) else "converged")
+    assert poles[0] > 10
+    assert kinds == {"initial nodes invalid (pole)", "converged"} | {
+        f"gradient above {fekete_opt.GTOL} after {k} iterations"
+        for k in (10, 20)}
+
+
 @pytest.mark.parametrize("n", [1, 4, 10, 30])
 @pytest.mark.parametrize("args", LOCKSTEP, ids=lambda a: a[0])
 def test_lockstep_probe_bit_identical_to_serial(args, n):
@@ -359,40 +393,52 @@ def inadmissible_stack(domain, n):
     return X
 
 
+def _forbid_public_weight_logs(monkeypatch):
+    """The ascent evaluates the weight through _weight_logs alone."""
+    def forbidden(*args):
+        raise AssertionError("weight_logs called during the ascent")
+
+    monkeypatch.setattr(fekete_opt, "weight_logs", forbidden)
+
+
 def test_probe_makes_one_weight_evaluation_per_round(monkeypatch):
     v = v_of("laguerre1", 1, 2.0, 10)
     domain = xf.default_domain(v, 10)
     serial = [0]
     ref = serial_probe(v, domain, 10, trials=20, seed=1, count=serial)
-    counter = {"rounds": 0, "admissible": 0, "weight_logs": 0}
-    real_evaluate, real_logs = fekete_opt._evaluate, fekete_opt.weight_logs
+    counter = {"tries": 0, "evaluations": 0, "weight_logs": 0}
+    real_masks = fekete_opt._masks
+    real_evaluate, real_logs = fekete_opt._evaluate, fekete_opt._weight_logs
+
+    def masks(*args):
+        counter["tries"] += 1
+        return real_masks(*args)
 
     def evaluate(*args):
-        res = real_evaluate(*args)
-        counter["rounds"] += 1
-        counter["admissible"] += bool(np.any(res[0] == ""))
-        return res
+        counter["evaluations"] += 1
+        return real_evaluate(*args)
 
     def logs(*args):
         counter["weight_logs"] += 1
         return real_logs(*args)
 
+    monkeypatch.setattr(fekete_opt, "_masks", masks)
     monkeypatch.setattr(fekete_opt, "_evaluate", evaluate)
-    monkeypatch.setattr(fekete_opt, "weight_logs", logs)
+    monkeypatch.setattr(fekete_opt, "_weight_logs", logs)
+    _forbid_public_weight_logs(monkeypatch)
     got = xf.uniqueness_probe(v, domain, 10, trials=20, seed=1)
     assert got["converged"] == ref["converged"] == 20
-    # one evaluation per round with an admissible row
-    assert counter["weight_logs"] == counter["admissible"]
+    # one weight evaluation per evaluated try, and none outside them
+    assert counter["weight_logs"] == counter["evaluations"] > 0
+    assert counter["evaluations"] <= counter["tries"]
     # the serial ascent evaluated every start's candidates one by one
     assert 4 * counter["weight_logs"] < serial[0]
-    # none for a round where no row is admissible
+    # none for a try where no row is admissible
     probe = dict(counter)
     res = fekete_opt._ascend(v, domain, inadmissible_stack(domain, 10),
                              fekete_opt.GTOL, fekete_opt.ITMAX)
     assert all(isinstance(r, xf.DomainEscape) for r in res)
-    assert counter["rounds"] == probe["rounds"] + 1
-    assert counter["weight_logs"] == counter["admissible"]
-    assert counter["admissible"] < counter["rounds"]
+    assert counter == dict(probe, tries=probe["tries"] + 1)
 
 
 @pytest.mark.parametrize("n", [1, 4, 10, 30])
@@ -401,43 +447,18 @@ def test_capped_step_keeps_every_candidate_inside_the_box(monkeypatch, args,
                                                           n):
     v = v_of(*args[:3], n, *args[4:])
     domain = xf.default_domain(v, n)
-    reasons, real_evaluate = [], fekete_opt._evaluate
+    outside, real_masks = [], fekete_opt._masks
 
-    def evaluate(w, X, domain):
-        res = real_evaluate(w, X, domain)
-        reasons.append(res[0])
+    def masks(X, domain):
+        res = real_masks(X, domain)
+        outside.append(res[2])
         return res
 
-    monkeypatch.setattr(fekete_opt, "_evaluate", evaluate)
+    monkeypatch.setattr(fekete_opt, "_masks", masks)
     rep = xf.uniqueness_probe(v, domain, n, trials=20, seed=3)
-    assert rep["converged"] > 0 and len(reasons) > 2
-    # the first round checks the starts; no later candidate leaves
-    assert not any(np.any(r == "domain") for r in reasons[1:])
-
-
-def evaluate_every_round(w, X, domain):
-    """_evaluate as it was before empty stacks were skipped: weight_logs
-    and _assemble run on the admissible rows even when there are none."""
-    lo, hi = domain
-    reason = np.full(len(X), "", dtype="<U6")
-    dif = np.diff(X, axis=1)
-    scale = np.fmax(1.0, np.max(np.abs(X), axis=1, initial=0.0))
-    reason[np.min(dif, axis=1, initial=np.inf) < 1e-14 * scale] = "pole"
-    reason[np.any(dif <= 0, axis=1)] = "order"
-    reason[np.any((X <= lo) | (X >= hi), axis=1)] = "domain"
-    ok = reason == ""
-    try:
-        logs = fekete_opt.weight_logs(w, X[ok])
-    except xf.NumericalError:
-        for r in np.flatnonzero(ok):
-            try:
-                fekete_opt.weight_logs(w, X[r])
-            except xf.NumericalError:
-                reason[r] = "pole"
-        ok = reason == ""
-        logs = fekete_opt.weight_logs(w, X[ok])
-    F, G, H, cross = fekete_opt._assemble(X[ok], *logs)
-    return reason, F, G, H, logs[0], cross
+    assert rep["converged"] > 0 and len(outside) > 2
+    # the first try checks the starts; no later candidate leaves
+    assert not any(out.any() for out in outside[1:])
 
 
 @pytest.mark.parametrize("args,n,seed", [
@@ -446,28 +467,27 @@ def evaluate_every_round(w, X, domain):
 def test_probe_skips_empty_weight_evaluations(monkeypatch, args, n, seed):
     v = v_of(*args[:3], n, *args[4:])
     domain = xf.default_domain(v, n)
-    sizes, real_logs = [], fekete_opt.weight_logs
+    # sorted, as the serial ascent sorts its start
+    bad = np.sort(inadmissible_stack(domain, n), axis=1)
+    ref = serial_probe(v, domain, n, trials=20, seed=seed)
+    ref_stack = [_call_outcome(serial_maximize_log_T, v, domain, n, x0)
+                 for x0 in bad]
+    sizes, real_logs = [], fekete_opt._weight_logs
 
     def logs(w, X):
         sizes.append(np.size(X))
         return real_logs(w, X)
 
-    def run():
-        probe = xf.uniqueness_probe(v, domain, n, trials=20, seed=seed)
-        stack = fekete_opt._ascend(v, domain, inadmissible_stack(domain, n),
-                                   fekete_opt.GTOL, fekete_opt.ITMAX)
-        return probe, [_outcome(r) for r in stack]
-
-    monkeypatch.setattr(fekete_opt, "weight_logs", logs)
-    monkeypatch.setattr(fekete_opt, "_evaluate", evaluate_every_round)
-    ref, ref_stack = run()
-    assert 0 in sizes                # the reference does meet empty stacks
-    monkeypatch.undo()
-    monkeypatch.setattr(fekete_opt, "weight_logs", logs)
-    sizes.clear()
-    got, got_stack = run()
+    monkeypatch.setattr(fekete_opt, "_weight_logs", logs)
+    _forbid_public_weight_logs(monkeypatch)
+    got = xf.uniqueness_probe(v, domain, n, trials=20, seed=seed)
     assert sizes and 0 not in sizes
-    assert got_stack == ref_stack
+    # a stack with no admissible start makes no weight evaluation
+    probe = len(sizes)
+    stack = fekete_opt._ascend(v, domain, bad, fekete_opt.GTOL,
+                               fekete_opt.ITMAX)
+    assert len(sizes) == probe
+    assert [_outcome(r) for r in stack] == ref_stack
     for key in ("trials", "converged", "failed"):
         assert got[key] == ref[key]
     assert len(got["clusters"]) == len(ref["clusters"])
@@ -581,11 +601,12 @@ def test_steps_of_a_stack_are_the_steps_of_stacks_of_one():
     domain = xf.default_domain(v, 10)
     X = np.sort(np.random.default_rng(4).uniform(*domain, size=(6, 10)),
                 axis=1)
-    _, _, G, H, _, _ = fekete_opt._evaluate(v, X, domain)
+    pole, _, G, H, _, _ = fekete_opt._evaluate(v, X)
     newton, step = fekete_opt._steps(G, H)
-    assert newton.all()                      # every row certified
+    assert not pole.any() and newton.all()   # every row certified
     vs, domain, Xs = small_alpha_stack()
-    _, _, Gs, Hs, _, _ = fekete_opt._evaluate(vs, Xs, domain)
+    pole, _, Gs, Hs, _, _ = fekete_opt._evaluate(vs, Xs)
+    assert not pole.any()
     newton_s, step_s = fekete_opt._steps(Gs, Hs)
     assert newton_s.tolist() == [True] * 5 + [False] + [True] * 2
     for G, H, newton, step in ((G, H, newton, step),
@@ -598,14 +619,15 @@ def test_steps_of_a_stack_are_the_steps_of_stacks_of_one():
 
 
 def _evaluate_rows(w, X, domain):
-    """_evaluate of each row of X as a stack of one: the reason per row
-    and the terms of the admissible rows, in order."""
-    reasons, terms = [], []
+    """_masks of each row of X as a stack of one, and _evaluate of each
+    row that passes them (None for the others)."""
+    masks, terms = [], []
     for r in range(len(X)):
-        reason, *C = fekete_opt._evaluate(w, X[r:r + 1], domain)
-        reasons.append(str(np.broadcast_to(reason, 1)[0]))
-        terms.append(C)
-    return reasons, terms
+        one = X[r:r + 1]
+        m = [bool(a[0]) for a in fekete_opt._masks(one, domain)]
+        masks.append(m)
+        terms.append(None if any(m) else fekete_opt._evaluate(w, one))
+    return masks, terms
 
 
 @pytest.mark.parametrize("kind", ["admissible", "inadmissible", "mixed",
@@ -622,17 +644,22 @@ def test_evaluate_of_a_stack_is_evaluate_of_stacks_of_one(kind):
     X = {"admissible": good, "inadmissible": bad,
          "mixed": np.concatenate([bad[:2], good, bad[2:]]),
          "weight-pole": np.stack([good[0], near, good[2]])}[kind]
-    reason, *C = fekete_opt._evaluate(v, X, domain)
-    reasons, terms = _evaluate_rows(v, X, domain)
-    if kind == "admissible":
-        assert reason == ""              # no per-row array is formed
+    masks = np.column_stack(fekete_opt._masks(X, domain))
+    ref_masks, terms = _evaluate_rows(v, X, domain)
+    assert masks.tolist() == ref_masks
+    ok = [r for r, m in enumerate(ref_masks) if not any(m)]
+    assert len(ok) == {"admissible": 3, "inadmissible": 0, "mixed": 3,
+                       "weight-pole": 3}[kind]
+    if not ok:
+        return
+    pole, *C = fekete_opt._evaluate(v, X[ok])
+    assert pole.tolist() == [bool(terms[r][0][0]) for r in ok]
     if kind == "weight-pole":
-        assert reasons == ["", "pole", ""]
-    assert np.broadcast_to(reason, len(X)).tolist() == reasons
-    ok = [r for r, why in enumerate(reasons) if why == ""]
-    assert len(C[0]) == len(ok)
+        assert pole.tolist() == [False, True, False]
     for k, r in enumerate(ok):
-        for a, b in zip(C, terms[r]):
+        if pole[k]:
+            # meaningless, but finite: nothing warned
+            assert all(np.isfinite(a[k]).all() for a in C)
+            continue
+        for a, b in zip(C, terms[r][1:]):
             assert a[k].tobytes() == b[0].tobytes()
-    for r, why in enumerate(reasons):
-        assert all(len(b) == (why == "") for b in terms[r])

@@ -246,40 +246,101 @@ def test_one_weight_evaluation_per_ascent_point(monkeypatch, family):
     n = w.spec.n
     domain = fekete_opt.default_domain(w, n)
     init = np.sort(np.random.default_rng(5).uniform(*domain, size=n))
-    counter = {"weight_logs": 0, "points": 0, "rounds": 0, "evaluated": 0,
-               "evaluating": 0}
-    real_logs, real_evaluate = fekete_opt.weight_logs, fekete_opt._evaluate
+    counter = {"weight_logs": 0, "points": 0, "evaluations": 0,
+               "evaluated": 0}
+    real_logs, real_evaluate = fekete_opt._weight_logs, fekete_opt._evaluate
 
     def logs(w, x):
         counter["weight_logs"] += 1
         counter["points"] += np.size(x)
         return real_logs(w, x)
 
-    def evaluate(w, X, domain):
-        counter["rounds"] += 1
-        res = real_evaluate(w, X, domain)
-        # rows that reached the energy evaluation, and the rounds with one
-        reason = res[0]
-        reached = int(np.sum((reason == "") | (reason == "pole")))
-        counter["evaluated"] += reached
-        counter["evaluating"] += reached > 0
-        return res
+    def evaluate(w, X):
+        # the rows that reach the energy evaluation
+        counter["evaluations"] += 1
+        counter["evaluated"] += len(X)
+        return real_evaluate(w, X)
 
-    monkeypatch.setattr(fekete_opt, "weight_logs", logs)
+    monkeypatch.setattr(fekete_opt, "_weight_logs", logs)
     monkeypatch.setattr(fekete_opt, "_evaluate", evaluate)
+    _forbid(monkeypatch, fekete_opt, "weight_logs")
     _forbid(monkeypatch, exceptional, "build_S")
     _forbid(monkeypatch, npoly, "polyder")
     _forbid(monkeypatch, classical_poly, "polyder")
     _forbid(monkeypatch, exceptional, "polyder")
     _forbid(monkeypatch, npoly, "polyval")
     nodes, trace = fekete_opt.maximize_log_T(w, domain, n, init)
-    # one weight evaluation per round that reaches one (none for a round
+    # one weight evaluation per try that reaches one (none for a try
     # whose candidate is rejected before), covering each point once
-    assert counter["weight_logs"] == counter["evaluating"]
+    assert counter["weight_logs"] == counter["evaluations"]
     assert counter["points"] == n * counter["evaluated"]
     # the start plus at least one candidate per completed iteration
     assert counter["evaluated"] >= len(trace)
     assert len(trace) > 2
+
+
+def pole_cases():
+    """(weight, points, message) of weight_logs' pole guards; the last
+    four fire two guards, and the message is the first one checked."""
+    lag = zeros_of("laguerre1", 1, 2.0, 4)
+    jac = zeros_of("jacobi", 1, 2.5, 4, 1.5)
+    lag_base = xf.WeightSpec(spec_of("laguerre1", 1, 2.5, 4), "base")
+    lag_hat, lag_v = xf.WeightSpec(lag.spec, "hat"), xf.v_weight(lag)
+    jac_base, jac_hat = (xf.WeightSpec(jac.spec, "base"),
+                         xf.WeightSpec(jac.spec, "hat"))
+    jac_v = xf.v_weight(jac)
+    # S(-2) = 0 for laguerre1 m = 1, alpha = 2; P's zero is exceptional
+    p_lag, p_jac = (float(zs.exceptional[0].real) for zs in (lag, jac))
+    near = ("evaluation point too close to x = 0",
+            "evaluation point too close to x = 1",
+            "evaluation point too close to x = -1")
+    below = ("base Laguerre weight undefined for x < 0 at non-integer "
+             "exponent")
+    poly = "evaluation point too close to a zero of a weight polynomial"
+    return [(lag_base, [1.0, 5e-13], near[0]),
+            (lag_hat, [1.0, -5e-13], near[0]),
+            (lag_v, [0.0], near[0]),
+            (jac_base, [0.5, 1 - 5e-13], near[1]),
+            (jac_hat, [-1 + 5e-13, 0.5], near[2]),
+            (jac_v, [1.0], near[1]),
+            (lag_base, [3.0, -0.5], below),
+            (lag_hat, [-2.0, 3.0], poly),
+            (lag_hat, -2.0, poly),
+            (lag_v, [-2.0], poly),
+            (lag_v, [p_lag, 3.0], poly),
+            (lag_base, [-0.5, 1e-13], near[0]),
+            (jac_base, [-1.0, 1.0], near[1]),
+            (lag_hat, [-2.0, 0.0], near[0]),
+            (jac_v, [p_jac, 1 - 1e-13], near[1])]
+
+
+def test_weight_logs_pole_messages():
+    for w, x, message in pole_cases():
+        with pytest.raises(xf.PoleEvaluation) as exc:
+            xf.weight_logs(w, np.asarray(x))
+        assert str(exc.value) == message
+
+
+def test_pole_guard_masks_are_the_points_that_raise():
+    cases = pole_cases()
+    for k, (w, x, message) in enumerate(cases):
+        x = np.atleast_1d(x)
+        logs, guards = energy._weight_logs(w, x)
+        assert len(guards) == (2 if k >= len(cases) - 4 else 1)
+        assert guards[0][0] == message
+        for i, xi in enumerate(x):
+            fired = [m for m, mask in guards if mask[i]]
+            try:
+                one = xf.weight_logs(w, xi)
+            except xf.PoleEvaluation as exc:
+                assert str(exc) == fired[0]
+                # finite, though meaningless: nothing warned
+                assert all(np.isfinite(a[i]) for a in logs)
+            else:
+                assert not fired
+                # every other point keeps its bits
+                assert ([float(a[i]).hex() for a in logs]
+                        == [b.hex() for b in one])
 
 
 def test_energy_hessian_evaluates_the_weight_once(monkeypatch):
