@@ -163,8 +163,9 @@ def polyder(c, k=1):
 
 class PolyTable:
     """Read-only table of a fixed polynomial: ascending coefficients c,
-    abs_c = |c| (the scale of a pole guard), d1 = c', d2 = c'' and the
-    complex roots, found on first use.  _horner evaluates the entries."""
+    abs_c = |c| (the scale of a pole guard), d1 = c', d2 = c'' and, on
+    first use, the complex roots and the one-table stack of its entries
+    (_stack_tables).  _horner evaluates the entries."""
 
     def __init__(self, coeffs):
         c = np.array(coeffs, dtype=float)
@@ -178,6 +179,24 @@ class PolyTable:
         r = np.roots(self.c[::-1]).astype(complex)
         r.setflags(write=False)
         return r
+
+    @functools.cached_property
+    def stack(self):
+        return _stack_tables(self)
+
+
+def _stack_tables(*tables):
+    """Read-only (L, 4, k) stack of k PolyTables: entry [j, :, i] holds
+    the j-th coefficients of c, d1, d2 and abs_c of table i, zero above
+    its top coefficient.  A zero coefficient above the top one keeps
+    Horner's bits at every finite x, the sign of a zero included."""
+    L = max(t.c.size for t in tables)
+    out = np.zeros((L, 4, len(tables)))
+    for i, t in enumerate(tables):
+        for k, c in enumerate((t.c, t.d1, t.d2, t.abs_c)):
+            out[:c.size, k, i] = c
+    out.setflags(write=False)
+    return out
 
 
 def _horner(c, x):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .classical_poly import PolyTable, _horner
+from .classical_poly import PolyTable, _horner, _stack_tables
 from .errors import CoincidentNodes, PoleEvaluation, SingularEvaluation, ValidationError
 from .exceptional import FamilySpec, ode_coeffs
 
@@ -48,7 +48,8 @@ class WeightSpec:
     polynomial for the v variant, stored read-only in its PolyTable,
     built here once per weight (S is tabled once per spec, in
     FamilySpec.S).  A v weight also stacks the entries of both tables
-    here, for weight_logs to evaluate S and P in one Horner pass.
+    here, for weight_logs to evaluate S and P in one Horner pass; a hat
+    weight evaluates the one-table stack of S (PolyTable.stack).
     """
 
     spec: FamilySpec
@@ -80,20 +81,6 @@ class WeightSpec:
         return self.spec.alpha + s, (None if b is None else b + s)
 
 
-def _stack_tables(*tables):
-    """Read-only (L, 4, k) stack of k PolyTables: entry [j, :, i] holds
-    the j-th coefficients of c, d1, d2 and abs_c of table i, zero above
-    its top coefficient.  A zero coefficient above the top one keeps
-    Horner's bits at every finite x, the sign of a zero included."""
-    L = max(t.c.size for t in tables)
-    out = np.zeros((L, 4, len(tables)))
-    for i, t in enumerate(tables):
-        for k, c in enumerate((t.c, t.d1, t.d2, t.abs_c)):
-            out[:c.size, k, i] = c
-    out.setflags(write=False)
-    return out
-
-
 def _check_poles(p, scale):
     """Mask of the values p (x - r or a polynomial's) with |p| <= 1e-12
     scale; p is set to 1 there, in place, so that nothing warns."""
@@ -102,22 +89,12 @@ def _check_poles(p, scale):
     return near
 
 
-def _poly_logs(table, x):
-    """log|p|, (log p)' and (log p)'' of a PolyTable at x, and the mask of
-    its pole guard (_check_poles)."""
-    p = np.asarray(_horner(table.c, x))
-    near = _check_poles(p, _horner(table.abs_c, np.abs(x)))
-    d1 = _horner(table.d1, x)
-    d2 = _horner(table.d2, x)
-    r = d1 / p
-    return (np.log(np.abs(p)), r, d2 / p - r * r), near
-
-
 def _stacked_logs(stack, x):
-    """_poly_logs of every table of a _stack_tables stack (L, 4, k) at x,
-    from one Horner pass over all its entries, with their bits: an array
-    (3, k, ...) of log|p|, (log p)' and (log p)'', column i table i's,
-    and the pole guard mask (k, ...) of each table."""
+    """log|p|, (log p)' and (log p)'' of every table p of a _stack_tables
+    stack (L, 4, k) at x, from one Horner pass over all its entries: an
+    array (3, k, ...), column i table i's, and the mask (k, ...) of each
+    table's pole guard (_check_poles), the one evaluator of the weight
+    polynomials."""
     z = np.empty((4, 1) + x.shape)
     z[:3] = x
     z[3] = np.abs(x)
@@ -136,8 +113,9 @@ def _weight_logs(w, x):
     each pole guard that fired, in weight_logs' check order, each mask
     following x.  Values at a guarded point are finite and mean nothing;
     every other point keeps its bits.  S comes from the spec's table and
-    P from the weight's; a v weight evaluates both at once from its
-    stacked table."""
+    P from the weight's, through one evaluator (_stacked_logs): a hat
+    weight reads the one-table stack of S, a v weight both tables at
+    once from its stack of S and P."""
     x = np.asarray(x, dtype=float)
     fam = w.spec.fam
     guards = []
@@ -164,22 +142,20 @@ def _weight_logs(w, x):
     if fam.exp_weight:
         logw = logw - x
         d1 = d1 - 1.0
-    if w.variant == "hat":
-        (ls, ls1, ls2), near = _poly_logs(w.spec.S, x)
-        if near.any():
-            guards.append((_POLY_POLE, near))
-        logw = logw - 2.0 * ls
-        d1 = d1 - 2.0 * ls1
-        d2 = d2 - 2.0 * ls2
-    elif w.variant == "v":
-        # t[k] holds twice the k-th log term of S, then of P
-        t, near = _stacked_logs(w._SP_table, x)
+    if w.variant != "base":
+        # t[k] holds twice the k-th log term of S, then of P (v)
+        stack = w.spec.S.stack if w.variant == "hat" else w._SP_table
+        t, near = _stacked_logs(stack, x)
         if near.any():
             guards.append((_POLY_POLE, near.any(axis=0)))
         t *= 2.0
-        logw = logw - t[0, 0] + t[0, 1]
-        d1 = d1 - t[1, 0] + t[1, 1]
-        d2 = d2 - t[2, 0] + t[2, 1]
+        logw = logw - t[0, 0]
+        d1 = d1 - t[1, 0]
+        d2 = d2 - t[2, 0]
+        if w.variant == "v":
+            logw = logw + t[0, 1]
+            d1 = d1 + t[1, 1]
+            d2 = d2 + t[2, 1]
     if x.ndim == 0:
         return (float(logw), float(d1), float(d2)), guards
     if np.ndim(d2) < x.ndim:
@@ -439,7 +415,7 @@ def phi_closed(spec, x):
     """
     x = np.asarray(x, dtype=float)
     al, m, n = spec.alpha, spec.m, spec.n
-    (_, r, _), near = _poly_logs(spec.S, x)
+    (_, (r,), _), near = _stacked_logs(spec.S.stack, x)
     if near.any():
         raise PoleEvaluation(_POLY_POLE)
     if spec.family == "laguerre1":

@@ -53,6 +53,21 @@ def default_domain(w, n):
     return w.spec.fam.domain(w.spec, n)
 
 
+def _check_box(w, lo, hi):
+    """ValidationError when the open box (lo, hi) holds a real zero of S
+    (imaginary part within 1e-9 (1 + |real part|)) and w is a hat or v
+    weight: log w tends to +inf there, so F has no maximizer in the box
+    and every ascent would climb into that zero."""
+    if w.variant == "base":
+        return
+    for r in w.spec.S.roots:
+        if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real)) and lo < r.real < hi:
+            raise ValidationError(
+                f"search box ({lo:g}, {hi:g}) holds the zero x = "
+                f"{r.real:g} of S, where log w tends to +inf: F has no "
+                f"maximizer there")
+
+
 def _masks(X, domain):
     """Row masks (pole, order, out) of a stack X (T, n) of sorted node
     rows: two nodes within 1e-14 (relative) of each other, consecutive
@@ -296,7 +311,8 @@ def maximize_log_T(w, domain, n, init=None, gtol=GTOL, itmax=ITMAX):
     record of mode "polish".  The last record's logT is the compensated
     F of the nodes returned.  Raises DomainEscape when no damped step
     can stay inside the open domain, and NonConvergence (with the trace
-    attached) after itmax iterations.
+    attached) after itmax iterations.  A box that holds a real zero of S
+    of a hat or v weight raises ValidationError (_check_box).
     """
     lo, hi = float(domain[0]), float(domain[1])
     if init is None:
@@ -306,6 +322,7 @@ def maximize_log_T(w, domain, n, init=None, gtol=GTOL, itmax=ITMAX):
         raise ValidationError(f"init has {x.size} nodes, expected {n}")
     if not np.all(np.isfinite(x)):
         raise ValidationError("init nodes must be finite")
+    _check_box(w, lo, hi)
     (res,) = _ascend(w, (lo, hi), x[None], gtol, itmax)
     if isinstance(res, NumericalError):
         raise res
@@ -319,7 +336,8 @@ def uniqueness_probe(w, domain, n, trials=20, seed=0):
     all in one lockstep batch, and clusters the converged results in
     trial order with absolute tolerance 1e-5 per node.  A unique
     weighted Fekete set shows up as a single cluster collecting every
-    converged run.
+    converged run.  A box that holds a real zero of S of a hat or v
+    weight raises ValidationError (_check_box).
     """
     if trials < 0:
         raise ValidationError(f"trials {trials} is negative")
@@ -327,6 +345,7 @@ def uniqueness_probe(w, domain, n, trials=20, seed=0):
         raise ValidationError(f"seed {seed} is negative")
     rng = np.random.default_rng(seed)
     lo, hi = float(domain[0]), float(domain[1])
+    _check_box(w, lo, hi)
     starts = np.sort(rng.uniform(lo, hi, size=(trials, n)), axis=1)
     clusters = []
     converged = failed = 0

@@ -8,13 +8,29 @@ a positive operator built from squared Lagrange fundamentals and weight
 ratios.  v-stability means 0 <= G[1](x) <= 1 across the domain.  All
 products are assembled in log space: the fundamentals of a hundred-node
 set underflow long before their logarithms lose accuracy.
+
+G, its Hermite form and the stability scan evaluate their points in
+column blocks of at most _BLOCK_BYTES of (n, B) log terms: each block
+finds its exact node hits (np.searchsorted on the nodes, sorted once),
+its points' weight logs, its log-fundamentals and their exponentials,
+in place, and is summed before the next is formed.  The working set is
+one block, whatever the number of points, and every value has the
+bits of one table over all the points, because numpy sums each column
+of an (n, B) array row by row for every B >= 2 (a one-column array is
+summed pairwise, so a one-column tail joins the block before it).
 """
 
 import numpy as np
 
-from .energy import _node_array, fejer_constants, v_weight, weight_logs
+from .energy import (_node_array, _weight_logs, fejer_constants, v_weight,
+                     weight_logs)
 from .errors import CoincidentNodes, PoleEvaluation, ValidationError
 from .exceptional import FAMILY
+
+# bytes of the one (n, B) block of log terms alive in an evaluation;
+# 640 KiB keeps the scan of n = 120 nodes on the default grid (1529
+# points, three blocks) under 1 MB of traced memory
+_BLOCK_BYTES = 5 << 17
 
 
 def _node_logs(nodes):
@@ -29,34 +45,49 @@ def _node_logs(nodes):
     return nodes, logbw, sgnbw
 
 
-def _log_fundamentals(nodes, logbw, x):
-    """log|l_k(x)| and an exact-hit mask, shapes (n, nx) and (nx,)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _column_blocks(n, nx):
+    """Slices of nx points in blocks of B = max(2, _BLOCK_BYTES // 8n)
+    columns; a one-column tail joins the block before it, so that every
+    block of two or more points is summed row by row."""
+    step = max(2, _BLOCK_BYTES // (8 * n))
+    starts = list(range(0, nx, step))
+    if len(starts) > 1 and nx - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [nx])]
+
+
+def _hits(srt, order, x):
+    """(rows, cols): the points x[cols] equal to a node exactly, and the
+    row of that node, from the sorted nodes srt = nodes[order]."""
+    i = np.searchsorted(srt, x)
+    np.minimum(i, srt.size - 1, out=i)
+    cols = np.flatnonzero(srt[i] == x)
+    return order[i[cols]], cols
+
+
+def _log_fundamentals(nodes, logbw, x, rows, cols):
+    """log|l_k(x)| of the 1-d points x, shape (n, nx), formed in place;
+    a column cols of an exact node hit (_hits) is pure Kronecker."""
     d = x[None, :] - nodes[:, None]
     # x - x_k is 0 exactly where x equals a node
-    anyhit = np.isin(x, nodes)
-    hit = (d == 0.0) if anyhit.any() else None
-    if hit is not None:
-        d[hit] = 1.0
+    d[rows, cols] = 1.0
     # log|x - x_k|, then log|l_k(x)|, in place
     logd = np.log(np.abs(d, out=d), out=d)
     total_log = np.sum(logd, axis=0)
     loglk = np.subtract(total_log[None, :], logd, out=logd)
     loglk += logbw[:, None]
-    if hit is not None:
-        # a column containing an exact node hit is pure Kronecker
-        loglk[:, anyhit] = -np.inf
-        loglk[hit] = 0.0
-    return loglk, anyhit
+    if cols.size:
+        loglk[:, cols] = -np.inf
+        loglk[rows, cols] = 0.0
+    return loglk
 
 
-def _sign_fundamentals(nodes, sgnbw, x):
-    """sign(l_k(x)), shape (n, nx); 1 in a column with an exact node hit,
-    whose fundamentals are the Kronecker 0s and 1."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _sign_fundamentals(nodes, sgnbw, x, cols):
+    """sign(l_k(x)), shape (n, nx); 1 in a column cols with an exact node
+    hit, whose fundamentals are the Kronecker 0s and 1."""
     sgnd = np.sign(x[None, :] - nodes[:, None])
     sgnlk = np.prod(sgnd, axis=0)[None, :] * sgnd * sgnbw[:, None]
-    sgnlk[:, np.isin(x, nodes)] = 1.0
+    sgnlk[:, cols] = 1.0
     return sgnlk
 
 
@@ -68,35 +99,85 @@ def lagrange_basis(nodes):
     are exact Kronecker deltas.
     """
     nodes, logbw, sgnbw = _node_logs(nodes)
+    order = np.argsort(nodes)
+    srt = nodes[order]
 
     def basis(x):
         scalar = np.ndim(x) == 0
-        loglk, _ = _log_fundamentals(nodes, logbw, x)
-        vals = _sign_fundamentals(nodes, sgnbw, x) * np.exp(loglk)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        rows, cols = _hits(srt, order, x)
+        loglk = _log_fundamentals(nodes, logbw, x, rows, cols)
+        vals = _sign_fundamentals(nodes, sgnbw, x, cols) * np.exp(loglk)
         return vals[:, 0] if scalar else vals
 
     return basis
 
 
-def _weighted_log_terms(nodes, w):
+def _weighted_terms(nodes, w):
     """Shared set-up of the Gruenwald operators over the nodes.
 
-    Returns the validated nodes and an evaluator mapping a 1-d x to
-    (2 log|l_k(x)| + log v(x) - log v(x_k), exact-hit mask), the first
-    of shape (n, nx), the log of each term v(x)/v(x_k) l_k(x)^2.
+    Returns the validated nodes and terms(x, sl), which gives for the
+    points x[sl] of a 1-d x the terms v(x)/v(x_k) l_k(x)^2, shape
+    (n, B), each exp(2 log|l_k(x)| + log v(x) - log v(x_k)) formed in
+    place, and their exact node hits (rows, cols) (_hits).  A weight
+    pole among x[sl] raises the PoleEvaluation of one evaluation of the
+    weight over all of x.
     """
     nodes, logbw, _ = _node_logs(nodes)
+    order = np.argsort(nodes)
+    srt = nodes[order]
     logv_nodes, _, _ = weight_logs(w, nodes)
 
-    def log_terms(x1):
-        loglk, anyhit = _log_fundamentals(nodes, logbw, x1)
-        logv_x, _, _ = weight_logs(w, x1)
-        loglk *= 2.0
-        loglk += logv_x[None, :]
-        loglk -= logv_nodes[:, None]
-        return loglk, anyhit
+    def terms(x, sl):
+        xb = x[sl]
+        (logv_x, _, _), guards = _weight_logs(w, xb)
+        if guards:
+            weight_logs(w, x)
+        hits = _hits(srt, order, xb)
+        arg = _log_fundamentals(nodes, logbw, xb, *hits)
+        arg *= 2.0
+        arg += logv_x[None, :]
+        arg -= logv_nodes[:, None]
+        with np.errstate(over="ignore"):
+            np.exp(arg, out=arg)
+        return arg, hits
 
-    return nodes, log_terms
+    return nodes, terms
+
+
+def _blockwise(n, block):
+    """Evaluator over scalars and 1-d arrays x that fills its result
+    from block(x, sl), column block by column block (_column_blocks)."""
+
+    def evaluate(x):
+        scalar = np.ndim(x) == 0
+        x1 = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.empty(x1.size)
+        for sl in _column_blocks(n, x1.size):
+            out[sl] = block(x1, sl)
+        return float(out[0]) if scalar else out
+
+    return evaluate
+
+
+def _gruenwald_block(nodes, w, y=None):
+    """(nodes, block): block(x, sl) is the Gruenwald mean at x[sl]."""
+    nodes, terms = _weighted_terms(nodes, w)
+    fvals = None if y is None else np.asarray(y, dtype=float)
+
+    def block(x, sl):
+        t, (rows, cols) = terms(x, sl)
+        if fvals is None:
+            # the fundamental sum: each y_k = 1, and so is G at a node
+            out = np.sum(t, axis=0)
+            out[cols] = 1.0
+        else:
+            t *= fvals[:, None]
+            out = np.sum(t, axis=0)
+            out[cols] = fvals[rows]
+        return out
+
+    return nodes, block
 
 
 def grunwald(nodes, w, y=None):
@@ -106,30 +187,11 @@ def grunwald(nodes, w, y=None):
     all ones, giving the fundamental sum whose range [0, 1] is the
     v-stability statement.  Each term is assembled as
     exp(log v(x) - log v(x_k) + 2 log|l_k(x)|) so no intermediate
-    fundamental is ever formed directly.
+    fundamental is ever formed directly.  The points are evaluated in
+    column blocks (see the module docstring).
     """
-    nodes, log_terms = _weighted_log_terms(nodes, w)
-    fvals = None if y is None else np.asarray(y, dtype=float)
-
-    def G(x):
-        scalar = np.ndim(x) == 0
-        x1 = np.atleast_1d(np.asarray(x, dtype=float))
-        arg, anyhit = log_terms(x1)
-        with np.errstate(over="ignore"):
-            terms = np.exp(arg, out=arg)
-        if fvals is None:
-            # the fundamental sum: each y_k = 1, and so is G at a node
-            out = np.sum(terms, axis=0)
-            out[anyhit] = 1.0
-        else:
-            out = np.sum(fvals[:, None] * terms, axis=0)
-            if np.any(anyhit):
-                k = np.argmin(np.abs(x1[anyhit][None, :]
-                                     - nodes[:, None]), axis=0)
-                out[anyhit] = fvals[k]
-        return float(out[0]) if scalar else out
-
-    return G
+    nodes, block = _gruenwald_block(nodes, w, y)
+    return _blockwise(nodes.size, block)
 
 
 def hermite_form(nodes, w):
@@ -138,22 +200,20 @@ def hermite_form(nodes, w):
     H(x) = sum_k (v(x)/v(x_k)) l_k(x)^2 (1 - (x - x_k) C_k) with the
     stationarity constants C_k of the configuration.  At the regular
     zeros the C_k vanish to rounding and H coincides with the
-    fundamental sum.
+    fundamental sum.  Evaluated in column blocks, as grunwald is.
     """
-    nodes, log_terms = _weighted_log_terms(nodes, w)
+    nodes, terms = _weighted_terms(nodes, w)
     C = fejer_constants(nodes, w)
 
-    def H(x):
-        scalar = np.ndim(x) == 0
-        x1 = np.atleast_1d(np.asarray(x, dtype=float))
-        arg, anyhit = log_terms(x1)
-        bracket = 1.0 - (x1[None, :] - nodes[:, None]) * C[:, None]
+    def block(x, sl):
+        t, (_, cols) = terms(x, sl)
+        bracket = 1.0 - (x[sl][None, :] - nodes[:, None]) * C[:, None]
         with np.errstate(over="ignore"):
-            out = np.sum(np.exp(arg) * bracket, axis=0)
-        out[anyhit] = 1.0
-        return float(out[0]) if scalar else out
+            out = np.sum(np.multiply(t, bracket, out=t), axis=0)
+        out[cols] = 1.0
+        return out
 
-    return H
+    return _blockwise(nodes.size, block)
 
 
 def scan_grid(nodes, family, grid_size=1000):
@@ -177,8 +237,18 @@ def scan_grid(nodes, family, grid_size=1000):
         for eps in (1e-5, 1e-7):
             off = eps * (1.0 + abs(xk))
             near.extend([xk - off, xk + off])
-    grid = np.unique(np.concatenate([base, np.asarray(near)]))
-    return grid[(grid > lo + 1e-9) & (grid < hi - 1e-9)]
+    # np.unique's sort and repeat mask, in place on the one concatenation
+    # (np.unique copies it), the base freed first: a scan's working set
+    # stays near one block
+    grid = np.concatenate([base, np.asarray(near)])
+    del base
+    grid.sort()
+    keep = np.empty(grid.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(grid[1:], grid[:-1], out=keep[1:])
+    keep &= grid > lo + 1e-9
+    keep &= grid < hi - 1e-9
+    return grid[keep]
 
 
 def _nearest_node_distance(grid, nodes):
@@ -210,28 +280,43 @@ def stability_scan(zs, grid_size=1000):
     the extremes.  passed means 0 <= G <= 1 + 1e-10 held everywhere;
     one_minus_g_min is the margin of the 1 - G > 0 form.  total_degree
     records the polynomial degree budget n(2n - 2 + 2m) of the operator.
+    The grid is scanned block by block (_column_blocks), each reduced to
+    its first extremes and its least off-node margin before the next.
     """
-    spec, nodes = zs.spec, zs.regular
-    G = grunwald(nodes, v_weight(zs))
+    spec = zs.spec
+    nodes, block = _gruenwald_block(zs.regular, v_weight(zs))
     grid = scan_grid(nodes, spec.family, grid_size)
-    vals = G(grid)
-    finite = np.isfinite(vals)
-    gmax = float(np.max(vals[finite]))
-    gmin = float(np.min(vals[finite]))
-    # off-node margin of 1 - G: exclude the near-node refinement points,
-    # where 1 - G sits at rounding level by construction
-    off = finite & (_nearest_node_distance(grid, nodes) > 1e-4)
-    off_margin = float(np.min(1.0 - vals[off])) if np.any(off) else np.nan
+    finite_all = True
+    top, top_at, low, low_at, margins = [], [], [], [], []
+    for sl in _column_blocks(nodes.size, grid.size):
+        vals = block(grid, sl)
+        finite = np.isfinite(vals)
+        finite_all = finite_all and bool(finite.all())
+        hi = np.where(finite, vals, -np.inf)
+        lo = np.where(finite, vals, np.inf)
+        k, j = np.argmax(hi), np.argmin(lo)
+        top.append(hi[k])
+        top_at.append(sl.start + k)
+        low.append(lo[j])
+        low_at.append(sl.start + j)
+        # off-node margin of 1 - G: exclude the near-node refinement
+        # points, where 1 - G sits at rounding level by construction
+        off = finite & (_nearest_node_distance(grid[sl], nodes) > 1e-4)
+        margins.append(np.min(1.0 - vals[off], initial=np.inf))
+    # a block without a finite value has extremes -inf and inf; none at
+    # all raises np.max's ValueError of an empty array
+    top, low = np.array(top), np.array(low)
+    gmax = float(np.max(top[np.isfinite(top)]))
+    gmin = float(np.min(low[np.isfinite(low)]))
+    margin = np.min(margins, initial=np.inf)
     n, m = spec.n, spec.m
-    return {"passed": bool(np.all(finite) and gmin >= 0.0
-                           and gmax <= 1.0 + 1e-10),
+    return {"passed": finite_all and gmin >= 0.0 and gmax <= 1.0 + 1e-10,
             "max": gmax, "min": gmin,
-            "argmax": float(grid[np.argmax(np.where(finite, vals,
-                                                    -np.inf))]),
-            "argmin": float(grid[np.argmin(np.where(finite, vals,
-                                                    np.inf))]),
+            "argmax": float(grid[top_at[np.argmax(top)]]),
+            "argmin": float(grid[low_at[np.argmin(low)]]),
             "one_minus_g_min": 1.0 - gmax,
-            "one_minus_g_min_offnode": off_margin,
+            "one_minus_g_min_offnode": (float(margin) if np.isfinite(margin)
+                                        else np.nan),
             "points": int(grid.size),
             "total_degree": int(n * (2 * n - 2 + 2 * m))}
 

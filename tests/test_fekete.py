@@ -331,6 +331,23 @@ def test_lockstep_ascent_matches_serial_start_by_start(args):
 
 
 @pytest.mark.parametrize("variant", ["hat", "v"])
+def test_a_box_holding_a_zero_of_s_is_refused(variant):
+    # S's zero at x = -2 is a pole of F: every ascent would climb into it
+    zs = zeros_of("laguerre1", 1, 2.0, 4)
+    w = xf.v_weight(zs) if variant == "v" else xf.WeightSpec(zs.spec, "hat")
+    domain = (-2.5, 30.0)
+    msg = r"search box \(-2\.5, 30\) holds the zero x = -2 of S"
+    with pytest.raises(xf.ValidationError, match=msg):
+        xf.uniqueness_probe(w, domain, 4, trials=20)
+    with pytest.raises(xf.ValidationError, match=msg):
+        xf.maximize_log_T(w, domain, 4)
+    # the zero on the edge of the open box is outside it
+    assert xf.uniqueness_probe(w, (-2.0, 30.0), 4, trials=0)["trials"] == 0
+    base = xf.WeightSpec(zs.spec, "base")
+    assert xf.uniqueness_probe(base, domain, 4, trials=0)["trials"] == 0
+
+
+@pytest.mark.parametrize("variant", ["hat", "v"])
 def test_pole_rows_in_a_line_search_match_serial(monkeypatch, variant):
     # the box holds S's zero at x = -2: candidates fall inside its pole
     # guard in the middle of line searches, and the last start is on it

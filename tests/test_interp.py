@@ -1,12 +1,15 @@
 """Lagrange fundamentals, the weighted squared-basis operator, and the
 stability certification on regular zeros."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 import xfekete as xf
+from xfekete import interp
 from xfekete.interp import _nearest_node_distance, scan_grid
 
 from conftest import random_nodes, spec_of, zeros_of
@@ -186,6 +189,146 @@ def test_scan_grid_refines_near_nodes():
     grid = scan_grid(nodes, "laguerre1", grid_size=100)
     assert np.min(np.abs(grid - 1.0)) < 1e-4
     assert np.all(grid > 0)
+
+
+# ---------------------------------------------------------------- blocks
+
+def ref_terms(nodes, w, x):
+    """One (n, nx) table over all the points x, the formula before the
+    column blocks: the terms v(x)/v(x_k) l_k(x)^2, and the mask of the
+    points that are nodes exactly, whose columns are pure Kronecker."""
+    dif = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(dif, 1.0)
+    logbw = -np.sum(np.log(np.abs(dif)), axis=1)
+    d = x[None, :] - nodes[:, None]
+    hit = d == 0.0
+    anyhit = hit.any(axis=0)
+    d[hit] = 1.0
+    logd = np.log(np.abs(d))
+    loglk = np.sum(logd, axis=0)[None, :] - logd + logbw[:, None]
+    loglk[:, anyhit] = -np.inf
+    loglk[hit] = 0.0
+    arg = (2.0 * loglk + xf.weight_logs(w, x)[0][None, :]
+           - xf.weight_logs(w, nodes)[0][:, None])
+    with np.errstate(over="ignore"):
+        return np.exp(arg), hit, anyhit
+
+
+def ref_grunwald(nodes, w, x, y=None):
+    scalar = np.ndim(x) == 0
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    terms, hit, anyhit = ref_terms(nodes, w, x)
+    if y is None:
+        out = np.sum(terms, axis=0)
+        out[anyhit] = 1.0
+    else:
+        out = np.sum(y[:, None] * terms, axis=0)
+        out[anyhit] = y[np.argmax(hit[:, anyhit], axis=0)]
+    return float(out[0]) if scalar else out
+
+
+def ref_hermite(nodes, w, x):
+    terms, _, anyhit = ref_terms(nodes, w, x)
+    C = xf.fejer_constants(nodes, w)
+    bracket = 1.0 - (x[None, :] - nodes[:, None]) * C[:, None]
+    with np.errstate(over="ignore"):
+        out = np.sum(terms * bracket, axis=0)
+    out[anyhit] = 1.0
+    return out
+
+
+def ref_stability_scan(zs, grid_size):
+    nodes = zs.regular
+    grid = scan_grid(nodes, zs.spec.family, grid_size)
+    vals = ref_grunwald(nodes, xf.v_weight(zs), grid)
+    finite = np.isfinite(vals)
+    gmax = float(np.max(vals[finite]))
+    gmin = float(np.min(vals[finite]))
+    off = finite & (_nearest_node_distance(grid, nodes) > 1e-4)
+    n, m = zs.spec.n, zs.spec.m
+    return {"passed": bool(np.all(finite) and gmin >= 0.0
+                           and gmax <= 1.0 + 1e-10),
+            "max": gmax, "min": gmin,
+            "argmax": float(grid[np.argmax(np.where(finite, vals,
+                                                    -np.inf))]),
+            "argmin": float(grid[np.argmin(np.where(finite, vals,
+                                                    np.inf))]),
+            "one_minus_g_min": 1.0 - gmax,
+            "one_minus_g_min_offnode": (float(np.min(1.0 - vals[off]))
+                                        if np.any(off) else np.nan),
+            "points": int(grid.size),
+            "total_degree": int(n * (2 * n - 2 + 2 * m))}
+
+
+def _block_columns(n):
+    return interp._column_blocks(n, 10**6)[0].stop
+
+
+@pytest.mark.parametrize("tail", [1, 2, 3])
+def test_blocks_keep_the_bits_of_one_table(tail):
+    zs = zeros_of("laguerre1", 3, 2.7, 120)
+    nodes, w = zs.regular, v_of("laguerre1", 3, 2.7, 120)
+    B = _block_columns(nodes.size)
+    rng = np.random.default_rng(tail)
+    x = rng.uniform(0.01, 3.0 * nodes[-1], 3 * B + tail)
+    # exact node hits in the first, a middle and the last block
+    x[[5, B + 7, x.size - 1]] = nodes[[0, 60, 119]]
+    blocks = interp._column_blocks(nodes.size, x.size)
+    assert [sl.stop - sl.start for sl in blocks][-1] == (
+        B + 1 if tail == 1 else tail)
+    y = rng.uniform(0.0, 1.0, nodes.size)
+    for got, ref in [(xf.grunwald(nodes, w)(x), ref_grunwald(nodes, w, x)),
+                     (xf.grunwald(nodes, w, y=y)(x),
+                      ref_grunwald(nodes, w, x, y)),
+                     (xf.hermite_form(nodes, w)(x),
+                      ref_hermite(nodes, w, x))]:
+        assert got.tobytes() == ref.tobytes()
+    assert xf.grunwald(nodes, w, y=y)(x)[[5, B + 7]].tolist() == [y[0],
+                                                                  y[60]]
+
+
+@pytest.mark.parametrize("x", [7.25, 0.5])
+def test_a_scalar_is_one_block(x):
+    zs = zeros_of("laguerre1", 3, 2.7, 120)
+    nodes, w = zs.regular, v_of("laguerre1", 3, 2.7, 120)
+    got = xf.grunwald(nodes, w)(x)
+    assert isinstance(got, float)
+    # a single point is summed pairwise, as in a table of one column
+    assert np.float64(got).tobytes() == np.float64(
+        ref_grunwald(nodes, w, x)).tobytes()
+    assert xf.grunwald(nodes, w)(nodes[3]) == 1.0
+
+
+def test_stability_scan_keeps_the_bits_of_one_table():
+    zs = zeros_of("laguerre1", 3, 2.7, 120)
+    B = _block_columns(zs.regular.size)
+    tails = {}
+    for grid_size in range(1000, 1000 + B):
+        tail = scan_grid(zs.regular, "laguerre1", grid_size).size % B
+        if tail in (1, 2, 3):
+            tails.setdefault(tail, grid_size)
+    assert sorted(tails) == [1, 2, 3]
+    for grid_size in [1000, *tails.values()]:
+        got = xf.stability_scan(zs, grid_size=grid_size)
+        assert repr(got) == repr(ref_stability_scan(zs, grid_size))
+
+
+def _scan_peak(zs, grid_size):
+    tracemalloc.start()
+    try:
+        xf.stability_scan(zs, grid_size=grid_size)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stability_scan_works_in_a_bounded_block():
+    # a table over all points would hold 60 x 50 289 floats, 24 MB
+    zs = zeros_of("laguerre1", 1, 2.0, 60)
+    small, large = _scan_peak(zs, 2000), _scan_peak(zs, 50000)
+    assert large - small < interp._BLOCK_BYTES
+    # n = 120 on the default grid: 1529 points, 1.5 MB as one table
+    assert _scan_peak(zeros_of("laguerre1", 3, 2.7, 120), 1000) <= 1e6
 
 
 # ---------------------------------------------------------------- brackets
