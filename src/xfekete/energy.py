@@ -197,12 +197,19 @@ def _coincident(X, dif):
     return dif.min(axis=-1, initial=np.inf) < 1e-14 * scale
 
 
-def _check_nodes(nodes):
+def _checked(nodes):
+    """(nodes, their ascending copy): nodes as a float array (_node_array)
+    and sorted once, CoincidentNodes when two of them lie within 1e-14
+    (relative) of each other."""
     nodes = _node_array(nodes)
     srt = np.sort(nodes)
     if _coincident(srt, np.diff(srt)):
         raise CoincidentNodes("node separation below 1e-14 relative")
-    return nodes
+    return nodes, srt
+
+
+def _check_nodes(nodes):
+    return _checked(nodes)[0]
 
 
 @functools.lru_cache(maxsize=2)
@@ -225,7 +232,9 @@ def _cross_logs(D):
     (T, n, n) of node differences x_i - x_j, in C order, so each row
     sums alone, as in a stack of one.  _assemble is its one caller: its
     plain row sums need the C order; log_energy reads its pairs off the
-    node vector (_pair_logs)."""
+    node vector (_pair_logs).  np.take returns contiguous rows; the
+    index D[:, k] would return them strided, and numpy sums a strided
+    row sequentially, not pairwise, so F's bits would move."""
     T, n = D.shape[:2]
     cross = np.take(D.reshape(T, n * n), _pair_index(n), axis=1)
     np.log(np.abs(cross, out=cross), out=cross)
@@ -244,44 +253,44 @@ def _pair_logs(x):
     return cross
 
 
+def _derivatives(D, d1, d2):
+    """(gradients, Hessians) of a stack from its node differences D
+    (T, n, n), x_i - x_j, and the weight's log-derivatives d1, d2 at its
+    nodes (T, n).  The Hessians are built in place in D: 1/dif, its
+    square and twice that; the diagonal is written through a strided
+    view."""
+    T, n = D.shape[:2]
+    Dd = D.reshape(T, n * n)[:, ::n + 1]
+    Dd[...] = np.inf
+    np.divide(1.0, D, out=D)
+    g = d1 + 2.0 * D.sum(axis=2)
+    np.square(D, out=D)
+    diag = d2 - 2.0 * D.sum(axis=2)
+    D *= 2.0
+    Dd[...] = diag
+    return g, D
+
+
 def _assemble(X, logw, d1, d2):
     """(F, gradients, Hessians, cross) of a stack X (T, n) of node rows
     from the weight logs at its nodes.  F holds the plain row sums of
-    the terms, log w at the nodes and the cross logs (_cross_logs);
-    _compensated reads one row's F from the same terms by compensated
-    sums.  Each row's Hessian is built in place from the node
-    differences: dif, then 1/dif, its square and twice that; its
-    diagonal is written through a strided view."""
-    T, n = X.shape
-    H = X[:, :, None] - X[:, None, :]
-    cross = _cross_logs(H)
+    the terms, log w at the nodes and the cross logs (_cross_logs), read
+    off the node differences before _derivatives turns them into the
+    Hessians; _compensated reads one row's F from the same terms by
+    compensated sums."""
+    D = X[:, :, None] - X[:, None, :]
+    cross = _cross_logs(D)
     F = logw.sum(axis=1) + 2.0 * cross.sum(axis=1)
-    Hd = H.reshape(T, n * n)[:, ::n + 1]
-    Hd[...] = np.inf
-    np.divide(1.0, H, out=H)
-    g = d1 + 2.0 * H.sum(axis=2)
-    np.square(H, out=H)
-    diag = d2 - 2.0 * H.sum(axis=2)
-    H *= 2.0
-    Hd[...] = diag
-    return F, g, H, cross
+    return (F,) + _derivatives(D, d1, d2) + (cross,)
 
 
 def _compensated(logw, cross):
     """F of one node row from its terms, a row of log w and of the cross
-    logs from _assemble, by compensated sums."""
+    logs (from _assemble, or _pair_logs in any node order), by
+    compensated sums."""
     # fsum reads a row through a memoryview, as Python floats: faster
     # than as numpy scalars, the same sum, and no list of the row
     return math.fsum(memoryview(logw)) + 2.0 * math.fsum(memoryview(cross))
-
-
-def _terms(nodes, w):
-    """(x, (log w)'(x), F, g, H) at the checked nodes x, from one
-    evaluation of the weight (see energy_terms)."""
-    X = _check_nodes(nodes)[None]
-    logw, d1, d2 = weight_logs(w, X)
-    _, (g,), (H,), (cross,) = _assemble(X, logw, d1, d2)
-    return X[0], d1[0], _compensated(logw[0], cross), g, H
 
 
 def energy_terms(nodes, w):
@@ -292,8 +301,20 @@ def energy_terms(nodes, w):
     g_k = (log w)'(x_k) + 2 sum_{j!=k} 1/(x_k - x_j) and
     H_kj = 2/(x_k - x_j)^2 off the diagonal,
     H_kk = (log w)''(x_k) - 2 sum_{j!=k} 1/(x_k - x_j)^2.
+    Every result follows the nodes as given.
     """
-    return _terms(nodes, w)[2:]
+    X = _check_nodes(nodes)[None]
+    logw, d1, d2 = weight_logs(w, X)
+    _, (g,), (H,), (cross,) = _assemble(X, logw, d1, d2)
+    return _compensated(logw[0], cross), g, H
+
+
+def _row_terms(X, w):
+    """(log w, (log w)', g, H) of a stack X (1, n) of one checked node row,
+    from one evaluation of the weight: the terms of F without F."""
+    logw, d1, d2 = weight_logs(w, X)
+    (g,), (H,) = _derivatives(X[:, :, None] - X[:, None, :], d1, d2)
+    return logw[0], d1[0], g, H
 
 
 def log_energy(nodes, w):
@@ -313,28 +334,66 @@ def fejer_constants(nodes, w):
     These vanish exactly at a stationary configuration; the members'
     zero sets drive them to rounding level.
     """
-    return energy_terms(nodes, w)[1]
+    return _row_terms(_check_nodes(nodes)[None], w)[2]
 
 
 def gradient_and_hessian(nodes, w):
-    """Gradient and Hessian of F at the given nodes."""
-    return energy_terms(nodes, w)[1:]
+    """Gradient and Hessian of F at the given nodes (following them as
+    given), the terms of energy_terms without F."""
+    return _row_terms(_check_nodes(nodes)[None], w)[2:]
 
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Stationarity and curvature summary of F at a node configuration."""
+    """Stationarity and curvature summary of F at a node configuration.
+
+    Every array follows the nodes in ascending order.  The constructor
+    takes the stored terms: log w at the nodes (logw), the gradient, the
+    Hessian, its diagonal signs and the stationarity flag.  logT, the
+    two dominance flags and the classification are computed on first
+    read and kept (functools.cached_property): logT sums logw and the
+    nodes' pair logs (_pair_logs) by compensated sums, the F of
+    energy_terms bit for bit.
+    """
 
     weight: WeightSpec
     nodes: np.ndarray
-    logT: float
+    logw: np.ndarray
     gradient: np.ndarray
     hessian: np.ndarray
     diag_signs: np.ndarray
     stationary: bool
-    diagonally_dominant: bool
-    block_dominant: bool
-    classification: str
+
+    @functools.cached_property
+    def logT(self):
+        return _compensated(self.logw, _pair_logs(self.nodes))
+
+    @functools.cached_property
+    def diagonally_dominant(self):
+        """Strict diagonal dominance of every row of the Hessian."""
+        H = self.hessian
+        d = np.diag(H)
+        row_off = np.sum(np.abs(H), axis=1) - np.abs(d)
+        return bool(np.all(np.abs(d) > row_off))
+
+    @functools.cached_property
+    def block_dominant(self):
+        return _block_dominant(self.hessian)
+
+    @functools.cached_property
+    def classification(self):
+        """'none' when the gradient is not at rounding level, 'saddle'
+        for mixed diagonal signs, 'local-max' when every diagonal entry
+        is negative and the Hessian is diagonally dominant (the one case
+        that tests dominance), 'indefinite' otherwise."""
+        if not self.stationary:
+            return "none"
+        d = np.diag(self.hessian)
+        if np.any(d > 0) and np.any(d < 0):
+            return "saddle"
+        if np.all(d < 0) and self.diagonally_dominant:
+            return "local-max"
+        return "indefinite"
 
 
 def _block_dominant(H):
@@ -352,34 +411,21 @@ def _block_dominant(H):
 
 
 def energy_hessian(nodes, w):
-    """Full second-order report of F at the nodes.
+    """Full second-order report of F at the nodes, sorted ascending.
 
     Classification follows the diagonal sign pattern rather than the
-    spectrum: 'none' when the gradient is not at rounding level,
-    'saddle' for mixed diagonal signs, 'local-max' when every diagonal
-    entry is negative and the matrix is diagonally dominant, and
-    'indefinite' for the remaining cases.  The spectrum stays available
-    to callers through the hessian field.
+    spectrum (EnergyReport.classification); the spectrum stays available
+    to callers through the hessian field.  The nodes are sorted and the
+    weight evaluated once; the gradient, the Hessian, the diagonal signs
+    and the stationarity flag are formed here, the rest of the report on
+    first read.
     """
-    x, d1, F, g, H = _terms(nodes, w)
+    x = _checked(nodes)[1]
+    logw, d1, g, H = _row_terms(x[None], w)
     stat = float(np.max(np.abs(g))) < GRAD_RTOL * (1 + np.max(np.abs(d1)))
-    d = np.diag(H)
-    row_off = np.sum(np.abs(H), axis=1) - np.abs(d)
-    dominant = bool(np.all(np.abs(d) > row_off))
-    if not stat:
-        cls = "none"
-    elif np.any(d > 0) and np.any(d < 0):
-        cls = "saddle"
-    elif np.all(d < 0) and dominant:
-        cls = "local-max"
-    else:
-        cls = "indefinite"
-    return EnergyReport(weight=w, nodes=np.sort(x),
-                        logT=F, gradient=g, hessian=H,
-                        diag_signs=np.sign(d).astype(int), stationary=stat,
-                        diagonally_dominant=dominant,
-                        block_dominant=_block_dominant(H),
-                        classification=cls)
+    return EnergyReport(weight=w, nodes=x, logw=logw, gradient=g, hessian=H,
+                        diag_signs=np.sign(np.diag(H)).astype(int),
+                        stationary=stat)
 
 
 def phi(spec, x):

@@ -531,6 +531,25 @@ def test_nodes_file_override(tmp_path, capsys):
     assert doc["classification"] == "none"
 
 
+@pytest.mark.parametrize("weight", ["hat", "v"])
+def test_permuted_nodes_file_prints_the_sorted_report(tmp_path, capsys,
+                                                      weight):
+    # every field of the report follows the ascending nodes, so the
+    # gradient, the Hessian and the diagonal signs of a permuted file
+    # are those of the sorted one, byte for byte
+    outs = []
+    for name, text in (("perm", "5\n1\n3\n"), ("sorted", "1\n3\n5\n")):
+        f = tmp_path / f"{name}.txt"
+        f.write_text(text)
+        code, out, err = run(capsys, "energy", *SEL, "--n", "3",
+                             "--weight", weight, "--nodes", str(f))
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    doc = json.loads(outs[1])
+    assert doc["nodes"] == [1.0, 3.0, 5.0]
+
+
 @pytest.mark.parametrize("content", [None, "1.0\nnot-a-node\n"])
 def test_unreadable_nodes_file_is_a_validation_error(tmp_path, capsys,
                                                      content):

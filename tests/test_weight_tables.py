@@ -7,6 +7,8 @@ tabled Horner evaluation does the same floating-point operations in the
 same order, so the comparisons are exact, not approximate.
 """
 
+import functools
+import json
 import math
 
 import numpy as np
@@ -14,7 +16,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 import xfekete as xf
-from xfekete import classical_poly, energy, exceptional, fekete_opt
+from xfekete import classical_poly, cli, energy, exceptional, fekete_opt
 
 from conftest import spec_of, zeros_of
 
@@ -343,13 +345,140 @@ def test_pole_guard_masks_are_the_points_that_raise():
                         == [b.hex() for b in one])
 
 
+# every field of an EnergyReport, the ones computed on read included
+REPORT_FIELDS = ("nodes", "logT", "gradient", "hessian", "diag_signs",
+                 "stationary", "diagonally_dominant", "block_dominant",
+                 "classification")
+
+
 def test_energy_hessian_evaluates_the_weight_once(monkeypatch):
     w = weight("laguerre1", "v")
     nodes = zeros_of(*SPECS["laguerre1"]).regular
     counter = {"weight_logs": 0}
     _count_calls(monkeypatch, energy, "weight_logs", counter)
-    xf.energy_hessian(nodes, w)
+    rep = xf.energy_hessian(nodes, w)
+    # the fields computed on read use the stored terms, not the weight
+    for name in REPORT_FIELDS:
+        getattr(rep, name)
     assert counter["weight_logs"] == 1
+
+
+def ref_energy_hessian(nodes, w):
+    """The eager report: every field formed at once from one assembly of
+    the nodes in the order given, the dominance tests included."""
+    X = energy._check_nodes(nodes)[None]
+    logw, d1, d2 = xf.weight_logs(w, X)
+    _, (g,), (H,), (cross,) = energy._assemble(X, logw, d1, d2)
+    F = energy._compensated(logw[0], cross)
+    stat = float(np.max(np.abs(g))) < energy.GRAD_RTOL * (
+        1 + np.max(np.abs(d1[0])))
+    d = np.diag(H)
+    row_off = np.sum(np.abs(H), axis=1) - np.abs(d)
+    dominant = bool(np.all(np.abs(d) > row_off))
+    if not stat:
+        cls = "none"
+    elif np.any(d > 0) and np.any(d < 0):
+        cls = "saddle"
+    elif np.all(d < 0) and dominant:
+        cls = "local-max"
+    else:
+        cls = "indefinite"
+    return {"nodes": np.sort(X[0]), "logT": F, "gradient": g, "hessian": H,
+            "diag_signs": np.sign(d).astype(int), "stationary": stat,
+            "diagonally_dominant": dominant,
+            "block_dominant": energy._block_dominant(H),
+            "classification": cls}
+
+
+def _report_nodes(args, variant):
+    """The nodes a report is read at: the full zero set for hat (its
+    exceptional zeros are real here), the regular zeros otherwise."""
+    zs = zeros_of(*args)
+    if variant == "hat":
+        return np.sort(np.concatenate([zs.exceptional.real, zs.regular]))
+    return zs.regular
+
+
+# (spec, variant, classification): the hat weight on the full zero set
+# is a saddle, the v weight on the regular zeros a local maximum, the
+# base weight is not stationary there, and at n = 1 and a small alpha
+# every diagonal entry of the hat Hessian is positive
+REPORT_CASES = [
+    (args, variant, cls)
+    for fam_args in ((("laguerre1", 1, 2.0, 5), ("laguerre1", 1, 0.01, 1)),
+                     (("laguerre2", 1, 3.5, 5), ("laguerre2", 1, 0.01, 1)),
+                     (("jacobi", 1, 2.5, 5, 1.5), ("jacobi", 1, 0.01, 1, 1.5)))
+    for args, variant, cls in ((fam_args[0], "hat", "saddle"),
+                               (fam_args[0], "v", "local-max"),
+                               (fam_args[0], "base", "none"),
+                               (fam_args[1], "hat", "indefinite"))
+]
+
+
+@pytest.mark.parametrize("args,variant,cls", REPORT_CASES,
+                         ids=[f"{a[0]}-{v}-{c}" for a, v, c in REPORT_CASES])
+def test_energy_report_matches_the_eager_report(args, variant, cls):
+    zs = zeros_of(*args)
+    w = (xf.v_weight(zs) if variant == "v"
+         else xf.WeightSpec(spec_of(*args), variant))
+    nodes = _report_nodes(args, variant)
+    ref = ref_energy_hessian(nodes, w)
+    assert ref["classification"] == cls
+    # a permuted input gives the report of the sorted nodes
+    perm = np.random.default_rng(5).permutation(nodes.size)
+    for x in (nodes, nodes[perm]):
+        rep = xf.energy_hessian(x, w)
+        assert rep.logT.hex() == ref["logT"].hex()
+        for name in REPORT_FIELDS:
+            got, want = getattr(rep, name), ref[name]
+            if isinstance(want, np.ndarray):
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == want.dtype
+            else:
+                assert type(got) is type(want) and got == want, name
+
+
+def test_all_negative_diagonal_without_dominance_is_indefinite():
+    # a stationary report whose diagonal is negative but whose rows are
+    # not dominant reaches the one branch that tests dominance
+    H = np.array([[-1.0, 2.0], [2.0, -1.0]])
+    rep = energy.EnergyReport(weight=None, nodes=np.array([0.0, 1.0]),
+                              logw=np.zeros(2), gradient=np.zeros(2),
+                              hessian=H, diag_signs=np.array([-1, -1]),
+                              stationary=True)
+    assert rep.classification == "indefinite"
+    assert not rep.diagonally_dominant and not rep.block_dominant
+
+
+def test_verify_forms_no_logT_sum_and_no_dominance_test(monkeypatch,
+                                                        capsys):
+    # verify reads the gradient, the stationarity flag, the diagonal
+    # signs and the classification of its saddle (hat) and Fekete (v)
+    # reports; a laguerre1 saddle classifies without a dominance test
+    counter = {"_compensated": 0, "_block_dominant": 0}
+    _count_calls(monkeypatch, energy, "_compensated", counter)
+    _count_calls(monkeypatch, energy, "_block_dominant", counter)
+    calls = []
+    real = energy.EnergyReport.diagonally_dominant.func
+    counted = functools.cached_property(lambda r: calls.append(1) or real(r))
+    counted.__set_name__(energy.EnergyReport, "diagonally_dominant")
+    monkeypatch.setattr(energy.EnergyReport, "diagonally_dominant", counted)
+    argv = ["verify", "--family", "laguerre1", "--m", "1", "--alpha", "2",
+            "--n", "5"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert {c["name"] for c in out["checks"]} >= {"saddle",
+                                                  "fekete_stationary"}
+    assert counter == {"_compensated": 0, "_block_dominant": 0}
+    assert calls == []
+    # the counts are live: a report read in full pays for each once
+    rep = xf.energy_hessian(_report_nodes(("laguerre1", 1, 2.0, 5), "v"),
+                            xf.v_weight(zeros_of("laguerre1", 1, 2.0, 5)))
+    for name in REPORT_FIELDS:
+        getattr(rep, name)
+        getattr(rep, name)
+    assert counter == {"_compensated": 1, "_block_dominant": 1}
+    assert calls == [1]
 
 
 def test_probe_cluster_energy_is_the_ascent_value():
