@@ -10,12 +10,10 @@ and the transfinite-diameter sequence.
 
 from .asymptotics import (DiameterSeries, ZeroSumReport, d_sequence,
                           transfinite_d, zero_sum_check)
-from .classical_poly import (jacobi_coeffs, jacobi_pass, jacobi_seeds,
-                             jacobi_zeros, laguerre_coeffs, laguerre_pass,
-                             laguerre_seeds, laguerre_zeros)
-from .energy import (EnergyReport, WeightSpec, energy_hessian,
-                     energy_terms, fejer_constants, gradient_and_hessian,
-                     log_energy, phi, phi_closed, v_weight, weight_logs)
+from .classical_poly import (jacobi_coeffs, jacobi_pass, laguerre_coeffs,
+                             laguerre_pass)
+from .energy import (EnergyReport, WeightSpec, energy_hessian, log_energy,
+                     v_weight, weight_logs)
 from .errors import (CoincidentNodes, CountMismatch, DegreeCollapse,
                      DomainEscape, InvalidFamily, NonConvergence,
                      NullspaceDefect, NumericalError, PoleEvaluation,
@@ -25,10 +23,8 @@ from .exceptional import (BuiltPolynomial, FamilySpec, RationalODE,
                           build_S, build_exceptional, exceptional_eval,
                           exceptional_eval_pair, leading_coefficient,
                           ode_coeffs)
-from .fekete_opt import (default_domain, maximize_log_T,
-                         search_positive_h11, uniqueness_probe)
-from .interp import (grunwald, hermite_form, inv_weight_brackets,
-                     lagrange_basis, stability_scan)
+from .fekete_opt import default_domain, uniqueness_probe
+from .interp import inv_weight_brackets, stability_scan
 from .roots import ZeroSet, check_interlacing, find_zeros
 
 __version__ = "0.1.0"
@@ -43,13 +39,9 @@ __all__ = [
     "WeightSpec", "XFeketeError", "ZeroSet", "ZeroSumReport",
     "build_S", "build_exceptional",
     "check_interlacing", "d_sequence", "default_domain", "energy_hessian",
-    "energy_terms", "exceptional_eval", "exceptional_eval_pair",
-    "fejer_constants", "find_zeros",
-    "gradient_and_hessian", "grunwald", "hermite_form",
+    "exceptional_eval", "exceptional_eval_pair", "find_zeros",
     "inv_weight_brackets", "jacobi_coeffs", "jacobi_pass",
-    "jacobi_seeds", "jacobi_zeros", "lagrange_basis", "laguerre_coeffs",
-    "laguerre_pass", "laguerre_seeds", "laguerre_zeros",
-    "log_energy", "maximize_log_T", "ode_coeffs", "phi", "phi_closed",
-    "search_positive_h11", "stability_scan", "transfinite_d",
-    "uniqueness_probe", "v_weight", "weight_logs", "zero_sum_check",
+    "laguerre_coeffs", "laguerre_pass", "log_energy", "ode_coeffs",
+    "stability_scan", "transfinite_d", "uniqueness_probe", "v_weight",
+    "weight_logs", "zero_sum_check",
 ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical_poly import _horner
-from .energy import _check_nodes, _pair_logs, log_energy, v_weight
+from .energy import log_energy, v_weight
 from .errors import ValidationError, XFeketeError
 from .exceptional import FamilySpec
 from .roots import find_zeros_ladder
@@ -33,23 +33,18 @@ def _check_c(c):
         raise ValidationError(f"c must be finite and positive, got {c!r}")
 
 
-def transfinite_d(nodes, v=None, c=1.0):
+def transfinite_d(nodes, v, c=1.0):
     """Diameter functional of a node configuration under weight v.
 
-    v=None means the unit weight, and c is finite and > 0.  The value is
-    -log(c/n) - log T / (n(n-1)); larger log T (better configurations)
+    c is finite and > 0.  The value is -log(c/n) - log T / (n(n-1)),
+    log T = log_energy(nodes, v); larger log T (better configurations)
     gives smaller d, so the Fekete set minimizes d at fixed n.
     """
     _check_c(c)
-    nodes = np.asarray(nodes, dtype=float)
-    n = nodes.size
+    n = np.size(nodes)
     if n < 2:
         raise ValidationError("diameter needs at least two nodes")
-    if v is None:
-        logT = 2.0 * math.fsum(memoryview(_pair_logs(_check_nodes(nodes))))
-    else:
-        logT = log_energy(nodes, v)
-    return -math.log(c / n) - logT / (n * (n - 1))
+    return -math.log(c / n) - log_energy(nodes, v) / (n * (n - 1))
 
 
 @dataclass(frozen=True)

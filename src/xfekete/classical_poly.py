@@ -10,11 +10,10 @@ coefficients become unusable; a degree step is a few in-place ufunc
 calls on preallocated rows: the Jacobi sweep carries the differentiated
 recurrence, the Laguerre sweep the values and their running sum (or, on
 request, the differentiated recurrence too).
-Also provides the Gauss nodes, the classical zeros as eigenvalues of the
-symmetric tridiagonal Jacobi matrix (Golub-Welsch), and the Newton seeds
-of the classical zeros at every degree: closed-form Langer-WKB nodes
-polished by one recurrence Newton step, one sweep for all the degrees of
-a ladder (laguerre_seed_ladder, jacobi_seed_ladder).
+Also provides the Newton seeds of the classical zeros (the Gauss nodes)
+at every degree: closed-form Langer-WKB nodes polished by one
+recurrence Newton step, one sweep for all the degrees of a ladder
+(laguerre_seed_ladder, jacobi_seed_ladder).
 """
 
 import functools
@@ -377,17 +376,6 @@ def jacobi_pass(n, a, b, x):
                   lambda B, A, C: (B[0], A[0], B[1], A[1]))
 
 
-def _jacobi_matrix_eigvals(diag, off):
-    """Eigenvalues of the symmetric tridiagonal (Jacobi) matrix with
-    diagonal diag and off-diagonal off, filled into one zero matrix."""
-    n = diag.size
-    M = np.zeros((n, n))
-    M.flat[::n + 1] = diag
-    M.flat[1::n + 1] = off
-    M.flat[n::n + 1] = off
-    return np.linalg.eigvalsh(M)
-
-
 def _gauss_range(*params):
     """Raise ValidationError unless every classical parameter is > -1,
     the range of the Gauss nodes."""
@@ -395,39 +383,6 @@ def _gauss_range(*params):
         names = ", ".join("ab"[:len(params)])
         got = ", ".join(f"{p:g}" for p in params)
         raise ValidationError(f"Gauss nodes need {names} > -1, got {got}")
-
-
-def laguerre_zeros(n, a):
-    """Zeros of L_n^(a) (a > -1) as eigenvalues of the Jacobi matrix."""
-    if n == 0:
-        return np.empty(0)
-    _gauss_range(a)
-    k = np.arange(n)
-    diag = 2 * k + a + 1
-    off = np.sqrt(k[1:] * (k[1:] + a))
-    return _jacobi_matrix_eigvals(diag, off)
-
-
-def jacobi_zeros(n, a, b):
-    """Zeros of P_n^(a,b) (a, b > -1) as eigenvalues of the Jacobi matrix."""
-    if n == 0:
-        return np.empty(0)
-    _gauss_range(a, b)
-    diag = np.empty(n)
-    diag[0] = (b - a) / (a + b + 2)
-    k = np.arange(1, n, dtype=float)
-    off = np.empty(n - 1)
-    if n > 1:
-        diag[1:] = (b * b - a * a) / ((2 * k + a + b) * (2 * k + a + b + 2))
-        # k = 1 with the common factor 1 + a + b cancelled; that factor
-        # is 0 at a + b = -1, inside the range
-        off[0] = 4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
-    k = k[1:]
-    num = 4 * k * (k + a) * (k + b) * (k + a + b)
-    den = (2 * k + a + b) ** 2 * (2 * k + a + b + 1) * (2 * k + a + b - 1)
-    off[1:] = num / den
-    off = np.sqrt(off)
-    return _jacobi_matrix_eigvals(diag, off)
 
 
 def _laguerre_wkb(n, a):
@@ -572,54 +527,33 @@ def _seed_ladder(ns, params, nodes, sweep):
     return out
 
 
-def _alone(seeds):
-    """The seeds of a ladder of one; raises its ValidationError."""
-    (x,) = seeds
-    if isinstance(x, ValidationError):
-        raise x
-    return x
-
-
 def laguerre_seed_ladder(ns, a):
-    """laguerre_seeds(n, a) for each n of ns, from one polishing sweep;
-    a member with n >= 1 and a <= -1 gets its ValidationError in place
-    of its seeds (see _seed_ladder)."""
+    """Newton seeds of the zeros of L_n^(a) (a > -1), ascending, for each
+    n of ns, from one polishing sweep: the zeros of the Langer-WKB phase
+    (_laguerre_wkb; Gatteschi, J. Comput. Appl. Math. 144 (2002)) after
+    one Newton step of laguerre_pass, within 3.6e-3 of the local zero
+    spacing at every n up to 300 for a in [-0.999, 40].  The step takes
+    the differentiated derivative, the one Laguerre-II's pair takes: a
+    seed's last bits decide where Newton lands within the evaluator's
+    rounding floor, so Laguerre-II's zeros then rest on that one kernel.
+    A member with n = 0 gets no seeds, at any a, and one with n >= 1 and
+    a <= -1 its ValidationError in place of its seeds (see
+    _seed_ladder)."""
     return _seed_ladder(
         ns, (a,), lambda n: _wkb_nodes(n, _laguerre_wkb(n, a)),
         lambda n, x: laguerre_pass(n, a, x, differentiated=True))
 
 
 def jacobi_seed_ladder(ns, a, b):
-    """jacobi_seeds(n, a, b) for each n of ns, from one polishing sweep;
-    a member with n >= 1 and a or b <= -1 gets its ValidationError in
-    place of its seeds (see _seed_ladder)."""
+    """Newton seeds of the zeros of P_n^(a,b) (a, b > -1), ascending, for
+    each n of ns, from one polishing sweep: the zeros of the Langer-WKB
+    phase (_jacobi_wkb) after one Newton step of jacobi_pass, asymptotic
+    first guesses plus Newton as in Hale & Townsend, SIAM J. Sci.
+    Comput. 35 (2013); within 5.1e-3 of the local zero spacing at every
+    n up to 300 for a, b in [-0.999, 40].  A member with n = 0 gets no
+    seeds, at any a and b, and one with n >= 1 and a or b <= -1 its
+    ValidationError in place of its seeds (see _seed_ladder)."""
     # the phase counts the zeros from x = 1: its nodes descend
     return _seed_ladder(
         ns, (a, b), lambda n: _wkb_nodes(n, _jacobi_wkb(n, a, b))[::-1],
         lambda n, x: jacobi_pass(n, a, b, x))
-
-
-def laguerre_seeds(n, a):
-    """Newton seeds of the zeros of L_n^(a) (a > -1), ascending: the
-    zeros of the Langer-WKB phase (_laguerre_wkb; Gatteschi, J. Comput.
-    Appl. Math. 144 (2002)) after one Newton step of laguerre_pass,
-    within 3.6e-3 of the local zero spacing at every n up to 300 for
-    a in [-0.999, 40].  The step takes the differentiated derivative,
-    the one Laguerre-II's pair takes: a seed's last bits decide where
-    Newton lands within the evaluator's rounding floor, so Laguerre-II's
-    zeros then rest on that one kernel.  n = 0 gives no seeds, at any a.
-    This is laguerre_seed_ladder on a ladder of one.
-    """
-    return _alone(laguerre_seed_ladder([n], a))
-
-
-def jacobi_seeds(n, a, b):
-    """Newton seeds of the zeros of P_n^(a,b) (a, b > -1), ascending: the
-    zeros of the Langer-WKB phase (_jacobi_wkb) after one Newton step of
-    jacobi_pass, asymptotic first guesses plus Newton as in Hale &
-    Townsend, SIAM J. Sci. Comput. 35 (2013); within 5.1e-3 of the local
-    zero spacing at every n up to 300 for a, b in [-0.999, 40].  n = 0
-    gives no seeds, at any a and b.  This is jacobi_seed_ladder on a
-    ladder of one.
-    """
-    return _alone(jacobi_seed_ladder([n], a, b))

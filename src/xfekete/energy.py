@@ -17,6 +17,11 @@ polynomial over the exceptional zeros.  The shift is 0 for base and 1
 for hat and v.  On the negative axis the Laguerre factor is read
 as |x|^a so that the full (regular plus exceptional) zero configuration
 can be evaluated.
+
+F has two public views: log_energy gives F alone, and energy_hessian
+the report at the sorted nodes (gradient, Hessian, classification and,
+on read, F).  The Fekete ascent reads the same terms off a stack of
+node rows (_assemble).
 """
 
 import functools
@@ -27,8 +32,8 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .classical_poly import PolyTable, _horner, _stack_tables
-from .errors import CoincidentNodes, PoleEvaluation, SingularEvaluation, ValidationError
-from .exceptional import FamilySpec, ode_coeffs
+from .errors import CoincidentNodes, PoleEvaluation, ValidationError
+from .exceptional import FamilySpec
 
 VARIANTS = ("base", "hat", "v")
 
@@ -293,54 +298,14 @@ def _compensated(logw, cross):
     return math.fsum(memoryview(logw)) + 2.0 * math.fsum(memoryview(cross))
 
 
-def energy_terms(nodes, w):
-    """F, its gradient and its Hessian at the nodes, from one evaluation
-    of the weight.
-
-    F = sum log w + 2 sum_{i<j} log|x_i - x_j| (compensated sums),
-    g_k = (log w)'(x_k) + 2 sum_{j!=k} 1/(x_k - x_j) and
-    H_kj = 2/(x_k - x_j)^2 off the diagonal,
-    H_kk = (log w)''(x_k) - 2 sum_{j!=k} 1/(x_k - x_j)^2.
-    Every result follows the nodes as given.
-    """
-    X = _check_nodes(nodes)[None]
-    logw, d1, d2 = weight_logs(w, X)
-    _, (g,), (H,), (cross,) = _assemble(X, logw, d1, d2)
-    return _compensated(logw[0], cross), g, H
-
-
-def _row_terms(X, w):
-    """(log w, (log w)', g, H) of a stack X (1, n) of one checked node row,
-    from one evaluation of the weight: the terms of F without F."""
-    logw, d1, d2 = weight_logs(w, X)
-    (g,), (H,) = _derivatives(X[:, :, None] - X[:, None, :], d1, d2)
-    return logw[0], d1[0], g, H
-
-
 def log_energy(nodes, w):
     """F(nodes) = sum log w + 2 sum_{i<j} log|x_i - x_j| (compensated),
-    from the weight logs and the cross logs alone, the terms of
-    energy_terms, which gives the same F: no gradient, Hessian or n x n
-    difference matrix is formed; the cross logs come in prefix order
-    (_pair_logs)."""
+    from the weight logs and the cross logs alone: no gradient, Hessian
+    or n x n difference matrix is formed; the cross logs come in prefix
+    order (_pair_logs)."""
     x = _check_nodes(nodes)
     logw, _, _ = weight_logs(w, x)
     return _compensated(logw, _pair_logs(x))
-
-
-def fejer_constants(nodes, w):
-    """Gradient of F: C_k = (log w)'(x_k) + 2 sum_{j!=k} 1/(x_k - x_j).
-
-    These vanish exactly at a stationary configuration; the members'
-    zero sets drive them to rounding level.
-    """
-    return _row_terms(_check_nodes(nodes)[None], w)[2]
-
-
-def gradient_and_hessian(nodes, w):
-    """Gradient and Hessian of F at the given nodes (following them as
-    given), the terms of energy_terms without F."""
-    return _row_terms(_check_nodes(nodes)[None], w)[2:]
 
 
 @dataclass(frozen=True)
@@ -353,7 +318,7 @@ class EnergyReport:
     two dominance flags and the classification are computed on first
     read and kept (functools.cached_property): logT sums logw and the
     nodes' pair logs (_pair_logs) by compensated sums, the F of
-    energy_terms bit for bit.
+    log_energy bit for bit.
     """
 
     weight: WeightSpec
@@ -421,73 +386,14 @@ def energy_hessian(nodes, w):
     first read.
     """
     x = _checked(nodes)[1]
-    logw, d1, g, H = _row_terms(x[None], w)
+    X = x[None]
+    logw, d1, d2 = weight_logs(w, X)
+    (g,), (H,) = _derivatives(X[:, :, None] - X[:, None, :], d1, d2)
     stat = float(np.max(np.abs(g))) < GRAD_RTOL * (1 + np.max(np.abs(d1)))
-    return EnergyReport(weight=w, nodes=x, logw=logw, gradient=g, hessian=H,
+    return EnergyReport(weight=w, nodes=x, logw=logw[0], gradient=g,
+                        hessian=H,
                         diag_signs=np.sign(np.diag(H)).astype(int),
                         stationary=stat)
-
-
-def phi(spec, x):
-    """Potential of the normal form u'' + phi u = 0 of the family ODE.
-
-    With y'' + M y' + N y = 0 (M = B/A, N = C/A from the cleared
-    operator), phi = N - M^2/4 - M'/2.  Evaluation at a zero of A is a
-    pole of the weight and raises PoleEvaluation.
-    """
-    ode = ode_coeffs(spec)
-    try:
-        M = ode.M(x)
-        N = ode.N(x)
-        Mp = ode.M_prime(x)
-    except SingularEvaluation as exc:
-        raise PoleEvaluation(str(exc)) from exc
-    return N - 0.25 * M * M - 0.5 * Mp
-
-
-def phi_closed(spec, x):
-    """Closed form of phi in terms of S'/S (laguerre1 and jacobi).
-
-    laguerre1:
-        -phi = 2 (S'/S + 1/2 + (2a-1)/(4x))^2 - 1/4
-               - (2a^2 - 4a + 3) / (8 x^2) - (4m + 2n + 3a) / (2x)
-    jacobi, with q = 2 (S'/S)(1-x^2) + (a+b) + (a-b+1) x and
-    g = g2 x^2 + g1 x + g0:
-        phi = -(2 q^2 + g) / (4 (1-x^2)^2)
-    where, writing t = 2m(a-b-m+1) + n(n+a+b+1),
-        g2 = -a^2 - b^2 + 6ab - 2a + 6b - 2 + 4t
-        g1 = 2(b^2 - a^2) - 4(a + b)
-        g0 = -a^2 - b^2 - 6ab - 2a - 2b - 4 - 4t
-    """
-    x = np.asarray(x, dtype=float)
-    al, m, n = spec.alpha, spec.m, spec.n
-    (_, (r,), _), near = _stacked_logs(spec.S.stack, x)
-    if near.any():
-        raise PoleEvaluation(_POLY_POLE)
-    if spec.family == "laguerre1":
-        if np.any(np.abs(x) <= _POLE_RTOL):
-            raise PoleEvaluation("evaluation point too close to x = 0")
-        neg = (2.0 * (r + 0.5 + (2 * al - 1) / (4 * x)) ** 2 - 0.25
-               - (2 * al ** 2 - 4 * al + 3) / (8 * x ** 2)
-               - (4 * m + 2 * n + 3 * al) / (2 * x))
-        out = -neg
-    elif spec.family == "jacobi":
-        if np.any(np.abs(1.0 - x ** 2) <= _POLE_RTOL):
-            raise PoleEvaluation("evaluation point too close to x = +-1")
-        be = spec.beta
-        t = 2 * m * (al - be - m + 1) + n * (n + al + be + 1)
-        q = 2.0 * r * (1.0 - x ** 2) + (al + be) + (al - be + 1) * x
-        g2 = (-al ** 2 - be ** 2 + 6 * al * be - 2 * al + 6 * be - 2
-              + 4 * t)
-        g1 = 2 * (be ** 2 - al ** 2) - 4 * (al + be)
-        g0 = (-al ** 2 - be ** 2 - 6 * al * be - 2 * al - 2 * be - 4
-              - 4 * t)
-        g = (g2 * x + g1) * x + g0
-        out = -(2.0 * q ** 2 + g) / (4.0 * (1.0 - x ** 2) ** 2)
-    else:
-        raise ValidationError("closed form implemented for laguerre1 and "
-                              "jacobi")
-    return float(out) if out.ndim == 0 else out
 
 
 def v_weight(zs):

@@ -146,9 +146,9 @@ def _s_zeros(spec):
 
 @dataclass(frozen=True)
 class RationalODE:
-    """Polynomial ODE data A y'' + B y' + C y = 0 and the rational
-    functions M = B/A, N = C/A used by the potential transform.  The
-    zeros of A, singular_points, are found on first use."""
+    """Polynomial ODE data A y'' + B y' + C y = 0.  The zeros of A,
+    singular_points, are found on first use; _guard refuses points
+    within 1e-12 of them, where y'' = -(B y' + C y)/A is singular."""
 
     A: np.ndarray
     B: np.ndarray
@@ -166,22 +166,6 @@ class RationalODE:
         if np.any(np.abs(x[..., None] - self.singular_points) < 1e-12):
             raise SingularEvaluation("evaluation within 1e-12 of a zero of A")
         return x
-
-    def M(self, x):
-        x = self._guard(x)
-        return npoly.polyval(x, self.B) / npoly.polyval(x, self.A)
-
-    def N(self, x):
-        x = self._guard(x)
-        return npoly.polyval(x, self.C) / npoly.polyval(x, self.A)
-
-    def M_prime(self, x):
-        x = self._guard(x)
-        av = npoly.polyval(x, self.A)
-        bv = npoly.polyval(x, self.B)
-        apv = npoly.polyval(x, polyder(self.A))
-        bpv = npoly.polyval(x, polyder(self.B))
-        return (bpv * av - bv * apv) / av ** 2
 
 
 def ode_coeffs(spec):

@@ -27,19 +27,16 @@ stacks both tables so that one Horner pass evaluates S and P.  In the
 common round every row steps and every candidate is accepted: the
 round then keeps the candidate stacks as they are, with no copy of
 rows.  F is summed exactly (math.fsum) once per maximizer returned.
-A single ascent is a stack of one; a multistart probe runs all its
-random starts as one stack and clusters the maximizers found to test
-uniqueness of the weighted Fekete set.
+The multistart probe (uniqueness_probe) runs all its random starts as
+one stack and clusters the maximizers found to test uniqueness of the
+weighted Fekete set.
 """
 
 import numpy as np
 
 from .errors import (DomainEscape, NonConvergence, NumericalError,
                      ValidationError)
-from .energy import (_assemble, _coincident, _compensated, _weight_logs,
-                     gradient_and_hessian, v_weight, weight_logs)
-from .exceptional import FamilySpec
-from .roots import find_zeros
+from .energy import _assemble, _coincident, _compensated, _weight_logs
 
 GTOL = 1e-9
 ITMAX = 500
@@ -300,35 +297,6 @@ def _ascend(w, domain, X, gtol, itmax):
     return out
 
 
-def maximize_log_T(w, domain, n, init=None, gtol=GTOL, itmax=ITMAX):
-    """Ascend F to a stationary configuration of n nodes.
-
-    Returns (nodes, trace) once max|grad F| < gtol, the nodes polished
-    by one more verified Newton step where that is kept (see _ascend).
-    trace is a list of per-iteration records: logT, max_gradient, mode
-    and step_scale, the scale of the step accepted from that iterate (1
-    unless capped at the box edge or halved); a kept polish adds a last
-    record of mode "polish".  The last record's logT is the compensated
-    F of the nodes returned.  Raises DomainEscape when no damped step
-    can stay inside the open domain, and NonConvergence (with the trace
-    attached) after itmax iterations.  A box that holds a real zero of S
-    of a hat or v weight raises ValidationError (_check_box).
-    """
-    lo, hi = float(domain[0]), float(domain[1])
-    if init is None:
-        init = lo + (hi - lo) * (np.arange(1, n + 1)) / (n + 1.0)
-    x = np.sort(np.asarray(init, dtype=float))
-    if x.size != n:
-        raise ValidationError(f"init has {x.size} nodes, expected {n}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("init nodes must be finite")
-    _check_box(w, lo, hi)
-    (res,) = _ascend(w, (lo, hi), x[None], gtol, itmax)
-    if isinstance(res, NumericalError):
-        raise res
-    return res
-
-
 def uniqueness_probe(w, domain, n, trials=20, seed=0):
     """Multistart search for distinct maximizers of F.
 
@@ -365,37 +333,3 @@ def uniqueness_probe(w, domain, n, trials=20, seed=0):
     clusters.sort(key=lambda c: -c["count"])
     return {"clusters": clusters, "trials": trials,
             "converged": converged, "failed": failed}
-
-
-def search_positive_h11(trials=400, seed=0):
-    """Hunt for a configuration whose first Hessian diagonal is positive.
-
-    (log v)'' can exceed 0 just right of the origin when alpha is small
-    (m = 1, low n); placing the remaining nodes far away keeps the
-    off-diagonal repulsion below that curvature, so H_11 > 0 even though
-    every diagonal entry is negative at the zero configuration itself.
-    Samples alpha log-uniformly in [0.01, 0.3] and returns the first
-    witness found.
-    """
-    rng = np.random.default_rng(seed)
-    probe = np.geomspace(0.01, 1.0, 60)
-    for _ in range(trials):
-        alpha = float(10.0 ** rng.uniform(-2.0, np.log10(0.3)))
-        n = int(rng.integers(1, 3))
-        spec = FamilySpec("laguerre1", 1, alpha, n)
-        try:
-            v = v_weight(find_zeros(spec))
-            _, _, d2 = weight_logs(v, probe)
-        except NumericalError:
-            continue
-        k = int(np.argmax(d2))
-        if d2[k] <= 0.0:
-            continue
-        x1, curv = float(probe[k]), float(d2[k])
-        far = max(10.0, np.sqrt(16.0 / curv))
-        nodes = np.concatenate([[x1], x1 + far * np.arange(1, 3)])
-        _, H = gradient_and_hessian(nodes, v)
-        if H[0, 0] > 0.0:
-            return {"spec": spec, "alpha": alpha, "nodes": nodes,
-                    "h11": float(H[0, 0]), "log_v_dd": curv}
-    raise NonConvergence(f"no positive H_11 witness in {trials} trials")

@@ -9,8 +9,8 @@ ratios.  v-stability means 0 <= G[1](x) <= 1 across the domain.  All
 products are assembled in log space: the fundamentals of a hundred-node
 set underflow long before their logarithms lose accuracy.
 
-G, its Hermite form and the stability scan evaluate their points in
-column blocks of at most _BLOCK_BYTES of (n, B) log terms: each block
+The stability scan evaluates the fundamental sum G[1] in column
+blocks of at most _BLOCK_BYTES of (n, B) log terms: each block
 finds its exact node hits (np.searchsorted on the nodes, sorted once),
 its points' weight logs, its log-fundamentals and their exponentials,
 in place, and is summed before the next is formed.  The working set is
@@ -22,8 +22,7 @@ summed pairwise, so a one-column tail joins the block before it).
 
 import numpy as np
 
-from .energy import (_node_array, _weight_logs, fejer_constants, v_weight,
-                     weight_logs)
+from .energy import _node_array, _weight_logs, v_weight, weight_logs
 from .errors import CoincidentNodes, PoleEvaluation, ValidationError
 from .exceptional import FAMILY
 
@@ -34,15 +33,13 @@ _BLOCK_BYTES = 5 << 17
 
 
 def _node_logs(nodes):
-    """log|barycentric weight| and its sign for each node."""
+    """The nodes as a float array and log|barycentric weight| of each."""
     nodes = _node_array(nodes)
     dif = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(dif, 1.0)
     if np.min(np.abs(dif)) == 0.0:
         raise CoincidentNodes("nodes are not distinct")
-    logbw = -np.sum(np.log(np.abs(dif)), axis=1)
-    sgnbw = np.prod(np.sign(dif), axis=1)
-    return nodes, logbw, sgnbw
+    return nodes, -np.sum(np.log(np.abs(dif)), axis=1)
 
 
 def _column_blocks(n, nx):
@@ -82,39 +79,8 @@ def _log_fundamentals(nodes, logbw, x, rows, cols):
     return loglk
 
 
-def _sign_fundamentals(nodes, sgnbw, x, cols):
-    """sign(l_k(x)), shape (n, nx); 1 in a column cols with an exact node
-    hit, whose fundamentals are the Kronecker 0s and 1."""
-    sgnd = np.sign(x[None, :] - nodes[:, None])
-    sgnlk = np.prod(sgnd, axis=0)[None, :] * sgnd * sgnbw[:, None]
-    sgnlk[:, cols] = 1.0
-    return sgnlk
-
-
-def lagrange_basis(nodes):
-    """Evaluator for the Lagrange fundamentals of the given nodes.
-
-    The returned callable maps a scalar to an array of length n and an
-    array of length nx to shape (n, nx).  Values at the nodes themselves
-    are exact Kronecker deltas.
-    """
-    nodes, logbw, sgnbw = _node_logs(nodes)
-    order = np.argsort(nodes)
-    srt = nodes[order]
-
-    def basis(x):
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        rows, cols = _hits(srt, order, x)
-        loglk = _log_fundamentals(nodes, logbw, x, rows, cols)
-        vals = _sign_fundamentals(nodes, sgnbw, x, cols) * np.exp(loglk)
-        return vals[:, 0] if scalar else vals
-
-    return basis
-
-
 def _weighted_terms(nodes, w):
-    """Shared set-up of the Gruenwald operators over the nodes.
+    """Set-up of the Gruenwald mean over the nodes.
 
     Returns the validated nodes and terms(x, sl), which gives for the
     points x[sl] of a 1-d x the terms v(x)/v(x_k) l_k(x)^2, shape
@@ -123,7 +89,7 @@ def _weighted_terms(nodes, w):
     pole among x[sl] raises the PoleEvaluation of one evaluation of the
     weight over all of x.
     """
-    nodes, logbw, _ = _node_logs(nodes)
+    nodes, logbw = _node_logs(nodes)
     order = np.argsort(nodes)
     srt = nodes[order]
     logv_nodes, _, _ = weight_logs(w, nodes)
@@ -145,75 +111,19 @@ def _weighted_terms(nodes, w):
     return nodes, terms
 
 
-def _blockwise(n, block):
-    """Evaluator over scalars and 1-d arrays x that fills its result
-    from block(x, sl), column block by column block (_column_blocks)."""
-
-    def evaluate(x):
-        scalar = np.ndim(x) == 0
-        x1 = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(x1.size)
-        for sl in _column_blocks(n, x1.size):
-            out[sl] = block(x1, sl)
-        return float(out[0]) if scalar else out
-
-    return evaluate
-
-
-def _gruenwald_block(nodes, w, y=None):
-    """(nodes, block): block(x, sl) is the Gruenwald mean at x[sl]."""
+def _gruenwald_block(nodes, w):
+    """(nodes, block): block(x, sl) is the fundamental Gruenwald sum, the
+    mean of all-ones data, at x[sl]."""
     nodes, terms = _weighted_terms(nodes, w)
-    fvals = None if y is None else np.asarray(y, dtype=float)
-
-    def block(x, sl):
-        t, (rows, cols) = terms(x, sl)
-        if fvals is None:
-            # the fundamental sum: each y_k = 1, and so is G at a node
-            out = np.sum(t, axis=0)
-            out[cols] = 1.0
-        else:
-            t *= fvals[:, None]
-            out = np.sum(t, axis=0)
-            out[cols] = fvals[rows]
-        return out
-
-    return nodes, block
-
-
-def grunwald(nodes, w, y=None):
-    """Evaluator of the Gruenwald mean over the nodes.
-
-    y holds the interpolated values at the nodes; omitted it defaults to
-    all ones, giving the fundamental sum whose range [0, 1] is the
-    v-stability statement.  Each term is assembled as
-    exp(log v(x) - log v(x_k) + 2 log|l_k(x)|) so no intermediate
-    fundamental is ever formed directly.  The points are evaluated in
-    column blocks (see the module docstring).
-    """
-    nodes, block = _gruenwald_block(nodes, w, y)
-    return _blockwise(nodes.size, block)
-
-
-def hermite_form(nodes, w):
-    """Gruenwald mean written as a first-order Hermite interpolant.
-
-    H(x) = sum_k (v(x)/v(x_k)) l_k(x)^2 (1 - (x - x_k) C_k) with the
-    stationarity constants C_k of the configuration.  At the regular
-    zeros the C_k vanish to rounding and H coincides with the
-    fundamental sum.  Evaluated in column blocks, as grunwald is.
-    """
-    nodes, terms = _weighted_terms(nodes, w)
-    C = fejer_constants(nodes, w)
 
     def block(x, sl):
         t, (_, cols) = terms(x, sl)
-        bracket = 1.0 - (x[sl][None, :] - nodes[:, None]) * C[:, None]
-        with np.errstate(over="ignore"):
-            out = np.sum(np.multiply(t, bracket, out=t), axis=0)
+        # each y_k = 1, and so is G at a node
+        out = np.sum(t, axis=0)
         out[cols] = 1.0
         return out
 
-    return _blockwise(nodes.size, block)
+    return nodes, block
 
 
 def scan_grid(nodes, family, grid_size=1000):

@@ -217,10 +217,10 @@ def find_zeros(spec):
 
     One engine for all three families.  The coupled Newton of
     _newton_ladder polishes the regular zeros from the classical zeros
-    (Laguerre or Jacobi at the same parameters, as laguerre_seeds and
-    jacobi_seeds give them: Langer-WKB nodes after one recurrence Newton
-    step, at an int degree) and the exceptional zeros from the zeros of
-    S, all together.
+    (Laguerre or Jacobi at the same parameters, as laguerre_seed_ladder
+    and jacobi_seed_ladder give them: Langer-WKB nodes after one
+    recurrence Newton step, at an int degree) and the exceptional zeros
+    from the zeros of S, all together.
     Raises DegreeCollapse first where the closed-form leading coefficient
     is 0, RepresentationOverflow where S's coefficients or its monic
     ones (exceptional._s_zeros) leave binary64, CountMismatch if counts

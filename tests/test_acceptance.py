@@ -19,6 +19,7 @@ import pytest
 import xfekete as xf
 
 from conftest import built_of, spec_of, zeros_of
+from reference import phi, phi_closed, search_positive_h11
 
 GRID_1 = [(m, n, a) for m in (1, 2, 3) for n in range(0, 41)
           for a in (1.0, 1.5, 2.5)]
@@ -113,7 +114,7 @@ def test_fekete_uniqueness_over_grid():
 
 
 def test_small_alpha_h11_witness():
-    hit = xf.search_positive_h11(trials=400, seed=0)
+    hit = search_positive_h11(trials=400, seed=0)
     assert hit is not None
     assert 0 < hit["alpha"] < 1
     assert hit["h11"] > 0
@@ -207,7 +208,7 @@ def test_concavity_onset_recorded():
         for n in range(1, 41):
             zs = zeros_of(fam, m, a, n, b)
             v = xf.v_weight(zs)
-            _, H = xf.gradient_and_hessian(zs.regular, v)
+            H = xf.energy_hessian(zs.regular, v).hessian
             if np.all(np.diag(H) < 0):
                 onset[fam] = n
                 break
@@ -223,10 +224,10 @@ def test_potential_matches_hessian_diagonal():
         s = spec_of("laguerre1", m, a, n)
         zs = zeros_of("laguerre1", m, a, n)
         nodes = full_zero_nodes(zs)
-        _, H = xf.gradient_and_hessian(nodes, xf.WeightSpec(s, "hat"))
+        H = xf.energy_hessian(nodes, xf.WeightSpec(s, "hat")).hessian
         for i, z in enumerate(nodes):
             lhs = H[i, i]
-            rhs = -(2.0 / 3.0) * xf.phi(s, z)
+            rhs = -(2.0 / 3.0) * phi(s, z)
             assert abs(lhs - rhs) < 1e-6 * abs(rhs), (m, n, a, z)
 
 
@@ -238,6 +239,6 @@ def test_jacobi_potential_closed_form():
         pts = list(zs.regular) + [z.real for z in zs.exceptional
                                   if abs(z.imag) < 1e-9 and abs(z.real) < 3.0]
         for x in pts:
-            got = xf.phi_closed(s, x)
-            want = xf.phi(s, x)
+            got = phi_closed(s, x)
+            want = phi(s, x)
             assert abs(got - want) < 1e-6 * (1 + abs(want)), (m, a, n, b, x)

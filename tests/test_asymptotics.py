@@ -6,35 +6,40 @@ import pytest
 import xfekete as xf
 
 from conftest import spec_of, zeros_of
+from reference import maximize_log_T
 
 
 # ---------------------------------------------------------------- transfinite_d
 
-def test_unit_weight_pair_oracle():
-    # -log(1/2) - 2 log 2 / 2 = 0 exactly
-    assert xf.transfinite_d(np.array([0.0, 2.0])) == 0.0
+def v_pair():
+    """The regular zeros of laguerre1 m = 1, alpha = 2, n = 2, and their
+    v weight: a two-node diameter member."""
+    zs = zeros_of("laguerre1", 1, 2.0, 2)
+    return zs.regular, xf.v_weight(zs)
 
 
 def test_scaling_constant_enters_additively():
-    x = np.array([0.0, 2.0])
-    assert xf.transfinite_d(x, c=2.0) - xf.transfinite_d(x) == pytest.approx(
-        -np.log(2.0), rel=1e-15)
+    x, v = v_pair()
+    assert xf.transfinite_d(x, v, c=2.0) - xf.transfinite_d(x, v) == \
+        pytest.approx(-np.log(2.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
 def test_scaling_constant_is_finite_and_positive(c):
+    x, v = v_pair()
     with pytest.raises(xf.ValidationError):
-        xf.transfinite_d(np.array([0.0, 2.0]), c=c)
+        xf.transfinite_d(x, v, c=c)
     # the sweep refuses it up front instead of skipping every member
     with pytest.raises(xf.ValidationError):
         xf.d_sequence(1, 2.0, range(5, 7), c=c)
 
 
 def test_needs_two_nodes():
+    _, v = v_pair()
     with pytest.raises(xf.ValidationError):
-        xf.transfinite_d(np.array([1.0]))
+        xf.transfinite_d(np.array([1.0]), v)
     with pytest.raises(xf.CoincidentNodes):
-        xf.transfinite_d(np.array([1.0, 1.0]))
+        xf.transfinite_d(np.array([1.0, 1.0]), v)
 
 
 def test_diameter_minimized_at_regular_zeros():
@@ -43,8 +48,8 @@ def test_diameter_minimized_at_regular_zeros():
     zs = zeros_of("laguerre1", 1, 2.0, 8)
     v = xf.v_weight(zs)
     at_zeros = xf.transfinite_d(zs.regular, v)
-    nodes, _ = xf.maximize_log_T(v, xf.default_domain(v, 8), 8,
-                                 init=zs.regular * 1.05)
+    nodes, _ = maximize_log_T(v, xf.default_domain(v, 8), 8,
+                              init=zs.regular * 1.05)
     assert abs(xf.transfinite_d(nodes, v) - at_zeros) < 1e-8
     # any perturbation can only increase d
     assert xf.transfinite_d(zs.regular * 1.1, v) > at_zeros

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import xfekete as xf
-from xfekete import fekete_opt
+from xfekete import energy, fekete_opt
 
 from conftest import spec_of, zeros_of
+from reference import maximize_log_T, search_positive_h11
 
 
 def v_of(family, m, alpha, n, beta=None):
@@ -16,7 +17,7 @@ def v_of(family, m, alpha, n, beta=None):
 def test_hand_example_single_node():
     # maximize 2 log u - u: maximizer at u = 2
     v = v_of("laguerre1", 0, 1.0, 1)
-    nodes, trace = xf.maximize_log_T(v, xf.default_domain(v, 1), 1,
+    nodes, trace = maximize_log_T(v, xf.default_domain(v, 1), 1,
                                      init=np.array([5.0]))
     assert nodes[0] == pytest.approx(2.0, abs=1e-9)
     assert trace[-1]["max_gradient"] < 1e-9
@@ -32,7 +33,7 @@ def test_default_domains():
 def test_stationary_start_does_not_move():
     zs = zeros_of("laguerre1", 1, 2.0, 5)
     v = v_of("laguerre1", 1, 2.0, 5)
-    nodes, trace = xf.maximize_log_T(v, xf.default_domain(v, 5), 5,
+    nodes, trace = maximize_log_T(v, xf.default_domain(v, 5), 5,
                                      init=zs.regular)
     assert len(trace) <= 2
     assert np.max(np.abs(nodes - zs.regular)) < 1e-9
@@ -42,7 +43,7 @@ def test_perturbed_start_recovers_regular_zeros():
     zs = zeros_of("laguerre1", 1, 2.0, 5)
     v = v_of("laguerre1", 1, 2.0, 5)
     bump = 1 + 0.1 * np.array([1, -1, 1, -1, 1])
-    nodes, _ = xf.maximize_log_T(v, xf.default_domain(v, 5), 5,
+    nodes, _ = maximize_log_T(v, xf.default_domain(v, 5), 5,
                                  init=zs.regular * bump)
     assert np.max(np.abs(nodes - zs.regular)) < 1e-6
 
@@ -50,7 +51,7 @@ def test_perturbed_start_recovers_regular_zeros():
 def test_ascent_along_accepted_steps():
     v = v_of("laguerre1", 1, 2.0, 5)
     zs = zeros_of("laguerre1", 1, 2.0, 5)
-    _, trace = xf.maximize_log_T(v, xf.default_domain(v, 5), 5,
+    _, trace = maximize_log_T(v, xf.default_domain(v, 5), 5,
                                  init=zs.regular * 1.3)
     f = [r["logT"] for r in trace]
     assert all(b >= a - 1e-10 for a, b in zip(f, f[1:]))
@@ -59,18 +60,18 @@ def test_ascent_along_accepted_steps():
 def test_maximizer_interior():
     v = v_of("laguerre1", 1, 2.0, 4)
     lo, hi = xf.default_domain(v, 4)
-    nodes, _ = xf.maximize_log_T(v, (lo, hi), 4)
+    nodes, _ = maximize_log_T(v, (lo, hi), 4)
     assert np.all(nodes > lo) and np.all(nodes < hi)
 
 
 def test_invalid_starts():
     v = v_of("laguerre1", 0, 1.0, 1)
     with pytest.raises(xf.DomainEscape):
-        xf.maximize_log_T(v, (0.0, 10.0), 1, init=np.array([20.0]))
+        maximize_log_T(v, (0.0, 10.0), 1, init=np.array([20.0]))
     with pytest.raises(xf.DomainEscape):
-        xf.maximize_log_T(v, (0.0, 10.0), 2, init=np.array([3.0, 3.0]))
+        maximize_log_T(v, (0.0, 10.0), 2, init=np.array([3.0, 3.0]))
     with pytest.raises(xf.ValidationError):
-        xf.maximize_log_T(v, (0.0, 10.0), 2, init=np.array([3.0]))
+        maximize_log_T(v, (0.0, 10.0), 2, init=np.array([3.0]))
 
 
 def test_box_scale_is_the_fraction_to_the_boundary():
@@ -89,7 +90,7 @@ def test_box_scale_is_the_fraction_to_the_boundary():
 
 def test_polish_entry_ends_a_newton_trace():
     v = v_of("laguerre1", 0, 1.0, 1)
-    nodes, trace = xf.maximize_log_T(v, xf.default_domain(v, 1), 1,
+    nodes, trace = maximize_log_T(v, xf.default_domain(v, 1), 1,
                                      init=np.array([5.0]))
     last, before = trace[-1], trace[-2]
     assert last["mode"] == "polish"
@@ -104,7 +105,7 @@ def test_polish_entry_ends_a_newton_trace():
 def test_nonconvergence_carries_trace():
     v = v_of("laguerre1", 0, 1.0, 1)
     with pytest.raises(xf.NonConvergence) as exc:
-        xf.maximize_log_T(v, (0.0, 10.0), 1, init=np.array([5.0]), itmax=1)
+        maximize_log_T(v, (0.0, 10.0), 1, init=np.array([5.0]), itmax=1)
     assert len(exc.value.trace) == 1
     assert "max_gradient" in exc.value.trace[0]
 
@@ -163,12 +164,12 @@ def test_probe_deterministic_under_seed():
 def test_small_alpha_positive_curvature_witness():
     """For 0 < alpha < 1 some configuration has a positive Hessian
     diagonal entry; the randomized search must exhibit one."""
-    hit = xf.search_positive_h11(trials=200, seed=0)
+    hit = search_positive_h11(trials=200, seed=0)
     assert hit is not None
     assert 0 < hit["alpha"] < 1
     assert hit["h11"] > 0
     v = xf.v_weight(xf.find_zeros(hit["spec"]))
-    _, H = xf.gradient_and_hessian(np.asarray(hit["nodes"]), v)
+    H = xf.energy_hessian(np.asarray(hit["nodes"]), v).hessian
     assert H[0, 0] == pytest.approx(hit["h11"], rel=1e-10)
 
 
@@ -187,9 +188,10 @@ def _serial_valid(w, x, domain, count):
         return False, "order"
     count[0] += 1
     try:
-        F, g, H = xf.energy_terms(x, w)
+        rep = xf.energy_hessian(x, w)
     except xf.NumericalError:
         return False, "pole"
+    F, g, H = rep.logT, rep.gradient, rep.hessian
     # the accept test reads the plain sums, the result the compensated F
     i, j = np.triu_indices(x.size, k=1)
     plain = (np.sum(xf.weight_logs(w, x)[0])
@@ -324,7 +326,7 @@ def test_lockstep_ascent_matches_serial_start_by_start(args):
             ref = _call_outcome(serial_maximize_log_T, v, (lo, hi), n, x0,
                                 itmax=itmax)
             assert _outcome(res) == ref
-            assert _call_outcome(xf.maximize_log_T, v, (lo, hi), n, x0,
+            assert _call_outcome(maximize_log_T, v, (lo, hi), n, x0,
                                  itmax=itmax) == ref
             kinds.add(ref[0] if isinstance(ref[0], type) else "converged")
     assert kinds == {xf.DomainEscape, xf.NonConvergence, "converged"}
@@ -340,7 +342,7 @@ def test_a_box_holding_a_zero_of_s_is_refused(variant):
     with pytest.raises(xf.ValidationError, match=msg):
         xf.uniqueness_probe(w, domain, 4, trials=20)
     with pytest.raises(xf.ValidationError, match=msg):
-        xf.maximize_log_T(w, domain, 4)
+        maximize_log_T(w, domain, 4)
     # the zero on the edge of the open box is outside it
     assert xf.uniqueness_probe(w, (-2.0, 30.0), 4, trials=0)["trials"] == 0
     base = xf.WeightSpec(zs.spec, "base")
@@ -357,16 +359,16 @@ def test_pole_rows_in_a_line_search_match_serial(monkeypatch, variant):
     rng = np.random.default_rng(2)
     starts = np.vstack([np.sort(rng.uniform(*domain, size=(4, 4)), axis=1),
                         [-2.25, -2.0, 1.0, 5.0]])
-    poles, real = [0], xf.energy_terms
+    poles, real = [0], xf.energy_hessian
 
-    def energy_terms(x, w):
+    def energy_hessian(x, w):
         try:
             return real(x, w)
         except xf.PoleEvaluation:
             poles[0] += 1
             raise
 
-    monkeypatch.setattr(xf, "energy_terms", energy_terms)
+    monkeypatch.setattr(xf, "energy_hessian", energy_hessian)
     kinds = set()
     for itmax in (10, 20):
         batch = fekete_opt._ascend(w, domain, starts, fekete_opt.GTOL, itmax)
@@ -411,11 +413,14 @@ def inadmissible_stack(domain, n):
 
 
 def _forbid_public_weight_logs(monkeypatch):
-    """The ascent evaluates the weight through _weight_logs alone."""
+    """The ascent evaluates the weight through _weight_logs alone: the
+    public weight_logs, which fekete_opt does not import, is not reached
+    through the energy module either."""
     def forbidden(*args):
         raise AssertionError("weight_logs called during the ascent")
 
-    monkeypatch.setattr(fekete_opt, "weight_logs", forbidden)
+    assert not hasattr(fekete_opt, "weight_logs")
+    monkeypatch.setattr(energy, "weight_logs", forbidden)
 
 
 def test_probe_makes_one_weight_evaluation_per_round(monkeypatch):
@@ -548,10 +553,10 @@ def hessian_kinds():
     """Three 3-node Hessians: certified, negative definite without the
     certificate (synthetic, off-diagonals positive), and the H_11 > 0
     witness, which is not negative definite."""
-    hit = xf.search_positive_h11(trials=200, seed=0)
+    hit = search_positive_h11(trials=200, seed=0)
     v = xf.v_weight(xf.find_zeros(hit["spec"]))
-    _, cert = xf.gradient_and_hessian(np.array([1.0, 2.0, 4.0]), v)
-    _, witness = xf.gradient_and_hessian(np.asarray(hit["nodes"]), v)
+    cert = xf.energy_hessian(np.array([1.0, 2.0, 4.0]), v).hessian
+    witness = xf.energy_hessian(np.asarray(hit["nodes"]), v).hessian
     synth = np.array([[-1.0, 2.0, 0.1], [2.0, -5.0, 0.1], [0.1, 0.1, -1.0]])
     assert certified(cert) and negative_definite(cert)
     assert not certified(synth) and negative_definite(synth)

@@ -15,6 +15,7 @@ import pytest
 import xfekete as xf
 from xfekete import roots
 
+from reference import laguerre_zeros
 from test_pair import mp_member
 
 
@@ -44,10 +45,10 @@ def ref_lag1_exceptional(spec):
     (-z_{m,j}, -z_{m-1,j-1}) of classical Laguerre zeros, bisected, then
     polished by plain Newton."""
     m, n, al = spec.m, spec.n, spec.alpha
-    zm = xf.laguerre_zeros(m, al)
+    zm = laguerre_zeros(m, al)
     if n == 0:
         return ref_polish(spec, -zm)
-    zm1 = xf.laguerre_zeros(m - 1, al)
+    zm1 = laguerre_zeros(m - 1, al)
     f = lambda x: float(xf.exceptional_eval_pair(spec, x)[0])
     out = []
     for j in range(m):

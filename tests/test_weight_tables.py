@@ -19,6 +19,7 @@ import xfekete as xf
 from xfekete import classical_poly, cli, energy, exceptional, fekete_opt
 
 from conftest import spec_of, zeros_of
+from reference import maximize_log_T, phi_closed
 
 SPECS = {"laguerre1": ("laguerre1", 2, 2.5, 5),
          "laguerre2": ("laguerre2", 2, 3.3, 4),
@@ -126,15 +127,13 @@ def test_energy_terms_bit_identical_to_separate_assembly(family, variant):
     w = weight(family, variant)
     nodes = zeros_of(*SPECS[family]).regular
     nodes = nodes + 0.01 * np.sin(np.arange(nodes.size))
-    F, g, H = xf.energy_terms(nodes, w)
-    assert F == ref_log_energy(nodes, w)
-    g_ref, H_ref = ref_gradient_and_hessian(nodes, w)
-    np.testing.assert_array_equal(g, g_ref)
-    np.testing.assert_array_equal(H, H_ref)
-    assert xf.log_energy(nodes, w) == F
+    assert np.all(np.diff(nodes) > 0)
     rep = xf.energy_hessian(nodes, w)
-    assert rep.logT == F
-    np.testing.assert_array_equal(rep.hessian, H)
+    assert rep.logT == ref_log_energy(nodes, w)
+    g_ref, H_ref = ref_gradient_and_hessian(nodes, w)
+    np.testing.assert_array_equal(rep.gradient, g_ref)
+    np.testing.assert_array_equal(rep.hessian, H_ref)
+    assert xf.log_energy(nodes, w) == rep.logT
 
 
 def test_log_energy_is_F_without_the_hessian_at_the_diameter_size(
@@ -144,37 +143,28 @@ def test_log_energy_is_F_without_the_hessian_at_the_diameter_size(
     zs = zeros_of("laguerre1", 1, 2.0, 150)
     w = xf.v_weight(zs)
     nodes = zs.regular
-    F = xf.energy_terms(nodes, w)[0]
-    assert F == ref_log_energy(nodes, w)
+    F = ref_log_energy(nodes, w)
     calls = []
-    assemble = energy._assemble
-    monkeypatch.setattr(energy, "_assemble",
-                        lambda *a: calls.append(1) or assemble(*a))
+    for name in ("_assemble", "_derivatives"):
+        real = getattr(energy, name)
+        monkeypatch.setattr(energy, name, lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
     assert xf.log_energy(nodes, w) == F
     assert calls == []
-    # the count is live: energy_terms assembles once
-    xf.energy_terms(nodes, w)
-    assert calls == [1]
-
-
-def ref_unit_d(nodes):
-    n = nodes.size
-    i, j = np.triu_indices(n, k=1)
-    logT = 2.0 * math.fsum(np.log(np.abs(nodes[i] - nodes[j])))
-    return -math.log(1.0 / n) - logT / (n * (n - 1))
+    # the count is live: energy_hessian forms the Hessian once
+    assert xf.energy_hessian(nodes, w).logT == F
+    assert calls == ["_derivatives"]
 
 
 def test_prefix_pairs_give_the_triu_order_sums():
-    # log_energy and the unit-weight diameter gather their pairs in
-    # prefix order; fsum makes the order free.  Sizes are asked out of
+    # log_energy gathers its pairs in prefix order; fsum makes the
+    # order free.  Sizes are asked out of
     # order so nothing can depend on the size of an earlier call.
     w = weight("laguerre1", "v")
     rng = np.random.default_rng(11)
     for n in (150, 7, 151, 2, 1):
         nodes = np.sort(rng.uniform(0.05, 600.0, n))
         assert xf.log_energy(nodes, w) == ref_log_energy(nodes, w)
-        if n >= 2:
-            assert xf.transfinite_d(nodes) == ref_unit_d(nodes)
         diffs = [nodes[j] - nodes[i] for j in range(n) for i in range(j)]
         want = np.log(np.abs(np.array(diffs, dtype=float)))
         assert energy._pair_logs(nodes).tolist() == want.tolist()
@@ -211,7 +201,7 @@ def test_phi_closed_matches_direct_form():
     g0 = -al ** 2 - be ** 2 - 6 * al * be - 2 * al - 2 * be - 4 - 4 * t
     g = (g2 * x + g1) * x + g0
     ref = -(2.0 * q ** 2 + g) / (4.0 * (1.0 - x ** 2) ** 2)
-    np.testing.assert_array_equal(xf.phi_closed(spec, x), ref)
+    np.testing.assert_array_equal(phi_closed(spec, x), ref)
 
 
 def test_weight_polynomial_is_read_only():
@@ -265,13 +255,13 @@ def test_one_weight_evaluation_per_ascent_point(monkeypatch, family):
 
     monkeypatch.setattr(fekete_opt, "_weight_logs", logs)
     monkeypatch.setattr(fekete_opt, "_evaluate", evaluate)
-    _forbid(monkeypatch, fekete_opt, "weight_logs")
+    _forbid(monkeypatch, energy, "weight_logs")
     _forbid(monkeypatch, exceptional, "build_S")
     _forbid(monkeypatch, npoly, "polyder")
     _forbid(monkeypatch, classical_poly, "polyder")
     _forbid(monkeypatch, exceptional, "polyder")
     _forbid(monkeypatch, npoly, "polyval")
-    nodes, trace = fekete_opt.maximize_log_T(w, domain, n, init)
+    nodes, trace = maximize_log_T(w, domain, n, init)
     # one weight evaluation per try that reaches one (none for a try
     # whose candidate is rejected before), covering each point once
     assert counter["weight_logs"] == counter["evaluations"]
