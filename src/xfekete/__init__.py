@@ -17,12 +17,11 @@ from .energy import (EnergyReport, WeightSpec, energy_hessian, log_energy,
 from .errors import (CoincidentNodes, CountMismatch, DegreeCollapse,
                      DomainEscape, InvalidFamily, NonConvergence,
                      NullspaceDefect, NumericalError, PoleEvaluation,
-                     RepresentationOverflow, SingularEvaluation,
-                     ValidationError, XFeketeError)
+                     RepresentationOverflow, ValidationError,
+                     XFeketeError)
 from .exceptional import (BuiltPolynomial, FamilySpec, RationalODE,
                           build_S, build_exceptional, exceptional_eval,
-                          exceptional_eval_pair, leading_coefficient,
-                          ode_coeffs)
+                          leading_coefficient, ode_coeffs)
 from .fekete_opt import default_domain, uniqueness_probe
 from .interp import inv_weight_brackets, stability_scan
 from .roots import ZeroSet, check_interlacing, find_zeros
@@ -35,11 +34,11 @@ __all__ = [
     "DomainEscape", "EnergyReport", "FamilySpec", "InvalidFamily",
     "NonConvergence", "NullspaceDefect", "NumericalError",
     "PoleEvaluation", "RationalODE", "RepresentationOverflow",
-    "SingularEvaluation", "ValidationError",
+    "ValidationError",
     "WeightSpec", "XFeketeError", "ZeroSet", "ZeroSumReport",
     "build_S", "build_exceptional",
     "check_interlacing", "d_sequence", "default_domain", "energy_hessian",
-    "exceptional_eval", "exceptional_eval_pair", "find_zeros",
+    "exceptional_eval", "find_zeros",
     "inv_weight_brackets", "jacobi_coeffs", "jacobi_pass",
     "laguerre_coeffs", "laguerre_pass", "log_energy", "ode_coeffs",
     "stability_scan", "transfinite_d", "uniqueness_probe", "v_weight",

@@ -163,8 +163,8 @@ def polyder(c, k=1):
 class PolyTable:
     """Read-only table of a fixed polynomial: ascending coefficients c,
     abs_c = |c| (the scale of a pole guard), d1 = c', d2 = c'' and, on
-    first use, the complex roots and the one-table stack of its entries
-    (_stack_tables).  _horner evaluates the entries."""
+    first use, the complex roots.  _stack_tables stacks the entries of
+    tables for _horner to evaluate together."""
 
     def __init__(self, coeffs):
         c = np.array(coeffs, dtype=float)
@@ -178,10 +178,6 @@ class PolyTable:
         r = np.roots(self.c[::-1]).astype(complex)
         r.setflags(write=False)
         return r
-
-    @functools.cached_property
-    def stack(self):
-        return _stack_tables(self)
 
 
 def _stack_tables(*tables):

@@ -52,29 +52,32 @@ class WeightSpec:
     for hat and v).  P holds ascending coefficients of the extra node
     polynomial for the v variant, stored read-only in its PolyTable,
     built here once per weight (S is tabled once per spec, in
-    FamilySpec.S).  A v weight also stacks the entries of both tables
-    here, for weight_logs to evaluate S and P in one Horner pass; a hat
-    weight evaluates the one-table stack of S (PolyTable.stack).
+    FamilySpec.S).  A hat or v weight stacks the entries of its tables
+    here, _stack_tables(S) or _stack_tables(S, P), for weight_logs to
+    evaluate them in one Horner pass.
     """
 
     spec: FamilySpec
     variant: str = "hat"
     P: np.ndarray | None = None
     _P_table = None     # PolyTable of P (v); not a dataclass field
-    _SP_table = None    # _stack_tables(S, P) (v); not a dataclass field
+    _stack = None       # _stack_tables of S (and P); not a dataclass field
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValidationError(f"unknown weight variant {self.variant!r}")
+        tables = ()
         if self.variant == "v":
             if self.P is None:
                 raise ValidationError("variant 'v' needs the node polynomial P")
             object.__setattr__(self, "_P_table", PolyTable(self.P))
             object.__setattr__(self, "P", self._P_table.c)
-            object.__setattr__(self, "_SP_table",
-                               _stack_tables(self.spec.S, self._P_table))
+            tables = (self._P_table,)
         elif self.P is not None:
             raise ValidationError("P is only meaningful for variant 'v'")
+        if self.variant != "base":
+            object.__setattr__(self, "_stack",
+                               _stack_tables(self.spec.S, *tables))
 
     @property
     def resolved_shift(self):
@@ -118,9 +121,8 @@ def _weight_logs(w, x):
     each pole guard that fired, in weight_logs' check order, each mask
     following x.  Values at a guarded point are finite and mean nothing;
     every other point keeps its bits.  S comes from the spec's table and
-    P from the weight's, through one evaluator (_stacked_logs): a hat
-    weight reads the one-table stack of S, a v weight both tables at
-    once from its stack of S and P."""
+    P from the weight's, through one evaluator (_stacked_logs) of the
+    weight's stack."""
     x = np.asarray(x, dtype=float)
     fam = w.spec.fam
     guards = []
@@ -149,8 +151,7 @@ def _weight_logs(w, x):
         d1 = d1 - 1.0
     if w.variant != "base":
         # t[k] holds twice the k-th log term of S, then of P (v)
-        stack = w.spec.S.stack if w.variant == "hat" else w._SP_table
-        t, near = _stacked_logs(stack, x)
+        t, near = _stacked_logs(w._stack, x)
         if near.any():
             guards.append((_POLY_POLE, near.any(axis=0)))
         t *= 2.0
@@ -183,17 +184,6 @@ def weight_logs(w, x):
     return logs
 
 
-def _node_array(nodes):
-    """nodes as a float array; ValidationError unless it is 1-d, nonempty
-    and finite."""
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 1 or nodes.size == 0:
-        raise ValidationError("nodes must be a nonempty 1-d array")
-    if not np.all(np.isfinite(nodes)):
-        raise ValidationError("nodes must be finite")
-    return nodes
-
-
 def _coincident(X, dif):
     """Per row of a stack X (..., n) of node rows and their consecutive
     differences dif: True where a difference falls below 1e-14
@@ -203,18 +193,19 @@ def _coincident(X, dif):
 
 
 def _checked(nodes):
-    """(nodes, their ascending copy): nodes as a float array (_node_array)
-    and sorted once, CoincidentNodes when two of them lie within 1e-14
-    (relative) of each other."""
-    nodes = _node_array(nodes)
+    """(nodes, their ascending copy): nodes as a float array, sorted once;
+    ValidationError unless it is 1-d, nonempty and finite, and
+    CoincidentNodes when two of them lie within 1e-14 (relative) of each
+    other."""
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 1 or nodes.size == 0:
+        raise ValidationError("nodes must be a nonempty 1-d array")
+    if not np.all(np.isfinite(nodes)):
+        raise ValidationError("nodes must be finite")
     srt = np.sort(nodes)
     if _coincident(srt, np.diff(srt)):
         raise CoincidentNodes("node separation below 1e-14 relative")
     return nodes, srt
-
-
-def _check_nodes(nodes):
-    return _checked(nodes)[0]
 
 
 @functools.lru_cache(maxsize=2)
@@ -222,9 +213,11 @@ def _pair_index(n):
     """Read-only flat index i n + j of each pair i < j among n nodes into
     a row of n x n entries, in C order (np.triu_indices).
 
-    An ascent reuses one n on every point.  The cache stays small
-    because a sweep over n would otherwise keep every size alive: at
-    n = 150 one entry is about 90 kB.
+    Its one caller is the Fekete ascent (_cross_logs, from _assemble
+    and fekete_opt._evaluate), which uses one n for every point, so one
+    entry serves a whole ascent.  The cache stays small so that a
+    process running ascents at many sizes keeps the index of two sizes
+    alive, not of every one: at n = 150 one entry is about 90 kB.
     """
     i, j = np.triu_indices(n, k=1)
     k = i * n + j
@@ -303,7 +296,7 @@ def log_energy(nodes, w):
     from the weight logs and the cross logs alone: no gradient, Hessian
     or n x n difference matrix is formed; the cross logs come in prefix
     order (_pair_logs)."""
-    x = _check_nodes(nodes)
+    x = _checked(nodes)[0]
     logw, _, _ = weight_logs(w, x)
     return _compensated(logw, _pair_logs(x))
 

@@ -28,10 +28,6 @@ class NumericalError(XFeketeError):
     """A numerical procedure failed to meet its reliability contract."""
 
 
-class SingularEvaluation(NumericalError):
-    """Evaluation requested too close to a zero of the denominator."""
-
-
 class PoleEvaluation(NumericalError):
     """Weight or potential evaluation at a pole of the log-derivative."""
 

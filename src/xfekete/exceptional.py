@@ -14,10 +14,10 @@ Three families are supported, declared in the FAMILY table at the end:
 
 Degree-(m+n) members are closed-form products of classical polynomials
 (Gomez-Ullate, Marcellan & Milson, J. Math. Anal. Appl. 399 (2013)),
-formed two ways that cross-check each other.  Pointwise evaluators
-(exceptional_eval_pair, which returns y and y' from one recurrence sweep
-per classical factor) stay accurate at degrees where monomial
-coefficients are useless; they find and certify the zeros.
+formed two ways that cross-check each other.  The pointwise evaluator
+(ladder_eval_pair, which returns y and y' from one recurrence sweep per
+classical factor) stays accurate at degrees where monomial coefficients
+are useless; it finds and certifies the zeros.
 build_exceptional multiplies the same factors out in the monomial basis,
 for the `poly` command and the construction check of `verify`, and the
 family ODE checks the result: its residual must vanish, and `verify`
@@ -41,8 +41,7 @@ from .classical_poly import (_QUIET, PolyTable,
                              laguerre_coeffs, laguerre_pass,
                              laguerre_seed_ladder, polyder, trim)
 from .errors import (DegreeCollapse, InvalidFamily, NullspaceDefect,
-                     RepresentationOverflow, SingularEvaluation,
-                     ValidationError)
+                     RepresentationOverflow, ValidationError)
 
 # ODE residual ceiling for an accepted build (relative, see
 # build_exceptional)
@@ -146,26 +145,11 @@ def _s_zeros(spec):
 
 @dataclass(frozen=True)
 class RationalODE:
-    """Polynomial ODE data A y'' + B y' + C y = 0.  The zeros of A,
-    singular_points, are found on first use; _guard refuses points
-    within 1e-12 of them, where y'' = -(B y' + C y)/A is singular."""
+    """Polynomial ODE data A y'' + B y' + C y = 0."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-
-    @functools.cached_property
-    def singular_points(self):
-        A = self.A
-        return np.roots(A[::-1]) if len(A) > 1 else np.empty(0)
-
-    def _guard(self, x):
-        """x as a float or complex array; SingularEvaluation within 1e-12
-        of a zero of A, which may be complex."""
-        x = _coerce(x)
-        if np.any(np.abs(x[..., None] - self.singular_points) < 1e-12):
-            raise SingularEvaluation("evaluation within 1e-12 of a zero of A")
-        return x
 
 
 def ode_coeffs(spec):
@@ -222,7 +206,7 @@ def build_exceptional(spec):
     family ODE A y'' + B y' + C y = 0.
 
     The family's closed-form product of classical polynomials (the one
-    exceptional_eval_pair evaluates) is multiplied out in coefficient
+    ladder_eval_pair evaluates) is multiplied out in coefficient
     space, and its top entry is written as the closed-form leading
     coefficient.  The coefficient-space residual of the ODE, relative to
     max(|A y''|, |C y|) coefficient norms, must come in below 1e-9; a
@@ -333,35 +317,11 @@ def ladder_eval_pair(spec, n, x):
     return spec.fam.pair(spec, n, _coerce(x))
 
 
-def exceptional_eval_pair(spec, x):
-    """Value and first derivative (y, y') of the exceptional polynomial at
-    real or complex x, each classical factor taken from one recurrence
-    sweep.
-
-    Carries the same normalization as build_exceptional and stays
-    accurate at degrees far beyond what monomial coefficients support.
-    """
-    return ladder_eval_pair(spec, spec.n, x)
-
-
-def exceptional_eval(spec, x, deriv=0):
-    """Pointwise value (or first or second derivative) of the exceptional
-    polynomial, from exceptional_eval_pair.
-
-    The second derivative comes from the family ODE,
-    y'' = -(B y' + C y) / A, so within 1e-12 of a zero of A it raises
-    SingularEvaluation.
-    """
-    if deriv not in (0, 1, 2):
-        raise ValidationError("deriv must be 0, 1 or 2")
-    if deriv == 2:
-        ode = ode_coeffs(spec)
-        x = ode._guard(x)
-    y, yp = exceptional_eval_pair(spec, x)
-    if deriv < 2:
-        return yp if deriv else y
-    return -(npoly.polyval(x, ode.B) * yp + npoly.polyval(x, ode.C) * y) \
-        / npoly.polyval(x, ode.A)
+def exceptional_eval(spec, x):
+    """Value of the exceptional polynomial at real or complex x, with the
+    normalization of build_exceptional: ladder_eval_pair's y at the
+    spec's own degree index."""
+    return ladder_eval_pair(spec, spec.n, x)[0]
 
 
 class Family(NamedTuple):

@@ -22,8 +22,8 @@ summed pairwise, so a one-column tail joins the block before it).
 
 import numpy as np
 
-from .energy import _node_array, _weight_logs, v_weight, weight_logs
-from .errors import CoincidentNodes, PoleEvaluation, ValidationError
+from .energy import _checked, _weight_logs, v_weight, weight_logs
+from .errors import PoleEvaluation, ValidationError
 from .exceptional import FAMILY
 
 # bytes of the one (n, B) block of log terms alive in an evaluation;
@@ -33,12 +33,11 @@ _BLOCK_BYTES = 5 << 17
 
 
 def _node_logs(nodes):
-    """The nodes as a float array and log|barycentric weight| of each."""
-    nodes = _node_array(nodes)
+    """The nodes as a float array, checked as energy._checked checks
+    them, and log|barycentric weight| of each."""
+    nodes = _checked(nodes)[0]
     dif = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(dif, 1.0)
-    if np.min(np.abs(dif)) == 0.0:
-        raise CoincidentNodes("nodes are not distinct")
     return nodes, -np.sum(np.log(np.abs(dif)), axis=1)
 
 
@@ -111,21 +110,6 @@ def _weighted_terms(nodes, w):
     return nodes, terms
 
 
-def _gruenwald_block(nodes, w):
-    """(nodes, block): block(x, sl) is the fundamental Gruenwald sum, the
-    mean of all-ones data, at x[sl]."""
-    nodes, terms = _weighted_terms(nodes, w)
-
-    def block(x, sl):
-        t, (_, cols) = terms(x, sl)
-        # each y_k = 1, and so is G at a node
-        out = np.sum(t, axis=0)
-        out[cols] = 1.0
-        return out
-
-    return nodes, block
-
-
 def scan_grid(nodes, family, grid_size=1000):
     """Stress grid for the stability scan: log-spaced coverage of the
     domain, points hugging each node at relative offsets 1e-5 and 1e-7,
@@ -194,12 +178,17 @@ def stability_scan(zs, grid_size=1000):
     its first extremes and its least off-node margin before the next.
     """
     spec = zs.spec
-    nodes, block = _gruenwald_block(zs.regular, v_weight(zs))
+    nodes, terms = _weighted_terms(zs.regular, v_weight(zs))
     grid = scan_grid(nodes, spec.family, grid_size)
     finite_all = True
     top, top_at, low, low_at, margins = [], [], [], [], []
     for sl in _column_blocks(nodes.size, grid.size):
-        vals = block(grid, sl)
+        t, (_, cols) = terms(grid, sl)
+        # each y_k = 1, and so is G at a node; the block is freed before
+        # the next is formed
+        vals = np.sum(t, axis=0)
+        del t
+        vals[cols] = 1.0
         finite = np.isfinite(vals)
         finite_all = finite_all and bool(finite.all())
         hi = np.where(finite, vals, -np.inf)

@@ -6,6 +6,8 @@ checks a formula or a result with it:
 - laguerre_zeros, jacobi_zeros: the Gauss nodes by Golub-Welsch, the
   eigenvalues of the symmetric tridiagonal Jacobi matrix, independent
   of the package's WKB seeds;
+- second_derivative: y'' from the family ODE, y'' = -(B y' + C y)/A,
+  refused near the zeros of A (singular_points, SingularEvaluation);
 - phi, phi_closed: the potential of the normal form u'' + phi u = 0 of
   the family ODE, and the paper's closed form of it;
 - maximize_log_T: the single-start ascent, a stack of one of the
@@ -23,12 +25,13 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from xfekete import interp
-from xfekete.classical_poly import _gauss_range, polyder
+from xfekete.classical_poly import (_as_float_or_complex, _gauss_range,
+                                    _stack_tables, polyder)
 from xfekete.energy import (_POLE_RTOL, _POLY_POLE, _stacked_logs,
                             energy_hessian, v_weight, weight_logs)
 from xfekete.errors import (NonConvergence, NumericalError, PoleEvaluation,
-                            SingularEvaluation, ValidationError)
-from xfekete.exceptional import FamilySpec, ode_coeffs
+                            ValidationError)
+from xfekete.exceptional import FamilySpec, ladder_eval_pair, ode_coeffs
 from xfekete.fekete_opt import GTOL, ITMAX, _ascend, _check_box
 from xfekete.roots import find_zeros
 
@@ -79,12 +82,44 @@ def jacobi_zeros(n, a, b):
     return _jacobi_matrix_eigvals(diag, off)
 
 
+# ---------------------------------------------------------------- the ODE
+
+class SingularEvaluation(NumericalError):
+    """Evaluation requested within 1e-12 of a zero of A."""
+
+
+def singular_points(ode):
+    """The zeros of A of a RationalODE, which may be complex."""
+    A = ode.A
+    return np.roots(A[::-1]) if len(A) > 1 else np.empty(0)
+
+
+def _guard(ode, x):
+    """x as a float or complex array; SingularEvaluation within 1e-12 of
+    a zero of A (singular_points), measured in the complex plane."""
+    x = _as_float_or_complex(x)
+    if np.any(np.abs(x[..., None] - singular_points(ode)) < 1e-12):
+        raise SingularEvaluation("evaluation within 1e-12 of a zero of A")
+    return x
+
+
+def second_derivative(spec, x):
+    """y'' of the exceptional polynomial at x from the family ODE,
+    y'' = -(B y' + C y) / A, with (y, y') from ladder_eval_pair;
+    SingularEvaluation within 1e-12 of a zero of A."""
+    ode = ode_coeffs(spec)
+    x = _guard(ode, x)
+    y, yp = ladder_eval_pair(spec, spec.n, x)
+    return -(npoly.polyval(x, ode.B) * yp + npoly.polyval(x, ode.C) * y) \
+        / npoly.polyval(x, ode.A)
+
+
 # ---------------------------------------------------------------- potential
 
 def rational_terms(ode, x):
     """M = B/A, N = C/A and M' of a RationalODE at x; SingularEvaluation
-    within 1e-12 of a zero of A (RationalODE._guard)."""
-    x = ode._guard(x)
+    within 1e-12 of a zero of A (_guard)."""
+    x = _guard(ode, x)
     av = npoly.polyval(x, ode.A)
     bv = npoly.polyval(x, ode.B)
     apv = npoly.polyval(x, polyder(ode.A))
@@ -123,7 +158,7 @@ def phi_closed(spec, x):
     """
     x = np.asarray(x, dtype=float)
     al, m, n = spec.alpha, spec.m, spec.n
-    (_, (r,), _), near = _stacked_logs(spec.S.stack, x)
+    (_, (r,), _), near = _stacked_logs(_stack_tables(spec.S), x)
     if near.any():
         raise PoleEvaluation(_POLY_POLE)
     if spec.family == "laguerre1":
@@ -272,17 +307,15 @@ def grunwald(nodes, w, y=None):
     """Evaluator of the Gruenwald mean over the nodes.
 
     y holds the interpolated values at the nodes; omitted it defaults to
-    all ones, giving the fundamental sum of the stability scan
-    (interp._gruenwald_block), whose range [0, 1] is the v-stability
-    statement.  Each term is assembled as
-    exp(log v(x) - log v(x_k) + 2 log|l_k(x)|) so no intermediate
-    fundamental is ever formed directly.
+    all ones, giving the fundamental sum of the stability scan, whose
+    range [0, 1] is the v-stability statement, with the scan's bits (a
+    term times 1.0 is the term, and G is 1 at a node).  Each term is
+    assembled as exp(log v(x) - log v(x_k) + 2 log|l_k(x)|) so no
+    intermediate fundamental is ever formed directly.
     """
-    if y is None:
-        nodes, block = interp._gruenwald_block(nodes, w)
-        return _blockwise(nodes.size, block)
     nodes, terms = interp._weighted_terms(nodes, w)
-    fvals = np.asarray(y, dtype=float)
+    fvals = (np.ones(nodes.size) if y is None
+             else np.asarray(y, dtype=float))
 
     def block(x, sl):
         t, (rows, cols) = terms(x, sl)

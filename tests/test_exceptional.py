@@ -26,7 +26,8 @@ from xfekete import cli, exceptional
 from xfekete.exceptional import leading_coefficient
 
 from conftest import built_of, spec_of
-from reference import phi, rational_terms
+from reference import (SingularEvaluation, phi, rational_terms,
+                       second_derivative, singular_points)
 
 
 # ---------------------------------------------------------------- spec validation
@@ -99,7 +100,7 @@ def test_rational_ode_values_and_poles():
     M, N, _ = rational_terms(ode, 1.0)
     assert M == pytest.approx(4.0 / 3.0, rel=1e-14)
     assert N == pytest.approx(-1.0 / 3.0, rel=1e-14)
-    with pytest.raises(xf.SingularEvaluation):
+    with pytest.raises(SingularEvaluation):
         rational_terms(ode, 0.0)
 
 
@@ -110,10 +111,11 @@ def test_rational_ode_values_and_poles():
 def test_singular_guard_measures_complex_distance(family, m, alpha, beta,
                                                   real_zeros):
     # S has a complex pair of zeros; at their real part A is far from 0,
-    # while deriv=2 at a real zero of A would be 0/0
+    # while y'' at a real zero of A would be 0/0
     spec = xf.FamilySpec(family, m, alpha, 4, beta)
     ode = xf.ode_coeffs(spec)
-    r = ode.singular_points[np.argmax(np.abs(ode.singular_points.imag))]
+    sing = singular_points(ode)
+    r = sing[np.argmax(np.abs(sing.imag))]
     assert abs(r.imag) > 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -121,10 +123,10 @@ def test_singular_guard_measures_complex_distance(family, m, alpha, beta,
         M = rational_terms(ode, x)[0]
         assert M == npoly.polyval(x, ode.B) / npoly.polyval(x, ode.A)
         assert np.isfinite(phi(spec, x))
-        assert np.isfinite(xf.exceptional_eval(spec, x, deriv=2))
+        assert np.isfinite(second_derivative(spec, x))
         for z in real_zeros:
-            with pytest.raises(xf.SingularEvaluation):
-                xf.exceptional_eval(spec, z, deriv=2)
+            with pytest.raises(SingularEvaluation):
+                second_derivative(spec, z)
             with pytest.raises(xf.PoleEvaluation):
                 phi(spec, z)
 
@@ -343,19 +345,17 @@ def test_eval_matches_coefficients(family, m, alpha, n, beta):
 
 
 def test_eval_derivatives_match_finite_differences():
+    # y' from the pair evaluator, y'' from the family ODE (reference)
     s = spec_of("laguerre1", 2, 1.5, 4)
     x = np.array([0.7, 3.3, 11.0])
     h = 1e-6
+    derivs = [xf.exceptional_eval,
+              lambda s, x: exceptional.ladder_eval_pair(s, s.n, x)[1],
+              second_derivative]
     for d in (1, 2):
-        fd = (xf.exceptional_eval(s, x + h, d - 1)
-              - xf.exceptional_eval(s, x - h, d - 1)) / (2 * h)
-        an = xf.exceptional_eval(s, x, d)
+        fd = (derivs[d - 1](s, x + h) - derivs[d - 1](s, x - h)) / (2 * h)
+        an = derivs[d](s, x)
         assert np.max(np.abs(fd - an) / (np.abs(an) + 1.0)) < 1e-6
-
-
-def test_eval_third_derivative_rejected():
-    with pytest.raises(xf.ValidationError):
-        xf.exceptional_eval(spec_of("laguerre1", 1, 2.0, 2), 1.0, deriv=3)
 
 
 def test_eval_beyond_coefficient_range():

@@ -59,9 +59,7 @@ def ref_ode_coeffs(spec):
         B = npoly.polysub(npoly.polymul([be - al, -(al + be + 2.0)], Sc),
                           2.0 * npoly.polymul(one_m_x2, Sp))
         C = npoly.polysub(lam * Sc, 2.0 * be * npoly.polymul([1.0, -1.0], Sp))
-    A, B, C = trim(A), trim(B), trim(C)
-    sing = np.roots(A[::-1]) if len(A) > 1 else np.empty(0)
-    return A, B, C, sing
+    return trim(A), trim(B), trim(C)
 
 
 def ref_interval(spec):
@@ -166,7 +164,7 @@ def test_S_and_ode_bit_identical(family):
     for spec in (s for s in SPECS if s.family == family):
         assert _same(xf.build_S(spec), ref_build_S(spec)), spec
         ode = xf.ode_coeffs(spec)
-        got = (ode.A, ode.B, ode.C, ode.singular_points)
+        got = (ode.A, ode.B, ode.C)
         for g, r in zip(got, ref_ode_coeffs(spec)):
             assert _same(g, r), spec
         assert spec.interval == ref_interval(spec)

@@ -57,7 +57,7 @@ def ref_jacobi_pass(n, a, b, x):
 
 
 def ref_newton(spec, x0, itmax=60, its=None):
-    """The serial polish: one exceptional_eval_pair call per iteration
+    """The serial polish: one ladder_eval_pair call per iteration
     for this spec alone; its (if given) collects the iteration count.
     The first spec.n iterates take plain Newton steps rho = y/y'; each
     later one x_i takes rho_i / (1 - rho_i c_i), c_i the sum of
@@ -72,7 +72,7 @@ def ref_newton(spec, x0, itmax=60, its=None):
     # give inf and NaN steps quietly, as in roots
     with np.errstate(**roots._QUIET):
         for it in range(1, itmax + 1):
-            v, dv = xf.exceptional_eval_pair(spec, x)
+            v, dv = exceptional.ladder_eval_pair(spec, spec.n, x)
             step = v / dv
             dif = x[n:, None] - x[None, :]
             np.fill_diagonal(dif[:, n:], np.inf)
@@ -123,7 +123,8 @@ def ref_find_zeros(spec, its=None):
     exc = roots._sort_zeros(x[spec.n:])
     roots._classify(spec, reg, exc)
     rts = np.concatenate([exc if exc.imag.any() else exc.real, reg])
-    cert = roots._certificate(rts, *xf.exceptional_eval_pair(spec, rts))
+    cert = roots._certificate(
+        rts, *exceptional.ladder_eval_pair(spec, spec.n, rts))
     if not cert["passed"]:
         raise xf.NonConvergence(f"residual certificate failed: {cert}",
                                 [cert])

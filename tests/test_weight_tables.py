@@ -356,7 +356,7 @@ def test_energy_hessian_evaluates_the_weight_once(monkeypatch):
 def ref_energy_hessian(nodes, w):
     """The eager report: every field formed at once from one assembly of
     the nodes in the order given, the dominance tests included."""
-    X = energy._check_nodes(nodes)[None]
+    X = energy._checked(nodes)[0][None]
     logw, d1, d2 = xf.weight_logs(w, X)
     _, (g,), (H,), (cross,) = energy._assemble(X, logw, d1, d2)
     F = energy._compensated(logw[0], cross)
