@@ -9,11 +9,11 @@ and the transfinite-diameter sequence.
 """
 
 from .asymptotics import (DiameterSeries, ZeroSumReport, d_sequence,
-                          transfinite_d, zero_sum_check)
+                          zero_sum_check)
 from .classical_poly import (jacobi_coeffs, jacobi_pass, laguerre_coeffs,
                              laguerre_pass)
-from .energy import (EnergyReport, WeightSpec, energy_hessian, log_energy,
-                     v_weight, weight_logs)
+from .energy import (EnergyReport, WeightSpec, energy_hessian, v_weight,
+                     weight_logs)
 from .errors import (CoincidentNodes, CountMismatch, DegreeCollapse,
                      DomainEscape, InvalidFamily, NonConvergence,
                      NullspaceDefect, NumericalError, PoleEvaluation,
@@ -40,7 +40,7 @@ __all__ = [
     "check_interlacing", "d_sequence", "default_domain", "energy_hessian",
     "exceptional_eval", "find_zeros",
     "inv_weight_brackets", "jacobi_coeffs", "jacobi_pass",
-    "laguerre_coeffs", "laguerre_pass", "log_energy", "ode_coeffs",
-    "stability_scan", "transfinite_d", "uniqueness_probe", "v_weight",
+    "laguerre_coeffs", "laguerre_pass", "ode_coeffs",
+    "stability_scan", "uniqueness_probe", "v_weight",
     "weight_logs", "zero_sum_check",
 ]

@@ -5,46 +5,48 @@ For n nodes and the modified pair kernel
     k_n(x, y) = -log((c/n) |x-y| v(x)^{1/(2(n-1))} v(y)^{1/(2(n-1))})
 
 the diameter functional is d = (2/(n(n-1))) sum_{i<j} k_n(u_i, u_j),
-which collapses to -log(c/n) - log T / (n(n-1)) with the same log T the
-energy module computes, its cross logs read off the node vector in
-prefix order.  Evaluated at the regular zeros (the Fekete set of the v
-weight) this gives the sequence d_n whose consecutive differences decay
-like log^2(n)/n^2.  A sweep solves its members as one ladder, then takes
-each member's d from its own log T.
+which collapses to -log(c/n) - log T / (n(n-1)), with log T the energy
+F of the v weight.  Evaluated at the regular zeros (the Fekete set of
+the v weight) this gives the sequence d_n whose consecutive differences
+decay like log^2(n)/n^2.  There log T needs no pair log: with lead c_y
+of the member y and P monic over its exceptional zeros, y'(x_i) = c_y
+prod_{j != i} (x_i - z_j) over all its zeros z, so (Stieltjes; Szego,
+Orthogonal Polynomials, 6.71)
+
+    2 sum_{i<j} log|x_i - x_j|
+        = sum_i log|y'(x_i)| - n log|c_y| - sum_i log|P(x_i)|,
+    log T = sum_i log hat(x_i) + sum_i log|P(x_i)|
+            + sum_i log|y'(x_i)| - n log|c_y|,
+
+with y' at the x_i from the certificate round (ZeroSet.regular_dy) and
+log|c_y| from lgamma (Family.log_lead).  A sweep solves its members as
+one ladder, then evaluates the weight, P and (P/S)^2 of all of them in
+one pass each.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .classical_poly import _horner
-from .energy import log_energy, v_weight
+from .energy import (_POLY_POLE, WeightSpec, _check_poles, _node_polynomial,
+                     _weight_logs)
 from .errors import ValidationError, XFeketeError
 from .exceptional import FamilySpec
 from .roots import find_zeros_ladder
 
-# log-domain pair sums stay within the 1e-8 budget up to here
+# the cap stands in for the evaluator's recurrence overflow: uncapped,
+# the sweep certifies up to n = 350, 356 and 362 at (m, alpha) = (5, 4.2),
+# (3, 2.7) and (1, 2), and the next members end in NonConvergence with a
+# NaN step; it stays until the recurrences rescale their lanes
 N_CAP = 200
 
 
 def _check_c(c):
     if not 0 < c < math.inf:
         raise ValidationError(f"c must be finite and positive, got {c!r}")
-
-
-def transfinite_d(nodes, v, c=1.0):
-    """Diameter functional of a node configuration under weight v.
-
-    c is finite and > 0.  The value is -log(c/n) - log T / (n(n-1)),
-    log T = log_energy(nodes, v); larger log T (better configurations)
-    gives smaller d, so the Fekete set minimizes d at fixed n.
-    """
-    _check_c(c)
-    n = np.size(nodes)
-    if n < 2:
-        raise ValidationError("diameter needs at least two nodes")
-    return -math.log(c / n) - log_energy(nodes, v) / (n * (n - 1))
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,62 @@ class DiameterSeries:
     ps_ratio_max: np.ndarray
 
 
+def _diameters(members, P, c):
+    """{n: (d_n, max (P/S)^2)} of certified ZeroSets members of one
+    ladder, P their node polynomials stacked by row, and {n: reason} of
+    the members whose nodes trip a pole guard of the v weight (the first
+    that fires, in weight_logs' check order).  log T comes from the
+    identity of the module docstring, each member's terms in one
+    compensated sum; the hat weight, P at the nodes and (P/S)^2 on the
+    grids are each one pass over every member."""
+    spec = members[0].spec
+    ns = np.array([zs.spec.n for zs in members])
+    ends = np.cumsum(ns)
+    x = np.concatenate([zs.regular for zs in members])
+    (loghat, _, _), guards = _weight_logs(WeightSpec(spec, "hat"), x)
+    # P's coefficients at every node, its member's row; the pole guard
+    # of P as the v weight's, which shares its message with that of S
+    C = np.repeat(P, ns, axis=0).T
+    p = _horner(C, x)
+    guards.append((_POLY_POLE, _check_poles(p, _horner(np.abs(C),
+                                                       np.abs(x)))))
+    guards = [(msg, mask) for msg, mask in guards if mask.any()]
+    logp = np.log(np.abs(p))
+    logdy = np.log(np.abs(np.concatenate([zs.regular_dy for zs in members])))
+    # sup of (P/S)^2 over a stretch of the positive axis, recorded as
+    # supporting data for the kernel normalization: column k the grid of
+    # member k
+    grid = np.geomspace(1e-3, spec.fam.domain(spec, ns)[1], 200)
+    ratios = np.max((_horner(P.T, grid) / _horner(spec.S.c, grid)) ** 2,
+                    axis=0)
+    results, skipped = {}, {}
+    for zs, n, b, ratio in zip(members, ns.tolist(), ends.tolist(), ratios):
+        sl = slice(b - n, b)
+        fired = [msg for msg, mask in guards if mask[sl].any()]
+        if fired:
+            skipped[n] = f"PoleEvaluation: {fired[0]}"
+            continue
+        logT = math.fsum(chain(
+            memoryview(loghat[sl]), memoryview(logp[sl]),
+            memoryview(logdy[sl]), (-n * spec.fam.log_lead(zs.spec),)))
+        results[n] = -math.log(c / n) - logT / (n * (n - 1)), float(ratio)
+    return results, skipped
+
+
 def d_sequence(m, alpha, n_range, c=1.0):
     """DiameterSeries at the regular zeros for each n in n_range.
 
     Every d value comes from a certified ZeroSet; per-n failures are
-    skipped and logged in the series rather than aborting the sweep.  An
-    invalid m, alpha, range or c raises ValidationError.  One extra
+    skipped and logged in the series rather than aborting the sweep: a
+    find that fails, a P that would be complex, nodes that trip a pole
+    guard of the v weight.  An invalid m, alpha, range or c raises
+    ValidationError, as does an n above N_CAP, the cap that stands in
+    for the evaluator's recurrence overflow (past n ~ 350).  One extra
     member below the range start is computed so the first delta is
     defined.  The members' zeros are found as one ladder
-    (find_zeros_ladder), the Newton polish solved for all n together.
+    (find_zeros_ladder), the Newton polish solved for all n together,
+    and each log T comes from y' at the zeros, with no pair log
+    (_diameters).
     """
     wanted = sorted(set(int(n) for n in n_range))
     if not wanted:
@@ -93,20 +142,19 @@ def d_sequence(m, alpha, n_range, c=1.0):
     compute = sorted(set(wanted) | ({wanted[0] - 1} if wanted[0] > 2
                                     else set()))
     specs = [FamilySpec("laguerre1", m, alpha, n) for n in compute]
-    results, skipped = {}, []
+    members, P, skipped = [], [], {}
     for n, zs in zip(compute, find_zeros_ladder(specs)):
         try:
             if isinstance(zs, XFeketeError):
                 raise zs
-            spec, v = zs.spec, v_weight(zs)
-            dval = transfinite_d(zs.regular, v, c)
-            # sup of (P/S)^2 over a stretch of the positive axis, recorded
-            # as supporting data for the kernel normalization
-            grid = np.geomspace(1e-3, spec.fam.domain(spec, n)[1], 200)
-            ratio = np.max((_horner(v.P, grid) / _horner(spec.S.c, grid)) ** 2)
-            results[n] = dval, float(ratio)
+            P.append(_node_polynomial(zs))
+            members.append(zs)
         except XFeketeError as exc:
-            skipped.append((n, f"{type(exc).__name__}: {exc}"))
+            skipped[n] = f"{type(exc).__name__}: {exc}"
+    results = {}
+    if members:
+        results, guarded = _diameters(members, np.array(P), c)
+        skipped.update(guarded)
 
     n_values = np.array([n for n in wanted if n in results], dtype=int)
     d = np.array([results[n][0] for n in n_values])
@@ -119,7 +167,8 @@ def d_sequence(m, alpha, n_range, c=1.0):
     rate = float(np.nanmax(stats)) if np.any(np.isfinite(stats)) else np.nan
     return DiameterSeries(m=m, alpha=alpha, c=c, n_values=n_values, d=d,
                           deltas=deltas, rate_stats=stats, rate_stat=rate,
-                          skipped=tuple(skipped), ps_ratio_max=ratios)
+                          skipped=tuple(sorted(skipped.items())),
+                          ps_ratio_max=ratios)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ for hat and v.  On the negative axis the Laguerre factor is read
 as |x|^a so that the full (regular plus exceptional) zero configuration
 can be evaluated.
 
-F has two public views: log_energy gives F alone, and energy_hessian
-the report at the sorted nodes (gradient, Hessian, classification and,
-on read, F).  The Fekete ascent reads the same terms off a stack of
-node rows (_assemble).
+F has one public view, energy_hessian: the report at the sorted nodes
+(gradient, Hessian, classification and, on read, F from the pair logs).
+The Fekete ascent reads the same terms off a stack of node rows
+(_assemble).  At the regular zeros the diameter sweep needs no pair
+log: it reads F from y' there (asymptotics.d_sequence).
 """
 
 import functools
@@ -44,7 +45,7 @@ _POLE_RTOL = 1e-12
 _POLY_POLE = "evaluation point too close to a zero of a weight polynomial"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSpec:
     """A concrete weight: family data, variant and node polynomial.
 
@@ -54,7 +55,8 @@ class WeightSpec:
     built here once per weight (S is tabled once per spec, in
     FamilySpec.S).  A hat or v weight stacks the entries of its tables
     here, _stack_tables(S) or _stack_tables(S, P), for weight_logs to
-    evaluate them in one Horner pass.
+    evaluate them in one Horner pass.  Two weights are equal, and hash
+    alike, when their spec, variant and the bytes of P agree.
     """
 
     spec: FamilySpec
@@ -78,6 +80,18 @@ class WeightSpec:
         if self.variant != "base":
             object.__setattr__(self, "_stack",
                                _stack_tables(self.spec.S, *tables))
+
+    def _key(self):
+        return (self.spec, self.variant,
+                None if self.P is None else self.P.tobytes())
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def resolved_shift(self):
@@ -229,8 +243,8 @@ def _cross_logs(D):
     """cross[r] = log|x_i - x_j| (i < j) of each row r of a stack D
     (T, n, n) of node differences x_i - x_j, in C order, so each row
     sums alone, as in a stack of one.  _assemble is its one caller: its
-    plain row sums need the C order; log_energy reads its pairs off the
-    node vector (_pair_logs).  np.take returns contiguous rows; the
+    plain row sums need the C order; EnergyReport.logT reads its pairs
+    off the node vector (_pair_logs).  np.take returns contiguous rows; the
     index D[:, k] would return them strided, and numpy sums a strided
     row sequentially, not pairwise, so F's bits would move."""
     T, n = D.shape[:2]
@@ -291,16 +305,6 @@ def _compensated(logw, cross):
     return math.fsum(memoryview(logw)) + 2.0 * math.fsum(memoryview(cross))
 
 
-def log_energy(nodes, w):
-    """F(nodes) = sum log w + 2 sum_{i<j} log|x_i - x_j| (compensated),
-    from the weight logs and the cross logs alone: no gradient, Hessian
-    or n x n difference matrix is formed; the cross logs come in prefix
-    order (_pair_logs)."""
-    x = _checked(nodes)[0]
-    logw, _, _ = weight_logs(w, x)
-    return _compensated(logw, _pair_logs(x))
-
-
 @dataclass(frozen=True)
 class EnergyReport:
     """Stationarity and curvature summary of F at a node configuration.
@@ -310,8 +314,8 @@ class EnergyReport:
     Hessian, its diagonal signs and the stationarity flag.  logT, the
     two dominance flags and the classification are computed on first
     read and kept (functools.cached_property): logT sums logw and the
-    nodes' pair logs (_pair_logs) by compensated sums, the F of
-    log_energy bit for bit.
+    nodes' pair logs (_pair_logs) by compensated sums, so it rounds F
+    once, whatever the node order.
     """
 
     weight: WeightSpec
@@ -389,10 +393,18 @@ def energy_hessian(nodes, w):
                         stationary=stat)
 
 
-def v_weight(zs):
-    """WeightSpec (v) of zs.spec, P monic over the exceptional zeros of zs."""
+def _node_polynomial(zs):
+    """P, monic over the exceptional zeros of zs, as a real array;
+    ValidationError where those zeros are not closed under conjugation
+    (the imaginary parts of P above 1e-9 of its real ones)."""
     P = npoly.polyfromroots(zs.exceptional)
     if np.max(np.abs(P.imag)) > 1e-9 * np.max(np.abs(P.real)):
         raise ValidationError("exceptional zeros are not closed under "
                               "conjugation; P would be complex")
-    return WeightSpec(spec=zs.spec, variant="v", P=P.real)
+    return P.real
+
+
+def v_weight(zs):
+    """WeightSpec (v) of zs.spec, P monic over the exceptional zeros of zs
+    (_node_polynomial)."""
+    return WeightSpec(spec=zs.spec, variant="v", P=_node_polynomial(zs))

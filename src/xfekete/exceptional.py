@@ -27,7 +27,7 @@ from one PolyTable per spec, FamilySpec.S, the only caller of build_S.
 
 import functools
 from dataclasses import dataclass
-from math import factorial, isfinite, lgamma
+from math import factorial, inf, isfinite, lgamma, log
 from typing import NamedTuple
 
 import numpy as np
@@ -344,6 +344,8 @@ class Family(NamedTuple):
     q: object
     lead_factor: object  # the signed factor of lead that can vanish
     lead: object        # (spec, lead_factor) -> closed-form leading coeff.
+    log_lead: object    # spec -> log|leading coeff.| from lgamma, finite
+                        # where the float lead leaves binary64
     coeffs: object      # monomial coefficients of the closed-form product
     pair: object        # (spec, n, x) -> (y, y'), n per point
     regime: object      # out-of-regime diagnostics
@@ -355,6 +357,22 @@ def _half_line_lead(spec, f):
         raise RepresentationOverflow(
             f"1/(m! n!) underflows binary64 at m={spec.m}, n={spec.n}")
     return f * (1.0 / float(factorial(spec.m) * factorial(spec.n)))
+
+
+def _log_abs(v):
+    return log(abs(v)) if v else -inf
+
+
+def _log_binom(z, k):
+    """log|C(z, k)| from lgamma; -inf where C(z, k) = 0 (z an integer in
+    [0, k)), and a negative integer z read as C(k - z - 1, k), of the
+    same modulus."""
+    if z == int(z):
+        if z < 0:
+            z = k - z - 1
+        elif z < k:
+            return -inf
+    return lgamma(z + 1) - lgamma(k + 1) - lgamma(z - k + 1)
 
 
 def _jac_regime(spec):
@@ -375,6 +393,8 @@ _HALF_LINE = dict(
     interval=(0.0, np.inf), poles=(0.0,), exp_weight=True,
     gauss=lambda s, ns: laguerre_seed_ladder(ns, s.alpha),
     lead=_half_line_lead,
+    log_lead=lambda s: (_log_abs(s.fam.lead_factor(s)) - lgamma(s.m + 1)
+                        - lgamma(s.n + 1)),
     sigma=npoly.polymulx, tau=lambda s: (s.alpha + 1.0, -1.0),
     domain=lambda s, n: (0.0, 4.0 * n + 2.0 * s.alpha + 4.0 * s.m))
 
@@ -410,6 +430,10 @@ FAMILY = {
         lead_factor=lambda s: s.m - s.n - s.alpha - 1.0,
         lead=lambda s, f: f * s.S.c[-1] * (
             np.ldexp(gen_binom(2 * s.n + s.alpha + s.beta, s.n), -s.n)),
+        log_lead=lambda s: (_log_abs(s.fam.lead_factor(s))
+                            + _log_abs(s.S.c[-1])
+                            + _log_binom(2 * s.n + s.alpha + s.beta, s.n)
+                            - s.n * log(2.0)),
         coeffs=lambda s: _product_coeffs(
             s, (1.0, -1.0), -(s.alpha + 1.0),
             _jacobi_coeffs_top_down(s.n, s.alpha + 1.0, s.beta - 1.0)),

@@ -57,6 +57,8 @@ class ZeroSet:
     exceptional:  the m zeros outside its closure (complex array)
     s_zeros:      zeros of the denominator polynomial S, for reference
     certificate:  evaluator certificate record (method, max_ratio, passed)
+    regular_dy:   y' at the regular zeros, from the certificate's
+                  evaluation (complex where that evaluation was)
     """
 
     spec: object
@@ -64,6 +66,7 @@ class ZeroSet:
     exceptional: np.ndarray
     s_zeros: np.ndarray
     certificate: dict
+    regular_dy: np.ndarray
 
 
 def _newton_ladder(specs, x0s, itmax=60):
@@ -244,9 +247,10 @@ def find_zeros_ladder(specs):
     then one polishing sweep over every member's nodes, each at its own
     degree, so every seed has the bits of its member's own seeds), the
     Newton polish solved for all of them in lockstep and their
-    certificates evaluated in one more lockstep round.  A member whose
-    closed-form lead collapses fails before the seeds are taken, and
-    takes no part in them.
+    certificates evaluated in one more lockstep round, whose y' at the
+    regular zeros each ZeroSet keeps.  A member whose closed-form lead
+    collapses fails before the seeds are taken, and takes no part in
+    them.
 
     Returns, in the order of specs, each spec's ZeroSet, or the
     XFeketeError that find_zeros raises for it; a spec that fails drops
@@ -315,7 +319,8 @@ def find_zeros_ladder(specs):
             reg, z = found[i]
             out[i] = ZeroSet(spec=specs[i], regular=reg, exceptional=z,
                              s_zeros=_sort_zeros(specs[i].S.roots),
-                             certificate=cert)
+                             certificate=cert,
+                             regular_dy=pairs[i][1][z.size:])
         else:
             out[i] = NonConvergence(f"residual certificate failed: {cert}",
                                     [cert])

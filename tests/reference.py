@@ -15,20 +15,27 @@ checks a formula or a result with it:
   for a positive Hessian diagonal entry;
 - lagrange_basis, grunwald, hermite_form: the Lagrange fundamentals, the
   Gruenwald mean of any data and its first-order Hermite form, in the
-  column blocks of the stability scan.
+  column blocks of the stability scan;
+- log_energy, transfinite_d: F and the diameter functional of any nodes
+  from the n(n-1)/2 pair logs, the pair-sum oracle of the diameter
+  sweep's y' identity and of EnergyReport.logT.
 
 pytest collects no test here; test files import it as they import
 conftest.
 """
 
+import math
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from xfekete import interp
+from xfekete.asymptotics import _check_c
 from xfekete.classical_poly import (_as_float_or_complex, _gauss_range,
                                     _stack_tables, polyder)
-from xfekete.energy import (_POLE_RTOL, _POLY_POLE, _stacked_logs,
-                            energy_hessian, v_weight, weight_logs)
+from xfekete.energy import (_POLE_RTOL, _POLY_POLE, _checked, _compensated,
+                            _pair_logs, _stacked_logs, energy_hessian,
+                            v_weight, weight_logs)
 from xfekete.errors import (NonConvergence, NumericalError, PoleEvaluation,
                             ValidationError)
 from xfekete.exceptional import FamilySpec, ladder_eval_pair, ode_coeffs
@@ -185,6 +192,32 @@ def phi_closed(spec, x):
         raise ValidationError("closed form implemented for laguerre1 and "
                               "jacobi")
     return float(out) if out.ndim == 0 else out
+
+
+# ---------------------------------------------------------------- pair sums
+
+def log_energy(nodes, w):
+    """F(nodes) = sum log w + 2 sum_{i<j} log|x_i - x_j| (compensated),
+    from the weight logs and the cross logs alone: no gradient, Hessian
+    or n x n difference matrix is formed; the cross logs come in prefix
+    order (_pair_logs)."""
+    x = _checked(nodes)[0]
+    logw, _, _ = weight_logs(w, x)
+    return _compensated(logw, _pair_logs(x))
+
+
+def transfinite_d(nodes, v, c=1.0):
+    """Diameter functional of a node configuration under weight v.
+
+    c is finite and > 0.  The value is -log(c/n) - log T / (n(n-1)),
+    log T = log_energy(nodes, v); larger log T (better configurations)
+    gives smaller d, so the Fekete set minimizes d at fixed n.
+    """
+    _check_c(c)
+    n = np.size(nodes)
+    if n < 2:
+        raise ValidationError("diameter needs at least two nodes")
+    return -math.log(c / n) - log_energy(nodes, v) / (n * (n - 1))
 
 
 # ---------------------------------------------------------------- ascent

@@ -1,12 +1,14 @@
 """Transfinite-diameter sequence and the zero-sum trace identity."""
 
+import mpmath
 import numpy as np
 import pytest
 
 import xfekete as xf
+from xfekete import roots
 
 from conftest import spec_of, zeros_of
-from reference import maximize_log_T
+from reference import maximize_log_T, transfinite_d
 
 
 # ---------------------------------------------------------------- transfinite_d
@@ -20,7 +22,7 @@ def v_pair():
 
 def test_scaling_constant_enters_additively():
     x, v = v_pair()
-    assert xf.transfinite_d(x, v, c=2.0) - xf.transfinite_d(x, v) == \
+    assert transfinite_d(x, v, c=2.0) - transfinite_d(x, v) == \
         pytest.approx(-np.log(2.0), rel=1e-15)
 
 
@@ -28,7 +30,7 @@ def test_scaling_constant_enters_additively():
 def test_scaling_constant_is_finite_and_positive(c):
     x, v = v_pair()
     with pytest.raises(xf.ValidationError):
-        xf.transfinite_d(x, v, c=c)
+        transfinite_d(x, v, c=c)
     # the sweep refuses it up front instead of skipping every member
     with pytest.raises(xf.ValidationError):
         xf.d_sequence(1, 2.0, range(5, 7), c=c)
@@ -37,9 +39,9 @@ def test_scaling_constant_is_finite_and_positive(c):
 def test_needs_two_nodes():
     _, v = v_pair()
     with pytest.raises(xf.ValidationError):
-        xf.transfinite_d(np.array([1.0]), v)
+        transfinite_d(np.array([1.0]), v)
     with pytest.raises(xf.CoincidentNodes):
-        xf.transfinite_d(np.array([1.0, 1.0]), v)
+        transfinite_d(np.array([1.0, 1.0]), v)
 
 
 def test_diameter_minimized_at_regular_zeros():
@@ -47,12 +49,12 @@ def test_diameter_minimized_at_regular_zeros():
     of log T (d is a decreasing transform of it)."""
     zs = zeros_of("laguerre1", 1, 2.0, 8)
     v = xf.v_weight(zs)
-    at_zeros = xf.transfinite_d(zs.regular, v)
+    at_zeros = transfinite_d(zs.regular, v)
     nodes, _ = maximize_log_T(v, xf.default_domain(v, 8), 8,
                               init=zs.regular * 1.05)
-    assert abs(xf.transfinite_d(nodes, v) - at_zeros) < 1e-8
+    assert abs(transfinite_d(nodes, v) - at_zeros) < 1e-8
     # any perturbation can only increase d
-    assert xf.transfinite_d(zs.regular * 1.1, v) > at_zeros
+    assert transfinite_d(zs.regular * 1.1, v) > at_zeros
 
 
 # ---------------------------------------------------------------- zero sum
@@ -117,6 +119,39 @@ def test_sequence_classical_control():
     ser = xf.d_sequence(0, 2.0, range(10, 16))
     assert ser.skipped == ()
     assert np.all(np.isfinite(ser.d))
+
+
+def mp_diameter(zs, c=1.0):
+    """d at the float regular zeros of zs from a 40-digit pair sum: the
+    pair product and the v weight (float coefficients of S and P) in
+    mpmath, whose exponent range holds the product whole."""
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(float(t)) for t in zs.regular]
+        S = [mpmath.mpf(float(t)) for t in zs.spec.S.c[::-1]]
+        P = [mpmath.mpf(float(t)) for t in xf.v_weight(zs).P[::-1]]
+        a, n = zs.spec.alpha + 1.0, len(x)
+        logv = mpmath.fsum(a * mpmath.log(t) - t
+                           - 2 * mpmath.log(abs(mpmath.polyval(S, t)))
+                           + 2 * mpmath.log(abs(mpmath.polyval(P, t)))
+                           for t in x)
+        pairs = mpmath.fprod(x[j] - x[i] for j in range(n)
+                             for i in range(j))
+        F = logv + 2 * mpmath.log(pairs)
+        return -mpmath.log(mpmath.mpf(c) / n) - F / (n * (n - 1))
+
+
+@pytest.mark.parametrize("m,alpha", [(1, 2.0), (3, 2.7), (5, 4.2)])
+def test_sequence_matches_a_40_digit_pair_sum(m, alpha):
+    # log T from y' at the zeros against the pair sum on the same float
+    # nodes, across n = 166..168, where 1/(m! n!) leaves binary64
+    ns = (2, 3, 4, 10, 17, 40, 99, 150, 165, 166, 167, 168, 200)
+    ser = xf.d_sequence(m, alpha, ns)
+    assert ser.skipped == () and tuple(ser.n_values) == ns
+    found = roots.find_zeros_ladder(
+        [xf.FamilySpec("laguerre1", m, alpha, n) for n in ns])
+    for d, zs in zip(ser.d, found):
+        want = mp_diameter(zs)
+        assert abs((d - want) / want) < 1e-14, zs.spec
 
 
 def test_sequence_degree_cap():

@@ -20,7 +20,8 @@ from numpy.polynomial import polynomial as npoly
 import xfekete as xf
 
 from conftest import random_nodes, spec_of, zeros_of
-from reference import lagrange_basis, maximize_log_T, phi, phi_closed
+from reference import (lagrange_basis, log_energy, maximize_log_T, phi,
+                       phi_closed, transfinite_d)
 
 
 BASE0 = xf.WeightSpec(xf.FamilySpec("laguerre1", 0, 0.0, 2), "base")
@@ -98,6 +99,19 @@ def test_v_weight_polynomial_factor():
     assert lv == pytest.approx(lh + 2 * np.log(abs(P)), rel=1e-12)
 
 
+def test_weights_compare_and_hash_by_spec_variant_and_P():
+    zs = zeros_of("laguerre1", 1, 2.0, 5)
+    a, b = xf.v_weight(zs), xf.v_weight(zs)
+    assert a is not b and a == b and hash(a) == hash(b)
+    other = xf.WeightSpec(zs.spec, "v", P=a.P + np.array([0.5, 0.0]))
+    assert a != other
+    assert len({a, b, other}) == 2
+    h = xf.WeightSpec(zs.spec, "hat")
+    assert h == xf.WeightSpec(zs.spec, "hat") and h != a
+    assert hash(h) == hash(xf.WeightSpec(zs.spec, "hat"))
+    assert h != xf.WeightSpec(zs.spec, "base") and h != "hat"
+
+
 def test_v_weight_laguerre2_real_closure():
     # complex-conjugate exceptional zeros must give a real P
     s = spec_of("laguerre2", 2, 3.0, 6)
@@ -110,19 +124,19 @@ def test_v_weight_laguerre2_real_closure():
 
 def test_log_energy_single_node():
     w = xf.WeightSpec(spec_of("laguerre1", 0, 2.0, 1), "base")
-    assert xf.log_energy(np.array([1.0]), w) == pytest.approx(-1.0, abs=1e-14)
+    assert log_energy(np.array([1.0]), w) == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_log_energy_pair_oracle():
-    got = xf.log_energy(np.array([1.0, 3.0]), BASE0)
+    got = log_energy(np.array([1.0, 3.0]), BASE0)
     assert got == pytest.approx(-4 + 2 * np.log(2), rel=1e-14)
 
 
 def test_log_energy_permutation_invariant():
     w = hat("laguerre1", 1, 2.0, 4)
     x = np.array([0.5, 2.0, 5.0, 9.0])
-    a = xf.log_energy(x, w)
-    b = xf.log_energy(x[::-1].copy(), w)
+    a = log_energy(x, w)
+    b = log_energy(x[::-1].copy(), w)
     assert a == b
 
 
@@ -130,9 +144,9 @@ def test_log_energy_permutation_invariant():
 def test_non_finite_nodes_are_invalid(bad):
     # the input's fault (CLI exit 1), raised before any arithmetic warns
     nodes = np.array([1.0, bad, 7.0])
-    calls = [lambda: xf.log_energy(nodes, BASE0),
+    calls = [lambda: log_energy(nodes, BASE0),
              lambda: xf.energy_hessian(nodes, BASE0),
-             lambda: xf.transfinite_d(nodes, BASE0),
+             lambda: transfinite_d(nodes, BASE0),
              lambda: lagrange_basis(nodes),
              lambda: maximize_log_T(BASE0, (0.0, 10.0), 3, init=nodes)]
     with warnings.catch_warnings():
@@ -144,7 +158,7 @@ def test_non_finite_nodes_are_invalid(bad):
 
 def test_coincident_nodes_raise():
     with pytest.raises(xf.CoincidentNodes):
-        xf.log_energy(np.array([1.0, 1.0]), BASE0)
+        log_energy(np.array([1.0, 1.0]), BASE0)
 
 
 # ---------------------------------------------------------------- gradient
@@ -178,7 +192,7 @@ def test_gradient_matches_finite_differences():
                 xp, xm = x.copy(), x.copy()
                 xp[k] += h
                 xm[k] -= h
-                fd = (xf.log_energy(xp, w) - xf.log_energy(xm, w)) / (2 * h)
+                fd = (log_energy(xp, w) - log_energy(xm, w)) / (2 * h)
                 assert abs(fd - grad[k]) < 1e-5
 
 
@@ -194,7 +208,7 @@ def test_hessian_matches_finite_differences():
     w = hat("laguerre1", 1, 2.0, 4)
 
     def F(x):
-        return xf.log_energy(x, w)
+        return log_energy(x, w)
 
     def shifted(x, moves):
         y = x.copy()

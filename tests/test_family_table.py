@@ -295,3 +295,31 @@ def test_guard_sees_every_form_of_build_S_call():
 
 def test_S_is_built_only_where_the_spec_tables_it():
     assert _package_scan(build_S_calls) == {("exceptional", "S"): 1}
+
+
+@pytest.mark.parametrize("family", exceptional.FAMILIES)
+def test_log_lead_is_the_log_of_the_lead(family):
+    # wherever leading_coefficient gives a float; past that (1/(m! n!)
+    # leaves binary64 from n = 167 at m = 1, n = 166 at m = 5) log_lead
+    # stays finite
+    checked = 0
+    for spec in (s for s in SPECS if s.family == family):
+        try:
+            lead = xf.leading_coefficient(spec)
+        except xf.XFeketeError:
+            continue
+        want = np.log(abs(lead))
+        assert abs(spec.fam.log_lead(spec) - want) <= 1e-14 * max(
+            1.0, abs(want)), spec
+        checked += 1
+    assert checked > 100
+    if family != "jacobi":
+        for m, n in ((1, 167), (5, 166)):
+            spec = xf.FamilySpec(family, m, 9.5, n)
+            with pytest.raises(xf.RepresentationOverflow):
+                xf.leading_coefficient(spec)
+            want = -lgamma(m + 1) - lgamma(n + 1)
+            if family == "laguerre2":
+                want += np.log(n + 9.5 + 1.0 - m)
+            assert spec.fam.log_lead(spec) == pytest.approx(want,
+                                                            rel=1e-15)

@@ -9,11 +9,13 @@ comparison builds its own spec objects, so neither reads what the other
 cached on a spec.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 import xfekete as xf
-from xfekete import asymptotics, classical_poly, exceptional, roots
+from xfekete import asymptotics, classical_poly, energy, exceptional, roots
 from xfekete.classical_poly import _as_float_or_complex, _horner
 
 
@@ -123,14 +125,14 @@ def ref_find_zeros(spec, its=None):
     exc = roots._sort_zeros(x[spec.n:])
     roots._classify(spec, reg, exc)
     rts = np.concatenate([exc if exc.imag.any() else exc.real, reg])
-    cert = roots._certificate(
-        rts, *exceptional.ladder_eval_pair(spec, spec.n, rts))
+    y, dy = exceptional.ladder_eval_pair(spec, spec.n, rts)
+    cert = roots._certificate(rts, y, dy)
     if not cert["passed"]:
         raise xf.NonConvergence(f"residual certificate failed: {cert}",
                                 [cert])
     return roots.ZeroSet(spec=spec, regular=reg, exceptional=exc,
                          s_zeros=roots._sort_zeros(spec.S.roots),
-                         certificate=cert)
+                         certificate=cert, regular_dy=dy[exc.size:])
 
 
 def ref_d_sequence(m, alpha, n_range, c=1.0):
@@ -142,8 +144,14 @@ def ref_d_sequence(m, alpha, n_range, c=1.0):
         try:
             spec = xf.FamilySpec("laguerre1", m, alpha, n)
             zs = ref_find_zeros(spec)
-            v = xf.v_weight(zs)
-            dval = xf.transfinite_d(zs.regular, v, c)
+            v, x = xf.v_weight(zs), zs.regular
+            xf.weight_logs(v, x)    # the v weight's pole guards
+            # log T from y' at the zeros, one compensated sum
+            loghat, _, _ = xf.weight_logs(xf.WeightSpec(spec, "hat"), x)
+            logT = math.fsum([*loghat, *np.log(np.abs(_horner(v.P, x))),
+                              *np.log(np.abs(zs.regular_dy)),
+                              -n * spec.fam.log_lead(spec)])
+            dval = -math.log(c / n) - logT / (n * (n - 1))
             hi = spec.fam.domain(spec, n)[1]
             grid = np.geomspace(1e-3, hi, 200)
             ratio = float(np.max(
@@ -188,7 +196,8 @@ def _outcome(res):
     if isinstance(res, np.ndarray):
         return res.dtype, res.shape, res.tobytes()
     return (res.spec, res.regular.tobytes(), res.exceptional.tobytes(),
-            res.s_zeros.tobytes(), repr(res.certificate))
+            res.s_zeros.tobytes(), repr(res.certificate),
+            res.regular_dy.tobytes())
 
 
 # ------------------------------------------------- per-point degree sweeps
@@ -545,8 +554,11 @@ def test_d_sequence_is_the_serial_sweep(m, alpha, ns, c):
             xf.d_sequence(m, alpha, ns, c)
         return
     got = xf.d_sequence(m, alpha, ns, c)
-    want = ref_d_sequence(m, alpha, ns, c)
     assert got.c == c
+    _assert_same_series(got, ref_d_sequence(m, alpha, ns, c))
+
+
+def _assert_same_series(got, want):
     for f in ("m", "alpha", "c", "skipped"):
         assert getattr(got, f) == getattr(want, f)
     for f in ("n_values", "d", "deltas", "rate_stats", "ps_ratio_max"):
@@ -554,18 +566,55 @@ def test_d_sequence_is_the_serial_sweep(m, alpha, ns, c):
     assert repr(got.rate_stat) == repr(want.rate_stat)
 
 
+@pytest.mark.parametrize("guard", ["pole", "P"])
+def test_d_sequence_skips_the_members_a_pole_guard_takes(monkeypatch,
+                                                         guard):
+    # the sweep's guards are the v weight's, with its messages in its
+    # order: widened to 0.4, the guard of the pole at 0 takes n = 15..20,
+    # whose smallest zeros lie below 0.4; a P with a zero at a node of
+    # n = 15 trips the polynomial guard there alone
+    if guard == "pole":
+        monkeypatch.setattr(energy, "_POLE_RTOL", 0.4)
+        taken, msg = range(15, 21), "evaluation point too close to x = 0"
+    else:
+        node_polynomial = energy._node_polynomial
+
+        def at_a_node(zs):
+            if zs.spec.n == 15:
+                return np.array([-zs.regular[3], 1.0])
+            return node_polynomial(zs)
+
+        for mod in (energy, asymptotics):
+            monkeypatch.setattr(mod, "_node_polynomial", at_a_node)
+        taken, msg = [15], energy._POLY_POLE
+    got = xf.d_sequence(1, 2.0, range(10, 21))
+    assert got.skipped == tuple((n, f"PoleEvaluation: {msg}") for n in taken)
+    _assert_same_series(got, ref_d_sequence(1, 2.0, range(10, 21)))
+
+
+def test_d_sequence_runs_no_pair_sum(monkeypatch):
+    # log T comes from y' at the zeros: no pair log is formed
+    def refused(*args):
+        raise AssertionError("a pair sum ran")
+
+    for name in ("_pair_logs", "_cross_logs", "_assemble"):
+        monkeypatch.setattr(energy, name, refused)
+    series = xf.d_sequence(3, 2.7, range(140, 151))
+    assert series.skipped == () and np.isfinite(series.d).all()
+
+
 def test_d_sequence_skips_a_member_that_fails_its_diameter(monkeypatch):
-    # n = 15 certifies but its v weight raises: its row goes, n = 16
-    # loses its delta, and every other row keeps its bits
+    # n = 15 certifies but its node polynomial raises: its row goes,
+    # n = 16 loses its delta, and every other row keeps its bits
     whole = xf.d_sequence(1, 2.0, range(10, 21))
-    v_weight = asymptotics.v_weight
+    node_polynomial = asymptotics._node_polynomial
 
     def failing(zs):
         if zs.spec.n == 15:
             raise xf.ValidationError("P would be complex")
-        return v_weight(zs)
+        return node_polynomial(zs)
 
-    monkeypatch.setattr(asymptotics, "v_weight", failing)
+    monkeypatch.setattr(asymptotics, "_node_polynomial", failing)
     got = xf.d_sequence(1, 2.0, range(10, 21))
     assert got.skipped == ((15, "ValidationError: P would be complex"),)
     keep = whole.n_values != 15

@@ -19,7 +19,7 @@ import xfekete as xf
 from xfekete import classical_poly, cli, energy, exceptional, fekete_opt
 
 from conftest import spec_of, zeros_of
-from reference import maximize_log_T, phi_closed
+from reference import log_energy, maximize_log_T, phi_closed
 
 SPECS = {"laguerre1": ("laguerre1", 2, 2.5, 5),
          "laguerre2": ("laguerre2", 2, 3.3, 4),
@@ -133,13 +133,14 @@ def test_energy_terms_bit_identical_to_separate_assembly(family, variant):
     g_ref, H_ref = ref_gradient_and_hessian(nodes, w)
     np.testing.assert_array_equal(rep.gradient, g_ref)
     np.testing.assert_array_equal(rep.hessian, H_ref)
-    assert xf.log_energy(nodes, w) == rep.logT
+    assert log_energy(nodes, w) == rep.logT
 
 
 def test_log_energy_is_F_without_the_hessian_at_the_diameter_size(
         monkeypatch):
     # a diameter member: laguerre1 m = 1 at n = 150, v weight, its
-    # regular zeros; log_energy reads F off the weight and cross logs
+    # regular zeros; the pair-sum reference reads F off the weight and
+    # cross logs, as EnergyReport.logT does
     zs = zeros_of("laguerre1", 1, 2.0, 150)
     w = xf.v_weight(zs)
     nodes = zs.regular
@@ -149,7 +150,7 @@ def test_log_energy_is_F_without_the_hessian_at_the_diameter_size(
         real = getattr(energy, name)
         monkeypatch.setattr(energy, name, lambda *a, real=real, name=name:
                             calls.append(name) or real(*a))
-    assert xf.log_energy(nodes, w) == F
+    assert log_energy(nodes, w) == F
     assert calls == []
     # the count is live: energy_hessian forms the Hessian once
     assert xf.energy_hessian(nodes, w).logT == F
@@ -164,7 +165,7 @@ def test_prefix_pairs_give_the_triu_order_sums():
     rng = np.random.default_rng(11)
     for n in (150, 7, 151, 2, 1):
         nodes = np.sort(rng.uniform(0.05, 600.0, n))
-        assert xf.log_energy(nodes, w) == ref_log_energy(nodes, w)
+        assert log_energy(nodes, w) == ref_log_energy(nodes, w)
         diffs = [nodes[j] - nodes[i] for j in range(n) for i in range(j)]
         want = np.log(np.abs(np.array(diffs, dtype=float)))
         assert energy._pair_logs(nodes).tolist() == want.tolist()
@@ -477,7 +478,7 @@ def test_probe_cluster_energy_is_the_ascent_value():
     probe = xf.uniqueness_probe(w, fekete_opt.default_domain(w, n), n,
                                 trials=3, seed=2)
     for c in probe["clusters"]:
-        assert c["logT"] == xf.log_energy(c["nodes"], w)
+        assert c["logT"] == log_energy(c["nodes"], w)
 
 
 # v weights whose S and P differ in degree, so the stacked table pads
