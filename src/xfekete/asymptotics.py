@@ -61,9 +61,6 @@ class DiameterSeries:
     (P(x)/S(x))^2 per n, the constant the kernel modification relies on.
     """
 
-    m: int
-    alpha: float
-    c: float
     n_values: np.ndarray
     d: np.ndarray
     deltas: np.ndarray
@@ -85,7 +82,7 @@ def _diameters(members, P, c):
     ns = np.array([zs.spec.n for zs in members])
     ends = np.cumsum(ns)
     x = np.concatenate([zs.regular for zs in members])
-    (loghat, _, _), guards = _weight_logs(WeightSpec(spec, "hat"), x)
+    (loghat, _, _), guards = _weight_logs(WeightSpec(spec), x)
     # P's coefficients at every node, its member's row; the pole guard
     # of P as the v weight's, which shares its message with that of S
     C = np.repeat(P, ns, axis=0).T
@@ -165,8 +162,8 @@ def d_sequence(m, alpha, n_range, c=1.0):
     with np.errstate(invalid="ignore"):
         stats = np.abs(deltas) * n_values ** 2 / np.log(n_values) ** 2
     rate = float(np.nanmax(stats)) if np.any(np.isfinite(stats)) else np.nan
-    return DiameterSeries(m=m, alpha=alpha, c=c, n_values=n_values, d=d,
-                          deltas=deltas, rate_stats=stats, rate_stat=rate,
+    return DiameterSeries(n_values=n_values, d=d, deltas=deltas,
+                          rate_stats=stats, rate_stat=rate,
                           skipped=tuple(sorted(skipped.items())),
                           ps_ratio_max=ratios)
 
@@ -176,33 +173,21 @@ class ZeroSumReport:
     """Vieta check: the zeros of the degree-(m+n) member sum to
     (n - m)(n + m + alpha), n being the regular count."""
 
-    spec: FamilySpec
     lhs: float
     rhs: float
     abs_err: float
-    regular_sum: float
-    exceptional_sum: float
-    flags: tuple
 
 
 def zero_sum_check(zs):
     """Evaluate the zero-sum identity on a laguerre1 member's ZeroSet.
 
     lhs sums every zero (regular plus real parts of the exceptional
-    ones, which pair off conjugate).  A negative rhs marks an
-    out-of-regime instance; it is flagged, not asserted against.
+    ones, which pair off conjugate).  rhs is reported as it is, negative
+    out of the regime (n < m).
     """
     spec = zs.spec
     if spec.family != "laguerre1":
         raise ValidationError("zero-sum identity applies to laguerre1")
-    reg = float(np.sum(zs.regular))
-    exc = float(np.sum(zs.exceptional.real))
-    lhs = reg + exc
+    lhs = float(np.sum(zs.regular)) + float(np.sum(zs.exceptional.real))
     rhs = float((spec.n - spec.m) * (spec.n + spec.m + spec.alpha))
-    flags = []
-    if rhs < 0:
-        flags.append("rhs negative: identity holds only for n >= m")
-    flags.extend(spec.regime_warnings())
-    return ZeroSumReport(spec=spec, lhs=lhs, rhs=rhs,
-                         abs_err=abs(lhs - rhs), regular_sum=reg,
-                         exceptional_sum=exc, flags=tuple(flags))
+    return ZeroSumReport(lhs=lhs, rhs=rhs, abs_err=abs(lhs - rhs))

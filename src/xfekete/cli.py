@@ -96,7 +96,7 @@ def cmd_energy(args):
     if args.weight == "v":
         w = v_weight(zs)
     else:
-        w = WeightSpec(spec=spec, variant="hat")
+        w = WeightSpec(spec)
     if args.nodes is not None:
         try:
             with warnings.catch_warnings():
@@ -115,7 +115,7 @@ def cmd_energy(args):
         nodes = zs.regular
         nodes_used = "regular zeros"
     rep = energy_hessian(nodes, w)
-    _emit({"weight": {"variant": w.variant, "shift": w.resolved_shift},
+    _emit({"weight": {"variant": w.variant, "shift": 1.0},
            "nodes": rep.nodes, "nodes_used": nodes_used,
            "logT": rep.logT, "gradient": rep.gradient,
            "hessian": rep.hessian,
@@ -226,7 +226,7 @@ def cmd_verify(args):
         if spec.m >= 1 and spec.n >= 1:
             full = np.sort(np.concatenate([zs.exceptional.real,
                                            zs.regular]))
-            er = energy_hessian(full, WeightSpec(spec=spec, variant="hat"))
+            er = energy_hessian(full, WeightSpec(spec))
             record("saddle", er.classification == "saddle",
                    {"classification": er.classification,
                     "max_gradient": float(np.max(np.abs(er.gradient)))})

@@ -5,18 +5,17 @@ For a weight w and nodes x_1 < ... < x_N the energy functional is
     F(x) = sum_i log w(x_i) + 2 sum_{i<j} log|x_i - x_j|,
 
 the log of the weighted product T = prod w(x_i) prod (x_i - x_j)^2.
-Three weight variants are supported per family:
+A weight is one of two per family:
 
-    base  x^a e^-x                  (1-x)^a (1+x)^b
     hat   x^a e^-x / S^2            (1-x)^a (1+x)^b / S^2
     v     hat * P^2                 hat * P^2
 
-with a = alpha + shift (b = beta + shift), S the denominator polynomial
-of the family and P a supplied node polynomial, normally the monic
-polynomial over the exceptional zeros.  The shift is 0 for base and 1
-for hat and v.  On the negative axis the Laguerre factor is read
-as |x|^a so that the full (regular plus exceptional) zero configuration
-can be evaluated.
+with a = alpha + 1 (b = beta + 1), S the denominator polynomial of the
+family and P a supplied node polynomial, normally the monic polynomial
+over the exceptional zeros.  At m = 0 (S = 1) hat is the classical
+weight of the shifted exponents.  On the negative axis the Laguerre
+factor is read as |x|^a so that the full (regular plus exceptional)
+zero configuration can be evaluated.
 
 F has one public view, energy_hessian: the report at the sorted nodes
 (gradient, Hessian, classification and, on read, F from the pair logs).
@@ -36,8 +35,6 @@ from .classical_poly import PolyTable, _horner, _stack_tables
 from .errors import CoincidentNodes, PoleEvaluation, ValidationError
 from .exceptional import FamilySpec
 
-VARIANTS = ("base", "hat", "v")
-
 # stationarity is judged relative to the scale of the weight's log-derivative
 GRAD_RTOL = 1e-7
 
@@ -47,43 +44,32 @@ _POLY_POLE = "evaluation point too close to a zero of a weight polynomial"
 
 @dataclass(frozen=True, eq=False)
 class WeightSpec:
-    """A concrete weight: family data, variant and node polynomial.
+    """A concrete weight: the hat weight of spec, times P^2 when P is
+    given (the v weight).
 
-    The variant fixes the exponent shift (resolved_shift: 0 for base, 1
-    for hat and v).  P holds ascending coefficients of the extra node
-    polynomial for the v variant, stored read-only in its PolyTable,
-    built here once per weight (S is tabled once per spec, in
-    FamilySpec.S).  A hat or v weight stacks the entries of its tables
-    here, _stack_tables(S) or _stack_tables(S, P), for weight_logs to
-    evaluate them in one Horner pass.  Two weights are equal, and hash
-    alike, when their spec, variant and the bytes of P agree.
+    P holds ascending coefficients of the node polynomial, stored
+    read-only in its PolyTable, built here once per weight (S is tabled
+    once per spec, in FamilySpec.S).  The weight stacks the entries of
+    its tables here, _stack_tables(S) or _stack_tables(S, P), for
+    weight_logs to evaluate them in one Horner pass.  Two weights are
+    equal, and hash alike, when their spec and the bytes of P agree.
     """
 
     spec: FamilySpec
-    variant: str = "hat"
     P: np.ndarray | None = None
     _P_table = None     # PolyTable of P (v); not a dataclass field
     _stack = None       # _stack_tables of S (and P); not a dataclass field
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValidationError(f"unknown weight variant {self.variant!r}")
         tables = ()
-        if self.variant == "v":
-            if self.P is None:
-                raise ValidationError("variant 'v' needs the node polynomial P")
+        if self.P is not None:
             object.__setattr__(self, "_P_table", PolyTable(self.P))
             object.__setattr__(self, "P", self._P_table.c)
             tables = (self._P_table,)
-        elif self.P is not None:
-            raise ValidationError("P is only meaningful for variant 'v'")
-        if self.variant != "base":
-            object.__setattr__(self, "_stack",
-                               _stack_tables(self.spec.S, *tables))
+        object.__setattr__(self, "_stack", _stack_tables(self.spec.S, *tables))
 
     def _key(self):
-        return (self.spec, self.variant,
-                None if self.P is None else self.P.tobytes())
+        return self.spec, None if self.P is None else self.P.tobytes()
 
     def __eq__(self, other):
         if not isinstance(other, WeightSpec):
@@ -94,13 +80,14 @@ class WeightSpec:
         return hash(self._key())
 
     @property
-    def resolved_shift(self):
-        return 0.0 if self.variant == "base" else 1.0
+    def variant(self):
+        """'hat', or 'v' for a weight with P."""
+        return "hat" if self.P is None else "v"
 
     def exponents(self):
-        """(a, b); b is None for the Laguerre families."""
-        s, b = self.resolved_shift, self.spec.beta
-        return self.spec.alpha + s, (None if b is None else b + s)
+        """(alpha + 1, beta + 1); b is None for the Laguerre families."""
+        b = self.spec.beta
+        return self.spec.alpha + 1.0, (None if b is None else b + 1.0)
 
 
 def _check_poles(p, scale):
@@ -150,47 +137,36 @@ def _weight_logs(w, x):
         near = _check_poles(d, 1.0)
         if near.any():
             guards.append((f"evaluation point too close to x = {r:g}", near))
-        ad = np.abs(d)
-        # hat and v read the half-line factor x^a as |x|^a; base does not
-        if fam.exp_weight and w.variant == "base" and e != round(e):
-            below = x < r
-            if below.any():
-                guards.append(("base Laguerre weight undefined for x < 0 "
-                               "at non-integer exponent", below))
-        logw = logw + e * np.log(ad)
+        # the half-line factor x^a is read as |x|^a
+        logw = logw + e * np.log(np.abs(d))
         d1 = d1 + e / d
         d2 = d2 - e / d ** 2
     if fam.exp_weight:
         logw = logw - x
         d1 = d1 - 1.0
-    if w.variant != "base":
-        # t[k] holds twice the k-th log term of S, then of P (v)
-        t, near = _stacked_logs(w._stack, x)
-        if near.any():
-            guards.append((_POLY_POLE, near.any(axis=0)))
-        t *= 2.0
-        logw = logw - t[0, 0]
-        d1 = d1 - t[1, 0]
-        d2 = d2 - t[2, 0]
-        if w.variant == "v":
-            logw = logw + t[0, 1]
-            d1 = d1 + t[1, 1]
-            d2 = d2 + t[2, 1]
+    # t[k] holds twice the k-th log term of S, then of P (v)
+    t, near = _stacked_logs(w._stack, x)
+    if near.any():
+        guards.append((_POLY_POLE, near.any(axis=0)))
+    t *= 2.0
+    logw = logw - t[0, 0]
+    d1 = d1 - t[1, 0]
+    d2 = d2 - t[2, 0]
+    if w.P is not None:
+        logw = logw + t[0, 1]
+        d1 = d1 + t[1, 1]
+        d2 = d2 + t[2, 1]
     if x.ndim == 0:
         return (float(logw), float(d1), float(d2)), guards
-    if np.ndim(d2) < x.ndim:
-        # a base weight without a pole term leaves scalar sums
-        logw, d1, d2 = (np.full_like(x, v) for v in (logw, d1, d2))
     return (logw, d1, d2), guards
 
 
 def weight_logs(w, x):
     """log w and its first two derivatives at x (arrays follow x).
 
-    Raises PoleEvaluation within 1e-12 (relative) of a base-weight pole
-    (x=0, x=+-1) or a zero of S or P, whichever the variant involves,
-    and for a base Laguerre weight of non-integer exponent at x < 0;
-    the message is that of the first guard that fires (_weight_logs).
+    Raises PoleEvaluation within 1e-12 (relative) of a pole of the
+    classical factor (x=0, x=+-1) or a zero of S or P (v); the message
+    is that of the first guard that fires (_weight_logs).
     """
     logs, guards = _weight_logs(w, x)
     if guards:
@@ -318,7 +294,6 @@ class EnergyReport:
     once, whatever the node order.
     """
 
-    weight: WeightSpec
     nodes: np.ndarray
     logw: np.ndarray
     gradient: np.ndarray
@@ -387,8 +362,7 @@ def energy_hessian(nodes, w):
     logw, d1, d2 = weight_logs(w, X)
     (g,), (H,) = _derivatives(X[:, :, None] - X[:, None, :], d1, d2)
     stat = float(np.max(np.abs(g))) < GRAD_RTOL * (1 + np.max(np.abs(d1)))
-    return EnergyReport(weight=w, nodes=x, logw=logw[0], gradient=g,
-                        hessian=H,
+    return EnergyReport(nodes=x, logw=logw[0], gradient=g, hessian=H,
                         diag_signs=np.sign(np.diag(H)).astype(int),
                         stationary=stat)
 
@@ -405,6 +379,6 @@ def _node_polynomial(zs):
 
 
 def v_weight(zs):
-    """WeightSpec (v) of zs.spec, P monic over the exceptional zeros of zs
-    (_node_polynomial)."""
-    return WeightSpec(spec=zs.spec, variant="v", P=_node_polynomial(zs))
+    """The v WeightSpec of zs.spec, P monic over the exceptional zeros of
+    zs (_node_polynomial)."""
+    return WeightSpec(zs.spec, P=_node_polynomial(zs))

@@ -195,7 +195,6 @@ class BuiltPolynomial:
     """Monomial coefficients of one exceptional polynomial together with
     the relative ODE residual of the solve and regime diagnostics."""
 
-    spec: FamilySpec
     coeffs: np.ndarray
     residual: float
     warnings: tuple
@@ -242,7 +241,7 @@ def build_exceptional(spec):
         raise NullspaceDefect(
             f"ODE residual {rel:.3e} exceeds {BUILD_RESIDUAL_TOL:.0e} "
             f"for {spec}")
-    return BuiltPolynomial(spec=spec, coeffs=coeffs, residual=float(rel),
+    return BuiltPolynomial(coeffs=coeffs, residual=float(rel),
                            warnings=tuple(spec.regime_warnings()))
 
 

@@ -52,11 +52,9 @@ def default_domain(w, n):
 
 def _check_box(w, lo, hi):
     """ValidationError when the open box (lo, hi) holds a real zero of S
-    (imaginary part within 1e-9 (1 + |real part|)) and w is a hat or v
-    weight: log w tends to +inf there, so F has no maximizer in the box
-    and every ascent would climb into that zero."""
-    if w.variant == "base":
-        return
+    (imaginary part within 1e-9 (1 + |real part|)): log w tends to +inf
+    there, so F has no maximizer in the box and every ascent would climb
+    into that zero."""
     for r in w.spec.S.roots:
         if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real)) and lo < r.real < hi:
             raise ValidationError(

@@ -225,9 +225,8 @@ def _log_deriv_terms(w):
     (log v)^(k) as sum c_r (-1)^(k-1) (k-1)! / (x - r)^k."""
     terms = [(complex(r), e) for r, e in zip(w.spec.fam.poles,
                                              w.exponents()) if e != 0]
-    if w.variant in ("hat", "v"):
-        terms += [(complex(r), -2.0) for r in w.spec.S.roots]
-    if w.variant == "v":
+    terms += [(complex(r), -2.0) for r in w.spec.S.roots]
+    if w.P is not None:
         terms += [(complex(r), 2.0) for r in w._P_table.roots]
     return terms, w.spec.fam.exp_weight
 

@@ -62,7 +62,7 @@ def test_zero_structure_and_interlacing():
 
 def hessian_report(m, n, a):
     zs = zeros_of("laguerre1", m, a, n)
-    w = xf.WeightSpec(spec_of("laguerre1", m, a, n), "hat")
+    w = xf.WeightSpec(spec_of("laguerre1", m, a, n))
     return xf.energy_hessian(full_zero_nodes(zs), w)
 
 
@@ -224,7 +224,7 @@ def test_potential_matches_hessian_diagonal():
         s = spec_of("laguerre1", m, a, n)
         zs = zeros_of("laguerre1", m, a, n)
         nodes = full_zero_nodes(zs)
-        H = xf.energy_hessian(nodes, xf.WeightSpec(s, "hat")).hessian
+        H = xf.energy_hessian(nodes, xf.WeightSpec(s)).hessian
         for i, z in enumerate(nodes):
             lhs = H[i, i]
             rhs = -(2.0 / 3.0) * phi(s, z)

@@ -520,6 +520,87 @@ def test_verify_golden_stdout(capsys, selectors):
     assert out == VERIFY_GOLDEN[selectors]
 
 
+# the three weights that energy builds: hat on the full zero set, hat on
+# the regular zeros where the exceptional zeros are complex, and v; the
+# weight block reads "shift":1 and the variant
+ENERGY_GOLDEN = {
+    ("laguerre1", "--m", "2", "--alpha", "2", "--n", "5"): (
+        '{"block_dominant":true,"classification":"saddle","diag_signs":[1,1'
+        ',-1,-1,-1,-1,-1],"diagonally_dominant":true,"gradient":[-2.2204460'
+        '492503131e-16,-3.9968028886505635e-15,-1.5543122344752192e-15,-1.1'
+        '102230246251565e-16,3.3306690738754696e-16,0,0],"hessian":[[3.0440'
+        '844619018095,0.13713454332372754,0.047822843448571524,0.0296223976'
+        '90570491,0.016642249820756027,0.0088887407029769345,0.004480303467'
+        '8785152],[0.13713454332372754,9.5806591276136963,0.285231739752829'
+        '34,0.10340388447336356,0.03919233775295751,0.015997549378570172,0.'
+        '0066753709411228081],[0.047822843448571524,0.28523173975282934,-3.'
+        '9540413514178772,0.65311795212307266,0.098960311094810516,0.027466'
+        '628210030132,0.0093044254782929554],[0.029622397690570491,0.103403'
+        '88447336356,0.65311795212307266,-1.3543916589902973,0.265302821385'
+        '37736,0.043466034078754323,0.011997481219552967],[0.01664224982075'
+        '6027,0.03919233775295751,0.098960311094810516,0.26530282138537736,'
+        '-0.59954359600372586,0.12268024141106586,0.019353482512722581],[0.'
+        '0088887407029769345,0.015997549378570172,0.027466628210030132,0.04'
+        '3466034078754323,0.12268024141106586,-0.27790772111464312,0.053258'
+        '661732996461],[0.0044803034678785152,0.0066753709411228081,0.00930'
+        '44254782929554,0.011997481219552967,0.019353482512722581,0.0532586'
+        '61732996461,-0.10552592865564243]],"logT":49.490952934330323,"node'
+        's":[-5.5133481752749374,-1.6944193396067182,0.95356902456229464,2.'
+        '7034930233486985,5.449135996627259,9.486776858151595,15.6147926121'
+        '91808],"nodes_used":"full zero set","spec":{"alpha":2,"family":"la'
+        'guerre1","m":2,"n":5},"stationary":true,"version":"0.1.0","weight"'
+        ':{"shift":1,"variant":"hat"}}\n'),
+    ("laguerre2", "--m", "3", "--alpha", "5.164", "--n", "5"): (
+        '{"block_dominant":true,"classification":"none","diag_signs":[-1,-1'
+        ',-1,-1,-1],"diagonally_dominant":true,"gradient":[-0.7920783840001'
+        '3575,-0.61283443486522027,-0.45999820839616967,-0.3399747389159588'
+        '6,-0.24555896659653897],"hessian":[[-1.2752236664314767,0.29984765'
+        '193340024,0.053805981830995851,0.016877854271152633,0.006307487494'
+        '6982508],[0.29984765193340024,-0.67394196661540662,0.1619555550910'
+        '8417,0.029010424736842566,0.0086290192989136594],[0.05380598183099'
+        '5851,0.16195555509108417,-0.36372365218842889,0.087207269103319454'
+        ',0.014585156407585148],[0.016877854271152633,0.029010424736842566,'
+        '0.087207269103319454,-0.18893904078778059,0.041751788832318511],[0'
+        '.0063074874946982508,0.0086290192989136594,0.014585156407585148,0.'
+        '041751788832318511,-0.075725383785700859]],"logT":-2.9919315302630'
+        '025,"nodes":[2.482747813636665,5.0653925626073057,8.57951649252228'
+        '6,13.368448317052497,20.28958544820015],"nodes_used":"regular zero'
+        's","spec":{"alpha":5.1639999999999997,"family":"laguerre2","m":3,"'
+        'n":5},"stationary":false,"version":"0.1.0","weight":{"shift":1,"va'
+        'riant":"hat"}}\n'),
+    ("jacobi", "--m", "1", "--alpha", "2.5", "--beta", "1.5", "--n", "6",
+     "--weight", "v"): (
+        '{"block_dominant":true,"classification":"local-max","diag_signs":['
+        '-1,-1,-1,-1,-1,-1],"diagonally_dominant":true,"gradient":[7.105427'
+        '3576010019e-15,8.8817841970012523e-16,-6.6613381477509392e-16,6.66'
+        '13381477509392e-16,1.7763568394002505e-15,-1.0658141036401503e-14]'
+        ',"hessian":[[-172.05942121413131,31.182600360694952,5.730711405218'
+        '5675,2.1374493577592073,1.1271538210560692,0.74727433977154045],[3'
+        '1.182600360694952,-73.022831302408264,17.557877625952688,3.9225043'
+        '633721115,1.7184837059973421,1.0460822265898477],[5.73071140521856'
+        '75,17.557877625952688,-49.70023650400875,14.105106628222369,3.6395'
+        '091013592769,1.83072726614805],[2.1374493577592073,3.9225043633721'
+        '115,14.105106628222369,-46.069992792517475,15.033137750679623,4.47'
+        '32708016226903],[1.1271538210560692,1.7184837059973421,3.639509101'
+        '3592769,15.033137750679623,-56.799801468153518,21.654126238336431]'
+        ',[0.74727433977154045,1.0460822265898477,1.83072726614805,4.473270'
+        '8016226903,21.654126238336431,-99.390290089161894]],"logT":-10.858'
+        '069292224631,"nodes":[-0.86141813126284272,-0.60816266179393386,-0'
+        '.27065861158022009,0.10589499454334721,0.4706406934175858,0.774550'
+        '46608915223],"nodes_used":"regular zeros","spec":{"alpha":2.5,"bet'
+        'a":1.5,"family":"jacobi","m":1,"n":6},"stationary":true,"version":'
+        '"0.1.0","weight":{"shift":1,"variant":"v"}}\n'),
+}
+
+
+@pytest.mark.parametrize("selectors", sorted(ENERGY_GOLDEN))
+def test_energy_golden_stdout(capsys, selectors):
+    family, *rest = selectors
+    code, out, err = run(capsys, "energy", "--family", family, *rest)
+    assert code == 0 and err == ""
+    assert out == ENERGY_GOLDEN[selectors]
+
+
 def test_nodes_file_override(tmp_path, capsys):
     f = tmp_path / "nodes.txt"
     f.write_text("1.0\n2.5\n7.0\n")

@@ -3,7 +3,8 @@ ODE potential Φ.
 
 Hand oracles, worked before implementation:
 
-  base laguerre a=2:   log w(1) = -1,  (log w)'(2) = 0
+  hat  laguerre m=0, a=2 (alpha = 1, S = 1, the classical base weight):
+      log w(1) = -1,  (log w)'(2) = 0
   hat  laguerre m=1, a=2 (S = 2+x):  (log w)''(1) = -3 + 2/9
   hat  jacobi  m=1, a=2, b=1 (S = -(3+x)/2):
       log w(0) = -log(9/4),  (log w)'(0) = -5/3,  (log w)''(0) = -43/9
@@ -24,17 +25,18 @@ from reference import (lagrange_basis, log_energy, maximize_log_T, phi,
                        phi_closed, transfinite_d)
 
 
-BASE0 = xf.WeightSpec(xf.FamilySpec("laguerre1", 0, 0.0, 2), "base")
+# the hat weight at m = 0 (S = 1) and alpha = -1 is e^-x
+HAT0 = xf.WeightSpec(xf.FamilySpec("laguerre1", 0, -1.0, 2))
 
 
 def hat(family, m, alpha, n, beta=None):
-    return xf.WeightSpec(spec_of(family, m, alpha, n, beta), "hat")
+    return xf.WeightSpec(spec_of(family, m, alpha, n, beta))
 
 
 # ---------------------------------------------------------------- weight_logs
 
 def test_base_laguerre_oracles():
-    w = xf.WeightSpec(spec_of("laguerre1", 0, 2.0, 2), "base")
+    w = hat("laguerre1", 0, 1.0, 2)
     lw, d1, d2 = xf.weight_logs(w, 1.0)
     assert lw == pytest.approx(-1.0, abs=1e-14)
     assert xf.weight_logs(w, 2.0)[1] == pytest.approx(0.0, abs=1e-14)
@@ -55,11 +57,12 @@ def test_hat_jacobi_oracles():
 
 
 def test_hat_is_even_power_of_s():
-    # hat differs from base exactly by S^{-2} and the shifted exponent
+    # hat differs from the classical weight x^alpha e^-x (hat at m = 0
+    # and alpha - 1) exactly by S^{-2} and the shifted exponent
     s = spec_of("laguerre1", 1, 2.0, 3)
     x = 1.7
-    lb = xf.weight_logs(xf.WeightSpec(s, "base"), x)[0]
-    lh = xf.weight_logs(xf.WeightSpec(s, "hat"), x)[0]
+    lb = xf.weight_logs(hat("laguerre1", 0, 1.0, 3), x)[0]
+    lh = xf.weight_logs(xf.WeightSpec(s), x)[0]
     S = npoly.polyval(x, xf.build_S(s))
     assert lh == pytest.approx(lb + np.log(x) - 2 * np.log(abs(S)), rel=1e-13)
 
@@ -78,14 +81,7 @@ def test_poles_raise():
     with pytest.raises(xf.PoleEvaluation):
         xf.weight_logs(w, -2.0)  # zero of S
     with pytest.raises(xf.PoleEvaluation):
-        xf.weight_logs(xf.WeightSpec(spec_of("laguerre1", 1, 1.5, 3), "base"), -1.0)
-    with pytest.raises(xf.PoleEvaluation):
         xf.weight_logs(hat("jacobi", 1, 2.0, 3, 1.0), 1.0)
-
-
-def test_invalid_variant_rejected():
-    with pytest.raises(xf.ValidationError):
-        xf.WeightSpec(spec_of("laguerre1", 1, 2.0, 3), "vv")
 
 
 def test_v_weight_polynomial_factor():
@@ -93,7 +89,7 @@ def test_v_weight_polynomial_factor():
     zs = zeros_of("laguerre1", 1, 2.0, 4)
     v = xf.v_weight(zs)
     x = 3.1
-    lh = xf.weight_logs(xf.WeightSpec(s, "hat"), x)[0]
+    lh = xf.weight_logs(xf.WeightSpec(s), x)[0]
     lv = xf.weight_logs(v, x)[0]
     P = np.prod(x - zs.exceptional.real)
     assert lv == pytest.approx(lh + 2 * np.log(abs(P)), rel=1e-12)
@@ -103,13 +99,14 @@ def test_weights_compare_and_hash_by_spec_variant_and_P():
     zs = zeros_of("laguerre1", 1, 2.0, 5)
     a, b = xf.v_weight(zs), xf.v_weight(zs)
     assert a is not b and a == b and hash(a) == hash(b)
-    other = xf.WeightSpec(zs.spec, "v", P=a.P + np.array([0.5, 0.0]))
+    assert a.variant == "v"
+    other = xf.WeightSpec(zs.spec, P=a.P + np.array([0.5, 0.0]))
     assert a != other
     assert len({a, b, other}) == 2
-    h = xf.WeightSpec(zs.spec, "hat")
-    assert h == xf.WeightSpec(zs.spec, "hat") and h != a
-    assert hash(h) == hash(xf.WeightSpec(zs.spec, "hat"))
-    assert h != xf.WeightSpec(zs.spec, "base") and h != "hat"
+    h = xf.WeightSpec(zs.spec)
+    assert h == xf.WeightSpec(zs.spec) and h != a and h.variant == "hat"
+    assert hash(h) == hash(xf.WeightSpec(zs.spec))
+    assert h != xf.WeightSpec(spec_of("laguerre1", 1, 2.5, 5)) and h != "hat"
 
 
 def test_v_weight_laguerre2_real_closure():
@@ -123,12 +120,12 @@ def test_v_weight_laguerre2_real_closure():
 # ---------------------------------------------------------------- log_energy
 
 def test_log_energy_single_node():
-    w = xf.WeightSpec(spec_of("laguerre1", 0, 2.0, 1), "base")
+    w = hat("laguerre1", 0, 1.0, 1)
     assert log_energy(np.array([1.0]), w) == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_log_energy_pair_oracle():
-    got = log_energy(np.array([1.0, 3.0]), BASE0)
+    got = log_energy(np.array([1.0, 3.0]), HAT0)
     assert got == pytest.approx(-4 + 2 * np.log(2), rel=1e-14)
 
 
@@ -144,11 +141,11 @@ def test_log_energy_permutation_invariant():
 def test_non_finite_nodes_are_invalid(bad):
     # the input's fault (CLI exit 1), raised before any arithmetic warns
     nodes = np.array([1.0, bad, 7.0])
-    calls = [lambda: log_energy(nodes, BASE0),
-             lambda: xf.energy_hessian(nodes, BASE0),
-             lambda: transfinite_d(nodes, BASE0),
+    calls = [lambda: log_energy(nodes, HAT0),
+             lambda: xf.energy_hessian(nodes, HAT0),
+             lambda: transfinite_d(nodes, HAT0),
              lambda: lagrange_basis(nodes),
-             lambda: maximize_log_T(BASE0, (0.0, 10.0), 3, init=nodes)]
+             lambda: maximize_log_T(HAT0, (0.0, 10.0), 3, init=nodes)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in calls:
@@ -158,7 +155,7 @@ def test_non_finite_nodes_are_invalid(bad):
 
 def test_coincident_nodes_raise():
     with pytest.raises(xf.CoincidentNodes):
-        log_energy(np.array([1.0, 1.0]), BASE0)
+        log_energy(np.array([1.0, 1.0]), HAT0)
 
 
 # ---------------------------------------------------------------- gradient
@@ -170,7 +167,7 @@ def test_fejer_single_node_is_weight_derivative():
 
 
 def test_fejer_antisymmetry_even_weight():
-    w = xf.WeightSpec(xf.FamilySpec("jacobi", 0, 1.0, 2, beta=1.0), "base")
+    w = hat("jacobi", 0, 0.0, 2, 0.0)
     c = xf.energy_hessian(np.array([-0.4, 0.4]), w).gradient
     assert c[0] == pytest.approx(-c[1], rel=1e-13)
 
@@ -199,7 +196,7 @@ def test_gradient_matches_finite_differences():
 # ---------------------------------------------------------------- hessian
 
 def test_offdiagonal_entry_exact():
-    H = xf.energy_hessian(np.array([0.0, 2.0]), BASE0).hessian
+    H = xf.energy_hessian(np.array([0.0, 2.0]), HAT0).hessian
     assert H[0, 1] == 0.5 and H[1, 0] == 0.5
 
 
@@ -251,7 +248,7 @@ def test_full_zero_set_is_saddle():
     s = spec_of("laguerre1", 1, 2.0, 5)
     zs = zeros_of("laguerre1", 1, 2.0, 5)
     nodes = np.sort(np.concatenate([zs.exceptional.real, zs.regular]))
-    rep = xf.energy_hessian(nodes, xf.WeightSpec(s, "hat"))
+    rep = xf.energy_hessian(nodes, xf.WeightSpec(s))
     assert rep.stationary
     assert rep.classification == "saddle"
     assert list(rep.diag_signs) == [1] + [-1] * 5
@@ -306,6 +303,6 @@ def test_hessian_diagonal_equals_phi_at_zeros():
     s = spec_of("laguerre1", 1, 2.0, 5)
     zs = zeros_of("laguerre1", 1, 2.0, 5)
     nodes = np.sort(np.concatenate([zs.exceptional.real, zs.regular]))
-    H = xf.energy_hessian(nodes, xf.WeightSpec(s, "hat")).hessian
+    H = xf.energy_hessian(nodes, xf.WeightSpec(s)).hessian
     for i, z in enumerate(nodes):
         assert H[i, i] == pytest.approx(-(2 / 3) * phi(s, z), rel=1e-8)

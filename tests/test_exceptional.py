@@ -217,7 +217,8 @@ def test_leading_coefficient_exact():
             b = built_of("laguerre1", m, 1.5, n)
             expected = (-1.0) ** n / (math.factorial(m) * math.factorial(n))
             assert b.coeffs[-1] == expected
-            assert leading_coefficient(b.spec) == expected
+            assert leading_coefficient(
+                spec_of("laguerre1", m, 1.5, n)) == expected
 
 
 @pytest.mark.parametrize("family,m,alpha,n,beta", [
@@ -250,7 +251,7 @@ def test_member_degree_collapse_raises_before_newton(monkeypatch, family, m,
 def test_ode_residual_by_polynomial_arithmetic(family, m, alpha, n, beta):
     """A y'' + B y' + C y must vanish identically, checked coefficientwise."""
     b = built_of(family, m, alpha, n, beta)
-    ode = xf.ode_coeffs(b.spec)
+    ode = xf.ode_coeffs(spec_of(family, m, alpha, n, beta))
     y = b.coeffs
     y1 = npoly.polyder(y)
     y2 = npoly.polyder(y, 2)
@@ -336,9 +337,10 @@ def test_jacobi_lead_scales_by_ldexp(capsys):
     ("jacobi", 2, 4.0, 5, 1.0),
 ])
 def test_eval_matches_coefficients(family, m, alpha, n, beta):
+    spec = spec_of(family, m, alpha, n, beta)
     b = built_of(family, m, alpha, n, beta)
     x = np.linspace(0.1, 9.0, 25) if family != "jacobi" else np.linspace(-0.9, 0.9, 25)
-    direct = xf.exceptional_eval(b.spec, x)
+    direct = xf.exceptional_eval(spec, x)
     via = npoly.polyval(x, b.coeffs)
     scale = np.max(np.abs(via)) + 1.0
     assert np.max(np.abs(direct - via)) < 1e-9 * scale

@@ -95,10 +95,9 @@ def ref_log_deriv_terms(w):
         if a != 0:
             terms.append((0.0 + 0j, a))
         has_exp = True
-    if w.variant in ("hat", "v"):
-        for r in np.roots(ref_build_S(w.spec)[::-1]):
-            terms.append((complex(r), -2.0))
-    if w.variant == "v":
+    for r in np.roots(ref_build_S(w.spec)[::-1]):
+        terms.append((complex(r), -2.0))
+    if w.P is not None:
         for r in np.roots(np.asarray(w.P)[::-1]):
             terms.append((complex(r), 2.0))
     return terms, has_exp
@@ -181,13 +180,9 @@ def test_lead_and_profile_bit_identical(family):
 def test_weight_terms_and_domain_identical(family):
     P = npoly.polyfromroots([-2.5, -0.5 + 0.75j, -0.5 - 0.75j]).real
     for spec in (s for s in SPECS if s.family == family):
-        # the alpha = 0 base weight takes the zero-exponent branch
-        weights = [xf.WeightSpec(spec, "base"), xf.WeightSpec(spec, "hat"),
-                   xf.WeightSpec(spec, "v", P=P),
-                   xf.WeightSpec(dataclasses.replace(spec, alpha=0.0),
-                                 "base")]
-        if spec.m == 0:
-            weights = [w for w in weights if w.variant == "base"]
+        # the alpha = -1 hat weight takes the zero-exponent branch
+        weights = [xf.WeightSpec(spec), xf.WeightSpec(spec, P=P),
+                   xf.WeightSpec(dataclasses.replace(spec, alpha=-1.0))]
         for w in weights:
             assert interp._log_deriv_terms(w) == ref_log_deriv_terms(w)
             assert fekete_opt.default_domain(w, spec.n) \

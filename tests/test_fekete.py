@@ -26,7 +26,7 @@ def test_hand_example_single_node():
 def test_default_domains():
     v = v_of("laguerre1", 0, 1.0, 1)
     assert xf.default_domain(v, 1) == (0.0, 6.0)
-    wj = xf.WeightSpec(spec_of("jacobi", 1, 2.0, 3, 1.0), "hat")
+    wj = xf.WeightSpec(spec_of("jacobi", 1, 2.0, 3, 1.0))
     assert xf.default_domain(wj, 3) == (-1.0, 1.0)
 
 
@@ -336,7 +336,7 @@ def test_lockstep_ascent_matches_serial_start_by_start(args):
 def test_a_box_holding_a_zero_of_s_is_refused(variant):
     # S's zero at x = -2 is a pole of F: every ascent would climb into it
     zs = zeros_of("laguerre1", 1, 2.0, 4)
-    w = xf.v_weight(zs) if variant == "v" else xf.WeightSpec(zs.spec, "hat")
+    w = xf.v_weight(zs) if variant == "v" else xf.WeightSpec(zs.spec)
     domain = (-2.5, 30.0)
     msg = r"search box \(-2\.5, 30\) holds the zero x = -2 of S"
     with pytest.raises(xf.ValidationError, match=msg):
@@ -345,8 +345,6 @@ def test_a_box_holding_a_zero_of_s_is_refused(variant):
         maximize_log_T(w, domain, 4)
     # the zero on the edge of the open box is outside it
     assert xf.uniqueness_probe(w, (-2.0, 30.0), 4, trials=0)["trials"] == 0
-    base = xf.WeightSpec(zs.spec, "base")
-    assert xf.uniqueness_probe(base, domain, 4, trials=0)["trials"] == 0
 
 
 @pytest.mark.parametrize("variant", ["hat", "v"])
@@ -354,7 +352,7 @@ def test_pole_rows_in_a_line_search_match_serial(monkeypatch, variant):
     # the box holds S's zero at x = -2: candidates fall inside its pole
     # guard in the middle of line searches, and the last start is on it
     zs = zeros_of("laguerre1", 1, 2.0, 4)
-    w = xf.v_weight(zs) if variant == "v" else xf.WeightSpec(zs.spec, "hat")
+    w = xf.v_weight(zs) if variant == "v" else xf.WeightSpec(zs.spec)
     domain = (-2.5, 30.0)
     rng = np.random.default_rng(2)
     starts = np.vstack([np.sort(rng.uniform(*domain, size=(4, 4)), axis=1),

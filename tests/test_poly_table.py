@@ -117,7 +117,7 @@ def test_weight_P_is_its_table():
         xf.find_zeros(spec).exceptional).real)
     assert _same(w.P, ref[0]) and w.P is w._P_table.c
     assert _same(w._P_table.d2, ref[3])
-    assert xf.WeightSpec(spec, "hat")._P_table is None
+    assert xf.WeightSpec(spec)._P_table is None
 
 
 VERIFY_ARGS = {

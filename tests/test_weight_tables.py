@@ -65,12 +65,11 @@ def ref_weight_logs(w, x):
             d2 = d2 - a / x ** 2
         logw = logw - x
         d1 = d1 - 1.0
-    if w.variant in ("hat", "v"):
-        ls, ls1, ls2 = _ref_poly_logs(xf.build_S(w.spec), x)
-        logw = logw - 2.0 * ls
-        d1 = d1 - 2.0 * ls1
-        d2 = d2 - 2.0 * ls2
-    if w.variant == "v":
+    ls, ls1, ls2 = _ref_poly_logs(xf.build_S(w.spec), x)
+    logw = logw - 2.0 * ls
+    d1 = d1 - 2.0 * ls1
+    d2 = d2 - 2.0 * ls2
+    if w.P is not None:
         lp, lp1, lp2 = _ref_poly_logs(w.P, x)
         logw = logw + 2.0 * lp
         d1 = d1 + 2.0 * lp1
@@ -98,11 +97,23 @@ def ref_gradient_and_hessian(nodes, w):
     return g, H
 
 
+def base_weight(args):
+    """The classical weight of the exponents of args, x^alpha e^-x or
+    (1-x)^alpha (1+x)^beta: the hat weight at m = 0 (S = 1) with alpha
+    and beta lowered by one."""
+    family, _, alpha, n, *beta = args
+    return xf.WeightSpec(spec_of(family, 0, alpha - 1.0, n,
+                                 *(b - 1.0 for b in beta)))
+
+
 def weight(family, variant):
+    """The base, hat or v weight of the family's SPECS entry."""
     args = SPECS[family]
-    spec = spec_of(*args)
-    P = xf.v_weight(zeros_of(*args)).P if variant == "v" else None
-    return xf.WeightSpec(spec, variant, P=P)
+    if variant == "base":
+        return base_weight(args)
+    if variant == "v":
+        return xf.v_weight(zeros_of(*args))
+    return xf.WeightSpec(spec_of(*args))
 
 
 @pytest.mark.parametrize("variant", ["base", "hat", "v"])
@@ -115,8 +126,6 @@ def test_weight_logs_bit_identical_to_direct_form(family, variant):
     assert all(type(v) is float for v in got)
     assert got == ref
     x = np.array(array)
-    if family != "jacobi" and variant == "base":
-        x = x[x > 0]        # non-integer exponent: undefined for x < 0
     for g, r in zip(xf.weight_logs(w, x), ref_weight_logs(w, x)):
         np.testing.assert_array_equal(g, r)
 
@@ -208,7 +217,7 @@ def test_phi_closed_matches_direct_form():
 def test_weight_polynomial_is_read_only():
     spec = spec_of(*SPECS["laguerre2"])
     P = xf.v_weight(zeros_of(*SPECS["laguerre2"])).P.copy()
-    w = xf.WeightSpec(spec, "v", P=P)
+    w = xf.WeightSpec(spec, P=P)
     assert not w.P.flags.writeable
     with pytest.raises(ValueError):
         w.P[0] = 1.0
@@ -274,21 +283,19 @@ def test_one_weight_evaluation_per_ascent_point(monkeypatch, family):
 
 def pole_cases():
     """(weight, points, message) of weight_logs' pole guards; the last
-    four fire two guards, and the message is the first one checked."""
+    three fire two guards, and the message is the first one checked."""
     lag = zeros_of("laguerre1", 1, 2.0, 4)
     jac = zeros_of("jacobi", 1, 2.5, 4, 1.5)
-    lag_base = xf.WeightSpec(spec_of("laguerre1", 1, 2.5, 4), "base")
-    lag_hat, lag_v = xf.WeightSpec(lag.spec, "hat"), xf.v_weight(lag)
-    jac_base, jac_hat = (xf.WeightSpec(jac.spec, "base"),
-                         xf.WeightSpec(jac.spec, "hat"))
+    lag_base = base_weight(("laguerre1", 1, 2.5, 4))
+    lag_hat, lag_v = xf.WeightSpec(lag.spec), xf.v_weight(lag)
+    jac_base, jac_hat = (base_weight(("jacobi", 1, 2.5, 4, 1.5)),
+                         xf.WeightSpec(jac.spec))
     jac_v = xf.v_weight(jac)
     # S(-2) = 0 for laguerre1 m = 1, alpha = 2; P's zero is exceptional
     p_lag, p_jac = (float(zs.exceptional[0].real) for zs in (lag, jac))
     near = ("evaluation point too close to x = 0",
             "evaluation point too close to x = 1",
             "evaluation point too close to x = -1")
-    below = ("base Laguerre weight undefined for x < 0 at non-integer "
-             "exponent")
     poly = "evaluation point too close to a zero of a weight polynomial"
     return [(lag_base, [1.0, 5e-13], near[0]),
             (lag_hat, [1.0, -5e-13], near[0]),
@@ -296,12 +303,10 @@ def pole_cases():
             (jac_base, [0.5, 1 - 5e-13], near[1]),
             (jac_hat, [-1 + 5e-13, 0.5], near[2]),
             (jac_v, [1.0], near[1]),
-            (lag_base, [3.0, -0.5], below),
             (lag_hat, [-2.0, 3.0], poly),
             (lag_hat, -2.0, poly),
             (lag_v, [-2.0], poly),
             (lag_v, [p_lag, 3.0], poly),
-            (lag_base, [-0.5, 1e-13], near[0]),
             (jac_base, [-1.0, 1.0], near[1]),
             (lag_hat, [-2.0, 0.0], near[0]),
             (jac_v, [p_jac, 1 - 1e-13], near[1])]
@@ -319,7 +324,7 @@ def test_pole_guard_masks_are_the_points_that_raise():
     for k, (w, x, message) in enumerate(cases):
         x = np.atleast_1d(x)
         logs, guards = energy._weight_logs(w, x)
-        assert len(guards) == (2 if k >= len(cases) - 4 else 1)
+        assert len(guards) == (2 if k >= len(cases) - 3 else 1)
         assert guards[0][0] == message
         for i, xi in enumerate(x):
             fired = [m for m, mask in guards if mask[i]]
@@ -410,8 +415,8 @@ REPORT_CASES = [
                          ids=[f"{a[0]}-{v}-{c}" for a, v, c in REPORT_CASES])
 def test_energy_report_matches_the_eager_report(args, variant, cls):
     zs = zeros_of(*args)
-    w = (xf.v_weight(zs) if variant == "v"
-         else xf.WeightSpec(spec_of(*args), variant))
+    w = (xf.v_weight(zs) if variant == "v" else base_weight(args)
+         if variant == "base" else xf.WeightSpec(spec_of(*args)))
     nodes = _report_nodes(args, variant)
     ref = ref_energy_hessian(nodes, w)
     assert ref["classification"] == cls
@@ -433,7 +438,7 @@ def test_all_negative_diagonal_without_dominance_is_indefinite():
     # a stationary report whose diagonal is negative but whose rows are
     # not dominant reaches the one branch that tests dominance
     H = np.array([[-1.0, 2.0], [2.0, -1.0]])
-    rep = energy.EnergyReport(weight=None, nodes=np.array([0.0, 1.0]),
+    rep = energy.EnergyReport(nodes=np.array([0.0, 1.0]),
                               logw=np.zeros(2), gradient=np.zeros(2),
                               hessian=H, diag_signs=np.array([-1, -1]),
                               stationary=True)
@@ -507,7 +512,7 @@ def test_stacked_v_weight_logs_bit_identical_to_direct_form(case):
     spec = spec_of(*args)
     if P is None:
         P = xf.v_weight(zeros_of(*args)).P
-    w = xf.WeightSpec(spec, "v", P=P)
+    w = xf.WeightSpec(spec, P=P)
     scalar, array = POINTS[args[0]]
     # negative points and a negative zero, where the weight allows it
     x = np.array(array + ([-0.0] if args[0] == "jacobi" else []))
@@ -524,9 +529,9 @@ def test_stacked_v_weight_logs_bit_identical_to_direct_form(case):
                          ids=lambda a: a[0] + "-" + str(a[2]))
 def test_base_weight_logs_with_no_pole_term_bit_identical(args):
     # a zero exponent drops its pole term, and with none the sums come
-    # out of weight_logs as arrays all the same; at x = +-0 the jacobi
-    # terms are signed zeros
-    w = xf.WeightSpec(spec_of(*args), "base")
+    # out of weight_logs as arrays all the same (the terms of S = 1
+    # follow x); at x = +-0 the jacobi terms are signed zeros
+    w = base_weight(args)
     x = np.array([-0.5, -0.0, 0.0, 0.3] if args[0] == "jacobi"
                  else [0.5, 2.0])
     for g, r in zip(xf.weight_logs(w, x), ref_weight_logs(w, x)):
