@@ -51,8 +51,7 @@ class WeightSpec:
     read-only in its PolyTable, built here once per weight (S is tabled
     once per spec, in FamilySpec.S).  The weight stacks the entries of
     its tables here, _stack_tables(S) or _stack_tables(S, P), for
-    weight_logs to evaluate them in one Horner pass.  Two weights are
-    equal, and hash alike, when their spec and the bytes of P agree.
+    weight_logs to evaluate them in one Horner pass.
     """
 
     spec: FamilySpec
@@ -67,17 +66,6 @@ class WeightSpec:
             object.__setattr__(self, "P", self._P_table.c)
             tables = (self._P_table,)
         object.__setattr__(self, "_stack", _stack_tables(self.spec.S, *tables))
-
-    def _key(self):
-        return self.spec, None if self.P is None else self.P.tobytes()
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightSpec):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def variant(self):

@@ -13,8 +13,10 @@ Three families are supported, declared in the FAMILY table at the end:
   jacobi      S(x) = P_m^(-alpha-1, beta-1)(x)  orthogonality on (-1, 1)
 
 Degree-(m+n) members are closed-form products of classical polynomials
-(Gomez-Ullate, Marcellan & Milson, J. Math. Anal. Appl. 399 (2013)),
-formed two ways that cross-check each other.  The pointwise evaluator
+(Gomez-Ullate, Marcellan & Milson, J. Math. Anal. Appl. 399 (2013)); for
+laguerre2 and jacobi one shape, y = w S u' + (a S - w S') u, with w and
+y' read off the ODE record.  Each is formed two ways that cross-check
+each other.  The pointwise evaluator
 (ladder_eval_pair, which returns y and y' from one recurrence sweep per
 classical factor) stays accurate at degrees where monomial coefficients
 are useless; it finds and certifies the zeros.
@@ -255,15 +257,6 @@ def _lag1_coeffs(spec):
     return y
 
 
-def _product_coeffs(spec, w, a, u):
-    # y = w S u' + (a S - w S') u, the product of _lag2_pair (w = x,
-    # a = al+1) and _jac_pair (w = 1-x, a = -(al+1))
-    S, Sp = spec.S.c, spec.S.d1
-    return npoly.polyadd(
-        npoly.polymul(npoly.polymul(w, S), polyder(u)),
-        npoly.polymul(npoly.polysub(a * S, npoly.polymul(w, Sp)), u))
-
-
 # The pair evaluators take the degree index n per point (ladder_eval_pair)
 # and read everything else from the spec.
 def _lag1_pair(spec, n, x):
@@ -280,30 +273,36 @@ def _lag1_pair(spec, n, x):
     return y, yp
 
 
-def _lag2_pair(spec, n, x):
-    # y  = x S u' + ((al+1) S - x S') u,  u = L_n^(al+1)
-    # y' = x S u' + ((m-n) S - x S') u, from eliminating u'' and S'' via
-    # the classical ODEs of u and S.  The two terms of y cancel at the
-    # smallest zeros, so u' comes from the differentiated recurrence,
-    # which sees the rounding of 2k+1+a-x that u sees.
-    m, al = spec.m, spec.alpha
-    S, Sp = _horner(spec.S.c, x), _horner(spec.S.d1, x)
-    u, _, up, _ = laguerre_pass(n, al + 1.0, x, differentiated=True)
-    y = x * S * up + ((al + 1.0) * S - x * Sp) * u
-    yp = x * S * up + ((m - n) * S - x * Sp) * u
-    return y, yp
+@functools.cache
+def _w_r(fam):
+    # coefficients of w = q and r = sigma/q, read off the family's ODE;
+    # cached, since forming them costs about as much as a short sweep
+    w = fam.q(np.ones(1))
+    return w, npoly.polydiv(fam.sigma(np.ones(1)), w)[0]
 
 
-def _jac_pair(spec, n, x):
-    # y  = (1-x) S u' - ((al+1) S + (1-x) S') u,  u = P_n^(al+1, be-1)
-    # y' = (-be (1-x) S u' + (-lam S + be (1-x) S') u) / (1+x)
-    al, be = spec.alpha, spec.beta
+def _product_coeffs(spec):
+    # y = w S u' + (a S - w S') u, the product of _product_pair
+    fam, S, Sp = spec.fam, spec.S.c, spec.S.d1
+    w, u = _w_r(fam)[0], fam.u_coeffs(spec)
+    return npoly.polyadd(
+        npoly.polymul(npoly.polymul(w, S), polyder(u)),
+        npoly.polymul(npoly.polysub(fam.a(spec) * S, npoly.polymul(w, Sp)), u))
+
+
+def _product_pair(spec, n, x):
+    # y  = w S u' + (a S - w S') u, u the family's classical factor;
+    # y' = (w1 S u' + (a1 S - w1 S') u) / r with w1 = (k/2) w, a1 = -lam
+    # and r = sigma/q, from eliminating u'' and S'' via the classical
+    # ODEs of u and S, so y' is the family ODE's own.
+    fam = spec.fam
+    wc, rc = _w_r(fam)
     S, Sp = _horner(spec.S.c, x), _horner(spec.S.d1, x)
-    u, _, up, _ = jacobi_pass(n, al + 1.0, be - 1.0, x)
-    lam = spec.fam.lam(spec, n)
-    y = (1 - x) * S * up - ((al + 1.0) * S + (1 - x) * Sp) * u
-    yp = (-be * (1 - x) * S * up + (-lam * S + be * (1 - x) * Sp) * u) \
-        / (1 + x)
+    u, up = fam.u(spec, n, x)
+    w = _horner(wc, x)
+    w1, a1 = 0.5 * fam.k(spec) * w, -fam.lam(spec, n)
+    y = w * S * up + (fam.a(spec) * S - w * Sp) * u
+    yp = (w1 * S * up + (a1 * S - w1 * Sp) * u) / _horner(rc, x)
     return y, yp
 
 
@@ -324,10 +323,12 @@ def exceptional_eval(spec, x):
 
 
 class Family(NamedTuple):
-    """What sets one family apart.  The callables take the FamilySpec (lam
-    and pair also the degree index n, which pair takes per point, and
-    gauss a list of them, the degrees of a ladder) and look public
-    functions up as module globals when called."""
+    """What sets one family apart.  The callables take the FamilySpec (lam,
+    pair and u also the degree index n, which pair and u take per point,
+    and gauss a list of them, the degrees of a ladder) and look public
+    functions up as module globals when called.  A product family
+    declares only a and its classical factor u; _product_pair and
+    _product_coeffs read w, y' and the rest off its ODE fields."""
 
     interval: tuple     # open orthogonality interval (a, b); b may be inf
     poles: tuple        # r of each base-weight factor |x - r|^(alpha, beta)
@@ -345,10 +346,13 @@ class Family(NamedTuple):
     lead: object        # (spec, lead_factor) -> closed-form leading coeff.
     log_lead: object    # spec -> log|leading coeff.| from lgamma, finite
                         # where the float lead leaves binary64
-    coeffs: object      # monomial coefficients of the closed-form product
-    pair: object        # (spec, n, x) -> (y, y'), n per point
     regime: object      # out-of-regime diagnostics
     domain: object      # (spec, n) -> Fekete search box for n nodes
+    coeffs: object = _product_coeffs  # coefficients of the product
+    pair: object = _product_pair      # (spec, n, x) -> (y, y'), n per point
+    a: object = None    # the product y = w S u' + (a S - w S') u, w = q
+    u: object = None    # (spec, n, x) -> (u, u') of the classical factor
+    u_coeffs: object = None  # spec -> monomial coefficients of u
 
 
 def _half_line_lead(spec, f):
@@ -412,9 +416,12 @@ FAMILY = {
         lam=lambda s, n: n - s.m, k=lambda s: 2.0, q=npoly.polymulx,
         lead_factor=lambda s: (-1) ** (s.m + s.n)
         * (s.n + s.alpha + 1.0 - s.m),
-        coeffs=lambda s: _product_coeffs(
-            s, (0.0, 1.0), s.alpha + 1.0, laguerre_coeffs(s.n, s.alpha + 1.0)),
-        pair=_lag2_pair,
+        a=lambda s: s.alpha + 1.0,
+        # y's two terms cancel at the smallest zeros, so u' follows the
+        # differentiated recurrence, which sees u's rounding of 2k+1+a-x
+        u=lambda s, n, x: laguerre_pass(n, s.alpha + 1.0, x,
+                                        differentiated=True)[::2],
+        u_coeffs=lambda s: laguerre_coeffs(s.n, s.alpha + 1.0),
         regime=lambda s: ["alpha <= m-1: S may vanish on the positive axis"]
         if s.alpha <= s.m - 1 else []),
     "jacobi": Family(
@@ -433,10 +440,11 @@ FAMILY = {
                             + _log_abs(s.S.c[-1])
                             + _log_binom(2 * s.n + s.alpha + s.beta, s.n)
                             - s.n * log(2.0)),
-        coeffs=lambda s: _product_coeffs(
-            s, (1.0, -1.0), -(s.alpha + 1.0),
-            _jacobi_coeffs_top_down(s.n, s.alpha + 1.0, s.beta - 1.0)),
-        pair=_jac_pair, regime=_jac_regime,
+        a=lambda s: -(s.alpha + 1.0),
+        u=lambda s, n, x: jacobi_pass(n, s.alpha + 1.0, s.beta - 1.0, x)[::2],
+        u_coeffs=lambda s: _jacobi_coeffs_top_down(s.n, s.alpha + 1.0,
+                                                   s.beta - 1.0),
+        regime=_jac_regime,
         domain=lambda s, n: (-1.0, 1.0)),
 }
 

@@ -601,6 +601,72 @@ def test_energy_golden_stdout(capsys, selectors):
     assert out == ENERGY_GOLDEN[selectors]
 
 
+# the Laguerre-II and Jacobi members from the product-form evaluator: a
+# laguerre2 member with one real exceptional zero and a complex pair, a
+# jacobi member with an exceptional zero beyond the zero of S at 35.97,
+# and their monomial coefficients
+ZEROS_GOLDEN = {
+    ("laguerre2", "--m", "3", "--alpha", "4.5", "--n", "8"): (
+        '{"certificate":{"max_ratio":2.1799419794821364e-16,"method":"evalu'
+        'ator","passed":true},"exceptional":[[-3.6710750287880467,0],[-2.70'
+        '50024756620012,-3.045049299704258],[-2.7050024756620012,3.04504929'
+        '9704258]],"interlacing":{"checks":[{"check":"regular count","passe'
+        'd":true},{"check":"exceptional count","passed":true},{"check":"neg'
+        'ative real exceptional parity","passed":true}],"mode":"structure",'
+        '"passed":true},"regular":[1.5149487543156803,3.1712243973805552,5.'
+        '3790831204254008,8.2177269490993421,11.796990652467136,16.30231516'
+        '6243442,22.094703194384991,30.104087745795503],"s_zeros":[[-3.1328'
+        '694368396,0],[-2.183565281580198,-2.7929183291074353],[-2.18356528'
+        '1580198,2.7929183291074353]],"spec":{"alpha":4.5,"family":"laguerr'
+        'e2","m":3,"n":8},"version":"0.1.0"}\n'),
+    ("jacobi", "--m", "2", "--alpha", "2.6", "--beta", "0.8", "--n", "8"): (
+        '{"certificate":{"max_ratio":2.0432959331248321e-16,"method":"evalu'
+        'ator","passed":true},"exceptional":[[-2.151142569313631,0],[39.681'
+        '14760267877,0]],"interlacing":{"checks":[{"check":"regular count",'
+        '"passed":true},{"check":"regular inside (-1, 1)","passed":true},{"'
+        'check":"exceptional count","passed":true},{"check":"exceptional ou'
+        'tside closed interval","passed":true}],"mode":"structure","passed"'
+        ':true},"regular":[-0.93981468757413178,-0.78997704230326404,-0.564'
+        '23609732707036,-0.28338054967107384,0.026081335143443241,0.3347586'
+        '3827379271,0.61340721042866098,0.83604275760261737],"s_zeros":[[-1'
+        '.9736659610102762,0],[35.973665961010241,0]],"spec":{"alpha":2.600'
+        '0000000000001,"beta":0.80000000000000004,"family":"jacobi","m":2,"'
+        'n":8},"version":"0.1.0"}\n'),
+}
+
+
+@pytest.mark.parametrize("selectors", sorted(ZEROS_GOLDEN))
+def test_zeros_golden_stdout(capsys, selectors):
+    family, *rest = selectors
+    code, out, err = run(capsys, "zeros", "--family", family, *rest)
+    assert code == 0 and err == ""
+    assert out == ZEROS_GOLDEN[selectors]
+
+
+POLY_GOLDEN = {
+    ("laguerre2", "--m", "2", "--alpha", "4.5", "--n", "4"): (
+        '{"coefficients":[7104.26513671875,-2583.369140625,-463.681640625,1'
+        '26.171875,17.0703125,-3.90625,0.15625],"leading_coefficient":0.156'
+        '25,"leading_expected":0.15625,"residual":0,"spec":{"alpha":4.5,"fa'
+        'mily":"laguerre2","m":2,"n":4},"version":"0.1.0","warnings":[]}\n'),
+    ("jacobi", "--m", "2", "--alpha", "2.6", "--beta", "0.8", "--n", "4"): (
+        '{"coefficients":[-3.2241327999999987,50.764291200000002,125.507099'
+        '20000003,-133.99845760000002,-337.52399520000006,-107.3971808,2.73'
+        '04368000000023],"leading_coefficient":2.7304368000000023,"leading_'
+        'expected":2.7304368000000023,"residual":3.6449559771295972e-16,"sp'
+        'ec":{"alpha":2.6000000000000001,"beta":0.80000000000000004,"family'
+        '":"jacobi","m":2,"n":4},"version":"0.1.0","warnings":[]}\n'),
+}
+
+
+@pytest.mark.parametrize("selectors", sorted(POLY_GOLDEN))
+def test_poly_golden_stdout(capsys, selectors):
+    family, *rest = selectors
+    code, out, err = run(capsys, "poly", "--family", family, *rest)
+    assert code == 0 and err == ""
+    assert out == POLY_GOLDEN[selectors]
+
+
 def test_nodes_file_override(tmp_path, capsys):
     f = tmp_path / "nodes.txt"
     f.write_text("1.0\n2.5\n7.0\n")

@@ -93,20 +93,7 @@ def test_v_weight_polynomial_factor():
     lv = xf.weight_logs(v, x)[0]
     P = np.prod(x - zs.exceptional.real)
     assert lv == pytest.approx(lh + 2 * np.log(abs(P)), rel=1e-12)
-
-
-def test_weights_compare_and_hash_by_spec_variant_and_P():
-    zs = zeros_of("laguerre1", 1, 2.0, 5)
-    a, b = xf.v_weight(zs), xf.v_weight(zs)
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert a.variant == "v"
-    other = xf.WeightSpec(zs.spec, P=a.P + np.array([0.5, 0.0]))
-    assert a != other
-    assert len({a, b, other}) == 2
-    h = xf.WeightSpec(zs.spec)
-    assert h == xf.WeightSpec(zs.spec) and h != a and h.variant == "hat"
-    assert hash(h) == hash(xf.WeightSpec(zs.spec))
-    assert h != xf.WeightSpec(spec_of("laguerre1", 1, 2.5, 5)) and h != "hat"
+    assert v.variant == "v" and xf.WeightSpec(s).variant == "hat"
 
 
 def test_v_weight_laguerre2_real_closure():
