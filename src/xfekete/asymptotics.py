@@ -70,15 +70,14 @@ class DiameterSeries:
     ps_ratio_max: np.ndarray
 
 
-def _diameters(members, P, c):
-    """{n: (d_n, max (P/S)^2)} of certified ZeroSets members of one
+def _diameters(spec, members, P, c):
+    """{n: (d_n, max (P/S)^2)} of certified ZeroSets members of spec's
     ladder, P their node polynomials stacked by row, and {n: reason} of
     the members whose nodes trip a pole guard of the v weight (the first
     that fires, in weight_logs' check order).  log T comes from the
     identity of the module docstring, each member's terms in one
     compensated sum; the hat weight, P at the nodes and (P/S)^2 on the
     grids are each one pass over every member."""
-    spec = members[0].spec
     ns = np.array([zs.spec.n for zs in members])
     ends = np.cumsum(ns)
     x = np.concatenate([zs.regular for zs in members])
@@ -122,10 +121,10 @@ def d_sequence(m, alpha, n_range, c=1.0):
     ValidationError, as does an n above N_CAP, the cap that stands in
     for the evaluator's recurrence overflow (past n ~ 350).  One extra
     member below the range start is computed so the first delta is
-    defined.  The members' zeros are found as one ladder
-    (find_zeros_ladder), the Newton polish solved for all n together,
-    and each log T comes from y' at the zeros, with no pair log
-    (_diameters).
+    defined.  The members' zeros are found as one ladder, one spec and
+    its degree indices (find_zeros_ladder), the Newton polish solved for
+    all n together, and each log T comes from y' at the zeros, with no
+    pair log (_diameters).
     """
     wanted = sorted(set(int(n) for n in n_range))
     if not wanted:
@@ -138,9 +137,9 @@ def d_sequence(m, alpha, n_range, c=1.0):
     _check_c(c)     # here, or every member would be skipped for it
     compute = sorted(set(wanted) | ({wanted[0] - 1} if wanted[0] > 2
                                     else set()))
-    specs = [FamilySpec("laguerre1", m, alpha, n) for n in compute]
+    spec = FamilySpec("laguerre1", m, alpha, compute[0])
     members, P, skipped = [], [], {}
-    for n, zs in zip(compute, find_zeros_ladder(specs)):
+    for n, zs in zip(compute, find_zeros_ladder(spec, compute)):
         try:
             if isinstance(zs, XFeketeError):
                 raise zs
@@ -150,7 +149,7 @@ def d_sequence(m, alpha, n_range, c=1.0):
             skipped[n] = f"{type(exc).__name__}: {exc}"
     results = {}
     if members:
-        results, guarded = _diameters(members, np.array(P), c)
+        results, guarded = _diameters(spec, members, np.array(P), c)
         skipped.update(guarded)
 
     n_values = np.array([n for n in wanted if n in results], dtype=int)

@@ -56,17 +56,14 @@ def _dumps(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(payload, spec=None):
-    doc = {"version": __version__}
-    if spec is not None:
-        doc["spec"] = spec.as_dict()
+def _emit(payload, spec):
+    doc = {"version": __version__, "spec": spec.as_dict()}
     doc.update(payload)
     print(_dumps(doc))
 
 
 def _spec_from(args):
-    beta = getattr(args, "beta", None)
-    return FamilySpec(args.family, args.m, args.alpha, args.n, beta)
+    return FamilySpec(args.family, args.m, args.alpha, args.n, args.beta)
 
 
 def cmd_poly(args):
@@ -247,13 +244,12 @@ def cmd_verify(args):
     return 0 if passed else 2
 
 
-def _add_selectors(p, need_n=True):
+def _add_selectors(p):
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, default=None)
-    if need_n:
-        p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
 
 
 def build_parser():

@@ -8,23 +8,24 @@ one engine serves all three families.  One Newton iteration on the
 pointwise closed-form evaluator polishes all m + n zeros together: the
 regular ones from the classical zeros, the exceptional ones from the
 zeros of S, to which they tend (Gomez-Ullate, Marcellan & Milson 2013),
-each exceptional iterate coupled to every other (Aberth-Ehrlich).  Specs
-that differ only in n (a ladder, such as the members of a diameter
-sweep) are seeded and polished together: one polishing sweep gives every
-member its classical seeds, each Newton round evaluates every pending
-point of every member in one call, and a single spec is a ladder of one.
-The same evaluator certifies the zeros: the certificate bounds its
-Newton correction at every zero, one more lockstep round for the whole
-ladder.  The monomial coefficients (build_exceptional) play no part.
+each exceptional iterate coupled to every other (Aberth-Ehrlich).  The
+members of a ladder, one spec and a list of degree indices n (such as
+the members of a diameter sweep), are seeded and polished together: S
+does not depend on n, so the ladder reads it and its zeros once; one
+polishing sweep gives every member its classical seeds, each Newton
+round evaluates every pending point of every member in one call, and a
+single spec is a ladder of one.  The same evaluator certifies the zeros:
+the certificate bounds its Newton correction at every zero, one more
+lockstep round for the whole ladder.  The monomial coefficients
+(build_exceptional) play no part.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .classical_poly import _QUIET, _ladder_call, laguerre_pass
-from .errors import (CountMismatch, NonConvergence, ValidationError,
-                     XFeketeError)
+from .errors import CountMismatch, NonConvergence, XFeketeError
 from .exceptional import _nonzero_lead, _s_zeros, ladder_eval_pair
 
 # classification margin: a zero within this distance of the closed
@@ -56,6 +57,7 @@ class ZeroSet:
     regular:      sorted real zeros inside the orthogonality interval
     exceptional:  the m zeros outside its closure (complex array)
     s_zeros:      zeros of the denominator polynomial S, for reference
+                  (read-only, one array for every member of a ladder)
     certificate:  evaluator certificate record (method, max_ratio, passed)
     regular_dy:   y' at the regular zeros, from the certificate's
                   evaluation (complex where that evaluation was)
@@ -69,18 +71,19 @@ class ZeroSet:
     regular_dy: np.ndarray
 
 
-def _newton_ladder(specs, x0s, itmax=60):
-    """Newton polish of a ladder of specs, one iterate array x0s[i] per
-    spec, all in lockstep: each round makes one ladder_eval_pair call for
-    every pending point of every pending spec.
+def _newton_ladder(spec, ns, x0s, itmax=60):
+    """Newton polish of the ladder of spec at the degree indices ns, one
+    iterate array x0s[i] per member, all in lockstep: each round makes
+    one ladder_eval_pair call for every pending point of every pending
+    member.
 
-    The specs differ only in n.  Each keeps its own iterates, step
-    history, iteration count and stop test, and drops out once it stops.
-    The first n iterates of spec i (n = specs[i].n) seek its regular
-    zeros by plain Newton, rho = y/y'.  Any after them seek its
-    exceptional zeros by the Aberth-Ehrlich correction
+    Each member keeps its own iterates, step history, iteration count
+    and stop test, and drops out once it stops.  The first n iterates of
+    member i (n = ns[i]) seek its regular zeros by plain Newton,
+    rho = y/y'.  Any after them seek its exceptional zeros by the
+    Aberth-Ehrlich correction
         rho_i / (1 - rho_i sum_{j != i} 1/(x_i - x_j)),
-    summed over all the spec's other iterates, at a cost of O(n m) per
+    summed over all the member's other iterates, at a cost of O(n m) per
     round.  The sum divides the regular iterates out of y (Maehly's
     correction), so a seed near an exceptional zero is not thrown off by
     the n zeros inside the interval: without it, Newton from a zero of S
@@ -93,29 +96,29 @@ def _newton_ladder(specs, x0s, itmax=60):
     n=5, for one).  With no exceptional iterate every step is plain
     Newton, bit for bit.
 
-    A spec stops once quadratic convergence predicts that its next step
+    A member stops once quadratic convergence predicts that its next step
     would fall below NEWTON_TOL, so it does not take the rounds that only
     move its iterates about the evaluator's rounding floor.  Each point
     has its relative step a = |dx|/(1+|x|) and its step p one round
     earlier; it is done once a < NEWTON_TOL, or a < p and
     a^3 <= NEWTON_TOL p^2 (the next step, about a (a/p)^2, lies below
-    NEWTON_TOL).  Done points stay done, and the spec stops when all are,
-    but only while its largest step max a is at most PREDICT_TRUST; a
-    larger one clears every mark.  So a spec still stops once max a
+    NEWTON_TOL).  Done points stay done, and the member stops when all
+    are, but only while its largest step max a is at most PREDICT_TRUST; a
+    larger one clears every mark.  So a member still stops once max a
     falls below NEWTON_TOL, and the fallback stops it once max a falls
-    below NEWTON_FLOOR and no longer shrinks.  Returns, per spec, the
-    polished iterates, or the NonConvergence of a spec whose last max a
-    is not finite, or above CERT_TOL without the prediction; the
+    below NEWTON_FLOOR and no longer shrinks.  Returns, per member, the
+    polished iterates, or the NonConvergence of a member whose last max
+    a is not finite, or above CERT_TOL without the prediction; the
     certificate of find_zeros_ladder, not the prediction, proves the
-    zeros.  Every operation on a spec's points is the one a ladder of
-    that spec alone makes, so the results do not depend on the other
-    members.  The specs' S must be readable (find_zeros_ladder reads it
+    zeros.  Every operation on a member's points is the one a ladder of
+    that member alone makes, so the results do not depend on the other
+    members.  spec's S must be readable (find_zeros_ladder reads it
     first), so the evaluation raises nothing.
     """
     xs = [np.array(x0, dtype=complex if np.iscomplexobj(x0) else float)
           for x0 in x0s]
     out = [x if x.size == 0 else None for x in xs]
-    prev = [np.inf] * len(specs)
+    prev = [np.inf] * len(ns)
     # per point: its last relative step (0 before the first, so the
     # prediction needs two) and whether it is predicted done
     last = [np.zeros(x.shape) for x in xs]
@@ -125,9 +128,9 @@ def _newton_ladder(specs, x0s, itmax=60):
         if not live:
             break
         with np.errstate(**_QUIET):
-            pairs = _ladder_pairs(specs, xs, live)
+            pairs = _ladder_pairs(spec, ns, xs, live)
             for i in live:
-                x, (v, dv), n = xs[i], pairs[i], specs[i].n
+                x, (v, dv), n = xs[i], pairs[i], ns[i]
                 step = v / dv
                 # row k: 1/(e_k - x_j) over every other iterate x_j of an
                 # exceptional iterate e_k (the inf puts 0 at x_j = e_k)
@@ -147,21 +150,22 @@ def _newton_ladder(specs, x0s, itmax=60):
                     out[i] = x if rel <= CERT_TOL or predicted \
                         else NonConvergence(
                             f"Newton stopped after {it} iterations with "
-                            f"relative step {rel:.3e} for {specs[i]}",
+                            f"relative step {rel:.3e} for "
+                            f"{replace(spec, n=n)}",
                             [{"iterations": it, "relative_step": rel}])
                 prev[i], last[i] = rel, a
         live = [i for i in live if out[i] is None]
     return out
 
 
-def _ladder_pairs(specs, xs, live):
-    """{i: (y, y')} at the points xs[i] of the live specs, from one
-    ladder_eval_pair call for all of them (_ladder_call: an int degree
-    when one spec is left)."""
-    spec = specs[live[0]]
+def _ladder_pairs(spec, ns, xs, live):
+    """{i: (y, y')} at the points xs[i] of the live members i of spec's
+    ladder, member i at degree index ns[i], from one ladder_eval_pair
+    call for all of them (_ladder_call: an int degree when one member is
+    left)."""
     return dict(zip(live, _ladder_call(
         lambda n, x: ladder_eval_pair(spec, n, x),
-        [specs[i].n for i in live], [xs[i] for i in live])))
+        [ns[i] for i in live], [xs[i] for i in live])))
 
 
 def _sort_zeros(z):
@@ -234,76 +238,72 @@ def find_zeros(spec):
     at every zero (_certificate); the monomial coefficients are never
     built.  This is find_zeros_ladder on a ladder of one.
     """
-    (zs,) = find_zeros_ladder([spec])
+    (zs,) = find_zeros_ladder(spec, [spec.n])
     if isinstance(zs, XFeketeError):
         raise zs
     return zs
 
 
-def find_zeros_ladder(specs):
-    """find_zeros for each spec of a ladder, specs that differ only in n,
-    with the seeds of all of them from one call of the family's seed
-    ladder (Family.gauss: each member's WKB phase inverted on its own,
-    then one polishing sweep over every member's nodes, each at its own
-    degree, so every seed has the bits of its member's own seeds), the
-    Newton polish solved for all of them in lockstep and their
-    certificates evaluated in one more lockstep round, whose y' at the
-    regular zeros each ZeroSet keeps.  A member whose closed-form lead
-    collapses fails before the seeds are taken, and takes no part in
-    them.
-
-    Returns, in the order of specs, each spec's ZeroSet, or the
-    XFeketeError that find_zeros raises for it; a spec that fails drops
-    out of the later stages.  Raises ValidationError when the specs
-    differ in more than n.
+def find_zeros_ladder(spec, ns):
+    """find_zeros for each member of spec's ladder, spec at each degree
+    index n of ns (ints), in order: each member's ZeroSet, or the
+    XFeketeError that find_zeros raises for it.  A member whose
+    closed-form lead collapses fails first; the rest take their seeds
+    from one call of the family's seed ladder (Family.gauss: each
+    member's WKB phase inverted on its own, then one polishing sweep
+    over every member's nodes, each at its own degree, so every seed
+    has the bits of its member's own seeds) and S and its zeros from one
+    read through spec; the Newton polish is solved for all of them in
+    lockstep and their certificates in one more lockstep round, whose y'
+    at the regular zeros each ZeroSet keeps.  A member that fails drops
+    out of the later stages.  A member's spec is spec itself at
+    n = spec.n, else replace(spec, n=n), which tables S only if read.
     """
-    specs = list(specs)
-    if len({(s.family, s.m, s.alpha, s.beta) for s in specs}) > 1:
-        raise ValidationError("the specs of a ladder differ only in n")
-    out = [None] * len(specs)
-    for i, spec in enumerate(specs):
+    members = [spec if n == spec.n else replace(spec, n=n) for n in ns]
+    out = [None] * len(members)
+    for i, member in enumerate(members):
         try:
             # a collapsed degree fails before any seed is used
-            _nonzero_lead(spec, spec.fam.lead_factor(spec))
+            _nonzero_lead(member, member.fam.lead_factor(member))
         except XFeketeError as exc:
             out[i] = exc
     live = [i for i, o in enumerate(out) if o is None]
-    gauss = {}
-    if live:
-        # every member's classical seeds from one polishing sweep
-        first = specs[live[0]]
-        gauss = dict(zip(live, first.fam.gauss(
-            first, [specs[i].n for i in live])))
-    seeds, table, r = {}, None, None
+    # every member's classical seeds from one polishing sweep
+    gauss = dict(zip(live, spec.fam.gauss(spec, [ns[i] for i in live])))
+    seeds, r = {}, None
     for i in live:
-        spec = specs[i]
         try:
             if isinstance(gauss[i], XFeketeError):
                 raise gauss[i]
-            # S does not depend on n, so the ladder builds it and its
-            # zeros once (FamilySpec.S caches in the instance dict); a
-            # build that raises is not shared, and each member raises it
-            # again, naming itself
-            if table is not None:
-                vars(spec)["S"] = table
-            table = spec.S
             if r is None:
-                r = _s_zeros(spec)
+                try:
+                    r = _s_zeros(spec)
+                except XFeketeError as exc:
+                    r = exc
+            if isinstance(r, XFeketeError):
+                # S fails alike at every n, but its error names the
+                # spec: each other member builds S again to raise its own
+                if members[i] is not spec:
+                    _s_zeros(members[i])
+                raise r
             # the n classical seeds, then the m zeros of S: a real array
             # when all of those are real
             seeds[i] = np.concatenate([gauss[i],
                                        r if r.imag.any() else r.real])
         except XFeketeError as exc:
             out[i] = exc
+    if seeds:
+        # one read-only copy for every member's ZeroSet
+        s_zeros = _sort_zeros(r)
+        s_zeros.setflags(write=False)
     found = {}
-    for i, x in zip(seeds, _newton_ladder([specs[i] for i in seeds],
+    for i, x in zip(seeds, _newton_ladder(spec, [ns[i] for i in seeds],
                                           list(seeds.values()))):
         try:
             if isinstance(x, XFeketeError):
                 raise x
-            n = specs[i].n
-            reg, z = np.sort(x[:n].real), _sort_zeros(x[n:])
-            _classify(specs[i], reg, z)
+            reg, z = np.sort(x[:ns[i]].real), _sort_zeros(x[ns[i]:])
+            _classify(members[i], reg, z)
             found[i] = reg, z
         except XFeketeError as exc:
             out[i] = exc
@@ -312,14 +312,13 @@ def find_zeros_ladder(specs):
     rts = {i: np.concatenate([z if z.imag.any() else z.real, reg])
            for i, (reg, z) in found.items()}
     with np.errstate(**_QUIET):
-        pairs = _ladder_pairs(specs, rts, list(rts)) if rts else {}
+        pairs = _ladder_pairs(spec, ns, rts, list(rts)) if rts else {}
         certs = {i: _certificate(rts[i], *pairs[i]) for i in pairs}
     for i, cert in certs.items():
         if cert["passed"]:
             reg, z = found[i]
-            out[i] = ZeroSet(spec=specs[i], regular=reg, exceptional=z,
-                             s_zeros=_sort_zeros(specs[i].S.roots),
-                             certificate=cert,
+            out[i] = ZeroSet(spec=members[i], regular=reg, exceptional=z,
+                             s_zeros=s_zeros, certificate=cert,
                              regular_dy=pairs[i][1][z.size:])
         else:
             out[i] = NonConvergence(f"residual certificate failed: {cert}",

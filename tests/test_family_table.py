@@ -318,3 +318,17 @@ def test_log_lead_is_the_log_of_the_lead(family):
                 want += np.log(n + 9.5 + 1.0 - m)
             assert spec.fam.log_lead(spec) == pytest.approx(want,
                                                             rel=1e-15)
+    else:
+        # _log_binom at an integer 2n + alpha + beta: 9, then -1 and -2
+        # (negative, read as C(k - z - 1, k)), then 1, below n = 2, where
+        # C(1, 2) = 0 and the lead collapses
+        for m, alpha, beta, n in ((1, 2.0, 1.0, 3), (1, -2.5, -0.5, 1),
+                                  (1, -3.5, -0.5, 1)):
+            spec = xf.FamilySpec(family, m, alpha, n, beta)
+            want = np.log(abs(xf.leading_coefficient(spec)))
+            assert abs(spec.fam.log_lead(spec) - want) <= 1e-14 * max(
+                1.0, abs(want)), spec
+        spec = xf.FamilySpec(family, 2, -2.0, 2, -1.0)
+        with pytest.raises(xf.DegreeCollapse):
+            xf.leading_coefficient(spec)
+        assert spec.fam.log_lead(spec) == -np.inf

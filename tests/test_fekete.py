@@ -381,6 +381,23 @@ def test_pole_rows_in_a_line_search_match_serial(monkeypatch, variant):
         for k in (10, 20)}
 
 
+def test_an_inadmissible_candidate_halves_t_and_is_not_an_escape():
+    # at t = 1 the step lands x_0 on x_1, a candidate that is not
+    # admissible but inside the box: the row halves t and moves, and its
+    # terms are those of the new nodes
+    w = xf.v_weight(zeros_of("laguerre1", 1, 2.0, 3))
+    X = np.array([[0.01, 5.0, 10.0]])
+    _, *V = fekete_opt._evaluate(w, X)
+    t, yes, no = np.ones(1), np.ones(1, dtype=bool), np.zeros(1, dtype=bool)
+    X, V, moved, escape = fekete_opt._line_search(
+        w, (0.0, 30.0), X, V, np.array([[4.99, 0.0, 0.0]]), t, yes, no,
+        np.inf)
+    assert moved[0] and not escape[0] and t[0] == 0.5
+    assert X.tolist() == [[0.01 + 0.5 * 4.99, 5.0, 10.0]]
+    _, *want = fekete_opt._evaluate(w, X)
+    assert all(np.array_equal(a, b) for a, b in zip(V, want))
+
+
 @pytest.mark.parametrize("n", [1, 4, 10, 30])
 @pytest.mark.parametrize("args", LOCKSTEP, ids=lambda a: a[0])
 def test_lockstep_probe_bit_identical_to_serial(args, n):

@@ -1,4 +1,4 @@
-"""A ladder, specs that differ only in n, solved in lockstep.
+"""A ladder, one spec and its degree indices n, solved in lockstep.
 
 The references below are the serial forms the ladder replaced: the
 recurrence sweeps with one degree for all points, and the Newton polish,
@@ -415,6 +415,13 @@ LADDERS = [
 
 
 def _ladder(family, m, alpha, beta, ns):
+    """The arguments of find_zeros_ladder: the spec at the first n, and
+    every n."""
+    return xf.FamilySpec(family, m, alpha, ns[0], beta), list(ns)
+
+
+def _members(family, m, alpha, beta, ns):
+    """The serial side's specs, one per n."""
     return [xf.FamilySpec(family, m, alpha, n, beta) for n in ns]
 
 
@@ -423,13 +430,14 @@ def test_ladder_find_zeros_is_the_serial_find_zeros(ladder):
     # laguerre1 at n = 400 overflows in the recurrence (a known defect);
     # its failure must be the serial one, so its warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        got = roots.find_zeros_ladder(_ladder(*ladder))
-        want = [outcome(ref_find_zeros, s) for s in _ladder(*ladder)]
-        alone = [outcome(xf.find_zeros, s) for s in _ladder(*ladder)]
+        got = roots.find_zeros_ladder(*_ladder(*ladder))
+        want = [outcome(ref_find_zeros, s) for s in _members(*ladder)]
+        alone = [outcome(xf.find_zeros, s) for s in _members(*ladder)]
     assert [_outcome(g) for g in got] == want == alone
     # reversed order gives the same members
+    spec, ns = _ladder(*ladder)
     with np.errstate(over="ignore", invalid="ignore"):
-        back = roots.find_zeros_ladder(_ladder(*ladder)[::-1])
+        back = roots.find_zeros_ladder(spec, ns[::-1])
     assert [_outcome(g) for g in back[::-1]] == want
 
 
@@ -437,7 +445,7 @@ def test_ladders_mix_passing_and_failing_members():
     kinds = set()
     with np.errstate(over="ignore", invalid="ignore"):
         for ladder in LADDERS:
-            for res in roots.find_zeros_ladder(_ladder(*ladder)):
+            for res in roots.find_zeros_ladder(*_ladder(*ladder)):
                 kinds.add(type(res))
     assert {roots.ZeroSet, xf.NonConvergence, xf.DegreeCollapse} <= kinds
 
@@ -447,31 +455,27 @@ def test_ladder_members_share_a_failing_S_each_with_its_own_error():
     # each member fails with the message naming itself
     ladder = ("jacobi", 600, 600.5, 1.0, (2, 3))
     with np.errstate(over="ignore", invalid="ignore"):
-        got = roots.find_zeros_ladder(_ladder(*ladder))
-        want = [outcome(ref_find_zeros, s) for s in _ladder(*ladder)]
+        got = roots.find_zeros_ladder(*_ladder(*ladder))
+        want = [outcome(ref_find_zeros, s) for s in _members(*ladder)]
     assert [_outcome(g) for g in got] == want
     assert all(isinstance(g, xf.RepresentationOverflow) for g in got)
     assert str(got[0]) != str(got[1])
-
-
-def test_a_ladder_differs_only_in_n():
-    with pytest.raises(xf.ValidationError):
-        roots.find_zeros_ladder([xf.FamilySpec("laguerre1", 1, 2.0, 5),
-                                 xf.FamilySpec("laguerre1", 1, 2.5, 6)])
-    assert roots.find_zeros_ladder([]) == []
+    # a ladder with no degree has no members
+    assert roots.find_zeros_ladder(_ladder(*ladder)[0], []) == []
 
 
 @pytest.mark.parametrize("itmax", [1, 2, 60])
 def test_newton_ladder_is_the_serial_newton(itmax):
-    specs = _ladder("jacobi", 1, 0.289, 2.53, (20, 80, 120))
+    ladder = ("jacobi", 1, 0.289, 2.53, (20, 80, 120))
+    specs = _members(*ladder)
     # the full iterate arrays, and the Gauss seeds alone (plain Newton)
     for x0s in ([ref_seeds(s) for s in specs],
                 [ref_gauss(s) for s in specs]):
-        got = roots._newton_ladder(specs, x0s, itmax)
+        got = roots._newton_ladder(*_ladder(*ladder), x0s, itmax)
         for s, x0, g in zip(specs, x0s, got):
             want = outcome(ref_newton, s, x0, itmax)
             assert _outcome(g) == want
-            (alone,) = roots._newton_ladder([s], [x0], itmax)
+            (alone,) = roots._newton_ladder(s, [s.n], [x0], itmax)
             assert _outcome(alone) == want
 
 
@@ -515,7 +519,7 @@ def test_one_stage_sweeps_every_iterate_each_round(monkeypatch, ladder):
     member's Newton rounds and one certificate round.  An in-regime
     laguerre1 member (all zeros of S real) sweeps real points only, its
     certificate's included."""
-    members = _ladder(*ladder)
+    members = _members(*ladder)
     its = []
     for s in members:
         ref_find_zeros(s, its=its)
@@ -523,7 +527,8 @@ def test_one_stage_sweeps_every_iterate_each_round(monkeypatch, ladder):
     # each member alone, then the whole ladder
     for group in [[i] for i in range(len(members))] + [range(len(members))]:
         calls.clear()
-        got = roots.find_zeros_ladder([members[i] for i in group])
+        got = roots.find_zeros_ladder(members[group[0]],
+                                      [members[i].n for i in group])
         assert all(isinstance(g, roots.ZeroSet) for g in got)
         assert all(_whole_members(c) for c in calls)
         assert len(calls) == max(its[i] for i in group) + 1
@@ -688,8 +693,8 @@ def test_seed_ladder_members_fail_alone_below_the_gauss_range():
     # the n = 0 member (nothing to seed) its find_zeros outcome
     for ladder in [("laguerre1", 1, -1.5, None, (0, 3, 5)),
                    ("jacobi", 1, -2.0, 0.5, (0, 1, 3))]:
-        got = roots.find_zeros_ladder(_ladder(*ladder))
-        alone = [outcome(xf.find_zeros, s) for s in _ladder(*ladder)]
+        got = roots.find_zeros_ladder(*_ladder(*ladder))
+        alone = [outcome(xf.find_zeros, s) for s in _members(*ladder)]
         assert [_outcome(g) for g in got] == alone
         assert all(isinstance(g, xf.ValidationError) for g in got[1:])
         assert not isinstance(got[0], xf.ValidationError)
@@ -716,9 +721,9 @@ def test_a_collapsed_lead_fails_before_any_seed(monkeypatch, ladder):
     # others are below the Gauss range, and the collapse comes first
     collapsed = {3: 1, 1: 2}[ladder[1]]
     calls = _record_seed_degrees(monkeypatch, "jacobi_seed_ladder")
-    got = roots.find_zeros_ladder(_ladder(*ladder))
+    got = roots.find_zeros_ladder(*_ladder(*ladder))
     assert calls == [[n for n in ladder[4] if n != collapsed]]
-    alone = [outcome(xf.find_zeros, s) for s in _ladder(*ladder)]
+    alone = [outcome(xf.find_zeros, s) for s in _members(*ladder)]
     assert [_outcome(g) for g in got] == alone
     assert isinstance(got[ladder[4].index(collapsed)], xf.DegreeCollapse)
 

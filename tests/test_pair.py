@@ -269,7 +269,7 @@ def test_regular_newton_stops_at_the_rounding_floor(monkeypatch):
 
     monkeypatch.setattr(roots, "ladder_eval_pair", counted)
     spec = xf.FamilySpec("laguerre1", 1, 2.0, 150)
-    (x,) = roots._newton_ladder([spec], [laguerre_zeros(150, 2.0)])
+    (x,) = roots._newton_ladder(spec, [150], [laguerre_zeros(150, 2.0)])
     assert 0 < len(calls) <= 10
     y, yp = exceptional.ladder_eval_pair(spec, spec.n, x)
     assert np.max(np.abs(y / yp) / (1 + np.abs(x))) < 1e-13
@@ -282,7 +282,7 @@ def test_newton_cap_is_a_failure():
     passed 1.27099 against the true 1.26733)."""
     spec = xf.FamilySpec("jacobi", 1, 0.289, 80, beta=2.53)
     seeds = np.roots(xf.build_S(spec)[::-1]).astype(complex)
-    (err,) = roots._newton_ladder([spec], [seeds])
+    (err,) = roots._newton_ladder(spec, [80], [seeds])
     assert isinstance(err, xf.NonConvergence)
     assert err.trace[0]["iterations"] == 60
     assert err.trace[0]["relative_step"] > roots.CERT_TOL

@@ -168,17 +168,27 @@ def test_a_ladder_builds_S_once(monkeypatch):
         return real_build(spec)
 
     monkeypatch.setattr(exceptional, "build_S", build_S)
-    specs = [xf.FamilySpec("laguerre1", 1, 2.0, n) for n in range(9, 21)]
-    for zs in roots.find_zeros_ladder(specs):
-        assert zs.certificate["passed"]
+    spec = xf.FamilySpec("laguerre1", 1, 2.0, 9)
+    fields = dict(vars(spec))
+    found = roots.find_zeros_ladder(spec, list(range(9, 21)))
+    assert all(zs.certificate["passed"] for zs in found)
     assert len(calls) == 1
-    assert all(spec.S is specs[0].S for spec in specs)
-    # a spec outside the ladder keeps its own table
-    assert xf.FamilySpec("laguerre1", 1, 2.0, 9).S is not specs[0].S
-    # a build that raises is not shared: every member raises it
-    specs = [xf.FamilySpec("jacobi", 2, 3.0, n, 1.0) for n in (4, 5)]
-    out = roots.find_zeros_ladder(specs)
+    # the ladder writes nothing into the spec it is given but the spec's
+    # own cached S (a PolyTable compares by identity), and nothing at all
+    # once S is cached
+    table = spec.S
+    assert len(calls) == 1 and vars(spec) == {**fields, "S": table}
+    roots.find_zeros_ladder(spec, list(range(9, 21)))
+    assert len(calls) == 1 and vars(spec) == {**fields, "S": table}
+    # the member at spec's n is spec; the others table S only when read
+    assert found[0].spec is spec
+    assert all("S" not in vars(zs.spec) for zs in found[1:])
+    assert all(zs.s_zeros is found[0].s_zeros for zs in found)
+    assert not found[0].s_zeros.flags.writeable
+    # a build that raises is not kept: every member raises its own
+    spec = xf.FamilySpec("jacobi", 2, 3.0, 4, 1.0)
+    out = roots.find_zeros_ladder(spec, [4, 5])
     assert all(isinstance(exc, xf.DegreeCollapse) for exc in out)
-    for spec in specs:
-        with pytest.raises(xf.DegreeCollapse):
-            spec.S
+    assert out[0] is not out[1]
+    with pytest.raises(xf.DegreeCollapse):
+        spec.S

@@ -18,6 +18,20 @@ from reference import jacobi_zeros, laguerre_zeros
 from test_pair import mp_member
 
 
+def test_a_failed_certificate_is_a_nonconvergence(monkeypatch):
+    # a polish that hands back its seeds: they classify, and the
+    # certificate, not Newton, refuses them
+    monkeypatch.setattr(roots, "_newton_ladder",
+                        lambda spec, ns, x0s, itmax=60: x0s)
+    spec = xf.FamilySpec("laguerre1", 2, 2.0, 10)
+    with pytest.raises(xf.NonConvergence,
+                       match="residual certificate failed") as info:
+        xf.find_zeros(spec)
+    (cert,) = info.value.trace
+    assert cert["method"] == "evaluator" and not cert["passed"]
+    assert 0.4 < cert["max_ratio"] < 0.42
+
+
 def test_degree_one_member_single_zero():
     zs = zeros_of("laguerre1", 1, 2.0, 0)
     assert zs.regular.size == 0
@@ -274,7 +288,7 @@ def test_regular_stage_stops_at_its_predicted_floor(monkeypatch, family, m,
     monkeypatch.setattr(roots, "ladder_eval_pair",
                         lambda *a: calls.append(1) or pair(*a))
     spec = xf.FamilySpec(family, m, alpha, n)
-    (x,) = roots._newton_ladder([spec], spec.fam.gauss(spec, [n]))
+    (x,) = roots._newton_ladder(spec, [n], spec.fam.gauss(spec, [n]))
     assert isinstance(x, np.ndarray)
     assert 0 < len(calls) <= most
 
