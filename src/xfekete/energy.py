@@ -191,11 +191,11 @@ def _pair_index(n):
     """Read-only flat index i n + j of each pair i < j among n nodes into
     a row of n x n entries, in C order (np.triu_indices).
 
-    Its one caller is the Fekete ascent (_cross_logs, from _assemble
-    and fekete_opt._evaluate), which uses one n for every point, so one
-    entry serves a whole ascent.  The cache stays small so that a
-    process running ascents at many sizes keeps the index of two sizes
-    alive, not of every one: at n = 150 one entry is about 90 kB.
+    _cross_logs reads it for its two callers: the Fekete ascent
+    (_assemble), whose one n serves a whole ascent from one entry, and
+    EnergyReport.logT.  The cache stays small so that a process working
+    at many sizes keeps the index of two sizes alive, not of every one:
+    at n = 150 one entry is about 90 kB.
     """
     i, j = np.triu_indices(n, k=1)
     k = i * n + j
@@ -206,25 +206,14 @@ def _pair_index(n):
 def _cross_logs(D):
     """cross[r] = log|x_i - x_j| (i < j) of each row r of a stack D
     (T, n, n) of node differences x_i - x_j, in C order, so each row
-    sums alone, as in a stack of one.  _assemble is its one caller: its
-    plain row sums need the C order; EnergyReport.logT reads its pairs
-    off the node vector (_pair_logs).  np.take returns contiguous rows; the
-    index D[:, k] would return them strided, and numpy sums a strided
-    row sequentially, not pairwise, so F's bits would move."""
+    sums alone, as in a stack of one.  The plain row sums of _assemble
+    need the C order; EnergyReport.logT reads the same gather off a
+    stack of its one node row and sums it exactly.  np.take returns
+    contiguous rows; the index D[:, k] would return them strided, and
+    numpy sums a strided row sequentially, not pairwise, so F's bits
+    would move."""
     T, n = D.shape[:2]
     cross = np.take(D.reshape(T, n * n), _pair_index(n), axis=1)
-    np.log(np.abs(cross, out=cross), out=cross)
-    return cross
-
-
-def _pair_logs(x):
-    """log|x_j - x_i| of the pairs j > i of a node vector x, gathered in
-    prefix order (np.tril_indices: sorted by j, then i).  fsum rounds
-    once in any order and |x_j - x_i| = |x_i - x_j| exactly, so an fsum
-    of these is the fsum of the C-order cross logs, bit for bit."""
-    j, i = np.tril_indices(x.size, -1)
-    cross = x[j]
-    np.subtract(cross, x[i], out=cross)
     np.log(np.abs(cross, out=cross), out=cross)
     return cross
 
@@ -262,8 +251,9 @@ def _assemble(X, logw, d1, d2):
 
 def _compensated(logw, cross):
     """F of one node row from its terms, a row of log w and of the cross
-    logs (from _assemble, or _pair_logs in any node order), by
-    compensated sums."""
+    logs (_cross_logs, from _assemble or EnergyReport.logT), by
+    compensated sums; fsum rounds once, so the order of the terms is
+    free."""
     # fsum reads a row through a memoryview, as Python floats: faster
     # than as numpy scalars, the same sum, and no list of the row
     return math.fsum(memoryview(logw)) + 2.0 * math.fsum(memoryview(cross))
@@ -278,8 +268,8 @@ class EnergyReport:
     Hessian, its diagonal signs and the stationarity flag.  logT, the
     two dominance flags and the classification are computed on first
     read and kept (functools.cached_property): logT sums logw and the
-    nodes' pair logs (_pair_logs) by compensated sums, so it rounds F
-    once, whatever the node order.
+    cross logs of the sorted nodes (_cross_logs, the ascent's gather) by
+    compensated sums, so it rounds F once.
     """
 
     nodes: np.ndarray
@@ -291,15 +281,14 @@ class EnergyReport:
 
     @functools.cached_property
     def logT(self):
-        return _compensated(self.logw, _pair_logs(self.nodes))
+        x = self.nodes
+        (cross,) = _cross_logs((x[:, None] - x[None, :])[None])
+        return _compensated(self.logw, cross)
 
     @functools.cached_property
     def diagonally_dominant(self):
         """Strict diagonal dominance of every row of the Hessian."""
-        H = self.hessian
-        d = np.diag(H)
-        row_off = np.sum(np.abs(H), axis=1) - np.abs(d)
-        return bool(np.all(np.abs(d) > row_off))
+        return _row_dominant(self.hessian)
 
     @functools.cached_property
     def block_dominant(self):
@@ -321,6 +310,14 @@ class EnergyReport:
         return "indefinite"
 
 
+def _row_dominant(M):
+    """Strict diagonal dominance of every row of a square matrix M:
+    |M_ii| above the sum of the other |M_ij| of row i."""
+    A = np.abs(M)
+    d = np.diag(A)
+    return bool(np.all(d > np.sum(A, axis=1) - d))
+
+
 def _block_dominant(H):
     """Strict diagonal dominance inside each same-diagonal-sign block."""
     d = np.diag(H)
@@ -328,9 +325,7 @@ def _block_dominant(H):
         idx = np.nonzero(np.sign(d) == sign)[0]
         if idx.size < 2:
             continue
-        sub = np.abs(H[np.ix_(idx, idx)])
-        off = np.sum(sub, axis=1) - np.diag(sub)
-        if not np.all(np.diag(sub) > off):
+        if not _row_dominant(H[np.ix_(idx, idx)]):
             return False
     return True
 

@@ -185,21 +185,17 @@ def _sort_zeros(z):
 
 
 def _classify(spec, reg, exc):
-    """Count and margin checks; raises CountMismatch on any violation."""
+    """Margin and order checks of the regular zeros reg and the
+    exceptional zeros exc; raises CountMismatch on any violation.  Their
+    counts, n and m, hold by construction: find_zeros_ladder splits n
+    seeds from the zeros of S, of which _s_zeros gives exactly m."""
     a, b = spec.interval
-    n, m = spec.n, spec.m
-    if len(reg) != n:
-        raise CountMismatch(f"expected {n} regular zeros, found {len(reg)}")
-    if len(exc) != m:
-        raise CountMismatch(f"expected {m} exceptional zeros, "
-                            f"found {len(exc)}")
-    if n:
-        if np.any(reg <= a + MARGIN) or (np.isfinite(b)
-                                         and np.any(reg >= b - MARGIN)):
-            raise CountMismatch("regular zero on or outside the "
-                                "orthogonality interval")
-        if np.any(np.diff(reg) <= 0):
-            raise CountMismatch("regular zeros not strictly increasing")
+    if np.any(reg <= a + MARGIN) or (np.isfinite(b)
+                                     and np.any(reg >= b - MARGIN)):
+        raise CountMismatch("regular zero on or outside the "
+                            "orthogonality interval")
+    if np.any(np.diff(reg) <= 0):
+        raise CountMismatch("regular zeros not strictly increasing")
     for z in exc:
         inside_strip = abs(z.imag) <= MARGIN
         re_in = (a - MARGIN) <= z.real and (z.real <= b + MARGIN
@@ -230,9 +226,9 @@ def find_zeros(spec):
     from the zeros of S, all together.
     Raises DegreeCollapse first where the closed-form leading coefficient
     is 0, RepresentationOverflow where S's coefficients or its monic
-    ones (exceptional._s_zeros) leave binary64, CountMismatch if counts
-    or the location margins fail, and NonConvergence if the Newton
-    polish or the certificate fails.
+    ones (exceptional._s_zeros) leave binary64, CountMismatch if the
+    location margins or the order of the regular zeros fail, and
+    NonConvergence if the Newton polish or the certificate fails.
 
     The certificate bounds the closed-form evaluator's Newton correction
     at every zero (_certificate); the monomial coefficients are never

@@ -34,8 +34,8 @@ from xfekete.asymptotics import _check_c
 from xfekete.classical_poly import (_as_float_or_complex, _gauss_range,
                                     _stack_tables, polyder)
 from xfekete.energy import (_POLE_RTOL, _POLY_POLE, _checked, _compensated,
-                            _pair_logs, _stacked_logs, energy_hessian,
-                            v_weight, weight_logs)
+                            _stacked_logs, energy_hessian, v_weight,
+                            weight_logs)
 from xfekete.errors import (NonConvergence, NumericalError, PoleEvaluation,
                             ValidationError)
 from xfekete.exceptional import FamilySpec, ladder_eval_pair, ode_coeffs
@@ -195,6 +195,19 @@ def phi_closed(spec, x):
 
 
 # ---------------------------------------------------------------- pair sums
+
+def _pair_logs(x):
+    """log|x_j - x_i| of the pairs j > i of a node vector x, gathered in
+    prefix order (np.tril_indices: sorted by j, then i), with no n x n
+    difference matrix.  fsum rounds once in any order and |x_j - x_i| =
+    |x_i - x_j| exactly, so an fsum of these is the fsum of the package's
+    C-order cross logs (energy._cross_logs), bit for bit."""
+    j, i = np.tril_indices(x.size, -1)
+    cross = x[j]
+    np.subtract(cross, x[i], out=cross)
+    np.log(np.abs(cross, out=cross), out=cross)
+    return cross
+
 
 def log_energy(nodes, w):
     """F(nodes) = sum log w + 2 sum_{i<j} log|x_i - x_j| (compensated),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import xfekete as xf
-from xfekete import energy, fekete_opt
+from xfekete import cli, energy, fekete_opt
 
 from conftest import spec_of, zeros_of
 from reference import log_energy, maximize_log_T, search_positive_h11
@@ -110,6 +110,23 @@ def test_nonconvergence_carries_trace():
     assert "max_gradient" in exc.value.trace[0]
 
 
+def test_a_capped_row_refused_at_every_try_escapes(monkeypatch):
+    # reaches _ascend's DomainEscape("no damped step stays inside the
+    # domain"): the cap binds (t < 1) and _accepted refuses every try,
+    # so the live row halves t past 1e-14 without moving
+    v = v_of("laguerre1", 1, 2.0, 5)
+    zs = zeros_of("laguerre1", 1, 2.0, 5)
+    box_scale = fekete_opt._box_scale
+    monkeypatch.setattr(fekete_opt, "_box_scale", lambda X, step, domain:
+                        np.minimum(box_scale(X, step, domain), 0.5))
+    monkeypatch.setattr(fekete_opt, "_accepted", lambda C, F, gmax, polish:
+                        np.zeros(len(F), dtype=bool))
+    with pytest.raises(xf.DomainEscape,
+                       match="^no damped step stays inside the domain$"):
+        maximize_log_T(v, xf.default_domain(v, 5), 5,
+                       init=zs.regular * 1.3)
+
+
 # ---------------------------------------------------------------- probes
 
 def test_probe_single_node():
@@ -151,6 +168,25 @@ def test_probe_top_cluster_is_the_regular_zeros_to_rounding(args, n):
     assert rep["converged"] == 20 and len(rep["clusters"]) == 1
     dev = np.abs(rep["clusters"][0]["nodes"] - zs.regular)
     assert np.max(dev / (1.0 + np.abs(zs.regular))) < 1e-12
+
+
+def test_a_probe_with_no_converged_start_has_no_cluster(monkeypatch,
+                                                        capsys):
+    # reaches uniqueness_probe's failed += 1: one iteration leaves every
+    # random start short of GTOL, so every trial fails, and the fekete
+    # command reports no top cluster
+    monkeypatch.setattr(fekete_opt, "ITMAX", 1)
+    v = v_of("laguerre1", 1, 2.0, 4)
+    rep = xf.uniqueness_probe(v, xf.default_domain(v, 4), 4, trials=3)
+    assert (rep["converged"], rep["failed"]) == (0, 3)
+    assert rep["clusters"] == []
+    code = cli.main(["fekete", "--family", "laguerre1", "--m", "1",
+                     "--alpha", "2", "--n", "4", "--trials", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert '"converged":0' in out and '"failed":3' in out
+    assert '"clusters":[]' in out
+    assert '"top_cluster_deviation_from_zeros":null' in out
 
 
 def test_probe_deterministic_under_seed():

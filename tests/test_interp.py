@@ -167,6 +167,21 @@ def test_stability_scan_classical_control():
     assert rep["passed"]
 
 
+def test_a_grid_point_on_the_pole_raises_for_the_whole_grid(monkeypatch):
+    # reaches the terms' re-raise, weight_logs(w, x) over the whole
+    # grid: a point within 1e-12 of the Laguerre pole at 0 trips the
+    # block's guard, and the scan raises the whole grid's first guard
+    grid = scan_grid
+
+    def on_the_pole(nodes, family, grid_size):
+        return np.concatenate([[1e-13], grid(nodes, family, grid_size)])
+
+    monkeypatch.setattr(interp, "scan_grid", on_the_pole)
+    with pytest.raises(xf.PoleEvaluation,
+                       match="^evaluation point too close to x = 0$"):
+        xf.stability_scan(zeros_of("laguerre1", 1, 2.0, 3), grid_size=400)
+
+
 @pytest.mark.parametrize("args", [
     ("laguerre1", 1, 2.0, 40), ("laguerre2", 2, 4.5, 30),
     ("jacobi", 1, 2.5, 60, 1.5), ("laguerre1", 0, 1.0, 5)],

@@ -599,7 +599,7 @@ def test_d_sequence_runs_no_pair_sum(monkeypatch):
     def refused(*args):
         raise AssertionError("a pair sum ran")
 
-    for name in ("_pair_logs", "_cross_logs", "_assemble"):
+    for name in ("_cross_logs", "_assemble"):
         monkeypatch.setattr(energy, name, refused)
     series = xf.d_sequence(3, 2.7, range(140, 151))
     assert series.skipped == () and np.isfinite(series.d).all()
