@@ -471,12 +471,12 @@ def _wkb_nodes(n, wkb):
 
 def _ladder_call(f, ns, xs):
     """f(n, x), a tuple of arrays elementwise in x, for several members at
-    once, member i at degree ns[i] and points xs[i]: one call with the
-    degree per point, or with the int degree and no concatenation when
-    there is one member.  Returns f's outputs split back per member, one
-    tuple each, in the order of ns."""
-    if len(ns) == 1:
-        return [f(ns[0], xs[0])]
+    once, member i at degree ns[i] and points xs[i]: with several
+    members, one call with the degree per point; with one, a call at its
+    int degree and no concatenation; with none, no call.  Returns f's
+    outputs split back per member, one tuple each, in the order of ns."""
+    if len(ns) <= 1:
+        return [f(n, x) for n, x in zip(ns, xs)]
     sizes = [x.size for x in xs]
     outs = f(np.repeat(ns, sizes), np.concatenate(xs))
     split, at = [], 0
@@ -499,28 +499,22 @@ def _seed_ladder(ns, params, nodes, sweep):
     Returns per member its seeds, or, for n >= 1 with a parameter at or
     below -1, its own ValidationError (_gauss_range, checked once for
     the ladder's shared parameters); n = 0 gives no seeds, at any
-    parameters."""
+    parameters: its WKB nodes, and its share of the sweep, are empty."""
     try:
         _gauss_range(*params)
     except ValidationError as exc:
         # the members share the parameters: each gets its own error
         return [ValidationError(*exc.args) if n else np.empty(0)
                 for n in ns]
-    out = [np.empty(0) for _ in ns]
-    live = [i for i, n in enumerate(ns) if n]
 
     def polished(n, x):
         p, _, dp, _ = sweep(n, x)
         step = p / dp
         return (np.where(np.isfinite(step), x - step, x),)
 
-    if live:
-        ns = [ns[i] for i in live]
-        with np.errstate(**_QUIET):
-            seeds = _ladder_call(polished, ns, [nodes(n) for n in ns])
-        for i, (x,) in zip(live, seeds):
-            out[i] = x
-    return out
+    with np.errstate(**_QUIET):
+        seeds = _ladder_call(polished, ns, [nodes(n) for n in ns])
+    return [x for (x,) in seeds]
 
 
 def laguerre_seed_ladder(ns, a):

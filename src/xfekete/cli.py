@@ -112,7 +112,7 @@ def cmd_energy(args):
         nodes = zs.regular
         nodes_used = "regular zeros"
     rep = energy_hessian(nodes, w)
-    _emit({"weight": {"variant": w.variant, "shift": 1.0},
+    _emit({"weight": {"variant": args.weight, "shift": 1.0},
            "nodes": rep.nodes, "nodes_used": nodes_used,
            "logT": rep.logT, "gradient": rep.gradient,
            "hessian": rep.hessian,

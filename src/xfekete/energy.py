@@ -67,11 +67,6 @@ class WeightSpec:
             tables = (self._P_table,)
         object.__setattr__(self, "_stack", _stack_tables(self.spec.S, *tables))
 
-    @property
-    def variant(self):
-        """'hat', or 'v' for a weight with P."""
-        return "hat" if self.P is None else "v"
-
     def exponents(self):
         """(alpha + 1, beta + 1); b is None for the Laguerre families."""
         b = self.spec.beta

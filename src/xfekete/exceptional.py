@@ -214,7 +214,9 @@ def build_exceptional(spec):
     larger or NaN residual raises NullspaceDefect.  S's errors come
     first, then the ODE's RepresentationOverflow (ode_coeffs), then the
     lead's DegreeCollapse or RepresentationOverflow;
-    coefficients beyond binary64 raise RepresentationOverflow.  Zero
+    coefficients beyond binary64 raise RepresentationOverflow.  Below
+    degree 2, polyder's zero stands for y'' (and below 1 for y'), whose
+    sign the residual's max of absolute values cannot show.  Zero
     finding never calls it: its callers are the `poly` command and the
     construction check of `verify`.
     """
@@ -231,10 +233,8 @@ def build_exceptional(spec):
         coeffs[: y.size] = y
         coeffs[-1] = top
         _representable(coeffs, "coefficients", spec)
-        Ay2 = (npoly.polymul(A, polyder(coeffs, 2)) if deg >= 2
-               else np.zeros(1))
-        By1 = (npoly.polymul(B, polyder(coeffs)) if deg >= 1
-               else np.zeros(1))
+        Ay2 = npoly.polymul(A, polyder(coeffs, 2))
+        By1 = npoly.polymul(B, polyder(coeffs))
         Cy = npoly.polymul(C, coeffs)
         res = npoly.polyadd(npoly.polyadd(Ay2, By1), Cy)
         scale = max(np.max(np.abs(Ay2)), np.max(np.abs(Cy)))

@@ -214,7 +214,7 @@ def _line_search(w, domain, X, V, step, t, live, polish, gmax):
     return X, V, moved, escape
 
 
-def _ascend(w, domain, X, gtol, itmax):
+def _ascend(w, domain, X, itmax):
     """Ascend F from every row of a stack X (T, n) of sorted starts, all
     rows in lockstep.
 
@@ -226,7 +226,7 @@ def _ascend(w, domain, X, gtol, itmax):
     once when the cap is already there).  The accept test reads plain
     row sums of F.
 
-    A row is done once max|grad F| < gtol.  If it got there in Newton
+    A row is done once max|grad F| < GTOL.  If it got there in Newton
     mode, its full Newton step joins the next round's stack, and the
     polished row replaces it when that is admissible, does not lower F
     beyond the same tolerance and has no larger max|grad F|.
@@ -264,7 +264,7 @@ def _ascend(w, domain, X, gtol, itmax):
                                 newton.tolist()):
             tr.append({"iteration": it, "logT": f, "max_gradient": g,
                        "mode": "newton" if nt else "ascent"})
-        live = ~(gmax < gtol)
+        live = ~(gmax < GTOL)
         polish = ~live & newton
         t = np.where(live, _box_scale(X, step, domain), 1.0)
         X, V, moved, escape = _line_search(w, domain, X, V, step, t, live,
@@ -291,7 +291,7 @@ def _ascend(w, domain, X, gtol, itmax):
             traces = [tr for tr, kept in zip(traces, keep) if kept]
     for r, tr in zip(rows, traces):
         out[r] = NonConvergence(
-            f"gradient above {gtol} after {itmax} iterations", tr)
+            f"gradient above {GTOL} after {itmax} iterations", tr)
     return out
 
 
@@ -315,7 +315,7 @@ def uniqueness_probe(w, domain, n, trials=20, seed=0):
     starts = np.sort(rng.uniform(lo, hi, size=(trials, n)), axis=1)
     clusters = []
     converged = failed = 0
-    for res in _ascend(w, (lo, hi), starts, GTOL, ITMAX):
+    for res in _ascend(w, (lo, hi), starts, ITMAX):
         if isinstance(res, NumericalError):
             failed += 1
             continue

@@ -174,14 +174,15 @@ def stability_scan(zs, grid_size=1000):
     the extremes.  passed means 0 <= G <= 1 + 1e-10 held everywhere;
     one_minus_g_min is the margin of the 1 - G > 0 form.  total_degree
     records the polynomial degree budget n(2n - 2 + 2m) of the operator.
-    The grid is scanned block by block (_column_blocks), each reduced to
-    its first extremes and its least off-node margin before the next.
+    The grid is scanned block by block (_column_blocks), each folded
+    into the running first extremes and least off-node margin.
     """
     spec = zs.spec
     nodes, terms = _weighted_terms(zs.regular, v_weight(zs))
     grid = scan_grid(nodes, spec.family, grid_size)
     finite_all = True
-    top, top_at, low, low_at, margins = [], [], [], [], []
+    gmax, gmin, margin = -np.inf, np.inf, np.inf
+    top_at = low_at = None
     for sl in _column_blocks(nodes.size, grid.size):
         t, (_, cols) = terms(grid, sl)
         # each y_k = 1, and so is G at a node; the block is freed before
@@ -194,25 +195,22 @@ def stability_scan(zs, grid_size=1000):
         hi = np.where(finite, vals, -np.inf)
         lo = np.where(finite, vals, np.inf)
         k, j = np.argmax(hi), np.argmin(lo)
-        top.append(hi[k])
-        top_at.append(sl.start + k)
-        low.append(lo[j])
-        low_at.append(sl.start + j)
+        # strict: the first one wins; a block with no finite G moves neither
+        if hi[k] > gmax:
+            gmax, top_at = float(hi[k]), sl.start + k
+        if lo[j] < gmin:
+            gmin, low_at = float(lo[j]), sl.start + j
         # off-node margin of 1 - G: exclude the near-node refinement
         # points, where 1 - G sits at rounding level by construction
         off = finite & (_nearest_node_distance(grid[sl], nodes) > 1e-4)
-        margins.append(np.min(1.0 - vals[off], initial=np.inf))
-    # a block without a finite value has extremes -inf and inf; none at
-    # all raises np.max's ValueError of an empty array
-    top, low = np.array(top), np.array(low)
-    gmax = float(np.max(top[np.isfinite(top)]))
-    gmin = float(np.min(low[np.isfinite(low)]))
-    margin = np.min(margins, initial=np.inf)
+        margin = min(margin, np.min(1.0 - vals[off], initial=np.inf))
+    if top_at is None:
+        raise ValueError("no finite G on the scan grid")
     n, m = spec.n, spec.m
     return {"passed": finite_all and gmin >= 0.0 and gmax <= 1.0 + 1e-10,
             "max": gmax, "min": gmin,
-            "argmax": float(grid[top_at[np.argmax(top)]]),
-            "argmin": float(grid[low_at[np.argmin(low)]]),
+            "argmax": float(grid[top_at]),
+            "argmin": float(grid[low_at]),
             "one_minus_g_min": 1.0 - gmax,
             "one_minus_g_min_offnode": (float(margin) if np.isfinite(margin)
                                         else np.nan),

@@ -190,20 +190,18 @@ def _classify(spec, reg, exc):
     counts, n and m, hold by construction: find_zeros_ladder splits n
     seeds from the zeros of S, of which _s_zeros gives exactly m."""
     a, b = spec.interval
-    if np.any(reg <= a + MARGIN) or (np.isfinite(b)
-                                     and np.any(reg >= b - MARGIN)):
+    # a Laguerre b = inf bounds nothing; Newton refused non-finite zeros
+    if np.any(reg <= a + MARGIN) or np.any(reg >= b - MARGIN):
         raise CountMismatch("regular zero on or outside the "
                             "orthogonality interval")
     if np.any(np.diff(reg) <= 0):
         raise CountMismatch("regular zeros not strictly increasing")
-    for z in exc:
-        inside_strip = abs(z.imag) <= MARGIN
-        re_in = (a - MARGIN) <= z.real and (z.real <= b + MARGIN
-                                            if np.isfinite(b) else True)
-        if inside_strip and re_in:
-            raise CountMismatch(
-                f"exceptional zero {z} inside the classification margin "
-                f"of the orthogonality interval")
+    near = exc[(np.abs(exc.imag) <= MARGIN) & (a - MARGIN <= exc.real)
+               & (exc.real <= b + MARGIN)]
+    if near.size:
+        raise CountMismatch(
+            f"exceptional zero {near[0]} inside the classification margin "
+            f"of the orthogonality interval")
 
 
 def _certificate(roots, v, dv):
@@ -308,7 +306,7 @@ def find_zeros_ladder(spec, ns):
     rts = {i: np.concatenate([z if z.imag.any() else z.real, reg])
            for i, (reg, z) in found.items()}
     with np.errstate(**_QUIET):
-        pairs = _ladder_pairs(spec, ns, rts, list(rts)) if rts else {}
+        pairs = _ladder_pairs(spec, ns, rts, list(rts))
         certs = {i: _certificate(rts[i], *pairs[i]) for i in pairs}
     for i, cert in certs.items():
         if cert["passed"]:

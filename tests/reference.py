@@ -39,7 +39,7 @@ from xfekete.energy import (_POLE_RTOL, _POLY_POLE, _checked, _compensated,
 from xfekete.errors import (NonConvergence, NumericalError, PoleEvaluation,
                             ValidationError)
 from xfekete.exceptional import FamilySpec, ladder_eval_pair, ode_coeffs
-from xfekete.fekete_opt import GTOL, ITMAX, _ascend, _check_box
+from xfekete.fekete_opt import ITMAX, _ascend, _check_box
 from xfekete.roots import find_zeros
 
 
@@ -235,10 +235,10 @@ def transfinite_d(nodes, v, c=1.0):
 
 # ---------------------------------------------------------------- ascent
 
-def maximize_log_T(w, domain, n, init=None, gtol=GTOL, itmax=ITMAX):
+def maximize_log_T(w, domain, n, init=None, itmax=ITMAX):
     """Ascend F to a stationary configuration of n nodes.
 
-    Returns (nodes, trace) once max|grad F| < gtol, the nodes polished
+    Returns (nodes, trace) once max|grad F| < GTOL, the nodes polished
     by one more verified Newton step where that is kept (see _ascend).
     trace is a list of per-iteration records: logT, max_gradient, mode
     and step_scale, the scale of the step accepted from that iterate (1
@@ -258,7 +258,7 @@ def maximize_log_T(w, domain, n, init=None, gtol=GTOL, itmax=ITMAX):
     if not np.all(np.isfinite(x)):
         raise ValidationError("init nodes must be finite")
     _check_box(w, lo, hi)
-    (res,) = _ascend(w, (lo, hi), x[None], gtol, itmax)
+    (res,) = _ascend(w, (lo, hi), x[None], itmax)
     if isinstance(res, NumericalError):
         raise res
     return res

@@ -365,6 +365,35 @@ def test_outside_input_ends_typed(capsys, argv):
     assert json.loads(err)["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("argv,message", [
+    # d_sequence's raise ValidationError("empty n range")
+    ([*DIAMETER[:6], "5", "--n-to", "4"], "empty n range"),
+    # d_sequence's raise ValidationError("diameter sequence needs n >= 2")
+    ([*DIAMETER[:6], "1", "--n-to", "4"], "diameter sequence needs n >= 2"),
+    # fekete_opt._ascend's check of a stack of rows with no node
+    (["fekete", *SEL, "--n", "0", "--trials", "3"],
+     "nodes must be a nonempty 1-d array")],
+    ids=["n-from 5 n-to 4", "n-from 1", "fekete n 0"])
+def test_empty_ranges_and_node_sets_end_typed(capsys, argv, message):
+    code, out, err = _quiet_run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValidationError",
+                               "message": message}
+
+
+def test_a_scan_of_near_node_points_has_no_offnode_margin(capsys):
+    # reaches stability_scan's nan margin, printed as null: the jacobi
+    # grid of size 0 is the 4n points hugging the nodes, each within
+    # 1e-4 of one, so no point is off-node
+    code, out, err = _quiet_run(capsys, "interp", "--family", "jacobi",
+                                "--m", "1", "--alpha", "2.5", "--beta",
+                                "1.5", "--n", "5", "--grid", "0")
+    assert code == 0 and err == ""
+    assert '"one_minus_g_min_offnode":null' in out
+    scan = json.loads(out)["stability"]
+    assert scan["points"] == 20 and scan["passed"] is True
+
+
 @pytest.mark.parametrize("argv", [
     ["fekete", *SEL, "--n", "3", "--trials", "0"],
     ["interp", *SEL, "--n", "3", "--grid", "0"]], ids=" ".join)

@@ -12,6 +12,7 @@ Hand oracles, worked before implementation:
       Phi(2) = 1/2 - 1/16 + 1/8 = 0.5625
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -93,7 +94,16 @@ def test_v_weight_polynomial_factor():
     lv = xf.weight_logs(v, x)[0]
     P = np.prod(x - zs.exceptional.real)
     assert lv == pytest.approx(lh + 2 * np.log(abs(P)), rel=1e-12)
-    assert v.variant == "v" and xf.WeightSpec(s).variant == "hat"
+
+
+def test_v_weight_refuses_an_unpaired_complex_zero():
+    # reaches _node_polynomial's "not closed under conjugation": an only
+    # exceptional zero -1 + 1i gives P = x + 1 - 1i
+    zs = dataclasses.replace(zeros_of("laguerre1", 1, 2.0, 4),
+                             exceptional=np.array([-1 + 1j]))
+    with pytest.raises(xf.ValidationError,
+                       match="not closed under conjugation"):
+        xf.v_weight(zs)
 
 
 def test_v_weight_laguerre2_real_closure():

@@ -88,6 +88,14 @@ def test_build_S_degenerate_jacobi_raises():
         xf.build_S(spec_of("jacobi", 2, 3.0, 4, 1.0))
 
 
+def test_degenerate_jacobi_S_is_a_regime_warning():
+    # reaches _jac_regime's "S degenerates" warning, which only a caller
+    # that reads the warnings before S sees: S's DegreeCollapse comes
+    # first in every command
+    warned = xf.FamilySpec("jacobi", 2, 3.0, 4, 1.0).regime_warnings()
+    assert any("S degenerates" in w for w in warned)
+
+
 def test_ode_coeffs_hand_oracle():
     ode = xf.ode_coeffs(spec_of("laguerre1", 1, 2.0, 0))
     np.testing.assert_allclose(ode.A, [0.0, 2.0, 1.0], rtol=1e-15)

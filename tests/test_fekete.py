@@ -127,6 +127,20 @@ def test_a_capped_row_refused_at_every_try_escapes(monkeypatch):
                        init=zs.regular * 1.3)
 
 
+def test_an_uncapped_row_refused_at_every_try_stalls(monkeypatch):
+    # reaches _ascend's NonConvergence("line search stalled"): the step
+    # from near the regular zeros stays well inside the box (t = 1, so
+    # no escape) and _accepted refuses every try, so the live row halves
+    # t past 1e-14 without moving
+    v = v_of("laguerre1", 1, 2.0, 5)
+    zs = zeros_of("laguerre1", 1, 2.0, 5)
+    monkeypatch.setattr(fekete_opt, "_accepted", lambda C, F, gmax, polish:
+                        np.zeros(len(F), dtype=bool))
+    with pytest.raises(xf.NonConvergence, match="^line search stalled$"):
+        maximize_log_T(v, xf.default_domain(v, 5), 5,
+                       init=zs.regular * (1 + 1e-3))
+
+
 # ---------------------------------------------------------------- probes
 
 def test_probe_single_node():
@@ -355,8 +369,7 @@ def test_lockstep_ascent_matches_serial_start_by_start(args):
     starts[5] = np.sort(rng.uniform(lo - (hi - lo), hi, size=n))
     kinds = set()
     for itmax in (1, 3, 8, 500):
-        batch = fekete_opt._ascend(v, (lo, hi), starts, fekete_opt.GTOL,
-                                   itmax)
+        batch = fekete_opt._ascend(v, (lo, hi), starts, itmax)
         assert len(batch) == len(starts)
         for x0, res in zip(starts, batch):
             ref = _call_outcome(serial_maximize_log_T, v, (lo, hi), n, x0,
@@ -405,7 +418,7 @@ def test_pole_rows_in_a_line_search_match_serial(monkeypatch, variant):
     monkeypatch.setattr(xf, "energy_hessian", energy_hessian)
     kinds = set()
     for itmax in (10, 20):
-        batch = fekete_opt._ascend(w, domain, starts, fekete_opt.GTOL, itmax)
+        batch = fekete_opt._ascend(w, domain, starts, itmax)
         for x0, res in zip(starts, batch):
             ref = _call_outcome(serial_maximize_log_T, w, domain, 4, x0,
                                 itmax=itmax)
@@ -509,7 +522,7 @@ def test_probe_makes_one_weight_evaluation_per_round(monkeypatch):
     # none for a try where no row is admissible
     probe = dict(counter)
     res = fekete_opt._ascend(v, domain, inadmissible_stack(domain, 10),
-                             fekete_opt.GTOL, fekete_opt.ITMAX)
+                             fekete_opt.ITMAX)
     assert all(isinstance(r, xf.DomainEscape) for r in res)
     assert counter == dict(probe, tries=probe["tries"] + 1)
 
@@ -557,8 +570,7 @@ def test_probe_skips_empty_weight_evaluations(monkeypatch, args, n, seed):
     assert sizes and 0 not in sizes
     # a stack with no admissible start makes no weight evaluation
     probe = len(sizes)
-    stack = fekete_opt._ascend(v, domain, bad, fekete_opt.GTOL,
-                               fekete_opt.ITMAX)
+    stack = fekete_opt._ascend(v, domain, bad, fekete_opt.ITMAX)
     assert len(sizes) == probe
     assert [_outcome(r) for r in stack] == ref_stack
     for key in ("trials", "converged", "failed"):

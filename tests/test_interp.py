@@ -338,6 +338,25 @@ def _scan_peak(zs, grid_size):
         tracemalloc.stop()
 
 
+def test_a_scan_with_no_finite_value_raises(monkeypatch):
+    # every block's extremes are -inf and inf, so no running extreme
+    # moves
+    weighted_terms = interp._weighted_terms
+
+    def infinite(nodes, w):
+        nodes, terms = weighted_terms(nodes, w)
+
+        def inf_terms(x, sl):
+            t, hits = terms(x, sl)
+            t[:] = np.inf
+            return t, (hits[0][:0], hits[1][:0])
+        return nodes, inf_terms
+
+    monkeypatch.setattr(interp, "_weighted_terms", infinite)
+    with pytest.raises(ValueError, match="no finite G"):
+        xf.stability_scan(zeros_of("laguerre1", 1, 2.0, 5), grid_size=50)
+
+
 def test_stability_scan_works_in_a_bounded_block():
     # a table over all points would hold 60 x 50 289 floats, 24 MB
     zs = zeros_of("laguerre1", 1, 2.0, 60)

@@ -659,26 +659,33 @@ def test_d_sequence_sweeps_once_per_lockstep_round(monkeypatch):
 
 # ------------------------------------------------------------ seeds
 
-SEED_NS = [300, 0, 20, 1, 140, 2, 139, 0, 20]
+# degrees unsorted, repeated and 0, and ladders whose members are all 0
+# (no point in the sweep) or none
+SEED_LADDERS = [[300, 0, 20, 1, 140, 2, 139, 0, 20], [0, 12, 0], [0, 0],
+                [0], []]
 
 
 @pytest.mark.parametrize("family,m,alpha,beta", [
     ("laguerre1", 1, 2.0, None), ("laguerre1", 3, 0.3, None),
     ("laguerre2", 2, 3.3, None), ("jacobi", 1, 2.5, 1.5),
-    ("jacobi", 2, -0.3, -0.7)])
+    ("jacobi", 2, -0.3, -0.7), ("laguerre1", 1, -0.5, None),
+    ("laguerre1", 1, 1e20, None), ("laguerre1", 1, 1e308, None),
+    ("jacobi", 1, 1e308, 2.0)])
 def test_ladder_seeds_are_each_members_own_seeds(family, m, alpha, beta):
     # one polishing sweep for all members gives every member the bits of
-    # its own int-degree sweep; degrees unsorted, repeated and 0
+    # its own int-degree sweep; at alpha = 1e20 and 1e308 the WKB phase
+    # leaves binary64, and the non-finite nodes keep their bits too
     spec = xf.FamilySpec(family, m, alpha, 0, beta)
-    got = spec.fam.gauss(spec, SEED_NS)
     params = (alpha,) if beta is None else (alpha, beta)
     own = (classical_poly.laguerre_seed_ladder if beta is None
            else classical_poly.jacobi_seed_ladder)
-    assert len(got) == len(SEED_NS)
-    for n, x in zip(SEED_NS, got):
-        # a ladder of one
-        (alone,) = own([n], *params)
-        assert _same(x, alone), n
+    for ns in SEED_LADDERS:
+        got = spec.fam.gauss(spec, ns)
+        assert len(got) == len(ns)
+        for n, x in zip(ns, got):
+            # a ladder of one
+            (alone,) = own([n], *params)
+            assert _same(x, alone), (ns, n)
 
 
 def test_seed_ladder_members_fail_alone_below_the_gauss_range():

@@ -32,6 +32,23 @@ def test_a_failed_certificate_is_a_nonconvergence(monkeypatch):
     assert 0.4 < cert["max_ratio"] < 0.42
 
 
+def test_a_repeated_regular_zero_is_a_count_mismatch(monkeypatch):
+    # reaches _classify's "regular zeros not strictly increasing": a
+    # polish whose second regular iterate lands on the first
+    polish = roots._newton_ladder
+
+    def repeated(spec, ns, x0s, itmax=60):
+        out = polish(spec, ns, x0s, itmax)
+        for x in out:
+            x[1] = x[0]
+        return out
+
+    monkeypatch.setattr(roots, "_newton_ladder", repeated)
+    with pytest.raises(xf.CountMismatch,
+                       match="^regular zeros not strictly increasing$"):
+        xf.find_zeros(xf.FamilySpec("laguerre1", 1, 2.0, 5))
+
+
 def test_degree_one_member_single_zero():
     zs = zeros_of("laguerre1", 1, 2.0, 0)
     assert zs.regular.size == 0
