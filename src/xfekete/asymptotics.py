@@ -37,12 +37,6 @@ from .errors import ValidationError, XFeketeError
 from .exceptional import FamilySpec
 from .roots import find_zeros_ladder
 
-# the cap stands in for the evaluator's recurrence overflow: uncapped,
-# the sweep certifies up to n = 350, 356 and 362 at (m, alpha) = (5, 4.2),
-# (3, 2.7) and (1, 2), and the next members end in NonConvergence with a
-# NaN step; it stays until the recurrences rescale their lanes
-N_CAP = 200
-
 
 def _check_c(c):
     if not 0 < c < math.inf:
@@ -117,23 +111,20 @@ def d_sequence(m, alpha, n_range, c=1.0):
     Every d value comes from a certified ZeroSet; per-n failures are
     skipped and logged in the series rather than aborting the sweep: a
     find that fails, a P that would be complex, nodes that trip a pole
-    guard of the v weight.  An invalid m, alpha, range or c raises
-    ValidationError, as does an n above N_CAP, the cap that stands in
-    for the evaluator's recurrence overflow (past n ~ 350).  One extra
-    member below the range start is computed so the first delta is
-    defined.  The members' zeros are found as one ladder, one spec and
-    its degree indices (find_zeros_ladder), the Newton polish solved for
-    all n together, and each log T comes from y' at the zeros, with no
-    pair log (_diameters).
+    guard of the v weight, a member whose recurrence leaves binary64
+    (NonConvergence, from n ~ 350 on).  An invalid m, alpha, range or c
+    raises ValidationError.  One extra member below the range start is
+    computed so the first delta is defined.  The members' zeros are
+    found as one ladder, one spec and its degree indices
+    (find_zeros_ladder), the Newton polish solved for all n together,
+    and each log T comes from y' at the zeros, with no pair log
+    (_diameters).
     """
     wanted = sorted(set(int(n) for n in n_range))
     if not wanted:
         raise ValidationError("empty n range")
     if wanted[0] < 2:
         raise ValidationError("diameter sequence needs n >= 2")
-    if wanted[-1] > N_CAP:
-        raise ValidationError(f"n above {N_CAP} exceeds the double "
-                              f"precision budget")
     _check_c(c)     # here, or every member would be skipped for it
     compute = sorted(set(wanted) | ({wanted[0] - 1} if wanted[0] > 2
                                     else set()))

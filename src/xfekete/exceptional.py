@@ -13,9 +13,9 @@ Three families are supported, declared in the FAMILY table at the end:
   jacobi      S(x) = P_m^(-alpha-1, beta-1)(x)  orthogonality on (-1, 1)
 
 Degree-(m+n) members are closed-form products of classical polynomials
-(Gomez-Ullate, Marcellan & Milson, J. Math. Anal. Appl. 399 (2013)); for
-laguerre2 and jacobi one shape, y = w S u' + (a S - w S') u, with w and
-y' read off the ODE record.  Each is formed two ways that cross-check
+(Gomez-Ullate, Marcellan & Milson, J. Math. Anal. Appl. 399 (2013)) of
+one shape for all three, y = w S u' + (a S - w S') u, with w and y'
+read off the ODE record.  Each is formed two ways that cross-check
 each other.  The pointwise evaluator
 (ladder_eval_pair, which returns y and y' from one recurrence sweep per
 classical factor) stays accurate at degrees where monomial coefficients
@@ -23,8 +23,9 @@ are useless; it finds and certifies the zeros.
 build_exceptional multiplies the same factors out in the monomial basis,
 for the `poly` command and the construction check of `verify`, and the
 family ODE checks the result: its residual must vanish, and `verify`
-also tests the coefficients at the certified zeros.  Every layer reads S
-from one PolyTable per spec, FamilySpec.S, the only caller of build_S.
+also tests the coefficients at the certified zeros.  Every layer reads
+S's coefficients from one PolyTable per spec, FamilySpec.S, the only
+caller of build_S; laguerre1's evaluator sweeps S instead.
 """
 
 import functools
@@ -228,7 +229,7 @@ def build_exceptional(spec):
         raise RepresentationOverflow(
             f"leading coefficient {float(top)!r} cannot be normalized")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y = spec.fam.coeffs(spec)
+        y = _product_coeffs(spec)
         coeffs = np.zeros(deg + 1)
         coeffs[: y.size] = y
         coeffs[-1] = top
@@ -245,32 +246,6 @@ def build_exceptional(spec):
             f"for {spec}")
     return BuiltPolynomial(coeffs=coeffs, residual=float(rel),
                            warnings=tuple(spec.regime_warnings()))
-
-
-def _lag1_coeffs(spec):
-    # the product of _lag1_pair, L_m^(al-1)(-x) read from S
-    m, n, al = spec.m, spec.n, spec.alpha
-    f = laguerre_coeffs(m, al) * (-1.0) ** np.arange(m + 1)
-    y = np.convolve(f, laguerre_coeffs(n, al - 1.0))
-    if n:
-        y[:-1] += np.convolve(spec.S.c, laguerre_coeffs(n - 1, al))
-    return y
-
-
-# The pair evaluators take the degree index n per point (ladder_eval_pair)
-# and read everything else from the spec.
-def _lag1_pair(spec, n, x):
-    # y = L_m^(al)(-x) L_n^(al-1)(x) + L_m^(al-1)(-x) L_{n-1}^(al)(x).
-    # Both parameters come from one sweep of L^(al) each side, via
-    # L_k^(al-1) = L_k^(al) - L_{k-1}^(al); the chain rule flips the sign
-    # of the derivatives of the factors at -x.
-    fm, fm1, dfm, dfm1 = laguerre_pass(spec.m, spec.alpha, -x)
-    gn, gn1, dgn, dgn1 = laguerre_pass(n, spec.alpha, x)
-    f1, f2 = fm, fm - fm1
-    g1, g2 = gn - gn1, gn1
-    y = f1 * g1 + f2 * g2
-    yp = f1 * (dgn - dgn1) + f2 * dgn1 - dfm * g1 - (dfm - dfm1) * g2
-    return y, yp
 
 
 @functools.cache
@@ -291,18 +266,25 @@ def _product_coeffs(spec):
 
 
 def _product_pair(spec, n, x):
-    # y  = w S u' + (a S - w S') u, u the family's classical factor;
+    # y  = w S u' + (a S - w S') u, (S, S') from the family's S_at and
+    # (u, u') from its classical factor u at degree index n per point;
     # y' = (w1 S u' + (a1 S - w1 S') u) / r with w1 = (k/2) w, a1 = -lam
     # and r = sigma/q, from eliminating u'' and S'' via the classical
     # ODEs of u and S, so y' is the family ODE's own.
     fam = spec.fam
     wc, rc = _w_r(fam)
-    S, Sp = _horner(spec.S.c, x), _horner(spec.S.d1, x)
+    S, Sp = fam.S_at(spec, x)
     u, up = fam.u(spec, n, x)
     w = _horner(wc, x)
     w1, a1 = 0.5 * fam.k(spec) * w, -fam.lam(spec, n)
     y = w * S * up + (fam.a(spec) * S - w * Sp) * u
-    yp = (w1 * S * up + (a1 * S - w1 * Sp) * u) / _horner(rc, x)
+    r = _horner(rc, x)
+    yp = (w1 * S * up + (a1 * S - w1 * Sp) * u) / r
+    big = ~np.isfinite(yp)
+    if big.any():
+        # the sum leaves binary64 a factor |r| before y' does (laguerre1's
+        # r = -x at its largest zeros): there, divide first
+        yp = np.where(big, w1 * S / r * up + (a1 * S - w1 * Sp) / r * u, yp)
     return y, yp
 
 
@@ -312,7 +294,7 @@ def ladder_eval_pair(spec, n, x):
     index per point (an int, or an integer array broadcast with x).  One
     call evaluates the members together: each classical factor takes one
     recurrence sweep in which every point stops at its own degree."""
-    return spec.fam.pair(spec, n, _coerce(x))
+    return _product_pair(spec, n, _coerce(x))
 
 
 def exceptional_eval(spec, x):
@@ -322,12 +304,28 @@ def exceptional_eval(spec, x):
     return ladder_eval_pair(spec, spec.n, x)[0]
 
 
+def _lag1_S(spec, x):
+    # S = L_m^(al-1)(-x) = (L_m^(al) - L_{m-1}^(al))(-x) and S' =
+    # L_{m-1}^(al)(-x), values of one L^(al) sweep (DLMF 18.9): Horner on
+    # S's same-sign monomials cancels at the negative exceptional zeros
+    fm, fm1 = laguerre_pass(spec.m, spec.alpha, -x)[:2]
+    return fm - fm1, fm1
+
+
+def _lag1_u(spec, n, x):
+    # u = L_n^(al-1) = L_n^(al) - L_{n-1}^(al) and u' = -L_{n-1}^(al),
+    # values of one L^(al) sweep
+    gn, gn1 = laguerre_pass(n, spec.alpha, x)[:2]
+    return gn - gn1, -gn1
+
+
 class Family(NamedTuple):
-    """What sets one family apart.  The callables take the FamilySpec (lam,
-    pair and u also the degree index n, which pair and u take per point,
-    and gauss a list of them, the degrees of a ladder) and look public
-    functions up as module globals when called.  A product family
-    declares only a and its classical factor u; _product_pair and
+    """What sets one family apart.  The callables take the FamilySpec (lam
+    and u also the degree index n, which u takes per point, and gauss a
+    list of them, the degrees of a ladder) and look public functions up
+    as module globals when called.  Every member is the product
+    y = w S u' + (a S - w S') u: a family declares a, its classical
+    factor u and how S is evaluated, and _product_pair and
     _product_coeffs read w, y' and the rest off its ODE fields."""
 
     interval: tuple     # open orthogonality interval (a, b); b may be inf
@@ -348,11 +346,11 @@ class Family(NamedTuple):
                         # where the float lead leaves binary64
     regime: object      # out-of-regime diagnostics
     domain: object      # (spec, n) -> Fekete search box for n nodes
-    coeffs: object = _product_coeffs  # coefficients of the product
-    pair: object = _product_pair      # (spec, n, x) -> (y, y'), n per point
-    a: object = None    # the product y = w S u' + (a S - w S') u, w = q
-    u: object = None    # (spec, n, x) -> (u, u') of the classical factor
-    u_coeffs: object = None  # spec -> monomial coefficients of u
+    a: object           # the product y = w S u' + (a S - w S') u, w = q
+    u: object           # (spec, n, x) -> (u, u') of the classical factor
+    u_coeffs: object    # spec -> monomial coefficients of u
+    # (spec, x) -> (S, S'); by default Horner on S's table
+    S_at: object = lambda s, x: (_horner(s.S.c, x), _horner(s.S.d1, x))
 
 
 def _half_line_lead(spec, f):
@@ -405,9 +403,11 @@ FAMILY = {
     "laguerre1": Family(
         **_HALF_LINE, S=lambda s: laguerre_coeffs(s.m, s.alpha - 1.0)
         * (-1.0) ** np.arange(s.m + 1),
-        lam=lambda s, n: s.m + n, k=lambda s: -2.0 * s.alpha, q=lambda c: c,
-        lead_factor=lambda s: (-1.0) ** s.n, coeffs=_lag1_coeffs,
-        pair=_lag1_pair,
+        lam=lambda s, n: s.m + n, k=lambda s: 2.0 * s.alpha,
+        q=lambda c: -c, lead_factor=lambda s: (-1.0) ** s.n,
+        a=lambda s: 1.0, u=_lag1_u,
+        u_coeffs=lambda s: laguerre_coeffs(s.n, s.alpha - 1.0),
+        S_at=_lag1_S,
         regime=lambda s: ["alpha <= 0: weight not integrable at 0 and S "
                           "may vanish on the positive axis"]
         if s.alpha <= 0 else []),

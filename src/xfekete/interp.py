@@ -23,7 +23,7 @@ summed pairwise, so a one-column tail joins the block before it).
 import numpy as np
 
 from .energy import _checked, _weight_logs, v_weight, weight_logs
-from .errors import PoleEvaluation, ValidationError
+from .errors import NumericalError, PoleEvaluation, ValidationError
 from .exceptional import FAMILY
 
 # bytes of the one (n, B) block of log terms alive in an evaluation;
@@ -175,7 +175,8 @@ def stability_scan(zs, grid_size=1000):
     one_minus_g_min is the margin of the 1 - G > 0 form.  total_degree
     records the polynomial degree budget n(2n - 2 + 2m) of the operator.
     The grid is scanned block by block (_column_blocks), each folded
-    into the running first extremes and least off-node margin.
+    into the running first extremes and least off-node margin.  A grid
+    with no finite G raises NumericalError.
     """
     spec = zs.spec
     nodes, terms = _weighted_terms(zs.regular, v_weight(zs))
@@ -205,7 +206,7 @@ def stability_scan(zs, grid_size=1000):
         off = finite & (_nearest_node_distance(grid[sl], nodes) > 1e-4)
         margin = min(margin, np.min(1.0 - vals[off], initial=np.inf))
     if top_at is None:
-        raise ValueError("no finite G on the scan grid")
+        raise NumericalError("no finite G on the scan grid")
     n, m = spec.n, spec.m
     return {"passed": finite_all and gmin >= 0.0 and gmax <= 1.0 + 1e-10,
             "max": gmax, "min": gmin,

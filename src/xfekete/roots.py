@@ -206,8 +206,10 @@ def _classify(spec, reg, exc):
 
 def _certificate(roots, v, dv):
     """Evaluator certificate of the roots from (y, y') there: the Newton
-    correction is small, |y(r)| <= 1e-10 |y'(r)| (1 + |r|)."""
+    correction is small, |y(r)| <= 1e-10 |y'(r)| (1 + |r|).  A y' beyond
+    binary64 bounds no correction, so its ratio reads inf."""
     ratio = np.abs(v) / (np.abs(dv) * (1 + np.abs(roots)))
+    ratio[~np.isfinite(dv)] = np.inf
     worst = float(np.max(ratio)) if roots.size else 0.0
     return {"method": "evaluator", "passed": bool(worst <= CERT_TOL),
             "max_ratio": worst}

@@ -1,5 +1,7 @@
 """Transfinite-diameter sequence and the zero-sum trace identity."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -151,7 +153,17 @@ def test_sequence_matches_a_40_digit_pair_sum(m, alpha):
         assert abs((d - want) / want) < 1e-14, zs.spec
 
 
-def test_sequence_degree_cap():
-    with pytest.raises(xf.ValidationError):
-        xf.d_sequence(1, 2.0, range(199, 202))
+def test_sequence_skips_members_past_the_recurrence_range():
+    # no degree cap: at (1, 2) the sweep certifies to n = 362, and each
+    # later member, whose recurrence leaves binary64, is skipped with a
+    # NonConvergence that names its own n, and no warning leaks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ser = xf.d_sequence(1, 2.0, range(355, 371))
+    assert ser.n_values.tolist() == list(range(355, 363))
+    assert np.all(np.isfinite(ser.d))
+    assert [n for n, _ in ser.skipped] == list(range(363, 371))
+    for n, reason in ser.skipped:
+        assert reason.startswith("NonConvergence: ")
+        assert f"n={n}, beta=None" in reason
 

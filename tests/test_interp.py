@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 import xfekete as xf
-from xfekete import interp
+from xfekete import cli, interp
 from xfekete.interp import _nearest_node_distance, scan_grid
 
 from conftest import random_nodes, spec_of, zeros_of
@@ -338,7 +338,7 @@ def _scan_peak(zs, grid_size):
         tracemalloc.stop()
 
 
-def test_a_scan_with_no_finite_value_raises(monkeypatch):
+def test_a_scan_with_no_finite_value_raises(monkeypatch, capsys):
     # every block's extremes are -inf and inf, so no running extreme
     # moves
     weighted_terms = interp._weighted_terms
@@ -353,8 +353,14 @@ def test_a_scan_with_no_finite_value_raises(monkeypatch):
         return nodes, inf_terms
 
     monkeypatch.setattr(interp, "_weighted_terms", infinite)
-    with pytest.raises(ValueError, match="no finite G"):
+    with pytest.raises(xf.NumericalError, match="no finite G"):
         xf.stability_scan(zeros_of("laguerre1", 1, 2.0, 5), grid_size=50)
+    # the CLI reports it typed, exit 2, with no traceback
+    code = cli.main(["interp", "--family", "laguerre1", "--m", "1",
+                     "--alpha", "2", "--n", "5", "--grid", "50"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert '"error":"NumericalError"' in err and "no finite G" in err
 
 
 def test_stability_scan_works_in_a_bounded_block():

@@ -538,8 +538,8 @@ def test_one_stage_sweeps_every_iterate_each_round(monkeypatch, ladder):
 
 # ------------------------------------------------------------ d_sequence
 
-# (m, alpha, ns, c): n = 190..200 is the largest table under N_CAP, m = 0
-# has P = 1 and m = 5 a P of six coefficients
+# (m, alpha, ns, c): n = 190..200 is a large table, m = 0 has P = 1 and
+# m = 5 a P of six coefficients
 D_SEQUENCES = [
     (1, 2.0, range(10, 21), 1.0), (2, 1.5, range(3, 9), 1.0),
     (1, 0.3, range(2, 6), 1.0), (3, -0.5, range(4, 7), 1.0),

@@ -91,6 +91,23 @@ def mp_refine(f, z0, steps=6):
     return complex(z)
 
 
+# laguerre1 reads S and S' off an L^(alpha) sweep at -x: S's monomials
+# share one sign, and Horner on them cancels at the negative exceptional
+# zeros, which then sit ~1e-15 off
+@pytest.mark.parametrize("m,alpha,n", [(5, 4.2, 5), (4, 3.9, 200)])
+def test_laguerre1_exceptional_zeros_match_40_digit_oracle(m, alpha, n):
+    spec = xf.FamilySpec("laguerre1", m, alpha, n)
+    exc = xf.find_zeros(spec).exceptional
+    assert exc.size == m
+    f = mp_member(spec)
+    with mpmath.workdps(40):
+        for z in exc:
+            w = mpmath.mpc(z)
+            for _ in range(6):
+                w -= f(w) / mpmath.diff(f, w)
+            assert abs(w - z) <= 3e-16 * abs(w), z
+
+
 # coefficient deflation of the regular zeros failed on each of these
 @pytest.mark.parametrize("m,alpha,n", [(3, 3.5, 20), (3, 3.873, 80),
                                        (5, 6.156, 20), (5, 8.297, 80)])

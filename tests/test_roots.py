@@ -32,6 +32,27 @@ def test_a_failed_certificate_is_a_nonconvergence(monkeypatch):
     assert 0.4 < cert["max_ratio"] < 0.42
 
 
+def test_a_derivative_beyond_binary64_certifies_nothing():
+    # |y/y'| reads 0 at an infinite y', which would pass any root
+    cert = roots._certificate(np.array([1.0, 2.0]), np.array([0.0, 1.0]),
+                              np.array([1.0, np.inf]))
+    assert not cert["passed"] and cert["max_ratio"] == np.inf
+
+
+def test_laguerre1_derivative_stays_finite_past_its_numerator_range():
+    # at n = 360 (m = 1, alpha = 2) the ODE's numerator of y' at the
+    # largest zeros leaves binary64 a factor |r| = x before y' does; there
+    # the pair divides first, and the top zero stays on the oracle
+    zs = xf.find_zeros(xf.FamilySpec("laguerre1", 1, 2.0, 360))
+    assert np.all(np.isfinite(zs.regular_dy))
+    f = mp_member(zs.spec)
+    with mpmath.workdps(40):
+        w = mpmath.mpf(zs.regular[-1])
+        for _ in range(6):
+            w -= f(w) / mpmath.diff(f, w)
+        assert abs(w - zs.regular[-1]) <= 1e-15 * w
+
+
 def test_a_repeated_regular_zero_is_a_count_mismatch(monkeypatch):
     # reaches _classify's "regular zeros not strictly increasing": a
     # polish whose second regular iterate lands on the first
