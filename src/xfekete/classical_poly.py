@@ -7,12 +7,11 @@ Pointwise evaluation goes through one three-term sweep per family, so a
 single pass gives p_n, p_{n-1} and both derivatives, each point at its
 own degree; it stays accurate far beyond the degrees at which monomial
 coefficients become unusable; a degree step is a few in-place ufunc
-calls on preallocated rows: the Jacobi sweep carries the differentiated
-recurrence, the Laguerre sweep the values and their running sum (or, on
-request, the differentiated recurrence too).
+calls on preallocated rows, and both sweeps carry the differentiated
+recurrence.  A Laguerre sweep of the values alone (_laguerre_values)
+serves the callers that read no derivative.
 Also provides the Newton seeds of the classical zeros (the Gauss nodes)
-at every degree: closed-form Langer-WKB nodes polished by one
-recurrence Newton step, one sweep for all the degrees of a ladder
+at every degree: closed-form Langer-WKB nodes, with no recurrence sweep
 (laguerre_seed_ladder, jacobi_seed_ladder).
 """
 
@@ -218,18 +217,18 @@ def _sweep(n, x, state, advance, finish):
     p_k, its first entry p_0 = 1 at k = 0.  advance(lo, hi, x, S) steps
     the buffers of the points x in place from degree k = lo to hi and
     returns them in that order again (buffers may rotate; a ufunc call
-    takes its output last); finish(*S) reads (p_n, p_{n-1}, p_n',
-    p_{n-1}') off the final state.  The points are
+    takes its output last); finish(*S) reads the outputs, such as (p_n,
+    p_{n-1}, p_n', p_{n-1}'), off the final state.  The points are
     sorted by descending degree, so the live ones are a prefix: the sweep
     runs to max(n) on shrinking column views, and a point leaves it at its
     own degree, so it meets exactly the operations of a sweep of its own
     degree alone; elementwise array arithmetic gives the same bits at any
     array length.  A 0-d x is swept as a one-element array (numpy's
-    complex scalar arithmetic rounds differently).  Returns (p_n, p_{n-1},
-    p_n', p_{n-1}'), arrays no other call shares, in the order and shape
-    of x.
+    complex scalar arithmetic rounds differently).  Returns finish's
+    outputs, arrays no other call shares, in the order and shape of x.
     """
     x = _as_float_or_complex(x)
+    out = None
     if isinstance(n, (int, np.integer)):
         # one degree: a single run, already in order
         shape, order, xs = x.shape, None, x.ravel()
@@ -246,7 +245,6 @@ def _sweep(n, x, state, advance, finish):
         ends = (np.flatnonzero(np.diff(deg)) + 1).tolist() + [deg.size]
         runs = [(s, e, int(deg[s]))
                 for s, e in zip([0] + ends[:-1], ends) if e > s]
-        out = np.empty((4, xs.size), xs.dtype)
     if runs and runs[-1][2] < 0:
         raise ValueError("degree must be nonnegative")
     S = np.zeros(state + (xs.size,), xs.dtype)
@@ -256,8 +254,11 @@ def _sweep(n, x, state, advance, finish):
         S = advance(k, stop, xs[:end], [s[..., :end] for s in S])
         k = stop
         if order is not None:     # the run's points leave the sweep
-            out[:, start:end] = finish(*(s[..., start:] for s in S))
-    if order is None:
+            vals = finish(*(s[..., start:] for s in S))
+            if out is None:
+                out = np.empty((len(vals), xs.size), xs.dtype)
+            out[:, start:end] = vals
+    if out is None:     # one degree, or no point
         vals = finish(*S)
     else:
         out[:, order] = out.copy()
@@ -267,53 +268,51 @@ def _sweep(n, x, state, advance, finish):
     return vals
 
 
-def laguerre_pass(n, a, x, differentiated=False):
+def laguerre_pass(n, a, x):
     """One three-term sweep for L^(a) at x, vectorized and complex-safe.
 
     Returns (L_n, L_{n-1}, L_n', L_{n-1}') with L_{-1} = 0; n is an int
     or a per-point integer array broadcast with x (see _sweep).  The
     values follow the recurrence in its own order,
       (k+1) L_{k+1} = (2k+1+a-x) L_k - (k+a) L_{k-1},
-    five in-place ufunc calls per degree.  By default the sweep carries
-    the running sum T_k = sum_{j<k} L_j, which is L_{k-1}^(a+1)
-    (telescope L_j^(a) = L_j^(a+1) - L_{j-1}^(a+1), DLMF 18.9, 18.18),
-    and L_k' = -L_{k-1}^(a+1), so the derivatives are read off at the
-    end, L_n' = -T_n, L_{n-1}' = L_{n-1} - T_n: one more call per degree,
-    no division by x.  differentiated=True carries the differentiated
-    recurrence instead,
+    and the derivatives the differentiated recurrence,
       (k+1) L_{k+1}' = (2k+1+a-x) L_k' - L_k - (k+a) L_{k-1}',
-    on stacked (value, derivative) rows, six calls per degree, five of
-    them on both rows; the values' bits are the same.  Its derivatives
-    see the rounded 2k+1+a-x that the values see, so a combination of
-    L_n and L_n' that cancels (Laguerre-II's pair at its smallest zeros)
-    keeps about 0.17 digits that the running sum loses there.
+    on stacked (value, derivative) rows, six in-place ufunc calls per
+    degree, five of them on both rows.  The derivatives see the rounded
+    2k+1+a-x that the values see, so a combination of L_n and L_n' that
+    cancels (Laguerre-II's pair at its smallest zeros) keeps its digits.
+    The values have the bits of _laguerre_values.
     """
-    if differentiated:
-        def advance(lo, hi, x, S):
-            sub, mul, div = np.subtract, np.multiply, np.divide
-            B, A, C = S     # (L_k, L_k'), (L_{k-1}, L_{k-1}') and scratch
-            # 2k+1+a-x in both rows: a (2, N) product with no broadcast
-            # is faster than one that broadcasts an N row over the state
-            x = np.stack([x, x])
-            s = np.empty_like(x)
-            A0, A1, B0, B1, C0, C1 = A[0], A[1], B[0], B[1], C[0], C[1]
-            for k in range(lo, hi):
-                sub(2 * k + 1 + a, x, s)
-                mul(s, B, C)
-                sub(C1, B0, C1)
-                mul(k + a, A, A)
-                sub(C, A, C)
-                div(C, k + 1.0, C)
-                A, B, C, A0, B0, C0 = B, C, A, B0, C0, A0
-                A1, B1, C1 = B1, C1, A1
-            return B, A, C
-
-        return _sweep(n, x, (3, 2), advance,
-                      lambda B, A, C: (B[0], A[0], B[1], A[1]))
-
     def advance(lo, hi, x, S):
-        add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
-        B, A, T, C = S      # L_k, L_{k-1}, T_k and scratch
+        sub, mul, div = np.subtract, np.multiply, np.divide
+        B, A, C = S     # (L_k, L_k'), (L_{k-1}, L_{k-1}') and scratch
+        # 2k+1+a-x in both rows: a (2, N) product with no broadcast
+        # is faster than one that broadcasts an N row over the state
+        x = np.stack([x, x])
+        s = np.empty_like(x)
+        A0, A1, B0, B1, C0, C1 = A[0], A[1], B[0], B[1], C[0], C[1]
+        for k in range(lo, hi):
+            sub(2 * k + 1 + a, x, s)
+            mul(s, B, C)
+            sub(C1, B0, C1)
+            mul(k + a, A, A)
+            sub(C, A, C)
+            div(C, k + 1.0, C)
+            A, B, C, A0, B0, C0 = B, C, A, B0, C0, A0
+            A1, B1, C1 = B1, C1, A1
+        return B, A, C
+
+    return _sweep(n, x, (3, 2), advance,
+                  lambda B, A, C: (B[0], A[0], B[1], A[1]))
+
+
+def _laguerre_values(n, a, x):
+    """(L_n, L_{n-1}) of L^(a) at x, with L_{-1} = 0: laguerre_pass's
+    values, bit for bit, from the recurrence alone, five in-place ufunc
+    calls per degree; n as in _sweep."""
+    def advance(lo, hi, x, S):
+        sub, mul, div = np.subtract, np.multiply, np.divide
+        B, A, C = S      # L_k, L_{k-1} and scratch
         s = np.empty_like(x)
         for k in range(lo, hi):
             sub(2 * k + 1 + a, x, s)
@@ -321,12 +320,10 @@ def laguerre_pass(n, a, x, differentiated=False):
             mul(k + a, A, A)
             sub(C, A, C)
             div(C, k + 1.0, C)      # a float k + 1 takes a faster path
-            add(T, B, T)
             A, B, C = B, C, A
-        return B, A, T, C
+        return B, A, C
 
-    return _sweep(n, x, (4,), advance,
-                  lambda B, A, T, C: (B, A, -T, A - T))
+    return _sweep(n, x, (3,), advance, lambda B, A, C: (B, A))
 
 
 def jacobi_pass(n, a, b, x):
@@ -486,64 +483,46 @@ def _ladder_call(f, ns, xs):
     return split
 
 
-def _seed_ladder(ns, params, nodes, sweep):
+def _seed_ladder(ns, params, nodes):
     """Newton seeds of the classical zeros at each degree of ns: the WKB
-    nodes(n), ascending, after one Newton step of sweep(n, x), the
-    classical pass; every member's step is taken in one sweep
-    (_ladder_call), which gives each point the bits of a sweep at its
-    own degree.  A node whose step is not finite (the recurrence
-    overflows there) keeps its place; a node that is not finite (a
-    phase beyond binary64, at extreme parameters) stays so, and Newton
-    fails on it typed; no warning leaks from either.
+    nodes(n), ascending, with no recurrence sweep.  A node that is not
+    finite (a phase beyond binary64, at extreme parameters) stays so,
+    and Newton fails on it typed; no warning leaks.
 
     Returns per member its seeds, or, for n >= 1 with a parameter at or
     below -1, its own ValidationError (_gauss_range, checked once for
     the ladder's shared parameters); n = 0 gives no seeds, at any
-    parameters: its WKB nodes, and its share of the sweep, are empty."""
+    parameters: its WKB nodes are empty."""
     try:
         _gauss_range(*params)
     except ValidationError as exc:
         # the members share the parameters: each gets its own error
         return [ValidationError(*exc.args) if n else np.empty(0)
                 for n in ns]
-
-    def polished(n, x):
-        p, _, dp, _ = sweep(n, x)
-        step = p / dp
-        return (np.where(np.isfinite(step), x - step, x),)
-
     with np.errstate(**_QUIET):
-        seeds = _ladder_call(polished, ns, [nodes(n) for n in ns])
-    return [x for (x,) in seeds]
+        return [nodes(n) for n in ns]
 
 
 def laguerre_seed_ladder(ns, a):
     """Newton seeds of the zeros of L_n^(a) (a > -1), ascending, for each
-    n of ns, from one polishing sweep: the zeros of the Langer-WKB phase
-    (_laguerre_wkb; Gatteschi, J. Comput. Appl. Math. 144 (2002)) after
-    one Newton step of laguerre_pass, within 3.6e-3 of the local zero
-    spacing at every n up to 300 for a in [-0.999, 40].  The step takes
-    the differentiated derivative, the one Laguerre-II's pair takes: a
-    seed's last bits decide where Newton lands within the evaluator's
-    rounding floor, so Laguerre-II's zeros then rest on that one kernel.
-    A member with n = 0 gets no seeds, at any a, and one with n >= 1 and
-    a <= -1 its ValidationError in place of its seeds (see
-    _seed_ladder)."""
-    return _seed_ladder(
-        ns, (a,), lambda n: _wkb_nodes(n, _laguerre_wkb(n, a)),
-        lambda n, x: laguerre_pass(n, a, x, differentiated=True))
+    n of ns: the zeros of the Langer-WKB phase (_laguerre_wkb;
+    Gatteschi, J. Comput. Appl. Math. 144 (2002)), within 1.5e-2 of the
+    local zero spacing at every n up to 300 for a in [-0.5, 9] (the
+    largest zeros are the furthest off).  A member with n = 0 gets no
+    seeds, at any a, and one with n >= 1 and a <= -1 its
+    ValidationError in place of its seeds (see _seed_ladder)."""
+    return _seed_ladder(ns, (a,),
+                        lambda n: _wkb_nodes(n, _laguerre_wkb(n, a)))
 
 
 def jacobi_seed_ladder(ns, a, b):
     """Newton seeds of the zeros of P_n^(a,b) (a, b > -1), ascending, for
-    each n of ns, from one polishing sweep: the zeros of the Langer-WKB
-    phase (_jacobi_wkb) after one Newton step of jacobi_pass, asymptotic
-    first guesses plus Newton as in Hale & Townsend, SIAM J. Sci.
-    Comput. 35 (2013); within 5.1e-3 of the local zero spacing at every
-    n up to 300 for a, b in [-0.999, 40].  A member with n = 0 gets no
+    each n of ns: the zeros of the Langer-WKB phase (_jacobi_wkb),
+    asymptotic first guesses as in Hale & Townsend, SIAM J. Sci.
+    Comput. 35 (2013); within 1.5e-2 of the local zero spacing at every
+    n up to 1000 for a, b in [-0.5, 9].  A member with n = 0 gets no
     seeds, at any a and b, and one with n >= 1 and a or b <= -1 its
     ValidationError in place of its seeds (see _seed_ladder)."""
     # the phase counts the zeros from x = 1: its nodes descend
     return _seed_ladder(
-        ns, (a, b), lambda n: _wkb_nodes(n, _jacobi_wkb(n, a, b))[::-1],
-        lambda n, x: jacobi_pass(n, a, b, x))
+        ns, (a, b), lambda n: _wkb_nodes(n, _jacobi_wkb(n, a, b))[::-1])

@@ -48,6 +48,12 @@ def _dumps(obj):
         return _dumps([obj.real, obj.imag])
     if isinstance(obj, np.ndarray) and obj.ndim == 0:
         return _dumps(obj.tolist())     # its scalar
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        # a real float array, each row in one join: the bytes of its list
+        if obj.ndim > 1:
+            return "[" + ",".join(_dumps(row) for row in obj) + "]"
+        return "[" + ",".join([format(x, ".17g") if math.isfinite(x)
+                               else "null" for x in obj.tolist()]) + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
         return "[" + ",".join(_dumps(v) for v in seq) + "]"

@@ -39,7 +39,7 @@ import numpy.polynomial.polynomial as npoly
 from .classical_poly import (_QUIET, PolyTable,
                              _as_float_or_complex as _coerce,
                              _horner, _jacobi_coeffs_top_down,
-                             _jacobi_collapses, gen_binom,
+                             _jacobi_collapses, _laguerre_values, gen_binom,
                              jacobi_coeffs, jacobi_pass, jacobi_seed_ladder,
                              laguerre_coeffs, laguerre_pass,
                              laguerre_seed_ladder, polyder, trim)
@@ -250,10 +250,11 @@ def build_exceptional(spec):
 
 @functools.cache
 def _w_r(fam):
-    # coefficients of w = q and r = sigma/q, read off the family's ODE;
-    # cached, since forming them costs about as much as a short sweep
-    w = fam.q(np.ones(1))
-    return w, npoly.polydiv(fam.sigma(np.ones(1)), w)[0]
+    # coefficients of w = q, r = sigma/q, w' and sigma' = (r w)', read off
+    # the family's ODE; cached, since forming them costs about as much as
+    # a short sweep
+    w, sigma = fam.q(np.ones(1)), fam.sigma(np.ones(1))
+    return w, npoly.polydiv(sigma, w)[0], polyder(w), polyder(sigma)
 
 
 def _product_coeffs(spec):
@@ -270,9 +271,10 @@ def _product_pair(spec, n, x):
     # (u, u') from its classical factor u at degree index n per point;
     # y' = (w1 S u' + (a1 S - w1 S') u) / r with w1 = (k/2) w, a1 = -lam
     # and r = sigma/q, from eliminating u'' and S'' via the classical
-    # ODEs of u and S, so y' is the family ODE's own.
+    # ODEs of u and S, so y' is the family ODE's own.  Returns (y, y')
+    # and the (S, S', w, r) at x that _ladder_eval_ratios reads.
     fam = spec.fam
-    wc, rc = _w_r(fam)
+    wc, rc = _w_r(fam)[:2]
     S, Sp = fam.S_at(spec, x)
     u, up = fam.u(spec, n, x)
     w = _horner(wc, x)
@@ -285,7 +287,7 @@ def _product_pair(spec, n, x):
         # the sum leaves binary64 a factor |r| before y' does (laguerre1's
         # r = -x at its largest zeros): there, divide first
         yp = np.where(big, w1 * S / r * up + (a1 * S - w1 * Sp) / r * u, yp)
-    return y, yp
+    return y, yp, (S, Sp, w, r)
 
 
 def ladder_eval_pair(spec, n, x):
@@ -294,7 +296,33 @@ def ladder_eval_pair(spec, n, x):
     index per point (an int, or an integer array broadcast with x).  One
     call evaluates the members together: each classical factor takes one
     recurrence sweep in which every point stops at its own degree."""
-    return _product_pair(spec, n, _coerce(x))
+    return _product_pair(spec, n, _coerce(x))[:2]
+
+
+def _ladder_eval_ratios(spec, n, x):
+    """(y, y', y''/y', y'''/y') of spec's ladder at x, n as in
+    ladder_eval_pair: its pair, bit for bit, and the ratios t2 and t3
+    from the family ODE A y'' + B y' + C y = 0 and its derivative, with
+    rho = y/y',
+        t2 = -(B + C rho)/A,
+        t3 = -((A' + B) t2 + B' + C' rho + C)/A,
+    A = sigma S, B = tau S - 2 sigma S', C = lam S + k w S' (ode_coeffs).
+    S and S' are the pair's and S'' is Horner on S's table, so the
+    ratios take no sweep.  Newton's quartic step reads them; they set
+    its rate of convergence, not its fixed point y = 0."""
+    fam, x = spec.fam, _coerce(x)
+    y, yp, (S, Sp, w, r) = _product_pair(spec, n, x)
+    dwc, dsc = _w_r(fam)[2:]
+    t0, t1 = fam.tau(spec)
+    lam, k = fam.lam(spec, n), fam.k(spec)
+    S2, sig, dsig = _horner(spec.S.d2, x), r * w, _horner(dsc, x)
+    tau, rho = t0 + t1 * x, y / yp
+    A, B, C = sig * S, tau * S - 2 * sig * Sp, lam * S + k * w * Sp
+    t2 = -(B + C * rho) / A
+    dA = dsig * S + sig * Sp
+    dB = t1 * S + (tau - 2 * dsig) * Sp - 2 * sig * S2
+    dC = lam * Sp + k * (_horner(dwc, x) * Sp + w * S2)
+    return y, yp, t2, -((dA + B) * t2 + dB + dC * rho + C) / A
 
 
 def exceptional_eval(spec, x):
@@ -308,14 +336,14 @@ def _lag1_S(spec, x):
     # S = L_m^(al-1)(-x) = (L_m^(al) - L_{m-1}^(al))(-x) and S' =
     # L_{m-1}^(al)(-x), values of one L^(al) sweep (DLMF 18.9): Horner on
     # S's same-sign monomials cancels at the negative exceptional zeros
-    fm, fm1 = laguerre_pass(spec.m, spec.alpha, -x)[:2]
+    fm, fm1 = _laguerre_values(spec.m, spec.alpha, -x)
     return fm - fm1, fm1
 
 
 def _lag1_u(spec, n, x):
     # u = L_n^(al-1) = L_n^(al) - L_{n-1}^(al) and u' = -L_{n-1}^(al),
     # values of one L^(al) sweep
-    gn, gn1 = laguerre_pass(n, spec.alpha, x)[:2]
+    gn, gn1 = _laguerre_values(n, spec.alpha, x)
     return gn - gn1, -gn1
 
 
@@ -333,8 +361,8 @@ class Family(NamedTuple):
     exp_weight: bool    # base weight also carries e^-x (the half-line)
     S: object           # coefficients of S, a classical polynomial
     gauss: object       # (spec, ns) -> per n, the seeds of the regular
-                        # zeros (the classical zeros) or their
-                        # ValidationError, one polishing sweep for all
+                        # zeros (the classical zeros' WKB nodes) or
+                        # their ValidationError
     sigma: object       # the ODE: A = sigma S, B = tau S - 2 sigma S',
     tau: object         # C = lam S + k (q S'); sigma and q multiply a
     lam: object         # coefficient vector (by polymulx for x, which
@@ -349,6 +377,9 @@ class Family(NamedTuple):
     a: object           # the product y = w S u' + (a S - w S') u, w = q
     u: object           # (spec, n, x) -> (u, u') of the classical factor
     u_coeffs: object    # spec -> monomial coefficients of u
+    law: object         # (s, n) -> the one-term law of the exceptional
+                        # zeros about the zeros s of S (complex) at
+                        # degree index n >= 1, on the principal branch
     # (spec, x) -> (S, S'); by default Horner on S's table
     S_at: object = lambda s, x: (_horner(s.S.c, x), _horner(s.S.d1, x))
 
@@ -397,6 +428,8 @@ _HALF_LINE = dict(
     log_lead=lambda s: (_log_abs(s.fam.lead_factor(s)) - lgamma(s.m + 1)
                         - lgamma(s.n + 1)),
     sigma=npoly.polymulx, tau=lambda s: (s.alpha + 1.0, -1.0),
+    # Perron's formula outside the support: (log u)'(s) ~ -sqrt(n/(-s))
+    law=lambda s, n: s - np.sqrt(-s / n),
     domain=lambda s, n: (0.0, 4.0 * n + 2.0 * s.alpha + 4.0 * s.m))
 
 FAMILY = {
@@ -417,10 +450,7 @@ FAMILY = {
         lead_factor=lambda s: (-1) ** (s.m + s.n)
         * (s.n + s.alpha + 1.0 - s.m),
         a=lambda s: s.alpha + 1.0,
-        # y's two terms cancel at the smallest zeros, so u' follows the
-        # differentiated recurrence, which sees u's rounding of 2k+1+a-x
-        u=lambda s, n, x: laguerre_pass(n, s.alpha + 1.0, x,
-                                        differentiated=True)[::2],
+        u=lambda s, n, x: laguerre_pass(n, s.alpha + 1.0, x)[::2],
         u_coeffs=lambda s: laguerre_coeffs(s.n, s.alpha + 1.0),
         regime=lambda s: ["alpha <= m-1: S may vanish on the positive axis"]
         if s.alpha <= s.m - 1 else []),
@@ -441,6 +471,8 @@ FAMILY = {
                             + _log_binom(2 * s.n + s.alpha + s.beta, s.n)
                             - s.n * log(2.0)),
         a=lambda s: -(s.alpha + 1.0),
+        # Darboux's formula outside [-1, 1]: (log u)'(s) ~ n/sqrt(s^2 - 1)
+        law=lambda s, n: s + s * np.sqrt(1 - 1 / (s * s)) / n,
         u=lambda s, n, x: jacobi_pass(n, s.alpha + 1.0, s.beta - 1.0, x)[::2],
         u_coeffs=lambda s: _jacobi_coeffs_top_down(s.n, s.alpha + 1.0,
                                                    s.beta - 1.0),

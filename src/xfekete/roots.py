@@ -6,16 +6,18 @@ exceptional zeros; real and negative for laguerre1, possibly complex for
 laguerre2 and jacobi).  Root finding never touches monomial coefficients:
 one engine serves all three families.  One Newton iteration on the
 pointwise closed-form evaluator polishes all m + n zeros together: the
-regular ones from the classical zeros, the exceptional ones from the
-zeros of S, to which they tend (Gomez-Ullate, Marcellan & Milson 2013),
+regular ones by quartic steps, whose y''/y' and y'''/y' the family ODE
+gives from (y, y'), from the raw WKB nodes of the classical zeros; the
+exceptional ones from the zeros of S moved by their one-term law in n
+(they tend to the zeros of S: Gomez-Ullate, Marcellan & Milson 2013),
 each exceptional iterate coupled to every other (Aberth-Ehrlich).  The
 members of a ladder, one spec and a list of degree indices n (such as
 the members of a diameter sweep), are seeded and polished together: S
-does not depend on n, so the ladder reads it and its zeros once; one
-polishing sweep gives every member its classical seeds, each Newton
-round evaluates every pending point of every member in one call, and a
-single spec is a ladder of one.  The same evaluator certifies the zeros:
-the certificate bounds its Newton correction at every zero, one more
+does not depend on n, so the ladder reads it and its zeros once; the
+seeds take no recurrence sweep, each Newton round evaluates every
+pending point of every member in one call, and a single spec is a
+ladder of one.  The same evaluator certifies the zeros: the
+certificate bounds its Newton correction at every zero, one more
 lockstep round for the whole ladder.  The monomial coefficients
 (build_exceptional) play no part.
 """
@@ -24,9 +26,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical_poly import _QUIET, _ladder_call, laguerre_pass
+from .classical_poly import _QUIET, _ladder_call, _laguerre_values
 from .errors import CountMismatch, NonConvergence, XFeketeError
-from .exceptional import _nonzero_lead, _s_zeros, ladder_eval_pair
+from .exceptional import (_ladder_eval_ratios, _nonzero_lead, _s_zeros,
+                          ladder_eval_pair)
 
 # classification margin: a zero within this distance of the closed
 # orthogonality interval is neither safely inside nor safely outside
@@ -39,10 +42,14 @@ CERT_TOL = 1e-10
 # NEWTON_TOL, the prediction trusted while every step is at most
 # PREDICT_TRUST (see _newton_ladder), or else below NEWTON_FLOOR once the
 # step has stopped shrinking (the rounding floor; n >~ 100 never reaches
-# NEWTON_TOL)
+# NEWTON_TOL).  A quartic step of 1e-6 predicts a next one far below
+# NEWTON_TOL, so the bound trusts the prediction after two rounds from
+# raw WKB seeds: at 1e-8, the top regular zero of a Laguerre member
+# (round-2 step 1.4e-7 at laguerre1 m=3 alpha=2.7 n=200, from a seed
+# 1.1e-2 of the local spacing off) would force a third round
 NEWTON_TOL = 1e-15
 NEWTON_FLOOR = 1e-13
-PREDICT_TRUST = 1e-8
+PREDICT_TRUST = 1e-6
 
 # real parts that agree to SORT_RTOL (1 + |x|) are a tie when listing
 # complex zeros, so the last bits of a conjugate pair's real parts do not
@@ -74,53 +81,62 @@ class ZeroSet:
 def _newton_ladder(spec, ns, x0s, itmax=60):
     """Newton polish of the ladder of spec at the degree indices ns, one
     iterate array x0s[i] per member, all in lockstep: each round makes
-    one ladder_eval_pair call for every pending point of every pending
-    member.
+    one _ladder_eval_ratios call for every pending point of every
+    pending member.
 
     Each member keeps its own iterates, step history, iteration count
     and stop test, and drops out once it stops.  The first n iterates of
-    member i (n = ns[i]) seek its regular zeros by plain Newton,
-    rho = y/y'.  Any after them seek its exceptional zeros by the
-    Aberth-Ehrlich correction
+    member i (n = ns[i]) seek its regular zeros by the fourth-order
+    Householder step
+        rho (1 - rho t2/2) / (1 - rho t2 + rho^2 t3/6),
+    rho = y/y', with t2 = y''/y' and t3 = y'''/y' from the family ODE
+    (Segura, SIAM J. Numer. Anal. 48 (2010)), or by plain Newton where
+    that step is not finite (A = 0: an iterate on a zero of S).  Any
+    after them seek its exceptional zeros by the Aberth-Ehrlich
+    correction
         rho_i / (1 - rho_i sum_{j != i} 1/(x_i - x_j)),
-    summed over all the member's other iterates, at a cost of O(n m) per
-    round.  The sum divides the regular iterates out of y (Maehly's
-    correction), so a seed near an exceptional zero is not thrown off by
-    the n zeros inside the interval: without it, Newton from a zero of S
-    can overshoot and then creep back by about 1/n of the distance per
-    step.  It also couples the exceptional iterates, so two of them
-    cannot converge to the same zero.  The coupling is one-way: were
-    the regular iterates to divide out the exceptional ones too, a zero
-    of S near the interval's end could push a regular iterate onto a
-    zero that another one already holds (laguerre1 m=4 alpha=0.1264
-    n=5, for one).  With no exceptional iterate every step is plain
-    Newton, bit for bit.
+    summed over all the member's other iterates, the regular ones after
+    this round's step (they never read the exceptional ones), at a cost
+    of O(n m) per round.  The sum divides the regular iterates out of y
+    (Maehly's correction), so a seed near an exceptional zero is not
+    thrown off by the n zeros inside the interval: without it, Newton
+    from a zero of S can overshoot and then creep back by about 1/n of
+    the distance per step.  It also couples the exceptional iterates, so
+    two of them cannot converge to the same zero.  The coupling is
+    one-way: were the regular iterates to divide out the exceptional
+    ones too, a zero of S near the interval's end could push a regular
+    iterate onto a zero that another one already holds (laguerre1 m=4
+    alpha=0.1264 n=5, for one).
 
-    A member stops once quadratic convergence predicts that its next step
-    would fall below NEWTON_TOL, so it does not take the rounds that only
-    move its iterates about the evaluator's rounding floor.  Each point
-    has its relative step a = |dx|/(1+|x|) and its step p one round
-    earlier; it is done once a < NEWTON_TOL, or a < p and
-    a^3 <= NEWTON_TOL p^2 (the next step, about a (a/p)^2, lies below
-    NEWTON_TOL).  Done points stay done, and the member stops when all
-    are, but only while its largest step max a is at most PREDICT_TRUST; a
-    larger one clears every mark.  So a member still stops once max a
-    falls below NEWTON_TOL, and the fallback stops it once max a falls
-    below NEWTON_FLOOR and no longer shrinks.  Returns, per member, the
-    polished iterates, or the NonConvergence of a member whose last max
-    a is not finite, or above CERT_TOL without the prediction; the
-    certificate of find_zeros_ladder, not the prediction, proves the
-    zeros.  Every operation on a member's points is the one a ladder of
-    that member alone makes, so the results do not depend on the other
-    members.  spec's S must be readable (find_zeros_ladder reads it
-    first), so the evaluation raises nothing.
+    A member stops once the order of its steps predicts that its next
+    step would fall below NEWTON_TOL, so it does not take the rounds
+    that only move its iterates about the evaluator's rounding floor.
+    Each point has its relative step a = |dx|/(1+|x|), its step p one
+    round earlier and the order q + 1 of its step, q = 4 for a regular
+    point (quartic) and 2 for an exceptional one; it is done once
+    a < NEWTON_TOL, or a < p and a^(q+1) <= NEWTON_TOL p^q (the next
+    step, about a (a/p)^q, lies below NEWTON_TOL).  Done points stay
+    done, and the member stops when all are, but only while its largest
+    step max a is at most PREDICT_TRUST; a larger one clears every mark.
+    So a member still stops once max a falls below NEWTON_TOL, and the
+    fallback stops it once max a falls below NEWTON_FLOOR and no longer
+    shrinks.  Returns, per member, the polished iterates, or the
+    NonConvergence of a member whose last max a is not finite, or above
+    CERT_TOL without the prediction; the certificate of
+    find_zeros_ladder, not the prediction, proves the zeros.  Every
+    operation on a member's points is the one a ladder of that member
+    alone makes, so the results do not depend on the other members.
+    spec's S must be readable (find_zeros_ladder reads it first), so the
+    evaluation raises nothing.
     """
     xs = [np.array(x0, dtype=complex if np.iscomplexobj(x0) else float)
           for x0 in x0s]
     out = [x if x.size == 0 else None for x in xs]
     prev = [np.inf] * len(ns)
-    # per point: its last relative step (0 before the first, so the
-    # prediction needs two) and whether it is predicted done
+    # per point: the order exponent q of its step, its last relative step
+    # (0 before the first, so the prediction needs two) and whether it
+    # is predicted done
+    q = [np.where(np.arange(x.size) < n, 4.0, 2.0) for x, n in zip(xs, ns)]
     last = [np.zeros(x.shape) for x in xs]
     done = [np.zeros(x.shape, dtype=bool) for x in xs]
     live = [i for i, x in enumerate(xs) if x.size]
@@ -128,22 +144,30 @@ def _newton_ladder(spec, ns, x0s, itmax=60):
         if not live:
             break
         with np.errstate(**_QUIET):
-            pairs = _ladder_pairs(spec, ns, xs, live)
+            terms = _ladder_eval(_ladder_eval_ratios, spec, ns, xs, live)
             for i in live:
-                x, (v, dv), n = xs[i], pairs[i], ns[i]
-                step = v / dv
+                x, (v, dv, t2, t3), n = xs[i], terms[i], ns[i]
+                rho = v / dv
+                h = rho * t2
+                step = rho * (1 - h / 2) / (1 - h + rho * rho * t3 / 6)
+                # the ratios are not finite where A = sigma S vanishes (a
+                # zero of S or of sigma): a plain Newton step there
+                step = np.where(np.isfinite(step), step, rho)
                 # row k: 1/(e_k - x_j) over every other iterate x_j of an
-                # exceptional iterate e_k (the inf puts 0 at x_j = e_k)
+                # exceptional iterate e_k (the inf puts 0 at x_j = e_k),
+                # the regular ones after this round's step
+                x = np.concatenate([x[:n] - step[:n], x[n:]])
                 dif = x[n:, None] - x[None, :]
                 np.fill_diagonal(dif[:, n:], np.inf)
-                e = step[n:]
+                e = rho[n:]
                 step[n:] = e / (1 - e * np.sum(1.0 / dif, axis=1))
-                xs[i] = x = x - step
+                x[n:] -= step[n:]
+                xs[i] = x
                 a, p = np.abs(step) / (1 + np.abs(x)), last[i]
                 rel = float(np.max(a))
                 done[i] = (rel <= PREDICT_TRUST) & (
                     done[i] | (a < NEWTON_TOL)
-                    | ((a < p) & (a ** 3 <= NEWTON_TOL * p ** 2)))
+                    | ((a < p) & (a ** (q[i] + 1) <= NEWTON_TOL * p ** q[i])))
                 predicted = bool(done[i].all())
                 if (not np.isfinite(rel) or predicted
                         or NEWTON_FLOOR > rel >= prev[i] or it == itmax):
@@ -158,14 +182,27 @@ def _newton_ladder(spec, ns, x0s, itmax=60):
     return out
 
 
-def _ladder_pairs(spec, ns, xs, live):
-    """{i: (y, y')} at the points xs[i] of the live members i of spec's
-    ladder, member i at degree index ns[i], from one ladder_eval_pair
-    call for all of them (_ladder_call: an int degree when one member is
+def _ladder_eval(evaluate, spec, ns, xs, live):
+    """{i: evaluate's outputs} at the points xs[i] of the live members i
+    of spec's ladder, member i at degree index ns[i], from one call of
+    evaluate(spec, n, x) (ladder_eval_pair or _ladder_eval_ratios) for
+    all of them (_ladder_call: an int degree when one member is
     left)."""
     return dict(zip(live, _ladder_call(
-        lambda n, x: ladder_eval_pair(spec, n, x),
+        lambda n, x: evaluate(spec, n, x),
         [ns[i] for i in live], [xs[i] for i in live])))
+
+
+def _law_seeds(spec, n, s):
+    """Newton seeds of the exceptional zeros of spec's member at degree
+    index n from the zeros s of S (complex): the family's one-term law
+    (Family.law) for n >= 1, s itself at n = 0 and at a real s whose
+    law value is not real; a real array when every seed is real."""
+    if n:
+        with np.errstate(**_QUIET):
+            e = spec.fam.law(s, n)
+        s = np.where((s.imag == 0) & (e.imag != 0), s, e)
+    return s if s.imag.any() else s.real
 
 
 def _sort_zeros(z):
@@ -221,9 +258,8 @@ def find_zeros(spec):
     One engine for all three families.  The coupled Newton of
     _newton_ladder polishes the regular zeros from the classical zeros
     (Laguerre or Jacobi at the same parameters, as laguerre_seed_ladder
-    and jacobi_seed_ladder give them: Langer-WKB nodes after one
-    recurrence Newton step, at an int degree) and the exceptional zeros
-    from the zeros of S, all together.
+    and jacobi_seed_ladder give them: raw Langer-WKB nodes) and the
+    exceptional zeros from the law seeds (_law_seeds), all together.
     Raises DegreeCollapse first where the closed-form leading coefficient
     is 0, RepresentationOverflow where S's coefficients or its monic
     ones (exceptional._s_zeros) leave binary64, CountMismatch if the
@@ -244,12 +280,11 @@ def find_zeros_ladder(spec, ns):
     """find_zeros for each member of spec's ladder, spec at each degree
     index n of ns (ints), in order: each member's ZeroSet, or the
     XFeketeError that find_zeros raises for it.  A member whose
-    closed-form lead collapses fails first; the rest take their seeds
-    from one call of the family's seed ladder (Family.gauss: each
-    member's WKB phase inverted on its own, then one polishing sweep
-    over every member's nodes, each at its own degree, so every seed
-    has the bits of its member's own seeds) and S and its zeros from one
-    read through spec; the Newton polish is solved for all of them in
+    closed-form lead collapses fails first; the rest take their regular
+    seeds from one call of the family's seed ladder (Family.gauss: each
+    member's WKB phase inverted on its own, with no sweep) and S and its
+    zeros from one read through spec, which the law moves to each
+    member's exceptional seeds; the Newton polish is solved for all in
     lockstep and their certificates in one more lockstep round, whose y'
     at the regular zeros each ZeroSet keeps.  A member that fails drops
     out of the later stages.  A member's spec is spec itself at
@@ -264,7 +299,7 @@ def find_zeros_ladder(spec, ns):
         except XFeketeError as exc:
             out[i] = exc
     live = [i for i, o in enumerate(out) if o is None]
-    # every member's classical seeds from one polishing sweep
+    # every member's classical seeds: its raw WKB nodes
     gauss = dict(zip(live, spec.fam.gauss(spec, [ns[i] for i in live])))
     seeds, r = {}, None
     for i in live:
@@ -282,10 +317,9 @@ def find_zeros_ladder(spec, ns):
                 if members[i] is not spec:
                     _s_zeros(members[i])
                 raise r
-            # the n classical seeds, then the m zeros of S: a real array
-            # when all of those are real
-            seeds[i] = np.concatenate([gauss[i],
-                                       r if r.imag.any() else r.real])
+            # the n classical seeds, then the m law seeds of the
+            # exceptional zeros: a real array when all of those are real
+            seeds[i] = np.concatenate([gauss[i], _law_seeds(spec, ns[i], r)])
         except XFeketeError as exc:
             out[i] = exc
     if seeds:
@@ -308,7 +342,7 @@ def find_zeros_ladder(spec, ns):
     rts = {i: np.concatenate([z if z.imag.any() else z.real, reg])
            for i, (reg, z) in found.items()}
     with np.errstate(**_QUIET):
-        pairs = _ladder_pairs(spec, ns, rts, list(rts))
+        pairs = _ladder_eval(ladder_eval_pair, spec, ns, rts, list(rts))
         certs = {i: _certificate(rts[i], *pairs[i]) for i in pairs}
     for i, cert in certs.items():
         if cert["passed"]:
@@ -325,7 +359,7 @@ def find_zeros_ladder(spec, ns):
 def _brackets(deg, al, x):
     """(x_1 in (0, z_1), x_j in (z'_{j-1}, z_j) for every j >= 2) for deg
     ascending points x, with z_j the zeros of L_deg^(al) and z'_j those
-    of L_{deg-1}^(al), decided by signs from one laguerre_pass at 0 and
+    of L_{deg-1}^(al), decided by signs from one _laguerre_values at 0 and
     the x_j, with no nodes.
 
     The x_j increase, so x_j in (z_{j-1}, z_j) for every j iff x_1 > 0
@@ -337,7 +371,7 @@ def _brackets(deg, al, x):
     the two verdicts are exact together, not one by one: an x_1 two
     brackets off fails the second, not the first.
     """
-    p, q, _, _ = laguerre_pass(deg, al, np.concatenate([[0.0], x]))
+    p, q = _laguerre_values(deg, al, np.concatenate([[0.0], x]))
     alt = (-1.0) ** np.arange(x.size)
     inside = np.sign(p[1:]) == np.sign(p[0]) * alt
     above = np.sign(q[1:]) == np.sign(q[0]) * alt

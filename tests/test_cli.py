@@ -507,39 +507,39 @@ def test_fekete_golden_stdout(capsys):
 # had reproduced the coefficient bound of the zeros' certificate before
 # the evaluator certified them.  The fields that read the zeros' last
 # bits (max_log_excess, max_ratio, the fekete_stationary max_gradient
-# and the laguerre1 stability max) are those of zeros polished from the
-# WKB seeds
+# and the laguerre1 stability max) are those of zeros found by quartic
+# Newton steps from the raw WKB seeds and the law seeds
 VERIFY_GOLDEN = {
     ("laguerre1", "--m", "2", "--alpha", "2", "--n", "5"): (
-        '{"checks":[{"detail":{"max_log_excess":-12.56022134992952,"residu'
-        'al":1.6613887386833617e-19},"name":"construction","passed":true},'
-        '{"detail":{"max_ratio":1.6832804278725352e-16,"method":"evaluator'
-        '","passed":true},"name":"zeros","passed":true},{"detail":{"mode":'
-        '"full"},"name":"interlacing","passed":true},{"detail":{"classific'
-        'ation":"saddle","max_gradient":3.9968028886505635e-15},"name":"sa'
-        'ddle","passed":true},{"detail":{"abs_err":3.5527136788005009e-15,'
-        '"lhs":26.999999999999996,"rhs":27},"name":"zero_sum","passed":tru'
-        'e},{"detail":{"max":0.99999999999997347,"min":7.0120053275214158e'
-        '-43},"name":"stability","passed":true},{"detail":{"diag_all_negat'
-        'ive":true,"max_gradient":1.5543122344752192e-15},"name":"fekete_s'
-        'tationary","passed":true}],"passed":true,"spec":{"alpha":2,"famil'
-        'y":"laguerre1","m":2,"n":5},"version":"0.1.0"}\n'),
+        '{"checks":[{"detail":{"max_log_excess":-13.253368530489468,"resid'
+        'ual":1.6613887386833617e-19},"name":"construction","passed":true}'
+        ',{"detail":{"max_ratio":5.3318122325744061e-17,"method":"evaluato'
+        'r","passed":true},"name":"zeros","passed":true},{"detail":{"mode"'
+        ':"full"},"name":"interlacing","passed":true},{"detail":{"classifi'
+        'cation":"saddle","max_gradient":3.9968028886505635e-15},"name":"s'
+        'addle","passed":true},{"detail":{"abs_err":3.5527136788005009e-15'
+        ',"lhs":26.999999999999996,"rhs":27},"name":"zero_sum","passed":tr'
+        'ue},{"detail":{"max":0.99999999999997258,"min":7.0120053275214158'
+        'e-43},"name":"stability","passed":true},{"detail":{"diag_all_nega'
+        'tive":true,"max_gradient":1.1102230246251565e-15},"name":"fekete_'
+        'stationary","passed":true}],"passed":true,"spec":{"alpha":2,"fami'
+        'ly":"laguerre1","m":2,"n":5},"version":"0.1.0"}\n'),
     ("laguerre2", "--m", "2", "--alpha", "2.5", "--n", "5"): (
-        '{"checks":[{"detail":{"max_log_excess":-14.121623320897944,"resid'
+        '{"checks":[{"detail":{"max_log_excess":-14.121623320897948,"resid'
         'ual":0},"name":"construction","passed":true},{"detail":{"max_rati'
-        'o":2.3291856781075732e-16,"method":"evaluator","passed":true},"na'
+        'o":7.4459171792424513e-17,"method":"evaluator","passed":true},"na'
         'me":"zeros","passed":true},{"detail":{"diag_all_negative":true,"m'
-        'ax_gradient":1.5543122344752192e-15},"name":"fekete_stationary","'
+        'ax_gradient":8.8817841970012523e-16},"name":"fekete_stationary","'
         'passed":true}],"passed":true,"spec":{"alpha":2.5,"family":"laguer'
         're2","m":2,"n":5},"version":"0.1.0"}\n'),
     ("jacobi", "--m", "1", "--alpha", "2.5", "--beta", "1.5", "--n", "60"): (
-        '{"checks":[{"detail":{"max_log_excess":-13.812217028450355,"resid'
-        'ual":1.80752050669243e-16},"name":"construction","passed":true},{'
-        '"detail":{"max_ratio":3.0165613473345913e-17,"method":"evaluator"'
-        ',"passed":true},"name":"zeros","passed":true},{"detail":{"diag_al'
-        'l_negative":true,"max_gradient":2.0236257114447653e-11},"name":"f'
-        'ekete_stationary","passed":true}],"passed":true,"spec":{"alpha":2'
-        '.5,"beta":1.5,"family":"jacobi","m":1,"n":60},"version":"0.1.0"}\n'),
+        '{"checks":[{"detail":{"max_log_excess":-12.61458286132731,"residu'
+        'al":1.80752050669243e-16},"name":"construction","passed":true},{"'
+        'detail":{"max_ratio":3.3484343662511854e-17,"method":"evaluator",'
+        '"passed":true},"name":"zeros","passed":true},{"detail":{"diag_all'
+        '_negative":true,"max_gradient":8.8675733422860503e-12},"name":"fe'
+        'kete_stationary","passed":true}],"passed":true,"spec":{"alpha":2.'
+        '5,"beta":1.5,"family":"jacobi","m":1,"n":60},"version":"0.1.0"}\n'),
 }
 
 
@@ -558,69 +558,69 @@ ENERGY_GOLDEN = {
     ("laguerre1", "--m", "2", "--alpha", "2", "--n", "5"): (
         '{"block_dominant":true,"classification":"saddle","diag_signs":[1,1'
         ',-1,-1,-1,-1,-1],"diagonally_dominant":true,"gradient":[-2.2204460'
-        '492503131e-16,-3.9968028886505635e-15,-1.5543122344752192e-15,-1.1'
-        '102230246251565e-16,3.3306690738754696e-16,0,0],"hessian":[[3.0440'
-        '844619018095,0.13713454332372754,0.047822843448571524,0.0296223976'
-        '90570491,0.016642249820756027,0.0088887407029769345,0.004480303467'
-        '8785152],[0.13713454332372754,9.5806591276136963,0.285231739752829'
-        '34,0.10340388447336356,0.03919233775295751,0.015997549378570172,0.'
-        '0066753709411228081],[0.047822843448571524,0.28523173975282934,-3.'
-        '9540413514178772,0.65311795212307266,0.098960311094810516,0.027466'
-        '628210030132,0.0093044254782929554],[0.029622397690570491,0.103403'
-        '88447336356,0.65311795212307266,-1.3543916589902973,0.265302821385'
-        '37736,0.043466034078754323,0.011997481219552967],[0.01664224982075'
-        '6027,0.03919233775295751,0.098960311094810516,0.26530282138537736,'
-        '-0.59954359600372586,0.12268024141106586,0.019353482512722581],[0.'
-        '0088887407029769345,0.015997549378570172,0.027466628210030132,0.04'
-        '3466034078754323,0.12268024141106586,-0.27790772111464312,0.053258'
-        '661732996461],[0.0044803034678785152,0.0066753709411228081,0.00930'
-        '44254782929554,0.011997481219552967,0.019353482512722581,0.0532586'
-        '61732996461,-0.10552592865564243]],"logT":49.490952934330323,"node'
-        's":[-5.5133481752749374,-1.6944193396067182,0.95356902456229464,2.'
-        '7034930233486985,5.449135996627259,9.486776858151595,15.6147926121'
-        '91808],"nodes_used":"full zero set","spec":{"alpha":2,"family":"la'
-        'guerre1","m":2,"n":5},"stationary":true,"version":"0.1.0","weight"'
-        ':{"shift":1,"variant":"hat"}}\n'),
+        '492503131e-16,-3.9968028886505635e-15,-1.1102230246251565e-15,3.33'
+        '06690738754696e-16,3.3306690738754696e-16,0,0],"hessian":[[3.04408'
+        '44619018095,0.13713454332372754,0.047822843448571524,0.02962239769'
+        '0570491,0.016642249820756027,0.0088887407029769345,0.0044803034678'
+        '785152],[0.13713454332372754,9.5806591276136963,0.2852317397528293'
+        '4,0.10340388447336356,0.03919233775295751,0.015997549378570172,0.0'
+        '066753709411228081],[0.047822843448571524,0.28523173975282934,-3.9'
+        '540413514178789,0.653117952123073,0.098960311094810516,0.027466628'
+        '210030132,0.0093044254782929554],[0.029622397690570491,0.103403884'
+        '47336356,0.653117952123073,-1.3543916589902976,0.26530282138537725'
+        ',0.043466034078754309,0.011997481219552967],[0.016642249820756027,'
+        '0.03919233775295751,0.098960311094810516,0.26530282138537725,-0.59'
+        '954359600372575,0.12268024141106586,0.019353482512722581],[0.00888'
+        '87407029769345,0.015997549378570172,0.027466628210030132,0.0434660'
+        '34078754309,0.12268024141106586,-0.27790772111464312,0.05325866173'
+        '2996461],[0.0044803034678785152,0.0066753709411228081,0.0093044254'
+        '782929554,0.011997481219552967,0.019353482512722581,0.053258661732'
+        '996461,-0.10552592865564243]],"logT":49.490952934330323,"nodes":[-'
+        '5.5133481752749374,-1.6944193396067182,0.95356902456229453,2.70349'
+        '3023348698,5.449135996627259,9.486776858151595,15.614792612191808]'
+        ',"nodes_used":"full zero set","spec":{"alpha":2,"family":"laguerre'
+        '1","m":2,"n":5},"stationary":true,"version":"0.1.0","weight":{"shi'
+        'ft":1,"variant":"hat"}}\n'),
     ("laguerre2", "--m", "3", "--alpha", "5.164", "--n", "5"): (
         '{"block_dominant":true,"classification":"none","diag_signs":[-1,-1'
         ',-1,-1,-1],"diagonally_dominant":true,"gradient":[-0.7920783840001'
-        '3575,-0.61283443486522027,-0.45999820839616967,-0.3399747389159588'
-        '6,-0.24555896659653897],"hessian":[[-1.2752236664314767,0.29984765'
-        '193340024,0.053805981830995851,0.016877854271152633,0.006307487494'
-        '6982508],[0.29984765193340024,-0.67394196661540662,0.1619555550910'
-        '8417,0.029010424736842566,0.0086290192989136594],[0.05380598183099'
-        '5851,0.16195555509108417,-0.36372365218842889,0.087207269103319454'
-        ',0.014585156407585148],[0.016877854271152633,0.029010424736842566,'
-        '0.087207269103319454,-0.18893904078778059,0.041751788832318511],[0'
-        '.0063074874946982508,0.0086290192989136594,0.014585156407585148,0.'
-        '041751788832318511,-0.075725383785700859]],"logT":-2.9919315302630'
-        '025,"nodes":[2.482747813636665,5.0653925626073057,8.57951649252228'
-        '6,13.368448317052497,20.28958544820015],"nodes_used":"regular zero'
-        's","spec":{"alpha":5.1639999999999997,"family":"laguerre2","m":3,"'
-        'n":5},"stationary":false,"version":"0.1.0","weight":{"shift":1,"va'
-        'riant":"hat"}}\n'),
+        '3475,-0.61283443486522049,-0.45999820839616995,-0.3399747389159590'
+        '8,-0.24555896659653864],"hessian":[[-1.2752236664314771,0.29984765'
+        '193340007,0.053805981830995817,0.016877854271152626,0.006307487494'
+        '6982534],[0.29984765193340007,-0.67394196661540651,0.1619555550910'
+        '8417,0.029010424736842566,0.0086290192989136628],[0.05380598183099'
+        '5817,0.16195555509108417,-0.36372365218842889,0.087207269103319454'
+        ',0.014585156407585158],[0.016877854271152626,0.029010424736842566,'
+        '0.087207269103319454,-0.18893904078778062,0.041751788832318559],[0'
+        '.0063074874946982534,0.0086290192989136628,0.014585156407585158,0.'
+        '041751788832318559,-0.075725383785700928]],"logT":-2.9919315302630'
+        '025,"nodes":[2.4827478136366641,5.0653925626073057,8.5795164925222'
+        '86,13.368448317052497,20.289585448200146],"nodes_used":"regular ze'
+        'ros","spec":{"alpha":5.1639999999999997,"family":"laguerre2","m":3'
+        ',"n":5},"stationary":false,"version":"0.1.0","weight":{"shift":1,"'
+        'variant":"hat"}}\n'),
     ("jacobi", "--m", "1", "--alpha", "2.5", "--beta", "1.5", "--n", "6",
      "--weight", "v"): (
         '{"block_dominant":true,"classification":"local-max","diag_signs":['
         '-1,-1,-1,-1,-1,-1],"diagonally_dominant":true,"gradient":[7.105427'
-        '3576010019e-15,8.8817841970012523e-16,-6.6613381477509392e-16,6.66'
-        '13381477509392e-16,1.7763568394002505e-15,-1.0658141036401503e-14]'
-        ',"hessian":[[-172.05942121413131,31.182600360694952,5.730711405218'
-        '5675,2.1374493577592073,1.1271538210560692,0.74727433977154045],[3'
-        '1.182600360694952,-73.022831302408264,17.557877625952688,3.9225043'
-        '633721115,1.7184837059973421,1.0460822265898477],[5.73071140521856'
-        '75,17.557877625952688,-49.70023650400875,14.105106628222369,3.6395'
-        '091013592769,1.83072726614805],[2.1374493577592073,3.9225043633721'
-        '115,14.105106628222369,-46.069992792517475,15.033137750679623,4.47'
-        '32708016226903],[1.1271538210560692,1.7184837059973421,3.639509101'
-        '3592769,15.033137750679623,-56.799801468153518,21.654126238336431]'
-        ',[0.74727433977154045,1.0460822265898477,1.83072726614805,4.473270'
-        '8016226903,21.654126238336431,-99.390290089161894]],"logT":-10.858'
-        '069292224631,"nodes":[-0.86141813126284272,-0.60816266179393386,-0'
-        '.27065861158022009,0.10589499454334721,0.4706406934175858,0.774550'
-        '46608915223],"nodes_used":"regular zeros","spec":{"alpha":2.5,"bet'
-        'a":1.5,"family":"jacobi","m":1,"n":6},"stationary":true,"version":'
-        '"0.1.0","weight":{"shift":1,"variant":"v"}}\n'),
+        '3576010019e-15,0,-1.1102230246251565e-15,-1.1102230246251565e-15,1'
+        '.7763568394002505e-15,0],"hessian":[[-172.05942121413131,31.182600'
+        '360694952,5.7307114052185675,2.1374493577592073,1.1271538210560696'
+        ',0.74727433977154079],[31.182600360694952,-73.022831302408264,17.5'
+        '57877625952688,3.9225043633721106,1.718483705997343,1.046082226589'
+        '8484],[5.7307114052185675,17.557877625952688,-49.70023650400875,14'
+        '.105106628222369,3.6395091013592769,1.8307272661480507],[2.1374493'
+        '577592073,3.9225043633721106,14.105106628222369,-46.06999279251748'
+        '9,15.033137750679629,4.473270801622693],[1.1271538210560696,1.7184'
+        '83705997343,3.6395091013592769,15.033137750679629,-56.799801468153'
+        '547,21.654126238336445],[0.74727433977154079,1.0460822265898484,1.'
+        '8307272661480507,4.473270801622693,21.654126238336445,-99.39029008'
+        '9161837]],"logT":-10.858069292224634,"nodes":[-0.86141813126284272'
+        ',-0.60816266179393386,-0.27065861158022009,0.10589499454334722,0.4'
+        '7064069341758574,0.77455046608915212],"nodes_used":"regular zeros"'
+        ',"spec":{"alpha":2.5,"beta":1.5,"family":"jacobi","m":1,"n":6},"st'
+        'ationary":true,"version":"0.1.0","weight":{"shift":1,"variant":"v"'
+        '}}\n'),
 }
 
 
@@ -638,31 +638,31 @@ def test_energy_golden_stdout(capsys, selectors):
 # and their monomial coefficients
 ZEROS_GOLDEN = {
     ("laguerre2", "--m", "3", "--alpha", "4.5", "--n", "8"): (
-        '{"certificate":{"max_ratio":2.1799419794821364e-16,"method":"evalu'
-        'ator","passed":true},"exceptional":[[-3.6710750287880467,0],[-2.70'
-        '50024756620012,-3.045049299704258],[-2.7050024756620012,3.04504929'
-        '9704258]],"interlacing":{"checks":[{"check":"regular count","passe'
-        'd":true},{"check":"exceptional count","passed":true},{"check":"neg'
-        'ative real exceptional parity","passed":true}],"mode":"structure",'
-        '"passed":true},"regular":[1.5149487543156803,3.1712243973805552,5.'
-        '3790831204254008,8.2177269490993421,11.796990652467136,16.30231516'
-        '6243442,22.094703194384991,30.104087745795503],"s_zeros":[[-3.1328'
-        '694368396,0],[-2.183565281580198,-2.7929183291074353],[-2.18356528'
-        '1580198,2.7929183291074353]],"spec":{"alpha":4.5,"family":"laguerr'
-        'e2","m":3,"n":8},"version":"0.1.0"}\n'),
+        '{"certificate":{"max_ratio":1.5460166377754491e-16,"method":"evalu'
+        'ator","passed":true},"exceptional":[[-3.6710750287880463,0],[-2.70'
+        '50024756620008,-3.0450492997042589],[-2.7050024756620008,3.0450492'
+        '997042589]],"interlacing":{"checks":[{"check":"regular count","pas'
+        'sed":true},{"check":"exceptional count","passed":true},{"check":"n'
+        'egative real exceptional parity","passed":true}],"mode":"structure'
+        '","passed":true},"regular":[1.5149487543156801,3.1712243973805552,'
+        '5.3790831204253999,8.2177269490993421,11.796990652467136,16.302315'
+        '166243442,22.094703194384991,30.104087745795503],"s_zeros":[[-3.13'
+        '28694368396,0],[-2.183565281580198,-2.7929183291074353],[-2.183565'
+        '281580198,2.7929183291074353]],"spec":{"alpha":4.5,"family":"lague'
+        'rre2","m":3,"n":8},"version":"0.1.0"}\n'),
     ("jacobi", "--m", "2", "--alpha", "2.6", "--beta", "0.8", "--n", "8"): (
-        '{"certificate":{"max_ratio":2.0432959331248321e-16,"method":"evalu'
-        'ator","passed":true},"exceptional":[[-2.151142569313631,0],[39.681'
-        '14760267877,0]],"interlacing":{"checks":[{"check":"regular count",'
-        '"passed":true},{"check":"regular inside (-1, 1)","passed":true},{"'
-        'check":"exceptional count","passed":true},{"check":"exceptional ou'
-        'tside closed interval","passed":true}],"mode":"structure","passed"'
-        ':true},"regular":[-0.93981468757413178,-0.78997704230326404,-0.564'
-        '23609732707036,-0.28338054967107384,0.026081335143443241,0.3347586'
-        '3827379271,0.61340721042866098,0.83604275760261737],"s_zeros":[[-1'
-        '.9736659610102762,0],[35.973665961010241,0]],"spec":{"alpha":2.600'
-        '0000000000001,"beta":0.80000000000000004,"family":"jacobi","m":2,"'
-        'n":8},"version":"0.1.0"}\n'),
+        '{"certificate":{"max_ratio":1.1581859479407931e-16,"method":"evalu'
+        'ator","passed":true},"exceptional":[[-2.1511425693136306,0],[39.68'
+        '1147602678763,0]],"interlacing":{"checks":[{"check":"regular count'
+        '","passed":true},{"check":"regular inside (-1, 1)","passed":true},'
+        '{"check":"exceptional count","passed":true},{"check":"exceptional '
+        'outside closed interval","passed":true}],"mode":"structure","passe'
+        'd":true},"regular":[-0.93981468757413167,-0.78997704230326404,-0.5'
+        '6423609732707036,-0.28338054967107384,0.026081335143443241,0.33475'
+        '863827379271,0.61340721042866098,0.83604275760261748],"s_zeros":[['
+        '-1.9736659610102762,0],[35.973665961010241,0]],"spec":{"alpha":2.6'
+        '000000000000001,"beta":0.80000000000000004,"family":"jacobi","m":2'
+        ',"n":8},"version":"0.1.0"}\n'),
 }
 
 
@@ -804,6 +804,20 @@ def test_float_array_fast_path_is_the_generic_path(obj, want):
     # 17 significant digits, -0 kept, subnormals in full, null for nan
     # and +-inf
     assert cli._dumps(obj) == want
+
+
+def test_float_array_join_is_the_recursive_path():
+    # a real float array, 1-d or 2-d, gives the bytes of its list, which
+    # takes the per-element dispatch
+    rng = np.random.default_rng(3)
+    for shape in [(40,), (0,), (1,), (6, 7), (0, 3), (3, 0)]:
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        for v in EDGE_FLOATS[:5]:
+            x[rng.random(shape) < 0.1] = v
+        with np.errstate(over="ignore"):    # float32 takes +-inf
+            low = x.astype(np.float32)
+        for a in (x, low, x.T):
+            assert cli._dumps(a) == cli._dumps(a.tolist())
 
 
 def test_zero_dim_array_serializes_as_its_scalar():

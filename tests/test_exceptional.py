@@ -239,7 +239,8 @@ def test_member_degree_collapse_raises_before_newton(monkeypatch, family, m,
                                                      alpha, n, beta):
     from xfekete import roots
     calls = []
-    monkeypatch.setattr(roots, "ladder_eval_pair", lambda *a: calls.append(a))
+    for name in ("ladder_eval_pair", "_ladder_eval_ratios"):
+        monkeypatch.setattr(roots, name, lambda *a: calls.append(a))
     spec = xf.FamilySpec(family, m, alpha, n, beta)
     for fn in (leading_coefficient, xf.build_exceptional, xf.find_zeros):
         with pytest.raises(xf.DegreeCollapse, match="coefficient is 0"):

@@ -21,21 +21,20 @@ from xfekete.classical_poly import _as_float_or_complex, _horner
 
 # ------------------------------------------------------------ references
 
-def ref_laguerre_pass(n, a, x, differentiated=False):
-    # the derivatives from the running sum t = L_0 + ... + L_{n-1},
-    # which is L_{n-1}^(a+1): L_n' = -t, L_{n-1}' = L_{n-1} - t; or,
-    # differentiated, from the differentiated recurrence
+def ref_laguerre_pass(n, a, x):
+    # the derivatives from the differentiated recurrence
     x = _as_float_or_complex(x)
-    p, pm1, t = np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+    p, pm1 = np.ones_like(x), np.zeros_like(x)
     d, dm1 = np.zeros_like(x), np.zeros_like(x)
     for k in range(n):
         s = 2 * k + 1 + a - x
-        t = t + p
         pm1, p, dm1, d = (p, (s * p - (k + a) * pm1) / (k + 1),
                           d, (s * d - p - (k + a) * dm1) / (k + 1))
-    if differentiated:
-        return p, pm1, d, dm1
-    return p, pm1, -t, pm1 - t
+    return p, pm1, d, dm1
+
+
+def ref_laguerre_values(n, a, x):
+    return ref_laguerre_pass(n, a, x)[:2]
 
 
 def ref_jacobi_pass(n, a, b, x):
@@ -59,35 +58,44 @@ def ref_jacobi_pass(n, a, b, x):
 
 
 def ref_newton(spec, x0, itmax=60, its=None):
-    """The serial polish: one ladder_eval_pair call per iteration
+    """The serial polish: one _ladder_eval_ratios call per iteration
     for this spec alone; its (if given) collects the iteration count.
-    The first spec.n iterates take plain Newton steps rho = y/y'; each
-    later one x_i takes rho_i / (1 - rho_i c_i), c_i the sum of
-    1/(x_i - x_j) over every other iterate x_j."""
+    The first spec.n iterates take the quartic Householder step
+    rho (1 - h/2) / (1 - h + rho^2 t3/6), h = rho t2 (rho where that is
+    not finite); then each later
+    one x_i takes rho_i / (1 - rho_i c_i), c_i the sum of 1/(x_i - x_j)
+    over every other iterate x_j, the regular ones after their step."""
     x = np.array(x0, dtype=complex if np.iscomplexobj(x0) else float)
     if x.size == 0:
         return x
     n = spec.n
     prev, last = np.inf, np.zeros(x.shape)
     done = np.zeros(x.shape, dtype=bool)
+    # the order exponent q: the next step is about a (a/p)^q
+    q = np.where(np.arange(x.size) < n, 4.0, 2.0)
     # coinciding iterates (an out-of-regime zero of S on a regular one)
     # give inf and NaN steps quietly, as in roots
     with np.errstate(**roots._QUIET):
         for it in range(1, itmax + 1):
-            v, dv = exceptional.ladder_eval_pair(spec, spec.n, x)
-            step = v / dv
+            v, dv, t2, t3 = exceptional._ladder_eval_ratios(spec, spec.n, x)
+            rho = v / dv
+            h = rho * t2
+            step = rho * (1 - h / 2) / (1 - h + rho * rho * t3 / 6)
+            step = np.where(np.isfinite(step), step, rho)
+            x = np.concatenate([x[:n] - step[:n], x[n:]])
             dif = x[n:, None] - x[None, :]
             np.fill_diagonal(dif[:, n:], np.inf)
             c = np.sum(1.0 / dif, axis=1)
-            step[n:] = step[n:] / (1 - step[n:] * c)
-            x = x - step
+            step[n:] = rho[n:] / (1 - rho[n:] * c)
+            x[n:] -= step[n:]
             a = np.abs(step) / (1 + np.abs(x))
             rel = float(np.max(a))
-            # a point is done once quadratic convergence puts its next
+            # a point is done once the order of its step puts its next
             # step below NEWTON_TOL; trusted while every step is small
             done = (rel <= roots.PREDICT_TRUST) & (
                 done | (a < roots.NEWTON_TOL)
-                | ((a < last) & (a ** 3 <= roots.NEWTON_TOL * last ** 2)))
+                | ((a < last)
+                   & (a ** (q + 1) <= roots.NEWTON_TOL * last ** q)))
             predicted = bool(done.all())
             if (not np.isfinite(rel) or predicted
                     or roots.NEWTON_FLOOR > rel >= prev):
@@ -104,18 +112,33 @@ def ref_newton(spec, x0, itmax=60, its=None):
 
 
 def ref_gauss(spec):
-    """The n Gauss nodes of spec alone: its family's seeds on a ladder of
-    one, an int-degree polishing sweep; raises their ValidationError."""
+    """The n seeds of spec's regular zeros alone: its family's raw WKB
+    nodes on a ladder of one; raises their ValidationError."""
     (x,) = spec.fam.gauss(spec, [spec.n])
     if isinstance(x, xf.XFeketeError):
         raise x
     return x
 
 
+def ref_law(spec):
+    """The m seeds of the exceptional zeros: at n >= 1 each zero s of S
+    moved by its family's one-term law, Laguerre's s - sqrt(-s/n) or
+    Jacobi's s + s sqrt(1 - 1/s^2)/n (principal branch), unless s is
+    real and its law value is not; s itself at n = 0."""
+    s, n = spec.S.roots, spec.n
+    if n:
+        with np.errstate(**roots._QUIET):
+            e = (s + s * np.sqrt(1 - 1 / (s * s)) / n
+                 if spec.family == "jacobi" else s - np.sqrt(-s / n))
+        s = np.where((s.imag == 0) & (e.imag != 0), s, e)
+    return s
+
+
 def ref_seeds(spec):
-    """The n Gauss nodes, then the m zeros of S; real when they are."""
-    gauss, r = ref_gauss(spec), spec.S.roots
-    return np.concatenate([gauss, r if r.imag.any() else r.real])
+    """The n seeds of the regular zeros, then the m of the exceptional
+    ones; real when all of those are."""
+    e = ref_law(spec)
+    return np.concatenate([ref_gauss(spec), e if e.imag.any() else e.real])
 
 
 def ref_find_zeros(spec, its=None):
@@ -268,24 +291,15 @@ def test_jacobi_pass_per_point_degree_is_the_scalar_pass(a, b):
 
 @pytest.mark.parametrize("a", [-0.5, 0.0, 2.0, 7.25])
 def test_differentiated_laguerre_pass_is_the_reference(a):
-    # the values of the scalar pass, the derivatives of the
-    # differentiated recurrence, at scalar and per-point degrees
+    # the values-only sweep gives the bits of the differentiated pass's
+    # values, at scalar and per-point degrees
     rng = np.random.default_rng(1)
     for x in _points():
-        for n in (0, 1, 2, 17):
-            got = xf.laguerre_pass(n, a, x, differentiated=True)
-            want = ref_laguerre_pass(n, a, _arr(x), differentiated=True)
-            assert all(_same(g, w.reshape(np.shape(x)))
-                       for g, w in zip(got, want)), (n, x)
+        for n in [0, 1, 2, 17] + _degrees(x, rng):
+            got = classical_poly._laguerre_values(n, a, x)
+            assert len(got) == 2
             assert all(_same(g, v) for g, v in
-                       zip(got[:2], xf.laguerre_pass(n, a, x)[:2]))
-        for deg in _degrees(x, rng):
-            got = xf.laguerre_pass(deg, a, x, differentiated=True)
-            for idx in np.ndindex(np.shape(x)):
-                want = ref_laguerre_pass(int(deg[idx]), a, _one(x, idx),
-                                         differentiated=True)
-                for g, w in zip(got, want):
-                    assert _same(np.asarray(g)[idx], w[0]), (deg, x, idx)
+                       zip(got, xf.laguerre_pass(n, a, x)[:2])), (n, x)
 
 
 def test_pass_broadcasts_degrees_over_a_0d_point():
@@ -317,12 +331,12 @@ LADDER_DEGREES = (0, 1, 20, 21, 150, 399, 400)
 
 # family: (sweep, reference sweep, (lo, hi) near the interval, far reach)
 SWEEPS = {
-    "laguerre": (lambda n, x: xf.laguerre_pass(n, 2.0, x),
-                 lambda n, x: ref_laguerre_pass(n, 2.0, x),
+    "laguerre": (lambda n, x: classical_poly._laguerre_values(n, 2.0, x),
+                 lambda n, x: ref_laguerre_values(n, 2.0, x),
                  (-2.0, 60.0), 3000.0),
     "laguerre_differentiated": (
-        lambda n, x: xf.laguerre_pass(n, 2.0, x, differentiated=True),
-        lambda n, x: ref_laguerre_pass(n, 2.0, x, differentiated=True),
+        lambda n, x: xf.laguerre_pass(n, 2.0, x),
+        lambda n, x: ref_laguerre_pass(n, 2.0, x),
         (-2.0, 60.0), 3000.0),
     "jacobi": (lambda n, x: xf.jacobi_pass(n, 2.5, 0.5, x),
                lambda n, x: ref_jacobi_pass(n, 2.5, 0.5, x),
@@ -480,16 +494,17 @@ def test_newton_ladder_is_the_serial_newton(itmax):
 
 
 def _record_pair_calls(monkeypatch):
-    """Each ladder_eval_pair call that roots makes, as (spec, degree per
-    point, points)."""
+    """Each pair evaluation that roots makes, a Newton round's
+    _ladder_eval_ratios or the certificate's ladder_eval_pair, as (spec,
+    degree per point, points)."""
     calls = []
-    pair = roots.ladder_eval_pair
+    for name in ("ladder_eval_pair", "_ladder_eval_ratios"):
+        def recorded(spec, n, x, evaluate=getattr(roots, name)):
+            calls.append((spec, np.broadcast_to(n, np.shape(x)),
+                          np.asarray(x)))
+            return evaluate(spec, n, x)
 
-    def recorded(spec, n, x):
-        calls.append((spec, np.broadcast_to(n, np.shape(x)), np.asarray(x)))
-        return pair(spec, n, x)
-
-    monkeypatch.setattr(roots, "ladder_eval_pair", recorded)
+        monkeypatch.setattr(roots, name, recorded)
     return calls
 
 
@@ -642,14 +657,14 @@ def test_d_sequence_sweeps_once_per_lockstep_round(monkeypatch):
     rounds = max(its) + 1
     serial = sum(i + 1 for n, i in zip(range(9, 21), its) if n >= 10)
     sweeps = []
-    real_pass = exceptional.laguerre_pass
+    real_pass = exceptional._laguerre_values
 
     def counted_pass(n, a, x):
         if np.size(x) and np.max(n) >= 10:
             sweeps.append(np.max(n))
         return real_pass(n, a, x)
 
-    monkeypatch.setattr(exceptional, "laguerre_pass", counted_pass)
+    monkeypatch.setattr(exceptional, "_laguerre_values", counted_pass)
     calls = _record_pair_calls(monkeypatch)
     xf.d_sequence(1, 2.0, range(10, 21))
     assert len(calls) == rounds
@@ -735,22 +750,50 @@ def test_a_collapsed_lead_fails_before_any_seed(monkeypatch, ladder):
     assert isinstance(got[ladder[4].index(collapsed)], xf.DegreeCollapse)
 
 
-def test_d_sequence_makes_one_seed_polishing_sweep(monkeypatch):
-    # the seeds of the 12 members n = 9..20 take one sweep, each point at
-    # its member's degree; a ladder of one (find_zeros) sweeps at an int
-    # degree, with no concatenation
+def _refuse_seed_sweeps(monkeypatch):
+    """Every classical sweep of classical_poly, where the seeds are made,
+    recorded and refused; the pair reads its own names in exceptional."""
     sweeps = []
-    real_pass = classical_poly.laguerre_pass
+    for name in ("laguerre_pass", "_laguerre_values", "jacobi_pass"):
+        def refused(*args, name=name):
+            sweeps.append(name)
+            raise AssertionError(f"a seed sweep ran: {name}")
 
-    def counted_pass(n, a, x, differentiated=False):
-        sweeps.append((n, np.size(x), differentiated))
-        return real_pass(n, a, x, differentiated)
+        monkeypatch.setattr(classical_poly, name, refused)
+    return sweeps
 
-    monkeypatch.setattr(classical_poly, "laguerre_pass", counted_pass)
-    xf.d_sequence(1, 2.0, range(10, 21))
-    ((n, size, differentiated),) = sweeps
-    assert differentiated and size == sum(range(9, 21))
-    assert _same(n, np.repeat(np.arange(9, 21), np.arange(9, 21)))
-    sweeps.clear()
+
+def test_d_sequence_makes_no_seed_sweep(monkeypatch):
+    # the seeds of the 12 members n = 9..20, and of a ladder of one
+    # (find_zeros), are their raw WKB nodes: no recurrence sweep
+    sweeps = _refuse_seed_sweeps(monkeypatch)
+    series = xf.d_sequence(1, 2.0, range(10, 21))
+    assert series.skipped == ()
     xf.find_zeros(xf.FamilySpec("laguerre1", 1, 2.0, 20))
-    assert sweeps == [(20, 20, True)]
+    assert sweeps == []
+    for n in (9, 20):
+        (seeds,) = classical_poly.laguerre_seed_ladder([n], 2.0)
+        phase = classical_poly._laguerre_wkb(n, 2.0)
+        assert _same(seeds, classical_poly._wkb_nodes(n, phase))
+
+
+# certified at parent with the seed polish sweep and 4 pair evaluations
+# (3 for the jacobi n = 300 member)
+THREE_ROUND_SPECS = [("laguerre1", 3, 2.7, 200, None),
+                     ("laguerre2", 3, 4.5, 200, None),
+                     ("jacobi", 2, 2.6, 120, 0.8),
+                     ("laguerre1", 1, 2.0, 300, None),
+                     ("laguerre2", 5, 7.212, 300, None),
+                     ("jacobi", 1, 2.5, 300, 1.5)]
+
+
+@pytest.mark.parametrize("family,m,alpha,n,beta", THREE_ROUND_SPECS)
+def test_find_zeros_takes_two_rounds_and_the_certificate(monkeypatch, family,
+                                                         m, alpha, n, beta):
+    # quartic steps from raw WKB seeds and law seeds: two Newton rounds,
+    # then the certificate, and no seed sweep
+    sweeps = _refuse_seed_sweeps(monkeypatch)
+    calls = _record_pair_calls(monkeypatch)
+    zs = xf.find_zeros(xf.FamilySpec(family, m, alpha, n, beta))
+    assert zs.certificate["passed"]
+    assert len(calls) == 3 and sweeps == []

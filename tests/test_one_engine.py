@@ -147,9 +147,9 @@ def test_exceptional_zeros_pairwise_distinct(family, m, alpha, beta):
 
 def test_laguerre1_pair_calls_per_find(monkeypatch):
     calls = []
-    pair = roots.ladder_eval_pair
-    monkeypatch.setattr(roots, "ladder_eval_pair",
-                        lambda *a: calls.append(1) or pair(*a))
+    for name in ("ladder_eval_pair", "_ladder_eval_ratios"):
+        monkeypatch.setattr(roots, name, lambda *a, f=getattr(roots, name):
+                            calls.append(1) or f(*a))
     xf.find_zeros(xf.FamilySpec("laguerre1", 3, 1.5, 60))
     # one call per Newton round and one for the certificate; bisection
     # took 105
