@@ -20,8 +20,10 @@ Orthogonal Polynomials, 6.71)
 
 with y' at the x_i from the certificate round (ZeroSet.regular_dy) and
 log|c_y| from lgamma (Family.log_lead).  A sweep solves its members as
-one ladder, then evaluates the weight, P and (P/S)^2 of all of them in
-one pass each.
+one ladder, whose seeds, Newton rounds and certificate each run once on
+one array of all its members (find_zeros_ladder), forms each member's P
+by the lean product tree of energy._node_polynomial, then evaluates the
+weight, P and (P/S)^2 of all of them in one pass each.
 """
 
 import math
@@ -116,9 +118,9 @@ def d_sequence(m, alpha, n_range, c=1.0):
     raises ValidationError.  One extra member below the range start is
     computed so the first delta is defined.  The members' zeros are
     found as one ladder, one spec and its degree indices
-    (find_zeros_ladder), the Newton polish solved for all n together,
-    and each log T comes from y' at the zeros, with no pair log
-    (_diameters).
+    (find_zeros_ladder), each stage run once on one array of every
+    member; each P is its own _node_polynomial call, and each log T
+    comes from y' at the zeros, with no pair log (_diameters).
     """
     wanted = sorted(set(int(n) for n in n_range))
     if not wanted:

@@ -12,10 +12,14 @@ recurrence.  A Laguerre sweep of the values alone (_laguerre_values)
 serves the callers that read no derivative.
 Also provides the Newton seeds of the classical zeros (the Gauss nodes)
 at every degree: closed-form Langer-WKB nodes, with no recurrence sweep
-(laguerre_seed_ladder, jacobi_seed_ladder).
+(laguerre_seed_ladder, jacobi_seed_ladder); the degrees of a ladder
+share one phase table and one Newton step in the angle, with the degree
+per point.
 """
 
 import functools
+from itertools import accumulate
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
@@ -392,6 +396,8 @@ def _laguerre_wkb(n, a):
         tan(theta/2) = (nu + D)/(2 abar) tan(psi/2),
     with dPhi/dpsi = D^2 sin^2 psi / (8x), and Phi(pi) is
     (n + 1/2 + (a - abar)/2) pi (Bohr-Sommerfeld); shift = (a - abar)/2.
+    n is an int, or a degree per point broadcast with psi: every
+    operation is elementwise.
     """
     ab = max(a, 0.0)
     nu = 4 * n + 2 * a + 2
@@ -427,6 +433,8 @@ def _jacobi_wkb(n, a, b):
         tan((pi - theta_b)/2) = (B' + E)/(4 rho bbar) cot(psi/2),
     with dPhi/dpsi = E^2 sin^2 psi / (64 rho^3 s(1 - s)), and Phi(pi) is
     (n + 1/2 + (a - abar)/2 + (b - bbar)/2) pi; shift = (a - abar)/2.
+    n is an int, or a degree per point broadcast with psi, as for
+    _laguerre_wkb.
     """
     ab, bb = max(a, 0.0), max(b, 0.0)
     # a numpy float, so that rho ** 3 beyond binary64 is inf, not an
@@ -452,55 +460,83 @@ def _jacobi_wkb(n, a, b):
     return lambda psi: 1 - 2 * s_of(psi), phase, dphase, (a - ab) / 2
 
 
-def _wkb_nodes(n, wkb):
-    """The n zeros of a WKB phase wkb = (x_of, phase, dphase, shift), in
-    the order of increasing phase.
-
-    The phase, increasing from 0 at psi = 0, is tabulated on 2n equal
-    steps of [0, pi] and inverted by np.interp at its targets
-    (k - 1/4 + shift) pi, then solved by one Newton step in psi."""
-    x_of, phase, dphase, shift = wkb
-    target = (np.arange(1, n + 1) - 0.25 + shift) * np.pi
-    grid = np.linspace(0.0, np.pi, 2 * n + 1)
-    psi = np.interp(target, phase(grid), grid)
-    return x_of(psi - (phase(psi) - target) / dphase(psi))
+def _cat(arrays):
+    """np.concatenate(arrays), or the one array itself: a ladder of one
+    copies nothing."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _ladder_call(f, ns, xs):
-    """f(n, x), a tuple of arrays elementwise in x, for several members at
-    once, member i at degree ns[i] and points xs[i]: with several
-    members, one call with the degree per point; with one, a call at its
-    int degree and no concatenation; with none, no call.  Returns f's
-    outputs split back per member, one tuple each, in the order of ns."""
-    if len(ns) <= 1:
-        return [f(n, x) for n, x in zip(ns, xs)]
-    sizes = [x.size for x in xs]
-    outs = f(np.repeat(ns, sizes), np.concatenate(xs))
-    split, at = [], 0
-    for size in sizes:
-        split.append(tuple(o[at:at + size] for o in outs))
-        at += size
-    return split
+def _starts(sizes):
+    """The offset of each member of a ladder laid out as one array,
+    member after member, sizes[i] points each."""
+    return list(accumulate(sizes, initial=0))[:-1]
 
 
-def _seed_ladder(ns, params, nodes):
-    """Newton seeds of the classical zeros at each degree of ns: the WKB
-    nodes(n), ascending, with no recurrence sweep.  A node that is not
-    finite (a phase beyond binary64, at extreme parameters) stays so,
-    and Newton fails on it typed; no warning leaks.
+def _per_point(values, sizes):
+    """values[i] at each of the sizes[i] points of member i of a ladder
+    laid out as one array, member after member (such as the degree per
+    point): the value itself for a ladder of one, which every pass,
+    phase and ufunc takes as it is."""
+    return values[0] if len(values) == 1 else np.repeat(values, sizes)
+
+
+def _grids(ns, sizes):
+    """np.linspace(0, pi, 2n + 1) for each n of ns (all >= 1), bit for
+    bit, one after another, sizes[i] = 2 ns[i] + 1 points each: numpy
+    forms each as arange(2n + 1) * (pi / 2n), its last point set to
+    pi."""
+    grid = np.arange(sum(sizes), dtype=float)
+    if len(ns) > 1:
+        grid -= np.repeat(_starts(sizes), sizes)
+    grid *= _per_point([np.pi / (2 * n) for n in ns], sizes)
+    grid[[end - 1 for end in accumulate(sizes)]] = np.pi
+    return grid
+
+
+def _seed_ladder(ns, params, wkb, step=1):
+    """Newton seeds of the classical zeros at each degree of ns: the zeros
+    of the WKB phase wkb(n) = (x_of, phase, dphase, shift), n per point,
+    in the order of increasing phase, with no recurrence sweep.  A node
+    that is not finite (a phase beyond binary64, at extreme parameters)
+    stays so, and Newton fails on it typed; no warning leaks.
+
+    The members are one array: every member's phase, increasing from 0
+    at psi = 0, is tabulated on its 2n equal steps of [0, pi] in one
+    pass, inverted by np.interp at its targets (k - 1/4 + shift) pi on
+    that member's own table, then solved by one Newton step in psi for
+    every node at once, each member's nodes read with the given step
+    (-1: descending).  Each operation on a member's points is
+    elementwise or its own np.interp, so each member keeps the bits of a
+    ladder of one.
 
     Returns per member its seeds, or, for n >= 1 with a parameter at or
     below -1, its own ValidationError (_gauss_range, checked once for
     the ladder's shared parameters); n = 0 gives no seeds, at any
-    parameters: its WKB nodes are empty."""
+    parameters."""
     try:
         _gauss_range(*params)
     except ValidationError as exc:
         # the members share the parameters: each gets its own error
         return [ValidationError(*exc.args) if n else np.empty(0)
                 for n in ns]
+    live = [n for n in ns if n]
+    if not live:
+        return [np.empty(0) for _ in ns]
+    sizes = [2 * n + 1 for n in live]
+    grid = _grids(live, sizes)
+    k = np.arange(1, sum(live) + 1)
+    if len(live) > 1:
+        k -= np.repeat(_starts(live), live)
     with np.errstate(**_QUIET):
-        return [nodes(n) for n in ns]
+        table = wkb(_per_point(live, sizes))[1](grid)
+        x_of, phase, dphase, shift = wkb(_per_point(live, live))
+        target = (k - 0.25 + shift) * np.pi
+        psi = _cat([np.interp(target[b:b + n], table[g:g + z], grid[g:g + z])
+                    for n, z, b, g in zip(live, sizes, _starts(live),
+                                          _starts(sizes))])
+        x = x_of(psi - (phase(psi) - target) / dphase(psi))
+    nodes = iter(np.split(x, _starts(live)[1:]) if len(live) > 1 else [x])
+    return [next(nodes)[::step] if n else np.empty(0) for n in ns]
 
 
 def laguerre_seed_ladder(ns, a):
@@ -511,8 +547,7 @@ def laguerre_seed_ladder(ns, a):
     largest zeros are the furthest off).  A member with n = 0 gets no
     seeds, at any a, and one with n >= 1 and a <= -1 its
     ValidationError in place of its seeds (see _seed_ladder)."""
-    return _seed_ladder(ns, (a,),
-                        lambda n: _wkb_nodes(n, _laguerre_wkb(n, a)))
+    return _seed_ladder(ns, (a,), lambda n: _laguerre_wkb(n, a))
 
 
 def jacobi_seed_ladder(ns, a, b):
@@ -524,5 +559,4 @@ def jacobi_seed_ladder(ns, a, b):
     seeds, at any a and b, and one with n >= 1 and a or b <= -1 its
     ValidationError in place of its seeds (see _seed_ladder)."""
     # the phase counts the zeros from x = 1: its nodes descend
-    return _seed_ladder(
-        ns, (a, b), lambda n: _wkb_nodes(n, _jacobi_wkb(n, a, b))[::-1])
+    return _seed_ladder(ns, (a, b), lambda n: _jacobi_wkb(n, a, b), -1)

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .classical_poly import PolyTable, _horner, _stack_tables
 from .errors import CoincidentNodes, PoleEvaluation, ValidationError
@@ -348,8 +347,23 @@ def energy_hessian(nodes, w):
 def _node_polynomial(zs):
     """P, monic over the exceptional zeros of zs, as a real array;
     ValidationError where those zeros are not closed under conjugation
-    (the imaginary parts of P above 1e-9 of its real ones)."""
-    P = npoly.polyfromroots(zs.exceptional)
+    (the imaginary parts of P above 1e-9 of its real ones).
+
+    P is npoly.polyfromroots(zs.exceptional), bit for bit, without its
+    per-call series checks: the sorted roots' factors x - r multiplied
+    in its pairwise np.convolve tree.  Every factor and product is
+    monic, so polymul's trimming never fires."""
+    r = np.sort(zs.exceptional)
+    p = np.empty((r.size, 2), r.dtype)
+    p[:, 0], p[:, 1] = -r, 1.0
+    p = list(p)
+    while len(p) > 1:
+        half, odd = divmod(len(p), 2)
+        q = [np.convolve(p[i], p[i + half]) for i in range(half)]
+        if odd:
+            q[0] = np.convolve(q[0], p[-1])
+        p = q
+    P = p[0] if p else np.ones(1)
     if np.max(np.abs(P.imag)) > 1e-9 * np.max(np.abs(P.real)):
         raise ValidationError("exceptional zeros are not closed under "
                               "conjugation; P would be complex")

@@ -18,15 +18,24 @@ seeds take no recurrence sweep, each Newton round evaluates every
 pending point of every member in one call, and a single spec is a
 ladder of one.  The same evaluator certifies the zeros: the
 certificate bounds its Newton correction at every zero, one more
-lockstep round for the whole ladder.  The monomial coefficients
-(build_exceptional) play no part.
+lockstep round for the whole ladder.  A ladder's members are laid out
+as one array, member after member: each stage (seeds, Newton steps and
+stop tests, certificate) runs once per ladder on that array, with exact
+segment reductions for each member's verdict; only the sorting, the
+Aberth sums and the order checks of a member that one pass over the
+ladder flags run member by member, and every member keeps the bits it
+has alone.  The monomial coefficients (build_exceptional) play no
+part.
 """
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
+from math import isfinite
 
 import numpy as np
 
-from .classical_poly import _QUIET, _ladder_call, _laguerre_values
+from .classical_poly import (_QUIET, _cat, _laguerre_values, _per_point,
+                             _starts)
 from .errors import CountMismatch, NonConvergence, XFeketeError
 from .exceptional import (_ladder_eval_ratios, _nonzero_lead, _s_zeros,
                           ladder_eval_pair)
@@ -81,13 +90,12 @@ class ZeroSet:
 def _newton_ladder(spec, ns, x0s, itmax=60):
     """Newton polish of the ladder of spec at the degree indices ns, one
     iterate array x0s[i] per member, all in lockstep: each round makes
-    one _ladder_eval_ratios call for every pending point of every
-    pending member.
+    one _ladder_eval_ratios call for every point of every pending
+    member, with the degree per point (an int for one member).
 
-    Each member keeps its own iterates, step history, iteration count
-    and stop test, and drops out once it stops.  The first n iterates of
-    member i (n = ns[i]) seek its regular zeros by the fourth-order
-    Householder step
+    Each member has its own stop test and drops out once it stops.  The
+    first n iterates of member i (n = ns[i]) seek its regular zeros by
+    the fourth-order Householder step
         rho (1 - rho t2/2) / (1 - rho t2 + rho^2 t3/6),
     rho = y/y', with t2 = y''/y' and t3 = y'''/y' from the family ODE
     (Segura, SIAM J. Numer. Anal. 48 (2010)), or by plain Newton where
@@ -123,86 +131,113 @@ def _newton_ladder(spec, ns, x0s, itmax=60):
     shrinks.  Returns, per member, the polished iterates, or the
     NonConvergence of a member whose last max a is not finite, or above
     CERT_TOL without the prediction; the certificate of
-    find_zeros_ladder, not the prediction, proves the zeros.  Every
-    operation on a member's points is the one a ladder of that member
-    alone makes, so the results do not depend on the other members.
-    spec's S must be readable (find_zeros_ladder reads it first), so the
-    evaluation raises nothing.
+    find_zeros_ladder, not the prediction, proves the zeros.
+
+    The pending members' iterates are one array, member after member:
+    the steps, the marks and the relative steps run on all of it, each
+    member's max a and whether all its points are done are exact
+    segment reductions, and the members that stop leave through one
+    mask.  Only the Aberth sums run member by member, each over its own
+    row, since a segment sum would not reproduce the bits of its
+    pairwise np.sum.  So every operation on a member's points is the one
+    a ladder of that member alone makes, and the results do not depend
+    on the other members.  spec's S must be readable (find_zeros_ladder
+    reads it first), so the evaluation raises nothing.
     """
     xs = [np.array(x0, dtype=complex if np.iscomplexobj(x0) else float)
           for x0 in x0s]
     out = [x if x.size == 0 else None for x in xs]
-    prev = [np.inf] * len(ns)
-    # per point: the order exponent q of its step, its last relative step
-    # (0 before the first, so the prediction needs two) and whether it
-    # is predicted done
-    q = [np.where(np.arange(x.size) < n, 4.0, 2.0) for x, n in zip(xs, ns)]
-    last = [np.zeros(x.shape) for x in xs]
-    done = [np.zeros(x.shape, dtype=bool) for x in xs]
-    live = [i for i, x in enumerate(xs) if x.size]
+    ids = [i for i, x in enumerate(xs) if x.size]
+    if not ids:
+        return out
+    n, sizes = [ns[i] for i in ids], [xs[i].size for i in ids]
+    x = _cat([xs[i] for i in ids])
+    starts, rows, deg = _layout(n, sizes)
+    # per point: whether it is regular, the order exponent q of its step,
+    # its last relative step (0 before the first, so the prediction
+    # needs two) and whether it is predicted done
+    pos = np.arange(x.size)
+    if len(ids) > 1:
+        pos -= np.repeat(starts, sizes)
+    reg = pos < deg
+    q = np.where(reg, 4.0, 2.0)
+    last, done = np.zeros(x.shape), np.zeros(x.shape, dtype=bool)
+    prev = [np.inf] * len(ids)
     for it in range(1, itmax + 1):
-        if not live:
-            break
         with np.errstate(**_QUIET):
-            terms = _ladder_eval(_ladder_eval_ratios, spec, ns, xs, live)
-            for i in live:
-                x, (v, dv, t2, t3), n = xs[i], terms[i], ns[i]
-                rho = v / dv
-                h = rho * t2
-                step = rho * (1 - h / 2) / (1 - h + rho * rho * t3 / 6)
-                # the ratios are not finite where A = sigma S vanishes (a
-                # zero of S or of sigma): a plain Newton step there
-                step = np.where(np.isfinite(step), step, rho)
+            v, dv, t2, t3 = _ladder_eval_ratios(spec, deg, x)
+            rho = v / dv
+            h = rho * t2
+            step = rho * (1 - h / 2) / (1 - h + rho * rho * t3 / 6)
+            # the ratios are not finite where A = sigma S vanishes (a
+            # zero of S or of sigma): a plain Newton step there
+            step = np.where(np.isfinite(step), step, rho)
+            np.subtract(x, step, out=x, where=reg)
+            for s, e0, e1 in rows:
                 # row k: 1/(e_k - x_j) over every other iterate x_j of an
-                # exceptional iterate e_k (the inf puts 0 at x_j = e_k),
-                # the regular ones after this round's step
-                x = np.concatenate([x[:n] - step[:n], x[n:]])
-                dif = x[n:, None] - x[None, :]
-                np.fill_diagonal(dif[:, n:], np.inf)
-                e = rho[n:]
-                step[n:] = e / (1 - e * np.sum(1.0 / dif, axis=1))
-                x[n:] -= step[n:]
-                xs[i] = x
-                a, p = np.abs(step) / (1 + np.abs(x)), last[i]
-                rel = float(np.max(a))
-                done[i] = (rel <= PREDICT_TRUST) & (
-                    done[i] | (a < NEWTON_TOL)
-                    | ((a < p) & (a ** (q[i] + 1) <= NEWTON_TOL * p ** q[i])))
-                predicted = bool(done[i].all())
-                if (not np.isfinite(rel) or predicted
-                        or NEWTON_FLOOR > rel >= prev[i] or it == itmax):
-                    out[i] = x if rel <= CERT_TOL or predicted \
-                        else NonConvergence(
-                            f"Newton stopped after {it} iterations with "
-                            f"relative step {rel:.3e} for "
-                            f"{replace(spec, n=n)}",
-                            [{"iterations": it, "relative_step": rel}])
-                prev[i], last[i] = rel, a
-        live = [i for i in live if out[i] is None]
+                # exceptional iterate e_k (the inf puts 0 at x_j = e_k,
+                # every (size + 1)-th flat entry from n on), the regular
+                # ones after this round's step
+                dif = x[e0:e1, None] - x[None, s:e1]
+                dif.ravel()[e0 - s::e1 - s + 1] = np.inf
+                e = rho[e0:e1]
+                step[e0:e1] = e / (1 - e * np.add.reduce(1.0 / dif, axis=1))
+            if rows:
+                np.subtract(x, step, out=x, where=~reg)
+            a = np.abs(step) / (1 + np.abs(x))
+            rel = np.maximum.reduceat(a, starts)
+            done = (_per_point(rel, sizes) <= PREDICT_TRUST) & (
+                done | (a < NEWTON_TOL)
+                | ((a < last) & (a ** (q + 1) <= NEWTON_TOL * last ** q)))
+        predicted = np.logical_and.reduceat(done, starts).tolist()
+        rel = rel.tolist()
+        stops = [j for j, (r, p, r0) in enumerate(zip(rel, predicted, prev))
+                 if not isfinite(r) or p or NEWTON_FLOOR > r >= r0
+                 or it == itmax]
+        prev, last = rel, a
+        for j in stops:
+            r, s = rel[j], starts[j]
+            out[ids[j]] = x[s:s + sizes[j]].copy() \
+                if r <= CERT_TOL or predicted[j] else NonConvergence(
+                    f"Newton stopped after {it} iterations with "
+                    f"relative step {r:.3e} for {replace(spec, n=n[j])}",
+                    [{"iterations": it, "relative_step": r}])
+        if len(stops) == len(ids):
+            break
+        if stops:
+            keep = np.ones(len(ids), dtype=bool)
+            keep[stops] = False
+            kept = np.repeat(keep, sizes)
+            x, reg, q, last, done = (x[kept], reg[kept], q[kept], last[kept],
+                                     done[kept])
+            ids, n, sizes, prev = ([v for v, k in zip(seq, keep) if k]
+                                   for seq in (ids, n, sizes, prev))
+            starts, rows, deg = _layout(n, sizes)
     return out
 
 
-def _ladder_eval(evaluate, spec, ns, xs, live):
-    """{i: evaluate's outputs} at the points xs[i] of the live members i
-    of spec's ladder, member i at degree index ns[i], from one call of
-    evaluate(spec, n, x) (ladder_eval_pair or _ladder_eval_ratios) for
-    all of them (_ladder_call: an int degree when one member is
-    left)."""
-    return dict(zip(live, _ladder_call(
-        lambda n, x: evaluate(spec, n, x),
-        [ns[i] for i in live], [xs[i] for i in live])))
+def _layout(ns, sizes):
+    """(offsets, Aberth rows, degree per point) of the members of a
+    ladder at the degree indices ns laid out as one array, sizes[i]
+    points each; a row (start, first exceptional iterate, end) for each
+    member with exceptional iterates."""
+    starts = _starts(sizes)
+    rows = [(s, s + n, s + z) for s, n, z in zip(starts, ns, sizes) if z > n]
+    return starts, rows, _per_point(ns, sizes)
 
 
-def _law_seeds(spec, n, s):
-    """Newton seeds of the exceptional zeros of spec's member at degree
-    index n from the zeros s of S (complex): the family's one-term law
-    (Family.law) for n >= 1, s itself at n = 0 and at a real s whose
-    law value is not real; a real array when every seed is real."""
-    if n:
-        with np.errstate(**_QUIET):
-            e = spec.fam.law(s, n)
-        s = np.where((s.imag == 0) & (e.imag != 0), s, e)
-    return s if s.imag.any() else s.real
+def _law_seeds(spec, ns, s):
+    """Newton seeds of the exceptional zeros of the members of spec's
+    ladder at the degree indices ns from the zeros s of S (complex), one
+    broadcast of the family's one-term law (Family.law) over (members,
+    zeros of S): the law at n >= 1, s itself at n = 0 and at a real s
+    whose law value is not real.  Per member, a real array when every
+    seed is real."""
+    n = np.array(ns)[:, None]
+    with np.errstate(**_QUIET):
+        e = spec.fam.law(s, n)
+    e = np.where((n == 0) | ((s.imag == 0) & (e.imag != 0)), s, e)
+    return [row if row.imag.any() else row.real for row in e]
 
 
 def _sort_zeros(z):
@@ -241,15 +276,55 @@ def _classify(spec, reg, exc):
             f"of the orthogonality interval")
 
 
-def _certificate(roots, v, dv):
-    """Evaluator certificate of the roots from (y, y') there: the Newton
-    correction is small, |y(r)| <= 1e-10 |y'(r)| (1 + |r|).  A y' beyond
-    binary64 bounds no correction, so its ratio reads inf."""
+def _suspects(spec, found):
+    """The members i of found ({i: (regular, exceptional zeros)}, members
+    of spec's ladder) that _classify may refuse.  A ladder of one is its
+    own suspect; for several, one pass over all their zeros makes
+    _classify's tests elementwise and flags each member with a point
+    that fails one, so a member that passes them all needs no check of
+    its own."""
+    if len(found) <= 1:
+        return list(found)
+    ids = list(found)
+    regs, excs = zip(*found.values())
+    reg, exc = np.concatenate(regs), np.concatenate(excs)
+    ends = list(accumulate(r.size for r in regs))
+    a, b = spec.interval
+    bad = (reg <= a + MARGIN) | (reg >= b - MARGIN)
+    # the order test within each member: no diff across two members
+    order = np.diff(reg) <= 0
+    order[[e - 1 for e in ends[:-1] if 0 < e < reg.size]] = False
+    bad[:-1] |= order
+    near = ((np.abs(exc.imag) <= MARGIN) & (a - MARGIN <= exc.real)
+            & (exc.real <= b + MARGIN))
+    hit = set(np.searchsorted(ends, np.flatnonzero(bad), "right").tolist())
+    hit.update(np.searchsorted(list(accumulate(z.size for z in excs)),
+                               np.flatnonzero(near), "right").tolist())
+    return [ids[k] for k in sorted(hit)]
+
+
+def _certificate(roots, v, dv, sizes=None):
+    """Evaluator certificate record of the roots from (y, y') there: the
+    Newton correction is small, |y(r)| <= 1e-10 |y'(r)| (1 + |r|), its
+    worst ratio 0.0 where there is no root.  A y' beyond binary64 bounds
+    no correction, so its ratio reads inf.  With sizes, the roots are
+    those of a ladder's members, one after another, sizes[i] each, and
+    the list of the members' records comes back, each worst ratio an
+    exact segment max."""
     ratio = np.abs(v) / (np.abs(dv) * (1 + np.abs(roots)))
     ratio[~np.isfinite(dv)] = np.inf
-    worst = float(np.max(ratio)) if roots.size else 0.0
-    return {"method": "evaluator", "passed": bool(worst <= CERT_TOL),
-            "max_ratio": worst}
+    one = sizes is None
+    if one:
+        sizes = [roots.size]
+    starts = [s for s, z in zip(_starts(sizes), sizes) if z]
+    worst = iter(np.maximum.reduceat(ratio, starts).tolist()
+                 if starts else [])
+    certs = []
+    for z in sizes:
+        w = next(worst) if z else 0.0
+        certs.append({"method": "evaluator", "passed": bool(w <= CERT_TOL),
+                      "max_ratio": w})
+    return certs[0] if one else certs
 
 
 def find_zeros(spec):
@@ -281,12 +356,16 @@ def find_zeros_ladder(spec, ns):
     index n of ns (ints), in order: each member's ZeroSet, or the
     XFeketeError that find_zeros raises for it.  A member whose
     closed-form lead collapses fails first; the rest take their regular
-    seeds from one call of the family's seed ladder (Family.gauss: each
-    member's WKB phase inverted on its own, with no sweep) and S and its
-    zeros from one read through spec, which the law moves to each
-    member's exceptional seeds; the Newton polish is solved for all in
-    lockstep and their certificates in one more lockstep round, whose y'
-    at the regular zeros each ZeroSet keeps.  A member that fails drops
+    seeds from one call of the family's seed ladder (Family.gauss: one
+    WKB phase table for all, each member's inverted on its own, with no
+    sweep) and S and its zeros from one read through spec, which one
+    broadcast of the law moves to every member's exceptional seeds
+    (_law_seeds).  The Newton polish runs on all members' iterates as
+    one array, and their certificates are one more lockstep round on
+    one array of every classified member's zeros, whose y' at the
+    regular zeros each ZeroSet keeps (a slice of that round's y').
+    The margin and order checks (_classify) run on each member that one
+    pass over all the zeros flags (_suspects).  A member that fails drops
     out of the later stages.  A member's spec is spec itself at
     n = spec.n, else replace(spec, n=n), which tables S only if read.
     """
@@ -301,7 +380,7 @@ def find_zeros_ladder(spec, ns):
     live = [i for i, o in enumerate(out) if o is None]
     # every member's classical seeds: its raw WKB nodes
     gauss = dict(zip(live, spec.fam.gauss(spec, [ns[i] for i in live])))
-    seeds, r = {}, None
+    seeded, r = [], None
     for i in live:
         try:
             if isinstance(gauss[i], XFeketeError):
@@ -317,39 +396,50 @@ def find_zeros_ladder(spec, ns):
                 if members[i] is not spec:
                     _s_zeros(members[i])
                 raise r
-            # the n classical seeds, then the m law seeds of the
-            # exceptional zeros: a real array when all of those are real
-            seeds[i] = np.concatenate([gauss[i], _law_seeds(spec, ns[i], r)])
+            seeded.append(i)
         except XFeketeError as exc:
             out[i] = exc
-    if seeds:
+    found = {}
+    if seeded:
         # one read-only copy for every member's ZeroSet
         s_zeros = _sort_zeros(r)
         s_zeros.setflags(write=False)
-    found = {}
-    for i, x in zip(seeds, _newton_ladder(spec, [ns[i] for i in seeds],
-                                          list(seeds.values()))):
-        try:
+        # the n classical seeds, then the m law seeds of the exceptional
+        # zeros: a real array when all of those are real
+        law = _law_seeds(spec, [ns[i] for i in seeded], r)
+        polished = _newton_ladder(
+            spec, [ns[i] for i in seeded],
+            [np.concatenate([gauss[i], e]) for i, e in zip(seeded, law)])
+        for i, x in zip(seeded, polished):
             if isinstance(x, XFeketeError):
-                raise x
-            reg, z = np.sort(x[:ns[i]].real), _sort_zeros(x[ns[i]:])
-            _classify(members[i], reg, z)
-            found[i] = reg, z
-        except XFeketeError as exc:
-            out[i] = exc
-    # every classified member's certificate, in one more lockstep round,
-    # in real arithmetic for a member whose zeros are all real
-    rts = {i: np.concatenate([z if z.imag.any() else z.real, reg])
-           for i, (reg, z) in found.items()}
+                out[i] = x
+            else:
+                found[i] = np.sort(x[:ns[i]].real), _sort_zeros(x[ns[i]:])
+        for i in _suspects(spec, found):
+            try:
+                _classify(members[i], *found[i])
+            except XFeketeError as exc:
+                out[i] = exc
+                del found[i]
+    if not found:
+        return out
+    # every classified member's certificate, in one more lockstep round
+    # on one array, in real arithmetic for a member whose zeros are all
+    # real
+    rts = [np.concatenate([z if z.imag.any() else z.real, reg])
+           for reg, z in found.values()]
+    sizes = [x.size for x in rts]
+    rts = _cat(rts)
     with np.errstate(**_QUIET):
-        pairs = _ladder_eval(ladder_eval_pair, spec, ns, rts, list(rts))
-        certs = {i: _certificate(rts[i], *pairs[i]) for i in pairs}
-    for i, cert in certs.items():
+        y, dy = ladder_eval_pair(
+            spec, _per_point([ns[i] for i in found], sizes), rts)
+        certs = _certificate(rts, y, dy, sizes)
+    for (i, (reg, z)), cert, at in zip(found.items(), certs,
+                                       _starts(sizes)):
         if cert["passed"]:
-            reg, z = found[i]
             out[i] = ZeroSet(spec=members[i], regular=reg, exceptional=z,
                              s_zeros=s_zeros, certificate=cert,
-                             regular_dy=pairs[i][1][z.size:])
+                             regular_dy=dy[at + z.size:at + z.size + reg.size])
         else:
             out[i] = NonConvergence(f"residual certificate failed: {cert}",
                                     [cert])

@@ -20,6 +20,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import xfekete as xf
+from xfekete import energy
 
 from conftest import random_nodes, spec_of, zeros_of
 from reference import (lagrange_basis, log_energy, maximize_log_T, phi,
@@ -112,6 +113,27 @@ def test_v_weight_laguerre2_real_closure():
     v = xf.v_weight(zeros_of("laguerre2", 2, 3.0, 6))
     assert np.isrealobj(v.P)
     assert np.isfinite(xf.weight_logs(v, 2.0)[0])
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_node_polynomial_is_polyfromroots(m):
+    # the lean product tree keeps every bit of npoly.polyfromroots, with
+    # real roots and with conjugate pairs (and one real root at odd m),
+    # listed in any order
+    rng = np.random.default_rng(m)
+    zs = zeros_of("laguerre1", 1, 2.0, 4)
+    for _ in range(100):
+        real = rng.uniform(-30.0, -0.1, m).astype(complex)
+        pairs = (rng.uniform(-30.0, 5.0, m // 2)
+                 + 1j * rng.uniform(0.1, 20.0, m // 2))
+        cplx = np.concatenate([pairs, pairs.conj(),
+                               rng.uniform(-30.0, -0.1, m % 2)])
+        for roots in (real, rng.permutation(cplx)):
+            got = energy._node_polynomial(
+                dataclasses.replace(zs, exceptional=roots))
+            want = npoly.polyfromroots(roots).real
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- log_energy

@@ -134,6 +134,18 @@ def ref_law(spec):
     return s
 
 
+def ref_wkb_nodes(n, wkb):
+    """The n zeros of one WKB phase wkb = (x_of, phase, dphase, shift) of
+    degree n alone, in the order of increasing phase: the phase
+    tabulated on 2n equal steps of [0, pi], inverted by np.interp at its
+    targets (k - 1/4 + shift) pi, then one Newton step in psi."""
+    x_of, phase, dphase, shift = wkb
+    target = (np.arange(1, n + 1) - 0.25 + shift) * np.pi
+    grid = np.linspace(0.0, np.pi, 2 * n + 1)
+    psi = np.interp(target, phase(grid), grid)
+    return x_of(psi - (phase(psi) - target) / dphase(psi))
+
+
 def ref_seeds(spec):
     """The n seeds of the regular zeros, then the m of the exceptional
     ones; real when all of those are."""
@@ -464,6 +476,85 @@ def test_ladders_mix_passing_and_failing_members():
     assert {roots.ZeroSet, xf.NonConvergence, xf.DegreeCollapse} <= kinds
 
 
+# the benchmark's diameter chunks as ladders (10..19, 70..79 and 140..150,
+# each with the member below it) and its whole n = 10..150 sweep as one
+# ladder of 142 members
+BENCHMARK_LADDERS = [range(9, 20), range(69, 80), range(139, 151),
+                     range(9, 151)]
+
+
+@pytest.mark.parametrize("ns", BENCHMARK_LADDERS,
+                         ids=lambda r: f"n{r.start}-{r.stop - 1}")
+def test_benchmark_ladders_are_the_serial_find_zeros(ns):
+    got = roots.find_zeros_ladder(xf.FamilySpec("laguerre1", 1, 2.0, ns[0]),
+                                  list(ns))
+    alone = [outcome(xf.find_zeros, xf.FamilySpec("laguerre1", 1, 2.0, n))
+             for n in ns]
+    assert [_outcome(g) for g in got] == alone
+    assert all(isinstance(g, roots.ZeroSet) for g in got)
+
+
+def test_ladder_members_end_at_different_stages(monkeypatch):
+    # n = 7's lead collapses (patched), n = 400's recurrence overflows in
+    # its first Newton round (a NaN step), n = 12's polish hands back its
+    # seeds, so its certificate fails (patched), and the rest certify;
+    # each member gets the outcome it has alone, under the same patches
+    lead, polish = roots._nonzero_lead, roots._newton_ladder
+
+    def collapsing(spec, v):
+        return lead(spec, 0 if spec.n == 7 else v)
+
+    def unpolished(spec, ns, x0s, itmax=60):
+        got = polish(spec, ns, x0s, itmax)
+        return [x0 if n == 12 else g for n, x0, g in zip(ns, x0s, got)]
+
+    monkeypatch.setattr(roots, "_nonzero_lead", collapsing)
+    monkeypatch.setattr(roots, "_newton_ladder", unpolished)
+    ns = [20, 7, 400, 12, 5, 150]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = roots.find_zeros_ladder(xf.FamilySpec("laguerre1", 1, 2.0, 20),
+                                      ns)
+        alone = [outcome(xf.find_zeros, xf.FamilySpec("laguerre1", 1, 2.0, n))
+                 for n in ns]
+    assert [_outcome(g) for g in got] == alone
+    assert isinstance(got[1], xf.DegreeCollapse)
+    assert isinstance(got[2], xf.NonConvergence)
+    assert "Newton stopped after 1 iterations" in str(got[2])
+    assert math.isnan(got[2].trace[0]["relative_step"])
+    assert isinstance(got[3], xf.NonConvergence)
+    assert "residual certificate failed" in str(got[3])
+    assert all(isinstance(got[i], roots.ZeroSet) for i in (0, 4, 5))
+
+
+def test_ladder_classifies_each_member_as_alone(monkeypatch):
+    # the one pass over a ladder's zeros flags exactly the members whose
+    # own checks fail: a repeated regular zero (n = 12), a regular zero
+    # outside the interval (n = 14) and an exceptional zero inside it
+    # (n = 16), among members with no regular zero (n = 0) at both ends
+    polish = roots._newton_ladder
+
+    def corrupted(spec, ns, x0s, itmax=60):
+        got = polish(spec, ns, x0s, itmax)
+        for n, x in zip(ns, got):
+            if n == 12:
+                x[1] = x[0]
+            elif n == 14:
+                x[3] = -0.5
+            elif n == 16:
+                x[n] = 0.5
+        return got
+
+    monkeypatch.setattr(roots, "_newton_ladder", corrupted)
+    ns = [0, 10, 12, 14, 16, 18, 0]
+    got = roots.find_zeros_ladder(xf.FamilySpec("laguerre1", 1, 2.0, 0), ns)
+    alone = [outcome(xf.find_zeros, xf.FamilySpec("laguerre1", 1, 2.0, n))
+             for n in ns]
+    assert [_outcome(g) for g in got] == alone
+    assert [type(g) for g in got] == [roots.ZeroSet] * 2 + [
+        xf.CountMismatch] * 3 + [roots.ZeroSet] * 2
+    assert len({str(g) for g in got[2:5]}) == 3
+
+
 def test_ladder_members_share_a_failing_S_each_with_its_own_error():
     # S overflows binary64 at m = 600; the ladder reads S first, and
     # each member fails with the message naming itself
@@ -723,6 +814,15 @@ def test_seed_ladder_members_fail_alone_below_the_gauss_range():
         assert got[1] is not got[2]
 
 
+def test_phase_grids_are_linspace():
+    # every member's phase table sits on np.linspace(0, pi, 2n + 1), bit
+    # for bit, the members' grids laid out as one array
+    for ns in ([1], [2], [5, 7], list(range(1, 400)), [1000, 3, 1]):
+        sizes = [2 * n + 1 for n in ns]
+        want = np.concatenate([np.linspace(0.0, np.pi, z) for z in sizes])
+        assert _same(classical_poly._grids(ns, sizes), want), ns
+
+
 def _record_seed_degrees(monkeypatch, name):
     """The degrees each call of exceptional's seed ladder name asks for."""
     calls = []
@@ -774,7 +874,7 @@ def test_d_sequence_makes_no_seed_sweep(monkeypatch):
     for n in (9, 20):
         (seeds,) = classical_poly.laguerre_seed_ladder([n], 2.0)
         phase = classical_poly._laguerre_wkb(n, 2.0)
-        assert _same(seeds, classical_poly._wkb_nodes(n, phase))
+        assert _same(seeds, ref_wkb_nodes(n, phase))
 
 
 # certified at parent with the seed polish sweep and 4 pair evaluations

@@ -424,14 +424,15 @@ def test_law_seeds_sit_next_to_the_exceptional_zeros(monkeypatch, family, m,
 def test_law_seeds_keep_the_zeros_of_S_off_the_law():
     # s at n = 0, and a real s whose law value is not real: a positive
     # zero of S for Laguerre, one inside (-1, 1) for Jacobi
+    # the ladder's members are the rows of one broadcast
     spec = xf.FamilySpec("laguerre1", 1, 2.0, 5)
     s = np.array([-2.0 + 0j, 3.0 + 0j, -1.0 + 1.0j])
-    e = roots._law_seeds(spec, 5, s)
+    e, at0 = roots._law_seeds(spec, [5, 0], s)
     assert e[0] == -2.0 - np.sqrt(0.4) and e[1] == 3.0
     assert e[2] == s[2] - np.sqrt(-s[2] / 5)
-    assert roots._law_seeds(spec, 0, s) is s
+    assert at0.tobytes() == s.tobytes()
     jac = xf.FamilySpec("jacobi", 1, 2.5, 4, 1.5)
-    e = roots._law_seeds(jac, 4, np.array([0.5 + 0j, -3.0 + 0j]))
+    (e,) = roots._law_seeds(jac, [4], np.array([0.5 + 0j, -3.0 + 0j]))
     assert e.dtype == float and e[0] == 0.5
     assert e[1] == -3.0 - 3.0 * np.sqrt(1 - 1 / 9.0) / 4
 
