@@ -32,7 +32,7 @@ from itertools import chain
 
 import numpy as np
 
-from .classical_poly import _horner
+from .classical_poly import Ladder, _horner
 from .energy import (_POLY_POLE, WeightSpec, _check_poles, _node_polynomial,
                      _weight_logs)
 from .errors import ValidationError, XFeketeError
@@ -74,35 +74,37 @@ def _diameters(spec, members, P, c):
     identity of the module docstring, each member's terms in one
     compensated sum; the hat weight, P at the nodes and (P/S)^2 on the
     grids are each one pass over every member."""
-    ns = np.array([zs.spec.n for zs in members])
-    ends = np.cumsum(ns)
-    x = np.concatenate([zs.regular for zs in members])
+    lad = Ladder([zs.spec.n for zs in members])
+    x = lad.cat([zs.regular for zs in members])
     (loghat, _, _), guards = _weight_logs(WeightSpec(spec), x)
     # P's coefficients at every node, its member's row; the pole guard
     # of P as the v weight's, which shares its message with that of S
-    C = np.repeat(P, ns, axis=0).T
+    C = lad.per_point(P).T
     p = _horner(C, x)
     guards.append((_POLY_POLE, _check_poles(p, _horner(np.abs(C),
                                                        np.abs(x)))))
-    guards = [(msg, mask) for msg, mask in guards if mask.any()]
+    # per guard, the members with a node that trips it
+    guards = [(msg, lad.reduce(np.logical_or, mask, False))
+              for msg, mask in guards if mask.any()]
     logp = np.log(np.abs(p))
-    logdy = np.log(np.abs(np.concatenate([zs.regular_dy for zs in members])))
+    logdy = np.log(np.abs(lad.cat([zs.regular_dy for zs in members])))
     # sup of (P/S)^2 over a stretch of the positive axis, recorded as
     # supporting data for the kernel normalization: column k the grid of
     # member k
-    grid = np.geomspace(1e-3, spec.fam.domain(spec, ns)[1], 200)
+    grid = np.geomspace(1e-3, spec.fam.domain(spec, np.array(lad.sizes))[1],
+                        200)
     ratios = np.max((_horner(P.T, grid) / _horner(spec.S.c, grid)) ** 2,
                     axis=0)
     results, skipped = {}, {}
-    for zs, n, b, ratio in zip(members, ns.tolist(), ends.tolist(), ratios):
-        sl = slice(b - n, b)
-        fired = [msg for msg, mask in guards if mask[sl].any()]
+    for k, (zs, n, ratio, *logs) in enumerate(zip(
+            members, lad.sizes, ratios, lad.split(loghat), lad.split(logp),
+            lad.split(logdy))):
+        fired = [msg for msg, hit in guards if hit[k]]
         if fired:
             skipped[n] = f"PoleEvaluation: {fired[0]}"
             continue
-        logT = math.fsum(chain(
-            memoryview(loghat[sl]), memoryview(logp[sl]),
-            memoryview(logdy[sl]), (-n * spec.fam.log_lead(zs.spec),)))
+        logT = math.fsum(chain(*map(memoryview, logs),
+                               (-n * spec.fam.log_lead(zs.spec),)))
         results[n] = -math.log(c / n) - logT / (n * (n - 1)), float(ratio)
     return results, skipped
 

@@ -14,7 +14,7 @@ Also provides the Newton seeds of the classical zeros (the Gauss nodes)
 at every degree: closed-form Langer-WKB nodes, with no recurrence sweep
 (laguerre_seed_ladder, jacobi_seed_ladder); the degrees of a ladder
 share one phase table and one Newton step in the angle, with the degree
-per point.
+per point, the members laid out as one array by Ladder.
 """
 
 import functools
@@ -460,36 +460,61 @@ def _jacobi_wkb(n, a, b):
     return lambda psi: 1 - 2 * s_of(psi), phase, dphase, (a - ab) / 2
 
 
-def _cat(arrays):
-    """np.concatenate(arrays), or the one array itself: a ladder of one
-    copies nothing."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+class Ladder:
+    """The layout of a ladder's members as one array, member after
+    member, sizes[i] points each: the one place that knows the members'
+    offsets.  A ladder of one is its one array, and its one value holds
+    at every point: cat, per_point and split hand them back as they are,
+    with no copy (an int degree takes _sweep's single run)."""
+
+    def __init__(self, sizes):
+        self.sizes = list(sizes)
+        self.ends = list(accumulate(self.sizes))
+        self.starts = [e - z for e, z in zip(self.ends, self.sizes)]
+        self.one = len(self.sizes) == 1
+
+    def cat(self, arrays):
+        """The members' arrays as one array."""
+        return arrays[0] if self.one else np.concatenate(arrays)
+
+    def per_point(self, values):
+        """values[i] (a row, for an array) at each point of member i."""
+        return values[0] if self.one else np.repeat(values, self.sizes,
+                                                    axis=0)
+
+    def index(self):
+        """Each point's index within its member."""
+        return np.arange(sum(self.sizes)) - self.per_point(self.starts)
+
+    def split(self, x):
+        """The members' parts of x, as views."""
+        return [x] if self.one else [x[s:e] for s, e in zip(self.starts,
+                                                            self.ends)]
+
+    def reduce(self, ufunc, a, empty):
+        """ufunc over each member's points of a, in one reduceat: exact
+        for np.maximum, np.logical_and or np.logical_or (not for a sum,
+        whose order is not np.sum's pairwise one); empty for a member
+        with no points."""
+        if all(self.sizes):
+            return ufunc.reduceat(a, self.starts)
+        live = np.flatnonzero(self.sizes)
+        out = np.full(len(self.sizes), empty, a.dtype)
+        out[live] = ufunc.reduceat(a, np.take(self.starts, live))
+        return out
+
+    def member(self, pos):
+        """The member of each flat position pos."""
+        return np.searchsorted(self.ends, pos, "right")
 
 
-def _starts(sizes):
-    """The offset of each member of a ladder laid out as one array,
-    member after member, sizes[i] points each."""
-    return list(accumulate(sizes, initial=0))[:-1]
-
-
-def _per_point(values, sizes):
-    """values[i] at each of the sizes[i] points of member i of a ladder
-    laid out as one array, member after member (such as the degree per
-    point): the value itself for a ladder of one, which every pass,
-    phase and ufunc takes as it is."""
-    return values[0] if len(values) == 1 else np.repeat(values, sizes)
-
-
-def _grids(ns, sizes):
-    """np.linspace(0, pi, 2n + 1) for each n of ns (all >= 1), bit for
-    bit, one after another, sizes[i] = 2 ns[i] + 1 points each: numpy
-    forms each as arange(2n + 1) * (pi / 2n), its last point set to
-    pi."""
-    grid = np.arange(sum(sizes), dtype=float)
-    if len(ns) > 1:
-        grid -= np.repeat(_starts(sizes), sizes)
-    grid *= _per_point([np.pi / (2 * n) for n in ns], sizes)
-    grid[[end - 1 for end in accumulate(sizes)]] = np.pi
+def _grids(grids):
+    """np.linspace(0, pi, 2n + 1) for each member of the Ladder grids,
+    of sizes 2n + 1 (n >= 1), bit for bit: numpy forms each as
+    arange(2n + 1) * (pi / 2n), its last point set to pi."""
+    grid = grids.index() * grids.per_point([np.pi / (z - 1)
+                                            for z in grids.sizes])
+    grid[[end - 1 for end in grids.ends]] = np.pi
     return grid
 
 
@@ -522,21 +547,17 @@ def _seed_ladder(ns, params, wkb, step=1):
     live = [n for n in ns if n]
     if not live:
         return [np.empty(0) for _ in ns]
-    sizes = [2 * n + 1 for n in live]
-    grid = _grids(live, sizes)
-    k = np.arange(1, sum(live) + 1)
-    if len(live) > 1:
-        k -= np.repeat(_starts(live), live)
+    grids, nodes = Ladder([2 * n + 1 for n in live]), Ladder(live)
+    grid = _grids(grids)
     with np.errstate(**_QUIET):
-        table = wkb(_per_point(live, sizes))[1](grid)
-        x_of, phase, dphase, shift = wkb(_per_point(live, live))
-        target = (k - 0.25 + shift) * np.pi
-        psi = _cat([np.interp(target[b:b + n], table[g:g + z], grid[g:g + z])
-                    for n, z, b, g in zip(live, sizes, _starts(live),
-                                          _starts(sizes))])
+        table = wkb(grids.per_point(live))[1](grid)
+        x_of, phase, dphase, shift = wkb(nodes.per_point(live))
+        target = (nodes.index() + 1 - 0.25 + shift) * np.pi
+        psi = nodes.cat([np.interp(t, tab, g) for t, tab, g in zip(
+            nodes.split(target), grids.split(table), grids.split(grid))])
         x = x_of(psi - (phase(psi) - target) / dphase(psi))
-    nodes = iter(np.split(x, _starts(live)[1:]) if len(live) > 1 else [x])
-    return [next(nodes)[::step] if n else np.empty(0) for n in ns]
+    x = iter(nodes.split(x))
+    return [next(x)[::step] if n else np.empty(0) for n in ns]
 
 
 def laguerre_seed_ladder(ns, a):

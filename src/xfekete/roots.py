@@ -19,23 +19,20 @@ pending point of every member in one call, and a single spec is a
 ladder of one.  The same evaluator certifies the zeros: the
 certificate bounds its Newton correction at every zero, one more
 lockstep round for the whole ladder.  A ladder's members are laid out
-as one array, member after member: each stage (seeds, Newton steps and
-stop tests, certificate) runs once per ladder on that array, with exact
-segment reductions for each member's verdict; only the sorting, the
-Aberth sums and the order checks of a member that one pass over the
-ladder flags run member by member, and every member keeps the bits it
-has alone.  The monomial coefficients (build_exceptional) play no
-part.
+as one array, member after member (classical_poly.Ladder): each stage
+(seeds, Newton steps and stop tests, the margin and order checks,
+certificate) runs once per ladder on that array, with exact segment
+reductions for each member's verdict; only the sorting and the Aberth
+sums run member by member, and every member keeps the bits it has
+alone.  The monomial coefficients (build_exceptional) play no part.
 """
 
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from math import isfinite
 
 import numpy as np
 
-from .classical_poly import (_QUIET, _cat, _laguerre_values, _per_point,
-                             _starts)
+from .classical_poly import _QUIET, Ladder, _laguerre_values
 from .errors import CountMismatch, NonConvergence, XFeketeError
 from .exceptional import (_ladder_eval_ratios, _nonzero_lead, _s_zeros,
                           ladder_eval_pair)
@@ -150,16 +147,13 @@ def _newton_ladder(spec, ns, x0s, itmax=60):
     ids = [i for i, x in enumerate(xs) if x.size]
     if not ids:
         return out
-    n, sizes = [ns[i] for i in ids], [xs[i].size for i in ids]
-    x = _cat([xs[i] for i in ids])
-    starts, rows, deg = _layout(n, sizes)
+    n = [ns[i] for i in ids]
+    lad, rows, deg = _layout(n, [xs[i].size for i in ids])
+    x = lad.cat([xs[i] for i in ids])
     # per point: whether it is regular, the order exponent q of its step,
     # its last relative step (0 before the first, so the prediction
     # needs two) and whether it is predicted done
-    pos = np.arange(x.size)
-    if len(ids) > 1:
-        pos -= np.repeat(starts, sizes)
-    reg = pos < deg
+    reg = lad.index() < deg
     q = np.where(reg, 4.0, 2.0)
     last, done = np.zeros(x.shape), np.zeros(x.shape, dtype=bool)
     prev = [np.inf] * len(ids)
@@ -185,19 +179,20 @@ def _newton_ladder(spec, ns, x0s, itmax=60):
             if rows:
                 np.subtract(x, step, out=x, where=~reg)
             a = np.abs(step) / (1 + np.abs(x))
-            rel = np.maximum.reduceat(a, starts)
-            done = (_per_point(rel, sizes) <= PREDICT_TRUST) & (
+            rel = lad.reduce(np.maximum, a, 0.0)
+            done = (lad.per_point(rel) <= PREDICT_TRUST) & (
                 done | (a < NEWTON_TOL)
                 | ((a < last) & (a ** (q + 1) <= NEWTON_TOL * last ** q)))
-        predicted = np.logical_and.reduceat(done, starts).tolist()
+        predicted = lad.reduce(np.logical_and, done, True).tolist()
         rel = rel.tolist()
         stops = [j for j, (r, p, r0) in enumerate(zip(rel, predicted, prev))
                  if not isfinite(r) or p or NEWTON_FLOOR > r >= r0
                  or it == itmax]
         prev, last = rel, a
+        parts = lad.split(x) if stops else []
         for j in stops:
-            r, s = rel[j], starts[j]
-            out[ids[j]] = x[s:s + sizes[j]].copy() \
+            r = rel[j]
+            out[ids[j]] = parts[j].copy() \
                 if r <= CERT_TOL or predicted[j] else NonConvergence(
                     f"Newton stopped after {it} iterations with "
                     f"relative step {r:.3e} for {replace(spec, n=n[j])}",
@@ -207,23 +202,24 @@ def _newton_ladder(spec, ns, x0s, itmax=60):
         if stops:
             keep = np.ones(len(ids), dtype=bool)
             keep[stops] = False
-            kept = np.repeat(keep, sizes)
+            kept = lad.per_point(keep)
             x, reg, q, last, done = (x[kept], reg[kept], q[kept], last[kept],
                                      done[kept])
             ids, n, sizes, prev = ([v for v, k in zip(seq, keep) if k]
-                                   for seq in (ids, n, sizes, prev))
-            starts, rows, deg = _layout(n, sizes)
+                                   for seq in (ids, n, lad.sizes, prev))
+            lad, rows, deg = _layout(n, sizes)
     return out
 
 
 def _layout(ns, sizes):
-    """(offsets, Aberth rows, degree per point) of the members of a
+    """(Ladder, Aberth rows, degree per point) of the members of a
     ladder at the degree indices ns laid out as one array, sizes[i]
     points each; a row (start, first exceptional iterate, end) for each
     member with exceptional iterates."""
-    starts = _starts(sizes)
-    rows = [(s, s + n, s + z) for s, n, z in zip(starts, ns, sizes) if z > n]
-    return starts, rows, _per_point(ns, sizes)
+    lad = Ladder(sizes)
+    rows = [(s, s + n, e) for s, e, n in zip(lad.starts, lad.ends, ns)
+            if e > s + n]
+    return lad, rows, lad.per_point(ns)
 
 
 def _law_seeds(spec, ns, s):
@@ -256,75 +252,60 @@ def _sort_zeros(z):
     return np.array(out, dtype=complex)
 
 
-def _classify(spec, reg, exc):
-    """Margin and order checks of the regular zeros reg and the
-    exceptional zeros exc; raises CountMismatch on any violation.  Their
-    counts, n and m, hold by construction: find_zeros_ladder splits n
-    seeds from the zeros of S, of which _s_zeros gives exactly m."""
-    a, b = spec.interval
-    # a Laguerre b = inf bounds nothing; Newton refused non-finite zeros
-    if np.any(reg <= a + MARGIN) or np.any(reg >= b - MARGIN):
-        raise CountMismatch("regular zero on or outside the "
-                            "orthogonality interval")
-    if np.any(np.diff(reg) <= 0):
-        raise CountMismatch("regular zeros not strictly increasing")
-    near = exc[(np.abs(exc.imag) <= MARGIN) & (a - MARGIN <= exc.real)
-               & (exc.real <= b + MARGIN)]
-    if near.size:
-        raise CountMismatch(
-            f"exceptional zero {near[0]} inside the classification margin "
-            f"of the orthogonality interval")
-
-
-def _suspects(spec, found):
-    """The members i of found ({i: (regular, exceptional zeros)}, members
-    of spec's ladder) that _classify may refuse.  A ladder of one is its
-    own suspect; for several, one pass over all their zeros makes
-    _classify's tests elementwise and flags each member with a point
-    that fails one, so a member that passes them all needs no check of
-    its own."""
-    if len(found) <= 1:
-        return list(found)
+def _classify(spec, found):
+    """{i: CountMismatch} of the members i of found ({i: (regular,
+    exceptional zeros)}, members of spec's ladder) whose zeros fail the
+    margin or order checks, in one pass over every member's zeros.  A
+    member reports its first failing check, in this order: a regular
+    zero on or outside the interval's margin, regular zeros not strictly
+    increasing, then an exceptional zero inside the margin of the closed
+    interval, naming the member's first such zero.  The counts, n and m,
+    hold by construction: find_zeros_ladder splits n seeds from the
+    zeros of S, of which _s_zeros gives exactly m."""
+    if not found:
+        return {}
     ids = list(found)
     regs, excs = zip(*found.values())
-    reg, exc = np.concatenate(regs), np.concatenate(excs)
-    ends = list(accumulate(r.size for r in regs))
+    rl, el = Ladder([r.size for r in regs]), Ladder([z.size for z in excs])
+    reg, exc = rl.cat(regs), el.cat(excs)
     a, b = spec.interval
-    bad = (reg <= a + MARGIN) | (reg >= b - MARGIN)
-    # the order test within each member: no diff across two members
-    order = np.diff(reg) <= 0
-    order[[e - 1 for e in ends[:-1] if 0 < e < reg.size]] = False
-    bad[:-1] |= order
-    near = ((np.abs(exc.imag) <= MARGIN) & (a - MARGIN <= exc.real)
-            & (exc.real <= b + MARGIN))
-    hit = set(np.searchsorted(ends, np.flatnonzero(bad), "right").tolist())
-    hit.update(np.searchsorted(list(accumulate(z.size for z in excs)),
-                               np.flatnonzero(near), "right").tolist())
-    return [ids[k] for k in sorted(hit)]
+    # a Laguerre b = inf bounds nothing; Newton refused non-finite zeros
+    outside = rl.reduce(np.logical_or,
+                        (reg <= a + MARGIN) | (reg >= b - MARGIN), False)
+    # the order within each member: no pair across two members
+    unordered = rl.reduce(np.logical_or, np.concatenate(
+        ([False], reg[1:] <= reg[:-1])) & (rl.index() > 0), False)
+    near = np.flatnonzero((np.abs(exc.imag) <= MARGIN)
+                          & (a - MARGIN <= exc.real)
+                          & (exc.real <= b + MARGIN))[::-1]
+    # each member's first near zero: the last one written
+    first = dict(zip(el.member(near).tolist(), near.tolist()))
+    bad = {}
+    for k in sorted(set(np.flatnonzero(outside | unordered).tolist())
+                    | set(first)):
+        if outside[k]:
+            msg = "regular zero on or outside the orthogonality interval"
+        elif unordered[k]:
+            msg = "regular zeros not strictly increasing"
+        else:
+            msg = (f"exceptional zero {exc[first[k]]} inside the "
+                   f"classification margin of the orthogonality interval")
+        bad[ids[k]] = CountMismatch(msg)
+    return bad
 
 
-def _certificate(roots, v, dv, sizes=None):
-    """Evaluator certificate record of the roots from (y, y') there: the
-    Newton correction is small, |y(r)| <= 1e-10 |y'(r)| (1 + |r|), its
-    worst ratio 0.0 where there is no root.  A y' beyond binary64 bounds
-    no correction, so its ratio reads inf.  With sizes, the roots are
-    those of a ladder's members, one after another, sizes[i] each, and
-    the list of the members' records comes back, each worst ratio an
-    exact segment max."""
+def _certificate(roots, v, dv, lad):
+    """Evaluator certificate records of the roots of a ladder's members,
+    laid out as the Ladder lad, from (y, y') there: the Newton
+    correction is small, |y(r)| <= 1e-10 |y'(r)| (1 + |r|).  Each
+    member's worst ratio is an exact segment max, 0.0 for a member with
+    no root.  A y' beyond binary64 bounds no correction, so its ratio
+    reads inf."""
     ratio = np.abs(v) / (np.abs(dv) * (1 + np.abs(roots)))
     ratio[~np.isfinite(dv)] = np.inf
-    one = sizes is None
-    if one:
-        sizes = [roots.size]
-    starts = [s for s, z in zip(_starts(sizes), sizes) if z]
-    worst = iter(np.maximum.reduceat(ratio, starts).tolist()
-                 if starts else [])
-    certs = []
-    for z in sizes:
-        w = next(worst) if z else 0.0
-        certs.append({"method": "evaluator", "passed": bool(w <= CERT_TOL),
-                      "max_ratio": w})
-    return certs[0] if one else certs
+    return [{"method": "evaluator", "passed": bool(w <= CERT_TOL),
+             "max_ratio": w}
+            for w in lad.reduce(np.maximum, ratio, 0.0).tolist()]
 
 
 def find_zeros(spec):
@@ -364,9 +345,8 @@ def find_zeros_ladder(spec, ns):
     one array, and their certificates are one more lockstep round on
     one array of every classified member's zeros, whose y' at the
     regular zeros each ZeroSet keeps (a slice of that round's y').
-    The margin and order checks (_classify) run on each member that one
-    pass over all the zeros flags (_suspects).  A member that fails drops
-    out of the later stages.  A member's spec is spec itself at
+    The margin and order checks (_classify) are one pass over all the
+    zeros.  A member that fails drops out of the later stages.  A member's spec is spec itself at
     n = spec.n, else replace(spec, n=n), which tables S only if read.
     """
     members = [spec if n == spec.n else replace(spec, n=n) for n in ns]
@@ -415,12 +395,9 @@ def find_zeros_ladder(spec, ns):
                 out[i] = x
             else:
                 found[i] = np.sort(x[:ns[i]].real), _sort_zeros(x[ns[i]:])
-        for i in _suspects(spec, found):
-            try:
-                _classify(members[i], *found[i])
-            except XFeketeError as exc:
-                out[i] = exc
-                del found[i]
+        for i, exc in _classify(spec, found).items():
+            out[i] = exc
+            del found[i]
     if not found:
         return out
     # every classified member's certificate, in one more lockstep round
@@ -428,18 +405,17 @@ def find_zeros_ladder(spec, ns):
     # real
     rts = [np.concatenate([z if z.imag.any() else z.real, reg])
            for reg, z in found.values()]
-    sizes = [x.size for x in rts]
-    rts = _cat(rts)
+    lad = Ladder([x.size for x in rts])
+    rts = lad.cat(rts)
     with np.errstate(**_QUIET):
         y, dy = ladder_eval_pair(
-            spec, _per_point([ns[i] for i in found], sizes), rts)
-        certs = _certificate(rts, y, dy, sizes)
-    for (i, (reg, z)), cert, at in zip(found.items(), certs,
-                                       _starts(sizes)):
+            spec, lad.per_point([ns[i] for i in found]), rts)
+        certs = _certificate(rts, y, dy, lad)
+    for (i, (reg, z)), cert, d in zip(found.items(), certs, lad.split(dy)):
         if cert["passed"]:
             out[i] = ZeroSet(spec=members[i], regular=reg, exceptional=z,
                              s_zeros=s_zeros, certificate=cert,
-                             regular_dy=dy[at + z.size:at + z.size + reg.size])
+                             regular_dy=d[z.size:])
         else:
             out[i] = NonConvergence(f"residual certificate failed: {cert}",
                                     [cert])

@@ -16,7 +16,7 @@ import pytest
 
 import xfekete as xf
 from xfekete import asymptotics, classical_poly, energy, exceptional, roots
-from xfekete.classical_poly import _as_float_or_complex, _horner
+from xfekete.classical_poly import Ladder, _as_float_or_complex, _horner
 
 
 # ------------------------------------------------------------ references
@@ -158,10 +158,11 @@ def ref_find_zeros(spec, its=None):
     x = ref_newton(spec, ref_seeds(spec), its=its)
     reg = np.sort(x[:spec.n].real)
     exc = roots._sort_zeros(x[spec.n:])
-    roots._classify(spec, reg, exc)
+    for bad in roots._classify(spec, {0: (reg, exc)}).values():
+        raise bad
     rts = np.concatenate([exc if exc.imag.any() else exc.real, reg])
     y, dy = exceptional.ladder_eval_pair(spec, spec.n, rts)
-    cert = roots._certificate(rts, y, dy)
+    (cert,) = roots._certificate(rts, y, dy, Ladder([rts.size]))
     if not cert["passed"]:
         raise xf.NonConvergence(f"residual certificate failed: {cert}",
                                 [cert])
@@ -555,6 +556,39 @@ def test_ladder_classifies_each_member_as_alone(monkeypatch):
     assert len({str(g) for g in got[2:5]}) == 3
 
 
+def test_classify_reports_each_members_first_failing_check():
+    # one ladder (laguerre1: the interval (0, inf)) with clean members,
+    # one with no regular zero, beside members that fail: each reports
+    # the first of interval, order, exceptional zero inside the margin,
+    # and the last names the member's first such zero
+    spec = xf.FamilySpec("laguerre1", 2, 2.0, 3)
+    clean = np.array([-2.0 + 0j, -1.0 + 0j])
+    found = {
+        3: (np.array([1.0, 2.0, 3.0]), clean),
+        # outside the interval and out of order
+        4: (np.array([-0.5, 2.0, 2.0]), clean),
+        # out of order, with an exceptional zero inside the interval
+        6: (np.array([1.0, 3.0, 2.0]), np.array([0.25 + 0j, 1.0 + 0j])),
+        7: (np.empty(0), clean),
+        # two exceptional zeros inside the interval
+        9: (np.array([1.0, 2.0, 3.0]), np.array([0.5 + 0j, 0.75 + 0j])),
+        # within the margin of the interval's end
+        10: (np.array([5e-10, 2.0, 3.0]), clean),
+        11: (np.array([1.0, 2.0, 3.0]), np.array([-1.0 - 2.0j,
+                                                  -1.0 + 2.0j])),
+    }
+    got = roots._classify(spec, found)
+    assert {i: (type(e), str(e)) for i, e in got.items()} == {
+        4: (xf.CountMismatch,
+            "regular zero on or outside the orthogonality interval"),
+        6: (xf.CountMismatch, "regular zeros not strictly increasing"),
+        9: (xf.CountMismatch, "exceptional zero (0.5+0j) inside the "
+            "classification margin of the orthogonality interval"),
+        10: (xf.CountMismatch,
+             "regular zero on or outside the orthogonality interval")}
+    assert roots._classify(spec, {}) == {}
+
+
 def test_ladder_members_share_a_failing_S_each_with_its_own_error():
     # S overflows binary64 at m = 600; the ladder reads S first, and
     # each member fails with the message naming itself
@@ -820,7 +854,50 @@ def test_phase_grids_are_linspace():
     for ns in ([1], [2], [5, 7], list(range(1, 400)), [1000, 3, 1]):
         sizes = [2 * n + 1 for n in ns]
         want = np.concatenate([np.linspace(0.0, np.pi, z) for z in sizes])
-        assert _same(classical_poly._grids(ns, sizes), want), ns
+        assert _same(classical_poly._grids(Ladder(sizes)), want), ns
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ladder_layout_is_per_member_numpy(seed):
+    # the layout against each member's own array, over random sizes with
+    # members of no point among them
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(0, 6, rng.integers(1, 9)).tolist()
+    lad = Ladder(sizes)
+    parts = [rng.standard_normal(z) for z in sizes]
+    x = lad.cat(parts)
+    assert _same(x, np.concatenate(parts))
+    assert all(_same(g, w) for g, w in zip(lad.split(x), parts))
+    assert len(lad.split(x)) == len(sizes)
+    assert _same(lad.index(), np.concatenate(
+        [np.arange(z) for z in sizes]).astype(int))
+    values = rng.integers(0, 100, len(sizes))
+    assert _same(lad.per_point(values),
+                 np.concatenate([np.full(z, v) for z, v in zip(sizes, values)]))
+    rows = rng.standard_normal((len(sizes), 3))
+    assert _same(lad.per_point(rows),
+                 np.concatenate([np.tile(r, (z, 1))
+                                 for z, r in zip(sizes, rows)]))
+    assert _same(lad.reduce(np.maximum, x, -7.0),
+                 [np.max(p) if p.size else -7.0 for p in parts])
+    assert _same(lad.reduce(np.logical_and, x > 0.3, True),
+                 [np.all(p > 0.3) for p in parts])
+    assert _same(lad.member(np.arange(x.size)),
+                 np.concatenate([np.full(z, i) for i, z in enumerate(sizes)])
+                 .astype(np.intp))
+
+
+def test_a_ladder_of_one_hands_back_its_array_and_value():
+    x = np.arange(5.0)
+    lad = Ladder([5])
+    assert lad.cat([x]) is x
+    (part,) = lad.split(x)
+    assert part is x
+    assert lad.per_point([7]) == 7 and isinstance(lad.per_point([7]), int)
+    row = np.arange(3.0)
+    assert lad.per_point([row]) is row
+    assert _same(lad.index(), np.arange(5))
+    assert _same(lad.reduce(np.maximum, x, 0.0), [4.0])
 
 
 def _record_seed_degrees(monkeypatch, name):

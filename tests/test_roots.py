@@ -11,6 +11,7 @@ from numpy.polynomial import polynomial as npoly
 
 import xfekete as xf
 from xfekete import cli, exceptional, roots
+from xfekete.classical_poly import Ladder
 from xfekete.roots import _sort_zeros
 
 from conftest import built_of, spec_of, zeros_of
@@ -34,8 +35,8 @@ def test_a_failed_certificate_is_a_nonconvergence(monkeypatch):
 
 def test_a_derivative_beyond_binary64_certifies_nothing():
     # |y/y'| reads 0 at an infinite y', which would pass any root
-    cert = roots._certificate(np.array([1.0, 2.0]), np.array([0.0, 1.0]),
-                              np.array([1.0, np.inf]))
+    (cert,) = roots._certificate(np.array([1.0, 2.0]), np.array([0.0, 1.0]),
+                                 np.array([1.0, np.inf]), Ladder([2]))
     assert not cert["passed"] and cert["max_ratio"] == np.inf
 
 
