@@ -7,9 +7,11 @@ Pointwise evaluation goes through one three-term sweep per family, so a
 single pass gives p_n, p_{n-1} and both derivatives, each point at its
 own degree; it stays accurate far beyond the degrees at which monomial
 coefficients become unusable; a degree step is a few in-place ufunc
-calls on preallocated rows, and both sweeps carry the differentiated
-recurrence.  A Laguerre sweep of the values alone (_laguerre_values)
-serves the callers that read no derivative.
+calls on preallocated rows.  The Laguerre sweep carries the
+differentiated recurrence; the Jacobi sweep runs the monic recurrence
+scaled by 2^k, with no division, and puts the normalization on once per
+point at the end.  A Laguerre sweep of the values alone
+(_laguerre_values) serves the callers that read no derivative.
 Also provides the Newton seeds of the classical zeros (the Gauss nodes)
 at every degree: closed-form Langer-WKB nodes, with no recurrence sweep
 (laguerre_seed_ladder, jacobi_seed_ladder); the degrees of a ladder
@@ -221,13 +223,13 @@ def _sweep(n, x, state, advance, finish):
     p_k, its first entry p_0 = 1 at k = 0.  advance(lo, hi, x, S) steps
     the buffers of the points x in place from degree k = lo to hi and
     returns them in that order again (buffers may rotate; a ufunc call
-    takes its output last); finish(*S) reads the outputs, such as (p_n,
-    p_{n-1}, p_n', p_{n-1}'), off the final state.  The points are
-    sorted by descending degree, so the live ones are a prefix: the sweep
-    runs to max(n) on shrinking column views, and a point leaves it at its
-    own degree, so it meets exactly the operations of a sweep of its own
-    degree alone; elementwise array arithmetic gives the same bits at any
-    array length.  A 0-d x is swept as a one-element array (numpy's
+    takes its output last); finish(k, *S) reads the outputs, such as
+    (p_n, p_{n-1}, p_n', p_{n-1}'), off the state at degree k.  The
+    points are sorted by descending degree, so the live ones are a
+    prefix: the sweep runs to max(n) on shrinking column views, and a
+    point leaves it at its own degree, so it meets exactly the operations
+    of a sweep of its own degree alone; elementwise array arithmetic
+    gives the same bits at any array length.  A 0-d x is swept as a one-element array (numpy's
     complex scalar arithmetic rounds differently).  Returns finish's
     outputs, arrays no other call shares, in the order and shape of x.
     """
@@ -258,12 +260,12 @@ def _sweep(n, x, state, advance, finish):
         S = advance(k, stop, xs[:end], [s[..., :end] for s in S])
         k = stop
         if order is not None:     # the run's points leave the sweep
-            vals = finish(*(s[..., start:] for s in S))
+            vals = finish(stop, *(s[..., start:] for s in S))
             if out is None:
                 out = np.empty((len(vals), xs.size), xs.dtype)
             out[:, start:end] = vals
     if out is None:     # one degree, or no point
-        vals = finish(*S)
+        vals = finish(k, *S)
     else:
         out[:, order] = out.copy()
         vals = tuple(out)
@@ -307,7 +309,7 @@ def laguerre_pass(n, a, x):
         return B, A, C
 
     return _sweep(n, x, (3, 2), advance,
-                  lambda B, A, C: (B[0], A[0], B[1], A[1]))
+                  lambda k, B, A, C: (B[0], A[0], B[1], A[1]))
 
 
 def _laguerre_values(n, a, x):
@@ -327,7 +329,44 @@ def _laguerre_values(n, a, x):
             A, B, C = B, C, A
         return B, A, C
 
-    return _sweep(n, x, (3,), advance, lambda B, A, C: (B, A))
+    return _sweep(n, x, (3,), advance, lambda k, B, A, C: (B, A))
+
+
+def _jacobi_scalars(top, a, b):
+    """(2 a_k, 4 b_k) of the steps k = 0 .. top - 1 of the monic Jacobi
+    recurrence and the factors f_k = l_k / 2^k, k = 0 .. top, as numpy
+    float64 vectors over k (top >= 1), for jacobi_pass.
+
+    With t = 2k + a + b, a_k = (b^2 - a^2)/(t (t + 2)) and
+    b_k = 4k (k+a)(k+b)(k+a+b)/(t^2 (t+1)(t-1)) (Gautschi, Orthogonal
+    Polynomials: Computation and Approximation, OUP 2004, section 1.3);
+    a_0 = (b - a)/(a + b + 2) and b_1 = 4(1+a)(1+b)/((a+b+2)^2 (a+b+3))
+    are the closed forms with the factor that vanishes at a + b = 0 or
+    -1 cancelled, and 4 b_0 = 0.  l_k is the leading coefficient of
+    P_k^(a,b): l_0 = 1, l_1 = (a + b + 2)/2 and l_{k+1}/l_k =
+    (t+1)(t+2)/(2(k+1)(k+a+b+1)).  The arithmetic is numpy's
+    np.longdouble (x87 extended on x86-64; float64 where the platform
+    has nothing wider), rounded to float64 once at the end: the zeros
+    move with the rounding of a_k and b_k, and these scalars put them
+    closer to the 40-digit oracle than float64 arithmetic does.  A
+    parameter beyond binary64 gives inf or nan, never an OverflowError.
+    """
+    a, b = np.longdouble(a), np.longdouble(b)
+    k = np.arange(top, dtype=np.longdouble)
+    t = 2 * k + a + b
+    a2 = 2 * (b * b - a * a) / (t * (t + 2))
+    a2[0] = 2 * (b - a) / (a + b + 2)
+    b4 = 16 * k * (k + a) * (k + b) * (k + a + b) / (t * t * (t + 1)
+                                                       * (t - 1))
+    b4[0] = 0.0
+    if top > 1:
+        b4[1] = 16 * (1 + a) * (1 + b) / ((a + b + 2) * (a + b + 2)
+                                          * (a + b + 3))
+    # f_{k+1}/f_k = (l_{k+1}/l_k)/2
+    r = (t + 1) * (t + 2) / (4 * (k + 1) * (k + a + b + 1))
+    r[0] = (a + b + 2) / 4
+    f = np.cumprod(np.concatenate([np.ones(1, np.longdouble), r]))
+    return a2.astype(float), b4.astype(float), f.astype(float)
 
 
 def jacobi_pass(n, a, b, x):
@@ -335,42 +374,44 @@ def jacobi_pass(n, a, b, x):
 
     Returns (P_n, P_{n-1}, P_n', P_{n-1}') with P_{-1} = 0; n is an int
     or a per-point integer array broadcast with x (see _sweep).  The
-    derivatives follow the differentiated recurrence.  Each degree is
-    eight in-place ufunc calls in the formulas' order.
+    sweep runs the monic recurrence scaled by an exact 2^k,
+      p_{k+1} = (2x - 2a_k) p_k - 4b_k p_{k-1},    p_k = 2^k P~_k,
+    and beside it q_k = p_k'/2,
+      q_{k+1} = (2x - 2a_k) q_k + p_k - 4b_k q_{k-1},
+    on stacked (p, q) rows; the scalars are _jacobi_scalars'.  A degree
+    is five in-place ufunc calls with no division: s = 2x - 2a_k, then
+    s (p_k, q_k), the coupling p_k added to the q row, 4b_k (p_{k-1},
+    q_{k-1}) and the difference.  The outputs are P_k = f_k p_k and
+    P_k' = 2 f_k q_k, one product per point at its own degree.
     """
-    # c1..c4 of the steps k = 1 .. max(n) - 1, as numpy vectors over k
-    k1 = np.arange(2, int(np.max(n, initial=1)) + 1)
-    t = 2 * k1 + a + b
-    c1, c2 = 2 * k1 * (k1 + a + b) * (t - 2), (t - 1) * (a * a - b * b)
-    c3, c4 = (t - 2) * (t - 1) * t, 2 * (k1 + a - 1) * (k1 + b - 1) * t
-    coeffs = list(zip(c1.tolist(), c2.tolist(), c3.tolist(), c4.tolist()))
+    top = int(np.max(n, initial=1))
+    with np.errstate(**_QUIET):
+        a2, b4, f = _jacobi_scalars(top, a, b)
+    a2, b4, f = a2.tolist(), b4.tolist(), f.tolist()
 
     def advance(lo, hi, x, S):
-        B, A, C = S     # (P_k, P_k'), (P_{k-1}, P_{k-1}') and scratch
-        if lo == 0 < hi:
-            # P_1 is written out: the k = 0 recurrence coefficient
-            # 2 (a+b+1)(a+b) vanishes at a + b = 0 or -1
-            C[0] = 0.5 * (a - b + (a + b + 2) * x)
-            C[1] = B[1] + 0.5 * (a + b + 2)
-            A, B, C, lo = B, C, A, 1
-        add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
-        s = np.empty_like(x)
+        add, sub, mul = np.add, np.subtract, np.multiply
+        B, A, C = S     # (p_k, q_k), (p_{k-1}, q_{k-1}) and scratch
+        # 2x in both rows: a (2, N) product with no broadcast is faster
+        # than one that broadcasts an N row over the state
+        x2 = np.stack([x + x, x + x])
+        s = np.empty_like(x2)
         A0, A1, B0, B1, C0, C1 = A[0], A[1], B[0], B[1], C[0], C[1]
-        for c1, c2, c3, c4 in coeffs[lo - 1:hi - 1]:
-            mul(c3, x, s)
-            add(c2, s, s)
+        for k in range(lo, hi):
+            sub(x2, a2[k], s)
             mul(s, B, C)
-            mul(c3, B0, s)
-            add(C1, s, C1)
-            mul(c4, A, A)
+            add(C1, B0, C1)
+            mul(b4[k], A, A)
             sub(C, A, C)
-            div(C, c1, C)
             A, B, C, A0, B0, C0 = B, C, A, B0, C0, A0
             A1, B1, C1 = B1, C1, A1
         return B, A, C
 
-    return _sweep(n, x, (3, 2), advance,
-                  lambda B, A, C: (B[0], A[0], B[1], A[1]))
+    def finish(k, B, A, C):
+        fk, fk1 = f[k], f[k - 1] if k else 0.0
+        return fk * B[0], fk1 * A[0], 2 * fk * B[1], 2 * fk1 * A[1]
+
+    return _sweep(n, x, (3, 2), advance, finish)
 
 
 def _gauss_range(*params):

@@ -393,8 +393,16 @@ def find_zeros_ladder(spec, ns):
         for i, x in zip(seeded, polished):
             if isinstance(x, XFeketeError):
                 out[i] = x
+                continue
+            reg = x[:ns[i]]
+            off = np.flatnonzero(reg.imag)
+            if off.size:
+                # a regular iterate that left the real axis is no zero
+                # inside the interval, whatever its real part
+                out[i] = CountMismatch(f"regular zero {reg[off[0]]} off the "
+                                       f"real axis for {members[i]}")
             else:
-                found[i] = np.sort(x[:ns[i]].real), _sort_zeros(x[ns[i]:])
+                found[i] = np.sort(reg.real), _sort_zeros(x[ns[i]:])
         for i, exc in _classify(spec, found).items():
             out[i] = exc
             del found[i]

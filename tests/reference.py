@@ -6,6 +6,8 @@ checks a formula or a result with it:
 - laguerre_zeros, jacobi_zeros: the Gauss nodes by Golub-Welsch, the
   eigenvalues of the symmetric tridiagonal Jacobi matrix, independent
   of the package's WKB seeds;
+- jacobi_sweep: the serial scaled monic Jacobi recurrence, one
+  expression at a time, the bit reference of classical_poly.jacobi_pass;
 - second_derivative: y'' from the family ODE, y'' = -(B y' + C y)/A,
   refused near the zeros of A (singular_points, SingularEvaluation);
 - phi, phi_closed: the potential of the normal form u'' + phi u = 0 of
@@ -87,6 +89,38 @@ def jacobi_zeros(n, a, b):
     off[1:] = num / den
     off = np.sqrt(off)
     return _jacobi_matrix_eigvals(diag, off)
+
+
+def jacobi_sweep(n, a, b, x):
+    """(P_n, P_{n-1}, P_n', P_{n-1}') of P^(a,b) at x from the monic
+    recurrence scaled by 2^k, p_k = 2^k P~_k, and q_k = p_k'/2, one
+    degree for all points: P_k = f_k p_k and P_k' = 2 f_k q_k,
+    f_k = l_k / 2^k with l_k the leading coefficient.  a_k and b_k are
+    jacobi_zeros' diagonal and squared off-diagonal; they and f_k are
+    formed in np.longdouble scalars and rounded to float64 once."""
+    x = _as_float_or_complex(x)
+    a, b = np.longdouble(a), np.longdouble(b)
+    p, pm1 = np.ones_like(x), np.zeros_like(x)
+    q, qm1 = np.zeros_like(x), np.zeros_like(x)
+    f, fm1 = np.longdouble(1.0), np.longdouble(0.0)
+    for k in map(np.longdouble, range(n)):
+        t = 2 * k + a + b
+        if k == 0:
+            a2, b4, r = 2 * (b - a) / (a + b + 2), 0.0, (a + b + 2) / 4
+        else:
+            a2 = 2 * (b * b - a * a) / (t * (t + 2))
+            r = (t + 1) * (t + 2) / (4 * (k + 1) * (k + a + b + 1))
+            # b_1 with the factor t - 1 = a + b + 1 cancelled
+            b4 = 16 * (1 + a) * (1 + b) / (
+                (a + b + 2) * (a + b + 2) * (a + b + 3)) if k == 1 else \
+                16 * k * (k + a) * (k + b) * (k + a + b) / (
+                    t * t * (t + 1) * (t - 1))
+        s = (x + x) - np.float64(a2)
+        pm1, p = p, s * p - np.float64(b4) * pm1
+        qm1, q = q, s * q + pm1 - np.float64(b4) * qm1
+        fm1, f = f, f * r
+    f, fm1 = np.float64(f), np.float64(fm1)
+    return f * p, fm1 * pm1, 2 * f * q, 2 * fm1 * qm1
 
 
 # ---------------------------------------------------------------- the ODE

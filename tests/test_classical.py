@@ -311,3 +311,75 @@ def test_laguerre_pass_derivatives_against_mpmath(n, a):
                         lambda t: mpmath.laguerre(k, a, t),
                         mpmath.mpmathify(xi))) if k > 0 else 0.0
                     assert abs(got[i] - want) <= 2e-12 * abs(want), (k, xi)
+
+
+def _jacobi_mp(k, a, b, x, d):
+    """d-th derivative of P_k^(a,b) at x in mpmath, by the shift
+    d/dx P_k^(a,b) = (k+a+b+1)/2 P_{k-1}^(a+1,b+1)."""
+    if k - d < 0:
+        return mpmath.mpf(0)
+    fac = mpmath.mpf(1)
+    for i in range(d):
+        fac *= (k + a + b + 1 + i) / 2
+    return fac * mpmath.jacobi(k - d, a + d, b + d, x)
+
+
+# a + b = 0 (a_0 is 0/0 in its general form), a + b = -1 exactly in
+# every precision (b_1 is), the beta < 0 regime branch of the u factor
+# (b = beta - 1 in (-2, -1)) and a plain pair
+@pytest.mark.parametrize("a,b", [(0.3, -0.3), (-0.25, -0.75), (2.5, -1.6),
+                                 (2.5, 0.5)])
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 300])
+def test_jacobi_pass_against_mpmath(n, a, b):
+    # P_n, P_{n-1} and both derivatives of the scaled monic sweep to
+    # 40-digit mpmath at real points inside [-1, 1], the same points off
+    # the real axis and two real points off [-1, 1]; each error is
+    # measured against the local amplitude of the oscillation,
+    # sqrt(|f|^2 + |1 - x^2| |f'|^2 / (j (j + a' + b' + 1))) for f of
+    # degree j and parameters a', b' (|f| where j = 0).  The forward
+    # sweep is ill-conditioned next to x = -1 when b < -1, where P_k(-1)
+    # ~ k^b decays and the other solution grows: at b = -1.6 and n = 300
+    # the error at x = -0.999 is 2e-12 of the amplitude, and at most
+    # 5e-14 for the other pairs
+    inside = np.array([-0.999, -0.9, -0.41, 0.0, 0.2, 0.77, 0.995])
+    for x in (inside, inside + 0.3j, np.array([-1.5, 1.3])):
+        got = xf.jacobi_pass(n, a, b, x)
+        with mpmath.workdps(40):
+            for i, xi in enumerate(x):
+                z = mpmath.mpmathify(complex(xi) if x.dtype.kind == "c"
+                                     else float(xi))
+                for j, (k, d) in enumerate(((n, 0), (n - 1, 0), (n, 1),
+                                            (n - 1, 1))):
+                    want = complex(_jacobi_mp(k, a, b, z, d)) \
+                        if k >= 0 else 0.0
+                    deg, shift = k - d, a + b + 2 * d + 1
+                    amp = abs(want)
+                    if deg > 0:
+                        slope = complex(_jacobi_mp(k, a, b, z, d + 1))
+                        amp = math.hypot(amp, abs(slope) * math.sqrt(
+                            abs(1 - z * z) / abs(deg * (deg + shift))))
+                    assert abs(got[j][i] - want) <= 2e-11 * amp, \
+                        (j, xi, got[j][i], want)
+
+
+def test_a_jacobi_degree_is_five_in_place_calls_and_no_division(monkeypatch):
+    # each degree of the sweep: s = 2x - 2a_k, s (p, q), the coupling p
+    # added to q, 4b_k (p_{k-1}, q_{k-1}), the difference; counted as the
+    # in-place ufunc calls one more degree adds, real and complex
+    calls = []
+    for name in ("add", "subtract", "multiply", "divide"):
+        def counted(*args, name=name, ufunc=getattr(np, name), **kw):
+            calls.append(name)
+            return ufunc(*args, **kw)
+
+        monkeypatch.setattr(np, name, counted)
+    for x in (np.linspace(-1, 1, 9), np.linspace(-1, 1, 9) + 0.5j):
+        seen = []
+        for n in (10, 11):
+            calls.clear()
+            xf.jacobi_pass(n, 2.5, 0.5, x)
+            seen.append(list(calls))
+        assert len(seen[1]) - len(seen[0]) == 5
+        assert seen[1][-5:] == ["subtract", "multiply", "add", "multiply",
+                                "subtract"]
+        assert "divide" not in seen[1]

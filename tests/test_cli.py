@@ -535,9 +535,9 @@ VERIFY_GOLDEN = {
     ("jacobi", "--m", "1", "--alpha", "2.5", "--beta", "1.5", "--n", "60"): (
         '{"checks":[{"detail":{"max_log_excess":-12.61458286132731,"residu'
         'al":1.80752050669243e-16},"name":"construction","passed":true},{"'
-        'detail":{"max_ratio":3.3484343662511854e-17,"method":"evaluator",'
+        'detail":{"max_ratio":3.7837343030069729e-17,"method":"evaluator",'
         '"passed":true},"name":"zeros","passed":true},{"detail":{"diag_all'
-        '_negative":true,"max_gradient":8.8675733422860503e-12},"name":"fe'
+        '_negative":true,"max_gradient":8.4128259913995862e-12},"name":"fe'
         'kete_stationary","passed":true}],"passed":true,"spec":{"alpha":2.'
         '5,"beta":1.5,"family":"jacobi","m":1,"n":60},"version":"0.1.0"}\n'),
 }
@@ -602,25 +602,25 @@ ENERGY_GOLDEN = {
     ("jacobi", "--m", "1", "--alpha", "2.5", "--beta", "1.5", "--n", "6",
      "--weight", "v"): (
         '{"block_dominant":true,"classification":"local-max","diag_signs":['
-        '-1,-1,-1,-1,-1,-1],"diagonally_dominant":true,"gradient":[7.105427'
-        '3576010019e-15,0,-1.1102230246251565e-15,-1.1102230246251565e-15,1'
-        '.7763568394002505e-15,0],"hessian":[[-172.05942121413131,31.182600'
-        '360694952,5.7307114052185675,2.1374493577592073,1.1271538210560696'
-        ',0.74727433977154079],[31.182600360694952,-73.022831302408264,17.5'
-        '57877625952688,3.9225043633721106,1.718483705997343,1.046082226589'
-        '8484],[5.7307114052185675,17.557877625952688,-49.70023650400875,14'
-        '.105106628222369,3.6395091013592769,1.8307272661480507],[2.1374493'
-        '577592073,3.9225043633721106,14.105106628222369,-46.06999279251748'
-        '9,15.033137750679629,4.473270801622693],[1.1271538210560696,1.7184'
-        '83705997343,3.6395091013592769,15.033137750679629,-56.799801468153'
-        '547,21.654126238336445],[0.74727433977154079,1.0460822265898484,1.'
-        '8307272661480507,4.473270801622693,21.654126238336445,-99.39029008'
-        '9161837]],"logT":-10.858069292224634,"nodes":[-0.86141813126284272'
-        ',-0.60816266179393386,-0.27065861158022009,0.10589499454334722,0.4'
-        '7064069341758574,0.77455046608915212],"nodes_used":"regular zeros"'
-        ',"spec":{"alpha":2.5,"beta":1.5,"family":"jacobi","m":1,"n":6},"st'
-        'ationary":true,"version":"0.1.0","weight":{"shift":1,"variant":"v"'
-        '}}\n'),
+        '-1,-1,-1,-1,-1,-1],"diagonally_dominant":true,"gradient":[-1.06581'
+        '41036401503e-14,4.4408920985006262e-15,-6.6613381477509392e-16,-2.'
+        '2204460492503131e-16,4.4408920985006262e-15,-1.0658141036401503e-1'
+        '4],"hessian":[[-172.05942121413111,31.18260036069498,5.73071140521'
+        '8571,2.1374493577592082,1.1271538210560696,0.74727433977154079],[3'
+        '1.18260036069498,-73.022831302408292,17.557877625952688,3.92250436'
+        '33721106,1.718483705997343,1.0460822265898477],[5.730711405218571,'
+        '17.557877625952688,-49.70023650400875,14.105106628222369,3.6395091'
+        '013592769,1.83072726614805],[2.1374493577592082,3.9225043633721106'
+        ',14.105106628222369,-46.069992792517482,15.033137750679629,4.47327'
+        '08016226903],[1.1271538210560696,1.718483705997343,3.6395091013592'
+        '769,15.033137750679629,-56.799801468153525,21.654126238336428],[0.'
+        '74727433977154079,1.0460822265898477,1.83072726614805,4.4732708016'
+        '226903,21.654126238336428,-99.39029008916188]],"logT":-10.85806929'
+        '2224632,"nodes":[-0.86141813126284261,-0.60816266179393386,-0.2706'
+        '5861158022009,0.10589499454334722,0.47064069341758574,0.7745504660'
+        '8915223],"nodes_used":"regular zeros","spec":{"alpha":2.5,"beta":1'
+        '.5,"family":"jacobi","m":1,"n":6},"stationary":true,"version":"0.1'
+        '.0","weight":{"shift":1,"variant":"v"}}\n'),
 }
 
 
@@ -651,18 +651,18 @@ ZEROS_GOLDEN = {
         '281580198,2.7929183291074353]],"spec":{"alpha":4.5,"family":"lague'
         'rre2","m":3,"n":8},"version":"0.1.0"}\n'),
     ("jacobi", "--m", "2", "--alpha", "2.6", "--beta", "0.8", "--n", "8"): (
-        '{"certificate":{"max_ratio":1.1581859479407931e-16,"method":"evalu'
+        '{"certificate":{"max_ratio":1.4477324349259921e-16,"method":"evalu'
         'ator","passed":true},"exceptional":[[-2.1511425693136306,0],[39.68'
         '1147602678763,0]],"interlacing":{"checks":[{"check":"regular count'
         '","passed":true},{"check":"regular inside (-1, 1)","passed":true},'
         '{"check":"exceptional count","passed":true},{"check":"exceptional '
         'outside closed interval","passed":true}],"mode":"structure","passe'
-        'd":true},"regular":[-0.93981468757413167,-0.78997704230326404,-0.5'
-        '6423609732707036,-0.28338054967107384,0.026081335143443241,0.33475'
-        '863827379271,0.61340721042866098,0.83604275760261748],"s_zeros":[['
-        '-1.9736659610102762,0],[35.973665961010241,0]],"spec":{"alpha":2.6'
-        '000000000000001,"beta":0.80000000000000004,"family":"jacobi","m":2'
-        ',"n":8},"version":"0.1.0"}\n'),
+        'd":true},"regular":[-0.93981468757413167,-0.78997704230326415,-0.5'
+        '6423609732707047,-0.2833805496710739,0.0260813351434433,0.33475863'
+        '827379276,0.61340721042866109,0.83604275760261759],"s_zeros":[[-1.'
+        '9736659610102762,0],[35.973665961010241,0]],"spec":{"alpha":2.6000'
+        '000000000001,"beta":0.80000000000000004,"family":"jacobi","m":2,"n'
+        '":8},"version":"0.1.0"}\n'),
 }
 
 

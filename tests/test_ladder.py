@@ -18,6 +18,8 @@ import xfekete as xf
 from xfekete import asymptotics, classical_poly, energy, exceptional, roots
 from xfekete.classical_poly import Ladder, _as_float_or_complex, _horner
 
+from reference import jacobi_sweep
+
 
 # ------------------------------------------------------------ references
 
@@ -38,23 +40,8 @@ def ref_laguerre_values(n, a, x):
 
 
 def ref_jacobi_pass(n, a, b, x):
-    x = _as_float_or_complex(x)
-    p, pm1 = np.ones_like(x), np.zeros_like(x)
-    d, dm1 = np.zeros_like(x), np.zeros_like(x)
-    if n == 0:
-        return p, pm1, d, dm1
-    p, pm1 = 0.5 * (a - b + (a + b + 2) * x), p
-    d = d + 0.5 * (a + b + 2)
-    for k in range(1, n):
-        k1 = k + 1
-        c1 = 2 * k1 * (k1 + a + b) * (2 * k1 + a + b - 2)
-        c2 = (2 * k1 + a + b - 1) * (a * a - b * b)
-        c3 = (2 * k1 + a + b - 2) * (2 * k1 + a + b - 1) * (2 * k1 + a + b)
-        c4 = 2 * (k1 + a - 1) * (k1 + b - 1) * (2 * k1 + a + b)
-        s = c2 + c3 * x
-        pm1, p, dm1, d = (p, (s * p - c4 * pm1) / c1,
-                          d, (s * d + c3 * p - c4 * dm1) / c1)
-    return p, pm1, d, dm1
+    # the serial scaled monic recurrence
+    return jacobi_sweep(n, a, b, x)
 
 
 def ref_newton(spec, x0, itmax=60, its=None):

@@ -22,7 +22,8 @@ import pytest
 import xfekete as xf
 from xfekete import exceptional, roots
 
-from reference import jacobi_zeros, laguerre_zeros, second_derivative
+from reference import (jacobi_sweep, jacobi_zeros, laguerre_zeros,
+                       second_derivative)
 
 TOL = 1e-12
 
@@ -48,19 +49,8 @@ def ref_laguerre_deriv(n, a, x, d):
 
 
 def ref_jacobi(n, a, b, x):
-    x = np.asarray(x)
-    if n == 0:
-        return np.ones_like(x)
-    pm1 = np.ones_like(x)
-    p = 0.5 * (a - b + (a + b + 2) * x)
-    for k in range(1, n):
-        k1 = k + 1
-        c1 = 2 * k1 * (k1 + a + b) * (2 * k1 + a + b - 2)
-        c2 = (2 * k1 + a + b - 1) * (a * a - b * b)
-        c3 = (2 * k1 + a + b - 2) * (2 * k1 + a + b - 1) * (2 * k1 + a + b)
-        c4 = 2 * (k1 + a - 1) * (k1 + b - 1) * (2 * k1 + a + b)
-        pm1, p = p, ((c2 + c3 * x) * p - c4 * pm1) / c1
-    return p
+    # the serial scaled monic recurrence's P_n
+    return jacobi_sweep(n, a, b, x)[0]
 
 
 def ref_jacobi_deriv(n, a, b, x, d):

@@ -106,6 +106,48 @@ def test_certificate_evaluator_mode_at_large_degree():
     assert c["max_ratio"] < 1e-10
 
 
+# jacobi specs whose S has a zero far off [-1, 1] (at -317.1 for the
+# second): the sweep at that zero leaves binary64 from the last n on, and
+# Newton ends in NonConvergence.  Each spec certifies from the n where it
+# first failed with the unscaled recurrence up to its last certified n;
+# lane rescaling (ROADMAP item 2) moves the pin up
+@pytest.mark.parametrize("m,alpha,beta,first,last", [
+    (2, 2.6, 0.8, 162, 164), (2, 4.548, 2.504, 108, 108),
+    (1, 2.296, 2.301, 93, 94)])
+def test_jacobi_overflow_range_is_pinned(m, alpha, beta, first, last):
+    spec = xf.FamilySpec("jacobi", m, alpha, first, beta)
+    *ok, bad = roots.find_zeros_ladder(spec, list(range(first, last + 2)))
+    assert all(isinstance(z, roots.ZeroSet) and z.certificate["passed"]
+               for z in ok)
+    assert isinstance(bad, xf.NonConvergence)
+
+
+def test_a_regular_iterate_off_the_real_axis_fails_its_member(monkeypatch):
+    # a polish that leaves one regular iterate of the middle member off
+    # the real axis: that member fails, naming it, and the others keep
+    # the bytes they have without the fault
+    spec, ns = xf.FamilySpec("laguerre2", 3, 4.5, 8), [7, 8, 9]
+    clean = roots.find_zeros_ladder(spec, ns)
+    polish = roots._newton_ladder
+
+    def strayed(spec, ns, x0s, itmax=60):
+        out = polish(spec, ns, x0s, itmax)
+        assert np.iscomplexobj(out[1])
+        out[1][2] += 1e-3j
+        return out
+
+    monkeypatch.setattr(roots, "_newton_ladder", strayed)
+    got = roots.find_zeros_ladder(dataclasses.replace(spec), ns)
+    assert isinstance(got[1], xf.CountMismatch)
+    assert str(got[1]).endswith(
+        f"off the real axis for {dataclasses.replace(spec, n=8)}")
+    for i in (0, 2):
+        for field in ("regular", "exceptional", "regular_dy"):
+            assert getattr(got[i], field).tobytes() == \
+                getattr(clean[i], field).tobytes()
+        assert got[i].certificate == clean[i].certificate
+
+
 def test_reconstruction_from_zeros():
     """Monic product over all computed zeros times the leading
     coefficient reproduces the built coefficients."""
