@@ -53,7 +53,9 @@ class CoincidentNodes(NumericalError):
 
 
 class NonConvergence(NumericalError):
-    """Iteration budget exhausted.  Carries the iteration trace."""
+    """An iteration stopped short of its tolerance: its steps stopped
+    shrinking, left binary64 or ran out of rounds, or the certificate
+    failed.  Carries the iteration trace."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)

@@ -28,14 +28,15 @@ alone.  The monomial coefficients (build_exceptional) play no part.
 """
 
 from dataclasses import dataclass, replace
+from itertools import count
 from math import isfinite
 
 import numpy as np
 
 from .classical_poly import _QUIET, Ladder, _laguerre_values
 from .errors import CountMismatch, NonConvergence, XFeketeError
-from .exceptional import (_ladder_eval_ratios, _nonzero_lead, _s_zeros,
-                          ladder_eval_pair)
+from .exceptional import (_ladder_eval_ratios, _nonzero_lead,
+                          _product_coeffs, _s_zeros, ladder_eval_pair)
 
 # classification margin: a zero within this distance of the closed
 # orthogonality interval is neither safely inside nor safely outside
@@ -46,15 +47,15 @@ CERT_TOL = 1e-10
 
 # Newton stops once every point's next step is predicted below
 # NEWTON_TOL, the prediction trusted while every step is at most
-# PREDICT_TRUST (see _newton_ladder), or else below NEWTON_FLOOR once the
-# step has stopped shrinking (the rounding floor; n >~ 100 never reaches
-# NEWTON_TOL).  A quartic step of 1e-6 predicts a next one far below
-# NEWTON_TOL, so the bound trusts the prediction after two rounds from
-# raw WKB seeds: at 1e-8, the top regular zero of a Laguerre member
-# (round-2 step 1.4e-7 at laguerre1 m=3 alpha=2.7 n=200, from a seed
-# 1.1e-2 of the local spacing off) would force a third round
+# PREDICT_TRUST (see _newton_ladder), or else once its largest step no
+# longer shrinks (the rounding floor; n >~ 100 never reaches
+# NEWTON_TOL), which ends a member that does not converge as well.  A
+# quartic step of 1e-6 predicts a next one far below NEWTON_TOL, so the
+# bound trusts the prediction after two rounds from raw WKB seeds: at
+# 1e-8, the top regular zero of a Laguerre member (round-2 step 1.4e-7
+# at laguerre1 m=3 alpha=2.7 n=200, from a seed 1.1e-2 of the local
+# spacing off) would force a third round
 NEWTON_TOL = 1e-15
-NEWTON_FLOOR = 1e-13
 PREDICT_TRUST = 1e-6
 
 # real parts that agree to SORT_RTOL (1 + |x|) are a tie when listing
@@ -84,7 +85,7 @@ class ZeroSet:
     regular_dy: np.ndarray
 
 
-def _newton_ladder(spec, ns, x0s, itmax=60):
+def _newton_ladder(spec, ns, x0s):
     """Newton polish of the ladder of spec at the degree indices ns, one
     iterate array x0s[i] per member, all in lockstep: each round makes
     one _ladder_eval_ratios call for every point of every pending
@@ -123,9 +124,11 @@ def _newton_ladder(spec, ns, x0s, itmax=60):
     step, about a (a/p)^q, lies below NEWTON_TOL).  Done points stay
     done, and the member stops when all are, but only while its largest
     step max a is at most PREDICT_TRUST; a larger one clears every mark.
-    So a member still stops once max a falls below NEWTON_TOL, and the
-    fallback stops it once max a falls below NEWTON_FLOOR and no longer
-    shrinks.  Returns, per member, the polished iterates, or the
+    A member also stops once max a is not finite, or is no smaller than
+    one round earlier: at the rounding floor (n >~ 100 never reaches
+    NEWTON_TOL), or where the iterates do not converge.  No round count
+    ends the polish, so a member whose steps keep shrinking takes the
+    rounds it needs.  Returns, per member, the polished iterates, or the
     NonConvergence of a member whose last max a is not finite, or above
     CERT_TOL without the prediction; the certificate of
     find_zeros_ladder, not the prediction, proves the zeros.
@@ -157,7 +160,7 @@ def _newton_ladder(spec, ns, x0s, itmax=60):
     q = np.where(reg, 4.0, 2.0)
     last, done = np.zeros(x.shape), np.zeros(x.shape, dtype=bool)
     prev = [np.inf] * len(ids)
-    for it in range(1, itmax + 1):
+    for it in count(1):
         with np.errstate(**_QUIET):
             v, dv, t2, t3 = _ladder_eval_ratios(spec, deg, x)
             rho = v / dv
@@ -186,8 +189,7 @@ def _newton_ladder(spec, ns, x0s, itmax=60):
         predicted = lad.reduce(np.logical_and, done, True).tolist()
         rel = rel.tolist()
         stops = [j for j, (r, p, r0) in enumerate(zip(rel, predicted, prev))
-                 if not isfinite(r) or p or NEWTON_FLOOR > r >= r0
-                 or it == itmax]
+                 if not isfinite(r) or p or r >= r0]
         prev, last = rel, a
         parts = lad.split(x) if stops else []
         for j in stops:
@@ -226,13 +228,20 @@ def _law_seeds(spec, ns, s):
     """Newton seeds of the exceptional zeros of the members of spec's
     ladder at the degree indices ns from the zeros s of S (complex), one
     broadcast of the family's one-term law (Family.law) over (members,
-    zeros of S): the law at n >= 1, s itself at n = 0 and at a real s
-    whose law value is not real.  Per member, a real array when every
-    seed is real."""
+    zeros of S): the law at n >= 1, s itself at a real s whose law value
+    is not real.  A member at n = 0 is a S - w S' (u = 1), so it starts
+    from its own zeros, the roots of the coefficients that
+    exceptional._product_coeffs forms, or from s where monic they leave
+    binary64 or they give fewer than m roots.  Per member, a real array
+    when every seed is real."""
     n = np.array(ns)[:, None]
     with np.errstate(**_QUIET):
         e = spec.fam.law(s, n)
-    e = np.where((n == 0) | ((s.imag == 0) & (e.imag != 0)), s, e)
+        e = np.where((s.imag == 0) & (e.imag != 0), s, e)
+        if 0 in ns:
+            c = _product_coeffs(spec if spec.n == 0 else replace(spec, n=0))
+            own = c.size == s.size + 1 and np.all(np.isfinite(c / c[-1]))
+            e[n[:, 0] == 0] = np.roots(c[::-1]) if own else s
     return [row if row.imag.any() else row.real for row in e]
 
 

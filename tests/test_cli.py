@@ -11,6 +11,7 @@ import xfekete as xf
 from xfekete import cli
 from xfekete.cli import main
 
+from reference import laguerre_zeros
 from test_one_engine import mp_refine
 from test_pair import mp_member
 
@@ -322,6 +323,41 @@ def test_coinciding_exceptional_seeds_fail_quietly(capsys):
     assert json.loads(err)["error"] == "NonConvergence"
 
 
+@pytest.mark.parametrize("family,m,alpha,beta", [
+    ("laguerre1", 1, 0.0, None), ("laguerre1", 3, 0.0, None),
+    ("jacobi", 2, 0.294, -0.644)])
+def test_an_n0_member_certifies_from_its_own_zeros(capsys, family, m, alpha,
+                                                   beta):
+    # seeded at the zeros of S, laguerre1 at alpha = 0 and odd m met
+    # y' = N/r at 0/0 (S's zero x = 0, r = -x), and the jacobi member
+    # wandered for 60 rounds; from its own zeros each certifies.  At
+    # n = 0 a laguerre1 member is a reflected classical polynomial: its
+    # zeros are those of L_m^(alpha) with the sign flipped
+    argv = ["zeros", "--family", family, "--m", str(m), "--alpha",
+            str(alpha), "--n", "0"]
+    code, out, err = _quiet_run(capsys, *argv, *(
+        [] if beta is None else ["--beta", str(beta)]))
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["certificate"]["passed"] and doc["regular"] == []
+    if family == "laguerre1":
+        got = sorted(-re for re, im in doc["exceptional"])
+        np.testing.assert_allclose(got, laguerre_zeros(m, alpha),
+                                   rtol=1e-14)
+
+
+def test_out_of_regime_newton_ends_in_a_few_rounds(capsys):
+    # laguerre1 at alpha < 0 has a zero of S on the positive axis: the
+    # largest step stops shrinking after two rounds, and the spec ends
+    # typed
+    code, out, err = _quiet_run(capsys, "zeros", "--family", "laguerre1",
+                                "--m", "2", "--alpha", "-0.5", "--n", "20")
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "NonConvergence"
+    assert doc["message"].startswith("Newton stopped after 2 iterations")
+
+
 @pytest.mark.parametrize("argv", [
     # the WKB phase leaves binary64 (a non-finite seed, which Newton
     # refuses); the Python-float rho ** 3 raised OverflowError
@@ -333,6 +369,10 @@ def test_coinciding_exceptional_seeds_fail_quietly(capsys):
      "--beta", "1", "--n", "3"],
     ["zeros", "--family", "jacobi", "--m", "1", "--alpha", "1e308",
      "--beta", "2", "--n", "3"],
+    # at n = 0 the member's monic coefficients leave binary64, so its
+    # seed is S's zero, where the first step is not finite
+    ["zeros", "--family", "jacobi", "--m", "1", "--alpha", "1e308",
+     "--beta", "2", "--n", "0"],
     # the ODE coefficients, and the monic S of the companion matrix,
     # leave binary64
     ["poly", "--family", "jacobi", "--m", "1", "--alpha", "1e308",

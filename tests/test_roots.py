@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -23,7 +24,7 @@ def test_a_failed_certificate_is_a_nonconvergence(monkeypatch):
     # a polish that hands back its seeds: they classify, and the
     # certificate, not Newton, refuses them
     monkeypatch.setattr(roots, "_newton_ladder",
-                        lambda spec, ns, x0s, itmax=60: x0s)
+                        lambda spec, ns, x0s: x0s)
     spec = xf.FamilySpec("laguerre1", 2, 2.0, 10)
     with pytest.raises(xf.NonConvergence,
                        match="residual certificate failed") as info:
@@ -59,8 +60,8 @@ def test_a_repeated_regular_zero_is_a_count_mismatch(monkeypatch):
     # polish whose second regular iterate lands on the first
     polish = roots._newton_ladder
 
-    def repeated(spec, ns, x0s, itmax=60):
-        out = polish(spec, ns, x0s, itmax)
+    def repeated(spec, ns, x0s):
+        out = polish(spec, ns, x0s)
         for x in out:
             x[1] = x[0]
         return out
@@ -130,8 +131,8 @@ def test_a_regular_iterate_off_the_real_axis_fails_its_member(monkeypatch):
     clean = roots.find_zeros_ladder(spec, ns)
     polish = roots._newton_ladder
 
-    def strayed(spec, ns, x0s, itmax=60):
-        out = polish(spec, ns, x0s, itmax)
+    def strayed(spec, ns, x0s):
+        out = polish(spec, ns, x0s)
         assert np.iscomplexobj(out[1])
         out[1][2] += 1e-3j
         return out
@@ -465,9 +466,11 @@ def test_law_seeds_sit_next_to_the_exceptional_zeros(monkeypatch, family, m,
 
 
 def test_law_seeds_keep_the_zeros_of_S_off_the_law():
-    # s at n = 0, and a real s whose law value is not real: a positive
-    # zero of S for Laguerre, one inside (-1, 1) for Jacobi
-    # the ladder's members are the rows of one broadcast
+    # a real s whose law value is not real keeps its place: a positive
+    # zero of S for Laguerre, one inside (-1, 1) for Jacobi; the
+    # ladder's members are the rows of one broadcast, and an n = 0
+    # member whose coefficients give fewer roots than there are s keeps
+    # s (these s are not the m = 1 spec's)
     spec = xf.FamilySpec("laguerre1", 1, 2.0, 5)
     s = np.array([-2.0 + 0j, 3.0 + 0j, -1.0 + 1.0j])
     e, at0 = roots._law_seeds(spec, [5, 0], s)
@@ -478,6 +481,82 @@ def test_law_seeds_keep_the_zeros_of_S_off_the_law():
     (e,) = roots._law_seeds(jac, [4], np.array([0.5 + 0j, -3.0 + 0j]))
     assert e.dtype == float and e[0] == 0.5
     assert e[1] == -3.0 - 3.0 * np.sqrt(1 - 1 / 9.0) / 4
+
+
+def test_an_n0_member_seeds_from_its_own_zeros():
+    # laguerre1 (1, 2): S = 2 + x, and the member S + S' = 3 + x, real;
+    # every n = 0 row of the ladder takes it, the others the law
+    spec = xf.FamilySpec("laguerre1", 1, 2.0, 5)
+    s = spec.S.roots
+    e, at0, again = roots._law_seeds(spec, [5, 0, 0], s)
+    assert at0.dtype == float and at0.tolist() == again.tolist() == [-3.0]
+    assert e[0] == s[0].real - np.sqrt(-s[0].real / 5)
+    # jacobi on the beta < 0 branch: the seeds are the roots of the
+    # member's coefficients, a conjugate pair
+    jac = xf.FamilySpec("jacobi", 2, 0.294, 0, -0.644)
+    (at0,) = roots._law_seeds(jac, [0], jac.S.roots)
+    c = exceptional._product_coeffs(jac)
+    assert np.iscomplexobj(at0)
+    assert at0.tobytes() == np.roots(c[::-1]).tobytes()
+    # at alpha = 1e308 the monic coefficients leave binary64: s, quietly
+    big = xf.FamilySpec("jacobi", 1, 1e308, 0, 2.0)
+    (at0,) = roots._law_seeds(big, [0], big.S.roots)
+    assert at0.tobytes() == big.S.roots.real.tobytes()
+
+
+# ------------------------------------------- n = 0 and out of regime
+
+# a fixed slice of the specs whose Newton polish the largest step, not a
+# round cap, ends: (family, m, alpha, n, beta, in regime)
+STOP_SLICE = [
+    # jacobi's beta < 0 branch at n = 0: from the zeros of S these
+    # wandered (all 60 rounds, or 38 for the last) before certifying
+    ("jacobi", 2, 0.294, 0, -0.644, True),
+    ("jacobi", 2, 0.45, 0, -0.093, True),
+    ("jacobi", 2, 0.153, 0, -0.328, True),
+    ("jacobi", 2, 0.254, 0, -0.929, True),
+    ("jacobi", 2, 0.769, 0, -0.207, True),
+    ("jacobi", 2, 0.95, 0, -0.104, True),
+    ("jacobi", 3, 1.385, 0, -0.927, True),
+    # the regime edge, whose round-2 steps are more than half of round 1's
+    ("laguerre2", 3, 2.0117, 1, None, True),
+    ("laguerre2", 5, 4.0283, 1, None, True),
+    # out of regime: alpha < 0, alpha < m - 1, and jacobi off both
+    # branches
+    ("laguerre1", 1, -0.5, 2, None, False),
+    ("laguerre1", 2, -0.5, 20, None, False),
+    ("laguerre1", 3, -0.3, 5, None, False),
+    ("laguerre2", 3, 1.2, 2, None, False),
+    ("laguerre2", 2, 0.5, 5, None, False),
+    ("laguerre2", 4, 1.7, 20, None, False),
+    ("jacobi", 1, -0.5, 20, 1.5, False),
+    ("jacobi", 2, 0.5, 5, 1.0, False),
+    ("jacobi", 3, 4.0, 2, -0.5, False),
+    ("jacobi", 2, 2.5, 20, -0.5, False),
+    # S's zero at x = 0 (laguerre1, alpha = 0, odd m) at n = 0
+    ("laguerre1", 1, 0.0, 0, None, False),
+    ("laguerre1", 3, 0.0, 0, None, False),
+]
+
+
+@pytest.mark.parametrize("family,m,alpha,n,beta,inside", STOP_SLICE)
+def test_newton_ends_certified_or_typed_within_ten_rounds(family, m, alpha,
+                                                          n, beta, inside):
+    # every spec ends certified or in a typed error, with no warning; an
+    # in-regime one certifies, and a Newton NonConvergence names at most
+    # 10 rounds (out of regime, the steps stop shrinking within a few)
+    spec = xf.FamilySpec(family, m, alpha, n, beta)
+    assert bool(spec.regime_warnings()) != inside
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            zs = xf.find_zeros(spec)
+        except xf.XFeketeError as exc:
+            assert not inside, exc
+            if isinstance(exc, xf.NonConvergence) and "Newton" in str(exc):
+                assert exc.trace[0]["iterations"] <= 10
+            return
+    assert zs.certificate["passed"]
 
 
 # ------------------------------------------------- oracle parity
