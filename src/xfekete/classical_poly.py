@@ -7,11 +7,13 @@ Pointwise evaluation goes through one three-term sweep per family, so a
 single pass gives p_n, p_{n-1} and both derivatives, each point at its
 own degree; it stays accurate far beyond the degrees at which monomial
 coefficients become unusable; a degree step is a few in-place ufunc
-calls on preallocated rows.  The Laguerre sweep carries the
-differentiated recurrence; the Jacobi sweep runs the monic recurrence
-scaled by 2^k, with no division, and puts the normalization on once per
-point at the end.  A Laguerre sweep of the values alone
-(_laguerre_values) serves the callers that read no derivative.
+calls on preallocated rows.  Both differentiated sweeps run one kernel
+(_monic_pass): the monic recurrence scaled by a power of two per degree,
+five calls and no division, on a Recurrence table of its scalars that a
+caller builds once and reads for every sweep up to its top degree; the
+normalization goes on once per point at the end.  A Laguerre sweep of
+the values alone, in the classical recurrence (_laguerre_values),
+serves the callers that read no derivative.
 Also provides the Newton seeds of the classical zeros (the Gauss nodes)
 at every degree: closed-form Langer-WKB nodes, with no recurrence sweep
 (laguerre_seed_ladder, jacobi_seed_ladder); the degrees of a ladder
@@ -274,48 +276,167 @@ def _sweep(n, x, state, advance, finish):
     return vals
 
 
-def laguerre_pass(n, a, x):
-    """One three-term sweep for L^(a) at x, vectorized and complex-safe.
+class Recurrence:
+    """The scalars of one classical sweep in its scaled monic form,
+        p_{k+1} = (c x - shift_k) p_k - weight_k p_{k-1},
+    with q_k = p_k'/c beside it, for the degrees k = 0 .. top: the scale
+    c (a power of two), shift_k and weight_k for k < top, and the
+    factors f_k and c f_k for k <= top (lists f and df) that give
+    P_k = f_k p_k and P_k' = c f_k q_k.  Built from np.longdouble
+    vectors (x87 extended on x86-64; float64 where the platform has
+    nothing wider), rounded to float64 once: the zeros move with the
+    rounding of the scalars.  Entry k does not depend on top, so a
+    table built to a higher degree gives a sweep the bits of its own
+    (cumprod is one serial product)."""
 
-    Returns (L_n, L_{n-1}, L_n', L_{n-1}') with L_{-1} = 0; n is an int
-    or a per-point integer array broadcast with x (see _sweep).  The
-    values follow the recurrence in its own order,
-      (k+1) L_{k+1} = (2k+1+a-x) L_k - (k+a) L_{k-1},
-    and the derivatives the differentiated recurrence,
-      (k+1) L_{k+1}' = (2k+1+a-x) L_k' - L_k - (k+a) L_{k-1}',
-    on stacked (value, derivative) rows, six in-place ufunc calls per
-    degree, five of them on both rows.  The derivatives see the rounded
-    2k+1+a-x that the values see, so a combination of L_n and L_n' that
-    cancels (Laguerre-II's pair at its smallest zeros) keeps its digits.
-    The values have the bits of _laguerre_values.
+    def __init__(self, top, scale, shift, weight, f):
+        f = f.astype(float)
+        self.top, self.scale = top, scale
+        self.f, self.df = f.tolist(), (scale * f).tolist()
+        self._steps = shift.astype(float), weight.astype(float)
+        self._cast = {}
+
+    def steps(self, dtype):
+        """(shift, weight) as lists of 0-d arrays of dtype, made once per
+        dtype.  A ufunc takes a 0-d operand of its own dtype faster than
+        a Python float, and with the same bits: numpy casts the float to
+        that dtype first."""
+        if dtype not in self._cast:
+            shift, weight = (v.astype(dtype) for v in self._steps)
+            self._cast[dtype] = ([shift[k, ...] for k in range(self.top)],
+                                 [weight[k, ...] for k in range(self.top)])
+        return self._cast[dtype]
+
+
+def _laguerre_table(top, a):
+    """The Recurrence of L^(a) to degree top >= 1, for p_k = (-1)^k k!
+    L_k^(a), the monic Laguerre polynomial, scaled by 2^(-8k): shift_k =
+    2^-8 (2k + 1 + a), weight_k = 2^-16 k (k + a) and f_k = (-1)^k
+    2^(8k) / k!, with c = 2^-8.  The scale is a power of two, so it
+    commutes with rounding and no bit depends on it; it keeps p_k
+    below |L_k| k! 2^(-8k) < |L_k| (k < 696), so the sweep overflows
+    nowhere L_k itself does not."""
+    with np.errstate(**_QUIET):
+        a = np.longdouble(a)
+        k = np.arange(top, dtype=np.longdouble)
+        f = np.cumprod(np.concatenate([np.ones(1, np.longdouble),
+                                       -256 / (k + 1)]))
+        return Recurrence(top, 2.0 ** -8, (2 * k + 1 + a) / 256,
+                          k * (k + a) / 65536, f)
+
+
+def _jacobi_table(top, a, b):
+    """The Recurrence of P^(a,b) to degree top >= 1, for p_k = 2^k P~_k,
+    the monic Jacobi polynomial scaled by an exact 2^k: shift_k = 2 a_k,
+    weight_k = 4 b_k, f_k = l_k / 2^k, with c = 2.
+
+    With t = 2k + a + b, a_k = (b^2 - a^2)/(t (t + 2)) and
+    b_k = 4k (k+a)(k+b)(k+a+b)/(t^2 (t+1)(t-1)) (Gautschi, Orthogonal
+    Polynomials: Computation and Approximation, OUP 2004, section 1.3);
+    a_0 = (b - a)/(a + b + 2) and b_1 = 4(1+a)(1+b)/((a+b+2)^2 (a+b+3))
+    are the closed forms with the factor that vanishes at a + b = 0 or
+    -1 cancelled, and 4 b_0 = 0.  l_k is the leading coefficient of
+    P_k^(a,b): l_0 = 1, l_1 = (a + b + 2)/2 and l_{k+1}/l_k =
+    (t+1)(t+2)/(2(k+1)(k+a+b+1)).  A parameter beyond binary64 gives
+    inf or nan, never an OverflowError.
     """
+    with np.errstate(**_QUIET):
+        a, b = np.longdouble(a), np.longdouble(b)
+        k = np.arange(top, dtype=np.longdouble)
+        t = 2 * k + a + b
+        a2 = 2 * (b * b - a * a) / (t * (t + 2))
+        a2[0] = 2 * (b - a) / (a + b + 2)
+        b4 = 16 * k * (k + a) * (k + b) * (k + a + b) / (t * t * (t + 1)
+                                                           * (t - 1))
+        b4[0] = 0.0
+        if top > 1:
+            b4[1] = 16 * (1 + a) * (1 + b) / ((a + b + 2) * (a + b + 2)
+                                              * (a + b + 3))
+        # f_{k+1}/f_k = (l_{k+1}/l_k)/2
+        r = (t + 1) * (t + 2) / (4 * (k + 1) * (k + a + b + 1))
+        r[0] = (a + b + 2) / 4
+        f = np.cumprod(np.concatenate([np.ones(1, np.longdouble), r]))
+        return Recurrence(top, 2.0, a2, b4, f)
+
+
+def _top(n):
+    """The table degree a sweep to the degrees n needs (at least 1)."""
+    return int(np.max(n, initial=1))
+
+
+def _monic_pass(n, x, tab):
+    """One scaled monic sweep on the Recurrence tab at x: (P_n, P_{n-1},
+    P_n', P_{n-1}') with P_{-1} = 0; n is an int or a per-point integer
+    array broadcast with x (see _sweep), at most tab.top.
+
+    On stacked (p, q) rows,
+      p_{k+1} = (c x - shift_k) p_k - weight_k p_{k-1},
+      q_{k+1} = (c x - shift_k) q_k + p_k - weight_k q_{k-1},
+    a degree is five in-place ufunc calls with no division: s = c x -
+    shift_k, then s (p_k, q_k), the coupling p_k added to the q row,
+    weight_k (p_{k-1}, q_{k-1}) and the difference.  The outputs are
+    P_k = f_k p_k and P_k' = (c f_k) q_k, one product per point at its
+    own degree.
+    """
+    c, f, df = tab.scale, tab.f, tab.df
+
     def advance(lo, hi, x, S):
-        sub, mul, div = np.subtract, np.multiply, np.divide
-        B, A, C = S     # (L_k, L_k'), (L_{k-1}, L_{k-1}') and scratch
-        # 2k+1+a-x in both rows: a (2, N) product with no broadcast
-        # is faster than one that broadcasts an N row over the state
-        x = np.stack([x, x])
-        s = np.empty_like(x)
+        add, sub, mul = np.add, np.subtract, np.multiply
+        shift, weight = tab.steps(x.dtype)
+        B, A, C = S     # (p_k, q_k), (p_{k-1}, q_{k-1}) and scratch
+        # c x in both rows: a (2, N) product with no broadcast is faster
+        # than one that broadcasts an N row over the state.  It is
+        # scaled part by part: numpy would multiply a complex x by
+        # c + 0j, which can flip the sign of a zero part
+        xc = np.stack([x, x])
+        xc = (xc.view(float) * c).view(xc.dtype)
+        s = np.empty_like(xc)
         A0, A1, B0, B1, C0, C1 = A[0], A[1], B[0], B[1], C[0], C[1]
         for k in range(lo, hi):
-            sub(2 * k + 1 + a, x, s)
+            sub(xc, shift[k], s)
             mul(s, B, C)
-            sub(C1, B0, C1)
-            mul(k + a, A, A)
+            add(C1, B0, C1)
+            mul(weight[k], A, A)
             sub(C, A, C)
-            div(C, k + 1.0, C)
             A, B, C, A0, B0, C0 = B, C, A, B0, C0, A0
             A1, B1, C1 = B1, C1, A1
         return B, A, C
 
-    return _sweep(n, x, (3, 2), advance,
-                  lambda k, B, A, C: (B[0], A[0], B[1], A[1]))
+    def finish(k, B, A, C):
+        fk1, dfk1 = (f[k - 1], df[k - 1]) if k else (0.0, 0.0)
+        return f[k] * B[0], fk1 * A[0], df[k] * B[1], dfk1 * A[1]
+
+    return _sweep(n, x, (3, 2), advance, finish)
+
+
+def laguerre_pass(n, a, x, *, table=None):
+    """One three-term sweep for L^(a) at x, vectorized and complex-safe.
+
+    Returns (L_n, L_{n-1}, L_n', L_{n-1}') with L_{-1} = 0; n is an int
+    or a per-point integer array broadcast with x (see _sweep).  The
+    sweep runs the monic recurrence scaled by an exact 2^(-8k),
+      p_{k+1} = (2^-8 x - 2^-8 (2k+1+a)) p_k - 2^-16 k(k+a) p_{k-1},
+    p_k = 2^(-8k) (-1)^k k! L_k, and q_k = 2^8 p_k' beside it
+    (_monic_pass: five in-place ufunc calls per degree, no division).
+    The derivative row takes the value row's rounded multiplier, so a
+    combination of L_n and L_n' that cancels (Laguerre-II's pair at its
+    smallest zeros) keeps its digits.  table is the _laguerre_table of this a to degree max(n) or higher,
+    which a caller that sweeps many times builds once; by default this
+    call builds its own.  Its values are not the bits of
+    _laguerre_values, which runs the classical recurrence.
+    """
+    return _monic_pass(n, x, table or _laguerre_table(_top(n), a))
 
 
 def _laguerre_values(n, a, x):
-    """(L_n, L_{n-1}) of L^(a) at x, with L_{-1} = 0: laguerre_pass's
-    values, bit for bit, from the recurrence alone, five in-place ufunc
-    calls per degree; n as in _sweep."""
+    """(L_n, L_{n-1}) of L^(a) at x, with L_{-1} = 0, from the classical
+    recurrence in its own order,
+      (k+1) L_{k+1} = (2k+1+a-x) L_k - (k+a) L_{k-1},
+    five in-place ufunc calls per degree, one of them a division, and
+    no table; n as in _sweep.  Laguerre-I's two factors and _brackets
+    read it.  It differs from laguerre_pass's values at rounding level:
+    the monic form of this sweep moves laguerre1's exceptional zeros
+    (ROADMAP item 29)."""
     def advance(lo, hi, x, S):
         sub, mul, div = np.subtract, np.multiply, np.divide
         B, A, C = S      # L_k, L_{k-1} and scratch
@@ -332,86 +453,18 @@ def _laguerre_values(n, a, x):
     return _sweep(n, x, (3,), advance, lambda k, B, A, C: (B, A))
 
 
-def _jacobi_scalars(top, a, b):
-    """(2 a_k, 4 b_k) of the steps k = 0 .. top - 1 of the monic Jacobi
-    recurrence and the factors f_k = l_k / 2^k, k = 0 .. top, as numpy
-    float64 vectors over k (top >= 1), for jacobi_pass.
-
-    With t = 2k + a + b, a_k = (b^2 - a^2)/(t (t + 2)) and
-    b_k = 4k (k+a)(k+b)(k+a+b)/(t^2 (t+1)(t-1)) (Gautschi, Orthogonal
-    Polynomials: Computation and Approximation, OUP 2004, section 1.3);
-    a_0 = (b - a)/(a + b + 2) and b_1 = 4(1+a)(1+b)/((a+b+2)^2 (a+b+3))
-    are the closed forms with the factor that vanishes at a + b = 0 or
-    -1 cancelled, and 4 b_0 = 0.  l_k is the leading coefficient of
-    P_k^(a,b): l_0 = 1, l_1 = (a + b + 2)/2 and l_{k+1}/l_k =
-    (t+1)(t+2)/(2(k+1)(k+a+b+1)).  The arithmetic is numpy's
-    np.longdouble (x87 extended on x86-64; float64 where the platform
-    has nothing wider), rounded to float64 once at the end: the zeros
-    move with the rounding of a_k and b_k, and these scalars put them
-    closer to the 40-digit oracle than float64 arithmetic does.  A
-    parameter beyond binary64 gives inf or nan, never an OverflowError.
-    """
-    a, b = np.longdouble(a), np.longdouble(b)
-    k = np.arange(top, dtype=np.longdouble)
-    t = 2 * k + a + b
-    a2 = 2 * (b * b - a * a) / (t * (t + 2))
-    a2[0] = 2 * (b - a) / (a + b + 2)
-    b4 = 16 * k * (k + a) * (k + b) * (k + a + b) / (t * t * (t + 1)
-                                                       * (t - 1))
-    b4[0] = 0.0
-    if top > 1:
-        b4[1] = 16 * (1 + a) * (1 + b) / ((a + b + 2) * (a + b + 2)
-                                          * (a + b + 3))
-    # f_{k+1}/f_k = (l_{k+1}/l_k)/2
-    r = (t + 1) * (t + 2) / (4 * (k + 1) * (k + a + b + 1))
-    r[0] = (a + b + 2) / 4
-    f = np.cumprod(np.concatenate([np.ones(1, np.longdouble), r]))
-    return a2.astype(float), b4.astype(float), f.astype(float)
-
-
-def jacobi_pass(n, a, b, x):
+def jacobi_pass(n, a, b, x, *, table=None):
     """One three-term sweep for P^(a,b) at x, vectorized and complex-safe.
 
     Returns (P_n, P_{n-1}, P_n', P_{n-1}') with P_{-1} = 0; n is an int
     or a per-point integer array broadcast with x (see _sweep).  The
     sweep runs the monic recurrence scaled by an exact 2^k,
       p_{k+1} = (2x - 2a_k) p_k - 4b_k p_{k-1},    p_k = 2^k P~_k,
-    and beside it q_k = p_k'/2,
-      q_{k+1} = (2x - 2a_k) q_k + p_k - 4b_k q_{k-1},
-    on stacked (p, q) rows; the scalars are _jacobi_scalars'.  A degree
-    is five in-place ufunc calls with no division: s = 2x - 2a_k, then
-    s (p_k, q_k), the coupling p_k added to the q row, 4b_k (p_{k-1},
-    q_{k-1}) and the difference.  The outputs are P_k = f_k p_k and
-    P_k' = 2 f_k q_k, one product per point at its own degree.
+    and q_k = p_k'/2 beside it (_monic_pass: five in-place ufunc calls
+    per degree, no division).  table is the _jacobi_table of these a, b
+    to degree max(n) or higher, as for laguerre_pass.
     """
-    top = int(np.max(n, initial=1))
-    with np.errstate(**_QUIET):
-        a2, b4, f = _jacobi_scalars(top, a, b)
-    a2, b4, f = a2.tolist(), b4.tolist(), f.tolist()
-
-    def advance(lo, hi, x, S):
-        add, sub, mul = np.add, np.subtract, np.multiply
-        B, A, C = S     # (p_k, q_k), (p_{k-1}, q_{k-1}) and scratch
-        # 2x in both rows: a (2, N) product with no broadcast is faster
-        # than one that broadcasts an N row over the state
-        x2 = np.stack([x + x, x + x])
-        s = np.empty_like(x2)
-        A0, A1, B0, B1, C0, C1 = A[0], A[1], B[0], B[1], C[0], C[1]
-        for k in range(lo, hi):
-            sub(x2, a2[k], s)
-            mul(s, B, C)
-            add(C1, B0, C1)
-            mul(b4[k], A, A)
-            sub(C, A, C)
-            A, B, C, A0, B0, C0 = B, C, A, B0, C0, A0
-            A1, B1, C1 = B1, C1, A1
-        return B, A, C
-
-    def finish(k, B, A, C):
-        fk, fk1 = f[k], f[k - 1] if k else 0.0
-        return fk * B[0], fk1 * A[0], 2 * fk * B[1], 2 * fk1 * A[1]
-
-    return _sweep(n, x, (3, 2), advance, finish)
+    return _monic_pass(n, x, table or _jacobi_table(_top(n), a, b))
 
 
 def _gauss_range(*params):

@@ -25,7 +25,9 @@ for the `poly` command and the construction check of `verify`, and the
 family ODE checks the result: its residual must vanish, and `verify`
 also tests the coefficients at the certified zeros.  Every layer reads
 S's coefficients from one PolyTable per spec, FamilySpec.S, the only
-caller of build_S; laguerre1's evaluator sweeps S instead.
+caller of build_S; laguerre1's evaluator sweeps S instead.  Likewise
+the evaluator's sweeps of laguerre2's and jacobi's classical factor u
+read one recurrence table per spec (FamilySpec.recurrence).
 """
 
 import functools
@@ -39,10 +41,12 @@ import numpy.polynomial.polynomial as npoly
 from .classical_poly import (_QUIET, PolyTable,
                              _as_float_or_complex as _coerce,
                              _horner, _jacobi_coeffs_top_down,
-                             _jacobi_collapses, _laguerre_values, gen_binom,
-                             jacobi_coeffs, jacobi_pass, jacobi_seed_ladder,
-                             laguerre_coeffs, laguerre_pass,
-                             laguerre_seed_ladder, polyder, trim)
+                             _jacobi_collapses, _jacobi_table,
+                             _laguerre_table, _laguerre_values, _top,
+                             gen_binom, jacobi_coeffs, jacobi_pass,
+                             jacobi_seed_ladder, laguerre_coeffs,
+                             laguerre_pass, laguerre_seed_ladder, polyder,
+                             trim)
 from .errors import (DegreeCollapse, InvalidFamily, NullspaceDefect,
                      RepresentationOverflow, ValidationError)
 
@@ -99,6 +103,24 @@ class FamilySpec:
         with np.errstate(over="ignore", invalid="ignore"):
             c = build_S(self)
         return PolyTable(_representable(c, "coefficients of S", self))
+
+    def recurrence(self, n):
+        """The Recurrence table (classical_poly) of the classical factor
+        u up to the largest degree of n, an int or an integer array.  It
+        is kept on the spec, as S's table is, and built again only for a
+        higher degree: every sweep of a ladder reads its one spec, and
+        the first, at the ladder's largest degree, builds the table for
+        them all.  An entry does not depend on the table's top degree,
+        so a sweep gets the bits of a table of its own.  laguerre1 sweeps
+        with no table."""
+        top = _top(n)
+        tab = self.__dict__.get("_recurrence")
+        if tab is None or tab.top < top:
+            tab = self.fam.recurrence(self, top)
+            # the dataclass is frozen: the cache is written as
+            # functools.cached_property writes S
+            self.__dict__["_recurrence"] = tab
+        return tab
 
     @property
     def degree(self):
@@ -382,6 +404,9 @@ class Family(NamedTuple):
                         # degree index n >= 1, on the principal branch
     # (spec, x) -> (S, S'); by default Horner on S's table
     S_at: object = lambda s, x: (_horner(s.S.c, x), _horner(s.S.d1, x))
+    # (spec, top) -> the Recurrence table of u to degree top, which u
+    # reads through FamilySpec.recurrence; None where u takes no table
+    recurrence: object = None
 
 
 def _half_line_lead(spec, f):
@@ -450,7 +475,9 @@ FAMILY = {
         lead_factor=lambda s: (-1) ** (s.m + s.n)
         * (s.n + s.alpha + 1.0 - s.m),
         a=lambda s: s.alpha + 1.0,
-        u=lambda s, n, x: laguerre_pass(n, s.alpha + 1.0, x)[::2],
+        u=lambda s, n, x: laguerre_pass(n, s.alpha + 1.0, x,
+                                        table=s.recurrence(n))[::2],
+        recurrence=lambda s, top: _laguerre_table(top, s.alpha + 1.0),
         u_coeffs=lambda s: laguerre_coeffs(s.n, s.alpha + 1.0),
         regime=lambda s: ["alpha <= m-1: S may vanish on the positive axis"]
         if s.alpha <= s.m - 1 else []),
@@ -473,7 +500,10 @@ FAMILY = {
         a=lambda s: -(s.alpha + 1.0),
         # Darboux's formula outside [-1, 1]: (log u)'(s) ~ n/sqrt(s^2 - 1)
         law=lambda s, n: s + s * np.sqrt(1 - 1 / (s * s)) / n,
-        u=lambda s, n, x: jacobi_pass(n, s.alpha + 1.0, s.beta - 1.0, x)[::2],
+        u=lambda s, n, x: jacobi_pass(n, s.alpha + 1.0, s.beta - 1.0, x,
+                                      table=s.recurrence(n))[::2],
+        recurrence=lambda s, top: _jacobi_table(top, s.alpha + 1.0,
+                                                s.beta - 1.0),
         u_coeffs=lambda s: _jacobi_coeffs_top_down(s.n, s.alpha + 1.0,
                                                    s.beta - 1.0),
         regime=_jac_regime,

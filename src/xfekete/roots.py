@@ -13,7 +13,8 @@ exceptional ones from the zeros of S moved by their one-term law in n
 each exceptional iterate coupled to every other (Aberth-Ehrlich).  The
 members of a ladder, one spec and a list of degree indices n (such as
 the members of a diameter sweep), are seeded and polished together: S
-does not depend on n, so the ladder reads it and its zeros once; the
+does not depend on n, so the ladder reads it and its zeros once, and
+its sweeps read one recurrence table of the classical factor; the
 seeds take no recurrence sweep, each Newton round evaluates every
 pending point of every member in one call, and a single spec is a
 ladder of one.  The same evaluator certifies the zeros: the
@@ -337,7 +338,13 @@ def find_zeros(spec):
     """
     (zs,) = find_zeros_ladder(spec, [spec.n])
     if isinstance(zs, XFeketeError):
-        raise zs
+        try:
+            raise zs
+        finally:
+            # the traceback holds this frame: without the name, the
+            # error, the frame and the spec's tables wait for the cyclic
+            # collector
+            del zs
     return zs
 
 

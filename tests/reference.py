@@ -6,8 +6,9 @@ checks a formula or a result with it:
 - laguerre_zeros, jacobi_zeros: the Gauss nodes by Golub-Welsch, the
   eigenvalues of the symmetric tridiagonal Jacobi matrix, independent
   of the package's WKB seeds;
-- jacobi_sweep: the serial scaled monic Jacobi recurrence, one
-  expression at a time, the bit reference of classical_poly.jacobi_pass;
+- laguerre_sweep, jacobi_sweep: the serial scaled monic Laguerre and
+  Jacobi recurrences, one expression at a time, the bit references of
+  classical_poly.laguerre_pass and jacobi_pass;
 - second_derivative: y'' from the family ODE, y'' = -(B y' + C y)/A,
   refused near the zeros of A (singular_points, SingularEvaluation);
 - phi, phi_closed: the potential of the normal form u'' + phi u = 0 of
@@ -89,6 +90,33 @@ def jacobi_zeros(n, a, b):
     off[1:] = num / den
     off = np.sqrt(off)
     return _jacobi_matrix_eigvals(diag, off)
+
+
+def laguerre_sweep(n, a, x):
+    """(L_n, L_{n-1}, L_n', L_{n-1}') of L^(a) at x from the monic
+    recurrence scaled by 2^(-8k), p_k = 2^(-8k) (-1)^k k! L_k, and
+    q_k = 2^8 p_k', one degree for all points:
+      p_{k+1} = (2^-8 x - 2^-8 (2k+1+a)) p_k - 2^-16 k(k+a) p_{k-1},
+    L_k = f_k p_k and L_k' = 2^-8 f_k q_k, f_k = (-1)^k 2^(8k)/k!.  The
+    scalars and f_k are formed in np.longdouble scalars and rounded to
+    float64 once; 2^-8 x is scaled part by part, exactly."""
+    x = _as_float_or_complex(x)
+    a = np.longdouble(a)
+    xc = x.copy()
+    for part in (xc.real, xc.imag) if np.iscomplexobj(xc) else (xc,):
+        part *= 2.0 ** -8
+    p, pm1 = np.ones_like(x), np.zeros_like(x)
+    q, qm1 = np.zeros_like(x), np.zeros_like(x)
+    f, fm1 = np.longdouble(1.0), np.longdouble(0.0)
+    for k in map(np.longdouble, range(n)):
+        s = xc - np.float64((2 * k + 1 + a) / 256)
+        b1 = np.float64(k * (k + a) / 65536)
+        pm1, p = p, s * p - b1 * pm1
+        qm1, q = q, s * q + pm1 - b1 * qm1
+        fm1, f = f, f * (-256 / (k + 1))
+    f, fm1 = np.float64(f), np.float64(fm1)
+    return (f * p, fm1 * pm1, (2.0 ** -8 * f) * q,
+            (2.0 ** -8 * fm1) * qm1)
 
 
 def jacobi_sweep(n, a, b, x):

@@ -565,13 +565,13 @@ VERIFY_GOLDEN = {
         'stationary","passed":true}],"passed":true,"spec":{"alpha":2,"fami'
         'ly":"laguerre1","m":2,"n":5},"version":"0.1.0"}\n'),
     ("laguerre2", "--m", "2", "--alpha", "2.5", "--n", "5"): (
-        '{"checks":[{"detail":{"max_log_excess":-14.121623320897948,"resid'
-        'ual":0},"name":"construction","passed":true},{"detail":{"max_rati'
-        'o":7.4459171792424513e-17,"method":"evaluator","passed":true},"na'
-        'me":"zeros","passed":true},{"detail":{"diag_all_negative":true,"m'
-        'ax_gradient":8.8817841970012523e-16},"name":"fekete_stationary","'
-        'passed":true}],"passed":true,"spec":{"alpha":2.5,"family":"laguer'
-        're2","m":2,"n":5},"version":"0.1.0"}\n'),
+        '{"checks":[{"detail":{"max_log_excess":-17.620150281395411,"residu'
+        'al":0},"name":"construction","passed":true},{"detail":{"max_ratio"'
+        ':1.3309632446328988e-16,"method":"evaluator","passed":true},"name"'
+        ':"zeros","passed":true},{"detail":{"diag_all_negative":true,"max_g'
+        'radient":6.6613381477509392e-16},"name":"fekete_stationary","passe'
+        'd":true}],"passed":true,"spec":{"alpha":2.5,"family":"laguerre2","'
+        'm":2,"n":5},"version":"0.1.0"}\n'),
     ("jacobi", "--m", "1", "--alpha", "2.5", "--beta", "1.5", "--n", "60"): (
         '{"checks":[{"detail":{"max_log_excess":-12.61458286132731,"residu'
         'al":1.80752050669243e-16},"name":"construction","passed":true},{"'
@@ -678,18 +678,18 @@ def test_energy_golden_stdout(capsys, selectors):
 # and their monomial coefficients
 ZEROS_GOLDEN = {
     ("laguerre2", "--m", "3", "--alpha", "4.5", "--n", "8"): (
-        '{"certificate":{"max_ratio":1.5460166377754491e-16,"method":"evalu'
-        'ator","passed":true},"exceptional":[[-3.6710750287880463,0],[-2.70'
-        '50024756620008,-3.0450492997042589],[-2.7050024756620008,3.0450492'
-        '997042589]],"interlacing":{"checks":[{"check":"regular count","pas'
-        'sed":true},{"check":"exceptional count","passed":true},{"check":"n'
-        'egative real exceptional parity","passed":true}],"mode":"structure'
-        '","passed":true},"regular":[1.5149487543156801,3.1712243973805552,'
-        '5.3790831204253999,8.2177269490993421,11.796990652467136,16.302315'
-        '166243442,22.094703194384991,30.104087745795503],"s_zeros":[[-3.13'
-        '28694368396,0],[-2.183565281580198,-2.7929183291074353],[-2.183565'
-        '281580198,2.7929183291074353]],"spec":{"alpha":4.5,"family":"lague'
-        'rre2","m":3,"n":8},"version":"0.1.0"}\n'),
+        '{"certificate":{"max_ratio":9.276099826652688e-17,"method":"evalua'
+        'tor","passed":true},"exceptional":[[-3.6710750287880467,0],[-2.705'
+        '0024756620012,-3.0450492997042584],[-2.7050024756620012,3.04504929'
+        '97042584]],"interlacing":{"checks":[{"check":"regular count","pass'
+        'ed":true},{"check":"exceptional count","passed":true},{"check":"ne'
+        'gative real exceptional parity","passed":true}],"mode":"structure"'
+        ',"passed":true},"regular":[1.5149487543156803,3.1712243973805556,5'
+        '.3790831204254008,8.2177269490993421,11.796990652467136,16.3023151'
+        '66243442,22.094703194384991,30.104087745795503],"s_zeros":[[-3.132'
+        '8694368396,0],[-2.183565281580198,-2.7929183291074353],[-2.1835652'
+        '81580198,2.7929183291074353]],"spec":{"alpha":4.5,"family":"laguer'
+        're2","m":3,"n":8},"version":"0.1.0"}\n'),
     ("jacobi", "--m", "2", "--alpha", "2.6", "--beta", "0.8", "--n", "8"): (
         '{"certificate":{"max_ratio":1.4477324349259921e-16,"method":"evalu'
         'ator","passed":true},"exceptional":[[-2.1511425693136306,0],[39.68'

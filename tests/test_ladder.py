@@ -12,6 +12,7 @@ cached on a spec.
 import itertools
 import math
 
+import mpmath
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 import pytest
@@ -20,25 +21,24 @@ import xfekete as xf
 from xfekete import asymptotics, classical_poly, energy, exceptional, roots
 from xfekete.classical_poly import Ladder, _as_float_or_complex, _horner
 
-from reference import jacobi_sweep
+from reference import jacobi_sweep, laguerre_sweep
 
 
 # ------------------------------------------------------------ references
 
 def ref_laguerre_pass(n, a, x):
-    # the derivatives from the differentiated recurrence
-    x = _as_float_or_complex(x)
-    p, pm1 = np.ones_like(x), np.zeros_like(x)
-    d, dm1 = np.zeros_like(x), np.zeros_like(x)
-    for k in range(n):
-        s = 2 * k + 1 + a - x
-        pm1, p, dm1, d = (p, (s * p - (k + a) * pm1) / (k + 1),
-                          d, (s * d - p - (k + a) * dm1) / (k + 1))
-    return p, pm1, d, dm1
+    # the serial scaled monic recurrence
+    return laguerre_sweep(n, a, x)
 
 
 def ref_laguerre_values(n, a, x):
-    return ref_laguerre_pass(n, a, x)[:2]
+    # the serial classical recurrence, values only
+    x = _as_float_or_complex(x)
+    p, pm1 = np.ones_like(x), np.zeros_like(x)
+    for k in range(n):
+        s = 2 * k + 1 + a - x
+        pm1, p = p, (s * p - (k + a) * pm1) / (k + 1)
+    return p, pm1
 
 
 def ref_jacobi_pass(n, a, b, x):
@@ -303,16 +303,33 @@ def test_jacobi_pass_per_point_degree_is_the_scalar_pass(a, b):
 
 
 @pytest.mark.parametrize("a", [-0.5, 0.0, 2.0, 7.25])
-def test_differentiated_laguerre_pass_is_the_reference(a):
-    # the values-only sweep gives the bits of the differentiated pass's
-    # values, at scalar and per-point degrees
+def test_laguerre_values_against_mpmath(a):
+    # the values-only sweep (the classical recurrence, which laguerre1
+    # reads) to 40-digit mpmath at scalar and per-point degrees; each
+    # error is measured against the local amplitude of the oscillation,
+    # sqrt(|L_k|^2 + |x| |L_k'|^2 / k) (|L_k| where k = 0), and L_{-1} = 0
+    # exactly.  The worst error here is 4.9e-15 of the amplitude
     rng = np.random.default_rng(1)
     for x in _points():
         for n in [0, 1, 2, 17] + _degrees(x, rng):
             got = classical_poly._laguerre_values(n, a, x)
             assert len(got) == 2
-            assert all(_same(g, v) for g, v in
-                       zip(got, xf.laguerre_pass(n, a, x)[:2])), (n, x)
+            deg = np.broadcast_to(n, np.shape(x))
+            for idx in np.ndindex(np.shape(x)):
+                with mpmath.workdps(40):
+                    z = mpmath.mpmathify(complex(np.asarray(x)[idx]))
+                    for g, k in zip(got, (deg[idx], deg[idx] - 1)):
+                        g = np.asarray(g)[idx]
+                        if k < 0:
+                            assert g == 0, (n, x, idx)
+                            continue
+                        want = complex(mpmath.laguerre(k, a, z))
+                        amp = abs(want)
+                        if k > 0:
+                            slope = abs(mpmath.laguerre(k - 1, a + 1, z))
+                            amp = math.hypot(amp, float(slope) * math.sqrt(
+                                abs(z) / k))
+                        assert abs(g - want) <= 2e-14 * amp, (k, z, g, want)
 
 
 def test_pass_broadcasts_degrees_over_a_0d_point():
@@ -466,6 +483,50 @@ def test_ladder_find_zeros_is_the_serial_find_zeros(ladder):
     with np.errstate(over="ignore", invalid="ignore"):
         back = roots.find_zeros_ladder(spec, ns[::-1])
     assert [_outcome(g) for g in back[::-1]] == want
+
+
+# laguerre2 ladders from n = 5 to 200, every member certified: each
+# sweep of the ladder reads the one recurrence table its spec keeps,
+# built at the ladder's largest degree
+LAGUERRE2_LADDERS = [(1, 1.909), (2, 4.5), (3, 4.5), (4, 5.6), (5, 7.212)]
+
+
+@pytest.mark.parametrize("m,alpha", LAGUERRE2_LADDERS)
+def test_laguerre2_ladder_members_are_their_single_finds(m, alpha):
+    ladder = ("laguerre2", m, alpha, None, (5, 20, 80, 150, 200))
+    got = roots.find_zeros_ladder(*_ladder(*ladder))
+    alone = [outcome(xf.find_zeros, s) for s in _members(*ladder)]
+    assert all(isinstance(g, roots.ZeroSet) for g in got)
+    assert [_outcome(g) for g in got] == alone
+
+
+@pytest.mark.parametrize("ladder", [
+    ("laguerre2", 2, 3.3, None, (0, 3, 20, 60)),
+    ("jacobi", 1, 2.5, 1.5, (5, 60, 100, 200)),
+    ("laguerre1", 3, 1.5, None, (1, 5, 30, 80))],
+    ids=lambda c: f"{c[0]}-m{c[1]}")
+def test_a_ladder_builds_one_table_per_classical_factor(monkeypatch,
+                                                        ladder):
+    # every Newton round and the certificate sweep u on one Recurrence
+    # table, built once, at the ladder's largest degree; laguerre1's
+    # sweeps (the classical recurrence) take none.  A later find on the
+    # spec, which keeps its table, builds none
+    builds = []
+    for name in ("_laguerre_table", "_jacobi_table"):
+        def counted(top, *params, build=getattr(exceptional, name)):
+            builds.append(top)
+            return build(top, *params)
+
+        monkeypatch.setattr(exceptional, name, counted)
+    calls = _record_pair_calls(monkeypatch)
+    spec, ns = _ladder(*ladder)
+    got = roots.find_zeros_ladder(spec, ns)
+    assert all(isinstance(g, roots.ZeroSet) for g in got)
+    assert len(calls) >= 3
+    assert builds == ([] if ladder[0] == "laguerre1" else [max(ns)])
+    builds.clear()
+    xf.find_zeros(spec)
+    assert builds == []
 
 
 def test_ladders_mix_passing_and_failing_members():

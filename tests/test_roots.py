@@ -123,6 +123,22 @@ def test_jacobi_overflow_range_is_pinned(m, alpha, beta, first, last):
     assert isinstance(bad, xf.NonConvergence)
 
 
+# laguerre2 specs whose certificate's evaluation leaves binary64 from the
+# first failing n on (max_ratio inf, a NonConvergence).  Each certifies
+# up to the same last n with the classical and the scaled monic sweep:
+# the 2^(-8k) scale keeps the sweep below |L_k| (k < 696), so it leaves
+# binary64 no earlier
+@pytest.mark.parametrize("m,alpha,last", [
+    (1, 1.909, 360), (2, 4.5, 356), (5, 7.212, 347)])
+def test_laguerre2_overflow_range_is_pinned(m, alpha, last):
+    spec = xf.FamilySpec("laguerre2", m, alpha, last - 2)
+    *ok, bad = roots.find_zeros_ladder(spec, list(range(last - 2, last + 2)))
+    assert all(isinstance(z, roots.ZeroSet) and z.certificate["passed"]
+               for z in ok)
+    assert isinstance(bad, xf.NonConvergence)
+    assert bad.trace[0]["max_ratio"] == np.inf
+
+
 def test_a_regular_iterate_off_the_real_axis_fails_its_member(monkeypatch):
     # a polish that leaves one regular iterate of the middle member off
     # the real axis: that member fails, naming it, and the others keep

@@ -24,7 +24,8 @@ one field; a CSV table's columns).  With --oracle as well, the printed
 zeros of every differing zeros op are held on both sides to the 40-digit
 oracle (perfbench/oracle.py, Member.refine): the three smallest, the
 middle and the two largest regular zeros, and every exceptional zero;
-the median and worst digits are printed per family for each side.
+the median and worst digits (capped at rounding level) and relative
+errors (uncapped) are printed per family for each side.
 Replay one tree at a time: two runs that share a summary directory race
 on its files.  No digest is checked in, since numpy's rounding may
 differ between hosts: compare two trees on one host.
@@ -205,12 +206,14 @@ def _sampled_zeros(stdout):
 
 
 def _oracle(pairs, tree):
-    """Per family, the median and worst oracle digits of the sampled
-    zeros of each side of the ops pairs [(other, mine)] whose outputs
-    both list zeros; each zero is refined from this tree's value."""
+    """Per family, the median and worst oracle digits and relative errors
+    of the sampled zeros of each side of the ops pairs [(other, mine)]
+    whose outputs both list zeros; each zero is refined from this tree's
+    value.  The digits are capped at rounding level (oracle.DIGITS_CAP),
+    the errors are not."""
     sys.path.insert(0, os.path.join(tree, "perfbench"))
     import oracle
-    digits = {}
+    errors = {}
     for old, new in pairs:
         zs = [_sampled_zeros(old["stdout"]), _sampled_zeros(new["stdout"])]
         if None in zs or len(zs[0]) != len(zs[1]):
@@ -218,16 +221,21 @@ def _oracle(pairs, tree):
         spec = new["spec"]
         member = oracle.Member(spec["family"], spec["m"], spec["alpha"],
                                spec["n"], spec.get("beta"))
-        rows = digits.setdefault(spec["family"], ([], []))
+        rows = errors.setdefault(spec["family"], ([], []))
         for theirs, mine in zip(*zs):
             exact = member.refine(mine)
             for row, z in zip(rows, (theirs, mine)):
-                row.append(oracle.digits(oracle.rel_error(z, exact)))
-    for family, (theirs, mine) in sorted(digits.items()):
-        med = [sorted(d)[len(d) // 2] for d in (mine, theirs)]
-        print(f"ORACLE {family}: {len(mine)} zeros; digits median "
-              f"{med[0]:.2f} worst {min(mine):.2f} here, median "
-              f"{med[1]:.2f} worst {min(theirs):.2f} in the record")
+                row.append(oracle.rel_error(z, exact))
+    for family, sides in sorted(errors.items()):
+        theirs, mine = (sorted(e) for e in sides)
+        told = []
+        for errs in (mine, theirs):
+            med, worst = errs[len(errs) // 2], errs[-1]
+            told.append(f"median {oracle.digits(med):.2f} worst "
+                        f"{oracle.digits(worst):.2f} digits, errors "
+                        f"{med:.3g} and {worst:.3g}")
+        print(f"ORACLE {family}: {len(mine)} zeros; {told[0]} here, "
+              f"{told[1]} in the record")
 
 
 def main(argv=None):
