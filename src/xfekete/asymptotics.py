@@ -37,7 +37,7 @@ from .energy import (_POLY_POLE, WeightSpec, _check_poles, _node_polynomial,
                      _weight_logs)
 from .errors import ValidationError, XFeketeError
 from .exceptional import FamilySpec
-from .roots import find_zeros_ladder
+from .roots import _caught, find_zeros_ladder
 
 
 def _check_c(c):
@@ -116,8 +116,11 @@ def d_sequence(m, alpha, n_range, c=1.0):
     skipped and logged in the series rather than aborting the sweep: a
     find that fails, a P that would be complex, nodes that trip a pole
     guard of the v weight, a member whose recurrence leaves binary64
-    (NonConvergence, from n ~ 350 on).  An invalid m, alpha, range or c
-    raises ValidationError.  One extra member below the range start is
+    (NonConvergence, from n ~ 350 on).  Each failure is a value, the
+    member's error as find_zeros_ladder gives it or the one _node_polynomial
+    raises (roots._caught), formatted into skipped with no raise, so no
+    error holds a frame.  An invalid m, alpha, range or c raises
+    ValidationError.  One extra member below the range start is
     computed so the first delta is defined.  The members' zeros are
     found as one ladder, one spec and its degree indices
     (find_zeros_ladder), each stage run once on one array of every
@@ -135,13 +138,13 @@ def d_sequence(m, alpha, n_range, c=1.0):
     spec = FamilySpec("laguerre1", m, alpha, compute[0])
     members, P, skipped = [], [], {}
     for n, zs in zip(compute, find_zeros_ladder(spec, compute)):
-        try:
-            if isinstance(zs, XFeketeError):
-                raise zs
-            P.append(_node_polynomial(zs))
+        p = (zs if isinstance(zs, XFeketeError)
+             else _caught(_node_polynomial, zs))
+        if isinstance(p, XFeketeError):
+            skipped[n] = f"{type(p).__name__}: {p}"
+        else:
+            P.append(p)
             members.append(zs)
-        except XFeketeError as exc:
-            skipped[n] = f"{type(exc).__name__}: {exc}"
     results = {}
     if members:
         results, guarded = _diameters(spec, members, np.array(P), c)

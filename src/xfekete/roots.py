@@ -180,8 +180,7 @@ def _newton_ladder(spec, ns, x0s):
                 dif.ravel()[e0 - s::e1 - s + 1] = np.inf
                 e = rho[e0:e1]
                 step[e0:e1] = e / (1 - e * np.add.reduce(1.0 / dif, axis=1))
-            if rows:
-                np.subtract(x, step, out=x, where=~reg)
+            np.subtract(x, step, out=x, where=~reg)
             a = np.abs(step) / (1 + np.abs(x))
             rel = lad.reduce(np.maximum, a, 0.0)
             done = (lad.per_point(rel) <= PREDICT_TRUST) & (
@@ -318,6 +317,16 @@ def _certificate(roots, v, dv, lad):
             for w in lad.reduce(np.maximum, ratio, 0.0).tolist()]
 
 
+def _caught(f, *args):
+    """f(*args), or the XFeketeError it raises, kept as a value without
+    its traceback, so that it holds no frame."""
+    try:
+        return f(*args)
+    except XFeketeError as exc:
+        err = exc
+    return err.with_traceback(None)
+
+
 def find_zeros(spec):
     """All zeros of the exceptional polynomial, classified and certified.
 
@@ -334,7 +343,8 @@ def find_zeros(spec):
 
     The certificate bounds the closed-form evaluator's Newton correction
     at every zero (_certificate); the monomial coefficients are never
-    built.  This is find_zeros_ladder on a ladder of one.
+    built.  This is find_zeros_ladder on a ladder of one, and the one
+    place that raises a member's stored error.
     """
     (zs,) = find_zeros_ladder(spec, [spec.n])
     if isinstance(zs, XFeketeError):
@@ -362,66 +372,54 @@ def find_zeros_ladder(spec, ns):
     one array of every classified member's zeros, whose y' at the
     regular zeros each ZeroSet keeps (a slice of that round's y').
     The margin and order checks (_classify) are one pass over all the
-    zeros.  A member that fails drops out of the later stages.  A member's spec is spec itself at
+    zeros.  A member that fails a stage (lead, seeds, S, Newton,
+    classification, certificate) keeps that stage's error as its value,
+    stored once and never raised here, and drops out of the later stages;
+    an error caught from a raise (lead, S) is kept without its traceback
+    (_caught), so none holds a frame.  A member's spec is spec itself at
     n = spec.n, else replace(spec, n=n), which tables S only if read.
     """
     members = [spec if n == spec.n else replace(spec, n=n) for n in ns]
-    out = [None] * len(members)
-    for i, member in enumerate(members):
-        try:
-            # a collapsed degree fails before any seed is used
-            _nonzero_lead(member, member.fam.lead_factor(member))
-        except XFeketeError as exc:
-            out[i] = exc
-    live = [i for i, o in enumerate(out) if o is None]
+    # out[i]: member i's value from the last stage it passed (lead,
+    # seeds, ZeroSet) or its error; a collapsed lead fails it first
+    out = [_caught(_nonzero_lead, s, s.fam.lead_factor(s)) for s in members]
+    live = [i for i, o in enumerate(out) if not isinstance(o, XFeketeError)]
     # every member's classical seeds: its raw WKB nodes
-    gauss = dict(zip(live, spec.fam.gauss(spec, [ns[i] for i in live])))
-    seeded, r = [], None
-    for i in live:
-        try:
-            if isinstance(gauss[i], XFeketeError):
-                raise gauss[i]
-            if r is None:
-                try:
-                    r = _s_zeros(spec)
-                except XFeketeError as exc:
-                    r = exc
-            if isinstance(r, XFeketeError):
-                # S fails alike at every n, but its error names the
-                # spec: each other member builds S again to raise its own
-                if members[i] is not spec:
-                    _s_zeros(members[i])
-                raise r
-            seeded.append(i)
-        except XFeketeError as exc:
-            out[i] = exc
+    for i, g in zip(live, spec.fam.gauss(spec, [ns[i] for i in live])):
+        out[i] = g
+    seeded = [i for i in live if not isinstance(out[i], XFeketeError)]
+    r = _caught(_s_zeros, spec)
+    if isinstance(r, XFeketeError):
+        # S fails alike at every n, but its error names the member
+        for i in seeded:
+            out[i] = _caught(_s_zeros, members[i])
+        return out
+    # one read-only copy for every member's ZeroSet
+    s_zeros = _sort_zeros(r)
+    s_zeros.setflags(write=False)
+    # the n classical seeds, then the m law seeds of the exceptional
+    # zeros: a real array when all of those are real
+    law = _law_seeds(spec, [ns[i] for i in seeded], r)
+    polished = _newton_ladder(
+        spec, [ns[i] for i in seeded],
+        [np.concatenate([out[i], e]) for i, e in zip(seeded, law)])
     found = {}
-    if seeded:
-        # one read-only copy for every member's ZeroSet
-        s_zeros = _sort_zeros(r)
-        s_zeros.setflags(write=False)
-        # the n classical seeds, then the m law seeds of the exceptional
-        # zeros: a real array when all of those are real
-        law = _law_seeds(spec, [ns[i] for i in seeded], r)
-        polished = _newton_ladder(
-            spec, [ns[i] for i in seeded],
-            [np.concatenate([gauss[i], e]) for i, e in zip(seeded, law)])
-        for i, x in zip(seeded, polished):
-            if isinstance(x, XFeketeError):
-                out[i] = x
-                continue
-            reg = x[:ns[i]]
-            off = np.flatnonzero(reg.imag)
-            if off.size:
-                # a regular iterate that left the real axis is no zero
-                # inside the interval, whatever its real part
-                out[i] = CountMismatch(f"regular zero {reg[off[0]]} off the "
-                                       f"real axis for {members[i]}")
-            else:
-                found[i] = np.sort(reg.real), _sort_zeros(x[ns[i]:])
-        for i, exc in _classify(spec, found).items():
-            out[i] = exc
-            del found[i]
+    for i, x in zip(seeded, polished):
+        if isinstance(x, XFeketeError):
+            out[i] = x
+            continue
+        reg = x[:ns[i]]
+        off = np.flatnonzero(reg.imag)
+        if off.size:
+            # a regular iterate that left the real axis is no zero
+            # inside the interval, whatever its real part
+            out[i] = CountMismatch(f"regular zero {reg[off[0]]} off the "
+                                   f"real axis for {members[i]}")
+        else:
+            found[i] = np.sort(reg.real), _sort_zeros(x[ns[i]:])
+    for i, exc in _classify(spec, found).items():
+        out[i] = exc
+        del found[i]
     if not found:
         return out
     # every classified member's certificate, in one more lockstep round

@@ -43,6 +43,13 @@ def test_jacobi_coeffs_negative_parameter():
     np.testing.assert_allclose(xf.jacobi_coeffs(1, -3.0, 0.0), [-1.5, -0.5], rtol=1e-15)
 
 
+@pytest.mark.parametrize("coeffs,params", [(xf.laguerre_coeffs, (0.5,)),
+                                           (xf.jacobi_coeffs, (0.5, 1.5))])
+def test_coeffs_refuse_a_negative_degree(coeffs, params):
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        coeffs(-1, *params)
+
+
 def test_jacobi_degree_collapse_raises():
     # m + a + b + 1 = -1 kills the leading binomial of P_2^{(-4,0)}
     with pytest.raises(xf.DegreeCollapse):

@@ -346,6 +346,33 @@ def test_an_n0_member_certifies_from_its_own_zeros(capsys, family, m, alpha,
                                    rtol=1e-14)
 
 
+@pytest.mark.parametrize("family,alpha,beta", [("laguerre1", 2.0, None),
+                                               ("laguerre2", 2.0, None),
+                                               ("jacobi", 2.5, 1.5)])
+def test_the_m0_n0_member_certifies_no_zeros(capsys, family, alpha, beta):
+    # the constant member: no iterate for Newton, an empty certificate
+    spec = xf.FamilySpec(family, 0, alpha, 0, beta)
+    zs = xf.find_zeros(spec)
+    assert zs.regular.size == zs.exceptional.size == zs.s_zeros.size == 0
+    assert zs.certificate == {"method": "evaluator", "passed": True,
+                              "max_ratio": 0.0}
+    argv = ["--family", family, "--m", "0", "--alpha", str(alpha), "--n",
+            "0", *([] if beta is None else ["--beta", str(beta)])]
+    code, out, err = _quiet_run(capsys, "zeros", *argv)
+    doc = json.loads(out)
+    assert code == 0 and err == ""
+    assert doc["regular"] == doc["exceptional"] == doc["s_zeros"] == []
+    code, out, err = _quiet_run(capsys, "verify", *argv)
+    doc = json.loads(out)
+    assert code == 0 and err == "" and doc["passed"]
+    assert doc["checks"][0]["detail"]["max_log_excess"] is None
+
+
+def test_dumps_refuses_an_unknown_type():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        cli._dumps(object())
+
+
 def test_out_of_regime_newton_ends_in_a_few_rounds(capsys):
     # laguerre1 at alpha < 0 has a zero of S on the positive axis: the
     # largest step stops shrinking after two rounds, and the spec ends

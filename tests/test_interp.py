@@ -383,6 +383,23 @@ def test_inverse_weight_brackets_positive():
     assert np.all(b2 > 0) and np.all(b4 > 0)
 
 
+def test_inverse_weight_brackets_at_a_scalar_are_floats():
+    v = v_of("laguerre1", 1, 2.0, 4)
+    got = xf.inv_weight_brackets(v, 3.0)
+    b2, b4 = xf.inv_weight_brackets(v, np.array([3.0]))
+    assert [type(b) for b in got] == [float, float]
+    assert got == (b2[0], b4[0])
+
+
+@pytest.mark.parametrize("pole", ["origin", "S"])
+def test_inverse_weight_brackets_refuse_a_weight_pole(pole):
+    # x^alpha at 0 and 1/S^2 at S's zero each put a pole in log v
+    v = v_of("laguerre1", 1, 2.0, 4)
+    x = 0.0 if pole == "origin" else v.spec.S.roots[0].real
+    with pytest.raises(xf.PoleEvaluation, match="at a weight pole"):
+        xf.inv_weight_brackets(v, np.array([1.0, x]))
+
+
 def test_inverse_weight_brackets_match_finite_differences():
     v = v_of("laguerre1", 1, 2.0, 4)
     x0 = 3.0

@@ -9,6 +9,7 @@ comparison builds its own spec objects, so neither reads what the other
 cached on a spec.
 """
 
+import gc
 import itertools
 import math
 
@@ -651,8 +652,8 @@ def test_classify_reports_each_members_first_failing_check():
 
 
 def test_ladder_members_share_a_failing_S_each_with_its_own_error():
-    # S overflows binary64 at m = 600; the ladder reads S first, and
-    # each member fails with the message naming itself
+    # S overflows binary64 at m = 600; the ladder reads S once, after
+    # the seeds, and each member fails with the message naming itself
     ladder = ("jacobi", 600, 600.5, 1.0, (2, 3))
     with np.errstate(over="ignore", invalid="ignore"):
         got = roots.find_zeros_ladder(*_ladder(*ladder))
@@ -662,6 +663,43 @@ def test_ladder_members_share_a_failing_S_each_with_its_own_error():
     assert str(got[0]) != str(got[1])
     # a ladder with no degree has no members
     assert roots.find_zeros_ladder(_ladder(*ladder)[0], []) == []
+
+
+@pytest.fixture
+def no_gc():
+    """The cyclic collector off, its garbage cleared first."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("spec,error", [
+    (("laguerre2", 2, 0.0, 1), xf.DegreeCollapse),
+    (("laguerre1", 1, -1.5, 3), xf.ValidationError),
+    (("laguerre1", 200, 2.0, 3), xf.RepresentationOverflow)])
+def test_a_failed_find_leaves_no_cycle(no_gc, spec, error):
+    # the lead collapse, the Gauss range and S's overflow are each stored
+    # as a value with no traceback, so neither the error nor the spec's
+    # tables wait for the cyclic collector
+    try:
+        xf.find_zeros(xf.FamilySpec(*spec))
+    except error:
+        pass
+    else:
+        pytest.fail(f"{spec} did not fail")
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("m,alpha,lo,hi", [(200, 2.0, 10, 12),
+                                           (1, 2.0, 358, 365),
+                                           (1, -1.5, 3, 6)])
+def test_a_sweep_of_failed_members_leaves_no_cycle(no_gc, m, alpha, lo, hi):
+    # S overflows, the late members' Newton fails, every member is below
+    # the Gauss range: each failure is formatted as its value
+    series = xf.d_sequence(m, alpha, range(lo, hi + 1))
+    assert series.skipped
+    assert gc.collect() == 0
 
 
 def test_newton_ladder_is_the_serial_newton():
@@ -989,15 +1027,60 @@ def test_a_collapsed_lead_fails_before_any_seed(monkeypatch, ladder):
 
 def _refuse_seed_sweeps(monkeypatch):
     """Every classical sweep of classical_poly, where the seeds are made,
-    recorded and refused; the pair reads its own names in exceptional."""
-    sweeps = []
+    recorded and refused; the pair reads its own names in exceptional.
+    The kernel of both differentiated sweeps, _monic_pass, is refused on
+    the seed path alone (inside _seed_ladder or _law_seeds): the pair's
+    sweeps reach it through classical_poly's globals too."""
+    sweeps, seeding = [], []
     for name in ("laguerre_pass", "_laguerre_values", "jacobi_pass"):
         def refused(*args, name=name):
             sweeps.append(name)
             raise AssertionError(f"a seed sweep ran: {name}")
 
         monkeypatch.setattr(classical_poly, name, refused)
+    for module, name in ((classical_poly, "_seed_ladder"),
+                         (roots, "_law_seeds")):
+        def seeds(*args, fn=getattr(module, name), **kw):
+            seeding.append(fn)
+            try:
+                return fn(*args, **kw)
+            finally:
+                seeding.pop()
+
+        monkeypatch.setattr(module, name, seeds)
+    kernel = classical_poly._monic_pass
+
+    def monic_pass(*args):
+        if seeding:
+            sweeps.append("_monic_pass")
+            raise AssertionError("a seed sweep ran: _monic_pass")
+        return kernel(*args)
+
+    monkeypatch.setattr(classical_poly, "_monic_pass", monic_pass)
     return sweeps
+
+
+def test_seed_sweep_refusal_takes_the_shared_kernel_on_the_seed_path(
+        monkeypatch):
+    # a seed path that sweeps through a name the helper leaves alone
+    # (exceptional's laguerre_pass) meets the refused kernel; off the
+    # seed path the pair's sweeps run through the same kernel
+    sweeps = _refuse_seed_sweeps(monkeypatch)
+    wkb = classical_poly._laguerre_wkb
+
+    def swept(n, a):
+        exceptional.laguerre_pass(n, a, np.array([1.0]))
+        return wkb(n, a)
+
+    monkeypatch.setattr(classical_poly, "_laguerre_wkb", swept)
+    with pytest.raises(AssertionError, match="_monic_pass"):
+        classical_poly.laguerre_seed_ladder([5], 2.0)
+    assert sweeps == ["_monic_pass"]
+    monkeypatch.setattr(classical_poly, "_laguerre_wkb", wkb)
+    sweeps.clear()
+    assert xf.find_zeros(xf.FamilySpec("laguerre2", 2, 4.5, 20)).certificate[
+        "passed"]
+    assert sweeps == []
 
 
 def test_d_sequence_makes_no_seed_sweep(monkeypatch):
