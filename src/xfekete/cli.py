@@ -17,14 +17,14 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import d_sequence, zero_sum_check
-from .classical_poly import _horner
-from .energy import WeightSpec, energy_hessian, v_weight
+from .energy import (WeightSpec, _classification, _row_dominant,
+                     _stationary, energy_hessian, v_weight)
 from .errors import NumericalError, ValidationError, XFeketeError
 from .exceptional import (FAMILIES, FamilySpec, build_exceptional,
                           leading_coefficient)
 from .fekete_opt import default_domain, uniqueness_probe
 from .interp import stability_scan
-from .roots import CERT_TOL, check_interlacing, find_zeros
+from .roots import check_interlacing, find_zeros, stieltjes_system
 
 
 def _dumps(obj):
@@ -176,19 +176,6 @@ def cmd_diameter(args):
     return 0
 
 
-def _max_log_excess(coeffs, zs):
-    """Largest log(|p(r)| / (1e-10 max|c| max(1,|r|)^deg)) over the zeros
-    r of zs, p the polynomial of the coefficients c: at most 0 where the
-    built coefficients vanish at the certified zeros."""
-    roots = np.concatenate([zs.exceptional, zs.regular.astype(complex)])
-    pv = _horner(coeffs.astype(complex), roots)
-    with np.errstate(divide="ignore"):
-        logp = np.log(np.abs(pv))
-    logbound = (np.log(CERT_TOL) + np.log(np.max(np.abs(coeffs)))
-                + (len(coeffs) - 1) * np.log(np.maximum(1.0, np.abs(roots))))
-    return float(np.max(logp - logbound)) if roots.size else -np.inf
-
-
 def _attempt(fn, spec):
     """(fn(spec), None), or (None, message) of the NumericalError it
     raises."""
@@ -199,6 +186,26 @@ def _attempt(fn, spec):
 
 
 def cmd_verify(args):
+    """The acceptance bundle of one spec, every check read off its
+    certified zeros and their Stieltjes system (roots.stieltjes_system):
+    no monomial coefficient is built and no energy report formed.
+
+    construction   the zeros satisfy the Stieltjes relations F = 0 and
+                   the Van Vleck identity R = -C of the family ODE, each
+                   within its derived bound (detail: each residual's
+                   worst ratio to its bound); with no certified zeros it
+                   fails with their error
+    zeros          the evaluator certificate
+    saddle         laguerre1, m, n >= 1: the hat weight's gradient F at
+                   the full real zero set is at rounding level and the
+                   diagonal of its Hessian J has both signs
+    fekete_stationary  n >= 1: F's regular rows, the v weight's gradient
+                   at the regular zeros, are at rounding level against
+                   (log v)' = B/A + 2 sum_e 1/(x - e) over the exceptional
+                   zeros e; the detail adds whether J's regular diagonal,
+                   the v weight's Hessian diagonal, is negative
+    and, for laguerre1, interlacing, zero_sum and stability.
+    """
     spec = _spec_from(args)
     checks = []
 
@@ -206,31 +213,24 @@ def cmd_verify(args):
         checks.append({"name": name, "passed": bool(passed),
                        "detail": detail})
 
-    built, built_failure = _attempt(build_exceptional, spec)
     zs, zeros_failure = _attempt(find_zeros, spec)
-    if built is None:
-        record("construction", False, built_failure)
-    else:
-        # the coefficients (residual at most BUILD_RESIDUAL_TOL) vanish at
-        # the zeros the evaluator certified, where it certified any
-        detail = {"residual": built.residual}
-        if zs is not None:
-            detail["max_log_excess"] = _max_log_excess(built.coeffs, zs)
-        record("construction", detail.get("max_log_excess", 0) <= 0, detail)
     if zs is None:
+        record("construction", False, zeros_failure)
         record("zeros", False, zeros_failure)
     else:
+        st = stieltjes_system(zs)
+        record("construction", st.stieltjes <= 1 and st.van_vleck <= 1,
+               {"stieltjes": st.stieltjes, "van_vleck": st.van_vleck})
         record("zeros", zs.certificate["passed"], zs.certificate)
     if zs is not None and spec.family == "laguerre1":
         rep = check_interlacing(zs)
         record("interlacing", rep["passed"], {"mode": rep["mode"]})
         if spec.m >= 1 and spec.n >= 1:
-            full = np.sort(np.concatenate([zs.exceptional.real,
-                                           zs.regular]))
-            er = energy_hessian(full, WeightSpec(spec))
-            record("saddle", er.classification == "saddle",
-                   {"classification": er.classification,
-                    "max_gradient": float(np.max(np.abs(er.gradient)))})
+            top, stat = _stationary(st.F, st.d1)
+            kind = _classification(stat, np.diag(st.J),
+                                   lambda: _row_dominant(st.J))
+            record("saddle", kind == "saddle",
+                   {"classification": kind, "max_gradient": top})
         zr = zero_sum_check(zs)
         record("zero_sum", zr.abs_err < 1e-6 * max(1.0, abs(zr.rhs)),
                {"lhs": zr.lhs, "rhs": zr.rhs, "abs_err": zr.abs_err})
@@ -239,10 +239,14 @@ def cmd_verify(args):
             record("stability", scan["passed"],
                    {"max": scan["max"], "min": scan["min"]})
     if zs is not None and spec.n >= 1:
-        er = energy_hessian(zs.regular, v_weight(zs))
-        record("fekete_stationary", er.stationary,
-               {"max_gradient": float(np.max(np.abs(er.gradient))),
-                "diag_all_negative": bool(np.all(er.diag_signs < 0))})
+        m, x = spec.m, zs.regular
+        logv = st.d1[m:] + 2.0 * np.sum(1.0 / (x[:, None] - zs.exceptional),
+                                        axis=1)
+        top, stat = _stationary(st.F[m:].real, logv.real)
+        record("fekete_stationary", stat,
+               {"max_gradient": top,
+                "diag_all_negative": bool(np.all(np.diag(st.J)[m:].real
+                                                 < 0))})
     passed = all(c["passed"] for c in checks)
     _emit({"checks": checks, "passed": passed}, spec)
     return 0 if passed else 2

@@ -21,9 +21,10 @@ each other.  The pointwise evaluator
 classical factor) stays accurate at degrees where monomial coefficients
 are useless; it finds and certifies the zeros.
 build_exceptional multiplies the same factors out in the monomial basis,
-for the `poly` command and the construction check of `verify`, and the
-family ODE checks the result: its residual must vanish, and `verify`
-also tests the coefficients at the certified zeros.  Every layer reads
+for the `poly` command alone, and the family ODE checks the result: its
+residual must vanish.  `verify` builds nothing: its construction check
+reads the family ODE at the certified zeros (_ode_at, which Newton's
+ratios read too; roots.stieltjes_system).  Every layer reads
 S's coefficients from one PolyTable per spec, FamilySpec.S, the only
 caller of build_S; laguerre1's evaluator sweeps S instead.  Likewise
 the evaluator's sweeps of laguerre2's and jacobi's classical factor u
@@ -240,8 +241,8 @@ def build_exceptional(spec):
     coefficients beyond binary64 raise RepresentationOverflow.  Below
     degree 2, polyder's zero stands for y'' (and below 1 for y'), whose
     sign the residual's max of absolute values cannot show.  Zero
-    finding never calls it: its callers are the `poly` command and the
-    construction check of `verify`.
+    finding and `verify` never call it: its one caller is the `poly`
+    command.
     """
     ode = ode_coeffs(spec)
     A, B, C = ode.A, ode.B, ode.C
@@ -321,29 +322,44 @@ def ladder_eval_pair(spec, n, x):
     return _product_pair(spec, n, _coerce(x))[:2]
 
 
-def _ladder_eval_ratios(spec, n, x):
-    """(y, y', y''/y', y'''/y') of spec's ladder at x, n as in
-    ladder_eval_pair: its pair, bit for bit, and the ratios t2 and t3
-    from the family ODE A y'' + B y' + C y = 0 and its derivative, with
-    rho = y/y',
-        t2 = -(B + C rho)/A,
-        t3 = -((A' + B) t2 + B' + C' rho + C)/A,
-    A = sigma S, B = tau S - 2 sigma S', C = lam S + k w S' (ode_coeffs).
-    S and S' are the pair's and S'' is Horner on S's table, so the
-    ratios take no sweep.  Newton's quartic step reads them; they set
-    its rate of convergence, not its fixed point y = 0."""
-    fam, x = spec.fam, _coerce(x)
-    y, yp, (S, Sp, w, r) = _product_pair(spec, n, x)
-    dwc, dsc = _w_r(fam)[2:]
+def _ode_at(spec, n, x, pair=None):
+    """(A, B, C, A', B', C') of the family ODE A y'' + B y' + C y = 0 at
+    degree index n (an int, or an integer array broadcast with x) at
+    real or complex x: A = sigma S, B = tau S - 2 sigma S' and
+    C = lam S + k w S' (ode_coeffs).  pair is (S, S', w = q, r = sigma/q)
+    at x, as _product_pair returns it; without it they are evaluated as
+    _product_pair evaluates them (the family's S_at, Horner on w and r).
+    S'' is Horner on S's table.  No sweep: a few products of
+    polynomials of degree m + 2 at most."""
+    fam = spec.fam
+    wc, rc, dwc, dsc = _w_r(fam)
+    S, Sp, w, r = pair or (*fam.S_at(spec, x), _horner(wc, x),
+                           _horner(rc, x))
     t0, t1 = fam.tau(spec)
     lam, k = fam.lam(spec, n), fam.k(spec)
     S2, sig, dsig = _horner(spec.S.d2, x), r * w, _horner(dsc, x)
-    tau, rho = t0 + t1 * x, y / yp
+    tau = t0 + t1 * x
     A, B, C = sig * S, tau * S - 2 * sig * Sp, lam * S + k * w * Sp
-    t2 = -(B + C * rho) / A
     dA = dsig * S + sig * Sp
     dB = t1 * S + (tau - 2 * dsig) * Sp - 2 * sig * S2
     dC = lam * Sp + k * (_horner(dwc, x) * Sp + w * S2)
+    return A, B, C, dA, dB, dC
+
+
+def _ladder_eval_ratios(spec, n, x):
+    """(y, y', y''/y', y'''/y') of spec's ladder at x, n as in
+    ladder_eval_pair: its pair, bit for bit, and the ratios t2 and t3
+    from the family ODE (_ode_at, on the pair's S, S', w and r) and its
+    derivative, with rho = y/y',
+        t2 = -(B + C rho)/A,
+        t3 = -((A' + B) t2 + B' + C' rho + C)/A,
+    so the ratios take no sweep.  Newton's quartic step reads them; they
+    set its rate of convergence, not its fixed point y = 0."""
+    x = _coerce(x)
+    y, yp, pair = _product_pair(spec, n, x)
+    A, B, C, dA, dB, dC = _ode_at(spec, n, x, pair)
+    rho = y / yp
+    t2 = -(B + C * rho) / A
     return y, yp, t2, -((dA + B) * t2 + dB + dC * rho + C) / A
 
 

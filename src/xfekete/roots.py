@@ -26,6 +26,9 @@ certificate) runs once per ladder on that array, with exact segment
 reductions for each member's verdict; only the sorting and the Aberth
 sums run member by member, and every member keeps the bits it has
 alone.  The monomial coefficients (build_exceptional) play no part.
+stieltjes_system reads the family ODE at a member's certified zeros
+alone, the Stieltjes relations and the Van Vleck identity: `verify`'s
+construction, saddle and Fekete checks.
 """
 
 from dataclasses import dataclass, replace
@@ -35,8 +38,9 @@ from math import isfinite
 import numpy as np
 
 from .classical_poly import _QUIET, Ladder, _laguerre_values
+from .energy import _derivatives
 from .errors import CountMismatch, NonConvergence, XFeketeError
-from .exceptional import (_ladder_eval_ratios, _nonzero_lead,
+from .exceptional import (_ladder_eval_ratios, _nonzero_lead, _ode_at,
                           _product_coeffs, _s_zeros, ladder_eval_pair)
 
 # classification margin: a zero within this distance of the closed
@@ -317,6 +321,105 @@ def _certificate(roots, v, dv, lad):
             for w in lad.reduce(np.maximum, ratio, 0.0).tolist()]
 
 
+@dataclass(frozen=True)
+class StieltjesSystem:
+    """The Stieltjes system of a ZeroSet (stieltjes_system).
+
+    z:          all m + n zeros, the exceptional ones first, then the
+                regular ones (ascending for laguerre1, whose exceptional
+                zeros are negative); real where every zero is
+    d1:         B/A at z, the hat weight's (log w)'
+    F:          F_j = 2 sum_{i != j} 1/(z_j - z_i) + B/A (z_j), the hat
+                weight's energy gradient at z
+    J:          its Jacobian: 2/(z_j - z_i)^2 off the diagonal and
+                (B/A)' - 2 sum_{i != j} 1/(z_j - z_i)^2 on it
+    stieltjes:  max_j |F_j| over its bound
+    van_vleck:  max |R + C| over its bound at the m + 2 points
+    """
+
+    z: np.ndarray
+    d1: np.ndarray
+    F: np.ndarray
+    J: np.ndarray
+    stieltjes: float
+    van_vleck: float
+
+
+def _worst(res, bound):
+    """max res/bound, 0 where both are 0 and 0.0 for no entry."""
+    ratio = np.divide(res, bound, out=np.zeros(res.shape), where=res != 0)
+    return float(np.max(ratio, initial=0.0))
+
+
+def stieltjes_system(zs):
+    """The Stieltjes system of the certified zeros z of zs, read off the
+    family ODE A y'' + B y' + C y = 0 at the zeros alone, with no
+    coefficient of y, no lead and no sweep.
+
+    At a simple zero y''/y' = 2 sum_{i != j} 1/(z_j - z_i), so every zero
+    of the member satisfies F_j = 0 (Stieltjes 1885); F and J are
+    energy._derivatives with d1 = B/A and d2 = (B/A)' = (B' - d1 A')/A,
+    from exceptional._ode_at.  F = 0 says A p'' + B p' = R p for
+    p = prod (x - z_j), with R of degree <= m, the Van Vleck polynomial,
+    R(x) = A (s1^2 - s2) + B s1, s_k = sum_j (x - z_j)^-k off the
+    zeros.  R = -C at m + 1 points makes p a solution of the family
+    ODE; it is read at m + 2 points on a circle about the zeros, of
+    twice their largest distance from their centroid, plus 1.
+
+    Each residual is held to a derived bound: to first order in the
+    zeros' errors e_i <= CERT_TOL (1 + |z_i|), the certificate's level,
+    sum_i |dF_j/dz_i| e_i (and the same sum for R), plus the rounding of
+    the sums, gamma_{N+4} times a bound on the sum of the moduli of
+    their terms (N = m + n; Higham, Accuracy and Stability, 2nd ed.,
+    sections 3.1 and 3.6).  The certificate's max_ratio is no bound on the zeros'
+    errors: it reads y with its rounding, and at laguerre1 (2, 0.854,
+    120) the smallest regular zero lies 6.2e-15 (1 + |z|) from the
+    40-digit oracle where max_ratio reads 3.3e-15.  The ODE reads the
+    spec, so a wrong parameter or degree, or a wrong zero, fails it.
+    That a polynomial solution of degree N is the member (one such
+    solution up to scale) is not shown here."""
+    spec, m = zs.spec, zs.spec.m
+    z = np.concatenate([zs.exceptional, zs.regular])
+    N, u = z.size, np.finfo(float).eps / 2
+    gamma = (N + 4) * u / (1 - (N + 4) * u)
+    c = z.mean() if N else 0.0
+    r = 2.0 * np.max(np.abs(z - c), initial=0.0) + 1.0
+    x = c + r * np.exp(1j * np.pi * (2 * np.arange(m + 2) + 1) / (m + 2))
+    with np.errstate(**_QUIET):
+        # one evaluation at the zeros and the m + 2 points
+        A, B, C, dA, dB, _ = _ode_at(spec, spec.n, np.concatenate([z, x]))
+        d1 = B[:N] / A[:N]
+        d2 = (dB[:N] - d1 * dA[:N]) / A[:N]
+        if not z.imag.any():
+            z, d1, d2 = z.real, d1.real, d2.real
+        e = CERT_TOL * (1 + np.abs(z))
+        (F,), (J,) = _derivatives((z[:, None] - z[None, :])[None], d1[None],
+                                  d2[None])
+        # |dF_j/dz_i| = |J_ji| = 2/|z_j - z_i|^2 off the diagonal, and the
+        # sum of the moduli of J_jj's terms on it; by Cauchy-Schwarz F_j's
+        # terms have moduli summing to at most sqrt(2 (N - 1) off_j) + |d1|
+        a = np.abs(J)
+        a.ravel()[::N + 1] = 0.0
+        off = a.sum(axis=1)
+        a.ravel()[::N + 1] = off + np.abs(d2)
+        stieltjes = _worst(np.abs(F), a @ e + gamma * (
+            np.sqrt(2.0 * (N - 1) * off) + np.abs(d1)))
+        A, B, C = A[N:], B[N:], C[N:]
+        q = 1.0 / (x[:, None] - z[None, :])
+        s1, s2, p = q.sum(axis=1), (q * q).sum(axis=1), np.abs(q).sum(axis=1)
+        # dR/dz_j = (2 A s1 + B) q_j^2 - 2 A q_j^3, q_j = 1/(x - z_j); as
+        # |s1| <= p and |s2| <= p^2, the moduli of R + C's products, their
+        # first-order perturbations included, are at most
+        # 4 |A| p^2 + |B| p + |C|
+        dR = np.abs(q * q * (2 * A * s1 + B)[:, None]
+                    - 2 * A[:, None] * q ** 3)
+        van_vleck = _worst(np.abs(A * (s1 * s1 - s2) + B * s1 + C), dR @ e
+                           + gamma * (4 * np.abs(A) * p * p + np.abs(B) * p
+                                      + np.abs(C)))
+    return StieltjesSystem(z=z, d1=d1, F=F, J=J, stieltjes=stieltjes,
+                           van_vleck=van_vleck)
+
+
 def _caught(f, *args):
     """f(*args), or the XFeketeError it raises, kept as a value without
     its traceback, so that it holds no frame."""
@@ -390,9 +493,10 @@ def find_zeros_ladder(spec, ns):
     seeded = [i for i in live if not isinstance(out[i], XFeketeError)]
     r = _caught(_s_zeros, spec)
     if isinstance(r, XFeketeError):
-        # S fails alike at every n, but its error names the member
+        # S fails alike at every n: each member's error is the one read's,
+        # naming the member where it names the spec
         for i in seeded:
-            out[i] = _caught(_s_zeros, members[i])
+            out[i] = type(r)(str(r).replace(str(spec), str(members[i])))
         return out
     # one read-only copy for every member's ZeroSet
     s_zeros = _sort_zeros(r)

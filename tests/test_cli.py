@@ -311,7 +311,10 @@ def test_jacobi_verify_beyond_the_build(capsys, m, alpha, beta, n):
     construction = json.loads(out)["checks"][0]
     assert construction["name"] == "construction"
     assert construction["passed"]
-    assert construction["detail"]["residual"] < 1e-14
+    # the zeros meet the Stieltjes and Van Vleck relations with at least
+    # three digits to spare under the bounds that the certificate admits
+    assert construction["detail"]["stieltjes"] < 1e-3
+    assert construction["detail"]["van_vleck"] < 1e-3
 
 
 def test_coinciding_exceptional_seeds_fail_quietly(capsys):
@@ -365,7 +368,7 @@ def test_the_m0_n0_member_certifies_no_zeros(capsys, family, alpha, beta):
     code, out, err = _quiet_run(capsys, "verify", *argv)
     doc = json.loads(out)
     assert code == 0 and err == "" and doc["passed"]
-    assert doc["checks"][0]["detail"]["max_log_excess"] is None
+    assert doc["checks"][0]["detail"] == {"stieltjes": 0.0, "van_vleck": 0.0}
 
 
 def test_dumps_refuses_an_unknown_type():
@@ -528,8 +531,8 @@ def test_overflowing_jacobi_exceptional_newton_fails_quietly(capsys):
     # S = P_2^(-5.548, 1.504) has a zero at -317.1: the complex sweep
     # of degree 120 overflows there (the known unscaled-recurrence
     # defect), and the non-finite step ends Newton as a NonConvergence,
-    # with no warning;
-    # the coefficients build, so verify fails the zeros check alone
+    # with no warning; the construction check reads the zeros, so it
+    # fails with their error, though the coefficients would build
     sel = ["--family", "jacobi", "--m", "2", "--alpha", "4.548",
            "--beta", "2.504", "--n", "120"]
     code, out, err = _quiet_run(capsys, "zeros", *sel)
@@ -540,9 +543,12 @@ def test_overflowing_jacobi_exceptional_newton_fails_quietly(capsys):
     code, out, err = _quiet_run(capsys, "verify", *sel)
     assert code == 2 and err == ""
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    assert checks["construction"]["passed"] is True
-    assert "max_log_excess" not in checks["construction"]["detail"]
+    assert checks["construction"]["passed"] is False
+    assert checks["construction"]["detail"] == checks["zeros"]["detail"]
+    assert "relative step nan" in checks["zeros"]["detail"]
     assert checks["zeros"]["passed"] is False
+    code, out, err = _quiet_run(capsys, "poly", *sel)
+    assert code == 0 and err == ""
 
 
 # recorded from the ascent whose step is capped at the box edge and
@@ -567,46 +573,51 @@ def test_fekete_golden_stdout(capsys):
     assert out == FEKETE_GOLDEN
 
 
-# the construction check's residual and max_log_excess are those of the
-# closed-form coefficients; the zeros' max_ratio of the laguerre1 and
-# jacobi members (all zeros real) is that of the real certificate sweep;
-# every other field is as recorded from the least-squares build, which
-# had reproduced the coefficient bound of the zeros' certificate before
-# the evaluator certified them.  The fields that read the zeros' last
-# bits (max_log_excess, max_ratio, the fekete_stationary max_gradient
-# and the laguerre1 stability max) are those of zeros found by quartic
-# Newton steps from the raw WKB seeds and the law seeds
+# the construction check's detail is the worst ratio of the Stieltjes
+# and Van Vleck residuals to their bounds (roots.stieltjes_system), and
+# the saddle and fekete_stationary max_gradient are max |F| over the
+# full zero set and over its regular rows: those fields were regenerated
+# when verify read them off the zeros' Stieltjes system in place of the
+# monomial build and two energy reports.  The zeros' max_ratio of the
+# laguerre1 and jacobi members (all zeros real) is that of the real
+# certificate sweep; every other field is as recorded from the
+# least-squares build, which had reproduced the coefficient bound of the
+# zeros' certificate before the evaluator certified them.  The fields
+# that read the zeros' last bits (the construction ratios, max_ratio, the
+# max_gradient fields and the laguerre1 stability max) are those of
+# zeros found by quartic Newton steps from the raw WKB seeds and the law
+# seeds
 VERIFY_GOLDEN = {
     ("laguerre1", "--m", "2", "--alpha", "2", "--n", "5"): (
-        '{"checks":[{"detail":{"max_log_excess":-13.253368530489468,"resid'
-        'ual":1.6613887386833617e-19},"name":"construction","passed":true}'
-        ',{"detail":{"max_ratio":5.3318122325744061e-17,"method":"evaluato'
-        'r","passed":true},"name":"zeros","passed":true},{"detail":{"mode"'
-        ':"full"},"name":"interlacing","passed":true},{"detail":{"classifi'
-        'cation":"saddle","max_gradient":3.9968028886505635e-15},"name":"s'
-        'addle","passed":true},{"detail":{"abs_err":3.5527136788005009e-15'
-        ',"lhs":26.999999999999996,"rhs":27},"name":"zero_sum","passed":tr'
-        'ue},{"detail":{"max":0.99999999999997258,"min":7.0120053275214158'
-        'e-43},"name":"stability","passed":true},{"detail":{"diag_all_nega'
-        'tive":true,"max_gradient":1.1102230246251565e-15},"name":"fekete_'
-        'stationary","passed":true}],"passed":true,"spec":{"alpha":2,"fami'
-        'ly":"laguerre1","m":2,"n":5},"version":"0.1.0"}\n'),
+        '{"checks":[{"detail":{"stieltjes":1.0827726654689669e-06,"van_vlec'
+        'k":6.9653837541358001e-06},"name":"construction","passed":true},{"'
+        'detail":{"max_ratio":5.3318122325744061e-17,"method":"evaluator","'
+        'passed":true},"name":"zeros","passed":true},{"detail":{"mode":"ful'
+        'l"},"name":"interlacing","passed":true},{"detail":{"classification'
+        '":"saddle","max_gradient":1.3322676295501878e-15},"name":"saddle",'
+        '"passed":true},{"detail":{"abs_err":3.5527136788005009e-15,"lhs":2'
+        '6.999999999999996,"rhs":27},"name":"zero_sum","passed":true},{"det'
+        'ail":{"max":0.99999999999997258,"min":7.0120053275214158e-43},"nam'
+        'e":"stability","passed":true},{"detail":{"diag_all_negative":true,'
+        '"max_gradient":1.3322676295501878e-15},"name":"fekete_stationary",'
+        '"passed":true}],"passed":true,"spec":{"alpha":2,"family":"laguerre'
+        '1","m":2,"n":5},"version":"0.1.0"}\n'),
     ("laguerre2", "--m", "2", "--alpha", "2.5", "--n", "5"): (
-        '{"checks":[{"detail":{"max_log_excess":-17.620150281395411,"residu'
-        'al":0},"name":"construction","passed":true},{"detail":{"max_ratio"'
-        ':1.3309632446328988e-16,"method":"evaluator","passed":true},"name"'
-        ':"zeros","passed":true},{"detail":{"diag_all_negative":true,"max_g'
-        'radient":6.6613381477509392e-16},"name":"fekete_stationary","passe'
-        'd":true}],"passed":true,"spec":{"alpha":2.5,"family":"laguerre2","'
-        'm":2,"n":5},"version":"0.1.0"}\n'),
+        '{"checks":[{"detail":{"stieltjes":9.5187988243627429e-07,"van_vlec'
+        'k":7.6478773580455639e-06},"name":"construction","passed":true},{"'
+        'detail":{"max_ratio":1.3309632446328988e-16,"method":"evaluator","'
+        'passed":true},"name":"zeros","passed":true},{"detail":{"diag_all_n'
+        'egative":true,"max_gradient":1.1102230246251565e-15},"name":"feket'
+        'e_stationary","passed":true}],"passed":true,"spec":{"alpha":2.5,"f'
+        'amily":"laguerre2","m":2,"n":5},"version":"0.1.0"}\n'),
     ("jacobi", "--m", "1", "--alpha", "2.5", "--beta", "1.5", "--n", "60"): (
-        '{"checks":[{"detail":{"max_log_excess":-12.61458286132731,"residu'
-        'al":1.80752050669243e-16},"name":"construction","passed":true},{"'
-        'detail":{"max_ratio":3.7837343030069729e-17,"method":"evaluator",'
-        '"passed":true},"name":"zeros","passed":true},{"detail":{"diag_all'
-        '_negative":true,"max_gradient":8.4128259913995862e-12},"name":"fe'
-        'kete_stationary","passed":true}],"passed":true,"spec":{"alpha":2.'
-        '5,"beta":1.5,"family":"jacobi","m":1,"n":60},"version":"0.1.0"}\n'),
+        '{"checks":[{"detail":{"stieltjes":2.1218338126466367e-07,"van_vlec'
+        'k":9.1149811130043779e-06},"name":"construction","passed":true},{"'
+        'detail":{"max_ratio":3.7837343030069729e-17,"method":"evaluator","'
+        'passed":true},"name":"zeros","passed":true},{"detail":{"diag_all_n'
+        'egative":true,"max_gradient":8.4128259913995862e-12},"name":"feket'
+        'e_stationary","passed":true}],"passed":true,"spec":{"alpha":2.5,"b'
+        'eta":1.5,"family":"jacobi","m":1,"n":60},"version":"0.1.0"}\n'),
 }
 
 

@@ -3,8 +3,8 @@
 jacobi_coeffs expands from tabulated powers of (x - 1) and (x + 1); the
 per-term polypow form it replaces is kept here as the reference and must
 agree bit for bit, overflow included.  Zero finding never builds the
-monomial coefficients, so `verify` builds them once, for its
-construction check, and computes one zero set per spec.
+monomial coefficients, and neither does `verify`: it computes one zero
+set per spec and reads every check off it.
 """
 
 import json
@@ -102,30 +102,40 @@ VERIFY_SPECS = {
 
 
 @pytest.mark.parametrize("family", sorted(VERIFY_SPECS))
-def test_verify_builds_once_and_finds_zeros_once(monkeypatch, capsys,
-                                                 family):
+def test_verify_finds_zeros_once_and_never_builds(monkeypatch, capsys,
+                                                  family):
+    # the checks read the certified zeros and their Stieltjes system: no
+    # monomial build, no energy report and no v weight
     finds = _count(monkeypatch, "find_zeros", [roots, cli])
-    builds = _count(monkeypatch, "build_exceptional", [exceptional, cli])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify called a refused function")
+
+    for name, mods in [("build_exceptional", [exceptional, cli, xf]),
+                       ("energy_hessian", [energy, cli, xf]),
+                       ("v_weight", [energy, cli, xf])]:
+        for mod in mods:
+            monkeypatch.setattr(mod, name, forbidden)
     code = cli.main(["verify", "--family", family, *VERIFY_SPECS[family]])
     capsys.readouterr()
     assert code == 0
     assert len(finds) == 1
-    assert len(builds) == 1
 
 
-def test_failing_verify_build_runs_once(monkeypatch, capsys):
-    # the construction check's RepresentationOverflow (1/(m! n!) is below
-    # binary64) fails that check alone: the evaluator certifies the
-    # zeros without a second build
+def test_verify_construction_holds_where_the_build_underflows(monkeypatch,
+                                                              capsys):
+    # 1/(m! n!) is below binary64, so the monomial build fails
+    # (RepresentationOverflow); the construction check reads the
+    # certified zeros and holds, with no build
+    with pytest.raises(xf.RepresentationOverflow, match="underflows"):
+        xf.build_exceptional(xf.FamilySpec("laguerre1", 1, 1.0, 200))
     builds = _count(monkeypatch, "build_exceptional", [exceptional, cli])
-    code = cli.main(["verify", "--family", "laguerre1", "--m", "1",
-                     "--alpha", "1", "--n", "200"])
+    assert cli.main(["verify", "--family", "laguerre1", "--m", "1",
+                     "--alpha", "1", "--n", "200"]) == 0
     checks = {c["name"]: c
               for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert code == 2
-    assert len(builds) == 1
-    assert "underflows binary64" in checks["construction"]["detail"]
-    assert not checks["construction"]["passed"]
+    assert builds == []
+    assert checks["construction"]["passed"]
     assert checks["zeros"]["passed"]
     assert checks["zeros"]["detail"]["method"] == "evaluator"
 

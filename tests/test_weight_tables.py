@@ -448,9 +448,9 @@ def test_all_negative_diagonal_without_dominance_is_indefinite():
 
 def test_verify_forms_no_logT_sum_and_no_dominance_test(monkeypatch,
                                                         capsys):
-    # verify reads the gradient, the stationarity flag, the diagonal
-    # signs and the classification of its saddle (hat) and Fekete (v)
-    # reports; a laguerre1 saddle classifies without a dominance test
+    # verify reads its saddle (hat) and Fekete (v) checks off the zeros'
+    # Stieltjes system and forms no report; a laguerre1 saddle
+    # classifies without a dominance test
     counter = {"_compensated": 0, "_block_dominant": 0}
     _count_calls(monkeypatch, energy, "_compensated", counter)
     _count_calls(monkeypatch, energy, "_block_dominant", counter)
