@@ -18,10 +18,11 @@ factor is read as |x|^a so that the full (regular plus exceptional)
 zero configuration can be evaluated.
 
 F has one public view, energy_hessian: the report at the sorted nodes
-(gradient, Hessian, classification and, on read, F from the pair logs).
-The Fekete ascent reads the same terms off a stack of node rows
-(_assemble).  At the regular zeros the diameter sweep needs no pair
-log: it reads F from y' there (asymptotics.d_sequence).
+(F, gradient, Hessian and classification), formed at once from the
+assembly the Fekete ascent runs on a stack of node rows (_assemble),
+here on a stack of the one row.  At the regular zeros the diameter
+sweep needs no pair log: it reads F from y' there
+(asymptotics.d_sequence).
 """
 
 import functools
@@ -185,34 +186,19 @@ def _pair_index(n):
     """Read-only flat index i n + j of each pair i < j among n nodes into
     a row of n x n entries, in C order (np.triu_indices).
 
-    _cross_logs reads it for its two callers: the Fekete ascent
-    (_assemble), whose one n serves a whole ascent from one entry, and
-    EnergyReport.logT.  The cache stays small so that a process working
-    at many sizes keeps the index of two sizes alive, not of every one:
-    at n = 150 one entry is about 90 kB.  The index handed out is a
-    read-only view; its base, writeable and private to _cross_logs, is
-    the one np.take reads without a copy: it copies a read-only index,
-    3.3 against 0.49 ms per gather at n = 1000 (numpy 2.4, 2-core Xeon).
+    _assemble gathers the cross logs with it, for a whole Fekete ascent
+    at one n from one entry and for energy_hessian's one row.  The cache
+    stays small so that a process working at many sizes keeps the index
+    of two sizes alive, not of every one: at n = 150 one entry is about
+    90 kB.  The index handed out is a read-only view; its base, writeable
+    and private to _assemble, is the one np.take reads without a copy: it
+    copies a read-only index, 3.3 against 0.49 ms per gather at n = 1000
+    (numpy 2.4, 2-core Xeon).
     """
     i, j = np.triu_indices(n, k=1)
     k = (i * n + j).view()
     k.flags.writeable = False
     return k
-
-
-def _cross_logs(D):
-    """cross[r] = log|x_i - x_j| (i < j) of each row r of a stack D
-    (T, n, n) of node differences x_i - x_j, in C order, so each row
-    sums alone, as in a stack of one.  The plain row sums of _assemble
-    need the C order; EnergyReport.logT reads the same gather off a
-    stack of its one node row and sums it exactly.  np.take returns
-    contiguous rows; the index D[:, k] would return them strided, and
-    numpy sums a strided row sequentially, not pairwise, so F's bits
-    would move."""
-    T, n = D.shape[:2]
-    cross = np.take(D.reshape(T, n * n), _pair_index(n).base, axis=1)
-    np.log(np.abs(cross, out=cross), out=cross)
-    return cross
 
 
 def _derivatives(D, d1, d2):
@@ -235,22 +221,29 @@ def _derivatives(D, d1, d2):
 
 def _assemble(X, logw, d1, d2):
     """(F, gradients, Hessians, cross) of a stack X (T, n) of node rows
-    from the weight logs at its nodes.  F holds the plain row sums of
-    the terms, log w at the nodes and the cross logs (_cross_logs), read
+    from the weight logs at its nodes.
+
+    cross[r] holds log|x_i - x_j| (i < j) of row r in C order, gathered
     off the node differences before _derivatives turns them into the
-    Hessians; _compensated reads one row's F from the same terms by
-    compensated sums."""
+    Hessians, and F the plain row sums of log w and the cross logs; a
+    row sums alone, as in a stack of one.  The plain sums need the C
+    order: np.take returns contiguous rows, where the index D[:, k]
+    would return them strided, and numpy sums a strided row
+    sequentially, not pairwise, so F's bits would move.  _compensated
+    reads one row's F from the same terms by compensated sums.
+    """
+    T, n = X.shape
     D = X[:, :, None] - X[:, None, :]
-    cross = _cross_logs(D)
+    cross = np.take(D.reshape(T, n * n), _pair_index(n).base, axis=1)
+    np.log(np.abs(cross, out=cross), out=cross)
     F = logw.sum(axis=1) + 2.0 * cross.sum(axis=1)
     return (F,) + _derivatives(D, d1, d2) + (cross,)
 
 
 def _compensated(logw, cross):
     """F of one node row from its terms, a row of log w and of the cross
-    logs (_cross_logs, from _assemble or EnergyReport.logT), by
-    compensated sums; fsum rounds once, so the order of the terms is
-    free."""
+    logs (_assemble's), by compensated sums; fsum rounds once, so the
+    order of the terms is free."""
     # fsum reads a row through a memoryview, as Python floats: faster
     # than as numpy scalars, the same sum, and no list of the row
     return math.fsum(memoryview(logw)) + 2.0 * math.fsum(memoryview(cross))
@@ -258,53 +251,35 @@ def _compensated(logw, cross):
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Stationarity and curvature summary of F at a node configuration.
+    """Stationarity and curvature summary of F at a node configuration,
+    formed once by energy_hessian.
 
-    Every array follows the nodes in ascending order.  The constructor
-    takes the stored terms: log w at the nodes (logw), the gradient, the
-    Hessian, its diagonal signs and the stationarity flag.  logT, the
-    two dominance flags and the classification are computed on first
-    read and kept (functools.cached_property): logT sums logw and the
-    cross logs of the sorted nodes (_cross_logs, the ascent's gather) by
-    compensated sums, so it rounds F once.
+    The fields: the nodes in ascending order, log w at them (logw), F
+    rounded once (logT), the gradient, the Hessian and its diagonal
+    signs, each array following the nodes; then the stationarity flag,
+    the two dominance flags and the classification (_classification).
     """
 
     nodes: np.ndarray
     logw: np.ndarray
+    logT: float
     gradient: np.ndarray
     hessian: np.ndarray
     diag_signs: np.ndarray
     stationary: bool
-
-    @functools.cached_property
-    def logT(self):
-        x = self.nodes
-        (cross,) = _cross_logs((x[:, None] - x[None, :])[None])
-        return _compensated(self.logw, cross)
-
-    @functools.cached_property
-    def diagonally_dominant(self):
-        """Strict diagonal dominance of every row of the Hessian."""
-        return _row_dominant(self.hessian)
-
-    @functools.cached_property
-    def block_dominant(self):
-        return _block_dominant(self.hessian)
-
-    @functools.cached_property
-    def classification(self):
-        """'none' when the gradient is not at rounding level, 'saddle'
-        for mixed diagonal signs, 'local-max' when every diagonal entry
-        is negative and the Hessian is diagonally dominant (the one case
-        that tests dominance), 'indefinite' otherwise."""
-        return _classification(self.stationary, np.diag(self.hessian),
-                         lambda: self.diagonally_dominant)
+    diagonally_dominant: bool
+    block_dominant: bool
+    classification: str
 
 
 def _classification(stationary, d, dominant):
-    """EnergyReport.classification from the stationarity flag, the
-    Hessian's diagonal d and dominant(), which reports its diagonal
-    dominance and is called only where every d is negative."""
+    """The classification of a stationary point from the stationarity
+    flag, the Hessian's diagonal d and dominant(), which reports its
+    diagonal dominance and is called only where every d is negative:
+    'none' when the gradient is not at rounding level, 'saddle' for
+    mixed diagonal signs, 'local-max' when every diagonal entry is
+    negative and the Hessian is diagonally dominant, 'indefinite'
+    otherwise."""
     if not stationary:
         return "none"
     if np.any(d > 0) and np.any(d < 0):
@@ -345,20 +320,26 @@ def _block_dominant(H):
 def energy_hessian(nodes, w):
     """Full second-order report of F at the nodes, sorted ascending.
 
+    The nodes are sorted and the weight evaluated once; one assembly of
+    the sorted row (_assemble) gives the gradient, the Hessian and the
+    cross logs, and one compensated sum of those terms F (logT).
     Classification follows the diagonal sign pattern rather than the
-    spectrum (EnergyReport.classification); the spectrum stays available
-    to callers through the hessian field.  The nodes are sorted and the
-    weight evaluated once; the gradient, the Hessian, the diagonal signs
-    and the stationarity flag are formed here, the rest of the report on
-    first read.
+    spectrum (_classification); the spectrum stays available to callers
+    through the hessian field.
     """
     x = _checked(nodes)[1]
     X = x[None]
     logw, d1, d2 = weight_logs(w, X)
-    (g,), (H,) = _derivatives(X[:, :, None] - X[:, None, :], d1, d2)
-    return EnergyReport(nodes=x, logw=logw[0], gradient=g, hessian=H,
-                        diag_signs=np.sign(np.diag(H)).astype(int),
-                        stationary=_stationary(g, d1)[1])
+    _, (g,), (H,), (cross,) = _assemble(X, logw, d1, d2)
+    d = np.diag(H)
+    stationary = _stationary(g, d1)[1]
+    dominant = _row_dominant(H)
+    return EnergyReport(
+        nodes=x, logw=logw[0], logT=_compensated(logw[0], cross),
+        gradient=g, hessian=H, diag_signs=np.sign(d).astype(int),
+        stationary=stationary, diagonally_dominant=dominant,
+        block_dominant=_block_dominant(H),
+        classification=_classification(stationary, d, lambda: dominant))
 
 
 def _node_polynomial(zs):

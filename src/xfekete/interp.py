@@ -126,15 +126,13 @@ def scan_grid(nodes, family, grid_size=1000):
         top = nodes[-1] * (1.0 + 10.0 / n)
         base = np.concatenate([np.geomspace(1e-6, top, grid_size),
                                np.linspace(top, 3.0 * top, 50)])
-    near = []
-    for xk in nodes:
-        for eps in (1e-5, 1e-7):
-            off = eps * (1.0 + abs(xk))
-            near.extend([xk - off, xk + off])
+    # x_k -+ eps (1 + |x_k|) for eps in (1e-5, 1e-7), one row per eps
+    off = np.array([[1e-5], [1e-7]]) * (1.0 + np.abs(nodes))
     # np.unique's sort and repeat mask, in place on the one concatenation
     # (np.unique copies it), the base freed first: a scan's working set
     # stays near one block
-    grid = np.concatenate([base, np.asarray(near)])
+    grid = np.concatenate([base, (nodes - off).ravel(),
+                           (nodes + off).ravel()])
     del base
     grid.sort()
     keep = np.empty(grid.size, dtype=bool)

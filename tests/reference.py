@@ -263,7 +263,7 @@ def _pair_logs(x):
     prefix order (np.tril_indices: sorted by j, then i), with no n x n
     difference matrix.  fsum rounds once in any order and |x_j - x_i| =
     |x_i - x_j| exactly, so an fsum of these is the fsum of the package's
-    C-order cross logs (energy._cross_logs), bit for bit."""
+    C-order cross logs (energy._assemble's), bit for bit."""
     j, i = np.tril_indices(x.size, -1)
     cross = x[j]
     np.subtract(cross, x[i], out=cross)

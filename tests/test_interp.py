@@ -10,6 +10,7 @@ from numpy.polynomial import polynomial as npoly
 
 import xfekete as xf
 from xfekete import cli, interp
+from xfekete.exceptional import FAMILY
 from xfekete.interp import _nearest_node_distance, scan_grid
 
 from conftest import random_nodes, spec_of, zeros_of
@@ -205,6 +206,40 @@ def test_scan_grid_refines_near_nodes():
     grid = scan_grid(nodes, "laguerre1", grid_size=100)
     assert np.min(np.abs(grid - 1.0)) < 1e-4
     assert np.all(grid > 0)
+
+
+def ref_scan_grid(nodes, family, grid_size=1000):
+    """scan_grid with its near-node points x_k -+ eps (1 + |x_k|) formed
+    node by node, in Python floats."""
+    nodes = np.sort(np.asarray(nodes, dtype=float))
+    n = nodes.size
+    lo, hi = FAMILY[family].interval
+    if np.isfinite(hi):
+        t = np.geomspace(1e-6, 1.0, grid_size // 2)
+        base = np.concatenate([lo + t, hi - t])
+    else:
+        top = nodes[-1] * (1.0 + 10.0 / n)
+        base = np.concatenate([np.geomspace(1e-6, top, grid_size),
+                               np.linspace(top, 3.0 * top, 50)])
+    near = []
+    for xk in nodes:
+        for eps in (1e-5, 1e-7):
+            off = eps * (1.0 + abs(xk))
+            near.extend([xk - off, xk + off])
+    grid = np.unique(np.concatenate([base, np.asarray(near)]))
+    return grid[(grid > lo + 1e-9) & (grid < hi - 1e-9)]
+
+
+@pytest.mark.parametrize("args", [("laguerre1", 2, 2.7, 5),
+                                  ("laguerre1", 2, 2.7, 120),
+                                  ("laguerre2", 2, 3.3, 40),
+                                  ("jacobi", 2, 2.6, 60, 0.8)])
+def test_scan_grid_bit_identical(args):
+    nodes = zeros_of(*args).regular
+    for grid_size in (0, 7, 1000):
+        got = scan_grid(nodes, args[0], grid_size)
+        assert got.tobytes() == ref_scan_grid(nodes, args[0],
+                                              grid_size).tobytes()
 
 
 # ---------------------------------------------------------------- blocks

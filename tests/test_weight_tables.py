@@ -7,7 +7,6 @@ tabled Horner evaluation does the same floating-point operations in the
 same order, so the comparisons are exact, not approximate.
 """
 
-import functools
 import json
 import math
 
@@ -149,7 +148,7 @@ def test_log_energy_is_F_without_the_hessian_at_the_diameter_size(
         monkeypatch):
     # a diameter member: laguerre1 m = 1 at n = 150, v weight, its
     # regular zeros; the pair-sum reference reads F off the weight and
-    # cross logs, as EnergyReport.logT does
+    # cross logs, as energy_hessian's logT does
     zs = zeros_of("laguerre1", 1, 2.0, 150)
     w = xf.v_weight(zs)
     nodes = zs.regular
@@ -161,9 +160,10 @@ def test_log_energy_is_F_without_the_hessian_at_the_diameter_size(
                             calls.append(name) or real(*a))
     assert log_energy(nodes, w) == F
     assert calls == []
-    # the count is live: energy_hessian forms the Hessian once
+    # the count is live: energy_hessian assembles its row, and so forms
+    # the Hessian, once
     assert xf.energy_hessian(nodes, w).logT == F
-    assert calls == ["_derivatives"]
+    assert calls == ["_assemble", "_derivatives"]
 
 
 def test_prefix_pairs_give_the_triu_order_sums():
@@ -197,6 +197,24 @@ def test_stacked_assembly_bit_identical_row_by_row(family):
         g_ref, H_ref = ref_gradient_and_hessian(x, w)
         np.testing.assert_array_equal(G[r], g_ref)
         np.testing.assert_array_equal(H[r], H_ref)
+
+
+@pytest.mark.parametrize("variant", ["hat", "v"])
+@pytest.mark.parametrize("family", ["laguerre1", "laguerre2", "jacobi"])
+def test_energy_hessian_is_the_assembly_of_its_sorted_row(family, variant):
+    # the report's gradient, Hessian and logT are _assemble's terms of
+    # the one sorted row and one compensated sum of them, bit for bit
+    w = weight(family, variant)
+    base = zeros_of(*SPECS[family]).regular
+    nodes = base + 0.01 * np.sin(np.arange(base.size))
+    nodes = nodes[np.random.default_rng(3).permutation(nodes.size)]
+    X = np.sort(nodes)[None]
+    logw, d1, d2 = xf.weight_logs(w, X)
+    _, (g,), (H,), (cross,) = energy._assemble(X, logw, d1, d2)
+    rep = xf.energy_hessian(nodes, w)
+    assert rep.gradient.tobytes() == g.tobytes()
+    assert rep.hessian.tobytes() == H.tobytes()
+    assert rep.logT.hex() == energy._compensated(logw[0], cross).hex()
 
 
 def test_phi_closed_matches_direct_form():
@@ -341,7 +359,7 @@ def test_pole_guard_masks_are_the_points_that_raise():
                         == [b.hex() for b in one])
 
 
-# every field of an EnergyReport, the ones computed on read included
+# every field of an EnergyReport but logw
 REPORT_FIELDS = ("nodes", "logT", "gradient", "hessian", "diag_signs",
                  "stationary", "diagonally_dominant", "block_dominant",
                  "classification")
@@ -353,7 +371,7 @@ def test_energy_hessian_evaluates_the_weight_once(monkeypatch):
     counter = {"weight_logs": 0}
     _count_calls(monkeypatch, energy, "weight_logs", counter)
     rep = xf.energy_hessian(nodes, w)
-    # the fields computed on read use the stored terms, not the weight
+    # reading the report evaluates nothing
     for name in REPORT_FIELDS:
         getattr(rep, name)
     assert counter["weight_logs"] == 1
@@ -438,43 +456,38 @@ def test_all_negative_diagonal_without_dominance_is_indefinite():
     # a stationary report whose diagonal is negative but whose rows are
     # not dominant reaches the one branch that tests dominance
     H = np.array([[-1.0, 2.0], [2.0, -1.0]])
-    rep = energy.EnergyReport(nodes=np.array([0.0, 1.0]),
-                              logw=np.zeros(2), gradient=np.zeros(2),
-                              hessian=H, diag_signs=np.array([-1, -1]),
-                              stationary=True)
-    assert rep.classification == "indefinite"
-    assert not rep.diagonally_dominant and not rep.block_dominant
+    assert energy._classification(
+        True, np.diag(H), lambda: energy._row_dominant(H)) == "indefinite"
+    assert not energy._row_dominant(H) and not energy._block_dominant(H)
 
 
 def test_verify_forms_no_logT_sum_and_no_dominance_test(monkeypatch,
                                                         capsys):
     # verify reads its saddle (hat) and Fekete (v) checks off the zeros'
-    # Stieltjes system and forms no report; a laguerre1 saddle
-    # classifies without a dominance test
-    counter = {"_compensated": 0, "_block_dominant": 0}
-    _count_calls(monkeypatch, energy, "_compensated", counter)
-    _count_calls(monkeypatch, energy, "_block_dominant", counter)
-    calls = []
-    real = energy.EnergyReport.diagonally_dominant.func
-    counted = functools.cached_property(lambda r: calls.append(1) or real(r))
-    counted.__set_name__(energy.EnergyReport, "diagonally_dominant")
-    monkeypatch.setattr(energy.EnergyReport, "diagonally_dominant", counted)
+    # Stieltjes system and forms no report, whose every formation runs
+    # a dominance test; a laguerre1 saddle classifies without one
+    counter = {"_compensated": 0, "_block_dominant": 0, "_row_dominant": 0}
+    for name in counter:
+        _count_calls(monkeypatch, energy, name, counter)
+    # verify's own saddle classification reads the counted test too
+    monkeypatch.setattr(cli, "_row_dominant", energy._row_dominant)
     argv = ["verify", "--family", "laguerre1", "--m", "1", "--alpha", "2",
             "--n", "5"]
     assert cli.main(argv) == 0
     out = json.loads(capsys.readouterr().out)
     assert {c["name"] for c in out["checks"]} >= {"saddle",
                                                   "fekete_stationary"}
-    assert counter == {"_compensated": 0, "_block_dominant": 0}
-    assert calls == []
-    # the counts are live: a report read in full pays for each once
+    assert counter == {"_compensated": 0, "_block_dominant": 0,
+                       "_row_dominant": 0}
+    # the counts are live: a report is formed once, its reads form
+    # nothing, and its one negative block is tested beside the whole H
     rep = xf.energy_hessian(_report_nodes(("laguerre1", 1, 2.0, 5), "v"),
                             xf.v_weight(zeros_of("laguerre1", 1, 2.0, 5)))
     for name in REPORT_FIELDS:
         getattr(rep, name)
-        getattr(rep, name)
-    assert counter == {"_compensated": 1, "_block_dominant": 1}
-    assert calls == [1]
+    assert rep.classification == "local-max"
+    assert counter == {"_compensated": 1, "_block_dominant": 1,
+                       "_row_dominant": 2}
 
 
 def test_probe_cluster_energy_is_the_ascent_value():
